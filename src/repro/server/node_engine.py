@@ -17,18 +17,18 @@ This module provides two interchangeable engines behind one interface:
   station slot, installed subset version, hand-off / install counters)
   with two batched lookups per tick:
 
-  1. **station assignment** via a precomputed *candidate raster* over
-     the monitoring bounds: each raster cell stores the small set of
-     stations that could possibly serve any point inside it (covering
-     candidates by disk–cell distance, nearest-overall candidates by
-     the min/max-distance pruning bound), so the per-node resolution is
-     an exact argmin over a handful of gathered candidates instead of a
-     scan of every station;
+  1. **station assignment** via a precomputed two-level *candidate
+     raster* over the monitoring bounds: each raster cell stores the
+     small set of stations that could possibly serve any point inside
+     it, most cells exactly one, so only nodes near a real assignment
+     boundary pay an exact first-minimum over a handful of gathered
+     candidates — nobody scans every station;
   2. **threshold lookup** via per-station *threshold rasters*: the
      station's region subset is rasterized onto the irregular grid
      spanned by its region edges (so every rect boundary is a raster
-     line exactly), and ``current_threshold`` for all nodes attached to
-     that station is one ``searchsorted`` + fancy-indexing gather.
+     line exactly), nodes are grouped by station with one radix sort,
+     and ``current_threshold`` for all nodes attached to a station is
+     two ``searchsorted`` calls + one mask-free gather.
 
 Both engines produce bit-identical thresholds and counters: ties in
 station assignment resolve to the first station in list order (the
@@ -71,6 +71,9 @@ NODE_ENGINES = ("vector", "object")
 #: a cell's candidate set, never drop the true winner from it.
 _PRUNE_EPS = 1e-9
 
+#: Fine candidate-raster cells per coarse cell and axis.
+_REFINE = 5
+
 
 class StationAssigner:
     """Batched station assignment over a precomputed candidate raster.
@@ -78,17 +81,21 @@ class StationAssigner:
     Replicates :meth:`BaseStationNetwork.station_for` for arrays of
     positions: the nearest *covering* station wins; positions covered by
     no station fall back to the nearest station overall; distance ties
-    resolve to the earliest station in list order (``np.argmin`` over
-    candidates sorted by list index picks the first minimum, matching
-    the object path's ``min()``).
+    resolve to the earliest station in list order (candidates are kept
+    in list order and the resolve picks the first minimum, matching the
+    object path's ``min()``).
 
     The raster stores, per cell, every station that could be the winner
-    for *some* point in the cell: stations whose coverage disk reaches
-    the cell, plus stations whose minimum distance to the cell does not
-    exceed the smallest maximum distance (the classic nearest-neighbour
-    pruning bound).  Positions outside the raster bounds (rare; traces
-    are generated inside them) are resolved against the full station
-    list, so the assignment is exact everywhere.
+    for *some* point in the cell (see :meth:`_prune`).  It is built in
+    two levels: a coarse pass prunes every station against every coarse
+    cell, and each contested coarse cell is split ``_REFINE`` x
+    ``_REFINE`` and pruned again against its own few candidates only.
+    Most positions then fall in a fine cell with a single candidate and
+    need no distance computation at all; only positions near a real
+    assignment boundary pay the exact resolve.  Positions outside the
+    raster bounds (rare; traces are generated inside them) are resolved
+    against the full station list, so the assignment is exact
+    everywhere.
     """
 
     def __init__(
@@ -101,68 +108,107 @@ class StationAssigner:
             raise ValueError("at least one base station is required")
         self.stations = stations
         self.bounds = bounds
-        self._cx = np.array([s.center.x for s in stations], dtype=np.float64)
-        self._cy = np.array([s.center.y for s in stations], dtype=np.float64)
-        self._radius = np.array([s.radius for s in stations], dtype=np.float64)
+        # One sentinel past the real stations, infinitely far away and
+        # covering nothing: the -1 padding of a candidate column indexes
+        # it, so the resolve needs no validity mask.
+        self._cx = np.array([s.center.x for s in stations] + [np.inf])
+        self._cy = np.array([s.center.y for s in stations] + [0.0])
+        self._radius = np.array([s.radius for s in stations] + [-1.0])
         self.station_ids = np.array(
             [s.station_id for s in stations], dtype=np.int64
         )
-        n_stations = len(stations)
+        extent = [1.0, bounds.x1, bounds.y1, bounds.x2, bounds.y2]
+        self._eps = _PRUNE_EPS * float(
+            np.abs(np.concatenate((extent, self._cx[:-1], self._cy, self._radius))).max()
+        )
         if resolution is None:
-            resolution = int(np.clip(4 * np.ceil(np.sqrt(n_stations)), 8, 128))
+            resolution = int(np.clip(4 * np.ceil(np.sqrt(len(stations))), 8, 128))
+        #: Coarse cells per axis; the lookup raster is ``_REFINE`` x finer.
         self.resolution = resolution
-        self._cell_w = bounds.width / resolution or 1.0
-        self._cell_h = bounds.height / resolution or 1.0
-        self._candidates, self._n_candidates = self._build_raster()
+        self.fine_resolution = resolution * _REFINE
+        self._cell_w = bounds.width / self.fine_resolution or 1.0
+        self._cell_h = bounds.height / self.fine_resolution or 1.0
+        self._candidates = self._build_raster()
+        #: The lone candidate of each fine cell, -1 where contested.
+        self._single = np.where(
+            (self._candidates >= 0).sum(axis=0) == 1, self._candidates[0], -1
+        )
 
-    def _build_raster(self) -> tuple[np.ndarray, np.ndarray]:
-        res = self.resolution
+    def _prune(
+        self, i: np.ndarray, j: np.ndarray, span: int, cand: np.ndarray
+    ) -> np.ndarray:
+        """Per-cell candidate columns (list order, -1 padded) out of ``cand``.
+
+        Cell ``k`` is the closed square of ``span`` fine cells whose
+        lower corner is fine cell ``(i[k], j[k])``; column ``k`` of
+        ``cand`` already holds every possible winner for it.  With
+        ``d_min``/``d_max`` the distances from a station to the nearest
+        /farthest point of the cell, a winner ``w`` at ``p`` satisfies:
+
+        * ``w`` covers ``p``, so ``d_min(w) <= radius(w)``; or nobody
+          covers ``p`` and ``w`` is nearest overall, so ``d_min(w) <=
+          d(w, p) <= d(s, p) <= d_max(s)`` for every station ``s``;
+        * *full-cover bound*: if some station ``f`` covers the whole
+          cell (``d_max(f) <= radius(f)``), every ``p`` is covered, the
+          winner is the nearest covering station, and ``d_min(w) <=
+          d(w, p) <= d(f, p) <= d_max(f)`` — which drops the stations
+          whose disk merely overlaps a cell that a nearer one owns.
+
+        Both hold for any subset of stations that contains all winners,
+        which is what makes the second level exact.  Comparisons are on
+        squared distances, inflated by ``_PRUNE_EPS`` so rounding can
+        only grow a column.
+        """
         b = self.bounds
-        # Cell rectangles, one row per flattened cell (x-major like the
-        # plan raster: flat = i * res + j).
-        i = np.repeat(np.arange(res), res)
-        j = np.tile(np.arange(res), res)
         x1 = b.x1 + i * self._cell_w
         y1 = b.y1 + j * self._cell_h
-        x2, y2 = x1 + self._cell_w, y1 + self._cell_h
-        # Min distance: clamp the station center into the (closed) cell.
-        dx = np.maximum(
-            np.maximum(x1[:, None] - self._cx[None, :], 0.0),
-            self._cx[None, :] - x2[:, None],
-        )
-        dy = np.maximum(
-            np.maximum(y1[:, None] - self._cy[None, :], 0.0),
-            self._cy[None, :] - y2[:, None],
-        )
-        d_min = np.hypot(dx, dy)  # (cells, stations)
-        # Max distance: the farthest cell corner from the center.
-        far_x = np.maximum(
-            np.abs(x1[:, None] - self._cx[None, :]),
-            np.abs(x2[:, None] - self._cx[None, :]),
-        )
-        far_y = np.maximum(
-            np.abs(y1[:, None] - self._cy[None, :]),
-            np.abs(y2[:, None] - self._cy[None, :]),
-        )
-        d_max = np.hypot(far_x, far_y)
-        scale = max(abs(b.x1), abs(b.x2), abs(b.y1), abs(b.y2), 1.0)
-        eps = _PRUNE_EPS * scale
-        covering = d_min <= self._radius[None, :] + eps
-        nearest_bound = d_max.min(axis=1, keepdims=True)
-        nearest = d_min <= nearest_bound + eps
-        candidate = covering | nearest
-        counts = candidate.sum(axis=1)
-        width = int(counts.max())
-        table = np.full((res * res, width), -1, dtype=np.int64)
-        for cell in range(res * res):
-            slots = np.flatnonzero(candidate[cell])  # ascending list order
-            table[cell, : slots.size] = slots
-        return table, counts
+        x2 = x1 + span * self._cell_w
+        y2 = y1 + span * self._cell_h
+        cx, cy, radius = self._cx[cand], self._cy[cand], self._radius[cand]
+        near_x = np.maximum(np.maximum(x1 - cx, cx - x2), 0.0)
+        near_y = np.maximum(np.maximum(y1 - cy, cy - y2), 0.0)
+        d_min = near_x * near_x + near_y * near_y
+        far_x = np.maximum(cx - x1, x2 - cx)
+        far_y = np.maximum(cy - y1, y2 - cy)
+        d_max = far_x * far_x + far_y * far_y
+        eps = self._eps
+        covering = d_min <= (radius + eps) ** 2
+        full = d_max <= np.maximum(radius - eps, 0.0) ** 2
+        full_bound = np.where(full, d_max, np.inf).min(axis=0)
+        covered = full_bound < np.inf
+        bound = np.where(covered, full_bound, d_max.min(axis=0))
+        near = d_min <= (np.sqrt(bound) + eps) ** 2
+        keep = np.where(covered, covering & near, covering | near)
+        # Left-pack the kept slots of each cell, in list order.
+        position = np.cumsum(keep, axis=0)
+        rows = np.full((int(position[-1].max(initial=1)), i.size), -1, dtype=np.int64)
+        at, cell = np.nonzero(keep)
+        rows[position[at, cell] - 1, cell] = np.broadcast_to(cand, keep.shape)[at, cell]
+        return rows
 
-    @property
-    def mean_candidates(self) -> float:
-        """Average candidate-set size per raster cell (diagnostics)."""
-        return float(self._n_candidates.mean())
+    def _build_raster(self) -> np.ndarray:
+        res, f = self.resolution, _REFINE
+        i, j = np.divmod(np.arange(res * res), res)
+        everyone = np.arange(len(self.stations))[:, None]
+        coarse = self._prune(i * f, j * f, f, everyone)
+        contested = np.flatnonzero((coarse >= 0).sum(axis=0) > 1)
+        a, c = np.divmod(np.arange(f * f), f)
+        fi = (i[contested, None] * f + a).ravel()
+        fj = (j[contested, None] * f + c).ravel()
+        refined = self._prune(fi, fj, 1, coarse[:, contested].repeat(f * f, axis=1))
+        table = np.full((len(refined), res * f, res * f), -1, dtype=np.int64)
+        table[0] = coarse[0].reshape(res, res).repeat(f, axis=0).repeat(f, axis=1)
+        table[:, fi, fj] = refined
+        return table.reshape(len(refined), -1)
+
+    def cells_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Flat fine-raster cell of each (in-bounds) position."""
+        b = self.bounds
+        last = self.fine_resolution - 1
+        cells = np.minimum(((x - b.x1) / self._cell_w).astype(np.int64), last)
+        cells *= self.fine_resolution
+        cells += np.minimum(((y - b.y1) / self._cell_h).astype(np.int64), last)
+        return cells
 
     def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Station *slot* (index into the station list) per position."""
@@ -170,59 +216,41 @@ class StationAssigner:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         b = self.bounds
+        if x.min() >= b.x1 and x.max() <= b.x2 and y.min() >= b.y1 and y.max() <= b.y2:
+            return self._assign_raster(x, y)
         inside = (x >= b.x1) & (x <= b.x2) & (y >= b.y1) & (y <= b.y2)
+        idx_in = np.flatnonzero(inside)
+        idx_out = np.flatnonzero(~inside)
         slots = np.empty(n, dtype=np.int64)
-        if inside.all():
-            slots[:] = self._assign_raster(x, y)
-        else:
-            idx_in = np.flatnonzero(inside)
-            idx_out = np.flatnonzero(~inside)
-            slots[idx_in] = self._assign_raster(x[idx_in], y[idx_in])
-            slots[idx_out] = self._assign_exhaustive(x[idx_out], y[idx_out])
+        slots[idx_in] = self._assign_raster(x[idx_in], y[idx_in])
+        slots[idx_out] = self._resolve(
+            x[idx_out], y[idx_out], np.arange(len(self.stations))[:, None]
+        )
         return slots
 
     def _resolve(self, x: np.ndarray, y: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Exact winner among per-row candidate slot lists (-1 padded)."""
-        valid = cand >= 0
-        safe = np.where(valid, cand, 0)
-        d = np.hypot(x[:, None] - self._cx[safe], y[:, None] - self._cy[safe])
-        d = np.where(valid, d, np.inf)
-        covers = valid & (d <= self._radius[safe])
-        d_cover = np.where(covers, d, np.inf)
-        has_cover = covers.any(axis=1)
-        pick = np.where(
-            has_cover, np.argmin(d_cover, axis=1), np.argmin(d, axis=1)
-        )
-        return cand[np.arange(cand.shape[0]), pick]
+        """Exact winner among per-position candidate columns (-1 padded)."""
+        d = np.hypot(x - self._cx[cand], y - self._cy[cand])
+        covers = d <= self._radius[cand]
+        pick = np.argmin(np.where(covers, d, np.inf), axis=0)
+        uncovered = np.flatnonzero(~covers.any(axis=0))
+        if uncovered.size:
+            pick[uncovered] = np.argmin(d[:, uncovered], axis=0)
+        return np.broadcast_to(cand, d.shape)[pick, np.arange(x.size)]
 
     def _assign_raster(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        b = self.bounds
-        ix = ((x - b.x1) / self._cell_w).astype(np.int64)
-        iy = ((y - b.y1) / self._cell_h).astype(np.int64)
-        np.clip(ix, 0, self.resolution - 1, out=ix)
-        np.clip(iy, 0, self.resolution - 1, out=iy)
-        cells = ix * self.resolution + iy
         # Single-candidate cells need no distance computation at all:
         # the lone candidate wins whether or not it covers the point
         # (nearest-covering and nearest-overall coincide).  Only the
         # contested remainder pays the gather + hypot.
-        single = self._n_candidates[cells] == 1
-        if single.all():
-            return self._candidates[cells, 0]
-        slots = np.empty(x.size, dtype=np.int64)
-        idx_single = np.flatnonzero(single)
-        idx_multi = np.flatnonzero(~single)
-        slots[idx_single] = self._candidates[cells[idx_single], 0]
-        slots[idx_multi] = self._resolve(
-            x[idx_multi], y[idx_multi], self._candidates[cells[idx_multi]]
-        )
+        cells = self.cells_of(x, y)
+        slots = self._single[cells]
+        contested = np.flatnonzero(slots < 0)
+        if contested.size:
+            slots[contested] = self._resolve(
+                x[contested], y[contested], self._candidates[:, cells[contested]]
+            )
         return slots
-
-    def _assign_exhaustive(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        cand = np.broadcast_to(
-            np.arange(len(self.stations), dtype=np.int64), (x.size, len(self.stations))
-        )
-        return self._resolve(x, y, cand)
 
 
 class _ThresholdRaster:
@@ -254,11 +282,14 @@ class _ThresholdRaster:
             i1, i2, j1, j2 = self._cell_span(regions[index].rect)
             owner[i1:i2, j1:j2] = index
         self._owner = owner
-        grid = np.full(owner.shape, np.nan, dtype=np.float64)
-        inside = owner >= 0
-        deltas = np.array([r.delta for r in regions], dtype=np.float64)
-        grid[inside] = deltas[owner[inside]]
-        self._grid = grid
+        # One NaN cell of padding all round ("no region here"), so a
+        # lookup needs no bounds mask: ``searchsorted(side="right")``
+        # maps positions before the first / from the last raster line
+        # on to the border.  ``_grid`` is the interior view.
+        deltas = np.array([r.delta for r in regions] + [np.nan], dtype=np.float64)
+        self._padded = np.full((len(xs) + 1, len(ys) + 1), np.nan, dtype=np.float64)
+        self._grid = self._padded[1:-1, 1:-1]
+        self._grid[:] = deltas[owner]
 
     def _cell_span(self, rect) -> tuple[int, int, int, int]:
         return (
@@ -291,22 +322,12 @@ class _ThresholdRaster:
         self._regions = regions
         return True
 
-    def thresholds_at(
-        self, x: np.ndarray, y: np.ndarray, default: float
-    ) -> np.ndarray:
-        ix = np.searchsorted(self._xs, x, side="right") - 1
-        iy = np.searchsorted(self._ys, y, side="right") - 1
-        inside = (
-            (ix >= 0)
-            & (ix < self._grid.shape[0])
-            & (iy >= 0)
-            & (iy < self._grid.shape[1])
-        )
-        out = np.full(x.shape, default, dtype=np.float64)
-        if inside.any():
-            values = self._grid[ix[inside], iy[inside]]
-            out[inside] = np.where(np.isnan(values), default, values)
-        return out
+    def thresholds_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Δ of the stored region at each position, NaN where there is none."""
+        return self._padded[
+            np.searchsorted(self._xs, x, side="right"),
+            np.searchsorted(self._ys, y, side="right"),
+        ]
 
 
 class ObjectNodeEngine:
@@ -389,7 +410,6 @@ class VectorNodeEngine:
         n_nodes: int,
         network: SubsetProvider,
         bounds: Rect,
-        assigner_resolution: int | None = None,
         assigner: StationAssigner | None = None,
     ) -> None:
         self.n_nodes = n_nodes
@@ -398,14 +418,15 @@ class VectorNodeEngine:
         # same station layout (one per shard) share a single candidate
         # raster instead of precomputing K identical copies; ``network``
         # then only needs to answer ``subset_or_none``.
-        self.assigner = assigner if assigner is not None else StationAssigner(
-            network.stations, bounds, resolution=assigner_resolution
-        )
+        self.assigner = assigner or StationAssigner(network.stations, bounds)
         self._station_slot = np.full(n_nodes, -1, dtype=np.int64)
         self._installed_version = np.full(n_nodes, -1, dtype=np.int64)
         self._handoffs = np.zeros(n_nodes, dtype=np.int64)
         self._installs = np.zeros(n_nodes, dtype=np.int64)
         self.total_handoffs = 0
+        #: Station versions every node is known to be level with
+        #: (``None`` = unknown): see :meth:`compute_thresholds`.
+        self._level_with: np.ndarray | None = None
         #: slot -> (regions-tuple id, regions ref, raster | None) cache.
         self._rasters: dict[int, tuple[int, tuple, _ThresholdRaster | None]] = {}
 
@@ -415,14 +436,12 @@ class VectorNodeEngine:
 
     def _station_state(self) -> tuple[np.ndarray, list]:
         """Current subset version per station slot (-1 = none) + subsets."""
-        versions = np.full(len(self.assigner.stations), -1, dtype=np.int64)
-        subsets: list = [None] * len(self.assigner.stations)
-        for slot, station in enumerate(self.assigner.stations):
-            subset = self.network.subset_or_none(station.station_id)
-            if subset is not None:
-                versions[slot] = subset.version
-                subsets[slot] = subset
-        return versions, subsets
+        subsets = [
+            self.network.subset_or_none(station.station_id)
+            for station in self.assigner.stations
+        ]
+        versions = [-1 if subset is None else subset.version for subset in subsets]
+        return np.array(versions, dtype=np.int64), subsets
 
     def _raster_for(self, slot: int, subset) -> _ThresholdRaster | None:
         regions = subset.regions
@@ -456,82 +475,76 @@ class VectorNodeEngine:
     ) -> np.ndarray:
         """Per-node Δ for one tick; inactive nodes get ``inf``.
 
-        The common case (no churn: every node active) updates the state
-        arrays in place with boolean masks; only the churn path pays the
-        active-subset gathers and scatters.
+        Every position is assigned a station, but the protocol state is
+        touched only at the few nodes that changed station or whose
+        station re-broadcast; ``rows`` maps a position to its node (all
+        of them in the common no-churn case, the active ones otherwise).
         """
         full = active is None
-        act = None if full else np.flatnonzero(active)
-        if not full:
-            thresholds = np.full(self.n_nodes, np.inf, dtype=np.float64)
-            if act.size == 0:
-                return thresholds
-        if full:
-            x = np.ascontiguousarray(positions[:, 0], dtype=np.float64)
-            y = np.ascontiguousarray(positions[:, 1], dtype=np.float64)
-        else:
-            x = np.ascontiguousarray(positions[act, 0], dtype=np.float64)
-            y = np.ascontiguousarray(positions[act, 1], dtype=np.float64)
+        rows = slice(None) if full else np.flatnonzero(active)
+        x = np.ascontiguousarray(positions[rows, 0], dtype=np.float64)
+        y = np.ascontiguousarray(positions[rows, 1], dtype=np.float64)
+        if x.size == 0:
+            return np.full(self.n_nodes, np.inf, dtype=np.float64)
 
         slots = self.assigner.assign(x, y)
-        previous = self._station_slot if full else self._station_slot[act]
-        changed = slots != previous
-        handoff = changed & (previous >= 0)
-        n_handoffs = int(np.count_nonzero(handoff))
-        if n_handoffs:
-            self.total_handoffs += n_handoffs
-            if full:
-                self._handoffs[handoff] += 1
-            else:
-                self._handoffs[act[handoff]] += 1
+        previous = self._station_slot[rows]
+        moved = np.flatnonzero(slots != previous)
+        moved_rows = moved if full else rows[moved]
+        handed_off = moved_rows[previous[moved] >= 0]
+        self._handoffs[handed_off] += 1
+        self.total_handoffs += handed_off.size
         if full:
-            self._station_slot = slots.copy()
+            self._station_slot = slots
         else:
-            self._station_slot[act] = slots
+            self._station_slot[rows] = slots
 
+        # Hand-off: adopt the new station's subset version (-1, i.e.
+        # nothing stored, when its broadcast was lost).
         versions, subsets = self._station_state()
-        slot_version = versions[slots]
-        installed = self._installed_version if full else self._installed_version[act]
-        # Hand-off: adopt the new station's subset (or clear on a lost
-        # broadcast).  Same station: re-install only when the broadcast
-        # version advanced past the stored one.
-        install = changed & (slot_version >= 0)
-        install |= (~changed) & (slot_version >= 0) & (slot_version != installed)
-        clear = changed & (slot_version < 0)
-        if install.any():
-            where = install if full else act[install]
-            self._installs[where] += 1
-            self._installed_version[where] = slot_version[install]
-        if clear.any():
-            self._installed_version[clear if full else act[clear]] = -1
-
-        # Threshold gather: one raster lookup per station that currently
-        # serves nodes with an installed subset; everyone else is Δ⊢.
-        # Nodes are grouped by station with one stable argsort instead
-        # of a fresh full-length mask per station.
-        out = np.full(x.size, default, dtype=np.float64)
-        stored = self._installed_version if full else self._installed_version[act]
-        idx_have = np.flatnonzero(stored >= 0)
-        if idx_have.size:
-            groups = slots[idx_have]
-            order = np.argsort(groups, kind="stable")
-            sorted_idx = idx_have[order]
-            sorted_groups = groups[order]
-            starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(sorted_groups)) + 1, [order.size]]
+        moved_version = versions[slots[moved]]
+        self._installed_version[moved_rows] = moved_version
+        self._installs[moved_rows[moved_version >= 0]] += 1
+        # Same station: re-install where the broadcast version advanced
+        # past the stored one.  A scan over everybody leaves every node
+        # level with ``versions``; until some station's version moves
+        # (or rows arrive from another engine) there is nothing to find.
+        if self._level_with is None or not np.array_equal(versions, self._level_with):
+            slot_version = versions[slots]
+            stale = np.flatnonzero(
+                (slot_version >= 0)
+                & (slot_version != self._installed_version[rows])
             )
-            for g in range(starts.size - 1):
-                lo, hi = starts[g], starts[g + 1]
-                slot = int(sorted_groups[lo])
-                raster = self._raster_for(slot, subsets[slot])
-                if raster is None:
-                    continue  # empty subset: conservative default
-                sel = sorted_idx[lo:hi]
-                out[sel] = raster.thresholds_at(x[sel], y[sel], default)
+            stale_rows = stale if full else rows[stale]
+            self._installs[stale_rows] += 1
+            self._installed_version[stale_rows] = slot_version[stale]
+            self._level_with = versions if full else None
+
+        # Threshold gather: one raster lookup per station that serves
+        # nodes with an installed subset; no subset, an empty one, or no
+        # region at the position all read NaN, replaced by Δ⊢ in one go.
+        # Nodes are grouped by station with one stable radix sort of the
+        # (narrow) slot keys, so each station reads a contiguous slice.
+        have = np.flatnonzero(self._installed_version[rows] >= 0)
+        n_stations = len(subsets)
+        key = np.int16 if n_stations < 2**15 else np.int64
+        group = slots[have]
+        order = have[np.argsort(group.astype(key), kind="stable")]
+        xs, ys = x[order], y[order]
+        values = np.full(order.size, np.nan, dtype=np.float64)
+        counts = np.bincount(group, minlength=n_stations)
+        ends = np.cumsum(counts)
+        for slot in np.flatnonzero(counts):
+            raster = self._raster_for(slot, subsets[slot])
+            if raster is not None:
+                span = slice(ends[slot] - counts[slot], ends[slot])
+                values[span] = raster.thresholds_at(xs[span], ys[span])
+        out = np.full(x.size, default, dtype=np.float64)
+        out[order] = np.where(np.isnan(values), default, values)
         if full:
-            thresholds = out
-        else:
-            thresholds[act] = out
+            return out
+        thresholds = np.full(self.n_nodes, np.inf, dtype=np.float64)
+        thresholds[rows] = out
         return thresholds
 
     # ------------------------------------------------------------------
@@ -571,6 +584,7 @@ class VectorNodeEngine:
         self._handoffs = np.insert(self._handoffs, at, state["handoffs"])
         self._installs = np.insert(self._installs, at, state["installs"])
         self.n_nodes = int(self._station_slot.size)
+        self._level_with = None
 
     # ------------------------------------------------------------------
     # Introspection (parity with the object path)
@@ -578,13 +592,14 @@ class VectorNodeEngine:
 
     def stored_region_counts(self) -> np.ndarray:
         """How many shedding regions each node currently stores."""
-        versions, subsets = self._station_state()
-        counts = np.zeros(self.n_nodes, dtype=np.int64)
-        stored = self._installed_version >= 0
-        for i in np.flatnonzero(stored):
-            subset = subsets[self._station_slot[i]]
-            counts[i] = len(subset.regions) if subset is not None else 0
-        return counts
+        _, subsets = self._station_state()
+        per_slot = np.array(
+            [0 if subset is None else len(subset.regions) for subset in subsets],
+            dtype=np.int64,
+        )
+        return np.where(
+            self._installed_version >= 0, per_slot[self._station_slot], 0
+        )
 
     def handoff_counts(self) -> np.ndarray:
         """Per-node hand-off counters (parity introspection)."""

@@ -349,12 +349,12 @@ _WORKER_STATIONS: list[BaseStation] | None = None
 _WORKER_BOUNDS: Rect | None = None
 
 
-def _pool_init(stations: list[BaseStation], bounds: Rect, resolution: int) -> None:
+def _pool_init(stations: list[BaseStation], bounds: Rect) -> None:
     """Worker initializer: build the shared assigner once per process."""
     global _WORKER_ASSIGNER, _WORKER_STATIONS, _WORKER_BOUNDS
     _WORKER_STATIONS = stations
     _WORKER_BOUNDS = bounds
-    _WORKER_ASSIGNER = StationAssigner(stations, bounds, resolution=resolution)
+    _WORKER_ASSIGNER = StationAssigner(stations, bounds)
 
 
 def _pool_tick_job(payload: tuple) -> tuple:
@@ -477,7 +477,6 @@ class ShardedLiraSystem:
         n_workers: int = 1,
         rebalance_every: int = 1,
         shard_salt: int = 0,
-        assigner_resolution: int | None = None,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
@@ -500,13 +499,7 @@ class ShardedLiraSystem:
             )
         self._adaptive = adaptive_throttle
         station_list = stations or place_uniform_stations(bounds, station_radius)
-        self.router = ShardRouter(
-            station_list,
-            bounds,
-            n_shards,
-            salt=shard_salt,
-            assigner_resolution=assigner_resolution,
-        )
+        self.router = ShardRouter(station_list, bounds, n_shards, salt=shard_salt)
         inject = faults is not None and not self._faults_null
         self.shards: list[LiraShard] = [
             LiraShard(
@@ -607,11 +600,7 @@ class ShardedLiraSystem:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 initializer=_pool_init,
-                initargs=(
-                    self.router.stations,
-                    self.bounds,
-                    self.router.assigner.resolution,
-                ),
+                initargs=(self.router.stations, self.bounds),
             )
         return self._pool
 

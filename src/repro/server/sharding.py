@@ -91,7 +91,6 @@ class ShardRouter:
         bounds: Rect,
         n_shards: int,
         salt: int = 0,
-        assigner_resolution: int | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -106,9 +105,7 @@ class ShardRouter:
         )
         #: Owning shard per station slot (global station-list order).
         self.station_shard = hrw_shards(station_ids, n_shards, salt=salt)
-        self.assigner = StationAssigner(
-            self.stations, bounds, resolution=assigner_resolution
-        )
+        self.assigner = StationAssigner(self.stations, bounds)
 
     def stations_for(self, shard_id: int) -> list[BaseStation]:
         """The stations one shard owns, in global station-list order."""

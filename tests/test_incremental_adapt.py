@@ -382,7 +382,7 @@ class TestThresholdRasterRepaint:
         fresh = _ThresholdRaster(new)
         x, y = self._lookup_points(rng)
         assert np.array_equal(
-            raster.thresholds_at(x, y, 5.0), fresh.thresholds_at(x, y, 5.0)
+            raster.thresholds_at(x, y), fresh.thresholds_at(x, y), equal_nan=True
         )
 
     def test_repaint_refuses_geometry_change(self):
@@ -423,12 +423,10 @@ class TestThresholdRasterRepaint:
         fresh = _ThresholdRaster(changed)
         x, y = self._lookup_points(rng)
         assert np.array_equal(
-            raster.thresholds_at(x, y, 5.0), fresh.thresholds_at(x, y, 5.0)
+            raster.thresholds_at(x, y), fresh.thresholds_at(x, y), equal_nan=True
         )
         # The overlap cell still belongs to the lower region index.
-        assert raster.thresholds_at(
-            np.array([500.0]), np.array([500.0]), 5.0
-        )[0] == 10.0
+        assert raster.thresholds_at(np.array([500.0]), np.array([500.0]))[0] == 10.0
 
 
 # ---------------------------------------------------------------------------

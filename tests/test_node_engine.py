@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnalyticReduction, LiraConfig, StatisticsGrid
 from repro.core.plan import SheddingRegion
@@ -36,7 +38,11 @@ from repro.server import (
     StationAssigner,
     place_uniform_stations,
 )
-from repro.server.node_engine import _ThresholdRaster
+from repro.server.node_engine import (
+    ObjectNodeEngine,
+    VectorNodeEngine,
+    _ThresholdRaster,
+)
 from repro.server.queue import ArrayBoundedQueue
 
 BOUNDS = Rect(0.0, 0.0, 4000.0, 4000.0)
@@ -69,30 +75,21 @@ class TestStationAssigner:
         rng = np.random.default_rng(7)
         x = rng.uniform(BOUNDS.x1, BOUNDS.x2, 4000)
         y = rng.uniform(BOUNDS.y1, BOUNDS.y2, 4000)
-        slots = assigner.assign(x, y)
-        for i in range(x.size):
-            expected = network.station_for(float(x[i]), float(y[i]))
-            assert assigner.stations[slots[i]] is expected
+        _assert_matches_station_for(assigner, network, x, y)
 
     def test_matches_station_for_outside_bounds(self, network, assigner):
         rng = np.random.default_rng(8)
         x = rng.uniform(BOUNDS.x1 - 3000.0, BOUNDS.x2 + 3000.0, 500)
         y = rng.uniform(BOUNDS.y1 - 3000.0, BOUNDS.y2 + 3000.0, 500)
-        slots = assigner.assign(x, y)
-        for i in range(x.size):
-            expected = network.station_for(float(x[i]), float(y[i]))
-            assert assigner.stations[slots[i]] is expected
+        _assert_matches_station_for(assigner, network, x, y)
 
     def test_cell_edges_and_station_centers(self, network, assigner):
-        """Exact raster-cell boundaries and station centers resolve alike."""
-        edges = np.linspace(BOUNDS.x1, BOUNDS.x2, assigner.resolution + 1)
-        xs = np.concatenate([edges, assigner._cx])
-        ys = np.concatenate([edges, assigner._cy])
-        n = min(xs.size, ys.size)
-        slots = assigner.assign(xs[:n], ys[:n])
-        for i in range(n):
-            expected = network.station_for(float(xs[i]), float(ys[i]))
-            assert assigner.stations[slots[i]] is expected
+        """Coarse and fine raster lines and station centers resolve alike."""
+        edges = np.linspace(BOUNDS.x1, BOUNDS.x2, assigner.fine_resolution + 1)
+        assert assigner.fine_resolution % assigner.resolution == 0
+        xs = np.concatenate([np.repeat(edges, edges.size), assigner._cx[:-1]])
+        ys = np.concatenate([np.tile(edges, edges.size), assigner._cy[:-1]])
+        _assert_matches_station_for(assigner, network, xs, ys)
 
     def test_tie_breaks_to_first_station_in_list_order(self):
         """Equidistant covering stations: list order wins, as in min()."""
@@ -118,9 +115,76 @@ class TestStationAssigner:
         slot = assigner.assign(np.array([70.0]), np.array([0.0]))[0]
         assert slot == 1
 
-    def test_candidate_raster_prunes(self, assigner):
-        """The raster should carry far fewer candidates than stations."""
-        assert assigner.mean_candidates < len(assigner.stations)
+    def test_candidate_raster_prunes(self):
+        """Four nodes in five sit in a cell with one candidate: no resolve."""
+        bounds = Rect(0.0, 0.0, 14_000.0, 14_000.0)
+        stations = place_uniform_stations(bounds, radius=1500.0)
+        assigner = StationAssigner(stations, bounds)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(bounds.x1, bounds.x2, 50_000)
+        y = rng.uniform(bounds.y1, bounds.y2, 50_000)
+        single = assigner._single[assigner.cells_of(x, y)] >= 0
+        assert single.mean() >= 0.8
+
+
+def _assert_matches_station_for(assigner, network, x, y):
+    slots = assigner.assign(x, y)
+    for i in range(x.size):
+        expected = network.station_for(float(x[i]), float(y[i]))
+        assert assigner.stations[slots[i]] is expected, (x[i], y[i])
+
+
+#: Coordinates on a quarter-unit lattice are exact in floating point, so
+#: drawn layouts really contain coincident and equidistant centers.
+_lattice = st.integers(-40, 440).map(lambda k: k / 4.0)
+_station = st.tuples(
+    _lattice,
+    _lattice,
+    st.one_of(st.sampled_from([0.25, 5.0, 20.0, 60.0]), st.floats(0.5, 150.0)),
+)
+
+
+class TestStationAssignerProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.lists(_station, min_size=1, max_size=12),
+        origin=st.tuples(_lattice, _lattice),
+        size=st.tuples(st.integers(1, 1600), st.integers(1, 1600)),
+        resolution=st.sampled_from([None, 1, 2, 3, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_assign_matches_station_for(self, layout, origin, size, resolution, seed):
+        """Unequal radii, coverage gaps, ties, raster lines, out of bounds."""
+        stations = [
+            BaseStation(station_id=3 * k + 1, center=Point(x, y), radius=r)
+            for k, (x, y, r) in enumerate(layout)
+        ]
+        bounds = Rect(
+            origin[0], origin[1], origin[0] + size[0] / 4.0, origin[1] + size[1] / 4.0
+        )
+        assigner = StationAssigner(stations, bounds, resolution=resolution)
+        network = BaseStationNetwork(stations)
+        rng = np.random.default_rng(seed)
+        lines_x = np.linspace(bounds.x1, bounds.x2, assigner.fine_resolution + 1)
+        lines_y = np.linspace(bounds.y1, bounds.y2, assigner.fine_resolution + 1)
+        cx, cy = assigner._cx[:-1], assigner._cy[:-1]
+        xs = np.concatenate([
+            rng.uniform(bounds.x1, bounds.x2, 60),  # inside
+            rng.uniform(bounds.x1 - 50.0, bounds.x2 + 50.0, 20),  # maybe outside
+            rng.choice(lines_x, 40),  # on fine (every 5th: coarse) lines
+            rng.choice(lines_x, 20),
+            cx,  # station centers
+            (cx[:, None] + cx[None, :]).ravel() / 2.0,  # equidistant midpoints
+        ])
+        ys = np.concatenate([
+            rng.uniform(bounds.y1, bounds.y2, 60),
+            rng.uniform(bounds.y1 - 50.0, bounds.y2 + 50.0, 20),
+            rng.choice(lines_y, 40),
+            rng.uniform(bounds.y1, bounds.y2, 20),
+            cy,
+            (cy[:, None] + cy[None, :]).ravel() / 2.0,
+        ])
+        _assert_matches_station_for(assigner, network, xs, ys)
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +196,12 @@ def _region(x1, y1, x2, y2, delta):
     return SheddingRegion(
         rect=Rect(x1, y1, x2, y2), delta=delta, n=1.0, m=1.0, s=1.0
     )
+
+
+def _thresholds(raster, x, y, default):
+    """The raster reads NaN off-region; the engine substitutes Δ⊢ once."""
+    values = raster.thresholds_at(x, y)
+    return np.where(np.isnan(values), default, values)
 
 
 class TestThresholdRaster:
@@ -159,7 +229,7 @@ class TestThresholdRaster:
         rng = np.random.default_rng(12)
         x = rng.uniform(-50.0, 1200.0, 3000)
         y = rng.uniform(-50.0, 1200.0, 3000)
-        got = raster.thresholds_at(x, y, default=30.0)
+        got = _thresholds(raster, x, y, default=30.0)
         for i in range(x.size):
             assert got[i] == node.current_threshold(
                 float(x[i]), float(y[i]), default=30.0
@@ -177,7 +247,7 @@ class TestThresholdRaster:
                     ys.append(y)
         x = np.array(xs)
         y = np.array(ys)
-        got = raster.thresholds_at(x, y, default=30.0)
+        got = _thresholds(raster, x, y, default=30.0)
         for i in range(x.size):
             assert got[i] == node.current_threshold(
                 float(x[i]), float(y[i]), default=30.0
@@ -192,12 +262,152 @@ class TestThresholdRaster:
         node = self._node_with(overlapping)
         x = np.array([6.0, 12.0, 2.0, 20.0])
         y = np.array([6.0, 12.0, 2.0, 20.0])
-        got = raster.thresholds_at(x, y, default=99.0)
+        got = _thresholds(raster, x, y, default=99.0)
         assert got.tolist() == [7.0, 9.0, 7.0, 99.0]
         for i in range(x.size):
             assert got[i] == node.current_threshold(
                 float(x[i]), float(y[i]), default=99.0
             )
+
+
+    def test_outermost_lines_read_the_padding(self, regions):
+        """Before the first / from the last raster line, and non-finite
+        positions, land on the NaN border: no bounds mask, no region."""
+        raster = _ThresholdRaster(regions)
+        node = self._node_with(regions)
+        lo_x, hi_x = raster._xs[0], raster._xs[-1]
+        lo_y, hi_y = raster._ys[0], raster._ys[-1]
+        x = np.array([np.nextafter(lo_x, -np.inf), hi_x, lo_x, -np.inf, np.inf, np.nan, 500.0])
+        y = np.array([500.0, 500.0, np.nextafter(lo_y, -np.inf), 500.0, hi_y, 500.0, np.nan])
+        values = raster.thresholds_at(x, y)
+        assert np.isnan(values).all()
+        finite = np.isfinite(x) & np.isfinite(y)
+        for i in np.flatnonzero(finite):
+            assert node.current_threshold(float(x[i]), float(y[i]), default=30.0) == 30.0
+        assert raster._padded.shape == (raster._xs.size + 1, raster._ys.size + 1)
+        assert np.shares_memory(raster._grid, raster._padded)
+
+
+# ----------------------------------------------------------------------
+# Sparse protocol bookkeeping vs the per-node reference
+# ----------------------------------------------------------------------
+
+
+class _ScriptedDownlink:
+    """Loses the broadcasts to the listed stations, delivers the rest."""
+
+    def __init__(self):
+        self.lost: set[int] = set()
+
+    def downlink_fate(self, station_id):
+        from repro.faults.channel import DELIVER, LOST
+
+        return (LOST if station_id in self.lost else DELIVER), 0.0
+
+
+def _one_region_plan(delta):
+    from repro.core.greedy import RegionStats
+    from repro.core.plan import SheddingPlan
+
+    return SheddingPlan.from_regions(
+        bounds=BOUNDS,
+        regions=[RegionStats(rect=BOUNDS, n=1.0, m=1.0, s=1.0)],
+        thresholds=np.array([delta]),
+        resolution=1,
+    )
+
+
+class TestSparseBookkeeping:
+    """The vector engine touches protocol state only at nodes that moved
+    station, and scans for re-broadcasts only on ticks where some
+    station's version differs from the previous tick's."""
+
+    def _engines(self):
+        stations = place_uniform_stations(BOUNDS, radius=1500.0)
+        downlink = _ScriptedDownlink()
+        network = BaseStationNetwork(stations, downlink=downlink)
+        obj = ObjectNodeEngine(200, network)
+        vec = VectorNodeEngine(200, network, BOUNDS)
+        return network, downlink, obj, vec
+
+    def _tick(self, obj, vec, positions, active=None):
+        want = obj.compute_thresholds(positions, active, default=30.0)
+        got = vec.compute_thresholds(positions, active, default=30.0)
+        assert np.array_equal(want, got)
+        assert np.array_equal(obj.install_counts(), vec.install_counts())
+        assert np.array_equal(obj.handoff_counts(), vec.handoff_counts())
+        assert np.array_equal(obj.station_slots(), vec.station_slots())
+        assert np.array_equal(
+            obj.stored_region_counts(), vec.stored_region_counts()
+        )
+        assert obj.total_handoffs == vec.total_handoffs
+        return got
+
+    def test_version_bump_without_movement_reinstalls(self):
+        network, _, obj, vec = self._engines()
+        positions = np.random.default_rng(1).uniform(0.0, 4000.0, (200, 2))
+        network.install_plan(_one_region_plan(10.0))
+        assert (self._tick(obj, vec, positions) == 10.0).all()
+        # Nothing moved, nothing re-broadcast: the scan is skipped.
+        assert (self._tick(obj, vec, positions) == 10.0).all()
+        assert vec.install_counts().tolist() == [1] * 200
+        # Nothing moved, every station re-broadcast: all re-install.
+        network.install_plan(_one_region_plan(20.0))
+        assert (self._tick(obj, vec, positions) == 20.0).all()
+        assert vec.install_counts().tolist() == [2] * 200
+        assert vec.total_handoffs == 0
+
+    def test_lost_broadcast_clears_on_handoff_and_heals(self):
+        network, downlink, obj, vec = self._engines()
+        lost = network.stations[0]
+        downlink.lost = {lost.station_id}
+        network.install_plan(_one_region_plan(10.0))
+        # Everyone starts at the far station, then walks to the one
+        # whose broadcast was lost: hand-off, nothing to store, Δ⊢.
+        far = network.stations[-1]
+        positions = np.tile([far.center.x, far.center.y], (200, 1))
+        assert (self._tick(obj, vec, positions) == 10.0).all()
+        positions = np.tile([lost.center.x, lost.center.y], (200, 1))
+        assert (self._tick(obj, vec, positions) == 30.0).all()
+        assert (vec.stored_region_counts() == 0).all()
+        assert (self._tick(obj, vec, positions) == 30.0).all()
+        # The next broadcast gets through: installed without moving.
+        downlink.lost = set()
+        network.install_plan(_one_region_plan(15.0))
+        assert (self._tick(obj, vec, positions) == 15.0).all()
+        assert vec.install_counts().tolist() == [2] * 200
+
+    def test_rejoining_node_catches_up_after_quiet_ticks(self):
+        """A node away while its station re-broadcast must re-install on
+        return even though no version moved on that tick."""
+        network, _, obj, vec = self._engines()
+        positions = np.random.default_rng(2).uniform(0.0, 4000.0, (200, 2))
+        network.install_plan(_one_region_plan(10.0))
+        self._tick(obj, vec, positions)
+        active = np.ones(200, dtype=bool)
+        active[:50] = False
+        network.install_plan(_one_region_plan(20.0))
+        self._tick(obj, vec, positions, active)
+        self._tick(obj, vec, positions, active)
+        got = self._tick(obj, vec, positions)
+        assert (got == 20.0).all()
+        assert vec.install_counts().tolist() == [2] * 200
+
+
+    def test_rows_arriving_from_another_engine_are_scanned(self):
+        """Row surgery voids "every node is level with these versions"."""
+        network, _, _, vec = self._engines()
+        positions = np.random.default_rng(3).uniform(0.0, 4000.0, (200, 2))
+        network.install_plan(_one_region_plan(10.0))
+        other = VectorNodeEngine(200, network, BOUNDS, assigner=vec.assigner)
+        other.compute_thresholds(positions, None, default=30.0)
+        network.install_plan(_one_region_plan(20.0))
+        vec.compute_thresholds(positions, None, default=30.0)
+        arrivals = other.extract_rows(np.arange(50))
+        vec.insert_rows(np.zeros(50, dtype=np.int64), arrivals)
+        merged = np.concatenate([positions[:50], positions])
+        assert (vec.compute_thresholds(merged, None, default=30.0) == 20.0).all()
+        assert vec.install_counts().tolist() == [2] * 50 + [1] * 200
 
 
 # ----------------------------------------------------------------------

@@ -194,6 +194,20 @@ class TestMultiShardReproducibility:
             np.testing.assert_array_equal(rows_serial, rows_pool)
 
 
+    def test_worker_rebuilds_the_coordinators_raster(self):
+        """Workers get stations + bounds only and must arrive at the very
+        candidate table the coordinator routes with."""
+        with _make_sharded(4) as system:
+            table = system._ensure_pool().submit(_worker_candidates).result(timeout=120)
+            assert np.array_equal(table, system.router.assigner._candidates)
+
+
+def _worker_candidates():
+    from repro.server import sharded
+
+    return sharded._WORKER_ASSIGNER._candidates
+
+
 class TestCoordinator:
     def test_budget_rebalance_preserves_global_z(self):
         sharded = _make_sharded(4)
