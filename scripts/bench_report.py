@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Perf regression harness: run the hot-path benchmarks, emit BENCH_8.json.
+"""Perf regression harness: run the hot-path benchmarks, emit BENCH_9.json.
 
 Collects several kinds of evidence:
 
@@ -43,12 +43,14 @@ Collects several kinds of evidence:
     N=20k) — incremental pipeline (dirty-cell refresh + gain memo +
     plan deltas) vs the full vectorized recompute, plans asserted
     bit-identical every round, plus the plan-broadcast bytes of delta
-    installs vs full pushes (deterministic accounting).  Gates: adapt
-    speedup ≥ 3x and broadcast-byte reduction ≥ 5x.
+    installs vs full pushes (deterministic accounting).  Gates, both
+    counted: gain rows solved ≥ 4x fewer than a cold GRIDREDUCE of the
+    same grid, and broadcast-byte reduction ≥ 5x; the timed speedup is
+    recorded and only regression-checked against the committed file.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_report.py [-o BENCH_8.json]
+    PYTHONPATH=src python scripts/bench_report.py [-o BENCH_9.json]
         [--skip-micro] [--skip-macro] [--skip-trace] [--skip-cache]
         [--skip-faults] [--skip-systems] [--skip-adapt]
         [--skip-sharding] [--skip-service] [--skip-incremental]
@@ -833,6 +835,13 @@ def run_service_bench(
     }
 
 
+#: What the gain memo must buy in the steady-state round, counted: gain
+#: rows solved by a cold GRIDREDUCE of the same grid / rows solved by
+#: the incremental round.  Deterministic (no clock), and it collapses
+#: to ~1 when the memo is forced to miss.
+MEMO_ROWS_FLOOR = 4.0
+
+
 def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
     """One steady-state drift run: incremental vs full adapt, byte account.
 
@@ -854,8 +863,11 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
         AnalyticReduction,
         LiraConfig,
         LiraLoadShedder,
+        RegionHierarchy,
         StatisticsGrid,
+        grid_reduce,
     )
+    from repro.core.incremental import IncrementalGridReduceCache
     from repro.geo import Rect
     from repro.metrics.cost import Stopwatch
     from repro.queries import QueryDistribution, generate_workload
@@ -890,6 +902,10 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
     full_s: list[float] = []
     inc_s: list[float] = []
     dirty_fracs: list[float] = []
+    # (kernel calls, rows solved) per measured round: the incremental
+    # shedder's own, and a cold GRIDREDUCE of the same grid (untimed).
+    steady_work: list[tuple[int, int]] = []
+    cold_work: list[tuple[int, int]] = []
     geometry_resyncs = 0
     marks = (0, 0)
     for r in range(warm + rounds):
@@ -960,6 +976,17 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
         if r >= warm:
             full_s.append(full_watch.elapsed)
             inc_s.append(inc_watch.elapsed)
+            last = inc.session.gridreduce.counters()
+            steady_work.append(
+                (last["last_round_gain_kernel_calls"], last["last_round_gain_rows_solved"])
+            )
+            cold = IncrementalGridReduceCache()
+            grid_reduce(
+                RegionHierarchy(grid), config.l, z, inc.reduction,
+                increment=config.increment, use_speed=config.use_speed,
+                engine="vector", cache=cold,
+            )
+            cold_work.append((cold.kernel_calls, cold.rows_solved))
 
     full_bytes = net_full.total_broadcast_bytes - marks[0]
     delta_bytes = net_delta.total_broadcast_bytes - marks[1]
@@ -967,10 +994,14 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
     full_median = statistics.median(full_s)
     inc_median = statistics.median(inc_s)
     speedup = full_median / inc_median
-    if gated and speedup < 3.0:
+    steady_calls, steady_rows = (statistics.median(col) for col in zip(*steady_work))
+    cold_calls, cold_rows = (statistics.median(col) for col in zip(*cold_work))
+    rows_ratio = cold_rows / max(steady_rows, 1)
+    if gated and rows_ratio < MEMO_ROWS_FLOOR:
         raise RuntimeError(
-            f"incremental bench: steady-state adapt speedup {speedup:.2f}x "
-            "is below the 3x contract (incremental vs full vector recompute)"
+            f"incremental bench: the steady-state round solved {steady_rows:g} "
+            f"gain rows, the cold round {cold_rows:g} ({rows_ratio:.2f}x): the "
+            f"memo must save at least {MEMO_ROWS_FLOOR:g}x"
         )
     if gated and bytes_ratio < 5.0:
         raise RuntimeError(
@@ -989,6 +1020,11 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
         ),
         "memo_hits": cache.hits,
         "memo_misses": cache.misses,
+        "steady_kernel_calls_per_round": steady_calls,
+        "steady_rows_solved_per_round": steady_rows,
+        "cold_kernel_calls_per_round": cold_calls,
+        "cold_rows_solved_per_round": cold_rows,
+        "rows_reduction_vs_cold": round(rows_ratio, 2),
         "geometry_resyncs": geometry_resyncs,
         "full_push_bytes": full_bytes,
         "delta_push_bytes": delta_bytes,
@@ -1002,8 +1038,10 @@ def run_incremental_adapt_bench() -> dict:
     """Incremental adapt pipeline vs full recompute under localized drift.
 
     The ``uniform`` scenario (no fairness constraint) is the gated one:
-    adapt speedup ≥ 3x and broadcast-byte reduction ≥ 5x are asserted
-    in-bench, with bit-identical plans checked every round.  The
+    the counted memo saving (``MEMO_ROWS_FLOOR``) and broadcast-byte
+    reduction ≥ 5x are asserted in-bench, with bit-identical plans
+    checked every round; the timed speedup is recorded (its threshold
+    is 25% under the committed recording, ``check_incremental_regression``).  The
     ``fairness`` variant re-measures the same drift with the fairness
     floor active (GREEDYINCREMENT does strictly more work per region,
     so the speedup is smaller) and is reported ungated.
@@ -1119,11 +1157,11 @@ def check_service_regression(baseline_path: Path, measured: dict) -> None:
 def check_incremental_regression(baseline_path: Path, measured: dict) -> None:
     """Fail fast if the incremental-adapt contract eroded vs the baseline.
 
-    Two gate metrics from the ``uniform`` scenario: the steady-state
-    adapt speedup (a timing ratio — machine speed cancels) and the
-    broadcast-byte reduction (deterministic region accounting, so any
-    shrink at all is a real wire-format change, but the shared tolerance
-    keeps the check uniform).
+    Three gate metrics from the ``uniform`` scenario: the steady-state
+    adapt speedup (a timing ratio — machine speed cancels), and two
+    deterministic counts — gain rows the memo saves vs a cold round and
+    the broadcast-byte reduction — where any shrink at all is a real
+    change, but the shared tolerance keeps the check uniform.
     """
     if not baseline_path.exists():
         return
@@ -1135,6 +1173,7 @@ def check_incremental_regression(baseline_path: Path, measured: dict) -> None:
     new_entry = measured.get("uniform", {})
     gates = (
         ("speedup_incremental_vs_full", "steady-state adapt speedup"),
+        ("rows_reduction_vs_cold", "gain rows saved by the memo"),
         ("bytes_reduction_vs_full", "broadcast-byte reduction"),
     )
     for key, label in gates:
@@ -1166,7 +1205,7 @@ def machine_info() -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("-o", "--output", default=str(REPO / "BENCH_8.json"))
+    parser.add_argument("-o", "--output", default=str(REPO / "BENCH_9.json"))
     parser.add_argument("--skip-micro", action="store_true")
     parser.add_argument("--skip-macro", action="store_true")
     parser.add_argument("--skip-trace", action="store_true")
@@ -1193,8 +1232,8 @@ def main() -> None:
     args = parser.parse_args()
 
     report = {
-        "schema": "lira-bench/8",
-        "recorded": "2026-08-07",
+        "schema": "lira-bench/9",
+        "recorded": "2026-09-30",
         "machine": machine_info(),
     }
     if not args.skip_micro:

@@ -33,7 +33,7 @@ that means the tracked list rotted.
 Usage::
 
     PYTHONPATH=src python scripts/bench_trend.py \
-        [--baseline BENCH_7.json] [--current BENCH_8.json] \
+        [--baseline BENCH_8.json] [--current BENCH_9.json] \
         [--tolerance 0.25]
 """
 
@@ -55,10 +55,11 @@ TOLERANCE = 0.25
 #: (label, metric path, reference path) — dotted paths into the report
 #: JSON.  The gated quantity is metric/reference (cost of the
 #: optimized path relative to its same-pass unoptimized counterpart;
-#: lower is better).  Sections whose shape changed between schemas
-#: carry per-schema paths as (old, new) tuples.  The fault-injection
-#: section became median + IQR dicts in lira-bench/8, hence the split.
-TRACKED: tuple[tuple[str, object, object], ...] = (
+#: lower is better).  The incremental-adapt speedup is deliberately not
+#: here: its reference (the full vector recompute) is itself an
+#: optimized path, so this gate would punish making it faster — that
+#: contract is counted instead (``bench_report.MEMO_ROWS_FLOOR``).
+TRACKED: tuple[tuple[str, str, str], ...] = (
     (
         "sim measurement tick (kernel / bruteforce)",
         "median_ns.sim_measurement_tick_kernel",
@@ -101,16 +102,28 @@ TRACKED: tuple[tuple[str, object, object], ...] = (
     ),
     (
         "fault seam (null injector / no injector)",
-        (
-            "fault_injection.null_injector_s",
-            "fault_injection.null_injector.median_s",
-        ),
-        (
-            "fault_injection.no_injector_s",
-            "fault_injection.no_injector.median_s",
-        ),
+        "fault_injection.null_injector.median_s",
+        "fault_injection.no_injector.median_s",
     ),
 )
+
+
+#: Ratios a recording re-bases, by the schema of the *current* report:
+#: label -> why the step from its predecessor is not a regression of
+#: the tracked path.  Reported with the reason, never failed; the next
+#: recording gates them again against the re-based value.
+REBASED: dict[str, dict[str, str]] = {
+    "lira-bench/9": {
+        "sharded tick N=100k (K=4 per shard / unsharded)": (
+            "PR 12 made the unsharded reference 3.4x faster (56.6 -> 16.8 ms) "
+            "and the K=4 shard tick 1.7x faster (17.0 -> 10.1 ms)"
+        ),
+        "cold scenario build (fleet / object)": (
+            "host drift: the commit before this recording and the recorded "
+            "one both measure 0.087-0.097 on the recording host (5 runs)"
+        ),
+    },
+}
 
 
 def lookup(report: dict, dotted: str) -> float | None:
@@ -122,14 +135,9 @@ def lookup(report: dict, dotted: str) -> float | None:
     return float(node) if isinstance(node, (int, float)) else None
 
 
-def _resolve(path: object, side: int) -> str:
-    """One dotted path, or the per-schema (baseline, current) pair."""
-    return path[side] if isinstance(path, tuple) else path  # type: ignore[index]
-
-
-def _ratio(report: dict, metric: object, ref: object, side: int) -> float | None:
-    numerator = lookup(report, _resolve(metric, side))
-    denominator = lookup(report, _resolve(ref, side))
+def _ratio(report: dict, metric: str, ref: str) -> float | None:
+    numerator = lookup(report, metric)
+    denominator = lookup(report, ref)
     if numerator is None or denominator is None or denominator <= 0.0:
         return None
     return numerator / denominator
@@ -138,14 +146,19 @@ def _ratio(report: dict, metric: object, ref: object, side: int) -> float | None
 def compare(baseline: dict, current: dict, tolerance: float) -> int:
     compared = 0
     failures: list[str] = []
+    rebased = REBASED.get(str(current.get("schema")), {})
     for label, metric, ref in TRACKED:
-        old = _ratio(baseline, metric, ref, side=0)
-        new = _ratio(current, metric, ref, side=1)
+        old = _ratio(baseline, metric, ref)
+        new = _ratio(current, metric, ref)
         if old is None or new is None or old <= 0.0:
             print(f"  skip  {label}: missing on one side")
             continue
-        compared += 1
         change = new / old - 1.0
+        if change > tolerance and label in rebased:
+            print(f"  base  {label}: {old:.4f} -> {new:.4f} ({change:+.1%})")
+            print(f"        re-based, not gated: {rebased[label]}")
+            continue
+        compared += 1
         mark = "ok" if change <= tolerance else "FAIL"
         print(f"  {mark:4}  {label}: {old:.4f} -> {new:.4f} ({change:+.1%})")
         if change > tolerance:
@@ -167,8 +180,8 @@ def compare(baseline: dict, current: dict, tolerance: float) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", default=str(REPO / "BENCH_7.json"))
-    parser.add_argument("--current", default=str(REPO / "BENCH_8.json"))
+    parser.add_argument("--baseline", default=str(REPO / "BENCH_8.json"))
+    parser.add_argument("--current", default=str(REPO / "BENCH_9.json"))
     parser.add_argument("--tolerance", type=float, default=TOLERANCE)
     args = parser.parse_args(argv)
     baseline = json.loads(Path(args.baseline).read_text())

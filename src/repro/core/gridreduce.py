@@ -17,23 +17,31 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.core.greedy import RegionStats, greedy_increment
 from repro.core.incremental import (
+    KEY_WIDTH,
     GridReduceTrajectory,
     IncrementalGridReduceCache,
+    NodeCoord,
 )
 from repro.core.quadtree import RegionHierarchy, RegionNode
 from repro.core.reduction import PiecewiseLinearReduction, ReductionFunction
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     import numpy as np
 
     from repro.core.statistics_grid import StatisticsGrid
     from repro.geo import Rect
+
+
+# How many of the heap's best unexpanded entries get their children
+# scored alongside an expansion's own.  A constant, not a parameter:
+# the call count bottoms out at the drill-down chain depth by 4 while
+# the speculative rows keep growing (table in DESIGN.md §11).
+_FRONTIER_LOOKAHEAD = 4
 
 
 @dataclass
@@ -98,79 +106,33 @@ def calc_err_gain(
     return max(0.0, e_single - result.inaccuracy)
 
 
-def _calc_err_gain_batch(
-    hierarchy: RegionHierarchy,
-    nodes: list[RegionNode],
-    z: float,
-    reduction: ReductionFunction,
-    pw: PiecewiseLinearReduction,
-    use_speed: bool,
-) -> list[float]:
-    """CALCERRGAIN for several candidate nodes in one array pass.
-
-    The vector engine's counterpart of :func:`calc_err_gain`: all
-    four-child throttler problems of one expansion share a single
-    sort/accumulate kernel invocation
-    (:func:`repro.core.greedy_vector.greedy_increment_arrays`), which
-    is bit-identical to the per-node reference loop.
-    """
-    import numpy as np
-
-    from repro.core.greedy_vector import greedy_increment_arrays
-
-    gains = [0.0] * len(nodes)
-    which = [
-        t
-        for t, node in enumerate(nodes)
-        if not (hierarchy.is_leaf(node) or node.m <= 0.0 or node.n <= 0.0)
-    ]
-    if not which:
-        return gains
-    single_delta = reduction.delta_for_fraction(z)
-    # Gather each candidate's four child statistics straight from the
-    # hierarchy's level arrays (row-major 2x2 block order, matching
-    # RegionHierarchy.children) — no RegionNode/RegionStats boxing.
-    by_level: dict[int, list[int]] = {}
-    for t in which:
-        by_level.setdefault(nodes[t].level + 1, []).append(t)
-    di = np.array([0, 0, 1, 1])
-    dj = np.array([0, 1, 0, 1])
-    for child_level, ts in by_level.items():
-        n_lv, m_lv, s_lv = hierarchy.level_stats(child_level)
-        ii = np.array([[2 * nodes[t].i] for t in ts]) + di
-        jj = np.array([[2 * nodes[t].j] for t in ts]) + dj
-        results = greedy_increment_arrays(
-            n_lv[ii, jj], m_lv[ii, jj], s_lv[ii, jj], pw, z, use_speed
-        )
-        for t, result in zip(ts, results):
-            gains[t] = max(0.0, nodes[t].m * single_delta - result.inaccuracy)
-    return gains
-
-
 def _gather_keys(
     hierarchy: RegionHierarchy, level: int, ii: "np.ndarray", jj: "np.ndarray"
 ) -> "np.ndarray":
     """``(len, KEY_WIDTH)`` gain-key matrix for non-leaf nodes at one level.
 
-    Row layout: the node's own ``(n, m, s)`` followed by the same triple
-    for each child in row-major 2×2 order — the exact float inputs
-    CALCERRGAIN reads, so two rounds gathering equal rows produce
-    bit-identical gains regardless of engine.
+    Row layout: the node's own ``(n, m, s)``, then its children's ``n``,
+    ``m`` and ``s`` as three 4-blocks in row-major 2×2 order — the exact
+    float inputs CALCERRGAIN reads, so two rounds gathering equal rows
+    produce bit-identical gains regardless of engine.
     """
     import numpy as np
 
-    n0, m0, s0 = hierarchy.level_stats(level)
-    n1, m1, s1 = hierarchy.level_stats(level + 1)
-    i2, j2 = 2 * ii, 2 * jj
-    cols = [n0[ii, jj], m0[ii, jj], s0[ii, jj]]
-    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        ic, jc = i2 + di, j2 + dj
-        cols.extend((n1[ic, jc], m1[ic, jc], s1[ic, jc]))
-    return np.stack(cols, axis=1)
+    side = 1 << level
+    keys = np.empty((len(ii), KEY_WIDTH), dtype=np.float64)
+    for col, (own, child) in enumerate(
+        zip(hierarchy.level_stats(level), hierarchy.level_stats(level + 1))
+    ):
+        keys[:, col] = own[ii, jj]
+        # One gather per statistic: the (side, 2, side, 2) view puts a
+        # node's 2×2 child block at [i, :, j, :].
+        keys[:, 3 + 4 * col : 7 + 4 * col] = child.reshape(side, 2, side, 2)[
+            ii, :, jj, :
+        ].reshape(-1, 4)
+    return keys
 
 
 def _vector_coord_kernel(
-    hierarchy: RegionHierarchy,
     z: float,
     reduction: ReductionFunction,
     pw: PiecewiseLinearReduction,
@@ -178,54 +140,34 @@ def _vector_coord_kernel(
 ):
     """Gain kernel scoring coordinate groups in ONE array-kernel call.
 
-    The flattened counterpart of :func:`_calc_err_gain_batch`: child
-    statistics from *all* levels concatenate into a single
+    Rows from *all* levels concatenate into a single
     ``greedy_increment_arrays`` invocation (problems are solved
-    independently, so batch composition cannot change any result),
-    eliminating the per-level kernel dispatch overhead on the
-    incremental path's small miss batches.
+    independently, so batch composition cannot change any result); the
+    child statistics are read straight off the gathered key rows.
+    Returns the gains and the number of rows actually solved.
     """
     import numpy as np
 
     from repro.core.greedy_vector import greedy_increment_arrays
 
-    def kernel(groups) -> "np.ndarray":
-        total = sum(len(ii) for _, ii, _ in groups)
-        gains = np.zeros(total, dtype=np.float64)
-        node_n = np.empty(total, dtype=np.float64)
-        node_m = np.empty(total, dtype=np.float64)
-        n4 = np.empty((total, 4), dtype=np.float64)
-        m4 = np.empty((total, 4), dtype=np.float64)
-        s4 = np.empty((total, 4), dtype=np.float64)
-        offset = 0
-        for level, ii, jj in groups:
-            sl = slice(offset, offset + len(ii))
-            n0, m0, _ = hierarchy.level_stats(level)
-            n1, m1, s1 = hierarchy.level_stats(level + 1)
-            node_n[sl] = n0[ii, jj]
-            node_m[sl] = m0[ii, jj]
-            i2, j2 = 2 * ii, 2 * jj
-            for c, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                ic, jc = i2 + di, j2 + dj
-                n4[sl, c] = n1[ic, jc]
-                m4[sl, c] = m1[ic, jc]
-                s4[sl, c] = s1[ic, jc]
-            offset += len(ii)
+    def kernel(groups) -> "tuple[np.ndarray, int]":
+        keys = np.concatenate([group[3] for group in groups])
+        gains = np.zeros(len(keys), dtype=np.float64)
         # calc_err_gain's eligibility guard: no queries to protect or no
         # updates to shed means splitting cannot help — gain exactly 0.
-        eligible = (node_m > 0.0) & (node_n > 0.0)
-        if eligible.any():
+        eligible = np.flatnonzero((keys[:, 1] > 0.0) & (keys[:, 0] > 0.0))
+        if eligible.size:
+            rows = keys[eligible]
             results = greedy_increment_arrays(
-                n4[eligible], m4[eligible], s4[eligible], pw, z, use_speed
+                rows[:, 3:7], rows[:, 7:11], rows[:, 11:15], pw, z, use_speed
             )
-            single_delta = reduction.delta_for_fraction(z)
             inaccuracy = np.array(
                 [r.inaccuracy for r in results], dtype=np.float64
             )
             gains[eligible] = np.maximum(
-                0.0, node_m[eligible] * single_delta - inaccuracy
+                0.0, rows[:, 1] * reduction.delta_for_fraction(z) - inaccuracy
             )
-        return gains
+        return gains, int(eligible.size)
 
     return kernel
 
@@ -237,24 +179,27 @@ def _object_coord_kernel(
     increment: float | None,
     use_speed: bool,
 ):
-    """Reference-engine gain kernel over coordinate groups."""
+    """Reference-engine gain kernel: :func:`calc_err_gain` node by node."""
     import numpy as np
 
-    def kernel(groups) -> "np.ndarray":
+    def kernel(groups) -> "tuple[np.ndarray, int]":
         out: list[float] = []
-        for level, ii, jj in groups:
+        solved = 0
+        for level, ii, jj, _ in groups:
             for i, j in zip(ii.tolist(), jj.tolist()):
+                node = hierarchy.node(level, i, j)
+                solved += node.m > 0.0 and node.n > 0.0
                 out.append(
                     calc_err_gain(
                         hierarchy,
-                        hierarchy.node(level, i, j),
+                        node,
                         z,
                         reduction,
                         increment=increment,
                         use_speed=use_speed,
                     )
                 )
-        return np.array(out, dtype=np.float64)
+        return np.array(out, dtype=np.float64), solved
 
     return kernel
 
@@ -262,14 +207,15 @@ def _object_coord_kernel(
 def _group_coords(coords, leaf_level: int):
     """Group ``(level, i, j)`` coordinates into per-level index arrays.
 
-    Leaf coordinates are dropped — leaves always have gain 0 and bypass
-    the memo entirely.
+    Coordinates at or below the leaf level are dropped — leaves always
+    have gain 0 and bypass scoring entirely (and a stale hint from a
+    deeper hierarchy names nodes that do not exist here).
     """
     import numpy as np
 
     by_level: dict[int, tuple[list[int], list[int]]] = {}
     for level, i, j in coords:
-        if level == leaf_level:
+        if level >= leaf_level:
             continue
         ii, jj = by_level.setdefault(level, ([], []))
         ii.append(i)
@@ -280,105 +226,86 @@ def _group_coords(coords, leaf_level: int):
     ]
 
 
-def _memoized_score(
+def _score(
     hierarchy: RegionHierarchy,
-    cache: IncrementalGridReduceCache,
+    cache: IncrementalGridReduceCache | None,
     kernel,
-    groups,
+    gains: dict[NodeCoord, float],
+    coords,
 ) -> None:
-    """Resolve gains for coordinate groups through the value-validated memo.
+    """Resolve the gains of ``coords`` into the per-call ``gains`` table.
 
-    Clean nodes (gathered key bit-equal to the stored one) read their
-    memoized gain; dirty or never-seen nodes re-solve through ``kernel``
-    in one batched call and refresh their memo rows.  Every resolved
-    gain lands in ``cache.round_gains`` for O(1) heap-loop lookups.
-    Stale entries can never survive a statistics change — the key *is*
-    the gain's full input — so no invalidation bookkeeping exists.
+    With a ``cache``, clean nodes (gathered key bit-equal to the stored
+    one) read their memoized gain; dirty or never-seen nodes — all of
+    them without a cache — re-solve through ``kernel`` in one batched
+    call and refresh their memo rows.  Stale entries can never survive
+    a statistics change — the key *is* the gain's full input — so no
+    invalidation bookkeeping exists.
     """
-    miss_groups = []
-    for level, ii, jj in groups:
-        if len(ii) == 0:
-            continue
+    misses, stores = [], []
+    for level, ii, jj in _group_coords(coords, hierarchy.depth):
         keys = _gather_keys(hierarchy, level, ii, jj)
-        store = cache.level_store(level)
-        if store is None:
-            # Level too deep to memoize: everything misses.
-            miss_groups.append((level, ii, jj, keys, None))
-            continue
-        stored_keys, stored_gains, valid = store
-        hit = valid[ii, jj] & (keys == stored_keys[ii, jj]).all(axis=1)
-        cache.hits += int(hit.sum())
-        ii_hit, jj_hit = ii[hit], jj[hit]
-        for coord_i, coord_j, gain in zip(
-            ii_hit.tolist(), jj_hit.tolist(), stored_gains[ii_hit, jj_hit].tolist()
-        ):
-            cache.round_gains[(level, coord_i, coord_j)] = gain
-        miss = ~hit
-        if miss.any():
-            miss_groups.append((level, ii[miss], jj[miss], keys[miss], store))
-    if not miss_groups:
+        # ``None``: no memo, or level too deep for one — everything misses.
+        store = cache.level_store(level) if cache is not None else None
+        if store is not None:
+            stored_keys, stored_gains, valid = store
+            hit = valid[ii, jj] & (keys == stored_keys[ii, jj]).all(axis=1)
+            ii_hit, jj_hit = ii[hit], jj[hit]
+            cache.hits += len(ii_hit)
+            gains.update(
+                zip(
+                    zip(repeat(level), ii_hit.tolist(), jj_hit.tolist()),
+                    stored_gains[ii_hit, jj_hit].tolist(),
+                )
+            )
+            miss = ~hit
+            ii, jj, keys = ii[miss], jj[miss], keys[miss]
+        if len(ii):
+            misses.append((level, ii, jj, keys))
+            stores.append(store)
+    if not misses:
         return
-    cache.misses += sum(len(ii) for _, ii, _, _, _ in miss_groups)
-    gains = kernel([(level, ii, jj) for level, ii, jj, _, _ in miss_groups])
+    solved, rows = kernel(misses)
+    if cache is not None:
+        cache.misses += len(solved)
+        cache.kernel_calls += rows > 0
+        cache.rows_solved += rows
     offset = 0
-    for level, ii, jj, keys, store in miss_groups:
-        sl = slice(offset, offset + len(ii))
-        level_gains = gains[sl]
+    for (level, ii, jj, keys), store in zip(misses, stores):
+        level_gains = solved[offset : offset + len(ii)]
+        offset += len(ii)
         if store is not None:
             stored_keys, stored_gains, valid = store
             stored_keys[ii, jj] = keys
             stored_gains[ii, jj] = level_gains
             valid[ii, jj] = True
-        for coord_i, coord_j, gain in zip(
-            ii.tolist(), jj.tolist(), level_gains.tolist()
-        ):
-            cache.round_gains[(level, coord_i, coord_j)] = gain
-        offset += len(ii)
+        gains.update(
+            zip(zip(repeat(level), ii.tolist(), jj.tolist()), level_gains.tolist())
+        )
 
 
-def _memoized_gains(
-    hierarchy: RegionHierarchy,
-    cache: IncrementalGridReduceCache,
-    kernel,
-) -> "Callable[[list[RegionNode]], list[float]]":
-    """Node-batch gain scorer backed by the coordinate memo.
+def _children(level: int, i: int, j: int) -> list[NodeCoord]:
+    """A node's quadrants in row-major order (``RegionHierarchy.children``)."""
+    return [(level + 1, 2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
 
-    Leaves bypass everything (their gain is identically 0, matching
-    :func:`calc_err_gain`); other nodes read ``round_gains`` — filled by
-    the trajectory prepass — and only coordinates the prepass did not
-    anticipate fall through to a memo probe + kernel batch.
+
+def _frontier(heap, gains: dict[NodeCoord, float], depth: int) -> list[NodeCoord]:
+    """Children of the heap's best unexpanded entries — the next fall-throughs.
+
+    Zero-gain entries pop only once everything else is exhausted, and
+    leaf children need no score: neither is worth a speculative row.
+    Siblings are scored together, so the first child stands for all four.
     """
-
-    def gains_of(batch: list[RegionNode]) -> list[float]:
-        gains = [0.0] * len(batch)
-        missing: list[int] = []
-        for idx, node in enumerate(batch):
-            if hierarchy.is_leaf(node):
-                continue
-            gain = cache.round_gains.get((node.level, node.i, node.j))
-            if gain is not None:
-                gains[idx] = gain
-            else:
-                missing.append(idx)
-        if missing:
-            _memoized_score(
-                hierarchy,
-                cache,
-                kernel,
-                _group_coords(
-                    [
-                        (batch[idx].level, batch[idx].i, batch[idx].j)
-                        for idx in missing
-                    ],
-                    hierarchy.depth,
-                ),
-            )
-            for idx in missing:
-                node = batch[idx]
-                gains[idx] = cache.round_gains[(node.level, node.i, node.j)]
-        return gains
-
-    return gains_of
+    best = heapq.nsmallest(
+        _FRONTIER_LOOKAHEAD,
+        (
+            entry for entry in heap
+            if entry[0] < 0.0
+            and entry[2] + 1 < depth
+            and (entry[2] + 1, 2 * entry[3], 2 * entry[4]) not in gains
+        ),
+    )
+    return [c for _, _, level, i, j in best for c in _children(level, i, j)]
 
 
 def grid_reduce(
@@ -399,96 +326,77 @@ def grid_reduce(
     and are set aside.  Stops at ``effective_region_count(l)`` regions,
     or earlier if every remaining region is a leaf.
 
-    ``engine="vector"`` scores each expansion's children with the
-    batched array kernel instead of per-node scalar greedy loops; the
-    resulting partitioning is bit-identical.
+    The loop runs on ``(level, i, j)`` coordinates and a per-call gain
+    table; only the final nodes are boxed.  ``engine="vector"`` fills
+    the table with the batched array kernel, and when an expansion's
+    children are unscored it scores them *together with* the children
+    of the ``_FRONTIER_LOOKAHEAD`` best heap entries — the nodes about
+    to be popped — so the number of kernel calls tracks the depth of
+    the drill-down chains, not the number of expansions.  Speculative
+    rows can only be wasted, never change a gain (the kernel is
+    row-local), so the partitioning is bit-identical to the per-node
+    ``engine="object"`` reference.
 
     ``cache`` (incremental mode) memoizes per-node gains across calls,
-    keyed on each node's exact aggregate statistics, and replays the
-    previous run's expansion trajectory by pre-scoring its whole heap
-    push sequence in one batch — so a round whose statistics drift only
+    keyed on each node's exact aggregate statistics, and uses the
+    previous run's heap push sequence as a *prefetch hint*: all of it
+    is scored up front in one batch — clean nodes hit the memo, dirty
+    ones re-solve together — so a round whose statistics drift only
     touched a few hierarchy nodes re-solves GREEDYINCREMENT for those
-    nodes alone.  Results are bit-identical with and without a cache;
+    nodes alone, and a round that dirtied everything (or moved ``z``,
+    which voids the gains but not the hint) still makes a handful of
+    kernel calls.  Results are bit-identical with and without a cache;
     the caller must pass a cache dedicated to this (hierarchy,
-    reduction, increment, use_speed) combination (``z`` may vary — the
-    cache self-invalidates on change).
+    reduction, increment, use_speed) combination.
     """
     if isinstance(reduction, PiecewiseLinearReduction) and increment is None:
         increment = reduction.segment_size
-    if engine not in ("object", "vector"):
-        raise ValueError(f"unknown gridreduce engine {engine!r}")
     target = effective_region_count(l)
-
+    depth = hierarchy.depth
     if engine == "vector":
         from repro.core.greedy import _as_piecewise
 
-        pw = _as_piecewise(reduction, increment)
-
-        def base_gains_of(batch: list[RegionNode]) -> list[float]:
-            return _calc_err_gain_batch(
-                hierarchy, batch, z, reduction, pw, use_speed
-            )
-
+        kernel = _vector_coord_kernel(
+            z, reduction, _as_piecewise(reduction, increment), use_speed
+        )
+    elif engine == "object":
+        kernel = _object_coord_kernel(hierarchy, z, reduction, increment, use_speed)
     else:
+        raise ValueError(f"unknown gridreduce engine {engine!r}")
 
-        def base_gains_of(batch: list[RegionNode]) -> list[float]:
-            return [
-                calc_err_gain(
-                    hierarchy, node, z, reduction,
-                    increment=increment, use_speed=use_speed,
-                )
-                for node in batch
-            ]
-
+    gains: dict[NodeCoord, float] = {}
+    hint: list[NodeCoord] = [(0, 0, 0)]
     if cache is not None:
-        cache.reset_for_z(z)
-        cache.round_gains = {}
-        if engine == "vector":
-            kernel = _vector_coord_kernel(hierarchy, z, reduction, pw, use_speed)
-        else:
-            kernel = _object_coord_kernel(
-                hierarchy, z, reduction, increment, use_speed
-            )
-        gains_of = _memoized_gains(hierarchy, cache, kernel)
+        cache.begin_round(z)
         if cache.trajectory is not None:
-            # Expansion replay shortcut: score the previous run's whole
-            # push sequence up front, straight from coordinates.  Clean
-            # nodes hit the memo; dirty ones re-solve in one batched
-            # kernel call instead of one call per expansion.  If the pop
-            # sequence then deviates, the loop below still scores any
-            # new nodes on demand.
-            _memoized_score(
-                hierarchy,
-                cache,
-                kernel,
-                _group_coords(cache.trajectory.scored, hierarchy.depth),
-            )
-    else:
-        gains_of = base_gains_of
+            hint = cache.trajectory.scored
+    _score(hierarchy, cache, kernel, gains, hint)
 
-    counter = 0
-    heap: list[tuple[float, int, RegionNode]] = []
-    scored: list[tuple[int, int, int]] = []
-    root = hierarchy.root
-    heapq.heappush(heap, (-gains_of([root])[0], counter, root))
-    scored.append((root.level, root.i, root.j))
-    counter += 1
-    finished: list[RegionNode] = []
+    # Heap entries are (-gain, push counter, level, i, j).
+    heap = [(-gains[0, 0, 0] if depth else 0.0, 0, 0, 0, 0)]
+    scored: list[NodeCoord] = [(0, 0, 0)]
+    finished: list[NodeCoord] = []
     expansions = 0
-
     while len(finished) + len(heap) < target and heap:
-        _, _, node = heapq.heappop(heap)
-        if hierarchy.is_leaf(node):
-            finished.append(node)
+        _, _, level, i, j = heapq.heappop(heap)
+        if level == depth:
+            finished.append((level, i, j))
             continue
-        children = list(hierarchy.children(node))
-        for child, child_gain in zip(children, gains_of(children)):
-            heapq.heappush(heap, (-child_gain, counter, child))
-            scored.append((child.level, child.i, child.j))
-            counter += 1
+        children = _children(level, i, j)
+        # Leaf children are never scored (gain 0, matching calc_err_gain).
+        wanted = [c for c in children if c not in gains] if level + 1 < depth else []
+        if wanted:
+            if engine == "vector":
+                # The scalar reference pays per row, not per call:
+                # speculating there would only add work.
+                wanted += _frontier(heap, gains, depth)
+            _score(hierarchy, cache, kernel, gains, wanted)
+        for child in children:
+            gain = gains[child] if level + 1 < depth else 0.0
+            heapq.heappush(heap, (-gain, len(scored), *child))
+            scored.append(child)
         expansions += 1
 
-    nodes = finished + [entry[2] for entry in heap]
     # Canonical region order: the partitioning is a *set* of nodes; the
     # heap's pop order is an implementation detail that permutes with
     # infinitesimal gain changes.  Sorting by quad-tree coordinate makes
@@ -496,13 +404,12 @@ def grid_reduce(
     # choosing the same cut produce positionally identical plans — the
     # property `SheddingPlan.same_geometry` (and thus the delta
     # broadcast path) keys on.
-    nodes.sort(key=lambda n: (n.level, n.i, n.j))
+    result = sorted(finished + [entry[2:] for entry in heap])
+    nodes = [hierarchy.node(*coord) for coord in result]
     regions = [RegionStats(rect=n.rect, n=n.n, m=n.m, s=n.s) for n in nodes]
     if cache is not None:
         cache.trajectory = GridReduceTrajectory(
-            scored=scored,
-            result=[(n.level, n.i, n.j) for n in nodes],
-            expansions=expansions,
+            scored=scored, result=result, expansions=expansions
         )
     return PartitioningResult(regions=regions, nodes=nodes, expansions=expansions)
 

@@ -13,9 +13,10 @@ from-scratch path:
   the static reduction inputs, so an exact float match guarantees the
   memoized gain is the one a fresh solve would produce).  The cache
   also records the previous run's *trajectory* — the heap push sequence
-  and the final partitioning — so the next run can score the whole
-  expected node set in one batched kernel call (the expansion replay
-  shortcut) instead of one call per expansion.
+  and the final partitioning — a purely structural prefetch hint: the
+  next run scores that whole node set in one batched kernel call
+  instead of one call per expansion, whatever happened to the
+  statistics or to ``z`` in between.
 
 * :class:`IncrementalAdaptSession` — the load shedder's between-round
   state: the persistent :class:`~repro.core.quadtree.RegionHierarchy`
@@ -75,14 +76,13 @@ class IncrementalGridReduceCache:
     gain was computed from) alongside the gain itself.  A lookup is a
     hit only when the freshly gathered key compares equal element for
     element — dirty nodes therefore miss by construction and clean nodes
-    hit without any separate invalidation bookkeeping.  ``z`` changes
-    clear everything (gains are z-dependent); the reduction inputs are
-    fixed per shedder and are not part of the key.
+    hit without any separate invalidation bookkeeping.  The reduction
+    inputs are fixed per shedder and are not part of the key.
 
-    ``round_gains`` holds the gains already validated *this run* (the
-    warm prepass fills it from the previous trajectory), letting the
-    expansion heap loop read plain dict entries instead of re-gathering
-    keys per pop.
+    A ``z`` change voids the gains (they are z-dependent) and keeps the
+    ``trajectory``: it only names coordinates to score up front, each of
+    which is re-solved through the memo, so a stale or outright wrong
+    hint can waste kernel rows but never change a gain.
     """
 
     def __init__(self) -> None:
@@ -92,12 +92,14 @@ class IncrementalGridReduceCache:
             int, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
         self.trajectory: GridReduceTrajectory | None = None
-        #: Gains validated during the current grid_reduce call.
-        self.round_gains: dict[NodeCoord, float] = {}
-        # Diagnostics (not part of any contract): memo hit/miss counts
-        # accumulated across rounds, readable by benches.
+        # Diagnostics (not part of any contract), accumulated across
+        # rounds: memo hits/misses, gain-kernel calls that solved at
+        # least one row, and the GREEDYINCREMENT rows they solved.
         self.hits = 0
         self.misses = 0
+        self.kernel_calls = 0
+        self.rows_solved = 0
+        self._round_start = (0, 0, 0, 0)
 
     def level_store(
         self, level: int
@@ -121,14 +123,31 @@ class IncrementalGridReduceCache:
         self.levels[level] = store
         return store
 
-    def reset_for_z(self, z: float) -> None:
-        """Invalidate everything if the throttle fraction changed."""
+    def begin_round(self, z: float) -> None:
+        """Start one ``grid_reduce`` call at throttle fraction ``z``.
+
+        Voids the memoized gains if ``z`` changed (the trajectory
+        survives, see the class docstring) and marks where this round's
+        share of the diagnostic counters starts.
+        """
+        self._round_start = self._totals()
         if self.z is not None and self.z == z:
             return
         self.z = z
         for _, _, valid in self.levels.values():
             valid[:] = False
-        self.trajectory = None
+
+    def _totals(self) -> tuple[int, int, int, int]:
+        return (self.hits, self.misses, self.kernel_calls, self.rows_solved)
+
+    def counters(self) -> dict[str, int]:
+        """The diagnostics by name: lifetime, and the last round's share."""
+        names = ("memo_hits", "memo_misses", "gain_kernel_calls", "gain_rows_solved")
+        totals = self._totals()
+        out = dict(zip(names, totals))
+        for name, total, start in zip(names, totals, self._round_start):
+            out["last_round_" + name] = total - start
+        return out
 
 
 @dataclass

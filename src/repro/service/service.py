@@ -48,6 +48,7 @@ import numpy as np
 from repro import sanitize, timing
 from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
 from repro.core.greedy import RegionStats
+from repro.core.incremental import IncrementalGridReduceCache
 from repro.core.plan import PlanDelta, SheddingPlan, clamp_thresholds
 from repro.core.reduction import AnalyticReduction, ReductionFunction
 from repro.faults import FaultInjector, FaultSpec
@@ -445,7 +446,13 @@ class LiraService:
         """The ``stats`` frame payload: one consistent snapshot."""
         queue = self.server.queue
         table = self.server.table
+        session = self.shedder.session
+        # Hinted vs cold GRIDREDUCE path at a glance: memo hits/misses,
+        # gain-kernel calls and rows, lifetime and ``last_round_*``
+        # (all zero without an incremental session).
+        memo = session.gridreduce if session else IncrementalGridReduceCache()
         return {
+            **memo.counters(),
             "policy": self.policy,
             "z": self.shedder.current_z,
             "plan_version": self.network.version,

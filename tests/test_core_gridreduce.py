@@ -101,6 +101,63 @@ class TestGridReduce:
         assert result.regions[0].rect == BOUNDS
 
 
+class TestFrontierLookahead:
+    """Fall-through scoring speculates only where a pop is coming."""
+
+    def test_skips_zero_gain_leaf_parent_and_scored_entries(self):
+        from repro.core.gridreduce import _FRONTIER_LOOKAHEAD, _children, _frontier
+
+        depth = 4
+        heap = [
+            (-9.0, 1, 3, 1, 1),  # children are leaves: nothing to score
+            (-8.0, 2, 1, 0, 1),  # children already scored
+            (0.0, 3, 1, 1, 1),  # zero gain: popped last, if ever
+            (0.0, 4, depth, 5, 5),  # a leaf
+        ] + [(-float(g), 10 + g, 2, g, 0) for g in range(1, 4)] + [
+            (-0.5, 20, 1, 1, 0),
+            (-0.25, 21, 1, 0, 0),
+        ]
+        gains = dict.fromkeys(_children(1, 0, 1), 1.0)
+        wanted = _frontier(heap, gains, depth)
+        best = [(2, 3, 0), (2, 2, 0), (2, 1, 0), (1, 1, 0)]
+        assert len(best) == _FRONTIER_LOOKAHEAD
+        assert wanted == [c for node in best for c in _children(*node)]
+        # With slots to spare, the skipped entries still do not fill them.
+        assert _frontier(heap[:6], gains, depth) == [
+            c for node in [(2, 2, 0), (2, 1, 0)] for c in _children(*node)
+        ]
+
+    def test_no_speculation_outside_the_queried_quadrant(self, reduction):
+        from repro.core.incremental import IncrementalGridReduceCache
+
+        rng = np.random.default_rng(3)
+        positions = rng.uniform(0, 160, (600, 2))
+        queries = [
+            RangeQuery(k, Rect.from_center(Point(*rng.uniform(10, 70, 2)), 8.0))
+            for k in range(12)
+        ]
+        grid = StatisticsGrid.from_snapshot(
+            BOUNDS, 16, positions, rng.uniform(5, 15, 600), queries
+        )
+        hierarchy = RegionHierarchy(grid)
+        cache = IncrementalGridReduceCache()
+        pw = reduction.piecewise(19)
+        result = grid_reduce(hierarchy, 25, 0.5, pw, engine="vector", cache=cache)
+        assert result.regions == grid_reduce(hierarchy, 25, 0.5, pw).regions
+        pushed = set(cache.trajectory.scored)
+        speculated = {
+            (level, int(i), int(j))
+            for level, (_, _, valid) in cache.levels.items()
+            for i, j in zip(*np.nonzero(valid))
+        } - pushed
+        assert speculated  # the lookahead did run ahead of the pops
+        assert hierarchy.depth not in cache.levels
+        for level, i, j in sorted(speculated):
+            # Quadrants without queries have m == 0, hence gain 0.
+            assert max(i, j) < 1 << (level - 1)
+            assert hierarchy.node(level - 1, i // 2, j // 2).m > 0.0
+
+
 class TestCalcErrGain:
     def test_leaf_gain_is_zero(self, reduction):
         hierarchy = RegionHierarchy(_skewed_grid())

@@ -104,14 +104,52 @@ class TestIncrementalEquivalence:
     def test_z_change_invalidates_memo(self):
         rng, positions, speeds, queries = _scenario(5)
         full, inc = _shedders(fairness=None)
+        cache = inc.session.gridreduce
+        last_z = None
         for z in (0.5, 0.5, 0.8, 0.3):
             full.set_throttle_fraction(z)
             inc.set_throttle_fraction(z)
             grid = StatisticsGrid.from_snapshot(
                 BOUNDS, 16, positions, speeds, queries
             )
+            hits, hint = cache.hits, cache.trajectory
+            if last_z is not None and z != last_z:
+                # A z step voids every gain and keeps the structural hint.
+                cache.begin_round(z)
+                assert hint is not None and cache.trajectory is hint
+                assert not any(v.any() for _, _, v in cache.levels.values())
             _assert_same_content(full.adapt(grid), inc.adapt(grid))
+            if last_z is not None:
+                assert (cache.hits > hits) == (z == last_z)
+            last_z = z
             _drift(rng, positions, 0.02)
+
+    @settings(deadline=None, max_examples=10)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        zs=st.lists(
+            st.floats(min_value=0.2, max_value=0.95),
+            min_size=4, max_size=4, unique=True,
+        ),
+    )
+    def test_full_churn_with_fresh_z_every_round(self, seed, zs):
+        """The cold round: every cell dirty *and* z moved, hint retained."""
+        rng, positions, speeds, queries = _scenario(seed)
+        full, inc = _shedders(fairness=None)
+        oracle, _ = _shedders(fairness=None, engine="object")
+        cache = inc.session.gridreduce
+        for z in zs:
+            for shedder in (full, inc, oracle):
+                shedder.set_throttle_fraction(z)
+            grid = StatisticsGrid.from_snapshot(
+                BOUNDS, 16, positions, speeds, queries
+            )
+            hits = cache.hits
+            plan = inc.adapt(grid)
+            assert cache.hits == hits
+            _assert_same_content(full.adapt(grid), plan)
+            _assert_same_content(oracle.adapt(grid), plan)
+            _drift(rng, positions, 1.0)
 
     def test_unchanged_inputs_return_same_plan_object(self):
         _, positions, speeds, queries = _scenario(7)
@@ -149,6 +187,102 @@ class TestIncrementalEquivalence:
             _drift(rng, positions, 0.01)
         cache = inc.session.gridreduce
         assert cache.hits > cache.misses  # light drift: mostly memoized
+
+
+# ---------------------------------------------------------------------------
+# Gain-kernel calls at the bench scale: counted, not timed
+# ---------------------------------------------------------------------------
+
+BENCH_BOUNDS = Rect(0.0, 0.0, 10_000.0, 10_000.0)
+
+
+def _bench_scene(seed):
+    """N=20k, 40 proportional queries: the `adapt-churn` scene."""
+    from repro.queries import QueryDistribution, generate_workload
+
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(0.0, 10_000.0, (20_000, 2))
+    speeds = rng.uniform(5.0, 30.0, 20_000)
+    queries = generate_workload(
+        BENCH_BOUNDS, 40, 800.0, QueryDistribution.PROPORTIONAL, positions, seed=seed
+    )
+    return rng, positions, speeds, queries
+
+
+def _bench_hierarchy(positions, speeds, queries):
+    from repro.core import RegionHierarchy
+
+    return RegionHierarchy(
+        StatisticsGrid.from_snapshot(BENCH_BOUNDS, 128, positions, speeds, queries)
+    )
+
+
+def _reduce(hierarchy, z, engine="vector", cache=None):
+    from repro.core import grid_reduce
+
+    reduction = AnalyticReduction(5.0, 100.0).piecewise(95)
+    return grid_reduce(hierarchy, 250, z, reduction, engine=engine, cache=cache)
+
+
+class TestGainKernelCalls:
+    """Kernel calls per GRIDREDUCE track chain depth, not expansions."""
+
+    def test_from_scratch_call_budget(self, monkeypatch):
+        from repro.core import greedy_vector
+        from repro.core.incremental import IncrementalGridReduceCache
+
+        _, positions, speeds, queries = _bench_scene(1)
+        hierarchy = _bench_hierarchy(positions, speeds, queries)
+        cache = IncrementalGridReduceCache()
+        first = _reduce(hierarchy, 0.5, cache=cache)
+        assert first.expansions == 83
+        assert 0 < cache.kernel_calls <= 25
+        # Speculation stays a small share of the rows scored: every
+        # pushed node (none is a leaf at this l) plus the wasted ones.
+        assert cache.misses <= 1.25 * len(cache.trajectory.scored)
+        # The uncached path is the same code over a throwaway table.
+        calls = []
+        solve = greedy_vector.greedy_increment_arrays
+        monkeypatch.setattr(
+            greedy_vector,
+            "greedy_increment_arrays",
+            lambda n, *rest: calls.append(len(n)) or solve(n, *rest),
+        )
+        uncached = _reduce(hierarchy, 0.5)
+        assert uncached.regions == first.regions
+        assert (len(calls), sum(calls)) == (cache.kernel_calls, cache.rows_solved)
+
+    def test_full_churn_round_with_z_step_call_budget(self):
+        from repro.core.incremental import IncrementalGridReduceCache
+
+        rng, positions, speeds, queries = _bench_scene(2)
+        cache = IncrementalGridReduceCache()
+        for z in (0.4, 0.45, 0.5, 0.55):
+            hierarchy = _bench_hierarchy(positions, speeds, queries)
+            result = _reduce(hierarchy, z, cache=cache)
+            last = cache.counters()
+            if z > 0.4:
+                assert last["last_round_memo_hits"] == 0
+                assert 0 < last["last_round_gain_kernel_calls"] <= 8
+            assert result.regions == _reduce(hierarchy, z).regions
+            positions = np.clip(
+                positions + rng.normal(0.0, 150.0, positions.shape), 0.0, 9_999.0
+            )
+
+    def test_wrong_hint_cannot_change_the_plan(self):
+        from repro.core.incremental import IncrementalGridReduceCache
+
+        cache = IncrementalGridReduceCache()
+        _, positions, speeds, queries = _bench_scene(3)
+        _reduce(_bench_hierarchy(positions, speeds, queries), 0.6, cache=cache)
+        wrong = cache.trajectory
+        _, positions, speeds, queries = _bench_scene(4)  # unrelated scene
+        hierarchy = _bench_hierarchy(positions, speeds, queries)
+        reference = _reduce(hierarchy, 0.6, engine="object")
+        hinted = _reduce(hierarchy, 0.6, cache=cache)
+        assert set(wrong.result) != set(cache.trajectory.result)
+        assert hinted.regions == reference.regions
+        assert hinted.expansions == reference.expansions
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,15 @@ class TestSocketProtocol:
                 assert frame.kind == "stats-reply"
                 assert frame.meta["updates_applied"] == 32
                 assert frame.meta["subscribers"] == 1
+                # Hinted-vs-cold path counters: lifetime ≥ last round.
+                for key in (
+                    "memo_hits",
+                    "memo_misses",
+                    "gain_kernel_calls",
+                    "gain_rows_solved",
+                ):
+                    assert frame.meta[key] >= frame.meta["last_round_" + key] >= 0
+                assert frame.meta["memo_misses"] > 0
                 writer.close()
             finally:
                 await service.stop()
