@@ -153,14 +153,17 @@ class ArrayBoundedQueue:
             return 0
         fit = min(n, self.capacity - self._size)
         if fit > 0:
-            self._chunks.append(
-                (
-                    np.asarray(times, dtype=np.float64)[:fit],
-                    np.asarray(node_ids, dtype=np.int64)[:fit],
-                    np.asarray(positions, dtype=np.float64)[:fit],
-                    np.asarray(velocities, dtype=np.float64)[:fit],
-                )
+            chunk = (
+                np.asarray(times, dtype=np.float64)[:fit],
+                np.asarray(node_ids, dtype=np.int64)[:fit],
+                np.asarray(positions, dtype=np.float64)[:fit],
+                np.asarray(velocities, dtype=np.float64)[:fit],
             )
+            if fit < n:
+                # A slice pins its whole base (for a live service, the
+                # frame buffer it arrived in): retain only what was admitted.
+                chunk = (chunk[0].copy(), chunk[1].copy(), chunk[2].copy(), chunk[3].copy())
+            self._chunks.append(chunk)
             self._size += fit
             self.total_enqueued += fit
             self.lifetime_enqueued += fit

@@ -2,7 +2,8 @@
 
 ``python -m repro.service --socket /tmp/lira.sock`` runs a server;
 :mod:`repro.loadtest` drives it with an open-loop workload.  The wire
-format is length-prefixed JSON+npz frames (:mod:`repro.service.framing`).
+format is length-prefixed frames of a JSON header and raw array buffers,
+decoded as zero-copy views (:mod:`repro.service.framing`).
 """
 
 from repro.service.framing import (

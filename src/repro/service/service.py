@@ -14,10 +14,12 @@ as the paper's architecture separates them:
   frame *after its admitted reports have been applied* to the node
   table ("ack-after-apply"), so a measured ingest latency includes the
   queue wait that overload actually causes;
-* **service pump** — a periodic task grants the queue ``μ·dt`` of
-  processing capacity per real elapsed ``dt`` (scaled through the
-  optional :class:`~repro.faults.FaultInjector` slowdown seam), then
-  completes any acks whose reports have drained;
+* **service pump** — the queue is granted ``μ·dt`` of processing
+  capacity per real elapsed ``dt`` since the last pump, and acks whose
+  reports have drained are completed, both when an ingest frame arrives
+  (so spare capacity acks it in the same dispatch) and on a periodic
+  timer (which drains a backlog and samples the optional
+  :class:`~repro.faults.FaultInjector` slowdown seam);
 * **adaptation** — a periodic task closes a load-measurement period,
   steps THROTLOOP, recomputes the shedding plan from the *believed*
   node state, installs it into the station network, and pushes it to
@@ -40,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Coroutine
 
 import numpy as np
@@ -212,6 +214,10 @@ class ServiceCounters:
     ingest_frames: int = 0
     reports_received: int = 0
     acks_sent: int = 0
+    #: ``acks_sent`` split by who wrote the ack: an ingest dispatch (the
+    #: frame's own or a later arrival's drain) or the timer pump.  Mostly
+    #: deferred means ingest latency is bound by the pump period or a backlog.
+    acks_inline: int = 0
     acks_deferred: int = 0
     plans_computed: int = 0
     plans_pushed: int = 0
@@ -223,6 +229,43 @@ class ServiceCounters:
     #: regardless of subscriber count).
     plan_frames_encoded: int = 0
     protocol_errors: int = 0
+    protocol_errors_by_reason: dict[str, int] = field(default_factory=dict)
+
+
+#: The arrays of an ingest frame and the shape of one report in each;
+#: ``times`` is optional.
+_INGEST_ARRAYS = {"node_ids": (), "positions": (2,), "velocities": (2,), "times": ()}
+
+
+def _ingest_fault(arrays: dict[str, np.ndarray], n_nodes: int) -> tuple[str, str] | None:
+    """``(reason, message)`` for the first fault in an ingest payload.
+
+    The arrays are views over bytes a client sent: anything that would
+    poison the node table (non-finite values), raise inside it (ids out
+    of range), need a coercing copy, or ride along pinned in memory (an
+    unknown array) is refused before the server sees the batch.
+    """
+    missing = [name for name in _INGEST_ARRAYS if name != "times" and name not in arrays]
+    if missing:
+        return "missing-array", f"ingest missing array {missing[0]!r}"
+    unknown = sorted(arrays.keys() - _INGEST_ARRAYS.keys())
+    if unknown:
+        return "unknown-array", f"ingest carries unknown array {unknown[0]!r}"
+    ids = arrays["node_ids"]
+    if ids.dtype.kind not in "iu":
+        return "bad-dtype", "ingest node_ids must be integers"
+    for name, array in arrays.items():
+        if array.shape != (ids.size, *_INGEST_ARRAYS[name]):
+            return "bad-shape", "ingest array shape mismatch"
+        if array is ids:
+            continue
+        if array.dtype != np.float64:
+            return "bad-dtype", f"ingest {name} must be float64"
+        if not np.isfinite(array).all():
+            return "non-finite", f"ingest {name} has non-finite values"
+    if ids.size and not (0 <= ids.min() and ids.max() < n_nodes):
+        return "id-out-of-range", f"ingest node_ids outside [0, {n_nodes})"
+    return None
 
 
 class LiraService:
@@ -302,6 +345,11 @@ class LiraService:
         # FIFO of deferred acks: marks are monotone in append order
         # because enqueueing happens inline on the (single) event loop.
         self._pending: deque[_PendingAck] = deque()
+        # One pump timeline for the timer and the arrival-driven drain,
+        # so granted capacity sums to elapsed time; the slowdown factor
+        # in force is whatever the timer last sampled.
+        self._last_pump_t = clock()
+        self._rate_factor = 1.0
         self._subscribers: list[_Subscriber] = []
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []
@@ -340,20 +388,31 @@ class LiraService:
             mark=queue.lifetime_enqueued if admitted else None,
         )
 
-    def pump_once(self, dt: float) -> int:
+    def pump_once(self, dt: float, rate_factor: float | None = None) -> int:
         """Grant ``dt`` seconds of service capacity; returns processed count.
 
         The slowdown fault seam scales capacity exactly as the systems
-        loop's tick path does; idle credit beyond one update is
+        loop's tick path does: ``rate_factor=None`` samples it (one RNG
+        draw, what the timer does) and the result stays in force for
+        callers that pass it back in.  Idle credit beyond one update is
         forgotten (a live server cannot bank capacity it did not use).
         """
-        rate_factor = (
-            self.faults.service_factor(self.clock()) if self.faults is not None else 1.0
-        )
+        if rate_factor is None:
+            rate_factor = self._rate_factor = (
+                self.faults.service_factor(self.clock()) if self.faults is not None else 1.0
+            )
         processed = self.server.process(dt, rate_factor=rate_factor)
         if len(self.server.queue) == 0:
             self.server.clamp_service_credit()
         return processed
+
+    def _pump(self, now: float, rate_factor: float | None = None) -> int:
+        """Grant the time since the last pump, then flush the acks it
+        completed; returns how many."""
+        dt = max(0.0, now - self._last_pump_t)
+        self._last_pump_t = now
+        self.pump_once(dt, rate_factor)
+        return self._complete_acks()
 
     def adapt_once(self) -> SheddingPlan:
         """One adaptation: measure load, step THROTLOOP, install a plan.
@@ -469,6 +528,10 @@ class LiraService:
             "ingest_frames": self.counters.ingest_frames,
             "reports_received": self.counters.reports_received,
             "acks_sent": self.counters.acks_sent,
+            "acks_inline": self.counters.acks_inline,
+            "acks_deferred": self.counters.acks_deferred,
+            "protocol_errors": self.counters.protocol_errors,
+            "protocol_errors_by_reason": dict(self.counters.protocol_errors_by_reason),
             "plans_computed": self.counters.plans_computed,
             "plans_pushed": self.counters.plans_pushed,
             "delta_plans_pushed": self.counters.delta_plans_pushed,
@@ -492,42 +555,30 @@ class LiraService:
             "policy": self.policy,
         }
 
-    def _full_plan_frame(self) -> bytes:
-        """The full-plan broadcast frame, encoded once per installed plan.
+    def _broadcast_frame(self, kind: str, key: str, content: Any) -> bytes:
+        """The ``kind`` frame carrying ``content.to_dict()`` under ``key``,
+        encoded once per installed plan.
 
         The cache is keyed by the network version the frame was built
         for — every install bumps it — so a fleet of N full-channel
-        subscribers costs one ``SheddingPlan.to_dict`` serialization per
-        adaptation, not N.
+        subscribers costs one serialization per adaptation, not N.
         """
-        cached = self._frame_cache.get("plan")
-        if cached is not None and cached[0] == self.network.version:
-            return cached[1]
-        meta = self._frame_meta()
-        meta["plan"] = self.plan.to_dict()
-        payload = encode_frame("plan", meta)
-        self._frame_cache["plan"] = (self.network.version, payload)
-        self.counters.plan_frames_encoded += 1
-        return payload
-
-    def _delta_plan_frame(self, delta: PlanDelta) -> bytes:
-        """The delta broadcast frame, encoded once per installed plan."""
-        cached = self._frame_cache.get("plan-delta")
-        if cached is not None and cached[0] == self.network.version:
-            return cached[1]
-        meta = self._frame_meta()
-        meta["delta"] = delta.to_dict()
-        payload = encode_frame("plan-delta", meta)
-        self._frame_cache["plan-delta"] = (self.network.version, payload)
-        self.counters.plan_frames_encoded += 1
-        return payload
+        cached = self._frame_cache.get(kind)
+        if cached is None or cached[0] != self.network.version:
+            meta = self._frame_meta()
+            meta[key] = content.to_dict()
+            cached = self._frame_cache[kind] = (
+                self.network.version, encode_frame(kind, meta)
+            )
+            self.counters.plan_frames_encoded += 1
+        return cached[1]
 
     def _plan_frame(self, subscriber: _Subscriber) -> bytes | None:
         """Encode the current plan for one subscriber (None = nothing yet)."""
         if self.plan is None:
             return None
         if subscriber.station_id is None:
-            return self._full_plan_frame()
+            return self._broadcast_frame("plan", "plan", self.plan)
         subset = self.network.subset_or_none(subscriber.station_id)
         meta = self._frame_meta()
         meta["station_id"] = subscriber.station_id
@@ -575,10 +626,10 @@ class LiraService:
                     self.counters.plans_pushed += 1
                 continue
             if delta is not None and subscriber.epoch == delta.base_epoch:
-                subscriber.writer.write(self._delta_plan_frame(delta))
+                subscriber.writer.write(self._broadcast_frame("plan-delta", "delta", delta))
                 self.counters.delta_plans_pushed += 1
             else:
-                subscriber.writer.write(self._full_plan_frame())
+                subscriber.writer.write(self._broadcast_frame("plan", "plan", self.plan))
             subscriber.epoch = self.plan.epoch
             self.counters.plans_pushed += 1
         self._subscribers = live
@@ -587,27 +638,27 @@ class LiraService:
     # Background tasks
     # ------------------------------------------------------------------
 
-    def _complete_acks(self) -> None:
-        """Flush deferred acks whose reports have been applied."""
+    def _complete_acks(self) -> int:
+        """Flush pending acks whose reports have been applied."""
         done = self.server.queue.lifetime_dequeued
+        sent = 0
         while self._pending and self._pending[0].mark <= done:
             pending = self._pending.popleft()
             if pending.writer.is_closing():
                 continue
             pending.meta["done_t"] = self.clock()
             pending.writer.write(encode_frame("ingest-ack", pending.meta))
-            self.counters.acks_sent += 1
+            sent += 1
+        self.counters.acks_sent += sent
+        return sent
 
     async def _pump_loop(self) -> None:
-        last = self.clock()
+        self._last_pump_t = self.clock()
         while True:
             await asyncio.sleep(self.pump_period)
             now = self.clock()
-            dt = max(0.0, now - last)
-            last = now
             try:
-                self.pump_once(dt)
-                self._complete_acks()
+                self.counters.acks_deferred += self._pump(now)
             except Exception:
                 logger.exception("service pump iteration failed")
 
@@ -632,8 +683,7 @@ class LiraService:
                 try:
                     frame = await read_frame(reader)
                 except FrameError as exc:
-                    self.counters.protocol_errors += 1
-                    writer.write(encode_frame("error", {"message": str(exc)}))
+                    self._protocol_error(writer, "bad-frame", str(exc))
                     await writer.drain()
                     break
                 if frame is None:
@@ -676,40 +726,22 @@ class LiraService:
             meta["seq"] = frame.meta.get("seq")
             writer.write(encode_frame("stats-reply", meta))
             return
+        self._protocol_error(writer, "unknown-kind", f"unknown frame kind {frame.kind!r}")
+
+    def _protocol_error(self, writer: asyncio.StreamWriter, reason: str, message: str) -> None:
+        """Count a refused frame by reason and tell the peer why."""
         self.counters.protocol_errors += 1
-        writer.write(
-            encode_frame("error", {"message": f"unknown frame kind {frame.kind!r}"})
-        )
+        by_reason = self.counters.protocol_errors_by_reason
+        by_reason[reason] = by_reason.get(reason, 0) + 1
+        writer.write(encode_frame("error", {"message": message}))
 
     def _handle_ingest(self, frame: Frame, writer: asyncio.StreamWriter) -> None:
         recv_t = self.clock()
-        try:
-            node_ids = np.asarray(frame.arrays["node_ids"], dtype=np.int64)
-            positions = np.asarray(frame.arrays["positions"], dtype=np.float64)
-            velocities = np.asarray(frame.arrays["velocities"], dtype=np.float64)
-        except KeyError as exc:
-            self.counters.protocol_errors += 1
-            writer.write(
-                encode_frame("error", {"message": f"ingest missing array {exc}"})
-            )
+        fault = _ingest_fault(frame.arrays, self.n_nodes)
+        if fault is not None:
+            self._protocol_error(writer, *fault)
             return
-        times = frame.arrays.get("times")
-        if positions.shape != (node_ids.size, 2) or velocities.shape != (
-            node_ids.size,
-            2,
-        ):
-            self.counters.protocol_errors += 1
-            writer.write(
-                encode_frame("error", {"message": "ingest array shape mismatch"})
-            )
-            return
-        result = self.apply_ingest(
-            recv_t,
-            node_ids,
-            positions,
-            velocities,
-            times=np.asarray(times, dtype=np.float64) if times is not None else None,
-        )
+        result = self.apply_ingest(recv_t, **frame.arrays)
         meta = {
             "seq": frame.meta.get("seq"),
             "send_t": frame.meta.get("send_t"),
@@ -722,9 +754,14 @@ class LiraService:
             meta["done_t"] = self.clock()
             writer.write(encode_frame("ingest-ack", meta))
             self.counters.acks_sent += 1
-        else:
-            self.counters.acks_deferred += 1
-            self._pending.append(_PendingAck(writer=writer, meta=meta, mark=result.mark))
+            self.counters.acks_inline += 1
+            return
+        self._pending.append(_PendingAck(writer=writer, meta=meta, mark=result.mark))
+        # Arrival-driven drain: the capacity elapsed since the last pump
+        # (at most what the next timer tick would grant this batch) is
+        # granted now, so with capacity to spare the ack leaves in this
+        # dispatch instead of waiting out the rest of a pump period.
+        self.counters.acks_inline += self._pump(recv_t, self._rate_factor)
 
     # ------------------------------------------------------------------
     # Lifecycle

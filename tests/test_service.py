@@ -60,6 +60,30 @@ def make_batch(n: int, seed: int = 0):
     return ids, pos, vel
 
 
+class FakeWriter:
+    """The slice of ``asyncio.StreamWriter`` the dispatch path touches."""
+
+    def __init__(self):
+        self.payloads: list[bytes] = []
+
+    def write(self, payload: bytes) -> None:
+        self.payloads.append(payload)
+
+    def is_closing(self) -> bool:
+        return False
+
+    def frames(self) -> list[Frame]:
+        return [decode_frame(payload) for payload in self.payloads]
+
+
+def ingest_frame(ids, pos, vel, times=None, seq=0, **extra) -> Frame:
+    """An ingest frame as the service receives it: decoded off the wire."""
+    arrays = {"node_ids": ids, "positions": pos, "velocities": vel, **extra}
+    if times is not None:
+        arrays["times"] = times
+    return decode_frame(encode_frame("ingest", {"seq": seq, "send_t": 0.0}, arrays))
+
+
 class TestFraming:
     def test_round_trip_with_arrays(self):
         ids, pos, vel = make_batch(7)
@@ -236,6 +260,297 @@ class TestPump:
         service = make_service()
         with pytest.raises(ValueError):
             service.server.clamp_service_credit(-1.0)
+
+
+def _bad(**overrides):
+    """make_batch(4) as ingest arrays, with some replaced or removed."""
+    ids, pos, vel = make_batch(4)
+    arrays = {"node_ids": ids, "positions": pos, "velocities": vel, "times": np.full(4, 100.0)}
+    arrays.update(overrides)
+    return {name: value for name, value in arrays.items() if value is not None}
+
+
+def _poked(array, value):
+    out = np.array(array, dtype=np.float64)
+    out.flat[-1] = value
+    return out
+
+
+_IDS, _POS, _VEL = make_batch(4)
+INGEST_FAULTS = {
+    "nan-position": ("non-finite", _bad(positions=_poked(_POS, np.nan))),
+    "inf-velocity": ("non-finite", _bad(velocities=_poked(_VEL, np.inf))),
+    "nan-time": ("non-finite", _bad(times=_poked(np.full(4, 100.0), np.nan))),
+    "id-past-the-table": ("id-out-of-range", _bad(node_ids=np.array([0, 1, 2, 32]))),
+    "id-negative": ("id-out-of-range", _bad(node_ids=np.array([0, -1, 2, 3]))),
+    "id-huge-unsigned": ("id-out-of-range", _bad(node_ids=np.array([0, 1, 2, 2**63], np.uint64))),
+    "ids-float": ("bad-dtype", _bad(node_ids=_IDS.astype(np.float64))),
+    "ids-bool": ("bad-dtype", _bad(node_ids=np.ones(4, dtype=bool))),
+    "positions-float32": ("bad-dtype", _bad(positions=_POS.astype(np.float32))),
+    "velocities-int": ("bad-dtype", _bad(velocities=_VEL.astype(np.int64))),
+    "times-int": ("bad-dtype", _bad(times=np.full(4, 100))),
+    "ids-2d": ("bad-shape", _bad(node_ids=_IDS.reshape(2, 2))),
+    "positions-short": ("bad-shape", _bad(positions=_POS[:2])),
+    "positions-flat": ("bad-shape", _bad(positions=_POS.reshape(-1))),
+    "velocities-wide": ("bad-shape", _bad(velocities=np.zeros((4, 3)))),
+    "times-short": ("bad-shape", _bad(times=np.full(3, 100.0))),
+    "missing-velocities": ("missing-array", _bad(velocities=None)),
+    "unknown-array": ("unknown-array", _bad(payload=np.zeros(1000))),
+}
+
+
+class TestIngestValidation:
+    """A frame the views would let poison the table is refused whole."""
+
+    @pytest.mark.parametrize("reason,arrays", INGEST_FAULTS.values(), ids=INGEST_FAULTS.keys())
+    def test_refused_frame_leaves_no_trace(self, reason, arrays):
+        service = make_service()
+        writer = FakeWriter()
+        frame = decode_frame(encode_frame("ingest", {"seq": 1}, arrays))
+        service._dispatch(frame, writer)
+        (reply,) = writer.frames()
+        assert reply.kind == "error" and "ingest" in reply.meta["message"]
+        server = service.server
+        assert len(server.queue) == 0 and not server.table.known_mask.any()
+        assert (server.queue.lifetime_enqueued, server.queue.lifetime_dropped) == (0, 0)
+        assert server.take_load_measurement().arrivals == 0
+        assert (service.counters.ingest_frames, service.counters.reports_received) == (0, 0)
+        assert service.counters.acks_sent == 0 and not service._pending
+        stats = service.stats_meta()
+        assert stats["protocol_errors"] == 1
+        assert stats["protocol_errors_by_reason"] == {reason: 1}
+        # The connection stays usable: the same client's next good frame lands.
+        service.clock.advance(1.0)
+        service._dispatch(ingest_frame(*make_batch(4)), writer)
+        assert writer.frames()[-1].kind == "ingest-ack"
+        assert server.table.updates_applied == 4
+
+    def test_accepted_dtypes_and_the_empty_batch(self):
+        service = make_service()
+        writer = FakeWriter()
+        ids, pos, vel = make_batch(4)
+        for seq, node_ids in enumerate((ids.astype(np.int32), ids.astype(np.uint8), ids[:0])):
+            k = node_ids.size
+            service.clock.advance(1.0)
+            service._dispatch(ingest_frame(node_ids, pos[:k], vel[:k], seq=seq), writer)
+        assert [f.kind for f in writer.frames()] == ["ingest-ack"] * 3
+        assert service.counters.protocol_errors == 0
+        assert service.stats_meta()["protocol_errors_by_reason"] == {}
+
+    def test_reasons_accumulate_across_kinds_of_error(self):
+        service = make_service()
+        writer = FakeWriter()
+        service._dispatch(Frame(kind="no-such-kind", meta={}), writer)
+        for _ in range(2):
+            service._dispatch(ingest_frame(*make_batch(4), payload=np.zeros(1)), writer)
+        assert service.counters.protocol_errors == 3
+        assert service.counters.protocol_errors_by_reason == {"unknown-kind": 1, "unknown-array": 2}
+
+
+def root_buffer(array: np.ndarray):
+    """The non-ndarray object at the end of ``array``'s ``base`` chain."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+class TestRetention:
+    """Zero-copy batches: what the queue pins is what it admitted."""
+
+    def test_one_of_n_admit_releases_the_frame_buffer(self):
+        import gc
+        import weakref
+
+        service = make_service(service_rate=1.0, queue_capacity=5)
+        service.apply_ingest(100.0, *make_batch(4))
+        frame = ingest_frame(*make_batch(30, seed=1), times=np.full(30, 100.0))
+        views = [weakref.ref(array) for array in frame.arrays.values()]
+        service._dispatch(frame, FakeWriter())
+        assert service.server.queue.lifetime_enqueued == 5  # 1 of 30 admitted
+        for column in service.server.queue._chunks[-1]:
+            assert column.shape[0] == 1 and column.base is None  # owns its one row
+        del frame
+        gc.collect()
+        # Nothing holds a view of the body any more, so the body itself
+        # (only reachable through those views) is collectable.
+        assert [ref() for ref in views] == [None] * 4
+
+    def test_full_admit_pins_exactly_the_body(self):
+        service = make_service(service_rate=1.0, queue_capacity=50)
+        ids, pos, vel = make_batch(8)
+        payload = encode_frame(
+            "ingest", {"seq": 0},
+            {"node_ids": ids, "positions": pos, "velocities": vel, "times": np.full(8, 100.0)},
+        )
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(payload)
+            return await read_frame(reader)
+
+        service._dispatch(asyncio.run(scenario()), FakeWriter())
+        _, header_len, body_len = _PREFIX.unpack_from(payload)
+        assert body_len == 8 * 48
+        for column in service.server.queue._chunks[-1]:
+            body = root_buffer(column)
+            assert type(body) is bytes and len(body) == body_len  # no header, no prefix
+
+
+TICK = 1.0 / 64.0
+
+
+class TestArrivalDrivenDrain:
+    """The ingest dispatch pumps; the timer only drains a backlog.
+
+    Everything runs on a ManualClock with dyadic times and rates, so
+    the queue model's arithmetic is exact and runs can be compared bit
+    for bit.
+    """
+
+    def test_spare_capacity_acks_inside_the_dispatch(self):
+        clock = ManualClock(start=100.0)
+        service = make_service(service_rate=4096.0, clock=clock)
+        writer = FakeWriter()
+        clock.advance(TICK)  # 64 updates of capacity since the last pump
+        service._dispatch(ingest_frame(*make_batch(20), seq=7), writer)
+        (ack,) = writer.frames()
+        assert ack.kind == "ingest-ack" and ack.meta["seq"] == 7
+        assert ack.meta["admitted"] == 20
+        assert ack.meta["done_t"] == ack.meta["recv_t"] == clock()
+        assert not service._pending
+        counters = service.counters
+        assert (counters.acks_sent, counters.acks_inline, counters.acks_deferred) == (1, 1, 0)
+        assert service.server.table.updates_applied == 20
+        assert service.stats_meta()["acks_inline"] == 1
+
+    def test_backlog_defers_the_ack_until_the_mark_is_passed(self):
+        clock = ManualClock(start=100.0)
+        service = make_service(service_rate=256.0, clock=clock)  # 4 updates per TICK
+        writer = FakeWriter()
+        queue = service.server.queue
+        clock.advance(TICK)
+        service._dispatch(ingest_frame(*make_batch(10), seq=0), writer)
+        assert queue.lifetime_dequeued == 4 and len(service._pending) == 1
+        assert writer.payloads == []
+        # The timer gets there first for frame 0 ...
+        clock.advance(TICK)
+        assert service._pump(clock()) == 0 and queue.lifetime_dequeued == 8
+        clock.advance(TICK)
+        assert service._pump(clock()) == 1
+        assert [f.meta["seq"] for f in writer.frames()] == [0]
+        assert writer.frames()[0].meta["done_t"] == 100.0 + 3 * TICK
+        # ... and a later arrival's drain gets there first for frame 1:
+        # frame 2 brings the capacity that finishes frame 1, not its own.
+        service._dispatch(ingest_frame(*make_batch(3, seed=1), seq=1), writer)
+        clock.advance(TICK)
+        service._dispatch(ingest_frame(*make_batch(3, seed=2), seq=2), writer)
+        assert [f.meta["seq"] for f in writer.frames()] == [0, 1]
+        assert [p.meta["seq"] for p in service._pending] == [2]
+        counters = service.counters
+        assert (counters.acks_sent, counters.acks_inline) == (2, 1)
+        # Deferred acks are counted by the timer loop; _pump only reports them.
+        clock.advance(TICK)
+        assert service._pump(clock()) == 1 and not service._pending
+
+    def test_fully_dropped_frame_is_acked_at_once_and_grants_nothing(self):
+        clock = ManualClock(start=100.0)
+        service = make_service(service_rate=256.0, queue_capacity=5, clock=clock)
+        writer = FakeWriter()
+        service._dispatch(ingest_frame(*make_batch(5)), writer)
+        clock.advance(TICK / 2)
+        before = service._last_pump_t
+        service._dispatch(ingest_frame(*make_batch(3, seed=1), seq=9), writer)
+        (ack,) = writer.frames()
+        assert (ack.meta["seq"], ack.meta["admitted"], ack.meta["dropped"]) == (9, 0, 3)
+        assert service._last_pump_t == before and service.counters.acks_inline == 1
+
+    @staticmethod
+    def _arrivals():
+        """(tick, offset within the tick, batch): a trickle with several
+        arrivals per tick, then one overflowing burst per tick, then idle."""
+        out = []
+        for tick in range(0, 6):
+            for part in (1, 5, 11):
+                out.append((tick, part * TICK / 16, make_batch(2, seed=tick * 16 + part)))
+        for tick in range(6, 14):
+            out.append((tick, 3 * TICK / 8, make_batch(30, seed=tick)))
+        out.append((30, TICK / 4, make_batch(6, seed=99)))
+        return out
+
+    def _run(self, inline: bool):
+        clock = ManualClock(start=100.0)
+        service = make_service(service_rate=256.0, queue_capacity=40, clock=clock)
+        writer = FakeWriter()
+        arrivals = self._arrivals()
+        trail = []
+        for tick in range(36):
+            for _, offset, (ids, pos, vel) in (a for a in arrivals if a[0] == tick):
+                clock.now = 100.0 + tick * TICK + offset
+                times = np.full(ids.size, clock())
+                if inline:
+                    service._dispatch(ingest_frame(ids, pos, vel, times), writer)
+                else:  # the parent's dispatch: enqueue, leave the pumping to the timer
+                    service.apply_ingest(clock(), ids, pos, vel, times=times)
+            clock.now = 100.0 + (tick + 1) * TICK
+            service._pump(clock())
+            server, queue, table = service.server, service.server.queue, service.server.table
+            state = {
+                "queue": (len(queue), queue.lifetime_enqueued, queue.lifetime_dropped,
+                          queue.lifetime_dequeued),
+                "applied": (table.updates_applied, table.updates_discarded),
+                "credit": server._service_credit,
+                "period_time": server._period_time,
+                "table": (table._pos.copy(), table._vel.copy(), table._time.copy(),
+                          table._known.copy()),
+            }
+            if tick % 9 == 8:
+                state["measurement"] = server.take_load_measurement()
+            trail.append(state)
+        return service, trail
+
+    def test_inline_drain_is_the_same_queue_model(self):
+        inline_service, inline = self._run(inline=True)
+        timer_service, timer = self._run(inline=False)
+        for tick, (a, b) in enumerate(zip(inline, timer, strict=True)):
+            for key in ("queue", "applied", "credit", "period_time"):
+                assert a[key] == b[key], (tick, key)
+            assert a.get("measurement") == b.get("measurement"), tick
+            for x, y in zip(a["table"], b["table"], strict=True):
+                np.testing.assert_array_equal(x, y)
+        # The run exercised overflow, backlog and idle, and both ack paths.
+        assert inline[-1]["queue"][2] > 0 and inline[-1]["queue"][0] == 0
+        # Granted capacity sums to elapsed time (the last tick closes a period).
+        assert sum(s["measurement"].period for s in inline if "measurement" in s) == 36 * TICK
+        counters = inline_service.counters
+        assert counters.acks_inline > 0 and len(inline_service._pending) == 0
+        assert counters.acks_sent == counters.ingest_frames > counters.acks_inline
+        assert timer_service.counters.acks_sent == 0
+
+    @pytest.mark.parametrize("frames_per_tick", [0, 1, 5])
+    def test_fault_stream_depends_on_timer_pumps_only(self, frames_per_tick):
+        spec = FaultSpec(slowdown_prob=0.25, slowdown_factor=0.5, slowdown_duration=0.0)
+        faults = FaultInjector(spec, seed=3)
+        clock = ManualClock(start=100.0)
+        service = make_service(service_rate=4096.0, clock=clock, faults=faults)
+        writer = FakeWriter()
+        ticks = 40
+        factors = []
+        for tick in range(ticks):
+            for part in range(frames_per_tick):
+                clock.now = 100.0 + tick * TICK + (part + 1) * TICK / 8
+                service._dispatch(ingest_frame(*make_batch(3, seed=tick)), writer)
+                assert service._rate_factor == (factors[-1] if factors else 1.0)
+            clock.now = 100.0 + (tick + 1) * TICK
+            service._pump(clock())
+            factors.append(service._rate_factor)
+        # duration 0 => every service_factor() call draws exactly once.
+        reference = FaultInjector(spec, seed=3)
+        assert factors == [reference.service_factor(0.0) for _ in range(ticks)]
+        assert (
+            faults._server_rng.bit_generator.state == reference._server_rng.bit_generator.state
+        )
+        assert 0 < faults.counters.slow_ticks < ticks
 
 
 class TestAdaptation:
@@ -416,6 +731,62 @@ class TestSocketProtocol:
                 await service.stop()
 
         asyncio.run(scenario())
+
+    def test_zero_copy_ingest_and_lcq1_refusal_over_a_real_socket(self, tmp_path):
+        """The counted wire contract CI checks: what the server decodes
+        off a socket is aligned views of the body buffer, the frame is
+        acked inside its own dispatch, and an LCQ1 peer is told to go."""
+        sock = str(tmp_path / "wire.sock")
+        ids, pos, vel = make_batch(32)
+        received: list[Frame] = []
+
+        async def scenario():
+            service = ServiceConfig(
+                n_nodes=32, service_rate=1e9, side=1000.0, station_radius=800.0, l=4, alpha=8
+            ).build()
+            dispatch = service._dispatch
+            service._dispatch = lambda frame, writer: (received.append(frame),
+                                                       dispatch(frame, writer))
+            await service.start(path=sock)
+            try:
+                reader, writer = await asyncio.open_unix_connection(sock)
+                await asyncio.sleep(0.02)  # let some pump capacity elapse
+                payload = encode_frame(
+                    "ingest", {"seq": 5, "send_t": 0.0},
+                    {"node_ids": ids, "positions": pos, "velocities": vel,
+                     "times": np.zeros(32)},
+                )
+                writer.write(payload)
+                ack = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert (ack.kind, ack.meta["admitted"]) == ("ingest-ack", 32)
+                assert service.counters.acks_inline == 1
+                assert service.counters.acks_deferred == 0
+                writer.close()
+
+                reader, writer = await asyncio.open_unix_connection(sock)
+                old = payload.replace(MAGIC, b"LCQ1", 1)
+                writer.write(old)
+                err = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert err.kind == "error" and "magic" in err.meta["message"]
+                assert await asyncio.wait_for(read_frame(reader), timeout=5.0) is None
+                assert service.counters.protocol_errors_by_reason == {"bad-frame": 1}
+                assert service.counters.ingest_frames == 1
+                writer.close()
+                return _PREFIX.unpack_from(payload)[2]
+            finally:
+                await service.stop()
+
+        body_len = asyncio.run(scenario())
+        (frame,) = received
+        bodies = set()
+        for name, sent in (("node_ids", ids), ("positions", pos), ("velocities", vel)):
+            got = frame.arrays[name]
+            np.testing.assert_array_equal(got, sent)
+            assert got.flags.aligned and not got.flags.owndata
+            bodies.add(id(root_buffer(got)))
+            assert type(root_buffer(got)) is bytes and len(root_buffer(got)) == body_len
+            assert np.shares_memory(got, np.frombuffer(root_buffer(got), dtype=np.uint8))
+        assert len(bodies) == 1  # one buffer, read once, never concatenated
 
 
 class TestBackgroundTaskSupervision:
