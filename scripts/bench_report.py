@@ -906,6 +906,8 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
     # shedder's own, and a cold GRIDREDUCE of the same grid (untimed).
     steady_work: list[tuple[int, int]] = []
     cold_work: list[tuple[int, int]] = []
+    # Final-solve (table entries built, horizon retries) per measured round.
+    greedy_work: list[tuple[int, int]] = []
     geometry_resyncs = 0
     marks = (0, 0)
     for r in range(warm + rounds):
@@ -980,6 +982,12 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
             steady_work.append(
                 (last["last_round_gain_kernel_calls"], last["last_round_gain_rows_solved"])
             )
+            greedy_work.append(
+                (
+                    last["last_round_greedy_table_entries"],
+                    last["last_round_greedy_horizon_retries"],
+                )
+            )
             cold = IncrementalGridReduceCache()
             grid_reduce(
                 RegionHierarchy(grid), config.l, z, inc.reduction,
@@ -1025,6 +1033,11 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
         "cold_kernel_calls_per_round": cold_calls,
         "cold_rows_solved_per_round": cold_rows,
         "rows_reduction_vs_cold": round(rows_ratio, 2),
+        "greedy_full_table_entries": config.l * config.n_segments,
+        "greedy_table_entries_per_round": statistics.median(
+            entries for entries, _ in greedy_work
+        ),
+        "greedy_horizon_retry_rounds": sum(retries for _, retries in greedy_work),
         "geometry_resyncs": geometry_resyncs,
         "full_push_bytes": full_bytes,
         "delta_push_bytes": delta_bytes,

@@ -15,7 +15,7 @@ from repro.core.gridreduce import (
     uniform_partitioning,
 )
 from repro.core.greedy import GreedyResult, RegionStats, greedy_increment
-from repro.core.greedy_vector import greedy_increment_batch, greedy_increment_vector
+from repro.core.greedy_vector import greedy_increment_vector
 from repro.core.incremental import (
     IncrementalAdaptSession,
     IncrementalGridReduceCache,
@@ -65,7 +65,6 @@ __all__ = [
     "clamp_thresholds",
     "effective_region_count",
     "greedy_increment",
-    "greedy_increment_batch",
     "greedy_increment_vector",
     "grid_reduce",
     "measure_reduction_from_trace",

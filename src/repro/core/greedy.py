@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo import Rect
+from repro.core.incremental import GreedyHorizon
 from repro.core.reduction import PiecewiseLinearReduction, ReductionFunction
 
 _EPS = 1e-9
@@ -100,6 +101,7 @@ def greedy_increment(
     fairness: float | None = None,
     use_speed: bool = True,
     engine: str = "object",
+    horizon: GreedyHorizon | None = None,
 ) -> GreedyResult:
     """Run GREEDYINCREMENT over ``regions``.
 
@@ -109,7 +111,9 @@ def greedy_increment(
     is Δ⇔ (``None`` disables the constraint; ``0`` forces the uniform-Δ
     solution, the paper's degenerate case).  ``engine="vector"`` runs
     the array kernel in :mod:`repro.core.greedy_vector`, bit-identical
-    to this reference loop.
+    to this reference loop; ``horizon`` is that kernel's cross-call
+    hint (how many knot-path columns to try first) and cannot change a
+    result.
     """
     if not regions:
         raise ValueError("at least one region is required")
@@ -121,7 +125,7 @@ def greedy_increment(
     if engine == "vector":
         from repro.core.greedy_vector import greedy_increment_vector
 
-        return greedy_increment_vector(regions, pw, z, fairness, use_speed)
+        return greedy_increment_vector(regions, pw, z, fairness, use_speed, horizon)
     d_min, d_max = pw.delta_min, pw.delta_max
     seg = pw.segment_size
     l = len(regions)

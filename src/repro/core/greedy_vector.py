@@ -25,7 +25,19 @@ with array reductions, exploiting two structural facts:
    ``np.subtract.accumulate`` over the gathered per-pop subtrahends —
    bit-identical to the sequential left fold, because the accumulate
    loop performs the same float subtractions in the same order.
+3. **A run stops at the budget, so the sort can too.**  Both facts
+   hold for any *prefix* of the pop order, and the budget is usually
+   met a few columns down the knot path.  The tables, the sort and the
+   chain are therefore built over a *budget horizon* — the first
+   ``h ≪ κ`` columns per region — and the result is accepted only when
+   proved equal to the full-κ one (the horizon lemma in
+   :func:`_solve_rows`); otherwise the solve repeats at full κ.  The
+   depth one call consumed seeds the next call's ``h``
+   (:class:`~repro.core.incremental.GreedyHorizon`) — a hint that can
+   cost a retry, never a result.
 
+One pipeline (:func:`_solve`) serves the final throttler solve (one
+problem, fairness) and GRIDREDUCE's stacked CALCERRGAIN rows.
 Everything the sort cannot prove is delegated, never approximated:
 
 * a pop whose budget-landing test fires (the usual way a run ends),
@@ -34,8 +46,8 @@ Everything the sort cannot prove is delegated, never approximated:
   reconstructed state (deltas, expenditure, heap with
   order-preserving counters), which finishes the run exactly;
 * a cross-region tie among the prefix's finite keys (where FIFO order
-  depends on push history the sort cannot see) falls back to the
-  reference loop for the whole problem.
+  depends on push history the sort cannot see) runs the whole problem
+  in that loop, from the initial state.
 
 Either way the result is bit-identical to the object path — enforced
 by the equivalence suite in ``tests/test_adapt_vector.py``.
@@ -47,6 +59,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,12 +70,13 @@ from repro.core.greedy import (
     _region_weights,
     _uniform_solution,
 )
+from repro.core.incremental import GreedyHorizon
 from repro.core.reduction import PiecewiseLinearReduction
 from repro.sanitize.errstate import vector_errstate
 
 __all__ = [
+    "GreedyBatch",
     "greedy_increment_arrays",
-    "greedy_increment_batch",
     "greedy_increment_vector",
 ]
 
@@ -144,16 +158,17 @@ def _schedule_for(pw: PiecewiseLinearReduction) -> _SegmentSchedule:
 
 
 def _entry_tables(
-    weights: np.ndarray, m: np.ndarray, sched: _SegmentSchedule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-entry ``(..., A, K)`` gain, prefix-min key, and rate tables.
+    weights: np.ndarray, m: np.ndarray, sched: _SegmentSchedule, h: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry ``(..., A, h)`` prefix-min key and rate tables.
 
-    Broadcasts over any number of leading problem axes.  The gain
-    expression mirrors the reference closure bit for bit:
+    Covers the first ``h`` knot-path columns and broadcasts over any
+    number of leading problem axes.  The gain expression under the
+    prefix minimum mirrors the reference closure bit for bit:
     ``min(fl(fl(w·S[k])/m), 1e300)`` for real query mass, ``inf``/``0``
     for subnormal ``m`` depending on the rate sign.
     """
-    rate = sched.rate_at
+    rate = sched.rate_at[:h]
     wr = weights[..., None] * rate
     m_col = m[..., None]
     massive = m_col > 1e-300
@@ -164,102 +179,70 @@ def _entry_tables(
             np.minimum(wr / safe_m, 1e300),
             np.where(wr > 0, np.inf, 0.0),
         )
-    keys = np.minimum.accumulate(gains, axis=-1)
-    return gains, keys, wr
+    return np.minimum.accumulate(gains, axis=-1), wr
 
 
 def _candidate_order(keys: np.ndarray) -> np.ndarray:
     """Exact heap pop order per problem from the prefix-min key table.
 
-    ``keys`` is ``(..., A, K)``.  Returns flat entry indices
-    (region-major, ``i*K + k``) in pop order: infinite keys first in
+    ``keys`` is ``(R, A, h)``.  Returns flat entry indices
+    (region-major, ``i*h + k``) in pop order: infinite keys first in
     (segment, region) round-robin, then finite keys in stable
     descending order (the stable tie-break keeps each region's
     equal-key run in segment order, adjacent to its leader).  Entries
     of inactive regions must already carry ``-inf`` keys; they sort to
     the end, beyond any cut.
     """
-    lead_shape = keys.shape[:-2]
-    a, k = keys.shape[-2], keys.shape[-1]
-    flat_keys = keys.reshape(lead_shape + (a * k,))
-    order = np.argsort(-flat_keys, axis=-1, kind="stable")
+    r_count, a, h = keys.shape
+    order = np.argsort(-keys.reshape(r_count, a * h), axis=1, kind="stable")
     inf_mask = np.isposinf(keys)
-    n_inf = inf_mask.sum(axis=(-2, -1))
-    if np.any(n_inf > 0):
+    n_inf = inf_mask.sum(axis=(1, 2))
+    if n_inf.any():
         # Rewrite the leading (region-major) run of infinite entries in
         # transposed — (segment, region) — order.  np.nonzero on the
         # transposed mask yields exactly that order, grouped by problem.
-        transposed = np.moveaxis(inf_mask, -1, -2)  # (..., K, A)
-        nz = np.nonzero(transposed)
-        seg_idx, reg_idx = nz[-2], nz[-1]
-        flat_entry = reg_idx * k + seg_idx
-        if lead_shape:
-            problem = np.ravel_multi_index(nz[:-2], lead_shape)
-            offsets = np.concatenate(([0], np.cumsum(n_inf.ravel())))
-            within = np.arange(flat_entry.size) - offsets[problem]
-            order.reshape(-1, a * k)[problem, within] = flat_entry
-        else:
-            order[: flat_entry.size] = flat_entry
+        problem, seg_idx, reg_idx = np.nonzero(inf_mask.transpose(0, 2, 1))
+        offsets = np.concatenate(([0], np.cumsum(n_inf)))
+        within = np.arange(problem.size) - offsets[problem]
+        order[problem, within] = reg_idx * h + seg_idx
     return order
 
 
-def _expenditure_chain(
-    total_weight: np.ndarray | float, sub_ordered: np.ndarray
-) -> np.ndarray:
-    """``E`` entering each pop: the exact left fold of ``E -= rate·step``.
+def _first_true(flags: np.ndarray, default: int) -> np.ndarray:
+    """Per-row index of the first True in ``(R, N)`` flags, or ``default``."""
+    if flags.shape[1] == 0:
+        return np.full(flags.shape[0], default)
+    first = flags.argmax(axis=1)
+    return np.where(flags[np.arange(flags.shape[0]), first], first, default)
 
-    ``chain[..., j]`` is the expenditure before pop ``j`` (so
-    ``chain[..., 0]`` is the starting total weight and the array has
-    one more column than pops).  ``np.subtract.accumulate`` performs
-    the identical float subtraction sequence as the scalar loop.
+
+@dataclass
+class GreedyBatch:
+    """GREEDYINCREMENT results of ``(P, A)`` stacked problems, by field.
+
+    Array consumers (the gain kernel) read the columns; ``batch[row]``
+    boxes one problem's :class:`~repro.core.greedy.GreedyResult`.
     """
-    lead = sub_ordered.shape[:-1]
-    start = np.broadcast_to(
-        np.asarray(total_weight, dtype=np.float64)[..., None], lead + (1,)
-    )
-    return np.subtract.accumulate(
-        np.concatenate((start, sub_ordered), axis=-1), axis=-1
-    )
 
+    thresholds: np.ndarray
+    expenditure: np.ndarray
+    budget: np.ndarray
+    inaccuracy: np.ndarray
+    steps: np.ndarray
+    budget_met: np.ndarray
 
-def _first_true(flags: np.ndarray, default: int) -> int:
-    """Index of the first True in ``flags``, or ``default`` if none."""
-    if flags.size == 0:
-        return default
-    idx = int(np.argmax(flags))
-    return idx if bool(flags[idx]) else default
+    def __len__(self) -> int:
+        return len(self.budget)
 
-
-def _cross_region_tie(
-    keys_ord: np.ndarray, region_ord: np.ndarray, upto: int
-) -> bool:
-    """Any finite key tied across regions that could reorder the prefix?
-
-    Finite equal keys sort adjacently (the sorted keys are
-    non-increasing), so an adjacent-pair scan is exhaustive.  The scan
-    must cover the whole equal-key run straddling the cut boundary:
-    an entry beyond the cut whose key ties a prefix key can truly pop
-    *before* prefix members (FIFO order the sort cannot see).  Such a
-    tie's true order depends on heap push history; the caller must
-    fall back to the reference loop.
-    """
-    hi = min(upto + 1, keys_ord.size)
-    if hi < 2:
-        return False
-    while hi < keys_ord.size and keys_ord[hi] == keys_ord[hi - 1]:
-        hi += 1
-    window = keys_ord[:hi]
-    ties = (
-        (window[1:] == window[:-1])
-        & np.isfinite(window[1:])
-        & (region_ord[1:hi] != region_ord[: hi - 1])
-    )
-    return bool(ties.any())
-
-
-def _met(expenditure: float, budget: float, total_weight: float) -> bool:
-    """The reference loop's final budget test, verbatim."""
-    return expenditure <= budget + max(_EPS, 1e-9 * max(total_weight, 1.0))
+    def __getitem__(self, row: int) -> GreedyResult:
+        return GreedyResult(
+            thresholds=self.thresholds[row].copy(),
+            expenditure=float(self.expenditure[row]),
+            budget=float(self.budget[row]),
+            inaccuracy=float(self.inaccuracy[row]),
+            steps=int(self.steps[row]),
+            budget_met=bool(self.budget_met[row]),
+        )
 
 
 def greedy_increment_vector(
@@ -268,162 +251,341 @@ def greedy_increment_vector(
     z: float,
     fairness: float | None,
     use_speed: bool,
+    horizon: GreedyHorizon | None = None,
 ) -> GreedyResult:
     """Vector-engine GREEDYINCREMENT for one problem.
 
     Bit-identical to the reference loop: the array fast path runs while
     its preconditions provably hold and hands the tail (budget landing,
     fairness engagement, cross-region gain ties) to the exact scalar
-    continuation or the reference loop itself.
+    continuation.
 
     Under ``REPRO_SANITIZE=1`` the kernel runs with NaN/overflow
     trapping (:func:`repro.sanitize.vector_errstate`).
     """
     with vector_errstate():
-        return _greedy_increment_vector_impl(regions, pw, z, fairness, use_speed)
+        weights = _region_weights(regions, use_speed)
+        m = np.array([reg.m for reg in regions], dtype=np.float64)
+        # Δ⇔ = 0, or a positive Δ⇔ below the resolution floor.
+        if fairness is not None and fairness < (pw.delta_max - pw.delta_min) * 1e-4:
+            return _uniform_solution(pw, z, weights, m)
+        total_weight = float(weights.sum())
+        if total_weight <= z * total_weight + _EPS:
+            deltas = np.full(len(regions), pw.delta_min, dtype=np.float64)
+            return GreedyResult(
+                thresholds=deltas,
+                expenditure=total_weight,
+                budget=z * total_weight,
+                inaccuracy=float((m * deltas).sum()),
+                steps=0,
+                budget_met=True,
+            )
+        return _solve(weights[None], m[None], pw, z, fairness, horizon)[0]
 
 
-def _greedy_increment_vector_impl(
-    regions: list[RegionStats],
+def greedy_increment_arrays(
+    n: np.ndarray,
+    m: np.ndarray,
+    s: np.ndarray,
+    pw: PiecewiseLinearReduction,
+    z: float,
+    use_speed: bool,
+    horizon: GreedyHorizon | None = None,
+) -> GreedyBatch:
+    """GREEDYINCREMENT over ``(P, A)`` stacked problem statistics.
+
+    GRIDREDUCE's CALCERRGAIN scores one four-child throttler problem
+    per candidate node; this entry point shares the sort/accumulate
+    machinery across all problems of one expansion (fairness is never
+    constrained inside CALCERRGAIN) and assembles every clean row with
+    pure array reductions — no per-row kernel work.  Rows the sort
+    cannot prove (cross-region key ties, a landing pop that leaves a
+    float residue above the budget tolerance) resolve in the exact
+    scalar continuation.  Results are bit-identical to running the
+    reference loop per problem, and independent of how problems are
+    grouped into batches (every op is row-local).
+
+    Under ``REPRO_SANITIZE=1`` the kernel runs with NaN/overflow
+    trapping (:func:`repro.sanitize.vector_errstate`); the deliberate
+    ``errstate(ignore)`` window around the landing-step division keeps
+    its local masking either way.
+    """
+    with vector_errstate():
+        n = np.asarray(n, dtype=np.float64)
+        # _region_weights, vectorized over rows: nᵢ·sᵢ, falling back to
+        # nᵢ for rows whose speed-weighted mass vanishes.
+        weights = n
+        if use_speed:
+            weights = n * np.asarray(s, dtype=np.float64)
+            fallback = (weights.sum(axis=1) <= 0) & (n.sum(axis=1) > 0)
+            if fallback.any():
+                weights = np.where(fallback[:, None], n, weights)
+        return _solve(weights, np.asarray(m, dtype=np.float64), pw, z, None, horizon)
+
+
+def _solve(
+    weights: np.ndarray,
+    m: np.ndarray,
     pw: PiecewiseLinearReduction,
     z: float,
     fairness: float | None,
-    use_speed: bool,
-) -> GreedyResult:
-    d_min, d_max = pw.delta_min, pw.delta_max
-    l = len(regions)
-    weights = _region_weights(regions, use_speed)
-    m = np.array([reg.m for reg in regions], dtype=np.float64)
-    total_weight = float(weights.sum())
-    budget = z * total_weight
+    horizon: GreedyHorizon | None,
+) -> GreedyBatch:
+    """Solve ``(P, A)`` problems on a budget horizon, retrying at full κ.
 
-    if fairness is not None and fairness <= 0.0:
-        return _uniform_solution(pw, z, weights, m)
-    if fairness is not None and fairness < (d_max - d_min) * 1e-4:
-        return _uniform_solution(pw, z, weights, m)
-
-    deltas = np.full(l, d_min, dtype=np.float64)
-    if total_weight <= budget + _EPS:
-        return GreedyResult(
-            thresholds=deltas,
-            expenditure=total_weight,
-            budget=budget,
-            inaccuracy=float((m * deltas).sum()),
-            steps=0,
-            budget_met=True,
-        )
-
+    Rows first build only ``horizon.columns(κ)`` knot-path columns per
+    region; rows whose truncated solve is not *proved* equal to the
+    full one (see :func:`_solve_rows`) are solved again over all κ
+    columns.  Regions with no query mass have infinite gains down the
+    whole knot path and would defeat any horizon: a single problem
+    carries them as a closed-form head block (:func:`_unbounded_head`),
+    stacked problems are ragged, so their rows with such regions take
+    full κ directly.  The depth the cut windows consumed becomes the
+    next call's hint.
+    """
+    if horizon is None:
+        horizon = GreedyHorizon()
     sched = _schedule_for(pw)
     k = sched.n_entries
-    act = np.flatnonzero(weights > 0)
-    if act.size == 0:
-        # No region can reduce expenditure: the reference heap starts
-        # (and the loop exits) empty.
-        return GreedyResult(
-            thresholds=deltas,
-            expenditure=total_weight,
-            budget=budget,
-            inaccuracy=float((m * deltas).sum()),
-            steps=0,
-            budget_met=_met(total_weight, budget, total_weight),
-        )
+    p_count, a = weights.shape
+    totals = weights.sum(axis=1)
+    budgets = z * totals
+    # What _solve_rows fills in, row by proved row.
+    thresholds = np.empty((p_count, a), dtype=np.float64)
+    expenditure = np.empty(p_count, dtype=np.float64)
+    steps = np.empty(p_count, dtype=np.int64)
+    out = (thresholds, expenditure, steps)
+    unbounded = (m <= 1e-300) & (weights > 0)
+    head = _unbounded_head(weights[0], unbounded[0], sched) if p_count == 1 else None
+    full = unbounded.any(axis=1) if head is None else np.zeros(1, dtype=bool)
+    problem = (weights, m, totals, budgets, pw, sched, fairness, head)
 
-    gains, keys, wr = _entry_tables(weights[act], m[act], sched)
+    h = horizon.columns(k)
+    rows = np.arange(p_count)
+    depth = np.zeros(p_count, dtype=np.int64)
+    retried = 0
+    if h < k:
+        quick = rows[~full]
+        if quick.size:
+            proved, depth[quick], built = _solve_rows(out, quick, h, *problem)
+            horizon.table_entries += built
+            retried = quick.size - int(proved.sum())
+            rows = np.concatenate((rows[full], quick[~proved]))
+    if rows.size:
+        _, depth[rows], built = _solve_rows(out, rows, k, *problem)
+        horizon.table_entries += built
+    horizon.retries += retried
+    horizon.last_columns = k if retried else h
+    if not full.all():
+        horizon.depth = int(np.median(depth[~full]))
+    return GreedyBatch(
+        thresholds=thresholds,
+        expenditure=expenditure,
+        budget=budgets,
+        inaccuracy=(m * thresholds).sum(axis=1),
+        steps=steps,
+        # The reference loop's final budget test, verbatim.
+        budget_met=expenditure
+        <= budgets + np.maximum(_EPS, 1e-9 * np.maximum(totals, 1.0)),
+    )
+
+
+class _Head(NamedTuple):
+    """One problem's infinite-key entries in pop order; ``rest`` are the
+    regions left for the sort."""
+
+    regions: np.ndarray
+    entries: np.ndarray
+    rates: np.ndarray
+    rest: np.ndarray
+
+
+def _unbounded_head(
+    weights: np.ndarray, unbounded: np.ndarray, sched: _SegmentSchedule
+) -> _Head | None:
+    """One problem's infinite-key entries as a closed-form block.
+
+    Infinite gains pop before every finite one, round-robin in
+    ``(segment, region)`` order (the heap's FIFO tie-break), so while
+    every entry of the unbounded regions is infinite the block needs no
+    sort and those regions no table.  ``None`` when there is no such
+    region or a zero-rate segment ends the infinite run early — the
+    general order handles those.
+    """
+    ids = np.flatnonzero(unbounded)
+    wr = sched.rate_at[:, None] * weights[ids]
+    if ids.size == 0 or not (wr > 0).all():
+        return None
+    k = sched.n_entries
+    return _Head(
+        regions=np.tile(ids, k),
+        entries=np.repeat(np.arange(k), ids.size),
+        rates=wr.reshape(-1),
+        rest=np.flatnonzero(~unbounded),
+    )
+
+
+def _solve_rows(
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows: np.ndarray,
+    h: int,
+    weights: np.ndarray,
+    m: np.ndarray,
+    totals: np.ndarray,
+    budgets: np.ndarray,
+    pw: PiecewiseLinearReduction,
+    sched: _SegmentSchedule,
+    fairness: float | None,
+    head: _Head | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Solve ``rows`` on the first ``h`` knot-path columns of every region.
+
+    The one tables → order → chain → cut pipeline.  Returns, per row,
+    whether the result is *proved* and the knot-path depth its cut
+    window consumed, plus the number of table entries built; proved
+    rows are written into ``out`` = (thresholds, expenditure, steps).
+
+    **Horizon lemma.**  Keys are prefix minima and the sort is stable,
+    so every entry of a region beyond column ``h−1`` sorts after that
+    region's column ``h−1`` entry: up to and including the first
+    column-``h−1`` entry, the truncated pop order *is* the full-κ pop
+    order, entry for entry and subtraction for subtraction.  A row is
+    proved when its cut window — the prefix through the cut, extended
+    over the equal-key run straddling it — ends there or earlier.
+    """
+    w, mm, tot, bud = weights[rows], m[rows], totals[rows], budgets[rows]
+    thresholds, expenditure, steps = out
+    r_count, a = w.shape
+    k = sched.n_entries
+    all_active = bool((w > 0).all())
+    n_head = 0
+    if head is not None:
+        n_head = head.regions.size
+        w, mm = w[:, head.rest], mm[:, head.rest]
+    keys, wr = _entry_tables(w, mm, sched, h)
+    # Regions never pushed (w ≤ 0) sort last (-inf) and spend nothing.
+    live = w > 0
+    if not live.all():
+        keys = np.where(live[..., None], keys, -np.inf)
+        wr = np.where(live[..., None], wr, 0.0)
+    n_sorted = w.shape[1] * h
+    n_live = n_head + live.sum(axis=1) * h
+    n_total = n_head + n_sorted
+
     order = _candidate_order(keys)
-    n_entries = order.size
-    region_ord = order // k
-    entry_ord = order - region_ord * k
-
-    sub_ord = (wr * sched.full_step).reshape(-1)[order]
-    chain = _expenditure_chain(total_weight, sub_ord)
-    term = _first_true(chain <= budget + _EPS, n_entries)
-
-    wr_ord = wr.reshape(-1)[order]
+    flat = order + (np.arange(r_count) * n_sorted)[:, None]
+    region_ord = order // h
+    entry_ord = order - region_ord * h
+    wr_ord = wr.reshape(-1)[flat]
+    keys_ord = keys.reshape(-1)[flat]
+    if head is not None:
+        region_ord = np.concatenate((head.regions[None], head.rest[region_ord]), axis=1)
+        entry_ord = np.concatenate((head.entries[None], entry_ord), axis=1)
+        wr_ord = np.concatenate((head.rates[None], wr_ord), axis=1)
+        keys_ord = np.concatenate((np.full((1, n_head), np.inf), keys_ord), axis=1)
     fs_ord = sched.full_step[entry_ord]
+    fs_pos = fs_ord > 0
+    # ``chain[:, j]`` is E entering pop j (one more column than pops):
+    # subtract.accumulate is the scalar loop's left fold of
+    # ``E -= rate·step``, subtraction for subtraction.  Gather-then-
+    # multiply equals multiply-then-gather bit for bit.
+    chain = np.subtract.accumulate(
+        np.concatenate((tot[:, None], wr_ord * fs_ord), axis=1), axis=1
+    )
+
+    # Per-row cuts.  ``term``: the while-condition fails before pop j
+    # (including j = n_live, heap exhaustion) — the chain is
+    # non-increasing, so the first sub-budget index is a suffix count.
+    # ``land``: pop j is a partial budget landing.  ``engage``: the
+    # fairness constraint could act at pop j.
+    pos = np.arange(n_total)
     with np.errstate(divide="ignore", invalid="ignore"):
-        land_step = (chain[:-1] - budget) / np.where(
+        land_step = (chain[:, :-1] - bud[:, None]) / np.where(
             wr_ord > 1e-300, wr_ord, 1.0
         )
-    lands = (wr_ord > 1e-300) & (fs_ord > 0) & (land_step < fs_ord)
-    land = _first_true(lands, n_entries)
-    cut = min(term, land)
-
-    engage = n_entries
+    term = np.minimum(
+        (n_total + 1) - (chain <= bud[:, None] + _EPS).sum(axis=1), n_live
+    )
+    land = _first_true(
+        (wr_ord > 1e-300) & fs_pos & (land_step < fs_ord), n_total
+    )
+    cut = np.minimum(term, land)
+    engage = n_total + 1
     if fairness is not None:
         engage = _fairness_engagement(
-            sched, keys, order, entry_ord, fairness,
-            all_active=act.size == l,
+            sched, entry_ord[0], int(n_live[0]), a, all_active, fairness
         )
-        cut = min(cut, engage)
+        cut = np.minimum(cut, engage)
 
-    keys_ord = keys.reshape(-1)[order]
-    if _cross_region_tie(keys_ord, region_ord, cut):
-        from repro.core.greedy import greedy_increment
+    # The cut window: extend through the finite equal-key run straddling
+    # the cut (an entry beyond the cut whose key ties a prefix key can
+    # truly pop *before* prefix members — FIFO order the sort cannot
+    # see; infinite keys never tie).  A cross-region tie inside it makes
+    # the order depend on heap push history: restart in the scalar loop.
+    eq = (keys_ord[:, 1:] == keys_ord[:, :-1]) & np.isfinite(keys_ord[:, 1:])
+    hi = _first_true(~eq & (pos[:-1] >= cut[:, None]), n_total - 1) + 1
+    tie_pair = eq & (region_ord[:, 1:] != region_ord[:, :-1])
+    tie = _first_true(tie_pair, n_total) <= hi - 2
 
-        return greedy_increment(
-            regions, pw, z, increment=None, fairness=fairness,
-            use_speed=use_speed,
+    sorted_live = (pos >= n_head) & (pos < n_live[:, None])
+    proved = np.ones(r_count, dtype=bool)
+    if h < k:
+        proved = hi <= _first_true((entry_ord == h - 1) & sorted_live, n_total + 1)
+    depth = np.where(sorted_live & (pos < hi[:, None]), entry_ord + 1, 0).max(axis=1)
+
+    # Clean-row assembly: thresholds from per-region advance counts,
+    # one scattered partial step for landing rows (the reference does
+    # exactly one more, partial, pop and its while-condition fails).
+    adv = (pos < cut[:, None]) & fs_pos
+    flat_reg = (region_ord + (np.arange(r_count) * a)[:, None])[adv]
+    counts = np.bincount(flat_reg, minlength=r_count * a).reshape(r_count, a)
+    deltas = sched.path_vals[counts]
+    rowsel = np.arange(r_count)
+    exp_at = chain[rowsel, cut]
+    rate = wr_ord[rowsel, np.minimum(cut, n_total - 1)]
+    step = (exp_at - bud) / np.where(rate > 1e-300, rate, 1.0)
+    exp_land = exp_at - rate * step
+    landed = (cut == land) & (cut < term) & (cut < engage) & (exp_land <= bud + _EPS)
+    lr = np.flatnonzero(landed)
+    if lr.size:
+        deltas[lr, region_ord[lr, cut[lr]]] = (
+            sched.delta_at[entry_ord[lr, cut[lr]]] + step[lr]
         )
+    slow = tie | ((cut < term) & ~landed)
+    done = proved & ~slow
+    thresholds[rows[done]] = deltas[done]
+    expenditure[rows[done]] = np.where(landed, exp_land, exp_at)[done]
+    steps[rows[done]] = (counts.sum(axis=1) + landed)[done]
 
-    advancing = fs_ord[:cut] > 0
-    adv_counts = np.bincount(region_ord[:cut][advancing], minlength=act.size)
-    deltas[act] = sched.path_vals[adv_counts]
-    if cut == term:
-        expenditure = float(chain[term])
-        return GreedyResult(
-            thresholds=deltas,
-            expenditure=expenditure,
-            budget=budget,
-            inaccuracy=float((m * deltas).sum()),
+    for r in np.flatnonzero(proved & slow):
+        # Tie rows restart the reference loop from scratch (pop order
+        # ambiguous); the others continue it from the verified cut.
+        start = 0 if tie[r] else int(cut[r])
+        pops = region_ord[r, :start]
+        advancing = fs_pos[r, :start]
+        row = rows[r]
+        thresholds[row], expenditure[row], steps[row] = _continue_scalar(
+            pw=pw,
+            sched=sched,
+            weights=weights[row],
+            m=m[row],
+            deltas=sched.path_vals[np.bincount(pops[advancing], minlength=a)],
+            expenditure=float(chain[r, start]),
+            budget=float(bud[r]),
             steps=int(advancing.sum()),
-            budget_met=_met(expenditure, budget, total_weight),
+            fairness=fairness,
+            pops=pops,
         )
-
-    if cut == land and cut < engage:
-        # Pure budget landing: the reference performs exactly one more
-        # (partial) pop and the while-condition fails.  Same float
-        # expressions as the scalar loop, so the result is bit-identical.
-        rate = float(wr_ord[cut])
-        step = (float(chain[cut]) - budget) / rate
-        expenditure = float(chain[cut]) - rate * step
-        if expenditure <= budget + _EPS:
-            i_land = int(act[region_ord[cut]])
-            deltas[i_land] = float(sched.delta_at[entry_ord[cut]]) + step
-            return GreedyResult(
-                thresholds=deltas,
-                expenditure=expenditure,
-                budget=budget,
-                inaccuracy=float((m * deltas).sum()),
-                steps=int(advancing.sum()) + 1,
-                budget_met=_met(expenditure, budget, total_weight),
-            )
-
-    return _continue_scalar(
-        pw=pw,
-        weights=weights,
-        m=m,
-        deltas=deltas,
-        expenditure=float(chain[cut]),
-        budget=budget,
-        total_weight=total_weight,
-        steps=int(advancing.sum()),
-        fairness=fairness,
-        act=act,
-        pops_local=region_ord[:cut],
-        counts=np.bincount(region_ord[:cut], minlength=act.size),
-        gains=gains,
-        sched=sched,
-        l=l,
-    )
+    return proved, depth, r_count * n_total
 
 
 def _fairness_engagement(
     sched: _SegmentSchedule,
-    keys: np.ndarray,
-    order: np.ndarray,
     entry_ord: np.ndarray,
-    fairness: float,
+    n_live: int,
+    n_regions: int,
     all_active: bool,
+    fairness: float,
 ) -> int:
     """First pop index at which the fairness constraint *could* act.
 
@@ -433,65 +595,62 @@ def _fairness_engagement(
     bit-identical to the unconstrained run up to there.  The running
     minimum ``Δ⊳`` before pop ``j`` is the knot value of the completed
     round count: round ``r`` completes at the latest position any
-    region pops its r-th entry.  The check substitutes Δ⊳ *before* the
-    pop for the post-pop minimum the reference ``at_limit`` test reads;
-    the minimum is non-decreasing and ``fl`` is monotone, so the
+    region pops its r-th entry (never, within a truncated table that
+    lacks some region's r-th entry).  The check substitutes Δ⊳ *before*
+    the pop for the post-pop minimum the reference ``at_limit`` test
+    reads; the minimum is non-decreasing and ``fl`` is monotone, so the
     substitution only ever engages earlier (never later) than the
     reference — erring into the exact scalar path.
     """
-    a, k = keys.shape
-    n = order.size
+    n = entry_ord.size
+    cur_min: np.ndarray | float = sched.path_vals[0]
     if all_active:
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        round_done_at = inv.reshape(a, k).max(axis=0)
-        rounds = np.searchsorted(round_done_at, np.arange(n), side="left")
+        cols = entry_ord[:n_live]
+        last = np.zeros(sched.n_entries, dtype=np.int64)
+        np.maximum.at(last, cols, np.arange(n_live))
+        complete = np.bincount(cols, minlength=sched.n_entries) == n_regions
+        rounds = np.searchsorted(np.where(complete, last, n), np.arange(n), side="left")
         cur_min = sched.path_vals[np.minimum(rounds, sched.n_advances)]
-    else:
-        # Some region never enters the heap: the minimum stays Δ⊢.
-        cur_min = np.full(n, sched.path_vals[0])
+    # else: some region never enters the heap and the minimum stays Δ⊢.
     limit = cur_min + fairness
     engaged = (
         (sched.target_at[entry_ord] > limit)
         | (sched.new_at[entry_ord] >= limit - _EPS)
         | (sched.full_step[entry_ord] <= 0)
     )
-    return _first_true(engaged, n)
+    return int(_first_true(engaged[None], n + 1)[0])
 
 
 def _continue_scalar(
     pw: PiecewiseLinearReduction,
+    sched: _SegmentSchedule,
     weights: np.ndarray,
     m: np.ndarray,
     deltas: np.ndarray,
     expenditure: float,
     budget: float,
-    total_weight: float,
     steps: int,
     fairness: float | None,
-    act: np.ndarray,
-    pops_local: np.ndarray,
-    counts: np.ndarray,
-    gains: np.ndarray,
-    sched: _SegmentSchedule,
-    l: int,
-) -> GreedyResult:
+    pops: np.ndarray,
+) -> tuple[np.ndarray, float, int]:
     """Finish a run exactly: the reference loop from reconstructed state.
 
-    ``act`` maps local (active-subset) region indices to problem
-    indices; ``pops_local``, ``counts``, and ``gains`` are local.  The
-    heap is rebuilt with order-preserving counters — regions never
+    ``pops`` lists the regions of the verified prefix in pop order;
+    ``deltas``, ``expenditure`` and ``steps`` are the state it left.
+    The heap is rebuilt with order-preserving counters — regions never
     popped keep their initial push rank, re-pushed regions are ordered
     by the position of their latest pop — so every future FIFO
     tie-break matches the uninterrupted run (the prefix was verified
-    tie-free, making the reconstruction unambiguous).
+    tie-free, making the reconstruction unambiguous).  Returns the
+    final ``(thresholds, expenditure, steps)``.
     """
     d_min, d_max = pw.delta_min, pw.delta_max
     seg = pw.segment_size
     w_l = weights.tolist()
     m_l = m.tolist()
     deltas_l = deltas.tolist()
-    cut = pops_local.size
+    l = len(w_l)
+    cut = pops.size
 
     # Sorted-list multiset: same float values as the reference
     # _MinMultiset (both report the exact minimum of the same multiset),
@@ -499,22 +658,6 @@ def _continue_scalar(
     ordered = sorted(deltas_l)
     insort = bisect.insort
     bsearch = bisect.bisect_left
-    blocked: dict[int, bool] = {}
-    heap: list[tuple[float, int, int]] = []
-    k = sched.n_entries
-    last_pop_pos = np.full(act.size, -1, dtype=np.int64)
-    if cut:
-        np.maximum.at(last_pop_pos, pops_local, np.arange(cut))
-    for local, i in enumerate(act):
-        cnt = int(counts[local])
-        if cnt >= k:
-            if sched.full_step[k - 1] <= 0:
-                blocked[int(i)] = True  # popped its blocked-terminal entry
-            continue  # else retired at Δ⊣
-        counter = local if cnt == 0 else l + int(last_pop_pos[local])
-        heap.append((-float(gains[local, cnt]), counter, int(i)))
-    heapq.heapify(heap)
-    counter = l + cut + 1
 
     # Inlined PiecewiseLinearReduction.r for in-domain deltas: same
     # segment-index expression, same clamps, same rate list.  Regions
@@ -544,6 +687,25 @@ def _continue_scalar(
         if m_l[i] > 1e-300:
             return min(rate / m_l[i], 1e300)
         return math.inf if rate > 0 else 0.0
+
+    # A region's next heap entry carries the gain at its current Δ — the
+    # closure evaluates the table's expression (same floats).
+    blocked: dict[int, bool] = {}
+    heap: list[tuple[float, int, int]] = []
+    k = sched.n_entries
+    counts = np.bincount(pops, minlength=l).tolist()
+    last_pop_pos = np.full(l, -1, dtype=np.int64)
+    np.maximum.at(last_pop_pos, pops, np.arange(cut))
+    for i in np.flatnonzero(weights > 0).tolist():
+        cnt = counts[i]
+        if cnt >= k:
+            if sched.full_step[k - 1] <= 0:
+                blocked[i] = True  # popped its blocked-terminal entry
+            continue  # else retired at Δ⊣
+        rank = i if cnt == 0 else l + int(last_pop_pos[i])
+        heap.append((-gain(i, deltas_l[i]), rank, i))
+    heapq.heapify(heap)
+    counter = l + cut + 1
 
     # ------------------------------------------------------------------
     # Mirror of the reference loop in repro.core.greedy.greedy_increment
@@ -588,238 +750,4 @@ def _continue_scalar(
                     heappush(heap, (-gain(j, deltas_l[j]), counter, j))
                     counter += 1
 
-    out = np.array(deltas_l, dtype=np.float64)
-    return GreedyResult(
-        thresholds=out,
-        expenditure=expenditure,
-        budget=budget,
-        inaccuracy=float((m * out).sum()),
-        steps=steps,
-        budget_met=_met(expenditure, budget, total_weight),
-    )
-
-
-def greedy_increment_batch(
-    problems: list[list[RegionStats]],
-    pw: PiecewiseLinearReduction,
-    z: float,
-    use_speed: bool,
-) -> list[GreedyResult]:
-    """Vector-engine GREEDYINCREMENT over same-size problems at once.
-
-    Convenience wrapper over :func:`greedy_increment_arrays` for
-    callers holding :class:`RegionStats` objects.
-    """
-    if not problems:
-        return []
-    sizes = {len(p) for p in problems}
-    if len(sizes) != 1:
-        raise ValueError("batched problems must share a region count")
-    (a,) = sizes
-    if a == 0:
-        raise ValueError("at least one region is required per problem")
-    p_count = len(problems)
-    n = np.empty((p_count, a), dtype=np.float64)
-    m = np.empty((p_count, a), dtype=np.float64)
-    s = np.empty((p_count, a), dtype=np.float64)
-    for row, regions in enumerate(problems):
-        n[row] = [reg.n for reg in regions]
-        m[row] = [reg.m for reg in regions]
-        s[row] = [reg.s for reg in regions]
-    return greedy_increment_arrays(n, m, s, pw, z, use_speed)
-
-
-def greedy_increment_arrays(
-    n: np.ndarray,
-    m: np.ndarray,
-    s: np.ndarray,
-    pw: PiecewiseLinearReduction,
-    z: float,
-    use_speed: bool,
-) -> list[GreedyResult]:
-    """GREEDYINCREMENT over ``(P, A)`` stacked problem statistics.
-
-    GRIDREDUCE's CALCERRGAIN scores one four-child throttler problem
-    per candidate node; this entry point shares the sort/accumulate
-    machinery across all problems of one expansion (fairness is never
-    constrained inside CALCERRGAIN) and assembles every clean row with
-    pure array reductions — no per-row kernel work.  Rows the sort
-    cannot prove (cross-region key ties, a landing pop that leaves a
-    float residue above the budget tolerance) resolve in the exact
-    scalar continuation.  Results are bit-identical to running the
-    reference loop per problem, and independent of how problems are
-    grouped into batches (every op is row-local).
-
-    Under ``REPRO_SANITIZE=1`` the kernel runs with NaN/overflow
-    trapping (:func:`repro.sanitize.vector_errstate`); the deliberate
-    ``errstate(ignore)`` window around the landing-step division keeps
-    its local masking either way.
-    """
-    with vector_errstate():
-        return _greedy_increment_arrays_impl(n, m, s, pw, z, use_speed)
-
-
-def _greedy_increment_arrays_impl(
-    n: np.ndarray,
-    m: np.ndarray,
-    s: np.ndarray,
-    pw: PiecewiseLinearReduction,
-    z: float,
-    use_speed: bool,
-) -> list[GreedyResult]:
-    n = np.asarray(n, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    p_count, a = n.shape
-    sched = _schedule_for(pw)
-    k = sched.n_entries
-
-    # _region_weights, vectorized over rows: nᵢ·sᵢ, falling back to nᵢ
-    # for rows whose speed-weighted mass vanishes.
-    if use_speed:
-        weights = n * np.asarray(s, dtype=np.float64)
-        fallback = (weights.sum(axis=1) <= 0) & (n.sum(axis=1) > 0)
-        if fallback.any():
-            weights = np.where(fallback[:, None], n, weights)
-    else:
-        weights = n
-    totals = weights.sum(axis=1)
-    budgets = z * totals
-
-    gains, keys, wr = _entry_tables(weights, m, sched)
-    active = weights > 0
-    n_live = active.sum(axis=1) * k
-    if not active.all():
-        keys = np.where(active[..., None], keys, -np.inf)
-    order = _candidate_order(keys)
-    n_total = a * k
-    ord_flat = order + (np.arange(p_count) * n_total)[:, None]
-    region_ord = order // k
-    entry_ord = order - region_ord * k
-    wr_ord = wr.reshape(-1)[ord_flat]
-    fs_ord = sched.full_step[entry_ord]
-    # Gather-then-multiply equals multiply-then-gather bit for bit.
-    sub_ord = wr_ord * fs_ord
-    if (weights < 0).any():
-        # Negative-weight regions are inactive (never pushed); zero
-        # their subtrahends so the chain tail stays non-increasing for
-        # the suffix-count term test.  Live-prefix values are untouched.
-        sub_ord = np.where(wr_ord > 0, sub_ord, 0.0)
-    chain = _expenditure_chain(totals, sub_ord)
-
-    fs_pos = fs_ord > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        land_step = (chain[:, :-1] - budgets[:, None]) / np.where(
-            wr_ord > 1e-300, wr_ord, 1.0
-        )
-    lands = (wr_ord > 1e-300) & fs_pos & (land_step < fs_ord)
-
-    # Per-row cuts.  ``term``: the while-condition fails before pop j
-    # (including j = n_live, heap exhaustion) — the chain is
-    # non-increasing, so the first sub-budget index is a suffix count.
-    # ``land``: pop j is a partial budget landing (entries of inactive
-    # regions carry zero rates, so none land beyond the live prefix).
-    pos = np.arange(n_total)
-    term = np.minimum(
-        (n_total + 1) - (chain <= budgets[:, None] + _EPS).sum(axis=1),
-        n_live,
-    )
-    land_first = np.where(
-        lands.any(axis=1), lands.argmax(axis=1), n_total
-    )
-    cut = np.minimum(term, land_first)
-
-    # _cross_region_tie, vectorized: extend the scan window through the
-    # whole equal-key run straddling the cut, then test for any
-    # cross-region finite tie inside it.  No adjacent finite
-    # cross-region equality anywhere (the usual case) means no row can
-    # tie regardless of its cut.
-    keys_ord = keys.reshape(-1)[ord_flat]
-    eq = keys_ord[:, 1:] == keys_ord[:, :-1]
-    tie_pair = (
-        eq
-        & np.isfinite(keys_ord[:, 1:])
-        & (region_ord[:, 1:] != region_ord[:, :-1])
-    )
-    if tie_pair.any():
-        run_end = (~eq) & (pos[None, : n_total - 1] >= cut[:, None])
-        hi = np.where(
-            run_end.any(axis=1), run_end.argmax(axis=1) + 1, n_total
-        )
-        first_tie = np.where(
-            tie_pair.any(axis=1), tie_pair.argmax(axis=1), n_total
-        )
-        tie_rows = first_tie <= hi - 2
-    else:
-        tie_rows = np.zeros(p_count, dtype=bool)
-
-    # Clean-row assembly: thresholds from per-region advance counts,
-    # one scattered partial step for landing rows.
-    adv_mask = (pos[None, :] < cut[:, None]) & fs_pos
-    flat_reg = (region_ord + (np.arange(p_count) * a)[:, None])[adv_mask]
-    counts = np.bincount(flat_reg, minlength=p_count * a).reshape(p_count, a)
-    deltas = sched.path_vals[counts]
-    rowsel = np.arange(p_count)
-    cut_c = np.minimum(cut, n_total - 1)
-    exp_at = chain[rowsel, cut]
-    is_land = cut < term
-    rate = wr_ord[rowsel, cut_c]
-    step_land = (exp_at - budgets) / np.where(rate > 1e-300, rate, 1.0)
-    exp_land = exp_at - rate * step_land
-    land_ok = is_land & (exp_land <= budgets + _EPS)
-    land_rows = np.flatnonzero(land_ok)
-    if land_rows.size:
-        deltas[land_rows, region_ord[land_rows, cut[land_rows]]] = (
-            sched.delta_at[entry_ord[land_rows, cut[land_rows]]]
-            + step_land[land_rows]
-        )
-    expenditure = np.where(land_ok, exp_land, chain[rowsel, term])
-    inaccuracy = (m * deltas).sum(axis=1)
-    steps = counts.sum(axis=1) + land_ok
-    met = expenditure <= budgets + np.maximum(
-        _EPS, 1e-9 * np.maximum(totals, 1.0)
-    )
-
-    need_slow = tie_rows | (is_land & ~land_ok)
-    results: list[GreedyResult | None] = [None] * p_count
-    for row in range(p_count):
-        if need_slow[row]:
-            continue
-        results[row] = GreedyResult(
-            thresholds=deltas[row].copy(),
-            expenditure=float(expenditure[row]),
-            budget=float(budgets[row]),
-            inaccuracy=float(inaccuracy[row]),
-            steps=int(steps[row]),
-            budget_met=bool(met[row]),
-        )
-
-    for row in np.flatnonzero(need_slow):
-        # Tie rows restart the reference loop from scratch (pop order
-        # ambiguous); residue rows continue it from the verified cut.
-        start = 0 if tie_rows[row] else int(cut[row])
-        act = np.flatnonzero(active[row])
-        local_of = np.zeros(a, dtype=np.int64)
-        local_of[act] = np.arange(act.size)
-        pops_local = local_of[region_ord[row, :start]]
-        advancing = fs_ord[row, :start] > 0
-        adv_counts = np.bincount(pops_local[advancing], minlength=act.size)
-        row_deltas = np.full(a, pw.delta_min, dtype=np.float64)
-        row_deltas[act] = sched.path_vals[adv_counts]
-        results[row] = _continue_scalar(
-            pw=pw,
-            weights=weights[row],
-            m=m[row],
-            deltas=row_deltas,
-            expenditure=float(chain[row, start]),
-            budget=float(budgets[row]),
-            total_weight=float(totals[row]),
-            steps=int(advancing.sum()),
-            fairness=None,
-            act=act,
-            pops_local=pops_local,
-            counts=np.bincount(pops_local, minlength=act.size),
-            gains=gains[row][act],
-            sched=sched,
-            l=a,
-        )
-    return results  # type: ignore[return-value]
+    return np.array(deltas_l, dtype=np.float64), expenditure, steps

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.greedy import RegionStats, greedy_increment
 from repro.core.incremental import (
     KEY_WIDTH,
+    GreedyHorizon,
     GridReduceTrajectory,
     IncrementalGridReduceCache,
     NodeCoord,
@@ -46,10 +48,15 @@ _FRONTIER_LOOKAHEAD = 4
 
 @dataclass
 class PartitioningResult:
-    """Output of GRIDREDUCE: the shedding regions with their statistics."""
+    """Output of GRIDREDUCE: the shedding regions with their statistics.
+
+    ``coords`` names each region's quad-tree node, in region order — a
+    cheap stand-in for the rectangles when two partitionings of one
+    hierarchy are compared (empty for non-quad-tree partitionings).
+    """
 
     regions: list[RegionStats]
-    nodes: list[RegionNode]
+    coords: list[NodeCoord]
     expansions: int
 
     @property
@@ -137,6 +144,7 @@ def _vector_coord_kernel(
     reduction: ReductionFunction,
     pw: PiecewiseLinearReduction,
     use_speed: bool,
+    horizon: GreedyHorizon,
 ):
     """Gain kernel scoring coordinate groups in ONE array-kernel call.
 
@@ -158,14 +166,11 @@ def _vector_coord_kernel(
         eligible = np.flatnonzero((keys[:, 1] > 0.0) & (keys[:, 0] > 0.0))
         if eligible.size:
             rows = keys[eligible]
-            results = greedy_increment_arrays(
-                rows[:, 3:7], rows[:, 7:11], rows[:, 11:15], pw, z, use_speed
-            )
-            inaccuracy = np.array(
-                [r.inaccuracy for r in results], dtype=np.float64
+            solved = greedy_increment_arrays(
+                rows[:, 3:7], rows[:, 7:11], rows[:, 11:15], pw, z, use_speed, horizon
             )
             gains[eligible] = np.maximum(
-                0.0, rows[:, 1] * reduction.delta_for_fraction(z) - inaccuracy
+                0.0, rows[:, 1] * reduction.delta_for_fraction(z) - solved.inaccuracy
             )
         return gains, int(eligible.size)
 
@@ -357,7 +362,11 @@ def grid_reduce(
         from repro.core.greedy import _as_piecewise
 
         kernel = _vector_coord_kernel(
-            z, reduction, _as_piecewise(reduction, increment), use_speed
+            z,
+            reduction,
+            _as_piecewise(reduction, increment),
+            use_speed,
+            cache.gain_horizon if cache is not None else GreedyHorizon(),
         )
     elif engine == "object":
         kernel = _object_coord_kernel(hierarchy, z, reduction, increment, use_speed)
@@ -405,13 +414,21 @@ def grid_reduce(
     # property `SheddingPlan.same_geometry` (and thus the delta
     # broadcast path) keys on.
     result = sorted(finished + [entry[2:] for entry in heap])
-    nodes = [hierarchy.node(*coord) for coord in result]
-    regions = [RegionStats(rect=n.rect, n=n.n, m=n.m, s=n.s) for n in nodes]
+    # Sorted coordinates group by level: one gather per level and
+    # statistic, the same floats ``hierarchy.node`` would box one by one.
+    regions: list[RegionStats] = []
+    for level, group in groupby(result, key=itemgetter(0)):
+        _, ii, jj = (list(axis) for axis in zip(*group))
+        stats = (stat[ii, jj].tolist() for stat in hierarchy.level_stats(level))
+        regions += [
+            RegionStats(hierarchy.rect(level, i, j), n, m, s)
+            for i, j, n, m, s in zip(ii, jj, *stats)
+        ]
     if cache is not None:
         cache.trajectory = GridReduceTrajectory(
             scored=scored, result=result, expansions=expansions
         )
-    return PartitioningResult(regions=regions, nodes=nodes, expansions=expansions)
+    return PartitioningResult(regions=regions, coords=result, expansions=expansions)
 
 
 def uniform_partitioning(grid, l: int) -> PartitioningResult:
@@ -445,7 +462,7 @@ def uniform_partitioning(grid, l: int) -> PartitioningResult:
             regions.append(
                 RegionStats(rect=rect, n=n_total, m=float(m_block.sum()), s=s_mean)
             )
-    return PartitioningResult(regions=regions, nodes=[], expansions=0)
+    return PartitioningResult(regions=regions, coords=[], expansions=0)
 
 
 def _block_rect(

@@ -53,6 +53,34 @@ KEY_WIDTH = 15
 _MAX_MEMO_SIDE = 256
 
 
+# Fewest knot-path columns a truncated GREEDYINCREMENT solve builds.
+_MIN_HORIZON = 8
+
+
+@dataclass
+class GreedyHorizon:
+    """Budget-horizon hint and diagnostics of one GREEDYINCREMENT call site.
+
+    ``depth`` is the knot-path depth the last solve's cut window
+    consumed.  Like the trajectory it is purely structural: the next
+    solve builds ``columns(κ)`` columns per region and accepts the
+    result only when it is proved equal to the full-κ solve, so a stale
+    hint (another ``z``, other statistics) costs a retry at full κ,
+    never a result.
+    """
+
+    depth: int = 0
+    #: Columns per region of the last accepted solve (diagnostics, as
+    #: are the lifetime totals below).
+    last_columns: int = 0
+    table_entries: int = 0
+    retries: int = 0
+
+    def columns(self, kappa: int) -> int:
+        """Columns to build per region: hint × 2, floor 8, cap κ."""
+        return min(kappa, max(_MIN_HORIZON, 2 * self.depth))
+
+
 @dataclass
 class GridReduceTrajectory:
     """The observable history of one GRIDREDUCE run.
@@ -92,6 +120,10 @@ class IncrementalGridReduceCache:
             int, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
         self.trajectory: GridReduceTrajectory | None = None
+        # Horizon hints of the two GREEDYINCREMENT call sites: the gain
+        # kernel's rows and the shedder's final throttler solve.
+        self.gain_horizon = GreedyHorizon()
+        self.greedy_horizon = GreedyHorizon()
         # Diagnostics (not part of any contract), accumulated across
         # rounds: memo hits/misses, gain-kernel calls that solved at
         # least one row, and the GREEDYINCREMENT rows they solved.
@@ -99,7 +131,7 @@ class IncrementalGridReduceCache:
         self.misses = 0
         self.kernel_calls = 0
         self.rows_solved = 0
-        self._round_start = (0, 0, 0, 0)
+        self._round_start = (0, 0, 0, 0, 0, 0)
 
     def level_store(
         self, level: int
@@ -137,16 +169,37 @@ class IncrementalGridReduceCache:
         for _, _, valid in self.levels.values():
             valid[:] = False
 
-    def _totals(self) -> tuple[int, int, int, int]:
-        return (self.hits, self.misses, self.kernel_calls, self.rows_solved)
+    def _totals(self) -> tuple[int, ...]:
+        return (
+            self.hits,
+            self.misses,
+            self.kernel_calls,
+            self.rows_solved,
+            self.greedy_horizon.table_entries,
+            self.greedy_horizon.retries,
+        )
 
     def counters(self) -> dict[str, int]:
-        """The diagnostics by name: lifetime, and the last round's share."""
-        names = ("memo_hits", "memo_misses", "gain_kernel_calls", "gain_rows_solved")
+        """The diagnostics by name: lifetime, and the last round's share.
+
+        The ``greedy_*`` entries describe the final throttler solve:
+        table entries built, solves the horizon failed to prove (each
+        retried at full κ), and ``greedy_horizon``, the columns per
+        region of the last accepted solve (a gauge).
+        """
+        names = (
+            "memo_hits",
+            "memo_misses",
+            "gain_kernel_calls",
+            "gain_rows_solved",
+            "greedy_table_entries",
+            "greedy_horizon_retries",
+        )
         totals = self._totals()
         out = dict(zip(names, totals))
         for name, total, start in zip(names, totals, self._round_start):
             out["last_round_" + name] = total - start
+        out["greedy_horizon"] = self.greedy_horizon.last_columns
         return out
 
 
@@ -167,7 +220,8 @@ class IncrementalAdaptSession:
     greedy_key: tuple | None = None
     greedy_result: "GreedyResult | None" = None
     # Last emitted plan (for identity reuse and epoch stamping) plus
-    # the (regions, thresholds) content it was built from.
+    # the (geometry, statistics, thresholds) content it was built from;
+    # bounds + node coordinates stand for the rectangles.
     plan: "SheddingPlan | None" = None
     plan_key: tuple | None = None
     epoch: int = 0

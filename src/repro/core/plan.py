@@ -178,22 +178,20 @@ class SheddingPlan:
     ) -> "SheddingPlan":
         """A same-geometry plan with new thresholds/statistics.
 
-        Shares this plan's rasterized id grid instead of re-rasterizing
-        — valid only when ``regions`` carry exactly this plan's
-        rectangles in order (checked).  Produces the same plan
-        :meth:`from_regions` would, in O(regions) time.
+        Shares this plan's rasterized id grid (and its rectangles)
+        instead of re-rasterizing.  The caller guarantees ``regions``
+        carry exactly this plan's rectangles in order — the shedder
+        establishes that from the partition's coordinate list — and the
+        result is the plan :meth:`from_regions` would build, in
+        O(regions) time.
         """
-        if len(regions) != len(self.regions) or any(
-            reg.rect != old.rect for reg, old in zip(regions, self.regions)
-        ):
-            raise ValueError("with_content requires identical region geometry")
-        if len(regions) != len(thresholds):
-            raise ValueError("one threshold per region is required")
+        if not len(regions) == len(self.regions) == len(thresholds):
+            raise ValueError("with_content requires one region and threshold per region")
         shed_regions = [
-            SheddingRegion(
-                rect=reg.rect, delta=float(d), n=reg.n, m=reg.m, s=reg.s
+            SheddingRegion(rect=old.rect, delta=d, n=reg.n, m=reg.m, s=reg.s)
+            for old, reg, d in zip(
+                self.regions, regions, np.asarray(thresholds, dtype=np.float64).tolist()
             )
-            for reg, d in zip(regions, thresholds)
         ]
         return SheddingPlan(
             bounds=self.bounds,
@@ -304,14 +302,15 @@ class SheddingPlan:
 
         Same-geometry plans share a rasterization, so a per-region delta
         can carry one into the other without touching the id grid.
+        Plans that share one id grid object (:meth:`with_content`,
+        :meth:`apply_delta`) answer without walking the rectangles.
         """
-        return (
-            self.bounds == other.bounds
-            and self._resolution == other._resolution
-            and len(self.regions) == len(other.regions)
-            and all(
-                a.rect == b.rect for a, b in zip(self.regions, other.regions)
-            )
+        if self.bounds != other.bounds or len(self.regions) != len(other.regions):
+            return False
+        if self._id_grid is other._id_grid:
+            return True
+        return self._resolution == other._resolution and all(
+            a.rect == b.rect for a, b in zip(self.regions, other.regions)
         )
 
     def diff(self, new: "SheddingPlan") -> PlanDelta | None:

@@ -53,6 +53,7 @@ class RegionHierarchy:
         self.bounds = grid.bounds
         self.alpha = alpha
         self.depth = int(np.log2(alpha))  # leaf level index
+        self._rects: dict[tuple[int, int, int], Rect] = {}
         self._n_levels: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore
         self._m_levels: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore
         self._s_levels: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore
@@ -79,17 +80,7 @@ class RegionHierarchy:
 
     def node(self, level: int, i: int, j: int) -> RegionNode:
         """The node at ``(level, i, j)``; bounds-checked."""
-        side = 1 << level
-        if not (0 <= level <= self.depth and 0 <= i < side and 0 <= j < side):
-            raise IndexError(f"no node at level={level}, i={i}, j={j}")
-        w = self.bounds.width / side
-        h = self.bounds.height / side
-        rect = Rect(
-            self.bounds.x1 + i * w,
-            self.bounds.y1 + j * h,
-            self.bounds.x1 + (i + 1) * w,
-            self.bounds.y1 + (j + 1) * h,
-        )
+        rect = self.rect(level, i, j)
         return RegionNode(
             level=level,
             i=i,
@@ -99,6 +90,27 @@ class RegionHierarchy:
             s=float(self._s_levels[level][i, j]),
             rect=rect,
         )
+
+    def rect(self, level: int, i: int, j: int) -> Rect:
+        """The rectangle of node ``(level, i, j)``; bounds-checked.
+
+        Geometry never changes under :meth:`refresh`, so each rectangle
+        is built once per coordinate and shared from then on.
+        """
+        rect = self._rects.get((level, i, j))
+        if rect is None:
+            side = 1 << level
+            if not (0 <= level <= self.depth and 0 <= i < side and 0 <= j < side):
+                raise IndexError(f"no node at level={level}, i={i}, j={j}")
+            w = self.bounds.width / side
+            h = self.bounds.height / side
+            rect = self._rects[level, i, j] = Rect(
+                self.bounds.x1 + i * w,
+                self.bounds.y1 + j * h,
+                self.bounds.x1 + (i + 1) * w,
+                self.bounds.y1 + (j + 1) * h,
+            )
+        return rect
 
     def is_leaf(self, node: RegionNode) -> bool:
         """True if the node is a single statistics-grid cell."""

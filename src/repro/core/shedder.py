@@ -224,7 +224,11 @@ class LiraLoadShedder:
             cache=session.gridreduce,
         )
         regions = partitioning.regions
-        greedy_key = (z, tuple(regions))
+        # Bounds + coordinate list stand for the rectangles (α is fixed
+        # by the config): comparing them is comparing the geometry.
+        geometry = (grid.bounds, partitioning.coords)
+        stats = [(reg.n, reg.m, reg.s) for reg in regions]
+        greedy_key = (z, stats)
         if session.greedy_result is not None and session.greedy_key == greedy_key:
             result = session.greedy_result
         else:
@@ -236,19 +240,18 @@ class LiraLoadShedder:
                 fairness=self.config.fairness,
                 use_speed=self.config.use_speed,
                 engine=self.engine,
+                horizon=session.gridreduce.greedy_horizon,
             )
             session.greedy_key = greedy_key
             session.greedy_result = result
-        plan_key = (tuple(regions), tuple(float(d) for d in result.thresholds))
+        plan_key = (geometry, stats, result.thresholds.tolist())
         session.last_plan_reused = False
         session.last_geometry_reused = False
-        previous = session.plan
-        if previous is not None and session.plan_key == plan_key:
+        previous, previous_key = session.plan, session.plan_key
+        if previous is not None and previous_key == plan_key:
             session.last_plan_reused = True
             return previous, result
-        if previous is not None and len(previous.regions) == len(regions) and all(
-            reg.rect == old.rect for reg, old in zip(regions, previous.regions)
-        ):
+        if previous is not None and previous_key is not None and previous_key[0] == geometry:
             session.epoch += 1
             plan = previous.with_content(regions, result.thresholds, session.epoch)
             session.last_geometry_reused = True

@@ -34,6 +34,11 @@ class StatisticsGrid:
     y-index ``j`` (x grows with i, y with j).
     """
 
+    #: Single-entry memo of the query layer :meth:`from_snapshot` last
+    #: rasterized, keyed by value on ``(bounds, α, query rectangles)``;
+    #: the stored array is private (copied in and out).
+    _query_layer: tuple[tuple, np.ndarray] | None = None
+
     def __init__(self, bounds: Rect, alpha: int) -> None:
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
@@ -67,11 +72,25 @@ class StatisticsGrid:
         speeds: np.ndarray | None = None,
         queries: list[RangeQuery] | None = None,
     ) -> "StatisticsGrid":
-        """Build a grid from current node positions (+speeds, +queries)."""
+        """Build a grid from current node positions (+speeds, +queries).
+
+        A standing query set is rasterized once: the query layer is a
+        pure function of ``(bounds, alpha, query rectangles in order)``,
+        so a call repeating the previous call's values copies the
+        memoized layer instead of re-running
+        :meth:`set_query_statistics` (bit-identical; one rectangle
+        moved, the list reordered, or another grid shape recomputes).
+        """
         grid = cls(bounds, alpha)
         grid.set_node_statistics(positions, speeds)
         if queries:
-            grid.set_query_statistics(queries)
+            key = (bounds, alpha, tuple(query.rect for query in queries))
+            memo = StatisticsGrid._query_layer
+            if memo is not None and memo[0] == key:
+                grid.m = memo[1].copy()  # a fresh grid is all-dirty already
+            else:
+                grid.set_query_statistics(queries)
+                StatisticsGrid._query_layer = (key, grid.m.copy())
         return grid
 
     @classmethod

@@ -33,14 +33,14 @@ def run_fig03(
     partitioning = grid_reduce(
         hierarchy, scale.l, z, scenario.reduction.piecewise(95)
     )
-    levels = np.array([node.level for node in partitioning.nodes])
+    levels = np.array([level for level, _, _ in partitioning.coords])
     max_level = hierarchy.depth
     xs = list(range(max_level + 1))
     counts = [int((levels == lv).sum()) for lv in xs]
     mean_m = []
     mean_n = []
     for lv in xs:
-        nodes = [nd for nd in partitioning.nodes if nd.level == lv]
+        nodes = [reg for reg, level in zip(partitioning.regions, levels) if level == lv]
         mean_m.append(float(np.mean([nd.m for nd in nodes])) if nodes else float("nan"))
         mean_n.append(float(np.mean([nd.n for nd in nodes])) if nodes else float("nan"))
     result = ExperimentResult(

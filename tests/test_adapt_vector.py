@@ -25,10 +25,7 @@ from repro.core import (
     grid_reduce,
 )
 from repro.core.greedy import RegionStats
-from repro.core.greedy_vector import (
-    greedy_increment_arrays,
-    greedy_increment_batch,
-)
+from repro.core.greedy_vector import greedy_increment_arrays
 from repro.geo import Rect
 from repro.queries import RangeQuery
 
@@ -304,7 +301,11 @@ class TestBatchedKernels:
             ]
             for _ in range(5)
         ]
-        batched = greedy_increment_batch(problems, pw, 0.4, True)
+        n, m, s = (
+            np.array([[getattr(reg, stat) for reg in problem] for problem in problems])
+            for stat in "nms"
+        )
+        batched = greedy_increment_arrays(n, m, s, pw, 0.4, True)
         for problem, got in zip(problems, batched):
             obj = greedy_increment(problem, reduction, 0.4, engine="object")
             assert_results_identical(obj, got)

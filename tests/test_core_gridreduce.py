@@ -101,6 +101,37 @@ class TestGridReduce:
         assert result.regions[0].rect == BOUNDS
 
 
+class TestGatheredRegions:
+    """The per-level gather hands off exactly what ``hierarchy.node`` boxes."""
+
+    def test_regions_equal_boxed_nodes_at_every_level(self, reduction):
+        hierarchy = RegionHierarchy(_skewed_grid(alpha=16))
+        pw = reduction.piecewise(19)
+        seen_levels = set()
+        for l in (1, 4, 7, 16, 40, 100, 250, 400):
+            for engine in ("object", "vector"):
+                result = grid_reduce(hierarchy, l, 0.5, pw, engine=engine)
+                assert result.coords == sorted(result.coords)
+                assert len(result.coords) == result.num_regions
+                for coord, region in zip(result.coords, result.regions):
+                    boxed = hierarchy.node(*coord)
+                    assert (region.rect, region.n, region.m, region.s) == (
+                        boxed.rect, boxed.n, boxed.m, boxed.s,
+                    )
+                    # One shared rectangle per coordinate, not one per round.
+                    assert region.rect is hierarchy.rect(*coord)
+                    seen_levels.add(coord[0])
+        assert seen_levels == set(range(hierarchy.depth + 1))
+
+    def test_rect_is_bounds_checked(self):
+        hierarchy = RegionHierarchy(_skewed_grid())
+        for coord in ((4, 0, 0), (1, 2, 0), (1, 0, -1)):
+            with pytest.raises(IndexError):
+                hierarchy.rect(*coord)
+            with pytest.raises(IndexError):
+                hierarchy.node(*coord)
+
+
 class TestFrontierLookahead:
     """Fall-through scoring speculates only where a pop is coming."""
 

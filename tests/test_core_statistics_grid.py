@@ -89,6 +89,91 @@ class TestQueryStatistics:
         assert grid.total_queries == pytest.approx(30.0, abs=1e-6)
 
 
+class TestQueryLayerMemo:
+    """``from_snapshot`` rasterizes a standing query set once, by value."""
+
+    def _queries(self, rng, count=12):
+        return [
+            RangeQuery(
+                k, Rect.from_center(Point(*rng.uniform(5, 95, 2)), rng.uniform(4, 30))
+            )
+            for k in range(count)
+        ]
+
+    def _counting(self, monkeypatch):
+        calls = []
+        # The memo is per process: start from a known-empty one.
+        monkeypatch.setattr(StatisticsGrid, "_query_layer", None)
+        rasterize = StatisticsGrid.set_query_statistics
+        monkeypatch.setattr(
+            StatisticsGrid,
+            "set_query_statistics",
+            lambda grid, queries: calls.append(len(queries)) or rasterize(grid, queries),
+        )
+        return calls
+
+    def test_same_rectangles_hit_and_match_bit_for_bit(self, rng, monkeypatch):
+        queries = self._queries(rng)
+        positions = rng.uniform(0, 100, size=(50, 2))
+        reference = StatisticsGrid(BOUNDS, 16)
+        reference.set_query_statistics(queries)
+        calls = self._counting(monkeypatch)
+        first = StatisticsGrid.from_snapshot(BOUNDS, 16, positions, queries=queries)
+        # Equal by value, not identity: fresh query objects, fresh list.
+        again = [
+            RangeQuery(q.query_id + 100, Rect(q.rect.x1, q.rect.y1, q.rect.x2, q.rect.y2))
+            for q in queries
+        ]
+        second = StatisticsGrid.from_snapshot(BOUNDS, 16, positions * 0.5, queries=again)
+        assert calls == [len(queries)]
+        np.testing.assert_array_equal(first.m, reference.m)
+        np.testing.assert_array_equal(second.m, reference.m)
+        assert second.dirty_mask.all()
+
+    def test_returned_layers_are_never_aliased(self, rng):
+        queries = self._queries(rng)
+        positions = rng.uniform(0, 100, size=(20, 2))
+        first = StatisticsGrid.from_snapshot(BOUNDS, 8, positions, queries=queries)
+        expected = first.m.copy()
+        first.m[:] = -1.0  # a caller scribbling on its grid...
+        second = StatisticsGrid.from_snapshot(BOUNDS, 8, positions, queries=queries)
+        np.testing.assert_array_equal(second.m, expected)  # ...reaches neither the memo
+        second.m[:] = -2.0
+        third = StatisticsGrid.from_snapshot(BOUNDS, 8, positions, queries=queries)
+        np.testing.assert_array_equal(third.m, expected)  # ...nor the next grid
+        assert not np.shares_memory(second.m, third.m)
+
+    def test_any_input_change_recomputes(self, rng, monkeypatch):
+        queries = self._queries(rng)
+        positions = rng.uniform(0, 100, size=(20, 2))
+        moved = list(queries)
+        rect = moved[3].rect
+        moved[3] = RangeQuery(3, Rect(rect.x1 + 1.0, rect.y1, rect.x2 + 1.0, rect.y2))
+        wider = Rect(0.0, 0.0, 120.0, 100.0)
+        variants = [
+            (BOUNDS, 8, queries),
+            (BOUNDS, 8, moved),  # one rectangle moved
+            (BOUNDS, 8, queries[::-1]),  # reordered: another summation order
+            (BOUNDS, 16, queries),  # another α
+            (wider, 16, queries),  # other bounds
+            (BOUNDS, 8, queries[:-1]),  # one query dropped
+        ]
+        calls = self._counting(monkeypatch)
+        for bounds, alpha, qs in variants:
+            grid = StatisticsGrid.from_snapshot(bounds, alpha, positions, queries=qs)
+            reference = StatisticsGrid(bounds, alpha)
+            reference.set_query_statistics(qs)
+            np.testing.assert_array_equal(grid.m, reference.m)
+        assert len(calls) == 2 * len(variants)  # one miss + one reference each
+
+    def test_no_queries_leave_the_layer_empty(self, rng):
+        queries = self._queries(rng)
+        positions = rng.uniform(0, 100, size=(20, 2))
+        StatisticsGrid.from_snapshot(BOUNDS, 8, positions, queries=queries)
+        bare = StatisticsGrid.from_snapshot(BOUNDS, 8, positions)
+        assert not bare.m.any()
+
+
 class TestIncrementalMaintenance:
     def test_ingest_and_roll(self):
         grid = StatisticsGrid(BOUNDS, 4)

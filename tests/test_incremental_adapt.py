@@ -285,6 +285,90 @@ class TestGainKernelCalls:
         assert hinted.expansions == reference.expansions
 
 
+class TestGreedyHorizonCounters:
+    """The final solve's horizon, as ``counters()`` (and ``stats``) report it."""
+
+    def test_steady_rounds_build_a_fraction_of_the_table(self):
+        """Counted, at the bench scale: patch drift under Table 2 defaults."""
+        rng, positions, speeds, queries = _bench_scene(1)
+        config = LiraConfig(l=250, alpha=128)
+        inc = LiraLoadShedder(
+            config, AnalyticReduction(5.0, 100.0), engine="vector", incremental=True
+        )
+        inc.set_throttle_fraction(0.6)
+        cache = inc.session.gridreduce
+        full_table = 250 * config.n_segments
+        rounds = 6
+        for r in range(rounds):
+            grid = StatisticsGrid.from_snapshot(
+                BENCH_BOUNDS, 128, positions, speeds, queries
+            )
+            inc.adapt(grid)
+            last = cache.counters()
+            assert 0 < last["last_round_greedy_table_entries"] <= full_table // 2
+            assert last["greedy_horizon"] < config.n_segments
+            patch = np.flatnonzero((np.abs(positions - 4_600.0) < 1_600.0).all(axis=1))
+            moved = rng.choice(patch, size=patch.size // 3, replace=False)
+            positions[moved] = np.clip(
+                positions[moved] + rng.uniform(-120.0, 120.0, (moved.size, 2)),
+                3_000.0, 6_199.0,
+            )
+        totals = cache.counters()
+        assert totals["greedy_horizon_retries"] <= 1
+        assert totals["greedy_table_entries"] <= rounds * full_table // 2
+
+    def test_memoized_final_solve_builds_nothing(self):
+        _, positions, speeds, queries = _scenario(7)
+        _, inc = _shedders(fairness=50.0)
+        for expected_zero in (False, True):
+            inc.adapt(StatisticsGrid.from_snapshot(BOUNDS, 16, positions, speeds, queries))
+            last = inc.session.gridreduce.counters()
+            assert (last["last_round_greedy_table_entries"] == 0) == expected_zero
+            assert last["last_round_greedy_horizon_retries"] == 0
+
+
+class TestSameGeometryPlans:
+    """Geometry the shedder established is not re-derived rectangle by rectangle."""
+
+    def test_with_content_equals_from_regions_and_shares_the_raster(self):
+        stats = [(float(i), 1.0 + i, 2.0) for i in range(16)]
+        base = _tiled_plan([20.0] * 16, stats)
+        new_stats = [(n + 1.0, m, s) for n, m, s in stats]
+        rebuilt = _tiled_plan(np.linspace(10.0, 40.0, 16), new_stats, epoch=3)
+        regions = [
+            type(base.regions[0])(r.rect, 0.0, r.n, r.m, r.s) for r in rebuilt.regions
+        ]
+        shared = base.with_content(regions, rebuilt.thresholds, epoch=3)
+        _assert_same_content(shared, rebuilt)
+        assert shared.epoch == 3
+        assert shared._id_grid is base._id_grid
+        assert all(a.rect is b.rect for a, b in zip(shared.regions, base.regions))
+        with pytest.raises(ValueError):
+            base.with_content(regions[:-1], rebuilt.thresholds[:-1], epoch=4)
+        with pytest.raises(ValueError):
+            base.with_content(regions, rebuilt.thresholds[:-1], epoch=4)
+
+    def test_same_geometry_short_circuits_on_a_shared_raster(self, monkeypatch):
+        stats = [(1.0, 1.0, 1.0)] * 16
+        base = _tiled_plan([20.0] * 16, stats)
+        twin = _tiled_plan([30.0] * 16, stats)  # equal rectangles, own raster
+        shared = base.with_content(twin.regions, twin.thresholds, epoch=1)
+        other = _tiled_plan([20.0] * 4, [(1.0, 1.0, 1.0)] * 4, split=2)
+        assert base.same_geometry(twin) and base.same_geometry(shared)
+        assert not base.same_geometry(other)
+        compared = []
+        rect_type = type(base.regions[0].rect)
+        equal = rect_type.__eq__
+        monkeypatch.setattr(
+            rect_type, "__eq__", lambda a, b: compared.append(1) or equal(a, b)
+        )
+        assert base.same_geometry(shared)
+        assert base.diff(shared) is not None
+        walked_bounds_only = len(compared)
+        assert base.same_geometry(twin)
+        assert walked_bounds_only <= 2 < len(compared)
+
+
 # ---------------------------------------------------------------------------
 # Plan deltas
 # ---------------------------------------------------------------------------
