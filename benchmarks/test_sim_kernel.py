@@ -105,41 +105,3 @@ def test_adapt_step(benchmark, measurement_scene, bench_scale):
 
     benchmark(adapt_once)
     assert policy.thresholds_for(positions).shape == (trace.num_nodes,)
-
-
-def test_adapt_step_vector(benchmark, measurement_scene, bench_scale):
-    """The same re-adaptation through the vectorized adapt-path kernels.
-
-    The vector plan is first asserted bit-identical to the object plan
-    on this exact workload, so the recorded speedup compares runs that
-    provably did the same work.
-    """
-    scenario, positions, _, _ = measurement_scene
-    trace = scenario.trace
-    config = bench_scale.lira_config()
-    policies = {
-        engine: make_policies(scenario, config, include=("lira",), engine=engine)[
-            "lira"
-        ]
-        for engine in ("object", "vector")
-    }
-    speeds = trace.speeds(trace.num_ticks // 2)
-    grid = StatisticsGrid.from_snapshot(
-        trace.bounds, config.resolved_alpha, positions, speeds, scenario.queries
-    )
-    for policy in policies.values():
-        policy.adapt(grid, 0.5)
-    obj_plan, vec_plan = (policies[e].plan for e in ("object", "vector"))
-    assert [r.rect for r in obj_plan.regions] == [r.rect for r in vec_plan.regions]
-    assert [r.delta for r in obj_plan.regions] == [r.delta for r in vec_plan.regions]
-
-    policy = policies["vector"]
-
-    def adapt_once():
-        new_grid = StatisticsGrid.from_snapshot(
-            trace.bounds, policy.alpha, positions, speeds, scenario.queries
-        )
-        policy.adapt(new_grid, 0.5)
-
-    benchmark(adapt_once)
-    assert policy.thresholds_for(positions).shape == (trace.num_nodes,)

@@ -3,18 +3,17 @@
 Not a paper figure — an engineering artifact: how many simulated
 seconds per wall-clock second the complete component path (node
 protocol -> dead reckoning -> bounded queue -> node table -> history)
-sustains at bench scale, for both node-side engines (the vectorized
-SoA default and the per-``MobileNode`` reference loop).
+sustains at bench scale, as one shard and as four.
 """
 
 import pytest
 
 from repro.core import AnalyticReduction, LiraConfig
-from repro.server import NODE_ENGINES, LiraSystem
+from repro.server import LiraSystem
 
 
-@pytest.mark.parametrize("engine", NODE_ENGINES)
-def test_full_system_tick_throughput(benchmark, bench_scale, engine):
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_full_system_tick_throughput(benchmark, bench_scale, n_shards):
     scenario = bench_scale.scenario()
     trace = scenario.trace
     system = LiraSystem(
@@ -26,9 +25,9 @@ def test_full_system_tick_throughput(benchmark, bench_scale, engine):
         service_rate=10_000.0,
         station_radius=1500.0,
         adaptive_throttle=False,
-        engine=engine,
+        n_shards=n_shards,
     )
-    system.shedder.set_throttle_fraction(0.5)
+    system.set_throttle_fraction(0.5)
     system.bootstrap(trace.positions[0], trace.velocities[0])
     system.adapt(trace.positions[0], trace.speeds(0))
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Perf regression harness: run the hot-path benchmarks, emit BENCH_9.json.
+"""Perf regression harness: run the hot-path benchmarks, emit BENCH_10.json.
 
 Collects several kinds of evidence:
 
@@ -10,56 +10,47 @@ Collects several kinds of evidence:
 2. Macro wall-clock: the MEDIUM z-sweep (Figure 4's simulation matrix,
    6 z-values x 4 policies) serial and through the parallel runner with
    ``--jobs 4``, compared against the recorded seed baseline.
-3. Trace generation: the vectorized fleet engine vs the object-based
-   reference path at the paper's N=2000 population.
-4. Scenario cache: a cold ``build_scenario`` (trace + empirical
-   reduction regenerated) vs a hit on the persistent on-disk cache.
-5. Fault-injection seam: the SMALL systems loop without any injector,
+3. Fault-injection seam: the SMALL systems loop without any injector,
    with a null-spec injector (must be free — it takes the same code
    path), and under a lossy spec (the cost of actually injecting).
-6. Systems loop: per-tick cost of the full ``LiraSystem`` at the
-   paper's N=2000 population, object vs vectorized node engine, plus a
-   vectorized-only N=100k demonstration run (positions synthesized
-   directly so no 100k-vehicle road trace is needed).
-7. Adapt path: the full re-adaptation step (statistics-grid build +
-   GRIDREDUCE + GREEDYINCREMENT) at the benchmark scale, object vs
-   vectorized kernels with the resulting plans asserted bit-identical,
-   plus a vectorized-only N=1M systems-tick demonstration.
-8. Sharding: the K-shard ``ShardedLiraSystem`` vs the single
-   ``LiraSystem`` over identical frames — K=1 stats asserted
-   bit-identical before any timing is reported, then per-shard tick
-   cost, coordinator overhead, and cross-shard handoff counts at
-   K ∈ {1, 2, 4} (N=1M report config + an N=100k gate config CI
-   re-measures).
-9. Live service under overload: the asyncio service façade driven by
+4. Sharding: ``LiraSystem(n_shards=K)`` over identical frames —
+   per-shard tick cost, coordinator overhead, and cross-shard handoff
+   counts at K ∈ {1, 2, 4} (N=1M report config + an N=100k gate config
+   CI re-measures).
+5. Live service under overload: the asyncio service façade driven by
    the open-loop load harness over a unix socket at 4x offered load —
    LIRA (source shedding via THROTLOOP + plan push) vs random-drop
    (queue-overflow shedding only).  Ingest p99 latency against the
    declared SLO for both policies, with the overload contract asserted
    in-bench: LIRA must hold the SLO, random-drop must violate it, and
    the p99 ratio (random-drop / LIRA) is the gate metric.
-10. Incremental adaptation: the steady-state adapt round under
-    localized drift at the paper's default scale (l=250, α=128,
-    N=20k) — incremental pipeline (dirty-cell refresh + gain memo +
-    plan deltas) vs the full vectorized recompute, plans asserted
-    bit-identical every round, plus the plan-broadcast bytes of delta
-    installs vs full pushes (deterministic accounting).  Gates, both
-    counted: gain rows solved ≥ 4x fewer than a cold GRIDREDUCE of the
-    same grid, and broadcast-byte reduction ≥ 5x; the timed speedup is
-    recorded and only regression-checked against the committed file.
+6. Incremental adaptation: the steady-state adapt round under
+   localized drift at the paper's default scale (l=250, α=128,
+   N=20k) — incremental pipeline (dirty-cell refresh + gain memo +
+   plan deltas) vs the full recompute, plans asserted bit-identical
+   every round, plus the plan-broadcast bytes of delta installs vs
+   full pushes (deterministic accounting).  Gates, both counted: gain
+   rows solved ≥ 4x fewer than a cold GRIDREDUCE of the same grid, and
+   broadcast-byte reduction ≥ 5x; the timed speedup is recorded and
+   only regression-checked against the committed file.
+
+The sections of earlier schemas that timed an object implementation
+against its array twin (trace generation, cold scenario build, systems
+loop, adapt path) left with the ``engine=`` switch: the object forms
+are test oracles now (``tests/oracles``), checked for equality, not
+speed.  The data path and the adapt rounds are measured by ``bench/``.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_report.py [-o BENCH_9.json]
-        [--skip-micro] [--skip-macro] [--skip-trace] [--skip-cache]
-        [--skip-faults] [--skip-systems] [--skip-adapt]
+    PYTHONPATH=src python scripts/bench_report.py [-o BENCH_10.json]
+        [--skip-micro] [--skip-macro] [--skip-faults]
         [--skip-sharding] [--skip-service] [--skip-incremental]
         [--sharding-gate-only] [--no-regress-check]
 
 The output schema is stable so future PRs can diff their numbers
 against this file (see ``schema``).  When the output file already
-exists (the committed baseline), the adapt-path step, the sharding
-gate, and the live-service p99 ratio are compared against it first and
+exists (a committed baseline), the sharding gate, the live-service p99
+ratio and the incremental-adapt gates are compared against it first and
 the run fails fast on a regression — pass ``--no-regress-check`` to
 record a new baseline regardless.
 """
@@ -88,7 +79,6 @@ MICRO_BENCHES = {
     "kernel_eval": "test_kernel_eval",
     "bruteforce_eval": "test_bruteforce_eval",
     "adapt_step": "test_adapt_step",
-    "adapt_step_vector": "test_adapt_step_vector",
 }
 
 
@@ -178,88 +168,6 @@ def run_macro(repeats: int = 2) -> dict:
     return result
 
 
-def run_trace_bench(repeats: int = 3) -> dict:
-    """Fleet vs object trace generation at N=2000 on the paper's scene."""
-    from repro.metrics.cost import best_wall_seconds
-    from repro.roadnet import make_default_scene
-    from repro.trace import TraceGenerator
-
-    n_vehicles = 2000
-    duration, dt, warmup = 600.0, 10.0, 100.0
-    network, traffic = make_default_scene(side_meters=14_000.0, seed=7)
-
-    def generate(engine):
-        gen = TraceGenerator(
-            network, traffic, n_vehicles=n_vehicles, seed=7, engine=engine
-        )
-        gen.generate(duration=duration, dt=dt, warmup=warmup)
-
-    def timed(engine):
-        return best_wall_seconds(lambda: generate(engine), repeats=repeats)
-
-    object_s = timed("object")
-    fleet_s = timed("fleet")
-    return {
-        "n_vehicles": n_vehicles,
-        "duration_s": duration,
-        "dt_s": dt,
-        "warmup_s": warmup,
-        "object_engine_s": round(object_s, 4),
-        "fleet_engine_s": round(fleet_s, 4),
-        "speedup_fleet_vs_object": round(object_s / fleet_s, 2),
-    }
-
-
-def run_cache_bench(repeats: int = 3) -> dict:
-    """Cold scenario builds vs a persistent-cache hit, default paper spec.
-
-    Cold is measured for both engines: ``object`` is what every cold
-    build cost before this cache existed (the seed baseline, like the
-    other seed comparisons in this report), ``fleet`` is the new
-    vectorized cold path.  The hit loads trace + reduction from disk.
-    """
-    from repro.metrics.cost import Stopwatch
-    from repro.sim import cache
-    from repro.sim.scenario import _cached_scenario, _cached_trace, build_scenario
-
-    def fresh_build(**kwargs):
-        # What a new process (pool worker, fresh CLI run) pays: the
-        # in-process memo is empty, only the disk cache can help.
-        _cached_scenario.cache_clear()
-        _cached_trace.cache_clear()
-        with Stopwatch() as stopwatch:
-            build_scenario(**kwargs)
-        return stopwatch.elapsed
-
-    with tempfile.TemporaryDirectory() as tmp:
-        previous = os.environ.get(cache.ENV_CACHE_DIR)
-        os.environ[cache.ENV_CACHE_DIR] = tmp
-        try:
-            cache.set_cache_enabled(False)
-            cold_object = min(
-                fresh_build(engine="object") for _ in range(repeats)
-            )
-            cold_fleet = min(fresh_build() for _ in range(repeats))
-            cache.set_cache_enabled(True)
-            fresh_build()  # populate the disk cache
-            hit = min(fresh_build() for _ in range(repeats))
-        finally:
-            cache.set_cache_enabled(True)
-            if previous is None:
-                os.environ.pop(cache.ENV_CACHE_DIR, None)
-            else:
-                os.environ[cache.ENV_CACHE_DIR] = previous
-    return {
-        "spec": "build_scenario() defaults (n=2000, 1200 s trace, "
-        "12-sample empirical reduction)",
-        "cold_build_object_engine_s": round(cold_object, 4),
-        "cold_build_fleet_engine_s": round(cold_fleet, 4),
-        "cache_hit_build_s": round(hit, 4),
-        "speedup_hit_vs_cold_object": round(cold_object / hit, 2),
-        "speedup_hit_vs_cold_fleet": round(cold_fleet / hit, 2),
-    }
-
-
 def run_faults_bench(repetitions: int = 9) -> dict:
     """Systems-loop wall-clock across channel configurations (SMALL).
 
@@ -341,9 +249,9 @@ def _synth_frames(n_nodes: int, n_ticks: int, seed: int, dt: float = _SYNTH_DT):
 
 
 def _run_system_ticks(
-    engine: str, frames, velocities, dt: float = _SYNTH_DT
+    n_shards: int, frames, velocities, dt: float = _SYNTH_DT
 ) -> dict:
-    """Run a ``LiraSystem`` over pre-built frames, timing each tick."""
+    """Run a ``LiraSystem(n_shards=K)`` over pre-built frames, timing ticks."""
     import numpy as np
 
     from repro.core import AnalyticReduction, LiraConfig
@@ -360,236 +268,6 @@ def _run_system_ticks(
     )
     with Stopwatch() as boot_watch:
         system = LiraSystem(
-            bounds=bounds,
-            n_nodes=n_nodes,
-            queries=queries,
-            reduction=AnalyticReduction(5.0, 100.0),
-            config=LiraConfig(l=13, alpha=32),
-            service_rate=10.0 * n_nodes,
-            station_radius=1500.0,
-            adaptive_throttle=False,
-            engine=engine,
-        )
-        system.shedder.set_throttle_fraction(0.5)
-        system.bootstrap(frames[0], velocities)
-        system.adapt(frames[0], np.hypot(velocities[:, 0], velocities[:, 1]))
-    tick_seconds = []
-    for tick, positions in enumerate(frames):
-        with Stopwatch() as stopwatch:
-            system.tick(tick * dt, positions, velocities, dt)
-        tick_seconds.append(stopwatch.elapsed)
-    stats = system.stats()
-    assert stats.updates_sent > 0
-    return {
-        "bootstrap_s": boot_watch.elapsed,
-        "tick_seconds": tick_seconds,
-        "mean_tick_s": sum(tick_seconds) / len(tick_seconds),
-        "stats": stats,
-    }
-
-
-def run_systems_loop_bench(repeats: int = 3) -> dict:
-    """Per-tick systems-loop cost: object vs vectorized node engine.
-
-    Node positions are synthesized directly over the paper's 14 km
-    monitoring square (no road network), so the timing isolates the
-    node-side engine + batched server ingest and the N=100k
-    demonstration needs no 100k-vehicle trace.  Both engines consume
-    the *same* position frames, and at N=2000 the vectorized system's
-    stats are asserted equal to the object system's — the speedup is
-    only meaningful if the two runs did identical work.
-    """
-
-    def run(engine, frames, velocities):
-        result = _run_system_ticks(engine, frames, velocities)
-        return result["mean_tick_s"], result["stats"]
-
-    # N=2000 (the paper's population): object vs vector, identical frames.
-    frames, velocities = _synth_frames(2000, 30, seed=17)
-    object_tick = min(
-        run("object", frames, velocities)[0] for _ in range(repeats)
-    )
-    vector_tick, vector_stats = min(
-        (run("vector", frames, velocities) for _ in range(repeats)),
-        key=lambda pair: pair[0],
-    )
-    _, object_stats = run("object", frames, velocities)
-    if object_stats != vector_stats:
-        raise RuntimeError(
-            "engines diverged at N=2000: "
-            f"object={object_stats} vector={vector_stats}"
-        )
-
-    # N=100k demonstration: vectorized engine only (the object loop at
-    # this scale is exactly what this PR removes from the hot path).
-    big_frames, big_velocities = _synth_frames(100_000, 10, seed=18)
-    big_tick, big_stats = run("vector", big_frames, big_velocities)
-
-    return {
-        "n2000": {
-            "n_nodes": 2000,
-            "ticks": len(frames),
-            "object_tick_ms": round(object_tick * 1e3, 3),
-            "vector_tick_ms": round(vector_tick * 1e3, 3),
-            "speedup_vector_vs_object": round(object_tick / vector_tick, 2),
-            "stats_identical": True,
-        },
-        "n100k": {
-            "n_nodes": 100_000,
-            "ticks": len(big_frames),
-            "vector_tick_ms": round(big_tick * 1e3, 3),
-            "updates_sent": big_stats.updates_sent,
-            "handoffs": big_stats.handoffs,
-        },
-    }
-
-
-def run_adapt_path_bench(repeats: int = 3) -> dict:
-    """Full re-adaptation step at the benchmark scale: object vs vector.
-
-    Replicates ``benchmarks/test_sim_kernel.py::test_adapt_step``'s
-    workload (grid build from a mid-trace snapshot + LIRA adapt at
-    z=0.5) for both adapt-path engines.  The two plans are asserted
-    bit-identical — same region rectangles, same Δ thresholds to the
-    last ulp — before any timing is reported.  Also runs the N=1M-node
-    vectorized systems-tick demonstration (synthesized frames, same
-    harness as the systems-loop bench).
-    """
-    import statistics
-
-    from repro.core.statistics_grid import StatisticsGrid
-    from repro.experiments.common import ExperimentScale
-    from repro.metrics.cost import Stopwatch
-    from repro.sim.scenario import make_policies
-
-    # Mirrors benchmarks/conftest.py BENCH (keep the two in sync).
-    bench = ExperimentScale(
-        name="bench",
-        n_nodes=600,
-        duration=400.0,
-        dt=10.0,
-        side_meters=5000.0,
-        collector_spacing=550.0,
-        l=25,
-        alpha=64,
-        reduction_samples=8,
-        adapt_every=15,
-        seed=7,
-    )
-    scenario = bench.scenario()
-    trace = scenario.trace
-    mid = trace.num_ticks // 2
-    positions = trace.positions[mid]
-    speeds = trace.speeds(mid)
-    config = bench.lira_config()
-
-    def build_grid():
-        return StatisticsGrid.from_snapshot(
-            trace.bounds, config.resolved_alpha, positions, speeds,
-            scenario.queries,
-        )
-
-    policies = {
-        engine: make_policies(
-            scenario, config, include=("lira",), engine=engine
-        )["lira"]
-        for engine in ("object", "vector")
-    }
-
-    # Plans must be bit-identical before the timing means anything.
-    grid = build_grid()
-    for policy in policies.values():
-        policy.adapt(grid, 0.5)
-    obj_plan, vec_plan = (policies[e].plan for e in ("object", "vector"))
-    if len(obj_plan.regions) != len(vec_plan.regions):
-        raise RuntimeError("adapt-path engines produced different partitions")
-    for ro, rv in zip(obj_plan.regions, vec_plan.regions):
-        if ro.rect != rv.rect or ro.delta != rv.delta:
-            raise RuntimeError(
-                f"adapt-path engines diverged: {ro} vs {rv}"
-            )
-
-    iterations = max(10 * repeats, 20)
-
-    def timed(fn):
-        # Best-of, like every other wall-clock in this report: on the
-        # shared 1-core container the minimum is far more stable than
-        # the median under background load, and the regression gate
-        # needs the speedup ratio to be reproducible.
-        samples = []
-        for _ in range(iterations):
-            with Stopwatch() as stopwatch:
-                fn()
-            samples.append(stopwatch.elapsed)
-        return min(samples)
-
-    grid_build_s = timed(build_grid)
-    adapt_only = {
-        engine: timed(lambda p=policy: p.adapt(grid, 0.5))
-        for engine, policy in policies.items()
-    }
-    adapt_step = {
-        engine: timed(lambda p=policy: p.adapt(build_grid(), 0.5))
-        for engine, policy in policies.items()
-    }
-
-    # N=1M demonstration: vectorized engine only.
-    frames, velocities = _synth_frames(1_000_000, 6, seed=19)
-    million = _run_system_ticks("vector", frames, velocities)
-
-    return {
-        "scale": "bench (n=600, l=25, alpha=64, z=0.5)",
-        "grid_build_ms": round(grid_build_s * 1e3, 3),
-        "object_adapt_only_ms": round(adapt_only["object"] * 1e3, 3),
-        "vector_adapt_only_ms": round(adapt_only["vector"] * 1e3, 3),
-        "object_adapt_step_ms": round(adapt_step["object"] * 1e3, 3),
-        "vector_adapt_step_ms": round(adapt_step["vector"] * 1e3, 3),
-        "speedup_adapt_only": round(
-            adapt_only["object"] / adapt_only["vector"], 2
-        ),
-        "speedup_adapt_step": round(
-            adapt_step["object"] / adapt_step["vector"], 2
-        ),
-        "plans_identical": True,
-        "million_node_tick": {
-            "n_nodes": 1_000_000,
-            "ticks": len(frames),
-            "bootstrap_s": round(million["bootstrap_s"], 3),
-            "median_tick_s": round(
-                statistics.median(million["tick_seconds"]), 3
-            ),
-            "max_tick_s": round(max(million["tick_seconds"]), 3),
-            "updates_sent": million["stats"].updates_sent,
-            "handoffs": million["stats"].handoffs,
-        },
-    }
-
-
-def _run_sharded_ticks(
-    n_shards: int, frames, velocities, dt: float = _SYNTH_DT
-) -> dict:
-    """Run a ``ShardedLiraSystem`` over pre-built frames, timing ticks.
-
-    Same deployment parameters as :func:`_run_system_ticks` so the K=1
-    run is directly comparable (and bit-identical in stats) to the
-    ``LiraSystem`` reference over the same frames.
-    """
-    import numpy as np
-
-    from repro.core import AnalyticReduction, LiraConfig
-    from repro.geo import Rect
-    from repro.metrics.cost import Stopwatch
-    from repro.queries import QueryDistribution, generate_workload
-    from repro.server import ShardedLiraSystem
-
-    n_nodes = velocities.shape[0]
-    bounds = Rect(0.0, 0.0, _SYNTH_SIDE, _SYNTH_SIDE)
-    queries = generate_workload(
-        bounds, 16, 500.0, QueryDistribution.PROPORTIONAL,
-        frames[0], seed=17,
-    )
-    with Stopwatch() as boot_watch:
-        system = ShardedLiraSystem(
             bounds=bounds,
             n_nodes=n_nodes,
             queries=queries,
@@ -626,12 +304,10 @@ def _run_sharded_ticks(
 
 
 def _sharding_config(n_nodes: int, n_ticks: int, ks, seed: int) -> dict:
-    """One sharding measurement config: LiraSystem reference + K sweep.
+    """One sharding measurement config: a K sweep over identical frames.
 
-    The K=1 sharded run's stats must equal the ``LiraSystem`` stats over
-    the same frames — the timing is only meaningful if both did
-    identical work — so the bit-identity contract is asserted here, in
-    the bench itself, on every report run.
+    ``ks`` starts at 1: the one-shard deployment is the reference the
+    per-shard shrink is measured against.
     """
     import statistics
 
@@ -641,22 +317,10 @@ def _sharding_config(n_nodes: int, n_ticks: int, ks, seed: int) -> dict:
     # 300 m/tick jumps of the coarse 10 s demo frames.
     dt = 1.0
     frames, velocities = _synth_frames(n_nodes, n_ticks, seed, dt=dt)
-    reference = _run_system_ticks("vector", frames, velocities, dt=dt)
-    ref_tick = statistics.median(reference["tick_seconds"])
-    entry: dict = {
-        "n_nodes": n_nodes,
-        "ticks": n_ticks,
-        "dt_s": dt,
-        "lira_system_tick_s": round(ref_tick, 4),
-    }
+    entry: dict = {"n_nodes": n_nodes, "ticks": n_ticks, "dt_s": dt}
     k1_shard_tick = None
     for k in ks:
-        run = _run_sharded_ticks(k, frames, velocities, dt=dt)
-        if k == 1 and run["stats"] != reference["stats"]:
-            raise RuntimeError(
-                "K=1 sharded stats diverged from LiraSystem: "
-                f"{run['stats']} vs {reference['stats']}"
-            )
+        run = _run_system_ticks(k, frames, velocities, dt=dt)
         total_tick = statistics.median(run["total_seconds"])
         # Mean per-shard busy time per tick: the work one shard's server
         # does — the quantity that should shrink ~1/K.
@@ -666,6 +330,8 @@ def _sharding_config(n_nodes: int, n_ticks: int, ks, seed: int) -> dict:
         coordinator = statistics.median(run["coordinator_seconds"])
         if k == 1:
             k1_shard_tick = per_shard
+            # The K=1 whole tick: bench_trend's reference for the K=4 shard.
+            entry["lira_system_tick_s"] = round(total_tick, 4)
         entry[f"k{k}"] = {
             "n_shards": k,
             "bootstrap_s": round(run["bootstrap_s"], 3),
@@ -682,16 +348,11 @@ def _sharding_config(n_nodes: int, n_ticks: int, ks, seed: int) -> dict:
                 else None
             ),
         }
-        if k == 1:
-            entry["k1"]["stats_identical_to_lira_system"] = True
-            entry["k1"]["overhead_vs_lira_system_pct"] = round(
-                (total_tick / ref_tick - 1.0) * 100.0, 2
-            )
     return entry
 
 
 def run_sharding_bench(gate_only: bool = False) -> dict:
-    """K-shard systems loop: per-shard tick cost and K=1 overhead.
+    """K-shard systems loop: per-shard tick cost and coordinator overhead.
 
     The ``report`` config is the N=1M demonstration at K ∈ {1, 2, 4};
     the ``gate`` config is a cheaper N=100k run at K ∈ {1, 4} that CI
@@ -889,8 +550,8 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
     )
     config = LiraConfig(l=250, alpha=128, fairness=fairness)
     reduction = AnalyticReduction(5.0, 100.0)
-    full = LiraLoadShedder(config, reduction, engine="vector")
-    inc = LiraLoadShedder(config, reduction, engine="vector", incremental=True)
+    full = LiraLoadShedder(config, reduction)
+    inc = LiraLoadShedder(config, reduction, incremental=True)
     full.set_throttle_fraction(z)
     inc.set_throttle_fraction(z)
     stations = place_uniform_stations(bounds, 1_500.0)
@@ -992,7 +653,7 @@ def _incremental_adapt_scenario(fairness: float | None, gated: bool) -> dict:
             grid_reduce(
                 RegionHierarchy(grid), config.l, z, inc.reduction,
                 increment=config.increment, use_speed=config.use_speed,
-                engine="vector", cache=cold,
+                cache=cold,
             )
             cold_work.append((cold.kernel_calls, cold.rows_solved))
 
@@ -1071,35 +732,12 @@ def run_incremental_adapt_bench() -> dict:
     }
 
 
-#: Allowed shrinkage of the adapt-step speedup (object ms / vector ms)
-#: vs the committed baseline before the report run fails.  The gate is
-#: on the *ratio*, not absolute milliseconds, so it holds on machines
-#: slower or faster than the recording container (both engines scale
-#: together); run-to-run ratio noise is ~10%, a real kernel regression
-#: is far larger.
+#: Allowed shrinkage of a gated ratio vs the committed baseline before
+#: the report run fails.  The gates are on *ratios*, not absolute
+#: milliseconds, so they hold on machines slower or faster than the
+#: recording container; run-to-run ratio noise is ~10%, a real
+#: regression is far larger.
 REGRESSION_TOLERANCE = 0.25
-
-
-def check_adapt_regression(baseline_path: Path, measured: dict) -> None:
-    """Fail fast if the vector adapt step regressed vs the committed file."""
-    if not baseline_path.exists():
-        return
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return
-    old = baseline.get("adapt_path", {}).get("speedup_adapt_step")
-    new = measured.get("speedup_adapt_step")
-    if not old or not new:
-        return
-    if new < old * (1.0 - REGRESSION_TOLERANCE):
-        raise SystemExit(
-            f"adapt_step regression: vector-vs-object speedup {new:.2f}x "
-            f"is {(1.0 - new / old) * 100.0:.1f}% below the committed "
-            f"baseline {old:.2f}x in {baseline_path.name} (tolerance "
-            f"{REGRESSION_TOLERANCE:.0%}).  Investigate before re-recording, "
-            "or pass --no-regress-check to accept the new numbers."
-        )
 
 
 def check_sharding_regression(baseline_path: Path, measured: dict) -> None:
@@ -1218,14 +856,10 @@ def machine_info() -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("-o", "--output", default=str(REPO / "BENCH_9.json"))
+    parser.add_argument("-o", "--output", default=str(REPO / "BENCH_10.json"))
     parser.add_argument("--skip-micro", action="store_true")
     parser.add_argument("--skip-macro", action="store_true")
-    parser.add_argument("--skip-trace", action="store_true")
-    parser.add_argument("--skip-cache", action="store_true")
     parser.add_argument("--skip-faults", action="store_true")
-    parser.add_argument("--skip-systems", action="store_true")
-    parser.add_argument("--skip-adapt", action="store_true")
     parser.add_argument("--skip-sharding", action="store_true")
     parser.add_argument("--skip-service", action="store_true")
     parser.add_argument("--skip-incremental", action="store_true")
@@ -1238,14 +872,14 @@ def main() -> None:
     parser.add_argument(
         "--no-regress-check",
         action="store_true",
-        help="record new numbers without comparing the adapt step "
+        help="record new numbers without comparing the gated ratios "
         "against the committed baseline",
     )
     parser.add_argument("--repeats", type=int, default=2)
     args = parser.parse_args()
 
     report = {
-        "schema": "lira-bench/9",
+        "schema": "lira-bench/10",
         "recorded": "2026-09-30",
         "machine": machine_info(),
     }
@@ -1261,26 +895,11 @@ def main() -> None:
             "query_eval": round(
                 medians["bruteforce_eval"] / medians["kernel_eval"], 2
             ),
-            "adapt_step": round(
-                medians["adapt_step"] / medians["adapt_step_vector"], 2
-            ),
         }
     if not args.skip_macro:
         report["medium_zsweep"] = run_macro(repeats=args.repeats)
-    if not args.skip_trace:
-        report["trace_generation"] = run_trace_bench(repeats=max(args.repeats, 3))
-    if not args.skip_cache:
-        report["scenario_cache"] = run_cache_bench(repeats=max(args.repeats, 3))
     if not args.skip_faults:
         report["fault_injection"] = run_faults_bench()
-    if not args.skip_systems:
-        report["systems_loop"] = run_systems_loop_bench(
-            repeats=max(args.repeats, 3)
-        )
-    if not args.skip_adapt:
-        report["adapt_path"] = run_adapt_path_bench(repeats=max(args.repeats, 3))
-        if not args.no_regress_check:
-            check_adapt_regression(Path(args.output), report["adapt_path"])
     if not args.skip_sharding:
         report["sharding"] = run_sharding_bench(
             gate_only=args.sharding_gate_only

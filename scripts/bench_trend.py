@@ -19,8 +19,8 @@ idle machine; subprocess-level best-of numbers swung ±45% run to
 run), so a 25% gate on raw medians would be permanently red on pure
 environment noise.  Each tracked metric is therefore normalized by a
 reference metric *measured in the same pass with the same machinery*
-(the object/bruteforce counterpart the bench already records for its
-speedup claims): machine state cancels, and the gated quantity is
+(the bruteforce / unsharded / no-injector counterpart the bench already
+records): machine state cancels, and the gated quantity is
 "how much faster is the optimized path than its reference" — the
 thing each PR actually promised.  Re-measured across recordings,
 these pairs hold within a few percent while the raw medians swing
@@ -33,7 +33,7 @@ that means the tracked list rotted.
 Usage::
 
     PYTHONPATH=src python scripts/bench_trend.py \
-        [--baseline BENCH_8.json] [--current BENCH_9.json] \
+        [--baseline BENCH_9.json] [--current BENCH_10.json] \
         [--tolerance 0.25]
 """
 
@@ -71,31 +71,6 @@ TRACKED: tuple[tuple[str, str, str], ...] = (
         "median_ns.bruteforce_eval",
     ),
     (
-        "adapt step micro (vector / object)",
-        "median_ns.adapt_step_vector",
-        "median_ns.adapt_step",
-    ),
-    (
-        "trace generation (fleet / object)",
-        "trace_generation.fleet_engine_s",
-        "trace_generation.object_engine_s",
-    ),
-    (
-        "cold scenario build (fleet / object)",
-        "scenario_cache.cold_build_fleet_engine_s",
-        "scenario_cache.cold_build_object_engine_s",
-    ),
-    (
-        "systems tick N=2000 (vector / object)",
-        "systems_loop.n2000.vector_tick_ms",
-        "systems_loop.n2000.object_tick_ms",
-    ),
-    (
-        "adapt step bench (vector / object)",
-        "adapt_path.vector_adapt_step_ms",
-        "adapt_path.object_adapt_step_ms",
-    ),
-    (
         "sharded tick N=100k (K=4 per shard / unsharded)",
         "sharding.gate.k4.per_shard_tick_s",
         "sharding.gate.lira_system_tick_s",
@@ -118,9 +93,12 @@ REBASED: dict[str, dict[str, str]] = {
             "PR 12 made the unsharded reference 3.4x faster (56.6 -> 16.8 ms) "
             "and the K=4 shard tick 1.7x faster (17.0 -> 10.1 ms)"
         ),
-        "cold scenario build (fleet / object)": (
-            "host drift: the commit before this recording and the recorded "
-            "one both measure 0.087-0.097 on the recording host (5 runs)"
+    },
+    "lira-bench/10": {
+        "query eval (kernel / bruteforce)": (
+            "host drift on a 30 us median, no change under repro.queries: "
+            "the parent commit measures 0.645-0.894 on the recording host "
+            "(2 alternated runs each side, this commit 0.634-0.639)"
         ),
     },
 }
@@ -180,8 +158,8 @@ def compare(baseline: dict, current: dict, tolerance: float) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", default=str(REPO / "BENCH_8.json"))
-    parser.add_argument("--current", default=str(REPO / "BENCH_9.json"))
+    parser.add_argument("--baseline", default=str(REPO / "BENCH_9.json"))
+    parser.add_argument("--current", default=str(REPO / "BENCH_10.json"))
     parser.add_argument("--tolerance", type=float, default=TOLERANCE)
     args = parser.parse_args(argv)
     baseline = json.loads(Path(args.baseline).read_text())

@@ -3,15 +3,23 @@
 Runs every experiment in the registry at the requested scale, renders
 each as a markdown section containing (a) what the paper reports, (b)
 the regenerated data, and (c) an automatically computed summary of the
-measured shape.
+measured shape.  A section is a pure function of the scale's seed
+(wall-clock timings go to stdout, never into the file) — except the
+sections whose *data* are measured times (fig14, ablation-increment,
+ext-index-load).  ``--check`` regenerates the ``--only`` sections and
+fails if they differ from the ones already in ``--out``.
 
 Usage:  python scripts/generate_experiments_report.py [--scale medium]
+        python scripts/generate_experiments_report.py --scale full \
+            --only fig04 fig08 --check
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import inspect
+import re
 from pathlib import Path
 
 from repro.experiments import EXPERIMENTS, SCALES
@@ -87,6 +95,22 @@ PAPER_CLAIMS = {
         "(3.1 at 1 km → 78.5 at 5 km); with density-dependent placement a "
         "node knows ~41 regions → 656-byte broadcast, under one 1472-byte "
         "UDP payload."
+    ),
+    "resilience": (
+        "(Extension.) The paper evaluates a perfect network; its premise — "
+        "graceful behaviour under adverse conditions — predicts how LIRA "
+        "should behave on a faulty one. This sweep runs the *systems* loop "
+        "(`LiraSystem`: every update through the real node → station → queue "
+        "→ server path) under seeded fault injection (`repro.faults`), "
+        "dropping 0–50 % of node→server update messages, and compares LIRA "
+        "against the Random Drop regime (every node at Δ⊢, the server "
+        "admitting a random fraction z). LIRA's error should degrade "
+        "monotonically and smoothly with loss while the queue stays bounded; "
+        "once the channel itself sheds the load below capacity both policies "
+        "settle at z = 1 and converge to the pure channel-staleness error. "
+        "`repro.faults.FaultSpec` also composes delay and reordering, lost or "
+        "delayed plan broadcasts (the staleness column), transient server "
+        "slowdowns and node churn, each from its own seeded RNG stream."
     ),
     "ablation-speed": (
         "(Extension — §3.1.2 ablation.) The speed-factor-corrected budget "
@@ -291,6 +315,34 @@ def summarize(exp_id: str, result) -> list[str]:
     return lines
 
 
+def render_section(name: str, scale) -> str:
+    """One experiment's markdown section (timing printed, not rendered)."""
+    runner = EXPERIMENTS[name]
+    with Stopwatch() as stopwatch:
+        if "scale" in inspect.signature(runner).parameters:
+            result = runner(scale=scale)
+        else:
+            result = runner()
+    print(f"[{name}] done in {stopwatch.elapsed:.1f}s")
+    parts = [
+        f"## {name}: {result.title}\n",
+        f"**Paper:** {PAPER_CLAIMS.get(name, '(extension)')}\n",
+    ]
+    observations = summarize(name, result)
+    if observations:
+        parts.append("**Measured:** " + " ".join(observations) + "\n")
+    parts.append(result.to_markdown() + "\n")
+    if result.notes:
+        parts.append(f"*{result.notes}*\n")
+    return "\n".join(parts)
+
+
+def committed_section(document: str, name: str) -> str | None:
+    """The ``## name: …`` section of an existing report, or ``None``."""
+    match = re.search(rf"^## {re.escape(name)}: .*?(?=^## |\Z)", document, re.M | re.S)
+    return match.group(0).rstrip("\n") + "\n" if match else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--scale", choices=sorted(SCALES), default="medium")
@@ -298,10 +350,46 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--only", nargs="*", default=None, help="subset of experiment ids"
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing: fail if a regenerated section differs from --out's",
+    )
     args = parser.parse_args(argv)
     scale = SCALES[args.scale]
+    names = args.only or list(EXPERIMENTS)
+    out = Path(args.out)
 
-    sections = [
+    # Sections are replaced where they stand, so hand-written sections
+    # of an existing report (and sections not regenerated) survive.
+    document = out.read_text() if out.exists() else preamble(scale) + FIDELITY_NOTES
+    stale = 0
+    for name in names:
+        fresh, committed = render_section(name, scale), committed_section(document, name)
+        if fresh == committed:
+            continue
+        stale += 1
+        if args.check:
+            print(f"[{name}] differs from {args.out}:")
+            print("".join(difflib.unified_diff(
+                (committed or "").splitlines(True), fresh.splitlines(True),
+                "committed", "regenerated",
+            )))
+        elif committed is not None:
+            document = document.replace(committed, fresh)
+        else:
+            head, mark, tail = document.partition(_TRAILER_MARK)
+            document = head + fresh + "\n" + mark + tail
+    print(f"{len(names) - stale} of {len(names)} sections identical to {args.out}")
+    if args.check:
+        return 1 if stale else 0
+    out.write_text(document)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def preamble(scale) -> str:
+    return "\n".join([
         "# EXPERIMENTS — paper vs. measured\n",
         "Generated by `python scripts/generate_experiments_report.py "
         f"--scale {scale.name}`.\n",
@@ -311,39 +399,14 @@ def main(argv=None) -> int:
         f"α = {scale.alpha}. The paper's absolute numbers come from a "
         "different (unavailable) trace and 2007 Java infrastructure; the "
         "reproduced objects are the qualitative shapes, which the benchmark "
-        "suite also asserts (`pytest benchmarks/ --benchmark-only`).\n",
-    ]
-    names = args.only or list(EXPERIMENTS)
-    for name in names:
-        runner = EXPERIMENTS[name]
-        with Stopwatch() as stopwatch:
-            if "scale" in inspect.signature(runner).parameters:
-                result = runner(scale=scale)
-            else:
-                result = runner()
-        elapsed = stopwatch.elapsed
-        print(f"[{name}] done in {elapsed:.1f}s")
-        sections.append(f"## {name}: {result.title}\n")
-        sections.append(f"**Paper:** {PAPER_CLAIMS.get(name, '(extension)')}\n")
-        observations = summarize(name, result)
-        if observations:
-            sections.append("**Measured:** " + " ".join(observations) + "\n")
-        sections.append(result.to_markdown() + "\n")
-        if result.notes:
-            sections.append(f"*{result.notes}*\n")
-        sections.append(f"*(regenerated in {elapsed:.1f} s)*\n")
-    sections.append(FIDELITY_NOTES)
-    Path(args.out).write_text("\n".join(sections))
-    print(f"wrote {args.out}")
-    return 0
+        "suite also asserts (`pytest benchmarks/ --benchmark-only`).\n\n",
+    ])
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+#: New sections go in front of this heading (at the end without it).
+_TRAILER_MARK = "## Fidelity notes"
 
-
-FIDELITY_NOTES = """
-## Fidelity notes
+FIDELITY_NOTES = """## Fidelity notes
 
 Two places where this reproduction's *shape* is measurably weaker than
 the paper's, and why — recorded here so they are not mistaken for bugs:
@@ -366,3 +429,7 @@ convergence at small z, the m/n effect, the w trade-off, fairness
 behaviour, messaging costs — reproduces the paper's shape directly; see
 the benchmark suite for the machine-checked version of each claim.
 """
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

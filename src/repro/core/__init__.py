@@ -9,7 +9,6 @@ from repro.core.config import LiraConfig, auto_alpha
 from repro.core.diagnostics import render_density_map, render_plan_heatmap
 from repro.core.gridreduce import (
     PartitioningResult,
-    calc_err_gain,
     effective_region_count,
     grid_reduce,
     uniform_partitioning,
@@ -61,7 +60,6 @@ __all__ = [
     "StatisticsGrid",
     "ThrotLoop",
     "auto_alpha",
-    "calc_err_gain",
     "clamp_thresholds",
     "effective_region_count",
     "greedy_increment",

@@ -1,7 +1,7 @@
-"""Array-resident GREEDYINCREMENT: the ``engine="vector"`` kernel.
+"""Array-resident GREEDYINCREMENT: the kernel behind ``greedy_increment``.
 
-The reference implementation (:func:`repro.core.greedy.greedy_increment`)
-is a scalar heap loop: pop the region with the highest update gain,
+The reference implementation (``tests/oracles/greedy.py``) is the
+paper's scalar heap loop: pop the region with the highest update gain,
 advance its throttler one segment, repeat until the expenditure meets
 the budget.  This module computes the *same pops in the same order*
 with array reductions, exploiting two structural facts:
@@ -49,7 +49,7 @@ Everything the sort cannot prove is delegated, never approximated:
   depends on push history the sort cannot see) runs the whole problem
   in that loop, from the initial state.
 
-Either way the result is bit-identical to the object path — enforced
+Either way the result is bit-identical to the reference loop — enforced
 by the equivalence suite in ``tests/test_adapt_vector.py``.
 """
 
@@ -253,7 +253,7 @@ def greedy_increment_vector(
     use_speed: bool,
     horizon: GreedyHorizon | None = None,
 ) -> GreedyResult:
-    """Vector-engine GREEDYINCREMENT for one problem.
+    """GREEDYINCREMENT for one problem.
 
     Bit-identical to the reference loop: the array fast path runs while
     its preconditions provably hold and hands the tail (budget landing,
@@ -708,7 +708,7 @@ def _continue_scalar(
     counter = l + cut + 1
 
     # ------------------------------------------------------------------
-    # Mirror of the reference loop in repro.core.greedy.greedy_increment
+    # Mirror of the reference loop in tests/oracles/greedy.py
     # (same expressions in the same order — keep the two in sync).
     # ------------------------------------------------------------------
     heappop, heappush = heapq.heappop, heapq.heappush

@@ -21,7 +21,7 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.core.greedy import RegionStats, greedy_increment
+from repro.core.greedy import RegionStats, _as_piecewise
 from repro.core.incremental import (
     KEY_WIDTH,
     GreedyHorizon,
@@ -29,7 +29,7 @@ from repro.core.incremental import (
     IncrementalGridReduceCache,
     NodeCoord,
 )
-from repro.core.quadtree import RegionHierarchy, RegionNode
+from repro.core.quadtree import RegionHierarchy
 from repro.core.reduction import PiecewiseLinearReduction, ReductionFunction
 
 if TYPE_CHECKING:
@@ -75,44 +75,6 @@ def effective_region_count(l: int) -> int:
     return l - ((l - 1) % 3)
 
 
-def calc_err_gain(
-    hierarchy: RegionHierarchy,
-    node: RegionNode,
-    z: float,
-    reduction: ReductionFunction,
-    increment: float | None = None,
-    use_speed: bool = True,
-) -> float:
-    """Accuracy gain ``V[t]`` of splitting ``node`` into its quadrants.
-
-    ``E``: inaccuracy with one region (smallest Δ meeting ``f(Δ) <= z``).
-    ``E_p``: inaccuracy with the four child regions sharing the node's
-    proportional budget, solved by GREEDYINCREMENT.  Leaves cannot be
-    split and have gain 0.
-    """
-    if hierarchy.is_leaf(node):
-        return 0.0
-    if node.m <= 0.0 or node.n <= 0.0:
-        # No queries to protect, or no updates to shed: splitting cannot
-        # change the achievable inaccuracy.
-        return 0.0
-    single_delta = reduction.delta_for_fraction(z)
-    e_single = node.m * single_delta
-    children = hierarchy.children(node)
-    child_stats = [
-        RegionStats(rect=c.rect, n=c.n, m=c.m, s=c.s) for c in children
-    ]
-    result = greedy_increment(
-        child_stats,
-        reduction,
-        z,
-        increment=increment,
-        fairness=None,
-        use_speed=use_speed,
-    )
-    return max(0.0, e_single - result.inaccuracy)
-
-
 def _gather_keys(
     hierarchy: RegionHierarchy, level: int, ii: "np.ndarray", jj: "np.ndarray"
 ) -> "np.ndarray":
@@ -121,7 +83,7 @@ def _gather_keys(
     Row layout: the node's own ``(n, m, s)``, then its children's ``n``,
     ``m`` and ``s`` as three 4-blocks in row-major 2×2 order — the exact
     float inputs CALCERRGAIN reads, so two rounds gathering equal rows
-    produce bit-identical gains regardless of engine.
+    produce bit-identical gains.
     """
     import numpy as np
 
@@ -139,7 +101,7 @@ def _gather_keys(
     return keys
 
 
-def _vector_coord_kernel(
+def _coord_kernel(
     z: float,
     reduction: ReductionFunction,
     pw: PiecewiseLinearReduction,
@@ -161,7 +123,7 @@ def _vector_coord_kernel(
     def kernel(groups) -> "tuple[np.ndarray, int]":
         keys = np.concatenate([group[3] for group in groups])
         gains = np.zeros(len(keys), dtype=np.float64)
-        # calc_err_gain's eligibility guard: no queries to protect or no
+        # CALCERRGAIN's eligibility guard: no queries to protect or no
         # updates to shed means splitting cannot help — gain exactly 0.
         eligible = np.flatnonzero((keys[:, 1] > 0.0) & (keys[:, 0] > 0.0))
         if eligible.size:
@@ -173,38 +135,6 @@ def _vector_coord_kernel(
                 0.0, rows[:, 1] * reduction.delta_for_fraction(z) - solved.inaccuracy
             )
         return gains, int(eligible.size)
-
-    return kernel
-
-
-def _object_coord_kernel(
-    hierarchy: RegionHierarchy,
-    z: float,
-    reduction: ReductionFunction,
-    increment: float | None,
-    use_speed: bool,
-):
-    """Reference-engine gain kernel: :func:`calc_err_gain` node by node."""
-    import numpy as np
-
-    def kernel(groups) -> "tuple[np.ndarray, int]":
-        out: list[float] = []
-        solved = 0
-        for level, ii, jj, _ in groups:
-            for i, j in zip(ii.tolist(), jj.tolist()):
-                node = hierarchy.node(level, i, j)
-                solved += node.m > 0.0 and node.n > 0.0
-                out.append(
-                    calc_err_gain(
-                        hierarchy,
-                        node,
-                        z,
-                        reduction,
-                        increment=increment,
-                        use_speed=use_speed,
-                    )
-                )
-        return np.array(out, dtype=np.float64), solved
 
     return kernel
 
@@ -320,7 +250,6 @@ def grid_reduce(
     reduction: ReductionFunction,
     increment: float | None = None,
     use_speed: bool = True,
-    engine: str = "object",
     cache: IncrementalGridReduceCache | None = None,
 ) -> PartitioningResult:
     """Compute the ``(α, l)``-partitioning of the space.
@@ -332,15 +261,15 @@ def grid_reduce(
     or earlier if every remaining region is a leaf.
 
     The loop runs on ``(level, i, j)`` coordinates and a per-call gain
-    table; only the final nodes are boxed.  ``engine="vector"`` fills
-    the table with the batched array kernel, and when an expansion's
-    children are unscored it scores them *together with* the children
-    of the ``_FRONTIER_LOOKAHEAD`` best heap entries — the nodes about
-    to be popped — so the number of kernel calls tracks the depth of
-    the drill-down chains, not the number of expansions.  Speculative
-    rows can only be wasted, never change a gain (the kernel is
-    row-local), so the partitioning is bit-identical to the per-node
-    ``engine="object"`` reference.
+    table filled by the batched array kernel; only the final nodes are
+    boxed.  When an expansion's children are unscored it scores them
+    *together with* the children of the ``_FRONTIER_LOOKAHEAD`` best
+    heap entries — the nodes about to be popped — so the number of
+    kernel calls tracks the depth of the drill-down chains, not the
+    number of expansions.  Speculative rows can only be wasted, never
+    change a gain (the kernel is row-local), so the partitioning is
+    bit-identical to the per-node reference
+    (``tests/oracles/gridreduce.py``).
 
     ``cache`` (incremental mode) memoizes per-node gains across calls,
     keyed on each node's exact aggregate statistics, and uses the
@@ -358,20 +287,13 @@ def grid_reduce(
         increment = reduction.segment_size
     target = effective_region_count(l)
     depth = hierarchy.depth
-    if engine == "vector":
-        from repro.core.greedy import _as_piecewise
-
-        kernel = _vector_coord_kernel(
-            z,
-            reduction,
-            _as_piecewise(reduction, increment),
-            use_speed,
-            cache.gain_horizon if cache is not None else GreedyHorizon(),
-        )
-    elif engine == "object":
-        kernel = _object_coord_kernel(hierarchy, z, reduction, increment, use_speed)
-    else:
-        raise ValueError(f"unknown gridreduce engine {engine!r}")
+    kernel = _coord_kernel(
+        z,
+        reduction,
+        _as_piecewise(reduction, increment),
+        use_speed,
+        cache.gain_horizon if cache is not None else GreedyHorizon(),
+    )
 
     gains: dict[NodeCoord, float] = {}
     hint: list[NodeCoord] = [(0, 0, 0)]
@@ -392,13 +314,10 @@ def grid_reduce(
             finished.append((level, i, j))
             continue
         children = _children(level, i, j)
-        # Leaf children are never scored (gain 0, matching calc_err_gain).
+        # Leaf children are never scored (a leaf cannot split: gain 0).
         wanted = [c for c in children if c not in gains] if level + 1 < depth else []
         if wanted:
-            if engine == "vector":
-                # The scalar reference pays per row, not per call:
-                # speculating there would only add work.
-                wanted += _frontier(heap, gains, depth)
+            wanted += _frontier(heap, gains, depth)
             _score(hierarchy, cache, kernel, gains, wanted)
         for child in children:
             gain = gains[child] if level + 1 < depth else 0.0

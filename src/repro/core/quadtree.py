@@ -198,7 +198,7 @@ class RegionHierarchy:
     def level_stats(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(n, m, s)`` statistic arrays of one level (2^d × 2^d).
 
-        Array-engine consumers read node statistics straight from these
+        Array consumers read node statistics straight from these
         (the same float64 values :meth:`node` boxes into
         :class:`RegionNode` objects) instead of materializing nodes.
         """

@@ -49,8 +49,6 @@ class LiraLoadShedder:
             once into κ = ``config.n_segments`` linear segments of size
             c_Δ, the form under which GREEDYINCREMENT is optimal.
         queue_capacity: B for the embedded THROTLOOP controller.
-        engine: ``"object"`` runs the scalar reference kernels,
-            ``"vector"`` the bit-identical array kernels.
         incremental: keep cross-round state (hierarchy refresh, gain
             memo, trajectory replay, greedy/plan reuse) so adaptation
             cost tracks the statistics drift instead of the domain
@@ -65,7 +63,6 @@ class LiraLoadShedder:
         config: LiraConfig,
         reduction: ReductionFunction,
         queue_capacity: int = 100,
-        engine: str = "object",
         incremental: bool = False,
     ) -> None:
         if not (
@@ -76,11 +73,8 @@ class LiraLoadShedder:
                 "reduction function domain must match config "
                 f"[{config.delta_min}, {config.delta_max}]"
             )
-        if engine not in ("object", "vector"):
-            raise ValueError(f"unknown shedder engine {engine!r}")
         self.config = config
         self.reduction = reduction.piecewise(config.n_segments)
-        self.engine = engine
         self.throtloop = ThrotLoop(queue_capacity=queue_capacity, z=1.0)
         self._fixed_z: float | None = config.z
         self.last_report: AdaptationReport | None = None
@@ -170,7 +164,6 @@ class LiraLoadShedder:
             self.reduction,
             increment=self.config.increment,
             use_speed=self.config.use_speed,
-            engine=self.engine,
         )
         result = greedy_increment(
             partitioning.regions,
@@ -179,7 +172,6 @@ class LiraLoadShedder:
             increment=self.config.increment,
             fairness=self.config.fairness,
             use_speed=self.config.use_speed,
-            engine=self.engine,
         )
         plan = SheddingPlan.from_regions(
             bounds=grid.bounds,
@@ -220,7 +212,6 @@ class LiraLoadShedder:
             self.reduction,
             increment=self.config.increment,
             use_speed=self.config.use_speed,
-            engine=self.engine,
             cache=session.gridreduce,
         )
         regions = partitioning.regions
@@ -239,7 +230,6 @@ class LiraLoadShedder:
                 increment=self.config.increment,
                 fairness=self.config.fairness,
                 use_speed=self.config.use_speed,
-                engine=self.engine,
                 horizon=session.gridreduce.greedy_horizon,
             )
             session.greedy_key = greedy_key

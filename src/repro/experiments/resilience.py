@@ -65,16 +65,13 @@ def run_system(
     spec: FaultSpec | None = None,
     seed: int | None = None,
     max_ticks: int | None = None,
-    engine: str = "vector",
 ) -> ResilienceRun:
     """Run one seeded systems-loop deployment and measure degradation.
 
     ``spec=None`` disables the fault layer entirely (the perfect
     channel, bit-identical to a system constructed without one).
     Errors are averaged over every tick after the first adaptation
-    period (bootstrap transients excluded).  ``engine`` selects the
-    node-side engine (the vectorized default or the object reference
-    path — both produce bit-identical runs).
+    period (bootstrap transients excluded).
     """
     scenario = scale.scenario()
     trace = scenario.trace
@@ -97,7 +94,6 @@ def run_system(
         faults=faults,
         policy=policy,
         policy_seed=scale.seed,
-        engine=engine,
     )
     system.bootstrap(trace.positions[0], trace.velocities[0])
     n_ticks = trace.num_ticks if max_ticks is None else min(max_ticks, trace.num_ticks)

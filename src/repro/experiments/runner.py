@@ -69,7 +69,6 @@ class ScenarioSpec:
     delta_max: float = 100.0
     reduction: str = "empirical"
     reduction_samples: int = 12
-    engine: str = "fleet"
 
     @classmethod
     def from_scale(
@@ -109,7 +108,6 @@ class ScenarioSpec:
             delta_max=self.delta_max,
             reduction=self.reduction,
             reduction_samples=self.reduction_samples,
-            engine=self.engine,
         )
 
 

@@ -25,6 +25,9 @@ class NodeTable:
         self._known = np.zeros(n_nodes, dtype=bool)
         self.updates_applied = 0
         self.updates_discarded = 0
+        #: Always 0: a dense table owns every id (the compact table's
+        #: counter, present here so callers can sum over either kind).
+        self.updates_orphaned = 0
 
     def ingest(
         self,
@@ -94,7 +97,7 @@ class NodeTable:
 class CompactNodeTable:
     """A node table over an explicit (sorted) subset of global node ids.
 
-    The sharded deployment gives each shard a table holding only the
+    A partitioned deployment gives each shard a table holding only the
     nodes it currently owns: rows are positionally aligned with
     :attr:`ids` (ascending global node ids) and callers keep addressing
     nodes by *global* id — :meth:`ingest` translates via
@@ -187,19 +190,6 @@ class CompactNodeTable:
         predicted = self._pos + self._vel * (t - self._time)[:, None]
         predicted[~self._known] = np.nan
         return predicted
-
-    def predict_known(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(global ids, believed positions) of the known rows at ``t``.
-
-        Row-for-row the same float arithmetic as :meth:`NodeTable.predict`
-        restricted to the known subset, so sharded query evaluation is
-        bit-identical to the dense path.
-        """
-        known = self._known
-        believed = self._pos[known] + self._vel[known] * (
-            t - self._time[known]
-        )[:, None]
-        return self.ids[known], believed
 
     @property
     def known_mask(self) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Shard & pool rules: work crossing process boundaries stays pure.
 
-The sharded deployment (:mod:`repro.server.sharded`) and the sweep
+The sharded deployment (:mod:`repro.server.system`) and the sweep
 engine (:mod:`repro.experiments.runner`) both fan work over process
 pools.  A job callable that mutates module globals diverges between
 in-process and spawned execution (REP050); a reduction helper that

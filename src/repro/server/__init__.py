@@ -9,22 +9,13 @@ from repro.server.base_station import (
     place_density_dependent_stations,
     place_uniform_stations,
 )
-from repro.server.cq_server import LoadMeasurement, MobileCQServer, UpdateMessage
-from repro.server.node_engine import (
-    NODE_ENGINES,
-    ObjectNodeEngine,
-    StationAssigner,
-    VectorNodeEngine,
-)
-from repro.server.protocol import (
-    BaseStationNetwork,
-    MobileNode,
-    RegionSubset,
-)
-from repro.server.queue import ArrayBoundedQueue, BoundedQueue
-from repro.server.sharded import LiraShard, RebalanceReport, ShardedLiraSystem
+from repro.server.cq_server import LoadMeasurement, MobileCQServer
+from repro.server.node_engine import StationAssigner, VectorNodeEngine
+from repro.server.protocol import BaseStationNetwork, RegionSubset
+from repro.server.queue import ArrayBoundedQueue
+from repro.server.shard import LiraShard
 from repro.server.sharding import ShardRouter, hrw_shards
-from repro.server.system import LiraSystem, SystemStats
+from repro.server.system import LiraSystem, RebalanceReport, SystemStats
 
 __all__ = [
     "ArrayBoundedQueue",
@@ -33,21 +24,15 @@ __all__ = [
     "LiraSystem",
     "RebalanceReport",
     "ShardRouter",
-    "ShardedLiraSystem",
-    "MobileNode",
-    "NODE_ENGINES",
-    "ObjectNodeEngine",
     "RegionSubset",
     "StationAssigner",
     "SystemStats",
     "VectorNodeEngine",
     "BYTES_PER_REGION",
     "BaseStation",
-    "BoundedQueue",
     "LoadMeasurement",
     "MobileCQServer",
     "UDP_PAYLOAD_BYTES",
-    "UpdateMessage",
     "hrw_shards",
     "mean_broadcast_bytes",
     "mean_regions_per_station",

@@ -20,19 +20,7 @@ from repro.geo import Rect
 from repro.index import CompactNodeTable, NodeTable
 from repro.queries import RangeQuery
 from repro.core.statistics_grid import StatisticsGrid
-from repro.server.queue import ArrayBoundedQueue, BoundedQueue
-
-
-@dataclass(frozen=True, slots=True)
-class UpdateMessage:
-    """One position update in flight: the node's new motion model."""
-
-    time: float
-    node_id: int
-    x: float
-    y: float
-    vx: float
-    vy: float
+from repro.server.queue import ArrayBoundedQueue
 
 
 @dataclass
@@ -81,12 +69,12 @@ class MobileCQServer:
         queue_capacity: B, the input-queue size (Section 3.4).
         stats_alpha: side cell count of the maintained statistics grid;
             ``None`` disables statistics maintenance.
-        batch_ingest: store queued updates as struct-of-arrays chunks
-            (:class:`~repro.server.queue.ArrayBoundedQueue`) and apply
-            them to the node table / statistics grid as array
-            operations.  Bit-identical to the per-message path —
-            admission lottery draws, FIFO overflow drops, newest-wins
-            staleness discards, and every counter agree exactly.
+
+    Queued updates are struct-of-arrays chunks
+    (:class:`~repro.server.queue.ArrayBoundedQueue`) applied to the node
+    table / statistics grid as array operations; the per-message form
+    (``tests/oracles/system.py``) agrees on every admission lottery
+    draw, FIFO overflow drop, newest-wins discard and counter.
     """
 
     def __init__(
@@ -98,7 +86,6 @@ class MobileCQServer:
         queue_capacity: int = 100,
         stats_alpha: int | None = None,
         incremental: bool = False,
-        batch_ingest: bool = False,
         node_ids: np.ndarray | None = None,
     ) -> None:
         if service_rate <= 0:
@@ -106,15 +93,10 @@ class MobileCQServer:
         self.bounds = bounds
         self.queries = list(queries)
         self.service_rate = service_rate
-        self.batch_ingest = batch_ingest
-        self.queue: ArrayBoundedQueue | BoundedQueue = (
-            ArrayBoundedQueue(queue_capacity)
-            if batch_ingest
-            else BoundedQueue(queue_capacity)
-        )
+        self.queue = ArrayBoundedQueue(queue_capacity)
         # ``node_ids`` gives the server a compact table over an explicit
-        # subset of the global population (the sharded deployment's
-        # per-shard server); the default dense table covers 0..n-1.
+        # subset of the global population (one shard of a partitioned
+        # deployment); the default dense table covers 0..n-1.
         self.table: NodeTable | CompactNodeTable = (
             CompactNodeTable(node_ids) if node_ids is not None else NodeTable(n_nodes)
         )
@@ -160,49 +142,13 @@ class MobileCQServer:
         Random Drop regime — drawing from ``admit_rng``.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        admitted_mask = None
-        if admit_fraction < 1.0:
-            if admit_rng is None:
-                raise ValueError("admit_fraction < 1 requires admit_rng")
-            admitted_mask = admit_rng.random(node_ids.size) < admit_fraction
-        if self.batch_ingest:
-            return self._receive_batch(
-                t, node_ids, positions, velocities, times, admitted_mask
-            )
-        admitted = 0
-        for k, node_id in enumerate(node_ids):
-            if admitted_mask is not None and not admitted_mask[k]:
-                self._period_shed += 1
-                self.total_admission_dropped += 1
-                continue
-            message = UpdateMessage(
-                time=float(times[k]) if times is not None else t,
-                node_id=int(node_id),
-                x=float(positions[k, 0]),
-                y=float(positions[k, 1]),
-                vx=float(velocities[k, 0]),
-                vy=float(velocities[k, 1]),
-            )
-            if self.queue.offer(message):
-                admitted += 1
-        self._period_arrivals += len(node_ids)
-        return admitted
-
-    def _receive_batch(
-        self,
-        t: float,
-        node_ids: np.ndarray,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        times: np.ndarray | None,
-        admitted_mask: np.ndarray | None,
-    ) -> int:
-        """Array-path twin of the ``receive_reports`` message loop."""
-        assert isinstance(self.queue, ArrayBoundedQueue)
         arrivals = int(node_ids.size)
         positions = np.asarray(positions, dtype=np.float64)
         velocities = np.asarray(velocities, dtype=np.float64)
-        if admitted_mask is not None:
+        if admit_fraction < 1.0:
+            if admit_rng is None:
+                raise ValueError("admit_fraction < 1 requires admit_rng")
+            admitted_mask = admit_rng.random(arrivals) < admit_fraction
             shed = arrivals - int(admitted_mask.sum())
             self._period_shed += shed
             self.total_admission_dropped += shed
@@ -232,43 +178,13 @@ class MobileCQServer:
         if rate_factor < 0:
             raise ValueError("rate_factor must be non-negative")
         self._service_credit += self.service_rate * rate_factor * dt
-        budget = int(self._service_credit)
-        if self.batch_ingest:
-            return self._process_batch(budget, dt)
-        batch = self.queue.poll_batch(budget)
-        self._service_credit -= len(batch)
-        if batch:
-            ids = np.array([m.node_id for m in batch], dtype=np.int64)
-            pos = np.array([[m.x, m.y] for m in batch], dtype=np.float64)
-            vel = np.array([[m.vx, m.vy] for m in batch], dtype=np.float64)
-            times = [m.time for m in batch]
-            # Ingest per distinct report time so staleness is preserved.
-            for t in sorted(set(times)):
-                mask = np.array([mt == t for mt in times])
-                self.table.ingest(t, ids[mask], pos[mask], vel[mask])
-            if self.stats_grid is not None:
-                for m in batch:
-                    self.stats_grid.ingest_update(
-                        m.x, m.y, float(np.hypot(m.vx, m.vy))
-                    )
-        self._period_processed += len(batch)
-        self._period_time += dt
-        return len(batch)
-
-    def _process_batch(self, budget: int, dt: float) -> int:
-        """Array-path twin of the ``process`` service loop.
-
-        Dequeued updates hit the node table grouped by distinct report
-        time in ascending order — exactly the object path's
-        ``sorted(set(times))`` grouping, which both preserves staleness
-        and lets the table's vectorized newest-wins timestamp compare
-        discard out-of-order deliveries identically.
-        """
-        assert isinstance(self.queue, ArrayBoundedQueue)
-        times, ids, pos, vel = self.queue.poll_arrays(budget)
+        times, ids, pos, vel = self.queue.poll_arrays(int(self._service_credit))
         count = int(ids.size)
         self._service_credit -= count
         if count:
+            # Ascending distinct report times: preserves staleness and
+            # lets the table's newest-wins compare discard out-of-order
+            # deliveries.
             for report_t in np.unique(times):
                 mask = times == report_t
                 self.table.ingest(float(report_t), ids[mask], pos[mask], vel[mask])

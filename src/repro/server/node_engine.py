@@ -1,41 +1,33 @@
-"""Vectorized node-side engine for the systems loop.
+"""The node side of the systems loop, as struct-of-arrays state.
 
-:class:`~repro.server.system.LiraSystem.tick` must, every sampling
-period, answer two questions for the whole population: *which base
-station serves each node?* (hand-off + subset download bookkeeping) and
-*which update throttler Δ applies at each node's position?*  The
-reference implementation walks a Python list of
-:class:`~repro.server.protocol.MobileNode` objects, scanning the
-station list and probing a per-node 5×5 grid index — an O(N)
-interpreted loop that dominates the systems-loop runtime.
+Every sampling period the tick must answer two questions for the whole
+population: *which base station serves each node?* (hand-off + subset
+download bookkeeping) and *which update throttler Δ applies at each
+node's position?*  :class:`VectorNodeEngine` keeps node state in flat
+arrays (current station slot, installed subset version, hand-off /
+install counters) and answers both with two batched lookups per tick:
 
-This module provides two interchangeable engines behind one interface:
+1. **station assignment** via a precomputed two-level *candidate
+   raster* over the monitoring bounds: each raster cell stores the
+   small set of stations that could possibly serve any point inside
+   it, most cells exactly one, so only nodes near a real assignment
+   boundary pay an exact first-minimum over a handful of gathered
+   candidates — nobody scans every station;
+2. **threshold lookup** via per-station *threshold rasters*: the
+   station's region subset is rasterized onto the irregular grid
+   spanned by its region edges (so every rect boundary is a raster
+   line exactly), nodes are grouped by station with one radix sort,
+   and ``current_threshold`` for all nodes attached to a station is
+   two ``searchsorted`` calls + one mask-free gather.
 
-* :class:`ObjectNodeEngine` — the original per-``MobileNode`` loop; the
-  reference implementation the vectorized engine is validated against.
-* :class:`VectorNodeEngine` — struct-of-arrays node state (current
-  station slot, installed subset version, hand-off / install counters)
-  with two batched lookups per tick:
-
-  1. **station assignment** via a precomputed two-level *candidate
-     raster* over the monitoring bounds: each raster cell stores the
-     small set of stations that could possibly serve any point inside
-     it, most cells exactly one, so only nodes near a real assignment
-     boundary pay an exact first-minimum over a handful of gathered
-     candidates — nobody scans every station;
-  2. **threshold lookup** via per-station *threshold rasters*: the
-     station's region subset is rasterized onto the irregular grid
-     spanned by its region edges (so every rect boundary is a raster
-     line exactly), nodes are grouped by station with one radix sort,
-     and ``current_threshold`` for all nodes attached to a station is
-     two ``searchsorted`` calls + one mask-free gather.
-
-Both engines produce bit-identical thresholds and counters: ties in
-station assignment resolve to the first station in list order (the
-``min()`` the object path uses), overlapping regions resolve to the
-lowest region index (the ``_SubsetIndex`` bucket order), and points
-outside every stored region — or on a stale/lost subset — fall back to
-the conservative default Δ⊢ exactly where the object path does.
+The per-node reference (one ``MobileNode`` object per node scanning the
+station list and probing a 5×5 grid index, ``tests/oracles/system.py``)
+produces bit-identical thresholds and counters: ties in station
+assignment resolve to the first station in list order (the ``min()``
+the per-node path uses), overlapping regions resolve to the lowest
+region index (its bucket-scan order), and points outside every stored
+region — or on a stale/lost subset — fall back to the conservative
+default Δ⊢ exactly where the per-node path does.
 """
 
 from __future__ import annotations
@@ -47,24 +39,22 @@ import numpy as np
 from repro.core.plan import SheddingRegion
 from repro.geo import Rect
 from repro.server.base_station import BaseStation
-from repro.server.protocol import BaseStationNetwork, MobileNode, RegionSubset
+from repro.server.protocol import RegionSubset
 
 
 class SubsetProvider(Protocol):
     """What the vector engine needs from the plan-dissemination layer.
 
-    :class:`BaseStationNetwork` satisfies it directly; the sharded
-    deployment satisfies it with a directory view merging the per-shard
-    networks, so one engine can serve nodes attached to stations owned
-    by any shard.
+    :class:`~repro.server.protocol.BaseStationNetwork` satisfies it
+    directly; a partitioned deployment satisfies it with a directory
+    view merging the per-shard networks, so one engine can serve nodes
+    attached to stations owned by any shard.
     """
 
     stations: list[BaseStation]
 
     def subset_or_none(self, station_id: int) -> RegionSubset | None: ...
 
-#: Engine names accepted by :class:`~repro.server.system.LiraSystem`.
-NODE_ENGINES = ("vector", "object")
 
 #: Safety inflation applied to the candidate-pruning bounds so that
 #: last-ulp rounding in the precomputed cell distances can only *grow*
@@ -78,12 +68,12 @@ _REFINE = 5
 class StationAssigner:
     """Batched station assignment over a precomputed candidate raster.
 
-    Replicates :meth:`BaseStationNetwork.station_for` for arrays of
+    Replicates ``BaseStationNetwork.station_for`` for arrays of
     positions: the nearest *covering* station wins; positions covered by
     no station fall back to the nearest station overall; distance ties
     resolve to the earliest station in list order (candidates are kept
     in list order and the resolve picks the first minimum, matching the
-    object path's ``min()``).
+    per-node path's ``min()``).
 
     The raster stores, per cell, every station that could be the winner
     for *some* point in the cell (see :meth:`_prune`).  It is built in
@@ -263,7 +253,7 @@ class _ThresholdRaster:
     are needed, and stale subsets from older plans (different
     resolution) rasterize just as exactly.  Overlapping regions are
     painted in reverse subset order so the lowest region index wins,
-    matching the ``_SubsetIndex`` bucket-scan order.
+    matching the per-node index's bucket-scan order.
     """
 
     def __init__(self, regions: tuple[SheddingRegion, ...]) -> None:
@@ -330,70 +320,8 @@ class _ThresholdRaster:
         ]
 
 
-class ObjectNodeEngine:
-    """The reference node-side path: one :class:`MobileNode` per node.
-
-    Identical to the historical inline loop in ``LiraSystem.tick``, plus
-    a monotonic :attr:`total_handoffs` counter maintained alongside it
-    so stats snapshots no longer need the O(N) per-node reduction.
-    """
-
-    def __init__(self, n_nodes: int, network: BaseStationNetwork) -> None:
-        self.n_nodes = n_nodes
-        self.network = network
-        self.nodes = [MobileNode(node_id=i) for i in range(n_nodes)]
-        self.total_handoffs = 0
-
-    def compute_thresholds(
-        self,
-        positions: np.ndarray,
-        active: np.ndarray | None,
-        default: float,
-    ) -> np.ndarray:
-        """Per-node Δ for one tick; inactive nodes get ``inf``."""
-        thresholds = np.empty(self.n_nodes, dtype=np.float64)
-        for i, node in enumerate(self.nodes):
-            if active is not None and not active[i]:
-                # Departed node: samples nothing, sends nothing.
-                thresholds[i] = np.inf
-                continue
-            x, y = float(positions[i, 0]), float(positions[i, 1])
-            previous_station = node.station_id
-            node.observe_position(x, y, self.network)
-            if previous_station is not None and node.station_id != previous_station:
-                self.total_handoffs += 1
-            thresholds[i] = node.current_threshold(x, y, default=default)
-        return thresholds
-
-    def stored_region_counts(self) -> np.ndarray:
-        """How many shedding regions each node currently stores."""
-        return np.array(
-            [node.stored_region_count for node in self.nodes], dtype=np.int64
-        )
-
-    def handoff_counts(self) -> np.ndarray:
-        """Per-node hand-off counters (parity introspection)."""
-        return np.array([node.handoffs for node in self.nodes], dtype=np.int64)
-
-    def install_counts(self) -> np.ndarray:
-        """Per-node subset-install counters (parity introspection)."""
-        return np.array(
-            [node.subset_installs for node in self.nodes], dtype=np.int64
-        )
-
-    def station_slots(self) -> np.ndarray:
-        """Current station id per node (-1 before first attachment)."""
-        return np.array(
-            [
-                -1 if node.station_id is None else node.station_id
-                for node in self.nodes
-            ],
-            dtype=np.int64,
-        )
-
-
 class VectorNodeEngine:
-    """Struct-of-arrays node-side engine, bit-identical to the object path.
+    """Struct-of-arrays node-side engine, bit-identical to the per-node path.
 
     Node state lives in flat arrays: the slot of the serving station
     (-1 before first attachment), the installed region-subset version
@@ -586,8 +514,32 @@ class VectorNodeEngine:
         self.n_nodes = int(self._station_slot.size)
         self._level_with = None
 
+    def snapshot(self) -> dict[str, np.ndarray | int]:
+        """The per-node state a pool worker needs to run this engine's tick.
+
+        Rasters and the station layout are rebuilt (or shared) on the
+        other side; :meth:`restore` adopts the state a tick left behind.
+        """
+        return {
+            "station_slot": self._station_slot,
+            "installed_version": self._installed_version,
+            "handoffs": self._handoffs,
+            "installs": self._installs,
+            "total_handoffs": self.total_handoffs,
+        }
+
+    def restore(self, state: dict[str, np.ndarray | int]) -> None:
+        """Adopt a :meth:`snapshot` (possibly advanced by another process)."""
+        self._station_slot = state["station_slot"]
+        self._installed_version = state["installed_version"]
+        self._handoffs = state["handoffs"]
+        self._installs = state["installs"]
+        self.total_handoffs = int(state["total_handoffs"])
+        self.n_nodes = int(self._station_slot.size)
+        self._level_with = None
+
     # ------------------------------------------------------------------
-    # Introspection (parity with the object path)
+    # Introspection (parity with the per-node oracle)
     # ------------------------------------------------------------------
 
     def stored_region_counts(self) -> np.ndarray:

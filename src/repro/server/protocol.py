@@ -9,24 +9,22 @@ Implements the second and third layers of the LIRA architecture
 * base stations broadcast their subset (accounted in bytes) to the
   mobile nodes they serve, and hand the subset to nodes arriving via
   hand-off;
-* a :class:`MobileNode` stores only its current station's subset and
-  determines the update throttler to use *locally*, via the tiny 5×5
-  grid index the paper describes for computationally weak devices.
+* a mobile node stores only its current station's subset and
+  determines the update throttler to use *locally*; the node side runs
+  as struct-of-arrays state in :mod:`repro.server.node_engine` (the
+  per-node form with the paper's tiny 5×5 grid index is the test
+  oracle, ``tests/oracles/system.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geo import Point, Rect
+from repro.geo import Point
 from repro.core.plan import PlanDelta, SheddingPlan, SheddingRegion
 from repro.server.base_station import BYTES_PER_REGION, BaseStation, coverage_mask
-
-#: Side cell count of the node-side lookup index ("a tiny 5x5 grid
-#: index on the mobile node side", Section 4.3.2).
-NODE_INDEX_SIDE = 5
 
 
 @dataclass(frozen=True)
@@ -40,50 +38,6 @@ class RegionSubset:
     @property
     def payload_bytes(self) -> int:
         return len(self.regions) * BYTES_PER_REGION
-
-
-class _SubsetIndex:
-    """The mobile node's 5×5 grid index over its stored region subset.
-
-    Buckets region indices by the grid cells (over the subset's bounding
-    box) they intersect; a lookup scans only one cell's candidates.
-    """
-
-    def __init__(self, regions: tuple[SheddingRegion, ...]) -> None:
-        self.regions = regions
-        xs1 = min(r.rect.x1 for r in regions)
-        ys1 = min(r.rect.y1 for r in regions)
-        xs2 = max(r.rect.x2 for r in regions)
-        ys2 = max(r.rect.y2 for r in regions)
-        self.bbox = Rect(xs1, ys1, xs2, ys2)
-        self._cell_w = max(self.bbox.width / NODE_INDEX_SIDE, 1e-9)
-        self._cell_h = max(self.bbox.height / NODE_INDEX_SIDE, 1e-9)
-        self._buckets: list[list[int]] = [
-            [] for _ in range(NODE_INDEX_SIDE * NODE_INDEX_SIDE)
-        ]
-        for idx, region in enumerate(regions):
-            i_lo, j_lo = self._cell_of(region.rect.x1, region.rect.y1)
-            i_hi, j_hi = self._cell_of(
-                region.rect.x2 - 1e-9, region.rect.y2 - 1e-9
-            )
-            for i in range(i_lo, i_hi + 1):
-                for j in range(j_lo, j_hi + 1):
-                    self._buckets[i * NODE_INDEX_SIDE + j].append(idx)
-
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        i = int((x - self.bbox.x1) / self._cell_w)
-        j = int((y - self.bbox.y1) / self._cell_h)
-        return (
-            min(max(i, 0), NODE_INDEX_SIDE - 1),
-            min(max(j, 0), NODE_INDEX_SIDE - 1),
-        )
-
-    def region_at(self, x: float, y: float) -> SheddingRegion | None:
-        i, j = self._cell_of(x, y)
-        for idx in self._buckets[i * NODE_INDEX_SIDE + j]:
-            if self.regions[idx].rect.contains_xy(x, y):
-                return self.regions[idx]
-        return None
 
 
 class BaseStationNetwork:
@@ -303,72 +257,3 @@ class BaseStationNetwork:
         """Like :meth:`subset_for_station`, but ``None`` when the station
         has never received a broadcast (lost on a faulty downlink)."""
         return self._subsets.get(station_id)
-
-
-@dataclass
-class MobileNode:
-    """The node-side endpoint of the protocol.
-
-    Holds the current station's region subset and answers "what Δ do I
-    use here?" locally.  ``handoffs`` and ``subset_installs`` count the
-    events the paper's messaging-cost analysis cares about.
-    """
-
-    node_id: int
-    station_id: int | None = None
-    subset: RegionSubset | None = None
-    handoffs: int = 0
-    subset_installs: int = 0
-    _index: _SubsetIndex | None = field(default=None, repr=False)
-
-    def observe_position(self, x: float, y: float, network: BaseStationNetwork) -> None:
-        """Attach to the serving station, downloading its subset on
-        hand-off or when the broadcast version advanced.
-
-        A node stores only its *current* station's subset.  Handing off
-        to a station that has no subset (its broadcast was lost on a
-        faulty downlink) therefore clears the node's stored regions —
-        the old station's regions do not apply here, so every threshold
-        lookup falls back to the conservative default Δ until the next
-        broadcast arrives.
-        """
-        station = network.station_for(x, y)
-        subset = network.subset_or_none(station.station_id)
-        if station.station_id != self.station_id:
-            if self.station_id is not None:
-                self.handoffs += 1
-            self.station_id = station.station_id
-            if subset is None:
-                self._clear()
-            else:
-                self._install(subset)
-        elif subset is not None and (
-            self.subset is None or subset.version != self.subset.version
-        ):
-            self._install(subset)
-
-    def _install(self, subset: RegionSubset) -> None:
-        self.subset = subset
-        self._index = _SubsetIndex(subset.regions) if subset.regions else None
-        self.subset_installs += 1
-
-    def _clear(self) -> None:
-        self.subset = None
-        self._index = None
-
-    def current_threshold(self, x: float, y: float, default: float) -> float:
-        """The update throttler at the node's position, decided locally.
-
-        Falls back to ``default`` (a conservative Δ⊢) when the position
-        is outside every stored region — e.g. at the very edge of the
-        coverage area before the next hand-off fires.
-        """
-        if self._index is None:
-            return default
-        region = self._index.region_at(x, y)
-        return region.delta if region is not None else default
-
-    @property
-    def stored_region_count(self) -> int:
-        """How many shedding regions this node currently stores."""
-        return len(self.subset.regions) if self.subset else 0

@@ -9,88 +9,8 @@ counters feed the THROTLOOP utilization measurements.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 import numpy as np
-
-
-class BoundedQueue:
-    """A FIFO queue with a hard capacity and drop accounting."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self.total_enqueued = 0
-        self.total_dropped = 0
-        self.total_dequeued = 0
-        # Monotonic lifetime counters: never cleared by reset_counters().
-        # Period accounting (e.g. the server's load measurements) derives
-        # from these, so a mid-period reset of the resettable counters
-        # cannot make the two views of "how many drops" disagree.
-        self.lifetime_enqueued = 0
-        self.lifetime_dropped = 0
-        self.lifetime_dequeued = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    def offer(self, item: Any) -> bool:
-        """Enqueue if there is room; returns False (and counts a drop) if full."""
-        if self.is_full:
-            self.total_dropped += 1
-            self.lifetime_dropped += 1
-            return False
-        self._items.append(item)
-        self.total_enqueued += 1
-        self.lifetime_enqueued += 1
-        return True
-
-    def poll(self) -> Any | None:
-        """Dequeue the oldest item, or None when empty."""
-        if not self._items:
-            return None
-        self.total_dequeued += 1
-        self.lifetime_dequeued += 1
-        return self._items.popleft()
-
-    def poll_batch(self, max_items: int) -> list[Any]:
-        """Dequeue up to ``max_items`` items in FIFO order."""
-        if max_items < 0:
-            raise ValueError("max_items must be non-negative")
-        batch = []
-        while self._items and len(batch) < max_items:
-            batch.append(self._items.popleft())
-        self.total_dequeued += len(batch)
-        self.lifetime_dequeued += len(batch)
-        return batch
-
-    def drop_rate(self) -> float:
-        """Fraction of all arrivals dropped so far.
-
-        Derived from the monotonic ``lifetime_*`` counters, so a
-        :meth:`reset_counters` call mid-run cannot silently turn this
-        into a per-period rate.  Use :meth:`period_drop_rate` for the
-        drop fraction since the last reset.
-        """
-        return _drop_fraction(self.lifetime_enqueued, self.lifetime_dropped)
-
-    def period_drop_rate(self) -> float:
-        """Fraction of arrivals dropped since the last
-        :meth:`reset_counters` (the resettable-counter view)."""
-        return _drop_fraction(self.total_enqueued, self.total_dropped)
-
-    def reset_counters(self) -> None:
-        """Zero the resettable counters (queue contents and the
-        monotonic ``lifetime_*`` counters are kept)."""
-        self.total_enqueued = 0
-        self.total_dropped = 0
-        self.total_dequeued = 0
 
 
 def _drop_fraction(enqueued: int, dropped: int) -> float:
@@ -102,15 +22,15 @@ def _drop_fraction(enqueued: int, dropped: int) -> float:
 
 
 class ArrayBoundedQueue:
-    """The same bounded FIFO, holding struct-of-arrays message chunks.
+    """A FIFO queue with a hard capacity, holding struct-of-arrays chunks.
 
     Semantically identical to offering each message of a batch to a
-    :class:`BoundedQueue` in order: with ``f`` free slots, the first
+    per-message bounded queue in order: with ``f`` free slots, the first
     ``f`` messages of the batch enqueue and the rest are dropped, and
     every counter (``total_*`` and the monotonic ``lifetime_*`` family)
-    advances exactly as the per-message queue's would.  Messages are
+    advances exactly as a per-message queue's would.  Messages are
     columns — ``(times, node_ids, positions, velocities)`` — so the
-    batched server ingest path never materializes per-update objects.
+    server ingest path never materializes per-update objects.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -125,6 +45,10 @@ class ArrayBoundedQueue:
         self.total_enqueued = 0
         self.total_dropped = 0
         self.total_dequeued = 0
+        # Monotonic lifetime counters: never cleared by reset_counters().
+        # Period accounting (e.g. the server's load measurements) derives
+        # from these, so a mid-period reset of the resettable counters
+        # cannot make the two views of "how many drops" disagree.
         self.lifetime_enqueued = 0
         self.lifetime_dropped = 0
         self.lifetime_dequeued = 0
@@ -220,9 +144,10 @@ class ArrayBoundedQueue:
     def drop_rate(self) -> float:
         """Fraction of all arrivals dropped so far.
 
-        Derived from the monotonic ``lifetime_*`` counters, exactly like
-        :meth:`BoundedQueue.drop_rate`; :meth:`period_drop_rate` keeps
-        the since-last-reset view.
+        Derived from the monotonic ``lifetime_*`` counters, so a
+        :meth:`reset_counters` call mid-run cannot silently turn this
+        into a per-period rate.  Use :meth:`period_drop_rate` for the
+        drop fraction since the last reset.
         """
         return _drop_fraction(self.lifetime_enqueued, self.lifetime_dropped)
 

@@ -1,0 +1,490 @@
+"""The shard: one complete vertical slice of the LIRA architecture.
+
+A :class:`LiraShard` is everything the paper's architecture diagram
+stacks over one set of base stations — a bounded-queue CQ server, the
+GRIDREDUCE/GREEDYINCREMENT shedder with its THROTLOOP, the station
+network with its plan subsets, and (once :meth:`LiraShard.adopt` has
+run) the vectorized node engine and dead-reckoning fleet of the nodes
+those stations serve.  It is the only unit the repository deploys:
+:class:`~repro.server.system.LiraSystem` coordinates ``n_shards`` of
+them (one shard owning the whole dense population is the degenerate
+partition), and :class:`~repro.service.LiraService` fronts one whose
+node side lives in remote clients.
+
+Two things are defined here once and used by every deployment:
+
+* the **tick kernel** (:func:`shard_tick`) — thresholds → dead-reckoning
+  reports → uplink → substepped queue ingest — which the in-process
+  loop and the process-pool worker both run, so they are bit-identical;
+* the **control step** (:meth:`LiraShard.control_step`) — close the
+  load-measurement period, step THROTLOOP, compute the LIRA (or
+  trivial Δ⊢) plan, and install it: skipped when unchanged, as a delta
+  when the geometry held, in full otherwise.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable
+
+import numpy as np
+
+from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
+from repro.core.greedy import RegionStats
+from repro.core.plan import PlanDelta, SheddingPlan, clamp_thresholds
+from repro.core.reduction import ReductionFunction
+from repro.faults import FaultInjector
+from repro.geo import Rect
+from repro.index import CompactNodeTable
+from repro.motion import DeadReckoningFleet
+from repro.queries import RangeQuery
+from repro.sanitize import rng_discipline
+from repro.server.base_station import BaseStation
+from repro.server.cq_server import LoadMeasurement, MobileCQServer
+from repro.server.node_engine import StationAssigner, SubsetProvider, VectorNodeEngine
+from repro.server.protocol import BaseStationNetwork, RegionSubset
+from repro.timing import Stopwatch
+
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: ``(sender_ids, sender_pos, sender_vel, departure_ids, departure_dst)``
+TickResult = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class ShardDirectory:
+    """Live merged station→subset view across the per-shard networks.
+
+    Satisfies the node engine's ``SubsetProvider`` protocol: any shard's
+    engine can resolve the subset of *any* station, whichever shard's
+    network installed it — the partitioned twin of one global network.
+    """
+
+    def __init__(self, stations: list[BaseStation], shards: list["LiraShard"]) -> None:
+        self.stations = stations
+        self._network_by_station = {
+            station.station_id: shard.network
+            for shard in shards
+            if shard.network is not None
+            for station in shard.stations
+        }
+
+    def subset_or_none(self, station_id: int) -> RegionSubset | None:
+        network = self._network_by_station.get(station_id)
+        if network is None:
+            return None
+        return network.subset_or_none(station_id)
+
+    def snapshot(self) -> dict[int, RegionSubset | None]:
+        """Picklable per-station subset snapshot for pool workers."""
+        return {
+            station.station_id: self.subset_or_none(station.station_id)
+            for station in self.stations
+        }
+
+
+class _SnapshotDirectory:
+    """A pool worker's frozen copy of the subset directory."""
+
+    def __init__(
+        self,
+        stations: list[BaseStation],
+        subsets: dict[int, RegionSubset | None],
+    ) -> None:
+        self.stations = stations
+        self._subsets = subsets
+
+    def subset_or_none(self, station_id: int) -> RegionSubset | None:
+        return self._subsets.get(station_id)
+
+
+class LiraShard:
+    """One shard's complete vertical slice of the deployment.
+
+    Args:
+        stations: the base stations this shard owns (possibly none).
+        n_nodes: the *global* population size.
+        policy: ``"lira"`` or ``"random-drop"`` (validated by the caller).
+        node_ids: ``None`` — the shard is born owning the whole dense
+            population ``0..n_nodes-1`` (the degenerate partition); an
+            id array — it keeps a compact table a coordinator re-keys
+            when :meth:`adopt` hands it its initial partition.
+        downlink: fault injector for this shard's plan broadcasts.
+    """
+
+    def __init__(
+        self,
+        shard_id: int,
+        stations: list[BaseStation],
+        bounds: Rect,
+        n_nodes: int,
+        queries: list[RangeQuery],
+        reduction: ReductionFunction,
+        config: LiraConfig,
+        service_rate: float,
+        queue_capacity: int,
+        adaptive_throttle: bool,
+        policy: str,
+        policy_seed: int,
+        incremental: bool,
+        node_ids: np.ndarray | None = None,
+        downlink: FaultInjector | None = None,
+    ) -> None:
+        self.shard_id = shard_id
+        self.stations = stations
+        self.bounds = bounds
+        self.n_nodes = n_nodes
+        self.config = config
+        self.policy = policy
+        self.incremental = incremental
+        self.network = (
+            BaseStationNetwork(stations, downlink=downlink) if stations else None
+        )
+        self.server = MobileCQServer(
+            bounds,
+            n_nodes,
+            queries,
+            service_rate=service_rate,
+            queue_capacity=queue_capacity,
+            node_ids=node_ids,
+        )
+        self.shedder = LiraLoadShedder(
+            config, reduction, queue_capacity=queue_capacity, incremental=incremental
+        )
+        if adaptive_throttle:
+            self.shedder.use_adaptive_throttle()
+        # Shard 0 draws the one-shard deployment's admission stream;
+        # other shards get independent deterministic streams.
+        self._policy_rng = np.random.default_rng(
+            policy_seed if shard_id == 0 else [policy_seed, shard_id]
+        )
+        #: The plan the network currently serves (``None`` before the
+        #: first install); what the next control step diffs against.
+        self.plan: SheddingPlan | None = None
+        self._trivial_plan_cache: SheddingPlan | None = None
+        self._dense = node_ids is None
+        self.last_tick_seconds = 0.0
+        # The node side exists once adopt() has run; a shard whose nodes
+        # are remote clients (the live service) never adopts.
+        self.node_engine: VectorNodeEngine | None = None
+        self.fleet: DeadReckoningFleet | None = None
+
+    @property
+    def ids(self) -> np.ndarray | None:
+        """Owned global node ids, ascending (the table's row order);
+        ``None`` for the dense whole-population shard (row == id)."""
+        return None if self._dense else self.server.table.ids  # type: ignore[union-attr]
+
+    def adopt(
+        self,
+        ids: np.ndarray | None,
+        directory: SubsetProvider,
+        assigner: StationAssigner | None = None,
+    ) -> None:
+        """Create the node-side state for the initial owned partition.
+
+        ``ids=None`` adopts the whole population (dense shard); an id
+        array re-keys the compact table to exactly those nodes.
+        """
+        if ids is not None:
+            self.server.table = CompactNodeTable(ids)
+        n = self.n_nodes if ids is None else int(ids.size)
+        self.node_engine = VectorNodeEngine(n, directory, self.bounds, assigner=assigner)
+        self.fleet = DeadReckoningFleet(n)
+
+    # ------------------------------------------------------------------
+    # Control step
+    # ------------------------------------------------------------------
+
+    def observe_load(self) -> LoadMeasurement:
+        """Close the load-measurement period and step THROTLOOP on it."""
+        measurement = self.server.take_load_measurement()
+        if measurement.period > 0:
+            # ThrotLoop.step() tolerates a stalled μ <= 0 measurement
+            # (collapse to z_floor under load, reopen when idle).
+            self.shedder.observe_load(
+                measurement.arrival_rate, self.server.service_rate
+            )
+        return measurement
+
+    def replan(
+        self, positions: np.ndarray | None, speeds: np.ndarray | None, t: float
+    ) -> tuple[SheddingPlan, PlanDelta | None, dict[int, RegionSubset] | None]:
+        """Compute the plan for a node snapshot and install it.
+
+        ``positions=None`` (nothing known yet) and the Random Drop
+        policy get the trivial one-region plan at Δ⊢.  Returns ``(plan,
+        delta, delivered)``: in incremental mode over a fault-free
+        downlink, a plan whose content is unchanged (the shedder
+        returned the same object) is not installed at all — ``delivered``
+        is ``None`` — and a same-geometry successor ships as a
+        per-region ``delta``.  Faulty downlinks always get the full
+        push: the periodic re-broadcast is what lets stations recover
+        from lost plan broadcasts.
+        """
+        assert self.network is not None
+        if self.policy == "random-drop" or positions is None:
+            plan = self._trivial_plan()
+        else:
+            grid = StatisticsGrid.from_snapshot(
+                self.bounds,
+                self.config.resolved_alpha,
+                positions,
+                speeds,
+                self.server.queries,
+            )
+            plan = self.shedder.adapt(grid)
+        previous, delta = self.plan, None
+        if self.incremental and self.network.downlink is None and previous is not None:
+            if previous is plan:
+                return plan, None, None
+            delta = previous.diff(plan)
+        delivered = self.network.install_plan(plan, t=t, delta=delta)
+        self.plan = plan
+        return plan, delta, delivered
+
+    def control_step(
+        self, positions: np.ndarray | None, speeds: np.ndarray | None, t: float
+    ) -> tuple[SheddingPlan, PlanDelta | None, dict[int, RegionSubset] | None]:
+        """One adaptation: :meth:`observe_load`, then :meth:`replan`.
+
+        A coordinator that rebalances the throttle budget across shards
+        calls the two halves itself, around the rebalance.
+        """
+        # Under REPRO_SANITIZE=1 any hidden global-RNG draw in the
+        # adaptation path raises instead of silently de-seeding runs.
+        with rng_discipline():
+            self.observe_load()
+            return self.replan(positions, speeds, t)
+
+    def _trivial_plan(self) -> SheddingPlan:
+        """One region covering the bounds at Δ⊢: no source throttling.
+
+        Memoized: the plan depends only on the (immutable) bounds and
+        config, and reinstalling the *same* object lets the network's
+        coverage cache skip recomputing per-station subsets every
+        adaptation.
+        """
+        if self._trivial_plan_cache is None:
+            region = RegionStats(rect=self.bounds, n=0.0, m=0.0, s=0.0)
+            self._trivial_plan_cache = SheddingPlan.from_regions(
+                bounds=self.bounds,
+                regions=[region],
+                thresholds=clamp_thresholds(
+                    np.array([self.config.delta_min]), self.config
+                ),
+                resolution=1,
+            )
+        return self._trivial_plan_cache
+
+    # ------------------------------------------------------------------
+    # Data path
+    # ------------------------------------------------------------------
+
+    def _tick_args(
+        self,
+        t: float,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        dt: float,
+        substeps: int,
+        station_shard: np.ndarray | None,
+    ) -> dict[str, Any]:
+        """Everything :func:`shard_tick` needs besides the live objects."""
+        ids = self.ids
+        return dict(
+            shard_id=self.shard_id,
+            # The owned-row gather is shard work (a real shard's ingest
+            # would receive exactly these rows).
+            ids=ids,
+            positions=positions if ids is None else positions[ids],
+            velocities=velocities if ids is None else velocities[ids],
+            t=t,
+            dt=dt,
+            substeps=substeps,
+            default_delta=self.config.delta_min,
+            admit=1.0 if self.policy == "lira" else self.shedder.current_z,
+            admit_rng=self._policy_rng,
+            station_shard=station_shard,
+        )
+
+    def tick(
+        self,
+        t: float,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        dt: float,
+        substeps: int,
+        station_shard: np.ndarray | None = None,
+        active: np.ndarray | None = None,
+        rate_factor: float = 1.0,
+        uplink: Callable[..., Any] | None = None,
+    ) -> TickResult:
+        """Run :func:`shard_tick` in-process over the owned rows of the
+        global ``positions``/``velocities``."""
+        assert self.node_engine is not None and self.fleet is not None
+        return shard_tick(
+            node_engine=self.node_engine,
+            fleet=self.fleet,
+            server=self.server,
+            active=active,
+            rate_factor=rate_factor,
+            uplink=uplink,
+            **self._tick_args(t, positions, velocities, dt, substeps, station_shard),
+        )
+
+    def pool_payload(
+        self,
+        subsets: dict[int, RegionSubset | None],
+        t: float,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        dt: float,
+        substeps: int,
+        station_shard: np.ndarray | None,
+    ) -> tuple:
+        """The picklable argument of :func:`pool_tick_job` for this tick."""
+        assert self.node_engine is not None
+        return (
+            self.node_engine.snapshot(),
+            self.fleet,
+            self.server,
+            subsets,
+            self._tick_args(t, positions, velocities, dt, substeps, station_shard),
+        )
+
+    def absorb(self, result: tuple) -> TickResult:
+        """Take back the state :func:`pool_tick_job` advanced."""
+        assert self.node_engine is not None
+        engine_state, self.fleet, self.server, self._policy_rng, elapsed, out = result
+        self.node_engine.restore(engine_state)
+        self.last_tick_seconds = elapsed
+        return out
+
+    # ------------------------------------------------------------------
+    # Row surgery (handoff)
+    # ------------------------------------------------------------------
+
+    def extract_nodes(self, node_ids: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+        """Remove the given (ascending) global ids; return their state."""
+        assert self.node_engine is not None and self.fleet is not None
+        table = self.server.table
+        rows = table.rows_of(node_ids)  # type: ignore[union-attr]
+        return {
+            "engine": self.node_engine.extract_rows(rows),
+            "fleet": self.fleet.extract_rows(rows),
+            "table": table.extract_rows(rows),  # type: ignore[union-attr]
+        }
+
+    def insert_nodes(
+        self, node_ids: np.ndarray, state: dict[str, dict[str, np.ndarray]]
+    ) -> None:
+        """Adopt nodes extracted from another shard (ascending ids)."""
+        assert self.node_engine is not None and self.fleet is not None
+        at = np.searchsorted(self.ids, node_ids)
+        self.node_engine.insert_rows(at, state["engine"])
+        self.fleet.insert_rows(at, state["fleet"])
+        self.server.table.insert_rows(at, node_ids, state["table"])  # type: ignore[union-attr]
+
+
+def shard_tick(
+    *,
+    shard_id: int,
+    node_engine: VectorNodeEngine,
+    fleet: DeadReckoningFleet,
+    server: MobileCQServer,
+    ids: np.ndarray | None,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    t: float,
+    dt: float,
+    substeps: int,
+    default_delta: float,
+    admit: float,
+    admit_rng: np.random.Generator,
+    station_shard: np.ndarray | None,
+    active: np.ndarray | None = None,
+    rate_factor: float = 1.0,
+    uplink: Callable[..., Any] | None = None,
+) -> TickResult:
+    """One shard's data-path tick: nodes decide and report, the server ingests.
+
+    ``positions``/``velocities`` are the shard's own rows; ``ids=None``
+    is the owns-all case (no gather happened; row index == global id).
+    Returns senders in *global* ids for history recording, and the
+    nodes now served by a foreign station (``station_shard`` maps
+    station slot → owning shard) for the coordinator's next-tick
+    handoff.  Nodes falling outside every stored region use Δ⊢
+    conservatively.
+    """
+    thresholds = node_engine.compute_thresholds(
+        positions, active, default=default_delta
+    )
+    departure_ids, departure_dst = _EMPTY_I64, _EMPTY_I64
+    if station_shard is not None:
+        # Post-update slots: nodes now served by a foreign station
+        # depart at the end of this tick.
+        dest = station_shard[node_engine._station_slot]
+        moved = np.flatnonzero(dest != shard_id)
+        if moved.size:
+            departure_ids = ids[moved] if ids is not None else moved
+            departure_dst = dest[moved]
+    fleet.set_thresholds(thresholds)
+    senders = fleet.observe(t, positions, velocities)
+    sender_ids = ids[senders] if ids is not None else senders
+    sender_pos = positions[senders]
+    sender_vel = velocities[senders]
+    if uplink is not None:
+        u_ids, u_pos, u_vel, u_times = uplink(t, sender_ids, sender_pos, sender_vel)
+    else:
+        u_ids, u_pos, u_vel, u_times = sender_ids, sender_pos, sender_vel, None
+    # Slice-based chunking with np.array_split's size rule (the first
+    # n % k chunks get one extra element): slicing yields views, so
+    # substepping never copies the report arrays.
+    base, extra = divmod(int(u_ids.size), substeps)
+    lo = 0
+    for c in range(substeps):
+        hi = lo + base + (1 if c < extra else 0)
+        chunk = slice(lo, hi)
+        lo = hi
+        server.receive_reports(
+            t,
+            u_ids[chunk],
+            u_pos[chunk],
+            u_vel[chunk],
+            times=u_times[chunk] if u_times is not None else None,
+            admit_fraction=admit,
+            admit_rng=admit_rng if admit < 1.0 else None,
+        )
+        server.process(dt / substeps, rate_factor=rate_factor)
+    return sender_ids, sender_pos, sender_vel, departure_ids, departure_dst
+
+
+# ----------------------------------------------------------------------
+# Process-pool execution: one tick per shard per round
+# ----------------------------------------------------------------------
+
+_WORKER_ASSIGNER: StationAssigner | None = None
+
+
+def pool_init(stations: list[BaseStation], bounds: Rect) -> None:
+    """Worker initializer: build the shared assigner once per process."""
+    global _WORKER_ASSIGNER
+    _WORKER_ASSIGNER = StationAssigner(stations, bounds)
+
+
+def pool_tick_job(payload: tuple) -> tuple:
+    """Execute one shard's tick in a pool worker.
+
+    The shard's SoA state (engine arrays, fleet, server with its compact
+    table and queue, admission RNG) round-trips through the payload, so
+    no worker affinity is assumed: any worker can tick any shard on any
+    round and the result is bit-identical to the in-process path.
+    """
+    engine_state, fleet, server, subsets, args = payload
+    assigner = _WORKER_ASSIGNER
+    assert assigner is not None
+    directory = _SnapshotDirectory(assigner.stations, subsets)
+    node_engine = VectorNodeEngine(0, directory, assigner.bounds, assigner=assigner)
+    node_engine.restore(engine_state)
+    with Stopwatch() as watch:
+        out = shard_tick(node_engine=node_engine, fleet=fleet, server=server, **args)
+    return node_engine.snapshot(), fleet, server, args["admit_rng"], watch.elapsed, out

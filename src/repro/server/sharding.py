@@ -82,7 +82,7 @@ class ShardRouter:
     to its owning shard, and :attr:`assigner` is the single global
     :class:`StationAssigner` all shard engines resolve positions
     against — so a node's station assignment is identical to the
-    unsharded deployment's, and its shard is a pure function of that.
+    one-shard deployment's, and its shard is a pure function of that.
     """
 
     def __init__(

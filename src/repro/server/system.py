@@ -13,40 +13,91 @@ simulation harness in :mod:`repro.sim` is the *measurement* loop (it
 shortcuts the protocol for speed); this class is the *systems* loop —
 every update flows through the real component path.
 
-Both wireless hops can be made imperfect by injecting a
-:class:`~repro.faults.FaultInjector` (``faults=``): update messages on
-the node→server uplink may be lost, delayed, or reordered; plan
-broadcasts on the server→station downlink may be lost or delayed (so
-nodes run with *stale* region subsets); the server may suffer transient
-service-rate dips; and nodes may churn.  With ``faults=None`` (or a
-null-spec injector) every code path is bit-identical to the perfect
-lossless deployment.
+The three layers over one set of base stations are a
+:class:`~repro.server.shard.LiraShard`; :class:`LiraSystem` is the
+coordinator over ``n_shards`` of them, so K servers provide K times the
+ingest capacity — the server-cost scaling story of the paper's Fig. 14.
+One shard owning the whole population is the degenerate partition: no
+router, no id gather, a dense node table.
+
+Partitioning and routing
+    Stations are assigned to shards by rendezvous hashing over station
+    ids (:mod:`repro.server.sharding`); a node belongs to the shard
+    owning its serving station.  All shard engines share one global
+    :class:`~repro.server.node_engine.StationAssigner`, so a node's
+    station — and therefore its shard — is a pure deterministic
+    function of its position, whatever K is.
+
+Handoff protocol
+    During a tick each shard computes its nodes' station slots as
+    usual; nodes whose new station belongs to another shard are
+    recorded as departures *after* the tick completes (their tick-T
+    report still lands in the old shard's queue, like a mobile handover
+    completing mid-call).  The buffered records are applied at the
+    start of the next tick in deterministic (source shard, node id)
+    order: the node's engine/fleet/table rows are surgically moved to
+    the destination shard.  Reports still sitting in the source queue
+    when the node leaves are discarded at table-ingest time and counted
+    (``updates_orphaned``).
+
+Budget coordination
+    Each shard runs its own THROTLOOP against its own measured load.
+    Every ``rebalance_every`` adaptations the coordinator computes the
+    global budget ``z = Σ w_k · z_k`` (load-weighted mean, weights from
+    measured per-shard arrivals) and re-allocates it as per-shard
+    budgets ``b_k = z · w_k`` with the remainder pinned so that
+    ``Σ b_k == z`` exactly; shard k's throttle becomes ``b_k / w_k``
+    (clamped to its THROTLOOP floor).
+
+Faults
+    Both wireless hops can be made imperfect by injecting a
+    :class:`~repro.faults.FaultInjector` (``faults=``): update messages
+    on the node→server uplink may be lost, delayed, or reordered; plan
+    broadcasts on the server→station downlink may be lost or delayed
+    (so nodes run with *stale* region subsets); the server may suffer
+    transient service-rate dips; and nodes may churn.  With
+    ``faults=None`` (or a null-spec injector) every code path is
+    bit-identical to the perfect lossless deployment.  Injection is
+    supported at ``n_shards=1``.
+
+Runs are bit-reproducible per seed at every K, and the process-pool
+execution path (``n_workers>1``) is bit-identical to the in-process
+path: shards advance in lockstep, one tick per pool round, with
+handoffs synchronized at tick boundaries either way.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
-from repro.core.greedy import RegionStats
-from repro.core.plan import SheddingPlan, clamp_thresholds
+from repro.core import LiraConfig, LiraLoadShedder
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
 from repro.history import TrajectoryStore
 from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
-from repro.server.base_station import BaseStation, place_uniform_stations
-from repro.server.cq_server import MobileCQServer
 from repro.sanitize import rng_discipline
-from repro.server.node_engine import (
-    NODE_ENGINES,
-    ObjectNodeEngine,
-    VectorNodeEngine,
+from repro.server.base_station import BaseStation, place_uniform_stations
+from repro.server.cq_server import LoadMeasurement, MobileCQServer
+from repro.server.node_engine import VectorNodeEngine
+from repro.server.protocol import BaseStationNetwork
+from repro.server.shard import (
+    LiraShard,
+    ShardDirectory,
+    TickResult,
+    pool_init,
+    pool_tick_job,
 )
-from repro.server.protocol import BaseStationNetwork, MobileNode
+from repro.server.sharding import ShardRouter
+from repro.timing import Stopwatch
+
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 #: Systems-loop policies: LIRA's source-actuated region-aware shedding,
 #: or the paper's Random Drop regime (every node at Δ⊢, the server
@@ -60,7 +111,11 @@ class SystemStats:
 
     The fields after ``handoffs`` are degradation-aware accounting:
     plan-staleness ages, fault-layer loss/delay counters, and churn —
-    all zero in a lossless deployment.
+    all zero in a lossless deployment.  ``cross_handoffs`` and
+    ``updates_orphaned`` are the partitioned deployment's terms (zero
+    at one shard); with them, a fault-free run satisfies
+    ``updates_sent == updates_processed + queue_length + queue_drops +
+    admission_drops + updates_discarded + updates_orphaned``.
     """
 
     time: float
@@ -84,32 +139,84 @@ class SystemStats:
     updates_discarded: int = 0
     slow_ticks: int = 0
     active_nodes: int = 0
+    cross_handoffs: int = 0
+    updates_orphaned: int = 0
+
+
+@dataclass
+class RebalanceReport:
+    """Diagnostics of one coordinator budget-rebalance step."""
+
+    weights: np.ndarray
+    z_global: float
+    budgets: np.ndarray
+
+
+def _slice_state(
+    state: dict[str, dict[str, np.ndarray]], sel: np.ndarray
+) -> dict[str, dict[str, np.ndarray]]:
+    return {
+        component: {key: value[sel] for key, value in arrays.items()}
+        for component, arrays in state.items()
+    }
+
+
+def _concat_states(
+    states: list[dict[str, dict[str, np.ndarray]]],
+) -> dict[str, dict[str, np.ndarray]]:
+    first = states[0]
+    return {
+        component: {
+            key: np.concatenate([s[component][key] for s in states])
+            for key in arrays
+        }
+        for component, arrays in first.items()
+    }
 
 
 class LiraSystem:
     """An end-to-end LIRA deployment over a fixed node population.
 
-    Drive it with :meth:`tick` (one sampling period of true positions)
-    and :meth:`adapt` (one server adaptation, typically every N ticks).
-    Query results come from :meth:`evaluate_queries`; historic state
-    from :attr:`history`.
+    Drive it with :meth:`bootstrap` (register the population),
+    :meth:`adapt` (one server adaptation, typically every N ticks) and
+    :meth:`tick` (one sampling period of true positions).  Query results
+    come from :meth:`evaluate_queries`; historic state from
+    :attr:`history`.  At ``n_shards=1`` the one shard's components are
+    also reachable as :attr:`server`, :attr:`shedder`, :attr:`network`,
+    :attr:`node_engine` and :attr:`fleet`; with more shards they are
+    per shard (``shards[k].server`` …) and ``bootstrap`` must run before
+    ``adapt``/``tick``: the initial node partition is derived from the
+    bootstrap positions.
 
     Args:
         faults: optional fault injector wrapped around the protocol
-            loop; ``None`` is the perfect channel.
+            loop; ``None`` is the perfect channel.  A non-null spec with
+            ``n_shards > 1`` raises.
         policy: ``"lira"`` (default) or ``"random-drop"`` — the latter
             runs the paper's uncontrolled regime through the same
             protocol stack: a trivial one-region plan at Δ⊢ and
             server-side random admission at fraction z.
         policy_seed: seed for the Random Drop admission lottery.
-        engine: ``"vector"`` (default) runs the node side on the
-            struct-of-arrays :class:`~repro.server.node_engine.VectorNodeEngine`
-            and the server on the batched array-ingest path;
-            ``"object"`` runs the reference per-:class:`MobileNode` loop
-            and per-message queue the vectorized path is validated
-            against.  Both produce bit-identical behaviour at matched
-            seeds.
+        incremental: keep cross-round adaptation state in every shard's
+            shedder (bit-identical plans; unchanged plans are not
+            re-broadcast, same-geometry successors ship as deltas).
+        service_rate: per-shard μ — K shards provide K-fold capacity.
+        n_shards: K, the number of spatial shards.
+        n_workers: >1 executes shard ticks on a process pool (capped at
+            K, forced to 1 on single-core hosts — a pool cannot beat the
+            serial loop there); shards round-trip their SoA state per
+            tick, so results are bit-identical to in-process execution.
+        rebalance_every: coordinator budget-rebalance cadence, in
+            adaptations.
+        shard_salt: selects an independent station→shard assignment.
     """
+
+    # The one shard's components at ``n_shards=1`` (unset otherwise).
+    server: MobileCQServer
+    shedder: LiraLoadShedder
+    network: BaseStationNetwork
+    node_engine: VectorNodeEngine
+    fleet: DeadReckoningFleet
 
     def __init__(
         self,
@@ -127,74 +234,100 @@ class LiraSystem:
         faults: FaultInjector | None = None,
         policy: str = "lira",
         policy_seed: int = 0,
-        engine: str = "vector",
         incremental: bool = False,
+        n_shards: int = 1,
+        n_workers: int = 1,
+        rebalance_every: int = 1,
+        shard_salt: int = 0,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if engine not in NODE_ENGINES:
-            raise ValueError(f"engine must be one of {NODE_ENGINES}")
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        if rebalance_every < 1:
+            raise ValueError("rebalance_every must be >= 1")
         self.config = config or LiraConfig(l=49, alpha=64)
         self.bounds = bounds
         self.n_nodes = n_nodes
+        self.queries = list(queries)
         self.policy = policy
-        self.engine = engine
         self.faults = faults
-        self.server = MobileCQServer(
-            bounds,
-            n_nodes,
-            queries,
-            service_rate=service_rate,
-            queue_capacity=queue_capacity,
-            batch_ingest=engine == "vector",
-        )
         self.incremental = incremental
-        self.shedder = LiraLoadShedder(
-            self.config,
-            reduction,
-            queue_capacity=queue_capacity,
-            engine=engine,
-            incremental=incremental,
-        )
-        if adaptive_throttle:
-            self.shedder.use_adaptive_throttle()
+        self.n_shards = n_shards
+        self.rebalance_every = rebalance_every
         # A null-spec injector is contractually a no-op (every seam
         # passes batches through untouched), so the tick path skips the
         # fault seams entirely and only maintains the injector's O(1)
         # uplink bookkeeping — zero overhead versus ``faults=None``.
-        self._faults_null = faults is not None and faults.spec.is_null
-        self.network = BaseStationNetwork(
-            stations or place_uniform_stations(bounds, station_radius),
-            downlink=faults if faults is not None and not self._faults_null else None,
+        inject = self._inject = faults is not None and not faults.spec.is_null
+        if inject and n_shards > 1:
+            raise NotImplementedError(
+                "fault injection is supported at n_shards=1 only"
+            )
+        self._adaptive = adaptive_throttle
+        station_list = stations or place_uniform_stations(bounds, station_radius)
+        #: Station→shard ownership; ``None`` when one shard owns them all.
+        self.router = (
+            ShardRouter(station_list, bounds, n_shards, salt=shard_salt)
+            if n_shards > 1
+            else None
         )
-        self.node_engine: ObjectNodeEngine | VectorNodeEngine
-        if engine == "vector":
-            self.node_engine = VectorNodeEngine(n_nodes, self.network, bounds)
+        self.shards: list[LiraShard] = [
+            LiraShard(
+                k,
+                station_list if self.router is None else self.router.stations_for(k),
+                bounds,
+                n_nodes,
+                self.queries,
+                reduction,
+                self.config,
+                service_rate,
+                queue_capacity,
+                adaptive_throttle,
+                policy,
+                policy_seed,
+                incremental,
+                node_ids=None if self.router is None else _EMPTY_I64,
+                downlink=faults if inject else None,
+            )
+            for k in range(n_shards)
+        ]
+        if self.router is None:
+            only = self.shards[0]
+            only.adopt(None, only.network)
+            self.server, self.shedder, self.network = (
+                only.server, only.shedder, only.network,
+            )
+            self.node_engine, self.fleet = only.node_engine, only.fleet
         else:
-            self.node_engine = ObjectNodeEngine(n_nodes, self.network)
-        self.fleet = DeadReckoningFleet(n_nodes)
+            self.directory = ShardDirectory(station_list, self.shards)
         self.history = TrajectoryStore(n_nodes)
         self.receive_substeps = max(1, receive_substeps)
+        # A pool on a single-core host is a pessimization (the same
+        # rationale as repro.experiments.runner.run_jobs's fallback).
+        cores = os.cpu_count() or 1
+        self.n_workers = 1 if cores <= 1 else max(1, min(n_workers, n_shards))
+        self._pool: ProcessPoolExecutor | None = None
+        self._pending_handoffs: list[tuple[np.ndarray, np.ndarray]] = [
+            (_EMPTY_I64, _EMPTY_I64) for _ in range(n_shards)
+        ]
+        # Row-surgery seconds per shard for the tick being executed:
+        # extraction is the source shard's work, insertion the
+        # destination's (a real shard serializes/merges its own rows;
+        # the coordinator only relays the records), so the timing
+        # accounting bills them to the shards, not the coordinator.
+        self._surgery_seconds = [0.0] * n_shards
+        self.total_cross_handoffs = 0
         self._plan_installed = False
-        self._last_installed_plan: SheddingPlan | None = None
-        self._trivial_plan_cache: SheddingPlan | None = None
-        self._policy_rng = np.random.default_rng(policy_seed)
+        self._adapt_count = 0
+        self._z_global = self.shards[0].shedder.current_z
+        self.last_rebalance: RebalanceReport | None = None
+        self.last_tick_seconds = 0.0
         self.current_time = 0.0
 
-    @property
-    def nodes(self) -> list[MobileNode]:
-        """The object-path node population (``engine="object"`` only).
-
-        The vectorized engine keeps node state in arrays; use the
-        engine-agnostic accessors (``node_engine.stored_region_counts``,
-        ``node_engine.handoff_counts``, …) instead.
-        """
-        if isinstance(self.node_engine, ObjectNodeEngine):
-            return self.node_engine.nodes
-        raise AttributeError(
-            "per-node MobileNode objects exist only with engine='object'; "
-            "use the node_engine accessors for the vectorized path"
-        )
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
 
     def bootstrap(self, positions: np.ndarray, velocities: np.ndarray) -> None:
         """Register the population's initial motion models out-of-band.
@@ -202,81 +335,124 @@ class LiraSystem:
         Node registration happens once, at association time, and is not
         part of the steady-state update load THROTLOOP manages — pushing
         the entire population through the bounded queue in one tick
-        would fabricate an overload.  Seeds the fleet's node-side models,
-        the server table, and the trajectory archive consistently.
+        would fabricate an overload.  Seeds the fleets' node-side
+        models, the server tables, and the trajectory archive
+        consistently.  With several shards, node→shard ownership comes
+        from the serving station of each bootstrap position.
         """
+        partition: list[np.ndarray | None] = [None]
+        if self.router is not None:
+            if self.shards[0].fleet is not None:
+                raise RuntimeError("bootstrap() may only be called once")
+            x = np.ascontiguousarray(positions[:, 0], dtype=np.float64)
+            y = np.ascontiguousarray(positions[:, 1], dtype=np.float64)
+            owner = self.router.shard_of_positions(x, y)
+            partition = [np.flatnonzero(owner == k) for k in range(self.n_shards)]
+            for shard, ids in zip(self.shards, partition):
+                shard.adopt(ids, self.directory, self.router.assigner)
         t = 0.0
-        all_ids = self.fleet.observe(t, positions, velocities)
-        self.server.table.ingest(t, all_ids, positions[all_ids], velocities[all_ids])
-        self.history.record(t, all_ids, positions[all_ids], velocities[all_ids])
+        for shard, ids in zip(self.shards, partition):
+            pos_k = positions if ids is None else positions[ids]
+            vel_k = velocities if ids is None else velocities[ids]
+            assert shard.fleet is not None
+            local = shard.fleet.observe(t, pos_k, vel_k)
+            senders = local if ids is None else ids[local]
+            pos_k, vel_k = pos_k[local], vel_k[local]
+            shard.server.table.ingest(t, senders, pos_k, vel_k)
+            self.history.record(t, senders, pos_k, vel_k)
+
+    def _require_bootstrap(self, what: str) -> None:
+        if self.shards[0].fleet is None:
+            raise RuntimeError(f"call bootstrap() before {what}()")
+
+    def close(self) -> None:
+        """Shut down the process pool (no-op when in-process)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "LiraSystem":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        assert self.router is not None
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                initializer=pool_init,
+                initargs=(self.router.stations, self.bounds),
+            )
+        return self._pool
 
     # ------------------------------------------------------------------
     # Server-side control path
     # ------------------------------------------------------------------
 
     def adapt(self, positions: np.ndarray, speeds: np.ndarray) -> None:
-        """One adaptation: measure load, set z, recompute + broadcast plan."""
+        """One adaptation of every shard: measure load, set z (with the
+        coordinator's budget rebalance in between), recompute + broadcast
+        the plan — :meth:`LiraShard.control_step` in two halves."""
+        self._require_bootstrap("adapt")
         # Under REPRO_SANITIZE=1 any hidden global-RNG draw in the
         # adaptation path raises instead of silently de-seeding runs.
         with rng_discipline():
-            measurement = self.server.take_load_measurement()
-            if measurement.period > 0:
-                self.shedder.observe_load(
-                    measurement.arrival_rate, self.server.service_rate
+            measurements = [shard.observe_load() for shard in self.shards]
+            self._adapt_count += 1
+            if (
+                self.n_shards > 1
+                and self._adaptive
+                and self._adapt_count % self.rebalance_every == 0
+            ):
+                self._rebalance(measurements)
+            for shard in self.shards:
+                if shard.network is None:
+                    continue
+                ids = shard.ids
+                shard.replan(
+                    positions if ids is None else positions[ids],
+                    speeds if ids is None else speeds[ids],
+                    self.current_time,
                 )
-            if self.policy == "random-drop":
-                plan = self._trivial_plan()
-            else:
-                grid = StatisticsGrid.from_snapshot(
-                    self.bounds,
-                    self.config.resolved_alpha,
-                    positions,
-                    speeds,
-                    self.server.queries,
-                )
-                plan = self.shedder.adapt(grid)
-            self._install(plan)
-            self._plan_installed = True
+        self._plan_installed = True
 
-    def _install(self, plan: SheddingPlan) -> None:
-        """Broadcast a new plan, delta-encoded when nothing forbids it.
+    def _rebalance(self, measurements: list[LoadMeasurement]) -> None:
+        """Re-allocate the global throttle budget across shards.
 
-        In incremental mode over a fault-free downlink, a plan whose
-        content is unchanged (the shedder returned the same object) is
-        not re-broadcast at all, and a same-geometry successor ships as
-        a per-region delta.  Faulty downlinks always get the full push:
-        the periodic re-broadcast is what lets stations recover from
-        lost plan broadcasts.
+        Weights are measured arrival shares (falling back to owned-node
+        shares, then uniform, when the period saw no arrivals); the
+        global budget is the weighted mean of the per-shard THROTLOOP
+        outputs and is conserved exactly: the last loaded shard absorbs
+        the floating-point remainder so ``Σ b_k == z_global`` to the bit.
         """
-        if self.incremental and self.network.downlink is None:
-            previous = self._last_installed_plan
-            if previous is plan:
-                return
-            delta = previous.diff(plan) if previous is not None else None
-            self.network.install_plan(plan, t=self.current_time, delta=delta)
+        arrivals = np.array([float(m.arrivals) for m in measurements])
+        total = arrivals.sum()
+        if total > 0:
+            weights = arrivals / total
         else:
-            self.network.install_plan(plan, t=self.current_time)
-        self._last_installed_plan = plan
-
-    def _trivial_plan(self) -> SheddingPlan:
-        """One region covering the bounds at Δ⊢: no source throttling.
-
-        Memoized: the plan depends only on the (immutable) bounds and
-        config, and reinstalling the *same* object lets the network's
-        coverage cache skip recomputing per-station subsets every
-        adaptation.
-        """
-        if self._trivial_plan_cache is None:
-            region = RegionStats(rect=self.bounds, n=0.0, m=0.0, s=0.0)
-            self._trivial_plan_cache = SheddingPlan.from_regions(
-                bounds=self.bounds,
-                regions=[region],
-                thresholds=clamp_thresholds(
-                    np.array([self.config.delta_min]), self.config
-                ),
-                resolution=1,
+            sizes = np.array([float(s.ids.size) for s in self.shards])
+            if sizes.sum() > 0:
+                weights = sizes / sizes.sum()
+            else:
+                weights = np.full(self.n_shards, 1.0 / self.n_shards)
+        zs = np.array([s.shedder.throtloop.z for s in self.shards])
+        z_global = float(weights @ zs)
+        budgets = z_global * weights
+        loaded = np.flatnonzero(weights > 0)
+        last = int(loaded[-1])
+        others = np.delete(np.arange(self.n_shards), last)
+        budgets[last] = z_global - float(budgets[others].sum())
+        for k in loaded:
+            throtloop = self.shards[int(k)].shedder.throtloop
+            throtloop.z = min(
+                1.0, max(throtloop.z_floor, float(budgets[k] / weights[k]))
             )
-        return self._trivial_plan_cache
+        self._z_global = z_global
+        self.last_rebalance = RebalanceReport(
+            weights=weights, z_global=z_global, budgets=budgets
+        )
 
     # ------------------------------------------------------------------
     # Data path
@@ -285,94 +461,179 @@ class LiraSystem:
     def tick(
         self, t: float, positions: np.ndarray, velocities: np.ndarray, dt: float
     ) -> int:
-        """One sampling period: nodes decide, report; server ingests.
+        """One sampling period: nodes decide, report; servers ingest.
 
         Returns the number of reports sent.  The plan must have been
-        installed (call :meth:`adapt` first); nodes falling outside
-        every stored region use Δ⊢ conservatively.
+        installed (call :meth:`adapt` first).
         """
+        self._require_bootstrap("tick")
         if not self._plan_installed:
             raise RuntimeError("call adapt() before the first tick()")
         self.current_time = t
         faults = self.faults
-        inject = faults is not None and not self._faults_null
-        active = None
-        rate_factor = 1.0
-        if inject:
-            self.network.deliver_pending(t)
-            active = faults.churn_step(self.n_nodes)
-            rate_factor = faults.service_factor(t)
-        thresholds = self.node_engine.compute_thresholds(
-            positions, active, default=self.config.delta_min
-        )
-        self.fleet.set_thresholds(thresholds)
-        senders = self.fleet.observe(t, positions, velocities)
-        self.history.record(t, senders, positions[senders], velocities[senders])
-        if inject:
-            ids, pos, vel, times = faults.uplink(
-                t, senders, positions[senders], velocities[senders]
-            )
-        else:
-            if faults is not None:
+        inject = self._inject
+        substeps = self.receive_substeps
+        total_sent = 0
+        with Stopwatch() as total_watch:
+            station_shard = None
+            if self.router is not None:
+                self._apply_handoffs()
+                station_shard = self.router.station_shard
+            if self.n_workers > 1:
+                subsets = self.directory.snapshot()
+                payloads = [
+                    shard.pool_payload(
+                        subsets, t, positions, velocities, dt, substeps, station_shard
+                    )
+                    for shard in self.shards
+                ]
+                results = self._ensure_pool().map(pool_tick_job, payloads)
+                for shard, result in zip(self.shards, results):
+                    total_sent += self._finish_tick(shard, t, shard.absorb(result))
+            else:
+                fault_args = {}
+                if inject:
+                    assert faults is not None and self.network is not None
+                    self.network.deliver_pending(t)
+                    fault_args = dict(
+                        active=faults.churn_step(self.n_nodes),
+                        rate_factor=faults.service_factor(t),
+                        uplink=faults.uplink,
+                    )
+                for shard in self.shards:
+                    with Stopwatch() as watch:
+                        out = shard.tick(
+                            t, positions, velocities, dt, substeps, station_shard,
+                            **fault_args,
+                        )
+                        total_sent += self._finish_tick(shard, t, out)
+                    shard.last_tick_seconds = watch.elapsed
+            for shard, surgery in zip(self.shards, self._surgery_seconds):
+                shard.last_tick_seconds += surgery
+            if faults is not None and not inject:
                 counters = faults.counters
-                counters.uplink_sent += int(senders.size)
-                counters.uplink_delivered += int(senders.size)
-            ids, pos, vel, times = (
-                senders,
-                positions[senders],
-                velocities[senders],
-                None,
-            )
-        admit = 1.0 if self.policy == "lira" else self.shedder.current_z
-        # Slice-based chunking with np.array_split's size rule (the
-        # first n % k chunks get one extra element): slicing yields
-        # views, so substepping never copies the report arrays.
-        n, k = int(ids.size), self.receive_substeps
-        base, extra = divmod(n, k)
-        lo = 0
-        for c in range(k):
-            hi = lo + base + (1 if c < extra else 0)
-            chunk = slice(lo, hi)
-            lo = hi
-            self.server.receive_reports(
-                t,
-                ids[chunk],
-                pos[chunk],
-                vel[chunk],
-                times=times[chunk] if times is not None else None,
-                admit_fraction=admit,
-                admit_rng=self._policy_rng if admit < 1.0 else None,
-            )
-            self.server.process(dt / self.receive_substeps, rate_factor=rate_factor)
-        return int(senders.size)
+                counters.uplink_sent += total_sent
+                counters.uplink_delivered += total_sent
+        self.last_tick_seconds = total_watch.elapsed
+        return total_sent
+
+    def _finish_tick(self, shard: LiraShard, t: float, out: TickResult) -> int:
+        """Archive one shard's reports and buffer its departures."""
+        sender_ids, sender_pos, sender_vel, dep_ids, dep_dst = out
+        self.history.record(t, sender_ids, sender_pos, sender_vel)
+        self._pending_handoffs[shard.shard_id] = (dep_ids, dep_dst)
+        return int(sender_ids.size)
+
+    def _apply_handoffs(self) -> int:
+        """Apply the previous tick's buffered cross-shard departures.
+
+        Rows move source-by-source in ascending shard order, each
+        source's departures in ascending node id; destinations merge
+        the incoming rows id-sorted.  No node is ever lost or
+        duplicated: extraction and insertion are the same rows.
+        """
+        pending = self._pending_handoffs
+        self._surgery_seconds = [0.0] * self.n_shards
+        moved_total = sum(int(ids.size) for ids, _ in pending)
+        if moved_total == 0:
+            return 0
+        buckets: list[list[tuple[np.ndarray, dict]]] = [
+            [] for _ in range(self.n_shards)
+        ]
+        for src in range(self.n_shards):
+            dep_ids, dep_dst = pending[src]
+            if dep_ids.size == 0:
+                continue
+            with Stopwatch() as watch:
+                state = self.shards[src].extract_nodes(dep_ids)
+            self._surgery_seconds[src] += watch.elapsed
+            for dst in range(self.n_shards):
+                sel = np.flatnonzero(dep_dst == dst)
+                if sel.size:
+                    buckets[dst].append((dep_ids[sel], _slice_state(state, sel)))
+        for dst in range(self.n_shards):
+            entries = buckets[dst]
+            if not entries:
+                continue
+            with Stopwatch() as watch:
+                ids_in = np.concatenate([ids for ids, _ in entries])
+                merged = _concat_states([state for _, state in entries])
+                order = np.argsort(ids_in, kind="stable")
+                self.shards[dst].insert_nodes(
+                    ids_in[order], _slice_state(merged, order)
+                )
+            self._surgery_seconds[dst] += watch.elapsed
+        self._pending_handoffs = [
+            (_EMPTY_I64, _EMPTY_I64) for _ in range(self.n_shards)
+        ]
+        self.total_cross_handoffs += moved_total
+        return moved_total
+
+    # ------------------------------------------------------------------
+    # Queries + introspection
+    # ------------------------------------------------------------------
 
     def evaluate_queries(self, t: float | None = None) -> list[np.ndarray]:
-        """Current CQ result sets from the server's believed positions."""
-        return self.server.evaluate_queries(
-            self.current_time if t is None else t
-        )
+        """Current CQ result sets from the servers' believed positions
+        (global ids, ascending; merged across shards)."""
+        when = self.current_time if t is None else t
+        if self.router is None:
+            return self.server.evaluate_queries(when)
+        per_shard = [
+            [shard.ids[rows] for rows in shard.server.evaluate_queries(when)]
+            for shard in self.shards
+        ]
+        return [np.sort(np.concatenate(parts)) for parts in zip(*per_shard)]
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+    def owned_ids(self) -> np.ndarray:
+        """Concatenated owned ids across shards (conservation checks)."""
+        if self.router is None:
+            return np.arange(self.n_nodes)
+        return np.concatenate([shard.ids for shard in self.shards])
+
+    @property
+    def current_z(self) -> float:
+        """The coordinator's view of the throttle budget."""
+        if self.n_shards == 1 or not self._adaptive:
+            return self.shards[0].shedder.current_z
+        return self._z_global
+
+    def set_throttle_fraction(self, z: float) -> None:
+        """Pin every shard's z to a fixed value (overriding THROTLOOP)."""
+        for shard in self.shards:
+            shard.shedder.set_throttle_fraction(z)
+        self._adaptive = False
+        self._z_global = z
 
     def stats(self) -> SystemStats:
-        """A snapshot of system-level counters."""
-        mean_staleness, stale_fraction = self.network.staleness(self.current_time)
+        """A snapshot of system-level counters, summed over the shards."""
+        networks = [s.network for s in self.shards if s.network is not None]
+        staleness = [network.staleness(self.current_time) for network in networks]
+        if len(networks) == 1:
+            mean_staleness, stale_fraction = staleness[0]
+        else:
+            # Station-weighted means over the shard networks.
+            counts = [len(network.stations) for network in networks]
+            mean_staleness, stale_fraction = (
+                sum(pair[k] * count for pair, count in zip(staleness, counts))
+                / sum(counts)
+                for k in (0, 1)
+            )
+        servers = [shard.server for shard in self.shards]
         counters = self.faults.counters if self.faults is not None else None
         active = self.faults.active_mask if self.faults is not None else None
         return SystemStats(
             time=self.current_time,
-            z=self.shedder.current_z,
-            queue_length=len(self.server.queue),
-            queue_drops=self.server.queue.total_dropped,
-            updates_sent=self.fleet.total_reports,
-            updates_processed=self.server.table.updates_applied,
-            broadcast_bytes=self.network.total_broadcast_bytes,
-            # O(1): a monotonic counter the engine maintains tick by
-            # tick, not an O(N) reduction over per-node counters.
-            handoffs=self.node_engine.total_handoffs,
-            plan_version=self.network.version,
+            z=self.current_z,
+            queue_length=sum(len(server.queue) for server in servers),
+            queue_drops=sum(server.queue.total_dropped for server in servers),
+            updates_sent=sum(shard.fleet.total_reports for shard in self.shards),
+            updates_processed=sum(server.table.updates_applied for server in servers),
+            broadcast_bytes=sum(network.total_broadcast_bytes for network in networks),
+            # O(1) per shard: a monotonic counter the engine maintains
+            # tick by tick, not an O(N) reduction over per-node counters.
+            handoffs=sum(shard.node_engine.total_handoffs for shard in self.shards),
+            plan_version=max(network.version for network in networks),
             mean_plan_staleness=mean_staleness,
             stale_station_fraction=stale_fraction,
             uplink_sent=counters.uplink_sent if counters else 0,
@@ -383,10 +644,12 @@ class LiraSystem:
             ),
             downlink_lost=counters.downlink_lost if counters else 0,
             downlink_delayed=counters.downlink_delayed if counters else 0,
-            admission_drops=self.server.total_admission_dropped,
-            updates_discarded=self.server.table.updates_discarded,
+            admission_drops=sum(server.total_admission_dropped for server in servers),
+            updates_discarded=sum(server.table.updates_discarded for server in servers),
             slow_ticks=counters.slow_ticks if counters else 0,
             active_nodes=(
                 int(active.sum()) if active is not None else self.n_nodes
             ),
+            cross_handoffs=self.total_cross_handoffs,
+            updates_orphaned=sum(server.table.updates_orphaned for server in servers),
         )

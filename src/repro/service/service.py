@@ -1,12 +1,13 @@
 """The live asyncio façade over a LIRA deployment.
 
-:class:`LiraService` wraps the same components the systems loop wires
-together — :class:`~repro.server.cq_server.MobileCQServer` (bounded
-queue + node table), :class:`~repro.core.shedder.LiraLoadShedder`
-(GRIDREDUCE + GREEDYINCREMENT + THROTLOOP), and the
+:class:`LiraService` fronts one :class:`~repro.server.shard.LiraShard`
+— the same slice the systems loop coordinates:
+:class:`~repro.server.cq_server.MobileCQServer` (bounded queue + node
+table), :class:`~repro.core.shedder.LiraLoadShedder` (GRIDREDUCE +
+GREEDYINCREMENT + THROTLOOP), and the
 :class:`~repro.server.protocol.BaseStationNetwork` — behind a socket
-protocol, so real concurrent clients can drive it under wall-clock load
-instead of a lockstep tick loop.  Three concerns run decoupled, exactly
+protocol, so real concurrent clients (the shard's node side) can drive
+it under wall-clock load instead of a lockstep tick loop.  Three concerns run decoupled, exactly
 as the paper's architecture separates them:
 
 * **ingest** — clients stream ``ingest`` frames of position reports;
@@ -20,10 +21,11 @@ as the paper's architecture separates them:
   (so spare capacity acks it in the same dispatch) and on a periodic
   timer (which drains a backlog and samples the optional
   :class:`~repro.faults.FaultInjector` slowdown seam);
-* **adaptation** — a periodic task closes a load-measurement period,
-  steps THROTLOOP, recomputes the shedding plan from the *believed*
-  node state, installs it into the station network, and pushes it to
-  every subscribed client.
+* **adaptation** — a periodic task runs the shard's control step
+  (:meth:`~repro.server.shard.LiraShard.control_step`: close a
+  load-measurement period, step THROTLOOP, recompute the shedding plan,
+  install it into the station network) on the *believed* node state,
+  and pushes the result to every subscribed client.
 
 Every timestamp flows through the :data:`repro.timing.Clock` seam —
 :func:`repro.timing.monotonic` in production (comparable across
@@ -48,17 +50,15 @@ from typing import Any, Coroutine
 import numpy as np
 
 from repro import sanitize, timing
-from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
-from repro.core.greedy import RegionStats
+from repro.core import LiraConfig
 from repro.core.incremental import IncrementalGridReduceCache
-from repro.core.plan import PlanDelta, SheddingPlan, clamp_thresholds
+from repro.core.plan import PlanDelta, SheddingPlan
 from repro.core.reduction import AnalyticReduction, ReductionFunction
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.server.base_station import place_uniform_stations
-from repro.server.cq_server import MobileCQServer
-from repro.server.protocol import BaseStationNetwork
+from repro.server.shard import LiraShard
 from repro.server.system import POLICIES
 from repro.service.framing import Frame, FrameError, encode_frame, read_frame
 
@@ -308,31 +308,28 @@ class LiraService:
         self.incremental = incremental
         self.adapt_period = adapt_period
         self.pump_period = pump_period
-        self.server = MobileCQServer(
+        self.shard = LiraShard(
+            0,
+            place_uniform_stations(bounds, station_radius),
             bounds,
             n_nodes,
             queries,
-            service_rate=service_rate,
-            queue_capacity=queue_capacity,
-            batch_ingest=True,
-        )
-        self.shedder = LiraLoadShedder(
-            self.config,
             reduction,
-            queue_capacity=queue_capacity,
-            engine="vector",
+            self.config,
+            service_rate,
+            queue_capacity,
+            adaptive_throttle=True,
+            policy=policy,
+            policy_seed=0,
             incremental=incremental,
         )
-        self.shedder.use_adaptive_throttle()
+        self.server = self.shard.server
+        self.shedder = self.shard.shedder
+        self.network = self.shard.network
         self.shedder.throtloop.utilization_target = utilization_target
         self.shedder.throtloop.smoothing = throttle_smoothing
-        self.network = BaseStationNetwork(
-            place_uniform_stations(bounds, station_radius)
-        )
         self.counters = ServiceCounters()
-        self.plan: SheddingPlan | None = None
         self.plan_generated_t = 0.0
-        self._trivial_plan_cache: SheddingPlan | None = None
         # Delta-broadcast state of the last install: the delta that
         # carried the previous plan to the current one (None = full
         # install), which stations actually saw new content (None =
@@ -414,43 +411,25 @@ class LiraService:
         self.pump_once(dt, rate_factor)
         return self._complete_acks()
 
-    def adapt_once(self) -> SheddingPlan:
-        """One adaptation: measure load, step THROTLOOP, install a plan.
+    @property
+    def plan(self) -> SheddingPlan | None:
+        """The plan the station network currently serves."""
+        return self.shard.plan
 
-        Mirrors :meth:`repro.server.system.LiraSystem.adapt`, with the
-        believed node state standing in for the simulator's ground
-        truth — a live server only knows what was reported to it.
+    def adapt_once(self) -> SheddingPlan:
+        """One adaptation: the shard's control step on believed state.
+
+        The same step :meth:`repro.server.system.LiraSystem.adapt` runs,
+        with the believed node state standing in for the simulator's
+        ground truth — a live server only knows what was reported to it.
         """
         now = self.clock()
-        # Under REPRO_SANITIZE=1 any hidden global-RNG draw in the
-        # adaptation path raises instead of silently de-seeding runs.
-        with sanitize.rng_discipline():
-            measurement = self.server.take_load_measurement()
-            if measurement.period > 0:
-                # Routes through ThrotLoop.step(), which tolerates a
-                # stalled μ <= 0 measurement (collapse to z_floor under
-                # load, reopen when idle) instead of raising
-                # mid-adaptation.
-                self.shedder.observe_load(
-                    measurement.arrival_rate, self.server.service_rate
-                )
-            plan: SheddingPlan | None = None
-            if self.policy == "lira":
-                plan = self._lira_plan(now)
-            if plan is None:
-                plan = self._trivial_plan()
-            previous = self.plan
-            delta: PlanDelta | None = None
-            if self.incremental and previous is not None:
-                if previous is plan:
-                    # Unchanged content (the shedder returned the same
-                    # object): the network and every subscriber already
-                    # hold it — no install, nothing to push.
-                    self.counters.plans_computed += 1
-                    self._plan_dirty = False
-                    return plan
-                delta = previous.diff(plan)
-            delivered = self.network.install_plan(plan, t=now, delta=delta)
+        plan, delta, delivered = self.shard.control_step(*self._believed(now), now)
+        self.counters.plans_computed += 1
+        # Unchanged content (nothing installed): the network and every
+        # subscriber already hold it — nothing to push.
+        self._plan_dirty = delivered is not None
+        if delivered is not None:
             self._last_delta = delta
             # A delta install re-delivers only stations whose subset
             # changed; a full install re-delivers everyone (None =
@@ -458,18 +437,16 @@ class LiraService:
             self._changed_stations = (
                 frozenset(delivered) if delta is not None else None
             )
-            self._plan_dirty = True
-            self.plan = plan
             self.plan_generated_t = now
-            self.counters.plans_computed += 1
-            return plan
+        return plan
 
-    def _lira_plan(self, now: float) -> SheddingPlan | None:
-        """A region plan from believed state; ``None`` before any report."""
+    def _believed(self, now: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Believed ``(positions, speeds)`` of the known nodes at ``now``;
+        ``(None, None)`` before any report."""
         table = self.server.table
         known = np.flatnonzero(table.known_mask)
         if known.size == 0:
-            return None
+            return None, None
         believed = table.predict(now)[known]
         # Clamp believed positions into bounds: extrapolating a stale
         # model can walk a node outside the monitoring region, and the
@@ -477,29 +454,7 @@ class LiraService:
         believed[:, 0] = np.clip(believed[:, 0], self.bounds.x1, self.bounds.x2)
         believed[:, 1] = np.clip(believed[:, 1], self.bounds.y1, self.bounds.y2)
         vel = table.velocities[known]
-        speeds = np.hypot(vel[:, 0], vel[:, 1])
-        grid = StatisticsGrid.from_snapshot(
-            self.bounds,
-            self.config.resolved_alpha,
-            believed,
-            speeds,
-            self.server.queries,
-        )
-        return self.shedder.adapt(grid)
-
-    def _trivial_plan(self) -> SheddingPlan:
-        """One region at Δ⊢ (no source throttling); memoized."""
-        if self._trivial_plan_cache is None:
-            region = RegionStats(rect=self.bounds, n=0.0, m=0.0, s=0.0)
-            self._trivial_plan_cache = SheddingPlan.from_regions(
-                bounds=self.bounds,
-                regions=[region],
-                thresholds=clamp_thresholds(
-                    np.array([self.config.delta_min]), self.config
-                ),
-                resolution=1,
-            )
-        return self._trivial_plan_cache
+        return believed, np.hypot(vel[:, 0], vel[:, 1])
 
     def stats_meta(self) -> dict:
         """The ``stats`` frame payload: one consistent snapshot."""

@@ -23,10 +23,9 @@ class LiraPolicy(SheddingPolicy):
         self,
         config: LiraConfig,
         reduction: ReductionFunction,
-        engine: str = "object",
     ) -> None:
         self.config = config
-        self.shedder = LiraLoadShedder(config, reduction, engine=engine)
+        self.shedder = LiraLoadShedder(config, reduction)
         self.alpha = config.resolved_alpha
         self.plan: SheddingPlan | None = None
 

@@ -27,12 +27,10 @@ class LiraGridPolicy(SheddingPolicy):
         self,
         config: LiraConfig,
         reduction: ReductionFunction,
-        engine: str = "object",
     ) -> None:
         self.config = config
         self.reduction = reduction.piecewise(config.n_segments)
         self.alpha = config.resolved_alpha
-        self.engine = engine
         self.plan: SheddingPlan | None = None
 
     def adapt(self, grid: StatisticsGrid, z: float) -> None:
@@ -44,7 +42,6 @@ class LiraGridPolicy(SheddingPolicy):
             increment=self.config.increment,
             fairness=self.config.fairness,
             use_speed=self.config.use_speed,
-            engine=self.engine,
         )
         self.plan = SheddingPlan.from_regions(
             bounds=grid.bounds,

@@ -38,9 +38,10 @@ from repro.core.reduction import PiecewiseLinearReduction
 from repro.trace import TRACE_FORMAT_VERSION, Trace
 
 #: Bumped whenever cached artifacts would no longer be reproducible from
-#: the same spec (e.g. a change to the trace engines or the road-network
-#: generator).  Old entries are simply never looked up again.
-CACHE_FORMAT_VERSION = 1
+#: the same spec (e.g. a change to the trace engine or the road-network
+#: generator) or the spec's key fields change (2: ``engine`` left the
+#: key).  Old entries are simply never looked up again.
+CACHE_FORMAT_VERSION = 2
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_NO_CACHE = "REPRO_NO_CACHE"

@@ -80,7 +80,6 @@ def _cached_trace(
     seed: int,
     side_meters: float,
     collector_spacing: float,
-    engine: str,
 ) -> Trace:
     key = cache.cache_key(
         "default-scene-trace",
@@ -90,7 +89,6 @@ def _cached_trace(
         seed=seed,
         side_meters=side_meters,
         collector_spacing=collector_spacing,
-        engine=engine,
     )
     cached = cache.load_trace(key)
     if cached is not None:
@@ -98,9 +96,7 @@ def _cached_trace(
     network, traffic = make_default_scene(
         side_meters=side_meters, seed=seed, collector_spacing=collector_spacing
     )
-    generator = TraceGenerator(
-        network, traffic, n_vehicles=n_nodes, seed=seed, engine=engine
-    )
+    generator = TraceGenerator(network, traffic, n_vehicles=n_nodes, seed=seed)
     trace = generator.generate(duration=duration, dt=dt, warmup=10 * dt)
     cache.store_trace(key, trace)
     return trace
@@ -145,11 +141,8 @@ def _cached_scenario(
     delta_max: float,
     reduction_kind: str,
     reduction_samples: int,
-    engine: str,
 ) -> Scenario:
-    trace = _cached_trace(
-        n_nodes, duration, dt, seed, side_meters, collector_spacing, engine
-    )
+    trace = _cached_trace(n_nodes, duration, dt, seed, side_meters, collector_spacing)
     queries = generate_workload(
         trace.bounds,
         max(1, int(round(mn_ratio * n_nodes))),
@@ -168,7 +161,6 @@ def _cached_scenario(
                 "seed": seed,
                 "side_meters": side_meters,
                 "collector_spacing": collector_spacing,
-                "engine": engine,
             },
             delta_min,
             delta_max,
@@ -202,15 +194,13 @@ def build_scenario(
     delta_max: float = 100.0,
     reduction: str = "empirical",
     reduction_samples: int = 12,
-    engine: str = "fleet",
 ) -> Scenario:
     """Build (or fetch from cache) a complete experiment scenario.
 
     Defaults mirror the paper: ~200 km^2 region, m/n = 0.01, w = 1000 m,
     proportional query distribution, Δ ∈ [5, 100] m, and an empirically
     measured reduction function.  The trace and reduction curve hit the
-    in-process memo first and the persistent cache second; ``engine``
-    selects the trace engine (see :class:`~repro.trace.TraceGenerator`).
+    in-process memo first and the persistent cache second.
     """
     return _cached_scenario(
         n_nodes,
@@ -226,7 +216,6 @@ def build_scenario(
         delta_max,
         reduction,
         reduction_samples,
-        engine,
     )
 
 
@@ -234,19 +223,14 @@ def make_policies(
     scenario: Scenario,
     config: LiraConfig,
     include: tuple[str, ...] = ("lira", "lira-grid", "uniform", "random-drop"),
-    engine: str = "object",
 ) -> dict[str, SheddingPolicy]:
     """Instantiate the paper's four policies for a scenario.
 
     Keys: ``lira``, ``lira-grid``, ``uniform``, ``random-drop``.
-    ``engine`` selects the adapt-path kernels for the LIRA variants
-    (``"vector"`` runs the bit-identical array kernels).
     """
     factories = {
-        "lira": lambda: LiraPolicy(config, scenario.reduction, engine=engine),
-        "lira-grid": lambda: LiraGridPolicy(
-            config, scenario.reduction, engine=engine
-        ),
+        "lira": lambda: LiraPolicy(config, scenario.reduction),
+        "lira-grid": lambda: LiraGridPolicy(config, scenario.reduction),
         "uniform": lambda: UniformDeltaPolicy(scenario.reduction),
         "random-drop": lambda: RandomDropPolicy(delta_min=scenario.delta_min),
     }

@@ -1,16 +1,13 @@
 """Mobile-node trace substrate: vehicle simulation and trace containers."""
 
 from repro.trace.fleet import FleetEngine
-from repro.trace.generator import ENGINES, TraceGenerator, generate_default_trace
+from repro.trace.generator import TraceGenerator, generate_default_trace
 from repro.trace.trace import TRACE_FORMAT_VERSION, Trace
-from repro.trace.vehicle import Vehicle
 
 __all__ = [
-    "ENGINES",
     "FleetEngine",
     "TRACE_FORMAT_VERSION",
     "Trace",
     "TraceGenerator",
-    "Vehicle",
     "generate_default_trace",
 ]

@@ -1,8 +1,8 @@
 """Vectorized struct-of-arrays fleet engine for trace generation.
 
-The object path (:class:`~repro.trace.vehicle.Vehicle`) steps one car at
-a time with per-vehicle RNG calls; at the paper's population sizes that
-loop dominates scenario-build time.  :class:`FleetEngine` keeps the whole
+The per-vehicle reference (``tests/oracles/vehicles.py``) steps one car
+at a time with per-vehicle RNG calls; at the paper's population sizes
+that loop would dominate scenario-build time.  :class:`FleetEngine` keeps the whole
 fleet in numpy arrays (``seg_id``, ``origin_node``, ``offset``,
 ``speed_factor``, ``speed``) and advances every vehicle per tick with a
 handful of array operations:
@@ -15,11 +15,11 @@ handful of array operations:
   ``searchsorted`` over uniforms instead of a per-vehicle ``rng.choice``.
 
 The engine is fully deterministic given its RNG (bit-reproducible across
-runs for a fixed seed) and statistically equivalent to the object path —
+runs for a fixed seed) and statistically equivalent to the reference —
 same seeding distribution, same per-segment speed law, same
 traffic-weighted turn distribution — but it consumes the RNG stream in
-batched order, so individual vehicle paths differ from the object
-engine's.  See DESIGN.md ("Fleet-engine RNG semantics") for the exact
+batched order, so individual vehicle paths differ from the
+reference's.  See DESIGN.md ("Fleet-engine RNG semantics") for the exact
 contract.
 """
 

@@ -5,16 +5,11 @@ onto segments proportionally to traffic volume, then stepped forward in
 discrete time; the resulting :class:`~repro.trace.trace.Trace` has the
 skewed density and class-dependent speed heterogeneity LIRA exploits.
 
-Two interchangeable engines step the fleet:
-
-* ``engine="fleet"`` (default) — :class:`~repro.trace.fleet.FleetEngine`,
-  struct-of-arrays numpy stepping; the fast path.
-* ``engine="object"`` — the original per-:class:`Vehicle` loop; the
-  reference implementation the fleet engine is validated against.
-
-Both are deterministic given ``seed``; they draw from the RNG in
-different orders, so they produce statistically equivalent but not
-identical traces (see DESIGN.md).
+The fleet is stepped by :class:`~repro.trace.fleet.FleetEngine`
+(struct-of-arrays numpy stepping), deterministic given ``seed``.  The
+per-vehicle loop it is validated against (``tests/oracles/vehicles.py``)
+draws from the RNG in a different order, so the two produce
+statistically equivalent but not identical traces (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -24,9 +19,6 @@ import numpy as np
 from repro.roadnet import RoadNetwork, TrafficVolumeModel
 from repro.trace.fleet import FleetEngine
 from repro.trace.trace import Trace
-from repro.trace.vehicle import Vehicle
-
-ENGINES = ("fleet", "object")
 
 
 class TraceGenerator:
@@ -43,43 +35,15 @@ class TraceGenerator:
         traffic: TrafficVolumeModel,
         n_vehicles: int,
         seed: int = 7,
-        engine: str = "fleet",
     ) -> None:
         if n_vehicles <= 0:
             raise ValueError("n_vehicles must be positive")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.network = network
         self.traffic = traffic
         self.n_vehicles = n_vehicles
         self.seed = seed
-        self.engine = engine
         self._rng = np.random.default_rng(seed)
-        if engine == "fleet":
-            self._fleet = FleetEngine(network, traffic, n_vehicles, self._rng)
-            self.vehicles: list[Vehicle] = []
-        else:
-            self._fleet = None
-            self.vehicles = self._seed_vehicles()
-
-    def _seed_vehicles(self) -> list[Vehicle]:
-        probs = self.traffic.sampling_probabilities()
-        seg_choices = self._rng.choice(len(probs), size=self.n_vehicles, p=probs)
-        vehicles = []
-        for seg_id in seg_choices:
-            seg = self.network.segments[int(seg_id)]
-            origin = seg.a if self._rng.random() < 0.5 else seg.b
-            offset = float(self._rng.uniform(0.0, seg.length))
-            speed_factor = float(self._rng.uniform(0.65, 1.0))
-            vehicles.append(
-                Vehicle(
-                    seg_id=int(seg_id),
-                    origin_node=origin,
-                    offset=offset,
-                    speed_factor=speed_factor,
-                )
-            )
-        return vehicles
+        self._fleet = FleetEngine(network, traffic, n_vehicles, self._rng)
 
     def generate(
         self,
@@ -98,39 +62,17 @@ class TraceGenerator:
             raise ValueError("duration and dt must be positive")
         warmup_steps = int(round(warmup / dt))
         for _ in range(warmup_steps):
-            self._step_all(dt)
+            self._fleet.step(dt, self._rng)
 
         num_ticks = int(np.ceil(duration / dt))
         positions = np.empty((num_ticks, self.n_vehicles, 2), dtype=np.float64)
         velocities = np.empty_like(positions)
         for t in range(num_ticks):
-            self._record(positions[t], velocities[t])
-            self._step_all(dt)
+            self._fleet.record(positions[t], velocities[t])
+            self._fleet.step(dt, self._rng)
         return Trace(
             bounds=self.network.bounds, dt=dt, positions=positions, velocities=velocities
         )
-
-    def _step_all(self, dt: float) -> None:
-        if self._fleet is not None:
-            self._fleet.step(dt, self._rng)
-            return
-        for vehicle in self.vehicles:
-            vehicle.step(self.network, self.traffic, dt, self._rng)
-
-    def _record(self, pos_out: np.ndarray, vel_out: np.ndarray) -> None:
-        if self._fleet is not None:
-            self._fleet.record(pos_out, vel_out)
-            return
-        for i, vehicle in enumerate(self.vehicles):
-            p = vehicle.position(self.network)
-            h = vehicle.heading(self.network)
-            speed = vehicle.speed or (
-                vehicle.current_speed_limit(self.network) * vehicle.speed_factor
-            )
-            pos_out[i, 0] = p.x
-            pos_out[i, 1] = p.y
-            vel_out[i, 0] = h.x * speed
-            vel_out[i, 1] = h.y * speed
 
 
 def generate_default_trace(
@@ -139,7 +81,6 @@ def generate_default_trace(
     dt: float = 10.0,
     seed: int = 7,
     side_meters: float = 14_000.0,
-    engine: str = "fleet",
 ) -> Trace:
     """One-call trace: default scene + generator + one-hour simulation.
 
@@ -149,7 +90,5 @@ def generate_default_trace(
     from repro.roadnet import make_default_scene
 
     network, traffic = make_default_scene(side_meters=side_meters, seed=seed)
-    generator = TraceGenerator(
-        network, traffic, n_vehicles=n_vehicles, seed=seed, engine=engine
-    )
+    generator = TraceGenerator(network, traffic, n_vehicles=n_vehicles, seed=seed)
     return generator.generate(duration=duration, dt=dt, warmup=10 * dt)

@@ -1,0 +1,9 @@
+"""Reference implementations the runtime kernels are validated against.
+
+Every module here is the readable, per-element form of an algorithm
+whose only runtime implementation under ``src/`` is the array form:
+the scalar GREEDYINCREMENT heap loop, per-node CALCERRGAIN/GRIDREDUCE,
+the per-``MobileNode`` systems loop with its per-message bounded queue,
+and the per-``Vehicle`` trace loop.  The equivalence suites call them
+directly; nothing under ``src/`` imports them.
+"""

@@ -1,4 +1,10 @@
-"""Single-vehicle movement model on a road network.
+"""Per-vehicle trace generation: the oracle for ``FleetEngine``.
+
+One :class:`Vehicle` object per car, stepped one at a time with
+per-vehicle RNG calls.  The fleet engine draws its random numbers in a
+batched order, so individual paths differ; the two must agree
+*statistically* (speed distribution, density skew, dead-reckoning
+report rates — ``tests/test_fleet_engine.py``).
 
 Vehicles follow road segments at a per-class speed, turn at intersections
 with probabilities proportional to traffic weights (so they gravitate to
@@ -15,6 +21,7 @@ import numpy as np
 
 from repro.geo import Point
 from repro.roadnet import RoadNetwork, TrafficVolumeModel
+from repro.trace import Trace
 
 #: Cap on intersection turns within a single ``step`` call.  A vehicle
 #: that reaches a zero-length segment makes no progress (``distance_left
@@ -54,8 +61,8 @@ class Vehicle:
         b = network.nodes[seg.other_end(self.origin_node)]
         d = b - a
         norm = d.norm()
-        # reprolint: disable=REP010 - exact guard against a zero-length
-        # segment vector; any nonzero norm, however tiny, divides fine.
+        # Exact guard against a zero-length segment vector; any nonzero
+        # norm, however tiny, divides fine.
         if norm == 0.0:
             return Point(0.0, 0.0)
         return Point(d.x / norm, d.y / norm)
@@ -119,3 +126,52 @@ class Vehicle:
         self.seg_id = choice
         self.origin_node = node
         self.offset = 0.0
+
+
+def generate_reference_trace(
+    network: RoadNetwork,
+    traffic: TrafficVolumeModel,
+    n_vehicles: int,
+    seed: int,
+    duration: float,
+    dt: float = 10.0,
+    warmup: float = 0.0,
+) -> Trace:
+    """``TraceGenerator(...).generate(...)`` on the per-vehicle loop."""
+    rng = np.random.default_rng(seed)
+    probs = traffic.sampling_probabilities()
+    vehicles = []
+    for seg_id in rng.choice(len(probs), size=n_vehicles, p=probs):
+        seg = network.segments[int(seg_id)]
+        origin = seg.a if rng.random() < 0.5 else seg.b
+        offset = float(rng.uniform(0.0, seg.length))
+        speed_factor = float(rng.uniform(0.65, 1.0))
+        vehicles.append(
+            Vehicle(
+                seg_id=int(seg_id),
+                origin_node=origin,
+                offset=offset,
+                speed_factor=speed_factor,
+            )
+        )
+
+    def step_all() -> None:
+        for vehicle in vehicles:
+            vehicle.step(network, traffic, dt, rng)
+
+    for _ in range(int(round(warmup / dt))):
+        step_all()
+    num_ticks = int(np.ceil(duration / dt))
+    positions = np.empty((num_ticks, n_vehicles, 2), dtype=np.float64)
+    velocities = np.empty_like(positions)
+    for t in range(num_ticks):
+        for i, vehicle in enumerate(vehicles):
+            p = vehicle.position(network)
+            h = vehicle.heading(network)
+            speed = vehicle.speed or (
+                vehicle.current_speed_limit(network) * vehicle.speed_factor
+            )
+            positions[t, i] = p.x, p.y
+            velocities[t, i] = h.x * speed, h.y * speed
+        step_all()
+    return Trace(bounds=network.bounds, dt=dt, positions=positions, velocities=velocities)

@@ -2,7 +2,7 @@
 
 The array kernels in :mod:`repro.core.greedy_vector` and the batched
 CALCERRGAIN in :mod:`repro.core.gridreduce` promise *bit-identical*
-results to the object reference loops — same thresholds (to the last
+results to the scalar reference loops in ``tests/oracles`` — same thresholds (to the last
 ulp), same expenditure, same step counts, same partitioning.  These
 tests enforce that contract with hypothesis-driven random problems,
 hand-built edge cases (budget landings, gain ties, flat reduction
@@ -28,6 +28,9 @@ from repro.core.greedy import RegionStats
 from repro.core.greedy_vector import greedy_increment_arrays
 from repro.geo import Rect
 from repro.queries import RangeQuery
+
+from tests.oracles.greedy import greedy_increment_reference
+from tests.oracles.gridreduce import grid_reduce_reference, reference_plan
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -112,13 +115,13 @@ class TestGreedyVectorEquivalence:
     def test_random_problems_bit_identical(
         self, regions, reduction, z, fairness, use_speed
     ):
-        obj = greedy_increment(
+        obj = greedy_increment_reference(
             regions, reduction, z, fairness=fairness,
-            use_speed=use_speed, engine="object",
+            use_speed=use_speed,
         )
         vec = greedy_increment(
             regions, reduction, z, fairness=fairness,
-            use_speed=use_speed, engine="vector",
+            use_speed=use_speed,
         )
         assert_results_identical(obj, vec)
 
@@ -133,11 +136,11 @@ class TestGreedyVectorEquivalence:
             np.linspace(5.0, 100.0, 20), np.linspace(1.0, 0.1, 20)
         )
         for fairness in (1e-9, 1e-6, (100.0 - 5.0) * 1e-4 * 0.999):
-            obj = greedy_increment(
-                regions, reduction, 0.5, fairness=fairness, engine="object"
+            obj = greedy_increment_reference(
+                regions, reduction, 0.5, fairness=fairness
             )
             vec = greedy_increment(
-                regions, reduction, 0.5, fairness=fairness, engine="vector"
+                regions, reduction, 0.5, fairness=fairness
             )
             assert_results_identical(obj, vec, f"fairness={fairness}")
             spread = vec.thresholds.max() - vec.thresholds.min()
@@ -154,8 +157,8 @@ class TestGreedyVectorEquivalence:
             np.linspace(5.0, 65.0, 7), np.array([1.0, 0.8, 0.55, 0.4, 0.3, 0.25, 0.22])
         )
         for z in (0.31, 0.415, 0.77):
-            obj = greedy_increment(regions, reduction, z, engine="object")
-            vec = greedy_increment(regions, reduction, z, engine="vector")
+            obj = greedy_increment_reference(regions, reduction, z)
+            vec = greedy_increment(regions, reduction, z)
             assert_results_identical(obj, vec, f"z={z}")
             # The landing really is mid-segment (not knot-aligned).
             offsets = (vec.thresholds - 5.0) / reduction.segment_size
@@ -172,11 +175,11 @@ class TestGreedyVectorEquivalence:
             np.linspace(5.0, 55.0, 6), np.array([1.0, 0.7, 0.5, 0.38, 0.31, 0.27])
         )
         for z, fairness in ((0.3, None), (0.55, None), (0.4, 25.0)):
-            obj = greedy_increment(
-                regions, reduction, z, fairness=fairness, engine="object"
+            obj = greedy_increment_reference(
+                regions, reduction, z, fairness=fairness
             )
             vec = greedy_increment(
-                regions, reduction, z, fairness=fairness, engine="vector"
+                regions, reduction, z, fairness=fairness
             )
             assert_results_identical(obj, vec, f"z={z} fairness={fairness}")
 
@@ -191,13 +194,13 @@ class TestGreedyVectorEquivalence:
         )
         for z in (0.1, 0.35, 0.6, 0.9):
             for fairness in (None, 15.0):
-                obj = greedy_increment(
+                obj = greedy_increment_reference(
                     regions, reduction, z, fairness=fairness,
-                    use_speed=False, engine="object",
+                    use_speed=False,
                 )
                 vec = greedy_increment(
                     regions, reduction, z, fairness=fairness,
-                    use_speed=False, engine="vector",
+                    use_speed=False,
                 )
                 assert_results_identical(obj, vec, f"z={z} fairness={fairness}")
 
@@ -253,9 +256,9 @@ class TestBatchedKernels:
                 )
                 for j in range(a)
             ]
-            obj = greedy_increment(
+            obj = greedy_increment_reference(
                 regions, reduction, z, fairness=None,
-                use_speed=use_speed, engine="object",
+                use_speed=use_speed,
             )
             assert_results_identical(obj, results[p], f"problem {p}")
 
@@ -307,7 +310,7 @@ class TestBatchedKernels:
         )
         batched = greedy_increment_arrays(n, m, s, pw, 0.4, True)
         for problem, got in zip(problems, batched):
-            obj = greedy_increment(problem, reduction, 0.4, engine="object")
+            obj = greedy_increment_reference(problem, reduction, 0.4)
             assert_results_identical(obj, got)
 
 
@@ -344,8 +347,8 @@ class TestAdaptPipelineEquivalence:
                 )
             ),
         )
-        obj = grid_reduce(hierarchy, 13, 0.5, reduction, engine="object")
-        vec = grid_reduce(hierarchy, 13, 0.5, reduction, engine="vector")
+        obj = grid_reduce_reference(hierarchy, 13, 0.5, reduction)
+        vec = grid_reduce(hierarchy, 13, 0.5, reduction)
         assert obj.expansions == vec.expansions
         assert len(obj.regions) == len(vec.regions)
         for ro, rv in zip(obj.regions, vec.regions):
@@ -365,12 +368,9 @@ class TestAdaptPipelineEquivalence:
             ),
         )
         config = LiraConfig(l=13, alpha=32, fairness=fairness)
-        plans = {}
-        for engine in ("object", "vector"):
-            shedder = LiraLoadShedder(config, reduction, engine=engine)
-            shedder.set_throttle_fraction(0.5)
-            plans[engine] = shedder.adapt(grid)
-        obj, vec = plans["object"], plans["vector"]
+        shedder = LiraLoadShedder(config, reduction)
+        shedder.set_throttle_fraction(0.5)
+        obj, vec = reference_plan(config, reduction, grid, 0.5), shedder.adapt(grid)
         assert len(obj.regions) == len(vec.regions)
         for ro, rv in zip(obj.regions, vec.regions):
             assert ro.rect == rv.rect

@@ -7,8 +7,10 @@ import pytest
 from scipy.optimize import linprog
 
 from repro.core import PiecewiseLinearReduction, greedy_increment
-from repro.core.greedy import RegionStats, _MinMultiset
+from repro.core.greedy import RegionStats
 from repro.geo import Rect
+
+from tests.oracles.greedy import _MinMultiset
 
 
 def make_regions(ns, ms, ss=None) -> list[RegionStats]:

@@ -6,13 +6,14 @@ import pytest
 from repro.core import (
     RegionHierarchy,
     StatisticsGrid,
-    calc_err_gain,
     effective_region_count,
     grid_reduce,
     uniform_partitioning,
 )
 from repro.geo import Point, Rect
 from repro.queries import RangeQuery
+
+from tests.oracles.gridreduce import calc_err_gain, grid_reduce_reference
 
 BOUNDS = Rect(0.0, 0.0, 160.0, 160.0)
 
@@ -109,8 +110,8 @@ class TestGatheredRegions:
         pw = reduction.piecewise(19)
         seen_levels = set()
         for l in (1, 4, 7, 16, 40, 100, 250, 400):
-            for engine in ("object", "vector"):
-                result = grid_reduce(hierarchy, l, 0.5, pw, engine=engine)
+            for reduce in (grid_reduce_reference, grid_reduce):
+                result = reduce(hierarchy, l, 0.5, pw)
                 assert result.coords == sorted(result.coords)
                 assert len(result.coords) == result.num_regions
                 for coord, region in zip(result.coords, result.regions):
@@ -173,8 +174,8 @@ class TestFrontierLookahead:
         hierarchy = RegionHierarchy(grid)
         cache = IncrementalGridReduceCache()
         pw = reduction.piecewise(19)
-        result = grid_reduce(hierarchy, 25, 0.5, pw, engine="vector", cache=cache)
-        assert result.regions == grid_reduce(hierarchy, 25, 0.5, pw).regions
+        result = grid_reduce(hierarchy, 25, 0.5, pw, cache=cache)
+        assert result.regions == grid_reduce_reference(hierarchy, 25, 0.5, pw).regions
         pushed = set(cache.trajectory.scored)
         speculated = {
             (level, int(i), int(j))

@@ -16,17 +16,17 @@ from repro.roadnet import RoadClass, RoadNetwork, TrafficVolumeModel
 from repro.trace import FleetEngine, TraceGenerator
 from repro.trace.fleet import MAX_TURNS_PER_TICK
 
+from tests.oracles.vehicles import generate_reference_trace
+
 
 @pytest.fixture(scope="module")
 def engine_traces(small_scene):
     """Object and fleet traces of the same population on the same scene."""
     network, traffic = small_scene
 
-    def build(engine):
-        gen = TraceGenerator(network, traffic, n_vehicles=300, seed=3, engine=engine)
-        return gen.generate(duration=300.0, dt=10.0, warmup=50.0)
-
-    return build("object"), build("fleet")
+    run = dict(duration=300.0, dt=10.0, warmup=50.0)
+    fleet = TraceGenerator(network, traffic, n_vehicles=300, seed=3).generate(**run)
+    return generate_reference_trace(network, traffic, 300, seed=3, **run), fleet
 
 
 def star_network() -> tuple[RoadNetwork, TrafficVolumeModel]:
@@ -60,10 +60,10 @@ def RoadSegment_replace(seg, road_class):
 class TestDeterminism:
     def test_bit_reproducible_across_runs(self, small_scene):
         network, traffic = small_scene
-        a = TraceGenerator(network, traffic, 120, seed=11, engine="fleet").generate(
+        a = TraceGenerator(network, traffic, 120, seed=11).generate(
             150.0, 10.0, warmup=20.0
         )
-        b = TraceGenerator(network, traffic, 120, seed=11, engine="fleet").generate(
+        b = TraceGenerator(network, traffic, 120, seed=11).generate(
             150.0, 10.0, warmup=20.0
         )
         np.testing.assert_array_equal(a.positions, b.positions)
@@ -71,17 +71,18 @@ class TestDeterminism:
 
     def test_seeds_differ(self, small_scene):
         network, traffic = small_scene
-        a = TraceGenerator(network, traffic, 120, seed=11, engine="fleet").generate(
+        a = TraceGenerator(network, traffic, 120, seed=11).generate(
             150.0, 10.0
         )
-        b = TraceGenerator(network, traffic, 120, seed=12, engine="fleet").generate(
+        b = TraceGenerator(network, traffic, 120, seed=12).generate(
             150.0, 10.0
         )
         assert not np.array_equal(a.positions, b.positions)
 
     def test_unknown_engine_rejected(self, small_scene):
+        """There is one trace engine: the switch is not an argument any more."""
         network, traffic = small_scene
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             TraceGenerator(network, traffic, 10, engine="gpu")
 
 

@@ -21,6 +21,7 @@ from repro.core.greedy import RegionStats, _as_piecewise
 from repro.core.greedy_vector import greedy_increment_arrays
 from repro.core.incremental import _MIN_HORIZON, GreedyHorizon
 from repro.geo import Rect
+from tests.oracles.greedy import greedy_increment_reference
 from tests.test_adapt_vector import assert_results_identical
 
 
@@ -100,7 +101,7 @@ class TestHorizonEquivalence:
         self, rows, reduction, z, other_z, fairness, use_speed, depth
     ):
         regions = as_regions(rows)
-        ref = greedy_increment(
+        ref = greedy_increment_reference(
             regions, reduction, z, fairness=fairness, use_speed=use_speed
         )
         kappa = len(reduction.knots) - 1
@@ -109,12 +110,12 @@ class TestHorizonEquivalence:
         learned = GreedyHorizon()
         greedy_increment(
             regions, reduction, other_z, fairness=fairness, use_speed=use_speed,
-            engine="vector", horizon=learned,
+            horizon=learned,
         )
         for horizon in (GreedyHorizon(depth=depth), GreedyHorizon(depth=kappa), learned, learned):
             got = greedy_increment(
                 regions, reduction, z, fairness=fairness, use_speed=use_speed,
-                engine="vector", horizon=horizon,
+                horizon=horizon,
             )
             assert_results_identical(ref, got, f"hint {horizon}")
 
@@ -146,7 +147,7 @@ class TestHorizonEquivalence:
             )
             assert len(batch) == len(problems)
             for p, stats in enumerate(stacked):
-                ref = greedy_increment(
+                ref = greedy_increment_reference(
                     as_regions(map(tuple, stats)), reduction, z, use_speed=use_speed
                 )
                 assert_results_identical(ref, batch[p], f"row {p}")
@@ -173,8 +174,8 @@ class TestHorizonCounters:
     def test_shallow_budget_is_proved_at_the_floor(self):
         regions, reduction = self._regions(), _convex_reduction()
         horizon = GreedyHorizon()
-        got = greedy_increment(regions, reduction, 0.95, engine="vector", horizon=horizon)
-        assert_results_identical(greedy_increment(regions, reduction, 0.95), got)
+        got = greedy_increment(regions, reduction, 0.95, horizon=horizon)
+        assert_results_identical(greedy_increment_reference(regions, reduction, 0.95), got)
         assert horizon.retries == 0
         assert horizon.last_columns == _MIN_HORIZON
         assert horizon.table_entries == len(regions) * _MIN_HORIZON
@@ -184,15 +185,15 @@ class TestHorizonCounters:
         regions, reduction = self._regions(), _convex_reduction()
         kappa = 40
         horizon = GreedyHorizon()
-        ref = greedy_increment(regions, reduction, 0.3)
-        got = greedy_increment(regions, reduction, 0.3, engine="vector", horizon=horizon)
+        ref = greedy_increment_reference(regions, reduction, 0.3)
+        got = greedy_increment(regions, reduction, 0.3, horizon=horizon)
         assert_results_identical(ref, got)
         assert (horizon.retries, horizon.last_columns) == (1, kappa)
         assert horizon.table_entries == len(regions) * (_MIN_HORIZON + kappa)
         learned = horizon.depth
         assert _MIN_HORIZON <= learned < kappa // 2
         # The learned depth proves the next solve without a retry.
-        got = greedy_increment(regions, reduction, 0.3, engine="vector", horizon=horizon)
+        got = greedy_increment(regions, reduction, 0.3, horizon=horizon)
         assert_results_identical(ref, got)
         assert (horizon.retries, horizon.last_columns) == (1, 2 * learned)
         assert horizon.depth == learned
@@ -204,9 +205,9 @@ class TestHorizonCounters:
         reduction = _convex_reduction()
         for fairness in (None, 20.0):
             horizon = GreedyHorizon()
-            ref = greedy_increment(regions, reduction, 0.6, fairness=fairness)
+            ref = greedy_increment_reference(regions, reduction, 0.6, fairness=fairness)
             got = greedy_increment(
-                regions, reduction, 0.6, fairness=fairness, engine="vector", horizon=horizon
+                regions, reduction, 0.6, fairness=fairness, horizon=horizon
             )
             assert_results_identical(ref, got, f"fairness {fairness}")
             assert horizon.retries == 0
@@ -214,9 +215,9 @@ class TestHorizonCounters:
 
     def test_a_hint_from_nowhere_costs_a_retry_never_a_result(self):
         regions, reduction = self._regions(), _convex_reduction()
-        ref = greedy_increment(regions, reduction, 0.3)
+        ref = greedy_increment_reference(regions, reduction, 0.3)
         for depth in (0, 1, 3, 8, 1_000):
             horizon = GreedyHorizon(depth=depth)
-            got = greedy_increment(regions, reduction, 0.3, engine="vector", horizon=horizon)
+            got = greedy_increment(regions, reduction, 0.3, horizon=horizon)
             assert_results_identical(ref, got, f"depth {depth}")
             assert horizon.retries == (depth < 8)

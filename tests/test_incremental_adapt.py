@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
+from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid, grid_reduce
 from repro.core.plan import (
     PlanDelta,
     PlanEpochMismatch,
@@ -27,6 +27,8 @@ from repro.queries import RangeQuery
 from repro.server.base_station import BaseStation, coverage_mask
 from repro.server.node_engine import _ThresholdRaster
 from repro.server.protocol import BYTES_PER_REGION, BaseStationNetwork
+
+from tests.oracles.gridreduce import grid_reduce_reference, reference_plan
 
 SIDE = 1000.0
 BOUNDS = Rect(0.0, 0.0, SIDE, SIDE)
@@ -62,11 +64,13 @@ def _assert_same_content(a: SheddingPlan, b: SheddingPlan):
         assert (ra.n, ra.m, ra.s) == (rb.n, rb.m, rb.s)
 
 
-def _shedders(fairness, alpha=16, engine="vector", z=0.5):
-    reduction = AnalyticReduction(5.0, 100.0)
+REDUCTION = AnalyticReduction(5.0, 100.0)
+
+
+def _shedders(fairness, alpha=16, z=0.5):
     config = LiraConfig(l=13, alpha=alpha, fairness=fairness)
-    full = LiraLoadShedder(config, reduction, engine=engine)
-    inc = LiraLoadShedder(config, reduction, engine=engine, incremental=True)
+    full = LiraLoadShedder(config, REDUCTION)
+    inc = LiraLoadShedder(config, REDUCTION, incremental=True)
     full.set_throttle_fraction(z)
     inc.set_throttle_fraction(z)
     return full, inc
@@ -92,13 +96,15 @@ class TestIncrementalEquivalence:
             _drift(rng, positions, fraction)
 
     def test_object_engine_incremental_matches(self):
+        """Every incremental round ≡ a from-scratch round on the scalar oracle."""
         rng, positions, speeds, queries = _scenario(3)
-        full, inc = _shedders(fairness=50.0, engine="object")
+        _, inc = _shedders(fairness=50.0)
         for _ in range(3):
             grid = StatisticsGrid.from_snapshot(
                 BOUNDS, 16, positions, speeds, queries
             )
-            _assert_same_content(full.adapt(grid), inc.adapt(grid))
+            oracle = reference_plan(inc.config, REDUCTION, grid, 0.5)
+            _assert_same_content(oracle, inc.adapt(grid))
             _drift(rng, positions, 0.05)
 
     def test_z_change_invalidates_memo(self):
@@ -136,10 +142,9 @@ class TestIncrementalEquivalence:
         """The cold round: every cell dirty *and* z moved, hint retained."""
         rng, positions, speeds, queries = _scenario(seed)
         full, inc = _shedders(fairness=None)
-        oracle, _ = _shedders(fairness=None, engine="object")
         cache = inc.session.gridreduce
         for z in zs:
-            for shedder in (full, inc, oracle):
+            for shedder in (full, inc):
                 shedder.set_throttle_fraction(z)
             grid = StatisticsGrid.from_snapshot(
                 BOUNDS, 16, positions, speeds, queries
@@ -148,7 +153,7 @@ class TestIncrementalEquivalence:
             plan = inc.adapt(grid)
             assert cache.hits == hits
             _assert_same_content(full.adapt(grid), plan)
-            _assert_same_content(oracle.adapt(grid), plan)
+            _assert_same_content(reference_plan(inc.config, REDUCTION, grid, z), plan)
             _drift(rng, positions, 1.0)
 
     def test_unchanged_inputs_return_same_plan_object(self):
@@ -217,11 +222,11 @@ def _bench_hierarchy(positions, speeds, queries):
     )
 
 
-def _reduce(hierarchy, z, engine="vector", cache=None):
-    from repro.core import grid_reduce
-
+def _reduce(hierarchy, z, cache=None, reduce=grid_reduce):
     reduction = AnalyticReduction(5.0, 100.0).piecewise(95)
-    return grid_reduce(hierarchy, 250, z, reduction, engine=engine, cache=cache)
+    if cache is not None:
+        return reduce(hierarchy, 250, z, reduction, cache=cache)
+    return reduce(hierarchy, 250, z, reduction)
 
 
 class TestGainKernelCalls:
@@ -278,7 +283,7 @@ class TestGainKernelCalls:
         wrong = cache.trajectory
         _, positions, speeds, queries = _bench_scene(4)  # unrelated scene
         hierarchy = _bench_hierarchy(positions, speeds, queries)
-        reference = _reduce(hierarchy, 0.6, engine="object")
+        reference = _reduce(hierarchy, 0.6, reduce=grid_reduce_reference)
         hinted = _reduce(hierarchy, 0.6, cache=cache)
         assert set(wrong.result) != set(cache.trajectory.result)
         assert hinted.regions == reference.regions
@@ -293,7 +298,7 @@ class TestGreedyHorizonCounters:
         rng, positions, speeds, queries = _bench_scene(1)
         config = LiraConfig(l=250, alpha=128)
         inc = LiraLoadShedder(
-            config, AnalyticReduction(5.0, 100.0), engine="vector", incremental=True
+            config, AnalyticReduction(5.0, 100.0), incremental=True
         )
         inc.set_throttle_fraction(0.6)
         cache = inc.session.gridreduce

@@ -1,17 +1,17 @@
-"""Vectorized node-side engine: exact equivalence with the object path.
+"""Vectorized node-side engine: exact equivalence with the per-node oracle.
 
 The SoA engine (:class:`repro.server.VectorNodeEngine`) is only
 admissible because it is *bit-identical* to the per-``MobileNode``
-reference loop — not approximately equal.  These tests pin that
-contract at three levels:
+reference loop (``tests/oracles/system.py``) — not approximately equal.
+These tests pin that contract at three levels:
 
 * unit: :class:`StationAssigner` vs ``BaseStationNetwork.station_for``
   and the per-station threshold raster vs ``MobileNode`` lookups,
   including half-open region boundaries and overlap tie-breaking;
-* system: full ``LiraSystem`` runs at matched seeds must produce the
-  same sent-report counts, believed positions, stats counters, and
-  query results under both engines, for both policies, with and
-  without fault injection;
+* system: a ``LiraSystem`` run and a ``ReferenceLiraSystem`` run at
+  matched seeds must produce the same sent-report counts, believed
+  positions, stats counters, plans, thresholds, history and query
+  results, for both policies, with and without fault injection;
 * batched ingest: ``ArrayBoundedQueue`` and
   ``StatisticsGrid.ingest_updates`` against their scalar twins.
 """
@@ -28,29 +28,25 @@ from repro.core.plan import SheddingRegion
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Point, Rect
 from repro.server import (
-    NODE_ENGINES,
     BaseStation,
     BaseStationNetwork,
-    BoundedQueue,
     LiraSystem,
-    MobileNode,
     RegionSubset,
     StationAssigner,
     place_uniform_stations,
 )
-from repro.server.node_engine import (
-    ObjectNodeEngine,
-    VectorNodeEngine,
-    _ThresholdRaster,
-)
+from repro.server.node_engine import VectorNodeEngine, _ThresholdRaster
 from repro.server.queue import ArrayBoundedQueue
 
+from tests.oracles.system import (
+    BoundedQueue,
+    MobileNode,
+    ObjectNodeEngine,
+    ReferenceLiraSystem,
+    UpdateMessage,
+)
+
 BOUNDS = Rect(0.0, 0.0, 4000.0, 4000.0)
-
-#: SystemStats fields compared across engines (every field, by name, so
-#: a new field added to SystemStats is automatically covered).
-_STATS_FIELDS = None  # resolved lazily from the dataclass
-
 
 def _stats_fields(stats):
     return {name: getattr(stats, name) for name in stats.__dataclass_fields__}
@@ -415,9 +411,9 @@ class TestSparseBookkeeping:
 # ----------------------------------------------------------------------
 
 
-def _run_system(trace, queries, engine, policy="lira", spec=None, seed=9):
+def _run_system(trace, queries, system_cls, policy="lira", spec=None, seed=9):
     faults = FaultInjector(spec, seed=seed) if spec is not None else None
-    system = LiraSystem(
+    system = system_cls(
         bounds=trace.bounds,
         n_nodes=trace.num_nodes,
         queries=queries,
@@ -430,7 +426,6 @@ def _run_system(trace, queries, engine, policy="lira", spec=None, seed=9):
         faults=faults,
         policy=policy,
         policy_seed=3,
-        engine=engine,
     )
     system.bootstrap(trace.positions[0], trace.velocities[0])
     sent = []
@@ -469,10 +464,10 @@ class TestEngineEquivalence:
     ):
         spec = _FAULT_CASES[case]
         obj, sent_obj = _run_system(
-            small_trace, small_queries, "object", policy=policy, spec=spec
+            small_trace, small_queries, ReferenceLiraSystem, policy=policy, spec=spec
         )
         vec, sent_vec = _run_system(
-            small_trace, small_queries, "vector", policy=policy, spec=spec
+            small_trace, small_queries, LiraSystem, policy=policy, spec=spec
         )
         # Per-tick admitted-report counts.
         assert sent_obj == sent_vec
@@ -500,12 +495,25 @@ class TestEngineEquivalence:
             obj.evaluate_queries(t), vec.evaluate_queries(t)
         ):
             assert np.array_equal(res_obj, res_vec)
+        # The last plan installed, the thresholds the fleet ran the last
+        # tick on, and the whole report archive.
+        plan_obj, plan_vec = obj.plans[-1], vec.shards[0].plan
+        assert [(r.rect, r.delta, r.n, r.m, r.s) for r in plan_obj.regions] == [
+            (r.rect, r.delta, r.n, r.m, r.s) for r in plan_vec.regions
+        ]
+        assert np.array_equal(obj.fleet.thresholds, vec.fleet.thresholds)
+        size = obj.history.total_reports
+        assert size == vec.history.total_reports
+        for name in ("_times", "_ids", "_positions", "_velocities"):
+            assert np.array_equal(
+                getattr(obj.history, name)[:size], getattr(vec.history, name)[:size]
+            )
 
     def test_stored_region_counts_agree_without_churn(
         self, small_trace, small_queries
     ):
-        obj, _ = _run_system(small_trace, small_queries, "object")
-        vec, _ = _run_system(small_trace, small_queries, "vector")
+        obj, _ = _run_system(small_trace, small_queries, ReferenceLiraSystem)
+        vec, _ = _run_system(small_trace, small_queries, LiraSystem)
         assert np.array_equal(
             obj.node_engine.stored_region_counts(),
             vec.node_engine.stored_region_counts(),
@@ -515,15 +523,16 @@ class TestEngineEquivalence:
         self, small_trace, small_queries
     ):
         """The O(1) monotonic counter equals the O(N) reduction it replaced."""
-        for engine in NODE_ENGINES:
-            system, _ = _run_system(small_trace, small_queries, engine)
+        for system_cls in (LiraSystem, ReferenceLiraSystem):
+            system, _ = _run_system(small_trace, small_queries, system_cls)
             assert system.node_engine.total_handoffs == int(
                 system.node_engine.handoff_counts().sum()
             )
             assert system.stats().handoffs == system.node_engine.total_handoffs
 
     def test_unknown_engine_rejected(self, small_trace, small_queries):
-        with pytest.raises(ValueError, match="engine"):
+        """There is one engine: the switch is not an argument any more."""
+        with pytest.raises(TypeError, match="engine"):
             LiraSystem(
                 bounds=small_trace.bounds,
                 n_nodes=small_trace.num_nodes,
@@ -535,15 +544,15 @@ class TestEngineEquivalence:
 
 
 class TestStatsUnderChurn:
-    """SystemStats parity across engines under a fault-injected churn run."""
+    """SystemStats parity with the oracle under a fault-injected churn run."""
 
     @pytest.fixture(scope="class")
     def churn_pair(self, small_trace, small_queries):
         obj, _ = _run_system(
-            small_trace, small_queries, "object", spec=_CHURN, seed=21
+            small_trace, small_queries, ReferenceLiraSystem, spec=_CHURN, seed=21
         )
         vec, _ = _run_system(
-            small_trace, small_queries, "vector", spec=_CHURN, seed=21
+            small_trace, small_queries, LiraSystem, spec=_CHURN, seed=21
         )
         return obj, vec
 
@@ -587,8 +596,6 @@ def _batches(rng, n_batches):
 
 class TestArrayBoundedQueue:
     def test_fifo_and_counters_match_scalar_queue(self):
-        from repro.server.cq_server import UpdateMessage
-
         rng = np.random.default_rng(5)
         scalar = BoundedQueue(capacity=64)
         batched = ArrayBoundedQueue(capacity=64)

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PiecewiseLinearReduction, ThrotLoop, greedy_increment
-from repro.core.greedy import RegionStats, _MinMultiset
+from repro.core.greedy import RegionStats
 from repro.geo import Point, Rect
 from repro.motion import DeadReckoningTracker
+
+from tests.oracles.greedy import _MinMultiset
 
 # ---------------------------------------------------------------------------
 # Strategies

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.core import AnalyticReduction, LiraConfig, LiraLoadShedder
-from repro.server import (
-    BaseStationNetwork,
-    MobileNode,
-    place_uniform_stations,
-)
+from repro.server import BaseStationNetwork, place_uniform_stations
 from repro.server.base_station import BYTES_PER_REGION
+
+from tests.oracles.system import MobileNode
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,14 @@ from repro.server import (
     UDP_PAYLOAD_BYTES,
     ArrayBoundedQueue,
     BaseStation,
-    BoundedQueue,
     MobileCQServer,
     mean_broadcast_bytes,
     mean_regions_per_station,
     place_density_dependent_stations,
     place_uniform_stations,
 )
+
+from tests.oracles.system import BoundedQueue
 
 
 class TestBoundedQueue:

@@ -170,7 +170,6 @@ class TestIngestEquivalence:
             list(service.server.queries),
             service_rate=100.0,
             queue_capacity=20,
-            batch_ingest=True,
         )
         for seed in range(3):
             ids, pos, vel = make_batch(12, seed=seed)
@@ -596,6 +595,86 @@ class TestAdaptation:
         service = make_service()
         assert service.shedder.throtloop.target_utilization == pytest.approx(0.8)
         assert service.shedder.throtloop.smoothing == pytest.approx(0.5)
+
+
+class TestControlStepIsTheLoops:
+    """``adapt_once`` is the shard's control step on believed state: fed
+    the same reports, the service and ``LiraSystem``'s shard agree on the
+    plan, the ``PlanDelta`` and the stations that saw new content."""
+
+    def _twin(self, service):
+        from repro.server import LiraSystem
+
+        system = LiraSystem(
+            bounds=BOUNDS,
+            n_nodes=service.n_nodes,
+            queries=list(service.server.queries),
+            reduction=AnalyticReduction(5.0, 100.0),
+            config=service.config,
+            service_rate=service.server.service_rate,
+            queue_capacity=service.server.queue.capacity,
+            station_radius=800.0,
+            incremental=True,
+        )
+        for name in ("utilization_target", "smoothing"):
+            setattr(
+                system.shedder.throtloop, name, getattr(service.shedder.throtloop, name)
+            )
+        return system.shards[0]
+
+    def test_same_snapshot_same_plan_delta_and_delivered_set(self):
+        clock = ManualClock(start=100.0)
+        service = make_service(n_nodes=64, service_rate=200.0, clock=clock)
+        loop = self._twin(service)
+        returned = []
+        step = service.shard.control_step
+
+        def recording_step(*args):
+            returned.append(step(*args))
+            return returned[-1]
+
+        service.shard.control_step = recording_step
+        rng = np.random.default_rng(4)
+        ids, pos, _ = make_batch(64)
+        still = np.zeros_like(pos)  # zero velocity: belief moves only on a report
+        outcomes = set()
+        for round_ in range(9):
+            now = clock()
+            if round_ % 3:  # every third round nothing new was reported
+                pos = np.clip(pos + rng.normal(0.0, 60.0, pos.shape), 0.0, 999.0)
+                service.apply_ingest(now, ids, pos, still)
+                loop.server.receive_reports(now, ids, pos, still)
+                service.pump_once(1.0, 1.0)
+                loop.server.process(1.0)
+                assert len(loop.server.queue) == 0
+                loop.server.clamp_service_credit()
+            want_plan, want_delta, want_delivered = loop.control_step(
+                *service._believed(now), now
+            )
+            plan = service.adapt_once()
+            got_plan, got_delta, got_delivered = returned[-1]
+            # The service adds nothing to what the control step returned...
+            assert plan is got_plan is service.plan
+            assert service._plan_dirty == (got_delivered is not None)
+            if got_delivered is not None:
+                assert service._last_delta is got_delta
+                assert service._changed_stations == (
+                    frozenset(got_delivered) if got_delta is not None else None
+                )
+            # ...and the loop's shard, fed the same snapshot, returns the same.
+            assert got_plan.to_dict() == want_plan.to_dict()
+            assert (got_delta and got_delta.to_dict()) == (
+                want_delta and want_delta.to_dict()
+            )
+            assert (got_delivered and sorted(got_delivered)) == (
+                want_delivered and sorted(want_delivered)
+            )
+            assert service.shedder.current_z == loop.shedder.current_z
+            outcomes.add(
+                "skip" if got_delivered is None else "delta" if got_delta else "full"
+            )
+            clock.advance(0.5)
+        assert outcomes == {"full", "delta", "skip"}
 
 
 class TestServiceConfig:

@@ -1,21 +1,25 @@
-"""Tests for ShardedLiraSystem (K-shard deployment of the systems loop).
+"""Tests for the K-shard deployment of the systems loop.
 
-The contract under test is the one DESIGN.md §8 states: K=1 is
-bit-identical to :class:`~repro.server.LiraSystem` (stats, plans,
-thresholds, query results — across fault regimes), and K>1 is
-bit-reproducible per seed with conserved node ownership, an exactly
-budget-sum-invariant coordinator, and a pool path identical to the
-in-process path.
+The contract under test is the one DESIGN.md §8 states: the degenerate
+partition ``LiraSystem(n_shards=1)`` is bit-identical to the per-node
+oracle loop (stats, plans, thresholds, query results — across fault
+regimes), and K>1 is bit-reproducible per seed with conserved node
+ownership and update accounting, an exactly budget-sum-invariant
+coordinator, and a pool path identical to the in-process path.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnalyticReduction, LiraConfig
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
 from repro.queries import RangeQuery
-from repro.server import LiraSystem, ShardedLiraSystem
+from repro.server import LiraSystem
+
+from tests.oracles.system import ReferenceLiraSystem
 
 BOUNDS = Rect(0.0, 0.0, 10_000.0, 10_000.0)
 QUERIES = [
@@ -43,8 +47,10 @@ def _make_pair(n_nodes=400, n_shards=1, n_workers=1, **overrides):
     config = _config()
     reduction = AnalyticReduction(config.delta_min, config.delta_max)
     common = _common(**overrides)
-    ref = LiraSystem(BOUNDS, n_nodes, QUERIES, reduction, config=config, **common)
-    sharded = ShardedLiraSystem(
+    ref = ReferenceLiraSystem(
+        BOUNDS, n_nodes, QUERIES, reduction, config=config, **common
+    )
+    sharded = LiraSystem(
         BOUNDS, n_nodes, QUERIES, reduction, config=config,
         n_shards=n_shards, n_workers=n_workers, **common,
     )
@@ -54,7 +60,7 @@ def _make_pair(n_nodes=400, n_shards=1, n_workers=1, **overrides):
 def _make_sharded(n_shards, n_nodes=400, n_workers=1, **overrides):
     config = _config()
     reduction = AnalyticReduction(config.delta_min, config.delta_max)
-    return ShardedLiraSystem(
+    return LiraSystem(
         BOUNDS, n_nodes, QUERIES, reduction, config=config,
         n_shards=n_shards, n_workers=n_workers, **_common(**overrides),
     )
@@ -146,11 +152,11 @@ class TestK1BitIdentity:
         queries = [QUERIES[0]]
         common = _common()
         common.pop("queue_capacity")
-        ref = LiraSystem(
+        ref = ReferenceLiraSystem(
             BOUNDS, 300, queries, reduction, config=config,
             faults=FaultInjector(spec, seed=11), **common,
         )
-        sharded = ShardedLiraSystem(
+        sharded = LiraSystem(
             BOUNDS, 300, queries, reduction, config=config,
             faults=FaultInjector(spec, seed=11), **common,
         )
@@ -159,7 +165,7 @@ class TestK1BitIdentity:
 
     def test_faults_rejected_beyond_one_shard(self):
         with pytest.raises(NotImplementedError):
-            ShardedLiraSystem(
+            LiraSystem(
                 Rect(0.0, 0.0, 100.0, 100.0), 10, [],
                 AnalyticReduction(5.0, 100.0),
                 faults=FaultInjector(FaultSpec(uplink_loss=0.5)),
@@ -176,6 +182,26 @@ class TestMultiShardReproducibility:
         assert handoffs_a == handoffs_b
         for rows_a, rows_b in zip(queries_a, queries_b):
             np.testing.assert_array_equal(rows_a, rows_b)
+        # Every report sent is accounted for from SystemStats alone —
+        # including the ones orphaned by a cross-shard handoff.
+        assert stats_a.cross_handoffs == handoffs_a > 0
+        assert stats_a.updates_sent == (
+            stats_a.updates_processed + stats_a.queue_length + stats_a.queue_drops
+            + stats_a.admission_drops + stats_a.updates_discarded
+            + stats_a.updates_orphaned
+        )
+
+    def test_orphaned_updates_are_accounted(self):
+        """A backlogged shard still holds reports of nodes that hand off;
+        ``stats()`` counts them, so conservation closes from SystemStats."""
+        stats, _, _ = _drive_sharded(
+            _make_sharded(4, service_rate=10.0, queue_capacity=400)
+        )
+        assert stats.updates_orphaned > 0 and stats.queue_length > 0
+        assert stats.updates_sent == (
+            stats.updates_processed + stats.queue_length + stats.queue_drops
+            + stats.admission_drops + stats.updates_discarded + stats.updates_orphaned
+        )
 
     def test_handoffs_actually_occur(self):
         _, _, handoffs = _drive_sharded(_make_sharded(4))
@@ -203,9 +229,60 @@ class TestMultiShardReproducibility:
 
 
 def _worker_candidates():
-    from repro.server import sharded
+    from repro.server import shard
 
-    return sharded._WORKER_ASSIGNER._candidates
+    return shard._WORKER_ASSIGNER._candidates
+
+
+#: What delta / skipped installs are *meant* to change: airtime, and the
+#: version and age bookkeeping of broadcasts that were never sent.
+_BROADCAST_FIELDS = {
+    "broadcast_bytes", "plan_version", "mean_plan_staleness", "stale_station_fraction",
+}
+
+
+class TestIncrementalAcrossShards:
+    """The control step is the shard's, so ``incremental=True`` reaches
+    every K — and changes nothing but what is broadcast."""
+
+    @settings(deadline=None, max_examples=8)
+    @given(
+        n_shards=st.sampled_from([1, 2, 4]),
+        seed=st.integers(min_value=0, max_value=10_000),
+        policy=st.sampled_from(["lira", "lira", "random-drop"]),
+    )
+    def test_incremental_matches_from_scratch(self, n_shards, seed, policy):
+        systems = [
+            _make_sharded(n_shards, n_nodes=300, policy=policy, incremental=incremental)
+            for incremental in (False, True)
+        ]
+        positions, velocities = _initial_state(300, seed)
+        for system in systems:
+            system.bootstrap(positions, velocities)
+        for tick in range(24):
+            positions = np.clip(positions + velocities, 0.0, 10_000.0)
+            if tick % 4 == 0:
+                for system in systems:
+                    system.adapt(positions, np.linalg.norm(velocities, axis=1))
+                for full, inc in zip(systems[0].shards, systems[1].shards):
+                    if full.network is not None:
+                        assert full.plan.to_dict()["regions"] == inc.plan.to_dict()["regions"]
+            sent = [
+                system.tick(float(tick), positions, velocities, 1.0) for system in systems
+            ]
+            assert sent[0] == sent[1], f"tick {tick} diverged"
+            for full, inc in zip(systems[0].shards, systems[1].shards):
+                np.testing.assert_array_equal(full.ids, inc.ids)
+                np.testing.assert_array_equal(full.fleet.thresholds, inc.fleet.thresholds)
+        full_stats, inc_stats = (vars(system.stats()) for system in systems)
+        for name in full_stats.keys() - _BROADCAST_FIELDS:
+            assert full_stats[name] == inc_stats[name], name
+        assert inc_stats["broadcast_bytes"] <= full_stats["broadcast_bytes"]
+        if policy == "random-drop":
+            # The trivial plan never changes: installed once, then skipped.
+            assert (inc_stats["plan_version"], full_stats["plan_version"]) == (1, 6)
+        for rows_full, rows_inc in zip(*(s.evaluate_queries() for s in systems)):
+            np.testing.assert_array_equal(rows_full, rows_inc)
 
 
 class TestCoordinator:

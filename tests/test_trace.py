@@ -5,7 +5,9 @@ import pytest
 
 from repro.geo import Point, Rect
 from repro.roadnet import RoadClass, RoadNetwork, TrafficVolumeModel
-from repro.trace import TRACE_FORMAT_VERSION, Trace, TraceGenerator, Vehicle
+from repro.trace import TRACE_FORMAT_VERSION, Trace, TraceGenerator
+
+from tests.oracles.vehicles import Vehicle
 
 
 class TestVehicle:

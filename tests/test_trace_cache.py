@@ -113,7 +113,6 @@ class TestScenarioBuildThroughCache:
                 seed=3,
                 side_meters=4000.0,
                 collector_spacing=500.0,
-                engine="fleet",
             )
         ).exists()
         warm = fresh_build()  # memo cleared: must come from disk
@@ -123,10 +122,19 @@ class TestScenarioBuildThroughCache:
         )
         assert [q.rect for q in warm.queries] == [q.rect for q in cold.queries]
 
-    def test_engines_have_distinct_cache_entries(self, cache_dir):
-        fleet = fresh_build()
-        obj = fresh_build(engine="object")
-        assert not np.array_equal(fleet.trace.positions, obj.trace.positions)
+    def test_stale_format_entries_miss(self, cache_dir, monkeypatch, small_trace):
+        """An entry written when ``engine`` was a key field (format 1) is
+        never read back: the format bump moved every key."""
+        spec = scenario_kwargs()
+        del spec["reduction_samples"]
+        monkeypatch.setattr(cache, "CACHE_FORMAT_VERSION", 1)
+        stale = cache.cache_key("default-scene-trace", engine="fleet", **spec)
+        monkeypatch.undo()
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(cache_dir))
+        cache.store_trace(stale, small_trace)
+        assert stale != cache.cache_key("default-scene-trace", **spec)
+        built = fresh_build()
+        assert built.trace.positions.shape != small_trace.positions.shape
         assert len(list((cache_dir / "traces").glob("*.npz"))) == 2
 
     def test_no_cache_build_writes_nothing(self, cache_dir):
