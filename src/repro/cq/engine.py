@@ -200,17 +200,13 @@ class IncrementalCQEngine:
         believed = np.asarray(believed_positions, dtype=np.float64)
         if believed.shape != (self.n_nodes, 2):
             raise ValueError("believed_positions must have shape (n_nodes, 2)")
+        # An update touches only its own node's stored position, so the
+        # changed set can be found up front in one compare.
+        changed = ~np.isnan(believed[:, 0]) & (self._positions != believed).any(axis=1)
         deltas = []
-        for node_id in range(self.n_nodes):
+        for node_id in np.flatnonzero(changed):
             x, y = believed[node_id]
-            if np.isnan(x):
-                continue
-            if (
-                self._positions[node_id, 0] == x
-                and self._positions[node_id, 1] == y
-            ):
-                continue
-            deltas.extend(self.apply_update(t, node_id, float(x), float(y)))
+            deltas.extend(self.apply_update(t, int(node_id), float(x), float(y)))
         return deltas
 
     # ------------------------------------------------------------------

@@ -213,9 +213,11 @@ def run_ext_sampling(
     """
     from repro.core import StatisticsGrid
     from repro.index import NodeTable
+    from repro.queries import QueryEvalKernel
 
     scenario = scale.scenario()
     trace = scenario.trace
+    kernel = QueryEvalKernel(scenario.queries)
     rng = np.random.default_rng(scale.seed)
     errors, sent_counts = [], []
     for rate in sampling_rates:
@@ -258,20 +260,9 @@ def run_ext_sampling(
                     window_updates += 1
             if tick < 3:
                 continue
-            believed = np.where(
-                np.isnan(table.predict(t)), np.inf, table.predict(t)
-            )
-            per_query = []
-            for query in scenario.queries:
-                truth = query.evaluate(positions)
-                if truth.size == 0:
-                    continue
-                shed = query.evaluate(believed)
-                missing = np.setdiff1d(truth, shed, assume_unique=True).size
-                extra = np.setdiff1d(shed, truth, assume_unique=True).size
-                per_query.append((missing + extra) / truth.size)
-            if per_query:
-                tick_errors.append(float(np.mean(per_query)))
+            m = kernel.measure(positions, table.predict(t))
+            if m.has_true.any():
+                tick_errors.append(float(m.containment_error[m.has_true].mean()))
         errors.append(float(np.mean(tick_errors)))
         sent_counts.append(int(fleet.total_reports))
     result = ExperimentResult(

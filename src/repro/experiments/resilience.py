@@ -32,6 +32,7 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.common import SMALL, ExperimentScale
 from repro.faults import FaultInjector, FaultSpec
 from repro.metrics import mean_containment_error
+from repro.queries import evaluate_queries
 from repro.server import LiraSystem, SystemStats
 
 #: Uplink loss rates the acceptance sweep exercises.
@@ -110,7 +111,7 @@ def run_system(
         peak_queue = max(peak_queue, len(system.server.queue))
         if tick >= ADAPT_EVERY:
             shed_results = system.evaluate_queries(t)
-            true_results = [q.evaluate(positions) for q in queries]
+            true_results = evaluate_queries(queries, positions)
             errors.append(mean_containment_error(true_results, shed_results))
             staleness.append(system.stats().mean_plan_staleness)
     stats = system.stats()

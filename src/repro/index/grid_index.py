@@ -94,8 +94,8 @@ class GridIndex:
         Containment semantics are exactly those of :meth:`query` — both
         delegate to the half-open convention of :class:`~repro.geo.Rect`,
         with the batch path going through
-        :class:`~repro.queries.QueryEvalKernel` so the server-side index
-        and the simulation's measurement loop share one implementation.
+        :class:`~repro.queries.QueryEvalKernel`, the cell -> query index
+        the CQ server evaluates through.
         """
         if not self._positions:
             return [np.empty(0, dtype=np.int64) for _ in queries]
@@ -110,7 +110,7 @@ class GridIndex:
         )
         order = np.argsort(ids, kind="stable")
         ids, coords = ids[order], coords[order]
-        return [ids[np.flatnonzero(row)] for row in kernel.containment(coords)]
+        return [ids[rows] for rows in kernel.evaluate(coords)]
 
     def cell_counts(self) -> np.ndarray:
         """Point counts per cell, shape ``(cells, cells)`` indexed [cx, cy].

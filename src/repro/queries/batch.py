@@ -1,24 +1,34 @@
-"""Vectorized batch evaluation of range CQs — the simulation hot path.
+"""Vectorized batch evaluation of range CQs over one cell -> query index.
 
-The measurement loop behind every accuracy figure evaluates each range
-CQ against all node positions per tick.  Doing that one query at a time
-(:meth:`~repro.queries.range_query.RangeQuery.evaluate` plus two
-``np.setdiff1d`` calls per query) costs O(ticks x queries x nodes) in
-Python-loop overhead and sorting.  :class:`QueryEvalKernel` precomputes
-per-query rectangle arrays (a stacked ``(Q, 4)`` bounds matrix) and a
-cell->query bucket index over the statistics grid, then evaluates every
-query against a position snapshot in one vectorized pass:
+Re-evaluating every range CQ against every believed position is one of
+the two costly components of a mobile CQ server (the other is the update
+stream LIRA sheds).  :class:`QueryEvalKernel` is the repo's one
+evaluation path: it stacks the workload's rectangles into a ``(Q, 4)``
+matrix and, given the monitoring bounds, builds a cell -> query inverted
+index (a CSR map from bucket-grid cells to the queries overlapping
+them).  Two consumers sit on top:
 
-* candidate pruning by cell bucket (a CSR map from grid cells to the
-  queries overlapping them), then
-* a boolean containment matrix ``(Q, N)``, with missing/extra counts
-  derived by mask arithmetic instead of per-query set differences.
+* :meth:`QueryEvalKernel.evaluate` — the server's path.  Rows are mapped
+  to cells, rows whose cell holds no query are dropped, and the exact
+  comparisons run on the surviving (query, row) candidate pairs only;
+  no ``(Q, N)`` matrix is materialised.
+* :meth:`QueryEvalKernel.measure` — the simulation's accuracy loop,
+  which wants boolean masks (missing/extra counts are mask arithmetic)
+  and therefore builds the ``(Q, N)`` containment matrix.
 
 Containment uses the exact half-open convention of
 :class:`~repro.geo.Rect` (``x1 <= x < x2`` and ``y1 <= y < y2``), so
 kernel results are always identical to the brute-force reference
 ``evaluate_queries``.  NaN coordinates compare false on every bound and
 are therefore never contained, matching ``RangeQuery.evaluate``.
+
+Pruning is a superset filter *by construction*: positions and all four
+rectangle edges go through the same monotone cell function
+(:meth:`QueryEvalKernel._axis_cells`), and a query is bucketed in the
+inclusive cell range ``cell(x1)..cell(x2)``.  Monotonicity survives
+floating-point rounding, so ``x1 <= x < x2`` implies
+``cell(x1) <= cell(x) <= cell(x2)`` — a contained point can never land
+outside its query's buckets.
 """
 
 from __future__ import annotations
@@ -47,6 +57,14 @@ def stack_bounds(queries: list[RangeQuery]) -> np.ndarray:
     return bounds
 
 
+def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, offset)`` of every element of a ragged array with the given
+    per-owner ``counts``: owner ``k`` contributes offsets ``0..counts[k]-1``."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - first[owner]
+
+
 @dataclass(frozen=True)
 class BatchMeasurement:
     """Per-query accuracy measurements of one (truth, believed) snapshot pair.
@@ -70,11 +88,16 @@ class QueryEvalKernel:
 
     Parameters:
         queries: the workload; order defines row order of all outputs.
-        bounds: monitoring-space bounds for the cell bucket index
+        bounds: monitoring-space bounds for the cell -> query index
             (typically the trace / statistics-grid bounds).  ``None``
-            disables pruning; the dense path is used unconditionally.
+            builds no index; only the dense ``(Q, N)`` path is available.
         cells_per_side: bucket grid resolution (the statistics grid's
             alpha when piggybacking on it).
+
+    ``last_candidate_rows`` / ``last_candidate_pairs`` count the rows
+    that sat in a query-bearing cell and the (query, row) pairs compared
+    exactly during the most recent indexed evaluation — the work the
+    index did *not* prune.
     """
 
     def __init__(
@@ -86,6 +109,8 @@ class QueryEvalKernel:
         self.queries = list(queries)
         self.bounds = bounds
         self.rects = stack_bounds(self.queries)
+        self.last_candidate_rows = 0
+        self.last_candidate_pairs = 0
         self._scratch: np.ndarray | None = None
         # Column views reused every tick; [:, None] makes them broadcast
         # against a (N,) coordinate vector into the (Q, N) matrix.
@@ -103,88 +128,91 @@ class QueryEvalKernel:
         else:
             self.cells_per_side = 0
             self._bucket_offsets = None
-            self._bucket_queries = None
 
     @property
     def num_queries(self) -> int:
         return len(self.queries)
 
     # ------------------------------------------------------------------
-    # Cell -> query bucket index
+    # Cell -> query inverted index
     # ------------------------------------------------------------------
 
-    def _query_cell_ranges(self) -> np.ndarray:
-        """Inclusive cell-index ranges ``(Q, 4)`` as i_lo, i_hi, j_lo, j_hi.
+    def _axis_cells(self, values: np.ndarray, origin: float, width: float) -> np.ndarray:
+        """Bucket-cell index along one axis, clamped into the grid.
 
-        Ranges are clamped into the grid, so queries sticking out of (or
-        lying entirely outside) the bounds map onto the edge cells —
-        exactly where out-of-bounds positions clamp to.  The bucket is a
-        conservative superset: exact containment runs on candidates.
+        *The* cell function: positions and rectangle edges both go
+        through this expression, and every step of it (subtract, divide,
+        clamp, truncate) is monotone non-decreasing under floating-point
+        rounding, which is what makes the buckets a superset filter.
+        Out-of-bounds values clamp to the edge cells (``-inf`` to the
+        first, ``+inf`` to the last); NaN lands in the first cell, where
+        exact containment rejects it.
         """
-        cells = self.cells_per_side
-        b = self.bounds
-        with np.errstate(invalid="ignore"):
-            i_lo = np.floor((self.rects[:, 0] - b.x1) / self._cell_w)
-            i_hi = np.ceil((self.rects[:, 2] - b.x1) / self._cell_w) - 1.0
-            j_lo = np.floor((self.rects[:, 1] - b.y1) / self._cell_h)
-            j_hi = np.ceil((self.rects[:, 3] - b.y1) / self._cell_h) - 1.0
-        ranges = np.stack([i_lo, i_hi, j_lo, j_hi], axis=1)
-        np.nan_to_num(ranges, copy=False)
-        ranges = np.clip(ranges, 0, cells - 1).astype(np.int64)
-        # Degenerate (zero-width) queries still occupy their lo cell.
-        ranges[:, 1] = np.maximum(ranges[:, 1], ranges[:, 0])
-        ranges[:, 3] = np.maximum(ranges[:, 3], ranges[:, 2])
-        return ranges
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cell = values - origin
+            cell /= width
+        np.fmax(cell, 0.0, out=cell)  # fmax/fmin drop NaN; clip would keep it
+        np.fmin(cell, self.cells_per_side - 1.0, out=cell)
+        return cell.astype(np.intp)  # truncation == floor: cell >= 0
 
     def _build_buckets(self) -> None:
-        """CSR map flat cell id -> query ids whose rectangle overlaps it."""
-        cells = self.cells_per_side
-        n_cells = cells * cells
-        ranges = self._query_cell_ranges()
-        counts = np.zeros(n_cells, dtype=np.int64)
-        entries: list[tuple[int, int]] = []
-        for qi in range(len(self.queries)):
-            i_lo, i_hi, j_lo, j_hi = ranges[qi]
-            for ci in range(i_lo, i_hi + 1):
-                base = ci * cells
-                for cj in range(j_lo, j_hi + 1):
-                    entries.append((base + cj, qi))
-        offsets = np.zeros(n_cells + 1, dtype=np.int64)
-        if entries:
-            flat = np.array([e[0] for e in entries], dtype=np.int64)
-            qids = np.array([e[1] for e in entries], dtype=np.int64)
-            order = np.argsort(flat, kind="stable")
-            flat, qids = flat[order], qids[order]
-            counts = np.bincount(flat, minlength=n_cells)
-            offsets[1:] = np.cumsum(counts)
-            self._bucket_queries = qids
-        else:
-            self._bucket_queries = np.empty(0, dtype=np.int64)
-        self._bucket_offsets = offsets
+        """CSR map flat cell id -> ids of the queries bucketed in it.
 
-    def cell_indices(self, positions: np.ndarray) -> np.ndarray:
-        """Flat bucket-cell ids for positions ``(N, 2)``, clamped to edges.
-
-        NaN coordinates land in cell 0; pruning treats that cell's bucket
-        as candidates and exact containment rejects NaN anyway.
+        A query occupies the inclusive cell range of its own edges, so
+        one sticking out of (or lying entirely outside) the bounds maps
+        onto the edge cells — exactly where out-of-bounds positions
+        clamp to — and a zero-width one still occupies its lo cell.
         """
         cells = self.cells_per_side
-        with np.errstate(invalid="ignore"):
-            ix = np.floor((positions[:, 0] - self.bounds.x1) / self._cell_w)
-            iy = np.floor((positions[:, 1] - self.bounds.y1) / self._cell_h)
-        ix = np.nan_to_num(ix, nan=0.0, posinf=cells - 1, neginf=0.0)
-        iy = np.nan_to_num(iy, nan=0.0, posinf=cells - 1, neginf=0.0)
-        ix = np.clip(ix, 0, cells - 1).astype(np.int64)
-        iy = np.clip(iy, 0, cells - 1).astype(np.int64)
-        return ix * cells + iy
+        b, r = self.bounds, self.rects
+        i_lo = self._axis_cells(r[:, 0], b.x1, self._cell_w)
+        i_hi = self._axis_cells(r[:, 2], b.x1, self._cell_w)
+        j_lo = self._axis_cells(r[:, 1], b.y1, self._cell_h)
+        j_hi = self._axis_cells(r[:, 3], b.y1, self._cell_h)
+        rows_per_query = j_hi - j_lo + 1
+        qids, within = _ragged_arange((i_hi - i_lo + 1) * rows_per_query)
+        di, dj = np.divmod(within, rows_per_query[qids])
+        flat = (i_lo[qids] + di) * cells + j_lo[qids] + dj
+        self._bucket_queries = qids[np.argsort(flat, kind="stable")]
+        self._bucket_offsets = np.zeros(cells * cells + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(flat, minlength=cells * cells), out=self._bucket_offsets[1:]
+        )
+        self._has_query = self._bucket_offsets[1:] > self._bucket_offsets[:-1]
 
-    def queries_for_cell(self, ci: int, cj: int) -> np.ndarray:
-        """Ids (workload row indices) of queries overlapping bucket cell."""
+    def _candidate_pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query, row) candidate pairs from the cell buckets, vectorized.
+
+        Rows whose cell holds no query are dropped first; every query
+        bucketed in a surviving row's cell is a candidate.  Pairs come
+        out in ascending row order.
+        """
+        b = self.bounds
+        flat = self._axis_cells(positions[:, 0], b.x1, self._cell_w)
+        flat *= self.cells_per_side
+        flat += self._axis_cells(positions[:, 1], b.y1, self._cell_h)
+        rows = np.flatnonzero(self._has_query[flat])
+        cell = flat[rows]
+        starts = self._bucket_offsets[cell]
+        pair_rows, within = _ragged_arange(self._bucket_offsets[cell + 1] - starts)
+        self.last_candidate_rows = int(rows.size)
+        self.last_candidate_pairs = int(within.size)
+        return self._bucket_queries[starts[pair_rows] + within], rows[pair_rows]
+
+    def _contained_pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate pairs that pass the exact half-open comparisons."""
         if self._bucket_offsets is None:
             raise ValueError("kernel was built without bounds; no bucket index")
-        flat = ci * self.cells_per_side + cj
-        lo, hi = self._bucket_offsets[flat], self._bucket_offsets[flat + 1]
-        return self._bucket_queries[lo:hi]
+        q_idx, n_idx = self._candidate_pairs(positions)
+        px, py = positions[n_idx, 0], positions[n_idx, 1]
+        rect = self.rects[q_idx]
+        inside = (
+            (px >= rect[:, 0])
+            & (px < rect[:, 2])
+            & (py >= rect[:, 1])
+            & (py < rect[:, 3])
+        )
+        return q_idx[inside], n_idx[inside]
 
     # ------------------------------------------------------------------
     # Containment
@@ -205,69 +233,47 @@ class QueryEvalKernel:
                 self._bucket_offsets is not None
                 and q * n > _PRUNE_PAIR_THRESHOLD
             )
-        if prune and self._bucket_offsets is None:
-            raise ValueError("kernel was built without bounds; cannot prune")
-        if not prune:
-            x, y = positions[:, 0], positions[:, 1]
-            # In-place ufuncs with a reusable scratch buffer: one output
-            # allocation per call instead of seven temporaries.  The
-            # comparisons are unchanged, so the matrix is bit-identical
-            # to the naive chained expression.
-            out = np.empty((q, n), dtype=bool)
-            scratch = self._scratch
-            if scratch is None or scratch.shape != out.shape:
-                scratch = self._scratch = np.empty_like(out)
-            np.greater_equal(x, self._x1, out=out)
-            np.less(x, self._x2, out=scratch)
-            out &= scratch
-            np.greater_equal(y, self._y1, out=scratch)
-            out &= scratch
-            np.less(y, self._y2, out=scratch)
-            out &= scratch
+        if prune:
+            out = np.zeros((q, n), dtype=bool)
+            out[self._contained_pairs(positions)] = True
             return out
-        out = np.zeros((q, n), dtype=bool)
-        if n == 0 or q == 0:
-            return out
-        q_idx, n_idx = self._candidate_pairs(positions)
-        if q_idx.size == 0:
-            return out
-        px = positions[n_idx, 0]
-        py = positions[n_idx, 1]
-        rect = self.rects[q_idx]
-        inside = (
-            (px >= rect[:, 0])
-            & (px < rect[:, 2])
-            & (py >= rect[:, 1])
-            & (py < rect[:, 3])
-        )
-        out[q_idx[inside], n_idx[inside]] = True
+        x, y = positions[:, 0], positions[:, 1]
+        # In-place ufuncs with a reusable scratch buffer: one output
+        # allocation per call instead of seven temporaries.  The
+        # comparisons are unchanged, so the matrix is bit-identical
+        # to the naive chained expression.
+        out = np.empty((q, n), dtype=bool)
+        scratch = self._scratch
+        if scratch is None or scratch.shape != out.shape:
+            scratch = self._scratch = np.empty_like(out)
+        np.greater_equal(x, self._x1, out=out)
+        np.less(x, self._x2, out=scratch)
+        out &= scratch
+        np.greater_equal(y, self._y1, out=scratch)
+        out &= scratch
+        np.less(y, self._y2, out=scratch)
+        out &= scratch
         return out
 
-    def _candidate_pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(query, node) candidate pairs from the cell buckets, vectorized.
-
-        For each node, every query bucketed in the node's cell is a
-        candidate.  The ragged gather walks the CSR arrays without a
-        Python loop.
-        """
-        flat = self.cell_indices(positions)
-        starts = self._bucket_offsets[flat]
-        counts = self._bucket_offsets[flat + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        n_idx = np.repeat(np.arange(positions.shape[0], dtype=np.int64), counts)
-        # Offset of each pair within its node's bucket slice.
-        first_of_node = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total, dtype=np.int64) - first_of_node
-        q_idx = self._bucket_queries[np.repeat(starts, counts) + within]
-        return q_idx, n_idx
-
     def evaluate(self, positions: np.ndarray, prune: bool | None = None) -> list[np.ndarray]:
-        """Per-query sorted node-id arrays — drop-in for ``evaluate_queries``."""
-        matrix = self.containment(positions, prune=prune)
-        return [np.flatnonzero(row) for row in matrix]
+        """Per-query ascending row-id arrays — drop-in for ``evaluate_queries``.
+
+        With an index (``prune=None`` uses it whenever the kernel has
+        one) only rows in query-bearing cells are touched and no
+        ``(Q, N)`` matrix exists: the contained pairs, already in row
+        order, are stably sorted by query and split at the query
+        boundaries.  ``prune=False`` reads the rows of the dense matrix.
+        """
+        if prune is None:
+            prune = self._bucket_offsets is not None
+        if not prune:
+            return [np.flatnonzero(row) for row in self.containment(positions, prune=False)]
+        positions = np.asarray(positions, dtype=np.float64)
+        q_idx, n_idx = self._contained_pairs(positions)
+        order = np.argsort(q_idx, kind="stable")
+        rows = n_idx[order]
+        cuts = np.searchsorted(q_idx[order], np.arange(len(self.queries) + 1)).tolist()
+        return [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
     # ------------------------------------------------------------------
     # Accuracy measurement (the simulation hot path)
@@ -287,14 +293,13 @@ class QueryEvalKernel:
         """
         true_positions = np.asarray(true_positions, dtype=np.float64)
         believed = np.asarray(believed, dtype=np.float64)
-        # Unknown nodes cannot appear in any result rectangle.
-        believed_eval = np.where(np.isnan(believed), np.inf, believed)
         # One stacked containment pass covers both snapshots: elementwise
         # comparisons are independent per position row, so the split
-        # halves equal two separate calls exactly.
+        # halves equal two separate calls exactly.  Unknown (NaN) rows
+        # compare false on every bound, so they join no result.
         n = true_positions.shape[0]
         stacked = self.containment(
-            np.concatenate((true_positions, believed_eval), axis=0)
+            np.concatenate((true_positions, believed), axis=0)
         )
         true_mask = stacked[:, :n]
         believed_mask = stacked[:, n:]

@@ -45,7 +45,8 @@ def evaluate_queries(
     """Evaluate every query against one position snapshot.
 
     Returns one index array per query, in query order.  This brute-force
-    helper is the reference implementation; the grid index in
-    :mod:`repro.index` provides the fast path used by the server.
+    helper is the reference implementation (and the test oracle); the
+    server evaluates through the cell -> query index of
+    :class:`~repro.queries.batch.QueryEvalKernel`.
     """
     return [q.evaluate(positions) for q in queries]

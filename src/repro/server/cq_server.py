@@ -18,9 +18,15 @@ import numpy as np
 
 from repro.geo import Rect
 from repro.index import CompactNodeTable, NodeTable
-from repro.queries import RangeQuery
+from repro.queries import QueryEvalKernel, RangeQuery
 from repro.core.statistics_grid import StatisticsGrid
 from repro.server.queue import ArrayBoundedQueue
+
+#: Side cell count of the server's cell -> query index.  A rule, not a
+#: parameter: evaluation cost is flat across 64-256 cells per side
+#: (coarser cells admit more candidate rows, finer ones cost more buckets
+#: per query), so one resolution serves every deployment in the repo.
+_QUERY_INDEX_CELLS = 128
 
 
 @dataclass
@@ -85,7 +91,6 @@ class MobileCQServer:
         service_rate: float,
         queue_capacity: int = 100,
         stats_alpha: int | None = None,
-        incremental: bool = False,
         node_ids: np.ndarray | None = None,
     ) -> None:
         if service_rate <= 0:
@@ -103,11 +108,11 @@ class MobileCQServer:
         self.stats_grid = (
             StatisticsGrid(bounds, stats_alpha) if stats_alpha else None
         )
-        self.engine = None
-        if incremental:
-            from repro.cq import IncrementalCQEngine
-
-            self.engine = IncrementalCQEngine(bounds, n_nodes, self.queries)
+        # The paper's server keeps a grid index that query evaluation
+        # runs through; here it indexes the (fixed) queries by cell.
+        self.kernel = QueryEvalKernel(
+            self.queries, bounds=bounds, cells_per_side=_QUERY_INDEX_CELLS
+        )
         self._service_credit = 0.0
         self._period_arrivals = 0
         self._period_processed = 0
@@ -214,27 +219,14 @@ class MobileCQServer:
     def evaluate_queries(self, t: float) -> list[np.ndarray]:
         """Result sets from the server's *believed* positions at time ``t``.
 
-        With ``incremental=True``, results come from the incremental CQ
-        engine: believed positions are reconciled via result deltas (the
-        engine's work counters then measure re-evaluation cost); the
-        answers are identical to the default full scan.
+        One ascending array of table rows per query.  Believed positions
+        go through the cell -> query index, so only rows sitting in a
+        query-bearing cell are compared.  Never-seen nodes predict to NaN
+        and NaN is inside no rectangle — not even an open-ended one
+        (max = inf) — so results only ever name nodes the server has a
+        position for.
         """
-        believed = self.table.predict(t)
-        if self.engine is not None:
-            self.engine.refresh(t, believed)
-            return [
-                np.array(sorted(self.engine.result(q.query_id)), dtype=np.int64)
-                for q in self.queries
-            ]
-        # Evaluate on the known subset directly: never-seen nodes predict
-        # to NaN, and substituting a sentinel for them (the old approach)
-        # lets a degenerate open-ended query rect (max = inf) match nodes
-        # the server has no position for.
-        known_idx = np.flatnonzero(self.table.known_mask)
-        believed_known = believed[known_idx]
-        return [
-            known_idx[query.evaluate(believed_known)] for query in self.queries
-        ]
+        return self.kernel.evaluate(self.table.predict(t))
 
     def take_load_measurement(self) -> LoadMeasurement:
         """Close the current measurement period and return its statistics.

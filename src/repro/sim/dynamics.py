@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.statistics_grid import StatisticsGrid
 from repro.index import NodeTable
 from repro.motion import DeadReckoningFleet
-from repro.queries import RangeQuery
+from repro.queries import QueryEvalKernel, RangeQuery
 from repro.shedding import SheddingPolicy
 from repro.trace import Trace
 
@@ -154,20 +154,9 @@ def run_dynamic_simulation(
 
         if tick < warmup_ticks or not active:
             continue
-        believed = np.where(
-            np.isnan(table.predict(t)), np.inf, table.predict(t)
-        )
-        tick_errors = []
-        for query in active:
-            truth = query.evaluate(positions)
-            if truth.size == 0:
-                continue
-            shed = query.evaluate(believed)
-            missing = np.setdiff1d(truth, shed, assume_unique=True).size
-            extra = np.setdiff1d(shed, truth, assume_unique=True).size
-            tick_errors.append((missing + extra) / truth.size)
-        if tick_errors:
-            errors[tick] = float(np.mean(tick_errors))
+        m = QueryEvalKernel(active).measure(positions, table.predict(t))
+        if m.has_true.any():
+            errors[tick] = float(m.containment_error[m.has_true].mean())
 
     return DynamicResult(
         times=times,

@@ -65,11 +65,10 @@ class SimulationResult:
 class Simulation:
     """Runs one (trace, workload, policy) combination to completion.
 
-    ``use_kernel`` selects the measurement implementation: the vectorized
-    :class:`~repro.queries.QueryEvalKernel` (default) or the brute-force
-    per-query loop over :meth:`RangeQuery.evaluate`.  Both produce
-    bit-identical results; the brute-force path exists as the reference
-    the equivalence tests check the kernel against.
+    Per-tick accuracy comes from
+    :meth:`~repro.queries.QueryEvalKernel.measure`; the brute-force
+    per-query loop it is proved bit-identical to lives in
+    ``tests/oracles/measurement.py``.
     """
 
     def __init__(
@@ -78,8 +77,6 @@ class Simulation:
         queries: list[RangeQuery],
         policy: SheddingPolicy,
         config: SimulationConfig | None = None,
-        *,
-        use_kernel: bool = True,
     ) -> None:
         if not queries:
             raise ValueError("at least one query is required")
@@ -87,7 +84,6 @@ class Simulation:
         self.queries = queries
         self.policy = policy
         self.config = config or SimulationConfig()
-        self.use_kernel = use_kernel
 
     def run(self) -> SimulationResult:
         """Execute the closed loop over the whole trace."""
@@ -102,12 +98,8 @@ class Simulation:
         cont_cnt = np.zeros(n_q)
         pos_sum = np.zeros(n_q)
         pos_cnt = np.zeros(n_q)
-        kernel = (
-            QueryEvalKernel(
-                queries, bounds=trace.bounds, cells_per_side=max(policy.alpha, 16)
-            )
-            if self.use_kernel
-            else None
+        kernel = QueryEvalKernel(
+            queries, bounds=trace.bounds, cells_per_side=max(policy.alpha, 16)
         )
         updates_per_tick = np.zeros(t_total, dtype=np.int64)
         admitted_total = 0
@@ -147,37 +139,11 @@ class Simulation:
             if tick < cfg.warmup_ticks:
                 continue
             ticks_measured += 1
-            believed = table.predict(t)
-            if kernel is not None:
-                m = kernel.measure(positions, believed)
-                cont_sum += np.where(m.has_true, m.containment_error, 0.0)
-                cont_cnt += m.has_true
-                pos_sum += np.where(m.has_believed, m.position_error, 0.0)
-                pos_cnt += m.has_believed
-            else:
-                # Brute-force reference: one evaluate + two setdiff1d per
-                # query per tick.  Kept verbatim so equivalence tests can
-                # prove the kernel path produces identical numbers.
-                # Unknown nodes cannot appear in any result rectangle.
-                believed_eval = np.where(np.isnan(believed), np.inf, believed)
-                for qi, query in enumerate(queries):
-                    true_set = query.evaluate(positions)
-                    shed_set = query.evaluate(believed_eval)
-                    if true_set.size:
-                        missing = np.setdiff1d(
-                            true_set, shed_set, assume_unique=True
-                        ).size
-                        extra = np.setdiff1d(
-                            shed_set, true_set, assume_unique=True
-                        ).size
-                        cont_sum[qi] += (missing + extra) / true_set.size
-                        cont_cnt[qi] += 1
-                    if shed_set.size:
-                        distances = np.linalg.norm(
-                            believed[shed_set] - positions[shed_set], axis=1
-                        )
-                        pos_sum[qi] += float(distances.mean())
-                        pos_cnt[qi] += 1
+            m = kernel.measure(positions, table.predict(t))
+            cont_sum += np.where(m.has_true, m.containment_error, 0.0)
+            cont_cnt += m.has_true
+            pos_sum += np.where(m.has_believed, m.position_error, 0.0)
+            pos_cnt += m.has_believed
 
         with np.errstate(invalid="ignore", divide="ignore"):
             per_query_cont = np.where(cont_cnt > 0, cont_sum / np.maximum(cont_cnt, 1), np.nan)

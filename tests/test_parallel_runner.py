@@ -20,6 +20,7 @@ from repro.experiments.runner import (
     suite_jobs,
 )
 from repro.sim import Simulation, SimulationConfig, make_policies
+from tests.oracles.measurement import run_brute_force
 
 #: SMALL, shortened in duration only — the acceptance scale's node count,
 #: geometry, and LIRA parameters, kept affordable for a 3x execution.
@@ -72,13 +73,9 @@ def brute_force_results(small_scenario):
         z=Z, adapt_every=SMALL_EQ.adapt_every, seed=SMALL_EQ.seed
     )
     return {
-        name: Simulation(
-            small_scenario.trace,
-            small_scenario.queries,
-            policy,
-            sim_config,
-            use_kernel=False,
-        ).run()
+        name: run_brute_force(
+            Simulation(small_scenario.trace, small_scenario.queries, policy, sim_config)
+        )
         for name, policy in policies.items()
     }
 

@@ -349,42 +349,35 @@ class TestMobileCQServer:
 
 
 class TestIncrementalServerMode:
-    BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
+    """The server has one evaluation path (the cell -> query index); it
+    must equal the brute-force scan of the known subset, which is what
+    the server ran before and what the incremental engine was checked
+    against."""
 
-    def _pair(self, n_nodes=6):
-        queries = [
-            RangeQuery(0, Rect(0.0, 0.0, 50.0, 50.0)),
-            RangeQuery(1, Rect(25.0, 25.0, 90.0, 90.0)),
-        ]
-        scan = MobileCQServer(self.BOUNDS, n_nodes, queries, service_rate=100.0)
-        inc = MobileCQServer(
-            self.BOUNDS, n_nodes, queries, service_rate=100.0, incremental=True
-        )
-        return scan, inc
+    BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
+    QUERIES = [
+        RangeQuery(0, Rect(0.0, 0.0, 50.0, 50.0)),
+        RangeQuery(1, Rect(25.0, 25.0, 90.0, 90.0)),
+    ]
+
+    @staticmethod
+    def _scan_known_subset(server, t):
+        known_idx = np.flatnonzero(server.table.known_mask)
+        believed_known = server.table.predict(t)[known_idx]
+        return [known_idx[q.evaluate(believed_known)] for q in server.queries]
 
     def test_results_identical_to_scan_mode(self, rng):
-        scan, inc = self._pair()
+        server = MobileCQServer(self.BOUNDS, 8, self.QUERIES, service_rate=100.0)
         for t in range(5):
-            ids = np.arange(6)
+            ids = np.arange(6)  # nodes 6 and 7 never report
             pos = rng.uniform(0, 100, size=(6, 2))
             vel = rng.uniform(-5, 5, size=(6, 2))
-            for server in (scan, inc):
-                server.receive_reports(float(t), ids, pos, vel)
-                server.process(1.0)
+            server.receive_reports(float(t), ids, pos, vel)
+            server.process(1.0)
             t_eval = float(t) + 0.5
-            a = [sorted(r.tolist()) for r in scan.evaluate_queries(t_eval)]
-            b = [sorted(r.tolist()) for r in inc.evaluate_queries(t_eval)]
-            assert a == b
-
-    def test_engine_work_counted(self, rng):
-        _, inc = self._pair()
-        ids = np.arange(6)
-        pos = rng.uniform(0, 100, size=(6, 2))
-        inc.receive_reports(0.0, ids, pos, np.zeros((6, 2)))
-        inc.process(1.0)
-        inc.evaluate_queries(0.0)
-        assert inc.engine.stats.updates_processed > 0
-
-    def test_default_mode_has_no_engine(self):
-        scan, _ = self._pair()
-        assert scan.engine is None
+            results = server.evaluate_queries(t_eval)
+            expected = self._scan_known_subset(server, t_eval)
+            assert len(results) == len(expected) == 2
+            for got, want in zip(results, expected):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)

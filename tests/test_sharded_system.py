@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import AnalyticReduction, LiraConfig
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
-from repro.queries import RangeQuery
+from repro.queries import RangeQuery, evaluate_queries
 from repro.server import LiraSystem
 
 from tests.oracles.system import ReferenceLiraSystem
@@ -283,6 +283,24 @@ class TestIncrementalAcrossShards:
             assert (inc_stats["plan_version"], full_stats["plan_version"]) == (1, 6)
         for rows_full, rows_inc in zip(*(s.evaluate_queries() for s in systems)):
             np.testing.assert_array_equal(rows_full, rows_inc)
+
+
+class TestQueryEvaluationAcrossShards:
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_results_equal_bruteforce_on_predicted_positions(self, n_shards):
+        """Each shard evaluates through its own cell -> query index over
+        compact-table rows; mapped through ``shard.ids`` and merged, the
+        results are the brute-force scan of the believed positions."""
+        sharded = _make_sharded(n_shards)
+        _, results, _ = _drive_sharded(sharded)
+        believed = np.full((sharded.n_nodes, 2), np.nan)
+        for shard in sharded.shards:
+            rows = slice(None) if shard.ids is None else shard.ids
+            believed[rows] = shard.server.table.predict(sharded.current_time)
+        expected = evaluate_queries(QUERIES, believed)
+        assert sum(rows.size for rows in expected) > 0
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestCoordinator:
