@@ -4,9 +4,9 @@ Tracks the three per-tick operations behind every accuracy figure —
 the measurement step (query evaluation + error accounting), raw batch
 query evaluation, and the periodic adapt step — for both the vectorized
 :class:`~repro.queries.QueryEvalKernel` path and the brute-force
-reference.  ``scripts/bench_report.py`` distills these medians into
-``BENCH_1.json`` so future PRs have a perf trajectory to compare
-against.
+reference.  CI runs each once (``--benchmark-disable``); the medians
+pytest-benchmark prints otherwise are for reading, not for gating —
+what a change is held to is ``bench/`` + ``BENCHMARK.json``.
 """
 
 import numpy as np

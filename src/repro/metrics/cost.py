@@ -26,13 +26,12 @@ from repro.server.base_station import (
     BaseStation,
     mean_regions_per_station,
 )
-from repro.timing import Stopwatch, best_wall_seconds, wall_time_samples
+from repro.timing import Stopwatch, wall_time_samples
 
 __all__ = [
     "AdaptationTiming",
     "MessagingCost",
     "Stopwatch",
-    "best_wall_seconds",
     "messaging_cost",
     "time_adaptation",
     "wall_time_samples",

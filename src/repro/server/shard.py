@@ -42,7 +42,6 @@ from repro.server.base_station import BaseStation
 from repro.server.cq_server import LoadMeasurement, MobileCQServer
 from repro.server.node_engine import StationAssigner, SubsetProvider, VectorNodeEngine
 from repro.server.protocol import BaseStationNetwork, RegionSubset
-from repro.timing import Stopwatch
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -161,7 +160,6 @@ class LiraShard:
         self.plan: SheddingPlan | None = None
         self._trivial_plan_cache: SheddingPlan | None = None
         self._dense = node_ids is None
-        self.last_tick_seconds = 0.0
         # The node side exists once adopt() has run; a shard whose nodes
         # are remote clients (the live service) never adopts.
         self.node_engine: VectorNodeEngine | None = None
@@ -354,9 +352,8 @@ class LiraShard:
     def absorb(self, result: tuple) -> TickResult:
         """Take back the state :func:`pool_tick_job` advanced."""
         assert self.node_engine is not None
-        engine_state, self.fleet, self.server, self._policy_rng, elapsed, out = result
+        engine_state, self.fleet, self.server, self._policy_rng, out = result
         self.node_engine.restore(engine_state)
-        self.last_tick_seconds = elapsed
         return out
 
     # ------------------------------------------------------------------
@@ -485,6 +482,5 @@ def pool_tick_job(payload: tuple) -> tuple:
     directory = _SnapshotDirectory(assigner.stations, subsets)
     node_engine = VectorNodeEngine(0, directory, assigner.bounds, assigner=assigner)
     node_engine.restore(engine_state)
-    with Stopwatch() as watch:
-        out = shard_tick(node_engine=node_engine, fleet=fleet, server=server, **args)
-    return node_engine.snapshot(), fleet, server, args["admit_rng"], watch.elapsed, out
+    out = shard_tick(node_engine=node_engine, fleet=fleet, server=server, **args)
+    return node_engine.snapshot(), fleet, server, args["admit_rng"], out

@@ -95,7 +95,6 @@ from repro.server.shard import (
     pool_tick_job,
 )
 from repro.server.sharding import ShardRouter
-from repro.timing import Stopwatch
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -311,18 +310,11 @@ class LiraSystem:
         self._pending_handoffs: list[tuple[np.ndarray, np.ndarray]] = [
             (_EMPTY_I64, _EMPTY_I64) for _ in range(n_shards)
         ]
-        # Row-surgery seconds per shard for the tick being executed:
-        # extraction is the source shard's work, insertion the
-        # destination's (a real shard serializes/merges its own rows;
-        # the coordinator only relays the records), so the timing
-        # accounting bills them to the shards, not the coordinator.
-        self._surgery_seconds = [0.0] * n_shards
         self.total_cross_handoffs = 0
         self._plan_installed = False
         self._adapt_count = 0
         self._z_global = self.shards[0].shedder.current_z
         self.last_rebalance: RebalanceReport | None = None
-        self.last_tick_seconds = 0.0
         self.current_time = 0.0
 
     # ------------------------------------------------------------------
@@ -474,47 +466,41 @@ class LiraSystem:
         inject = self._inject
         substeps = self.receive_substeps
         total_sent = 0
-        with Stopwatch() as total_watch:
-            station_shard = None
-            if self.router is not None:
-                self._apply_handoffs()
-                station_shard = self.router.station_shard
-            if self.n_workers > 1:
-                subsets = self.directory.snapshot()
-                payloads = [
-                    shard.pool_payload(
-                        subsets, t, positions, velocities, dt, substeps, station_shard
-                    )
-                    for shard in self.shards
-                ]
-                results = self._ensure_pool().map(pool_tick_job, payloads)
-                for shard, result in zip(self.shards, results):
-                    total_sent += self._finish_tick(shard, t, shard.absorb(result))
-            else:
-                fault_args = {}
-                if inject:
-                    assert faults is not None and self.network is not None
-                    self.network.deliver_pending(t)
-                    fault_args = dict(
-                        active=faults.churn_step(self.n_nodes),
-                        rate_factor=faults.service_factor(t),
-                        uplink=faults.uplink,
-                    )
-                for shard in self.shards:
-                    with Stopwatch() as watch:
-                        out = shard.tick(
-                            t, positions, velocities, dt, substeps, station_shard,
-                            **fault_args,
-                        )
-                        total_sent += self._finish_tick(shard, t, out)
-                    shard.last_tick_seconds = watch.elapsed
-            for shard, surgery in zip(self.shards, self._surgery_seconds):
-                shard.last_tick_seconds += surgery
-            if faults is not None and not inject:
-                counters = faults.counters
-                counters.uplink_sent += total_sent
-                counters.uplink_delivered += total_sent
-        self.last_tick_seconds = total_watch.elapsed
+        station_shard = None
+        if self.router is not None:
+            self._apply_handoffs()
+            station_shard = self.router.station_shard
+        if self.n_workers > 1:
+            subsets = self.directory.snapshot()
+            payloads = [
+                shard.pool_payload(
+                    subsets, t, positions, velocities, dt, substeps, station_shard
+                )
+                for shard in self.shards
+            ]
+            results = self._ensure_pool().map(pool_tick_job, payloads)
+            for shard, result in zip(self.shards, results):
+                total_sent += self._finish_tick(shard, t, shard.absorb(result))
+        else:
+            fault_args = {}
+            if inject:
+                assert faults is not None and self.network is not None
+                self.network.deliver_pending(t)
+                fault_args = dict(
+                    active=faults.churn_step(self.n_nodes),
+                    rate_factor=faults.service_factor(t),
+                    uplink=faults.uplink,
+                )
+            for shard in self.shards:
+                out = shard.tick(
+                    t, positions, velocities, dt, substeps, station_shard,
+                    **fault_args,
+                )
+                total_sent += self._finish_tick(shard, t, out)
+        if faults is not None and not inject:
+            counters = faults.counters
+            counters.uplink_sent += total_sent
+            counters.uplink_delivered += total_sent
         return total_sent
 
     def _finish_tick(self, shard: LiraShard, t: float, out: TickResult) -> int:
@@ -533,7 +519,6 @@ class LiraSystem:
         duplicated: extraction and insertion are the same rows.
         """
         pending = self._pending_handoffs
-        self._surgery_seconds = [0.0] * self.n_shards
         moved_total = sum(int(ids.size) for ids, _ in pending)
         if moved_total == 0:
             return 0
@@ -544,9 +529,7 @@ class LiraSystem:
             dep_ids, dep_dst = pending[src]
             if dep_ids.size == 0:
                 continue
-            with Stopwatch() as watch:
-                state = self.shards[src].extract_nodes(dep_ids)
-            self._surgery_seconds[src] += watch.elapsed
+            state = self.shards[src].extract_nodes(dep_ids)
             for dst in range(self.n_shards):
                 sel = np.flatnonzero(dep_dst == dst)
                 if sel.size:
@@ -555,14 +538,10 @@ class LiraSystem:
             entries = buckets[dst]
             if not entries:
                 continue
-            with Stopwatch() as watch:
-                ids_in = np.concatenate([ids for ids, _ in entries])
-                merged = _concat_states([state for _, state in entries])
-                order = np.argsort(ids_in, kind="stable")
-                self.shards[dst].insert_nodes(
-                    ids_in[order], _slice_state(merged, order)
-                )
-            self._surgery_seconds[dst] += watch.elapsed
+            ids_in = np.concatenate([ids for ids, _ in entries])
+            merged = _concat_states([state for _, state in entries])
+            order = np.argsort(ids_in, kind="stable")
+            self.shards[dst].insert_nodes(ids_in[order], _slice_state(merged, order))
         self._pending_handoffs = [
             (_EMPTY_I64, _EMPTY_I64) for _ in range(self.n_shards)
         ]

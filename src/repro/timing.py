@@ -14,7 +14,6 @@ This module deliberately imports nothing from ``repro`` so any layer
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Callable
 
@@ -22,7 +21,6 @@ __all__ = [
     "Clock",
     "ManualClock",
     "Stopwatch",
-    "best_wall_seconds",
     "monotonic",
     "wall_time_samples",
 ]
@@ -113,11 +111,3 @@ def wall_time_samples(fn: Callable[[], Any], repeats: int) -> list[float]:
             fn()
         samples.append(sw.elapsed)
     return samples
-
-
-def best_wall_seconds(fn: Callable[[], Any], repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall-clock seconds of ``fn()`` (bench idiom)."""
-    best = math.inf
-    for sample in wall_time_samples(fn, repeats):
-        best = min(best, sample)
-    return best

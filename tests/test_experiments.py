@@ -120,13 +120,27 @@ class TestMicroRuns:
         # Under overload at lossless conditions LIRA is far more accurate.
         assert lira[0] < drop[0]
         # A lossy uplink never crashes the loop; errors stay finite and
-        # the queue stays bounded.  (The monotone degradation claim is
-        # asserted on the full small-scale sweep in CI, where overload
-        # persists across the loss range — at micro scale loss can
-        # relieve overload enough to offset the staleness it causes.)
+        # the queue stays bounded.  (Monotone degradation is the next
+        # test's claim, at small scale, where overload persists across
+        # the loss range — at micro scale loss can relieve overload
+        # enough to offset the staleness it causes.)
         assert all(0.0 <= e < 1.0 for e in lira)
         peak = result.get_series("lira peak queue").y
         assert all(0.0 <= p <= 1.0 for p in peak)
+
+    def test_resilience_degrades_monotonically_with_uplink_loss(self):
+        from repro.experiments.common import SMALL
+        from repro.experiments.resilience import run_system
+        from repro.faults import FaultSpec
+
+        errors = []
+        for rate in (0.0, 0.05, 0.20, 0.50):
+            run = run_system(
+                SMALL, "lira", spec=FaultSpec(uplink_loss=rate) if rate else None
+            )
+            assert 0.0 <= run.peak_queue_fraction <= 1.0
+            errors.append(run.mean_containment_error)
+        assert errors == sorted(errors)
 
     def test_resilience_runs_reproducible(self):
         from repro.experiments.resilience import run_system

@@ -341,15 +341,32 @@ def queries(request):
 
 class TestSystemGuarantees:
     def test_null_injector_bit_identical_to_no_injector(
-        self, small_trace, queries
+        self, small_trace, queries, monkeypatch
     ):
         """faults=None and a null-spec injector must take the exact same
-        code path: same reports, same believed state, same results."""
+        code path: same reports, same believed state, same results — and
+        no fault seam is ever entered, which is "null overhead ≈ 0"
+        counted instead of timed."""
         bare, sent_bare = _run_system(small_trace, queries, faults=None)
+
+        def seam_entered(*args, **kwargs):
+            raise AssertionError("a null-spec injector reached a fault seam")
+
+        for owner, seam in (
+            (FaultInjector, "uplink"),
+            (FaultInjector, "service_factor"),
+            (FaultInjector, "churn_step"),
+            (BaseStationNetwork, "deliver_pending"),
+        ):
+            monkeypatch.setattr(owner, seam, seam_entered)
         nulled, sent_null = _run_system(
             small_trace, queries, faults=FaultInjector(FaultSpec(), seed=99)
         )
         assert sent_bare == sent_null
+        # Bootstrap registers every node out of band, not over the uplink.
+        assert nulled.faults.counters.uplink_sent == (
+            nulled.stats().updates_sent - small_trace.num_nodes
+        )
         assert np.array_equal(
             bare.server.table.predict(0.0), nulled.server.table.predict(0.0), equal_nan=True
         )

@@ -192,3 +192,10 @@ class TestLiveRuns:
         random_drop = run_live("random-drop", str(tmp_path / "b.sock"))
         assert random_drop.reports_sent > lira.reports_sent
         assert random_drop.reports_dropped > lira.reports_dropped
+        # The overload contract in units of B/μ (160 / 400 per s): random
+        # drop's queue sits pinned at capacity, so an admitted report
+        # waits ≈ 400 ms whatever the CPU, and the 150 ms SLO is lost;
+        # LIRA's sources shed before the queue fills.
+        assert not random_drop.ingest_slo.ok
+        assert random_drop.ingest.p50 >= 0.8 * 160 / 400.0
+        assert random_drop.ingest.p99 >= 2 * lira.ingest.p99

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import measure_reduction_from_trace
-from repro.sim import build_scenario, cache
+from repro.core import measure_reduction_from_trace, reduction
+from repro.sim import build_scenario, cache, scenario
 from repro.sim.scenario import _cached_scenario, _cached_trace
+from repro.trace import TraceGenerator
 
 
 @pytest.fixture()
@@ -102,7 +103,7 @@ class TestReductionStoreLoad:
 
 
 class TestScenarioBuildThroughCache:
-    def test_disk_hit_reproduces_cold_build(self, cache_dir):
+    def test_disk_hit_reproduces_cold_build(self, cache_dir, monkeypatch):
         cold = fresh_build()
         assert cache.trace_path(
             cache.cache_key(
@@ -115,7 +116,15 @@ class TestScenarioBuildThroughCache:
                 collector_spacing=500.0,
             )
         ).exists()
-        warm = fresh_build()  # memo cleared: must come from disk
+        # Memo cleared and regeneration booby-trapped: the warm build
+        # can only succeed by loading both artifacts from disk.
+        def regenerated(*args, **kwargs):
+            raise AssertionError("cache miss: artifact was regenerated")
+
+        monkeypatch.setattr(TraceGenerator, "generate", regenerated)
+        monkeypatch.setattr(reduction, "measure_reduction_from_trace", regenerated)
+        monkeypatch.setattr(scenario, "measure_reduction_from_trace", regenerated)
+        warm = fresh_build()
         np.testing.assert_array_equal(warm.trace.positions, cold.trace.positions)
         np.testing.assert_array_equal(
             warm.reduction.values, cold.reduction.values
