@@ -53,11 +53,6 @@ class StatisticsGrid:
         self._acc_count = np.zeros((alpha, alpha), dtype=np.float64)
         self._acc_speed = np.zeros((alpha, alpha), dtype=np.float64)
         self._acc_updates = 0
-        # Per-window dirty-cell tracking: cells whose *live* statistics
-        # may differ from the last consume_dirty() checkpoint.  A fresh
-        # grid is all-dirty (no checkpoint exists yet).
-        self._dirty = np.ones((alpha, alpha), dtype=bool)
-        self._acc_touched = np.zeros((alpha, alpha), dtype=bool)
 
     # ------------------------------------------------------------------
     # Construction from snapshots
@@ -87,7 +82,7 @@ class StatisticsGrid:
             key = (bounds, alpha, tuple(query.rect for query in queries))
             memo = StatisticsGrid._query_layer
             if memo is not None and memo[0] == key:
-                grid.m = memo[1].copy()  # a fresh grid is all-dirty already
+                grid.m = memo[1].copy()
             else:
                 grid.set_query_statistics(queries)
                 StatisticsGrid._query_layer = (key, grid.m.copy())
@@ -142,13 +137,10 @@ class StatisticsGrid:
         flat = ix * self.alpha + iy
         n_flat = np.bincount(flat, minlength=self.alpha * self.alpha).astype(np.float64)
         s_flat = np.bincount(flat, weights=speeds, minlength=self.alpha * self.alpha)
-        new_n = n_flat.reshape(self.alpha, self.alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
             mean = np.where(n_flat > 0, s_flat / np.maximum(n_flat, 1), 0.0)
-        new_s = mean.reshape(self.alpha, self.alpha)
-        self._dirty |= (new_n != self.n) | (new_s != self.s)
-        self.n = new_n
-        self.s = new_s
+        self.n = n_flat.reshape(self.alpha, self.alpha)
+        self.s = mean.reshape(self.alpha, self.alpha)
 
     def set_query_statistics(self, queries: list[RangeQuery]) -> None:
         """Replace per-cell query counts, counting overlaps fractionally.
@@ -159,11 +151,9 @@ class StatisticsGrid:
         granularity (shedding regions are unions of cells, so fractional
         counts aggregate exactly).
         """
-        old_m = self.m
         self.m = np.zeros((self.alpha, self.alpha), dtype=np.float64)
         for query in queries:
             self._add_query(query.rect, 1.0)
-        self._dirty |= self.m != old_m
 
     def _add_query(self, rect: Rect, weight: float) -> None:
         clipped = rect.intersection(
@@ -215,7 +205,6 @@ class StatisticsGrid:
         i, j = self._cell_of(x, y)
         self._acc_count[i, j] += 1.0
         self._acc_speed[i, j] += speed
-        self._acc_touched[i, j] = True
         self._acc_updates += 1
 
     def ingest_updates(
@@ -238,7 +227,6 @@ class StatisticsGrid:
         np.clip(j, 0, self.alpha - 1, out=j)
         np.add.at(self._acc_count, (i, j), 1.0)
         np.add.at(self._acc_speed, (i, j), speeds)
-        self._acc_touched[i, j] = True
         self._acc_updates += int(xs.size)
 
     def roll(self, expected_updates_per_node: float = 1.0) -> None:
@@ -264,45 +252,12 @@ class StatisticsGrid:
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(acc_speed, np.maximum(acc_count, 1.0), out=acc_speed)
         acc_count /= expected_updates_per_node
-        # Exact change tracking: a cell is dirty iff its finalized
-        # window statistics differ from the live values they replace
-        # (a previously occupied cell that received no updates goes to
-        # zero and is caught here; a touched cell that finalized to the
-        # same floats is *not* dirty).
-        self._dirty |= (acc_count != self.n) | (acc_speed != self.s)
         previous_n, previous_s = self.n, self.s
         self.n, self.s = acc_count, acc_speed
         previous_n[:] = 0.0
         previous_s[:] = 0.0
         self._acc_count, self._acc_speed = previous_n, previous_s
-        self._acc_touched[:] = False
         self._acc_updates = 0
-
-    # ------------------------------------------------------------------
-    # Dirty-cell tracking
-    # ------------------------------------------------------------------
-
-    @property
-    def dirty_mask(self) -> np.ndarray:
-        """Boolean α×α mask of cells changed since the last checkpoint.
-
-        A cell is marked when its live ``n``/``m``/``s`` statistics
-        change (exact float comparison at :meth:`roll` /
-        :meth:`set_node_statistics` / :meth:`set_query_statistics`).
-        Treat the returned array as read-only; call
-        :meth:`consume_dirty` to checkpoint.
-        """
-        return self._dirty
-
-    def consume_dirty(self) -> np.ndarray:
-        """Return a copy of the dirty mask and reset it (checkpoint)."""
-        mask = self._dirty.copy()
-        self._dirty[:] = False
-        return mask
-
-    def mark_all_dirty(self) -> None:
-        """Invalidate every cell (e.g. after mutating arrays in place)."""
-        self._dirty[:] = True
 
     # ------------------------------------------------------------------
     # Cell geometry and aggregates

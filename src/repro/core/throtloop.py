@@ -47,7 +47,6 @@ class ThrotLoop:
     smoothing: float | None = None
     reopen_factor: float = 2.0
     utilization_target: float | None = None
-    history: list[float] = field(default_factory=list)
     _smoothed_utilization: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -113,7 +112,6 @@ class ThrotLoop:
                     "throttle collapsed: rho=inf -> z %.3f -> %.3f",
                     previous, self.z,
                 )
-            self.history.append(self.z)
             return self.z
         if self.smoothing is not None:
             if self._smoothed_utilization is None:
@@ -140,11 +138,9 @@ class ThrotLoop:
                 "throttle tightened: rho=%.3f -> z %.3f -> %.3f",
                 utilization, previous, self.z,
             )
-        self.history.append(self.z)
         return self.z
 
     def reset(self) -> None:
         """Return to the initial fully open budget (z = 1)."""
         self.z = 1.0
-        self.history.clear()
         self._smoothed_utilization = None

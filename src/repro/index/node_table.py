@@ -18,16 +18,22 @@ class NodeTable:
     def __init__(self, n_nodes: int) -> None:
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
-        self.n_nodes = n_nodes
-        self._pos = np.zeros((n_nodes, 2), dtype=np.float64)
-        self._vel = np.zeros((n_nodes, 2), dtype=np.float64)
-        self._time = np.zeros(n_nodes, dtype=np.float64)
-        self._known = np.zeros(n_nodes, dtype=bool)
+        self._allocate(n_nodes)
+
+    def _allocate(self, n_rows: int) -> None:
+        self._pos = np.zeros((n_rows, 2), dtype=np.float64)
+        self._vel = np.zeros((n_rows, 2), dtype=np.float64)
+        self._time = np.zeros(n_rows, dtype=np.float64)
+        self._known = np.zeros(n_rows, dtype=bool)
         self.updates_applied = 0
         self.updates_discarded = 0
         #: Always 0: a dense table owns every id (the compact table's
         #: counter, present here so callers can sum over either kind).
         self.updates_orphaned = 0
+
+    @property
+    def n_nodes(self) -> int:
+        return int(self._known.size)
 
     def ingest(
         self,
@@ -94,7 +100,7 @@ class NodeTable:
         return self._time.copy()
 
 
-class CompactNodeTable:
+class CompactNodeTable(NodeTable):
     """A node table over an explicit (sorted) subset of global node ids.
 
     A partitioned deployment gives each shard a table holding only the
@@ -105,6 +111,7 @@ class CompactNodeTable:
     migrated away while its report sat in the input queue) are dropped
     and counted in :attr:`updates_orphaned`; a full-population table
     (``ids = arange(n)``) behaves bit-identically to :class:`NodeTable`.
+    An empty shard's zero-row table is legal.
 
     Row surgery (:meth:`extract_rows` / :meth:`insert_rows`) moves nodes
     between shards; this table owns the authoritative id array the other
@@ -118,18 +125,7 @@ class CompactNodeTable:
         if ids.size and np.any(np.diff(ids) <= 0):
             raise ValueError("ids must be strictly increasing")
         self.ids = ids.copy()
-        n = ids.size
-        self._pos = np.zeros((n, 2), dtype=np.float64)
-        self._vel = np.zeros((n, 2), dtype=np.float64)
-        self._time = np.zeros(n, dtype=np.float64)
-        self._known = np.zeros(n, dtype=bool)
-        self.updates_applied = 0
-        self.updates_discarded = 0
-        self.updates_orphaned = 0
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.ids.size)
+        self._allocate(ids.size)
 
     def rows_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Row index per global id; every id must be present."""
@@ -149,17 +145,15 @@ class CompactNodeTable:
     ) -> None:
         """Apply a batch of received reports at time ``t`` (global ids).
 
-        Same newest-wins semantics as :meth:`NodeTable.ingest`; reports
-        addressed to nodes this table does not own are dropped first and
-        counted as orphans.
+        Reports addressed to nodes this table does not own are dropped
+        and counted as orphans; the rest go through
+        :meth:`NodeTable.ingest` by row.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        if node_ids.size == 0:
-            return
-        rows = np.searchsorted(self.ids, node_ids)
         if self.ids.size == 0:
             self.updates_orphaned += int(node_ids.size)
             return
+        rows = np.searchsorted(self.ids, node_ids)
         owned = (rows < self.ids.size) & (
             self.ids[np.minimum(rows, self.ids.size - 1)] == node_ids
         )
@@ -168,38 +162,7 @@ class CompactNodeTable:
             rows = rows[owned]
             positions = np.asarray(positions)[owned]
             velocities = np.asarray(velocities)[owned]
-            if rows.size == 0:
-                return
-        stale = self._known[rows] & (self._time[rows] > t)
-        if stale.any():
-            self.updates_discarded += int(stale.sum())
-            fresh = ~stale
-            rows = rows[fresh]
-            positions = np.asarray(positions)[fresh]
-            velocities = np.asarray(velocities)[fresh]
-            if rows.size == 0:
-                return
-        self._pos[rows] = positions
-        self._vel[rows] = velocities
-        self._time[rows] = t
-        self._known[rows] = True
-        self.updates_applied += int(rows.size)
-
-    def predict(self, t: float) -> np.ndarray:
-        """Believed positions of all owned rows at ``t`` (NaN if unknown)."""
-        predicted = self._pos + self._vel * (t - self._time)[:, None]
-        predicted[~self._known] = np.nan
-        return predicted
-
-    @property
-    def known_mask(self) -> np.ndarray:
-        """Boolean mask (row-aligned) of nodes that have reported."""
-        return self._known.copy()
-
-    @property
-    def last_update_times(self) -> np.ndarray:
-        """Report time of each row's stored motion model."""
-        return self._time.copy()
+        super().ingest(t, rows, positions, velocities)
 
     # ------------------------------------------------------------------
     # Row surgery (cross-shard node handoff)

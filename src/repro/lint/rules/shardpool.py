@@ -1,8 +1,9 @@
 """Shard & pool rules: work crossing process boundaries stays pure.
 
-The sharded deployment (:mod:`repro.server.system`) and the sweep
-engine (:mod:`repro.experiments.runner`) both fan work over process
-pools.  A job callable that mutates module globals diverges between
+The sweep engine (:mod:`repro.experiments.runner`) fans whole
+simulations over a process pool, and the sharded deployment
+(:mod:`repro.server.system`) merges per-shard results in one process.
+A job callable that mutates module globals diverges between
 in-process and spawned execution (REP050); a reduction helper that
 iterates shard-keyed containers unordered makes merge results depend on
 insertion history (REP051, the interprocedural face of REP031); and an
@@ -11,7 +12,7 @@ callable slot REP030 guards — explodes only under spawn (REP052).
 
 Pool ``initializer=`` callables are deliberately exempt from REP050:
 installing per-worker module globals is exactly what an initializer is
-for (each process owns its copy), and the sharded server uses that
+for (each process owns its copy), and the sweep engine uses that
 sanctioned pattern.
 """
 

@@ -514,30 +514,6 @@ class VectorNodeEngine:
         self.n_nodes = int(self._station_slot.size)
         self._level_with = None
 
-    def snapshot(self) -> dict[str, np.ndarray | int]:
-        """The per-node state a pool worker needs to run this engine's tick.
-
-        Rasters and the station layout are rebuilt (or shared) on the
-        other side; :meth:`restore` adopts the state a tick left behind.
-        """
-        return {
-            "station_slot": self._station_slot,
-            "installed_version": self._installed_version,
-            "handoffs": self._handoffs,
-            "installs": self._installs,
-            "total_handoffs": self.total_handoffs,
-        }
-
-    def restore(self, state: dict[str, np.ndarray | int]) -> None:
-        """Adopt a :meth:`snapshot` (possibly advanced by another process)."""
-        self._station_slot = state["station_slot"]
-        self._installed_version = state["installed_version"]
-        self._handoffs = state["handoffs"]
-        self._installs = state["installs"]
-        self.total_handoffs = int(state["total_handoffs"])
-        self.n_nodes = int(self._station_slot.size)
-        self._level_with = None
-
     # ------------------------------------------------------------------
     # Introspection (parity with the per-node oracle)
     # ------------------------------------------------------------------

@@ -61,7 +61,8 @@ class BaseStationNetwork:
         self.total_broadcasts = 0
         #: Pending delayed broadcasts: station id -> (deliver_t, subset).
         self._pending: dict[int, tuple[float, RegionSubset]] = {}
-        #: Time each plan version was generated (staleness accounting).
+        #: Time each plan version was generated (staleness accounting);
+        #: only versions a station serves or awaits, see install_plan.
         self._version_times: dict[int, float] = {}
         #: Coverage cache: re-installing the *same* plan object — or any
         #: plan with identical region geometry — reuses the per-station
@@ -101,6 +102,11 @@ class BaseStationNetwork:
         """
         self._refresh_coverage(plan)
         self.version += 1
+        # Forget the versions no station serves or awaits any more, so a
+        # long-lived network holds at most 2·|stations| + 1 of them.
+        held = list(self._station_versions.values())
+        held += [subset.version for _, subset in self._pending.values()]
+        self._version_times = {v: self._version_times[v] for v in held}
         self._version_times[self.version] = t
         if (
             delta is not None

@@ -13,9 +13,8 @@ node side lives in remote clients.
 
 Two things are defined here once and used by every deployment:
 
-* the **tick kernel** (:func:`shard_tick`) — thresholds → dead-reckoning
-  reports → uplink → substepped queue ingest — which the in-process
-  loop and the process-pool worker both run, so they are bit-identical;
+* the **tick kernel** (:meth:`LiraShard.tick`) — thresholds →
+  dead-reckoning reports → uplink → substepped queue ingest;
 * the **control step** (:meth:`LiraShard.control_step`) — close the
   load-measurement period, step THROTLOOP, compute the LIRA (or
   trivial Δ⊢) plan, and install it: skipped when unchanged, as a delta
@@ -45,6 +44,11 @@ from repro.server.protocol import BaseStationNetwork, RegionSubset
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
+#: Arrival/service interleavings per tick: a sampling period's reports
+#: reach the bounded queue spread over the period, not as one burst that
+#: would overflow it before any service happened.
+RECEIVE_SUBSTEPS = 10
+
 #: ``(sender_ids, sender_pos, sender_vel, departure_ids, departure_dst)``
 TickResult = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
@@ -71,28 +75,6 @@ class ShardDirectory:
         if network is None:
             return None
         return network.subset_or_none(station_id)
-
-    def snapshot(self) -> dict[int, RegionSubset | None]:
-        """Picklable per-station subset snapshot for pool workers."""
-        return {
-            station.station_id: self.subset_or_none(station.station_id)
-            for station in self.stations
-        }
-
-
-class _SnapshotDirectory:
-    """A pool worker's frozen copy of the subset directory."""
-
-    def __init__(
-        self,
-        stations: list[BaseStation],
-        subsets: dict[int, RegionSubset | None],
-    ) -> None:
-        self.stations = stations
-        self._subsets = subsets
-
-    def subset_or_none(self, station_id: int) -> RegionSubset | None:
-        return self._subsets.get(station_id)
 
 
 class LiraShard:
@@ -277,84 +259,76 @@ class LiraShard:
     # Data path
     # ------------------------------------------------------------------
 
-    def _tick_args(
-        self,
-        t: float,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        dt: float,
-        substeps: int,
-        station_shard: np.ndarray | None,
-    ) -> dict[str, Any]:
-        """Everything :func:`shard_tick` needs besides the live objects."""
-        ids = self.ids
-        return dict(
-            shard_id=self.shard_id,
-            # The owned-row gather is shard work (a real shard's ingest
-            # would receive exactly these rows).
-            ids=ids,
-            positions=positions if ids is None else positions[ids],
-            velocities=velocities if ids is None else velocities[ids],
-            t=t,
-            dt=dt,
-            substeps=substeps,
-            default_delta=self.config.delta_min,
-            admit=1.0 if self.policy == "lira" else self.shedder.current_z,
-            admit_rng=self._policy_rng,
-            station_shard=station_shard,
-        )
-
     def tick(
         self,
         t: float,
         positions: np.ndarray,
         velocities: np.ndarray,
         dt: float,
-        substeps: int,
         station_shard: np.ndarray | None = None,
         active: np.ndarray | None = None,
         rate_factor: float = 1.0,
         uplink: Callable[..., Any] | None = None,
     ) -> TickResult:
-        """Run :func:`shard_tick` in-process over the owned rows of the
-        global ``positions``/``velocities``."""
-        assert self.node_engine is not None and self.fleet is not None
-        return shard_tick(
-            node_engine=self.node_engine,
-            fleet=self.fleet,
-            server=self.server,
-            active=active,
-            rate_factor=rate_factor,
-            uplink=uplink,
-            **self._tick_args(t, positions, velocities, dt, substeps, station_shard),
-        )
+        """One data-path tick: nodes decide and report, the server ingests.
 
-    def pool_payload(
-        self,
-        subsets: dict[int, RegionSubset | None],
-        t: float,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        dt: float,
-        substeps: int,
-        station_shard: np.ndarray | None,
-    ) -> tuple:
-        """The picklable argument of :func:`pool_tick_job` for this tick."""
-        assert self.node_engine is not None
-        return (
-            self.node_engine.snapshot(),
-            self.fleet,
-            self.server,
-            subsets,
-            self._tick_args(t, positions, velocities, dt, substeps, station_shard),
+        ``positions``/``velocities`` are the *global* arrays; the shard
+        gathers its owned rows (a real shard's ingest would receive
+        exactly these rows; the dense shard owns them all, row index ==
+        global id).  Returns senders in *global* ids for history
+        recording, and the nodes now served by a foreign station
+        (``station_shard`` maps station slot → owning shard) for the
+        coordinator's next-tick handoff.  Nodes falling outside every
+        stored region use Δ⊢ conservatively.
+        """
+        node_engine, fleet, server = self.node_engine, self.fleet, self.server
+        assert node_engine is not None and fleet is not None
+        ids = self.ids
+        if ids is not None:
+            positions, velocities = positions[ids], velocities[ids]
+        thresholds = node_engine.compute_thresholds(
+            positions, active, default=self.config.delta_min
         )
-
-    def absorb(self, result: tuple) -> TickResult:
-        """Take back the state :func:`pool_tick_job` advanced."""
-        assert self.node_engine is not None
-        engine_state, self.fleet, self.server, self._policy_rng, out = result
-        self.node_engine.restore(engine_state)
-        return out
+        departure_ids, departure_dst = _EMPTY_I64, _EMPTY_I64
+        if station_shard is not None:
+            # Post-update slots: nodes now served by a foreign station
+            # depart at the end of this tick.
+            dest = station_shard[node_engine._station_slot]
+            moved = np.flatnonzero(dest != self.shard_id)
+            if moved.size:
+                departure_ids = ids[moved] if ids is not None else moved
+                departure_dst = dest[moved]
+        fleet.set_thresholds(thresholds)
+        senders = fleet.observe(t, positions, velocities)
+        sender_ids = ids[senders] if ids is not None else senders
+        sender_pos = positions[senders]
+        sender_vel = velocities[senders]
+        if uplink is not None:
+            u_ids, u_pos, u_vel, u_times = uplink(t, sender_ids, sender_pos, sender_vel)
+        else:
+            u_ids, u_pos, u_vel, u_times = sender_ids, sender_pos, sender_vel, None
+        # Random Drop admits a random fraction z of arrivals at the server.
+        admit = 1.0 if self.policy == "lira" else self.shedder.current_z
+        # Slice-based chunking with np.array_split's size rule (the first
+        # n % k chunks get one extra element): slicing yields views, so
+        # substepping never copies the report arrays.
+        base, extra = divmod(int(u_ids.size), RECEIVE_SUBSTEPS)
+        lo = 0
+        for c in range(RECEIVE_SUBSTEPS):
+            hi = lo + base + (1 if c < extra else 0)
+            chunk = slice(lo, hi)
+            lo = hi
+            server.receive_reports(
+                t,
+                u_ids[chunk],
+                u_pos[chunk],
+                u_vel[chunk],
+                times=u_times[chunk] if u_times is not None else None,
+                admit_fraction=admit,
+                admit_rng=self._policy_rng if admit < 1.0 else None,
+            )
+            server.process(dt / RECEIVE_SUBSTEPS, rate_factor=rate_factor)
+        return sender_ids, sender_pos, sender_vel, departure_ids, departure_dst
 
     # ------------------------------------------------------------------
     # Row surgery (handoff)
@@ -380,107 +354,3 @@ class LiraShard:
         self.node_engine.insert_rows(at, state["engine"])
         self.fleet.insert_rows(at, state["fleet"])
         self.server.table.insert_rows(at, node_ids, state["table"])  # type: ignore[union-attr]
-
-
-def shard_tick(
-    *,
-    shard_id: int,
-    node_engine: VectorNodeEngine,
-    fleet: DeadReckoningFleet,
-    server: MobileCQServer,
-    ids: np.ndarray | None,
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    t: float,
-    dt: float,
-    substeps: int,
-    default_delta: float,
-    admit: float,
-    admit_rng: np.random.Generator,
-    station_shard: np.ndarray | None,
-    active: np.ndarray | None = None,
-    rate_factor: float = 1.0,
-    uplink: Callable[..., Any] | None = None,
-) -> TickResult:
-    """One shard's data-path tick: nodes decide and report, the server ingests.
-
-    ``positions``/``velocities`` are the shard's own rows; ``ids=None``
-    is the owns-all case (no gather happened; row index == global id).
-    Returns senders in *global* ids for history recording, and the
-    nodes now served by a foreign station (``station_shard`` maps
-    station slot → owning shard) for the coordinator's next-tick
-    handoff.  Nodes falling outside every stored region use Δ⊢
-    conservatively.
-    """
-    thresholds = node_engine.compute_thresholds(
-        positions, active, default=default_delta
-    )
-    departure_ids, departure_dst = _EMPTY_I64, _EMPTY_I64
-    if station_shard is not None:
-        # Post-update slots: nodes now served by a foreign station
-        # depart at the end of this tick.
-        dest = station_shard[node_engine._station_slot]
-        moved = np.flatnonzero(dest != shard_id)
-        if moved.size:
-            departure_ids = ids[moved] if ids is not None else moved
-            departure_dst = dest[moved]
-    fleet.set_thresholds(thresholds)
-    senders = fleet.observe(t, positions, velocities)
-    sender_ids = ids[senders] if ids is not None else senders
-    sender_pos = positions[senders]
-    sender_vel = velocities[senders]
-    if uplink is not None:
-        u_ids, u_pos, u_vel, u_times = uplink(t, sender_ids, sender_pos, sender_vel)
-    else:
-        u_ids, u_pos, u_vel, u_times = sender_ids, sender_pos, sender_vel, None
-    # Slice-based chunking with np.array_split's size rule (the first
-    # n % k chunks get one extra element): slicing yields views, so
-    # substepping never copies the report arrays.
-    base, extra = divmod(int(u_ids.size), substeps)
-    lo = 0
-    for c in range(substeps):
-        hi = lo + base + (1 if c < extra else 0)
-        chunk = slice(lo, hi)
-        lo = hi
-        server.receive_reports(
-            t,
-            u_ids[chunk],
-            u_pos[chunk],
-            u_vel[chunk],
-            times=u_times[chunk] if u_times is not None else None,
-            admit_fraction=admit,
-            admit_rng=admit_rng if admit < 1.0 else None,
-        )
-        server.process(dt / substeps, rate_factor=rate_factor)
-    return sender_ids, sender_pos, sender_vel, departure_ids, departure_dst
-
-
-# ----------------------------------------------------------------------
-# Process-pool execution: one tick per shard per round
-# ----------------------------------------------------------------------
-
-_WORKER_ASSIGNER: StationAssigner | None = None
-
-
-def pool_init(stations: list[BaseStation], bounds: Rect) -> None:
-    """Worker initializer: build the shared assigner once per process."""
-    global _WORKER_ASSIGNER
-    _WORKER_ASSIGNER = StationAssigner(stations, bounds)
-
-
-def pool_tick_job(payload: tuple) -> tuple:
-    """Execute one shard's tick in a pool worker.
-
-    The shard's SoA state (engine arrays, fleet, server with its compact
-    table and queue, admission RNG) round-trips through the payload, so
-    no worker affinity is assumed: any worker can tick any shard on any
-    round and the result is bit-identical to the in-process path.
-    """
-    engine_state, fleet, server, subsets, args = payload
-    assigner = _WORKER_ASSIGNER
-    assert assigner is not None
-    directory = _SnapshotDirectory(assigner.stations, subsets)
-    node_engine = VectorNodeEngine(0, directory, assigner.bounds, assigner=assigner)
-    node_engine.restore(engine_state)
-    out = shard_tick(node_engine=node_engine, fleet=fleet, server=server, **args)
-    return node_engine.snapshot(), fleet, server, args["admit_rng"], out

@@ -9,7 +9,7 @@ assignment the node engine already computes every tick.
 
 Rendezvous hashing is chosen over range/modulo partitioning because it
 is stateless (any process can recompute the owner of any station from
-``(station_id, n_shards, salt)`` alone), deterministic across machines
+``(station_id, n_shards)`` alone), deterministic across machines
 and Python processes (the mixer below is a fixed 64-bit integer
 permutation — **not** Python's ``hash()``, which varies per process
 under hash randomization), and minimally disruptive when K changes:
@@ -24,8 +24,8 @@ from repro.geo import Rect
 from repro.server.base_station import BaseStation
 from repro.server.node_engine import StationAssigner
 
-#: 2^64 / φ — the splitmix64 increment, reused to derive per-shard and
-#: per-salt stream constants.
+#: 2^64 / φ — the splitmix64 increment, reused to offset the keys and to
+#: derive the per-shard stream constants.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -46,16 +46,13 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def hrw_shards(
-    keys: np.ndarray, n_shards: int, salt: int = 0
-) -> np.ndarray:
+def hrw_shards(keys: np.ndarray, n_shards: int) -> np.ndarray:
     """Rendezvous (HRW) shard of each key, vectorized.
 
     Every ``(key, shard)`` pair gets a mixed 64-bit score and each key
     goes to the shard with the highest score; score ties (probability
     ~2^-64) resolve to the lowest shard id via ``argmax``'s
-    first-maximum rule.  ``salt`` selects an independent assignment
-    universe (e.g. for resharding experiments).
+    first-maximum rule.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -65,11 +62,11 @@ def hrw_shards(
     flat = keys.astype(np.uint64).ravel()
     if n_shards == 1:
         return np.zeros(keys.shape, dtype=np.int64)
-    salted = _mix64(flat + _GOLDEN * np.uint64(salt + 1))
+    mixed = _mix64(flat + _GOLDEN)
     shard_tokens = _mix64(
         (np.arange(1, n_shards + 1, dtype=np.uint64)) * _GOLDEN
     )
-    scores = _mix64(salted[None, :] ^ shard_tokens[:, None])
+    scores = _mix64(mixed[None, :] ^ shard_tokens[:, None])
     return np.argmax(scores, axis=0).astype(np.int64).reshape(keys.shape)
 
 
@@ -90,7 +87,6 @@ class ShardRouter:
         stations: list[BaseStation],
         bounds: Rect,
         n_shards: int,
-        salt: int = 0,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -99,12 +95,11 @@ class ShardRouter:
         self.stations = list(stations)
         self.bounds = bounds
         self.n_shards = n_shards
-        self.salt = salt
         station_ids = np.array(
             [s.station_id for s in self.stations], dtype=np.int64
         )
         #: Owning shard per station slot (global station-list order).
-        self.station_shard = hrw_shards(station_ids, n_shards, salt=salt)
+        self.station_shard = hrw_shards(station_ids, n_shards)
         self.assigner = StationAssigner(self.stations, bounds)
 
     def stations_for(self, shard_id: int) -> list[BaseStation]:

@@ -42,9 +42,9 @@ Handoff protocol
 
 Budget coordination
     Each shard runs its own THROTLOOP against its own measured load.
-    Every ``rebalance_every`` adaptations the coordinator computes the
-    global budget ``z = Σ w_k · z_k`` (load-weighted mean, weights from
-    measured per-shard arrivals) and re-allocates it as per-shard
+    Every adaptation the coordinator computes the global budget
+    ``z = Σ w_k · z_k`` (load-weighted mean, weights from measured
+    per-shard arrivals) and re-allocates it as per-shard
     budgets ``b_k = z · w_k`` with the remainder pinned so that
     ``Σ b_k == z`` exactly; shard k's throttle becomes ``b_k / w_k``
     (clamped to its THROTLOOP floor).
@@ -60,18 +60,14 @@ Faults
     bit-identical to the perfect lossless deployment.  Injection is
     supported at ``n_shards=1``.
 
-Runs are bit-reproducible per seed at every K, and the process-pool
-execution path (``n_workers>1``) is bit-identical to the in-process
-path: shards advance in lockstep, one tick per pool round, with
-handoffs synchronized at tick boundaries either way.
+Runs are bit-reproducible per seed at every K: one process advances the
+shards in lockstep, in shard order, with handoffs synchronized at tick
+boundaries.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -83,17 +79,11 @@ from repro.history import TrajectoryStore
 from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
 from repro.sanitize import rng_discipline
-from repro.server.base_station import BaseStation, place_uniform_stations
+from repro.server.base_station import place_uniform_stations
 from repro.server.cq_server import LoadMeasurement, MobileCQServer
 from repro.server.node_engine import VectorNodeEngine
 from repro.server.protocol import BaseStationNetwork
-from repro.server.shard import (
-    LiraShard,
-    ShardDirectory,
-    TickResult,
-    pool_init,
-    pool_tick_job,
-)
+from repro.server.shard import LiraShard, ShardDirectory, TickResult
 from repro.server.sharding import ShardRouter
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -201,13 +191,6 @@ class LiraSystem:
             re-broadcast, same-geometry successors ship as deltas).
         service_rate: per-shard μ — K shards provide K-fold capacity.
         n_shards: K, the number of spatial shards.
-        n_workers: >1 executes shard ticks on a process pool (capped at
-            K, forced to 1 on single-core hosts — a pool cannot beat the
-            serial loop there); shards round-trip their SoA state per
-            tick, so results are bit-identical to in-process execution.
-        rebalance_every: coordinator budget-rebalance cadence, in
-            adaptations.
-        shard_salt: selects an independent station→shard assignment.
     """
 
     # The one shard's components at ``n_shards=1`` (unset otherwise).
@@ -227,24 +210,17 @@ class LiraSystem:
         service_rate: float = 1000.0,
         queue_capacity: int = 100,
         station_radius: float = 2000.0,
-        stations: list[BaseStation] | None = None,
         adaptive_throttle: bool = True,
-        receive_substeps: int = 10,
         faults: FaultInjector | None = None,
         policy: str = "lira",
         policy_seed: int = 0,
         incremental: bool = False,
         n_shards: int = 1,
-        n_workers: int = 1,
-        rebalance_every: int = 1,
-        shard_salt: int = 0,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if rebalance_every < 1:
-            raise ValueError("rebalance_every must be >= 1")
         self.config = config or LiraConfig(l=49, alpha=64)
         self.bounds = bounds
         self.n_nodes = n_nodes
@@ -253,7 +229,6 @@ class LiraSystem:
         self.faults = faults
         self.incremental = incremental
         self.n_shards = n_shards
-        self.rebalance_every = rebalance_every
         # A null-spec injector is contractually a no-op (every seam
         # passes batches through untouched), so the tick path skips the
         # fault seams entirely and only maintains the injector's O(1)
@@ -264,10 +239,10 @@ class LiraSystem:
                 "fault injection is supported at n_shards=1 only"
             )
         self._adaptive = adaptive_throttle
-        station_list = stations or place_uniform_stations(bounds, station_radius)
+        station_list = place_uniform_stations(bounds, station_radius)
         #: Station→shard ownership; ``None`` when one shard owns them all.
         self.router = (
-            ShardRouter(station_list, bounds, n_shards, salt=shard_salt)
+            ShardRouter(station_list, bounds, n_shards)
             if n_shards > 1
             else None
         )
@@ -301,18 +276,11 @@ class LiraSystem:
         else:
             self.directory = ShardDirectory(station_list, self.shards)
         self.history = TrajectoryStore(n_nodes)
-        self.receive_substeps = max(1, receive_substeps)
-        # A pool on a single-core host is a pessimization (the same
-        # rationale as repro.experiments.runner.run_jobs's fallback).
-        cores = os.cpu_count() or 1
-        self.n_workers = 1 if cores <= 1 else max(1, min(n_workers, n_shards))
-        self._pool: ProcessPoolExecutor | None = None
         self._pending_handoffs: list[tuple[np.ndarray, np.ndarray]] = [
             (_EMPTY_I64, _EMPTY_I64) for _ in range(n_shards)
         ]
         self.total_cross_handoffs = 0
         self._plan_installed = False
-        self._adapt_count = 0
         self._z_global = self.shards[0].shedder.current_z
         self.last_rebalance: RebalanceReport | None = None
         self.current_time = 0.0
@@ -357,28 +325,6 @@ class LiraSystem:
         if self.shards[0].fleet is None:
             raise RuntimeError(f"call bootstrap() before {what}()")
 
-    def close(self) -> None:
-        """Shut down the process pool (no-op when in-process)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "LiraSystem":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        assert self.router is not None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=pool_init,
-                initargs=(self.router.stations, self.bounds),
-            )
-        return self._pool
-
     # ------------------------------------------------------------------
     # Server-side control path
     # ------------------------------------------------------------------
@@ -392,12 +338,7 @@ class LiraSystem:
         # adaptation path raises instead of silently de-seeding runs.
         with rng_discipline():
             measurements = [shard.observe_load() for shard in self.shards]
-            self._adapt_count += 1
-            if (
-                self.n_shards > 1
-                and self._adaptive
-                and self._adapt_count % self.rebalance_every == 0
-            ):
+            if self.n_shards > 1 and self._adaptive:
                 self._rebalance(measurements)
             for shard in self.shards:
                 if shard.network is None:
@@ -464,39 +405,23 @@ class LiraSystem:
         self.current_time = t
         faults = self.faults
         inject = self._inject
-        substeps = self.receive_substeps
         total_sent = 0
         station_shard = None
         if self.router is not None:
             self._apply_handoffs()
             station_shard = self.router.station_shard
-        if self.n_workers > 1:
-            subsets = self.directory.snapshot()
-            payloads = [
-                shard.pool_payload(
-                    subsets, t, positions, velocities, dt, substeps, station_shard
-                )
-                for shard in self.shards
-            ]
-            results = self._ensure_pool().map(pool_tick_job, payloads)
-            for shard, result in zip(self.shards, results):
-                total_sent += self._finish_tick(shard, t, shard.absorb(result))
-        else:
-            fault_args = {}
-            if inject:
-                assert faults is not None and self.network is not None
-                self.network.deliver_pending(t)
-                fault_args = dict(
-                    active=faults.churn_step(self.n_nodes),
-                    rate_factor=faults.service_factor(t),
-                    uplink=faults.uplink,
-                )
-            for shard in self.shards:
-                out = shard.tick(
-                    t, positions, velocities, dt, substeps, station_shard,
-                    **fault_args,
-                )
-                total_sent += self._finish_tick(shard, t, out)
+        fault_args = {}
+        if inject:
+            assert faults is not None and self.network is not None
+            self.network.deliver_pending(t)
+            fault_args = dict(
+                active=faults.churn_step(self.n_nodes),
+                rate_factor=faults.service_factor(t),
+                uplink=faults.uplink,
+            )
+        for shard in self.shards:
+            out = shard.tick(t, positions, velocities, dt, station_shard, **fault_args)
+            total_sent += self._finish_tick(shard, t, out)
         if faults is not None and not inject:
             counters = faults.counters
             counters.uplink_sent += total_sent

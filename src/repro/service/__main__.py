@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--service-rate", type=float, default=1_500.0)
     parser.add_argument("--queue-capacity", type=int, default=600)
     parser.add_argument("--adapt-period", type=float, default=0.5)
-    parser.add_argument("--pump-period", type=float, default=0.005)
     parser.add_argument("--station-radius", type=float, default=4_000.0)
     parser.add_argument("--regions", type=int, default=13, dest="l")
     parser.add_argument("--alpha", type=int, default=16)
@@ -58,12 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--slowdown-factor", type=float, default=0.3)
     parser.add_argument("--slowdown-duration", type=float, default=0.0)
-    parser.add_argument("--fault-seed", type=int, default=0)
-    parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable incremental adaptation (full recompute + full push)",
-    )
     parser.add_argument("--log-level", default="WARNING")
     return parser
 
@@ -79,7 +72,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         queue_capacity=args.queue_capacity,
         policy=args.policy,
         adapt_period=args.adapt_period,
-        pump_period=args.pump_period,
         station_radius=args.station_radius,
         l=args.l,
         alpha=args.alpha,
@@ -88,8 +80,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         slowdown_prob=args.slowdown_prob,
         slowdown_factor=args.slowdown_factor,
         slowdown_duration=args.slowdown_duration,
-        fault_seed=args.fault_seed,
-        incremental=not args.no_incremental,
     )
 
 

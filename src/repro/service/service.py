@@ -51,7 +51,6 @@ import numpy as np
 
 from repro import sanitize, timing
 from repro.core import LiraConfig
-from repro.core.incremental import IncrementalGridReduceCache
 from repro.core.plan import PlanDelta, SheddingPlan
 from repro.core.reduction import AnalyticReduction, ReductionFunction
 from repro.faults import FaultInjector, FaultSpec
@@ -65,6 +64,17 @@ from repro.service.framing import Frame, FrameError, encode_frame, read_frame
 logger = logging.getLogger(__name__)
 
 __all__ = ["IngestResult", "LiraService", "ServiceConfig"]
+
+#: Seconds between timer pumps: short against the SLO a deferred ack
+#: waits out, long enough that an idle service barely wakes.
+PUMP_PERIOD = 0.005
+#: THROTLOOP target ρ.  The paper's 1−1/B only *stabilizes* queue
+#: length; a latency SLO needs sustained headroom to drain backlog.
+UTILIZATION_TARGET = 0.8
+#: EWMA weight on utilization measurements: the fleet reacts to a new
+#: plan with about one tick of lag, so the raw control law limit cycles
+#: around the target; smoothing damps it.
+THROTTLE_SMOOTHING = 0.5
 
 
 @dataclass(frozen=True)
@@ -86,35 +96,23 @@ class ServiceConfig:
     queue_capacity: int = 600
     policy: str = "lira"
     adapt_period: float = 0.5
-    pump_period: float = 0.005
     station_radius: float = 4_000.0
     l: int = 13
     alpha: int = 16
     delta_min: float = 5.0
     delta_max: float = 100.0
-    #: THROTLOOP target ρ.  The paper's 1−1/B only *stabilizes* queue
-    #: length; a latency SLO needs sustained headroom to drain backlog.
-    utilization_target: float = 0.8
-    #: EWMA weight on utilization measurements: the fleet reacts to a
-    #: new plan with about one tick of lag, so the raw control law limit
-    #: cycles around the target; smoothing damps it.
-    throttle_smoothing: float = 0.5
     #: Server-slowdown chaos (FaultInjector seam); prob 0 disables.
     slowdown_prob: float = 0.0
     slowdown_factor: float = 0.3
     slowdown_duration: float = 0.0
-    fault_seed: int = 0
-    #: Cross-round incremental adaptation (bit-identical plans; enables
-    #: delta installs/broadcasts and skipped pushes of unchanged plans).
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if self.side <= 0:
             raise ValueError("side must be positive")
-        if self.adapt_period <= 0 or self.pump_period <= 0:
-            raise ValueError("adapt_period and pump_period must be positive")
+        if self.adapt_period <= 0:
+            raise ValueError("adapt_period must be positive")
 
     @property
     def bounds(self) -> Rect:
@@ -146,7 +144,7 @@ class ServiceConfig:
             slowdown_factor=self.slowdown_factor,
             slowdown_duration=self.slowdown_duration,
         )
-        return FaultInjector(spec, seed=self.fault_seed)
+        return FaultInjector(spec, seed=0)
 
     def build(self, clock: timing.Clock = timing.monotonic) -> "LiraService":
         reduction = AnalyticReduction(self.delta_min, self.delta_max)
@@ -160,12 +158,8 @@ class ServiceConfig:
             queue_capacity=self.queue_capacity,
             policy=self.policy,
             adapt_period=self.adapt_period,
-            pump_period=self.pump_period,
             station_radius=self.station_radius,
-            utilization_target=self.utilization_target,
-            throttle_smoothing=self.throttle_smoothing,
             faults=self.faults(),
-            incremental=self.incremental,
             clock=clock,
         )
 
@@ -289,12 +283,8 @@ class LiraService:
         queue_capacity: int = 600,
         policy: str = "lira",
         adapt_period: float = 0.5,
-        pump_period: float = 0.005,
         station_radius: float = 4_000.0,
-        utilization_target: float | None = 0.8,
-        throttle_smoothing: float | None = 0.5,
         faults: FaultInjector | None = None,
-        incremental: bool = True,
         clock: timing.Clock = timing.monotonic,
     ) -> None:
         if policy not in POLICIES:
@@ -305,9 +295,7 @@ class LiraService:
         self.policy = policy
         self.clock = clock
         self.faults = faults
-        self.incremental = incremental
         self.adapt_period = adapt_period
-        self.pump_period = pump_period
         self.shard = LiraShard(
             0,
             place_uniform_stations(bounds, station_radius),
@@ -321,13 +309,15 @@ class LiraService:
             adaptive_throttle=True,
             policy=policy,
             policy_seed=0,
-            incremental=incremental,
+            # Cross-round adaptation state (bit-identical plans): what
+            # makes delta pushes and skipped pushes of unchanged plans.
+            incremental=True,
         )
         self.server = self.shard.server
         self.shedder = self.shard.shedder
         self.network = self.shard.network
-        self.shedder.throtloop.utilization_target = utilization_target
-        self.shedder.throtloop.smoothing = throttle_smoothing
+        self.shedder.throtloop.utilization_target = UTILIZATION_TARGET
+        self.shedder.throtloop.smoothing = THROTTLE_SMOOTHING
         self.counters = ServiceCounters()
         self.plan_generated_t = 0.0
         # Delta-broadcast state of the last install: the delta that
@@ -461,12 +451,11 @@ class LiraService:
         queue = self.server.queue
         table = self.server.table
         session = self.shedder.session
-        # Hinted vs cold GRIDREDUCE path at a glance: memo hits/misses,
-        # gain-kernel calls and rows, lifetime and ``last_round_*``
-        # (all zero without an incremental session).
-        memo = session.gridreduce if session else IncrementalGridReduceCache()
+        assert session is not None  # the service's shard is incremental
         return {
-            **memo.counters(),
+            # Hinted vs cold GRIDREDUCE path at a glance: memo hits/misses,
+            # gain-kernel calls and rows, lifetime and ``last_round_*``.
+            **session.gridreduce.counters(),
             "policy": self.policy,
             "z": self.shedder.current_z,
             "plan_version": self.network.version,
@@ -610,7 +599,7 @@ class LiraService:
     async def _pump_loop(self) -> None:
         self._last_pump_t = self.clock()
         while True:
-            await asyncio.sleep(self.pump_period)
+            await asyncio.sleep(PUMP_PERIOD)
             now = self.clock()
             try:
                 self.counters.acks_deferred += self._pump(now)

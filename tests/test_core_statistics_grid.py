@@ -128,7 +128,6 @@ class TestQueryLayerMemo:
         assert calls == [len(queries)]
         np.testing.assert_array_equal(first.m, reference.m)
         np.testing.assert_array_equal(second.m, reference.m)
-        assert second.dirty_mask.all()
 
     def test_returned_layers_are_never_aliased(self, rng):
         queries = self._queries(rng)

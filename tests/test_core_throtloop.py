@@ -85,18 +85,11 @@ class TestControlLaw:
         final_utilization = full_load * loop.z / capacity
         assert final_utilization == pytest.approx(loop.target_utilization, rel=1e-3)
 
-    def test_history_recorded(self):
-        loop = ThrotLoop(queue_capacity=10)
-        loop.step(5.0, 10.0)
-        loop.step(20.0, 10.0)
-        assert len(loop.history) == 2
-
     def test_reset(self):
         loop = ThrotLoop(queue_capacity=10)
         loop.step(100.0, 1.0)
         loop.reset()
         assert loop.z == 1.0
-        assert loop.history == []
 
 
 class TestValidation:

@@ -280,6 +280,35 @@ class TestNetworkUnderDownlinkFaults:
         assert mean_age == pytest.approx(40.0)
         assert stale_fraction == 1.0
 
+    def test_version_times_stay_bounded_over_many_installs(self, plan):
+        """A long-lived network forgets the generation time of every
+        version no station serves or awaits; ages stay right, including
+        those of a station that never hears a broadcast (0) and of one
+        that heard only the first (1)."""
+
+        stations = place_uniform_stations(plan.bounds, plan.bounds.width / 4)
+        assert len(stations) == 9
+
+        class _DeafDownlink:
+            broadcasts = 0
+
+            def downlink_fate(self, station_id):
+                first_install = self.broadcasts < len(stations)
+                self.broadcasts += 1
+                if station_id == 0 or (station_id == 1 and not first_install):
+                    return LOST, 0.0
+                return DELIVER, 0.0
+
+        net = BaseStationNetwork(stations, downlink=_DeafDownlink())
+        for k in range(5_000):
+            net.install_plan(plan, t=float(k))
+            assert len(net._version_times) <= len(stations) + 1
+        mean_age, stale_fraction = net.staleness(5_000.0)
+        # 0 never served anything (age t), 1 serves the t=0 plan, the
+        # other seven the latest (t=4999).
+        assert mean_age == pytest.approx((5_000.0 + 5_000.0 + 7 * 1.0) / 9)
+        assert stale_fraction == pytest.approx(2 / 9)
+
 
 # ----------------------------------------------------------------------
 # System-level guarantees

@@ -4,8 +4,8 @@ The contract under test is the one DESIGN.md §8 states: the degenerate
 partition ``LiraSystem(n_shards=1)`` is bit-identical to the per-node
 oracle loop (stats, plans, thresholds, query results — across fault
 regimes), and K>1 is bit-reproducible per seed with conserved node
-ownership and update accounting, an exactly budget-sum-invariant
-coordinator, and a pool path identical to the in-process path.
+ownership and update accounting, and an exactly budget-sum-invariant
+coordinator.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.core import AnalyticReduction, LiraConfig
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
 from repro.queries import RangeQuery, evaluate_queries
-from repro.server import LiraSystem
+from repro.server import LiraSystem, hrw_shards
 
 from tests.oracles.system import ReferenceLiraSystem
 
@@ -43,7 +43,7 @@ def _common(**overrides) -> dict:
     return common
 
 
-def _make_pair(n_nodes=400, n_shards=1, n_workers=1, **overrides):
+def _make_pair(n_nodes=400, n_shards=1, **overrides):
     config = _config()
     reduction = AnalyticReduction(config.delta_min, config.delta_max)
     common = _common(**overrides)
@@ -52,17 +52,17 @@ def _make_pair(n_nodes=400, n_shards=1, n_workers=1, **overrides):
     )
     sharded = LiraSystem(
         BOUNDS, n_nodes, QUERIES, reduction, config=config,
-        n_shards=n_shards, n_workers=n_workers, **common,
+        n_shards=n_shards, **common,
     )
     return ref, sharded
 
 
-def _make_sharded(n_shards, n_nodes=400, n_workers=1, **overrides):
+def _make_sharded(n_shards, n_nodes=400, **overrides):
     config = _config()
     reduction = AnalyticReduction(config.delta_min, config.delta_max)
     return LiraSystem(
         BOUNDS, n_nodes, QUERIES, reduction, config=config,
-        n_shards=n_shards, n_workers=n_workers, **_common(**overrides),
+        n_shards=n_shards, **_common(**overrides),
     )
 
 
@@ -108,7 +108,6 @@ def _drive_sharded(sharded, n_ticks=40, seed=3, check_invariants=True):
         if check_invariants:
             owned = np.sort(sharded.owned_ids())
             assert np.array_equal(owned, np.arange(n)), "node ownership leaked"
-    sharded.close()
     return sharded.stats(), sharded.evaluate_queries(), sharded.total_cross_handoffs
 
 
@@ -207,31 +206,15 @@ class TestMultiShardReproducibility:
         _, _, handoffs = _drive_sharded(_make_sharded(4))
         assert handoffs > 0
 
-    def test_pool_matches_in_process(self):
-        stats_serial, queries_serial, handoffs_serial = _drive_sharded(
-            _make_sharded(4, n_workers=1)
-        )
-        stats_pool, queries_pool, handoffs_pool = _drive_sharded(
-            _make_sharded(4, n_workers=2)
-        )
-        assert stats_serial == stats_pool
-        assert handoffs_serial == handoffs_pool
-        for rows_serial, rows_pool in zip(queries_serial, queries_pool):
-            np.testing.assert_array_equal(rows_serial, rows_pool)
-
-
-    def test_worker_rebuilds_the_coordinators_raster(self):
-        """Workers get stations + bounds only and must arrive at the very
-        candidate table the coordinator routes with."""
-        with _make_sharded(4) as system:
-            table = system._ensure_pool().submit(_worker_candidates).result(timeout=120)
-            assert np.array_equal(table, system.router.assigner._candidates)
-
-
-def _worker_candidates():
-    from repro.server import shard
-
-    return shard._WORKER_ASSIGNER._candidates
+    def test_station_routing_is_pinned(self):
+        """Station -> shard ownership is a fixed function of (id, K): these
+        literals were recorded before the ``salt`` argument was removed."""
+        assert hrw_shards(np.arange(24), 4).tolist() == [
+            2, 3, 2, 2, 0, 2, 3, 0, 0, 1, 0, 2, 2, 1, 3, 2, 0, 3, 3, 1, 3, 2, 2, 1,
+        ]
+        assert hrw_shards(np.arange(24), 3).tolist() == [
+            2, 0, 2, 2, 0, 2, 1, 0, 0, 1, 0, 2, 2, 1, 0, 2, 0, 2, 1, 1, 1, 2, 2, 1,
+        ]
 
 
 #: What delta / skipped installs are *meant* to change: airtime, and the
