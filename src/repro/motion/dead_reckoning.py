@@ -39,7 +39,7 @@ class DeadReckoningTracker:
         self, t: float, position: Point, velocity: Point, threshold: float
     ) -> MotionReport | None:
         """Process one position sample under inaccuracy threshold Δ=``threshold``."""
-        if threshold < 0:
+        if not threshold >= 0:  # rejects NaN too, which would report every sample
             raise ValueError("threshold must be non-negative")
         if self.model is not None and self.model.deviation(t, position) <= threshold:
             return None
@@ -77,7 +77,7 @@ class DeadReckoningFleet:
     def set_thresholds(self, thresholds: np.ndarray | float) -> None:
         """Install per-node inaccuracy thresholds (broadcastable scalar ok)."""
         values = np.broadcast_to(np.asarray(thresholds, dtype=np.float64), (self.n_nodes,))
-        if np.any(values < 0):
+        if not np.all(values >= 0):  # rejects NaN too, which would never report again
             raise ValueError("thresholds must be non-negative")
         self.thresholds = values.copy()
 
@@ -92,9 +92,7 @@ class DeadReckoningFleet:
         velocities = np.asarray(velocities, dtype=np.float64)
         if positions.shape != (self.n_nodes, 2) or velocities.shape != (self.n_nodes, 2):
             raise ValueError("positions/velocities must have shape (n_nodes, 2)")
-        dt = t - self._sent_time
-        predicted = self._sent_pos + self._sent_vel * dt[:, None]
-        deviation = np.linalg.norm(predicted - positions, axis=1)
+        deviation = self._deviation(t, positions)
         senders = np.flatnonzero(~self._has_model | (deviation > self.thresholds))
         if senders.size:
             self._sent_pos[senders] = positions[senders]
@@ -103,6 +101,25 @@ class DeadReckoningFleet:
             self._has_model[senders] = True
             self.total_reports += int(senders.size)
         return senders
+
+    def _deviation(self, t: float, positions: np.ndarray) -> np.ndarray:
+        """|sent_pos + sent_vel·dt - position| per node.
+
+        Column by column and in place: the operations (hence the bits)
+        of the broadcast form and ``np.linalg.norm(axis=1)``, without
+        their five N x 2 temporaries.
+        """
+        dt = t - self._sent_time
+        deviation = self._sent_vel[:, 0] * dt
+        deviation += self._sent_pos[:, 0]
+        deviation -= positions[:, 0]
+        deviation *= deviation
+        dy = self._sent_vel[:, 1] * dt
+        dy += self._sent_pos[:, 1]
+        dy -= positions[:, 1]
+        dy *= dy
+        deviation += dy
+        return np.sqrt(deviation, out=deviation)
 
     def node_models(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot of (positions, velocities, times) of last-sent models."""

@@ -38,14 +38,6 @@ class BaseStation:
         """True if point ``p`` is inside the coverage disk."""
         return self.center.distance_to(p) <= self.radius
 
-    def regions_in_coverage(self, plan: SheddingPlan) -> list[int]:
-        """Indices of plan regions intersecting this station's coverage."""
-        return np.flatnonzero(coverage_mask([self], plan)[0]).tolist()
-
-    def broadcast_payload_bytes(self, plan: SheddingPlan) -> int:
-        """Size of the broadcast installing this station's region subset."""
-        return len(self.regions_in_coverage(plan)) * BYTES_PER_REGION
-
 
 def coverage_mask(stations: list[BaseStation], plan: SheddingPlan) -> np.ndarray:
     """Boolean (stations × regions) coverage-intersection matrix.

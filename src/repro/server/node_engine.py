@@ -13,12 +13,15 @@ install counters) and answers both with two batched lookups per tick:
    it, most cells exactly one, so only nodes near a real assignment
    boundary pay an exact first-minimum over a handful of gathered
    candidates — nobody scans every station;
-2. **threshold lookup** via per-station *threshold rasters*: the
-   station's region subset is rasterized onto the irregular grid
-   spanned by its region edges (so every rect boundary is a raster
-   line exactly), nodes are grouped by station with one radix sort,
-   and ``current_threshold`` for all nodes attached to a station is
-   two ``searchsorted`` calls + one mask-free gather.
+2. **threshold lookup** via a per-cell *Δ image* on the same raster:
+   Δ is a property of a region, so a cell that one station serves and
+   whose every point reads one Δ from that station's subset holds that
+   Δ, and most nodes need one gather.  The rest go to per-station
+   *threshold rasters*: the subset is rasterized onto the irregular
+   grid spanned by its region edges (every rect boundary is a raster
+   line exactly), nodes are grouped by station with one radix sort, and
+   ``current_threshold`` for a station's nodes is two ``searchsorted``
+   calls + one mask-free gather.
 
 The per-node reference (one ``MobileNode`` object per node scanning the
 station list and probing a 5×5 grid index, ``tests/oracles/system.py``)
@@ -63,6 +66,10 @@ _PRUNE_EPS = 1e-9
 
 #: Fine candidate-raster cells per coarse cell and axis.
 _REFINE = 5
+
+#: Δ-image entry for "points of this cell read different values: look it
+#: up exactly".  Negative, so no Δ and no NaN ("no region") is mistaken for it.
+_EXACT = -1.0
 
 
 class StationAssigner:
@@ -119,10 +126,21 @@ class StationAssigner:
         self._cell_w = bounds.width / self.fine_resolution or 1.0
         self._cell_h = bounds.height / self.fine_resolution or 1.0
         self._candidates = self._build_raster()
-        #: The lone candidate of each fine cell, -1 where contested.
+        #: Candidates per fine cell, and the lone one (-1 where contested).
+        #: One extra last entry is what cell -1, out of bounds, reads:
+        #: 0 candidates, i.e. "ask every station".
+        self._n_candidates = np.append((self._candidates >= 0).sum(axis=0), 0)
         self._single = np.where(
-            (self._candidates >= 0).sum(axis=0) == 1, self._candidates[0], -1
+            self._n_candidates == 1, np.append(self._candidates[0], -1), -1
         )
+        self._single_cells: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def _boxes(self, i: np.ndarray, j: np.ndarray, span: int) -> tuple[np.ndarray, ...]:
+        """``(x1, y1, x2, y2)`` of the squares of ``span`` fine cells whose
+        lower corners are fine cells ``(i, j)``."""
+        x1 = self.bounds.x1 + i * self._cell_w
+        y1 = self.bounds.y1 + j * self._cell_h
+        return x1, y1, x1 + span * self._cell_w, y1 + span * self._cell_h
 
     def _prune(
         self, i: np.ndarray, j: np.ndarray, span: int, cand: np.ndarray
@@ -149,11 +167,7 @@ class StationAssigner:
         squared distances, inflated by ``_PRUNE_EPS`` so rounding can
         only grow a column.
         """
-        b = self.bounds
-        x1 = b.x1 + i * self._cell_w
-        y1 = b.y1 + j * self._cell_h
-        x2 = x1 + span * self._cell_w
-        y2 = y1 + span * self._cell_h
+        x1, y1, x2, y2 = self._boxes(i, j, span)
         cx, cy, radius = self._cx[cand], self._cy[cand], self._radius[cand]
         near_x = np.maximum(np.maximum(x1 - cx, cx - x2), 0.0)
         near_y = np.maximum(np.maximum(y1 - cy, cy - y2), 0.0)
@@ -200,23 +214,56 @@ class StationAssigner:
         cells += np.minimum(((y - b.y1) / self._cell_h).astype(np.int64), last)
         return cells
 
+    def single_cells(self, slot: int) -> tuple[np.ndarray, ...]:
+        """``(cells, x1, y1, x2, y2)``: the fine cells whose lone candidate
+        is ``slot`` and their closed boxes grown by the pruning ε (memoized).
+
+        Every position :meth:`cells_of` maps to a cell lies inside its box:
+        ε is nine orders of magnitude above the rounding of the
+        subtract-and-divide that picks the cell.
+        """
+        found = self._single_cells.get(slot)
+        if found is None:
+            cells = np.flatnonzero(self._single[:-1] == slot)
+            x1, y1, x2, y2 = self._boxes(*np.divmod(cells, self.fine_resolution), 1)
+            eps = self._eps
+            found = self._single_cells[slot] = (cells, x1 - eps, y1 - eps, x2 + eps, y2 + eps)
+        return found
+
     def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Station *slot* (index into the station list) per position."""
-        n = x.size
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
+        return self.locate(x, y)[0]
+
+    def locate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(station slot, fine raster cell)`` per position from one raster
+        walk; positions outside the raster bounds get cell -1."""
         b = self.bounds
-        if x.min() >= b.x1 and x.max() <= b.x2 and y.min() >= b.y1 and y.max() <= b.y2:
-            return self._assign_raster(x, y)
-        inside = (x >= b.x1) & (x <= b.x2) & (y >= b.y1) & (y <= b.y2)
-        idx_in = np.flatnonzero(inside)
-        idx_out = np.flatnonzero(~inside)
-        slots = np.empty(n, dtype=np.int64)
-        slots[idx_in] = self._assign_raster(x[idx_in], y[idx_in])
-        slots[idx_out] = self._resolve(
-            x[idx_out], y[idx_out], np.arange(len(self.stations))[:, None]
-        )
-        return slots
+        if x.size == 0 or (
+            x.min() >= b.x1 and x.max() <= b.x2 and y.min() >= b.y1 and y.max() <= b.y2
+        ):
+            cells = self.cells_of(x, y)
+        else:
+            inside = (x >= b.x1) & (x <= b.x2) & (y >= b.y1) & (y <= b.y2)
+            cells = np.full(x.size, -1, dtype=np.int64)
+            cells[inside] = self.cells_of(x[inside], y[inside])
+        # Single-candidate cells need no distance computation at all:
+        # the lone candidate wins whether or not it covers the point
+        # (nearest-covering and nearest-overall coincide).  Only the
+        # contested remainder pays the gather + hypot, each row on its
+        # cell's own candidate count: columns are left-packed, so the
+        # first k rows are exact (most contested cells have two).
+        slots = self._single[cells]
+        contested = np.flatnonzero(slots < 0)
+        at = cells[contested]
+        width = self._n_candidates[at]
+        everyone = np.arange(len(self.stations))[:, None]
+        for k in (0, *range(2, len(self._candidates) + 1)):
+            pick = np.flatnonzero(width == k)
+            if pick.size:
+                rows = contested[pick]
+                cand = np.take(self._candidates[:k], at[pick], axis=1) if k else everyone
+                slots[rows] = self._resolve(x[rows], y[rows], cand)
+        return slots, cells
 
     def _resolve(self, x: np.ndarray, y: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Exact winner among per-position candidate columns (-1 padded)."""
@@ -227,20 +274,6 @@ class StationAssigner:
         if uncovered.size:
             pick[uncovered] = np.argmin(d[:, uncovered], axis=0)
         return np.broadcast_to(cand, d.shape)[pick, np.arange(x.size)]
-
-    def _assign_raster(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # Single-candidate cells need no distance computation at all:
-        # the lone candidate wins whether or not it covers the point
-        # (nearest-covering and nearest-overall coincide).  Only the
-        # contested remainder pays the gather + hypot.
-        cells = self.cells_of(x, y)
-        slots = self._single[cells]
-        contested = np.flatnonzero(slots < 0)
-        if contested.size:
-            slots[contested] = self._resolve(
-                x[contested], y[contested], self._candidates[:, cells[contested]]
-            )
-        return slots
 
 
 class _ThresholdRaster:
@@ -319,6 +352,34 @@ class _ThresholdRaster:
             np.searchsorted(self._ys, y, side="right"),
         ]
 
+    def uniform_over(
+        self, x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray
+    ) -> np.ndarray:
+        """What :meth:`thresholds_at` reads at *every* point of each closed
+        box (NaN included); ``_EXACT`` where it reads more than one value.
+
+        The raster lines are the union of the subset's region edges and
+        most of them separate equal Δ, so the test is on values, not on
+        lines: no two adjacent raster cells in the index window a box
+        spans may differ (counted on an integral image per axis).
+        """
+        p = self._padded
+        i1 = np.searchsorted(self._xs, x1, side="right")
+        i2 = np.searchsorted(self._xs, x2, side="right")
+        j1 = np.searchsorted(self._ys, y1, side="right")
+        j2 = np.searchsorted(self._ys, y2, side="right")
+
+        def steps(a, b, a1, a2, b1, b2):
+            # Pairs a[k] != b[k] (NaN equal to NaN) per window [a1, a2) x [b1, b2).
+            differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
+            total = np.zeros((differ.shape[0] + 1, differ.shape[1] + 1), dtype=np.int64)
+            np.cumsum(np.cumsum(differ, axis=0), axis=1, out=total[1:, 1:])
+            return total[a2, b2] - total[a1, b2] - total[a2, b1] + total[a1, b1]
+
+        broken = steps(p[:-1], p[1:], i1, i2, j1, j2 + 1)
+        broken += steps(p[:, :-1], p[:, 1:], i1, i2 + 1, j1, j2)
+        return np.where(broken == 0, p[i1, j1], _EXACT)
+
 
 class VectorNodeEngine:
     """Struct-of-arrays node-side engine, bit-identical to the per-node path.
@@ -355,8 +416,16 @@ class VectorNodeEngine:
         #: Station versions every node is known to be level with
         #: (``None`` = unknown): see :meth:`compute_thresholds`.
         self._level_with: np.ndarray | None = None
-        #: slot -> (regions-tuple id, regions ref, raster | None) cache.
-        self._rasters: dict[int, tuple[int, tuple, _ThresholdRaster | None]] = {}
+        #: slot -> (regions tuple its image cells are painted from, or
+        #: ``None`` once that subset is gone; the slot's last raster | None).
+        self._rasters: dict[int, tuple[tuple | None, _ThresholdRaster | None]] = {}
+        #: Per fine cell (last entry: cell -1, out of bounds) the Δ every
+        #: point of the cell reads, NaN for "no region", else ``_EXACT``.
+        self._image = np.full(self.assigner.fine_resolution**2 + 1, _EXACT)
+        #: Rows of the last tick the image could not answer, and the
+        #: slots that served them.
+        self.last_exact_rows = 0
+        self._served: np.ndarray | tuple = ()
 
     # ------------------------------------------------------------------
     # Per-tick station/subset state from the network
@@ -372,23 +441,20 @@ class VectorNodeEngine:
         return np.array(versions, dtype=np.int64), subsets
 
     def _raster_for(self, slot: int, subset) -> _ThresholdRaster | None:
+        """The slot's raster, brought level with ``subset`` together with
+        the slot's cells of the Δ image (called for slots serving rows)."""
         regions = subset.regions
-        cached = self._rasters.get(slot)
-        if cached is not None and cached[0] == id(regions):
-            return cached[2]
-        if (
-            cached is not None
-            and cached[2] is not None
-            and regions
-            and cached[2].repaint(regions)
-        ):
-            # Same geometry, new thresholds (delta install): the cached
-            # raster updated only the changed regions' cells in place.
-            self._rasters[slot] = (id(regions), regions, cached[2])
-            return cached[2]
-        raster = _ThresholdRaster(regions) if regions else None
-        # Hold a reference to the tuple so its id stays valid.
-        self._rasters[slot] = (id(regions), regions, raster)
+        known, raster = self._rasters.get(slot, (None, None))
+        if known is regions:
+            return raster
+        if not (raster is not None and regions and raster.repaint(regions)):
+            # (A same-geometry subset, the delta-install steady state,
+            # rewrote only the changed regions' raster cells in place.)
+            raster = _ThresholdRaster(regions) if regions else None
+        cells, *boxes = self.assigner.single_cells(slot)
+        self._image[cells] = np.nan if raster is None else raster.uniform_over(*boxes)
+        # Holding the tuple keeps its identity meaningful.
+        self._rasters[slot] = (regions, raster)
         return raster
 
     # ------------------------------------------------------------------
@@ -415,7 +481,7 @@ class VectorNodeEngine:
         if x.size == 0:
             return np.full(self.n_nodes, np.inf, dtype=np.float64)
 
-        slots = self.assigner.assign(x, y)
+        slots, cells = self.assigner.locate(x, y)
         previous = self._station_slot[rows]
         moved = np.flatnonzero(slots != previous)
         moved_rows = moved if full else rows[moved]
@@ -448,27 +514,43 @@ class VectorNodeEngine:
             self._installed_version[stale_rows] = slot_version[stale]
             self._level_with = versions if full else None
 
-        # Threshold gather: one raster lookup per station that serves
-        # nodes with an installed subset; no subset, an empty one, or no
-        # region at the position all read NaN, replaced by Δ⊢ in one go.
-        # Nodes are grouped by station with one stable radix sort of the
-        # (narrow) slot keys, so each station reads a contiguous slice.
-        have = np.flatnonzero(self._installed_version[rows] >= 0)
+        # A station whose subset changed identity (install, delta
+        # repaint, matured delayed broadcast) is repainted now if it
+        # served rows last tick; otherwise its cells leave the image and
+        # are painted again when it next serves rows.
+        for slot in self._served:
+            self._raster_for(slot, subsets[slot])
+        for slot, (known, raster) in self._rasters.items():
+            if known is not None and subsets[slot].regions is not known:
+                self._image[self.assigner.single_cells(slot)[0]] = _EXACT
+                self._rasters[slot] = (None, raster)
+
+        # Threshold gather.  Most rows sit in a cell whose every point
+        # reads one value, and take it from the image.  The rest get one
+        # raster lookup per station: grouped by station with one stable
+        # radix sort of the (narrow) slot keys, so each station reads a
+        # contiguous slice.  No subset, an empty one, or no region at the
+        # position all read NaN, replaced by Δ⊢ in one go.
+        values = self._image[cells]
+        values[self._installed_version[rows] < 0] = np.nan
+        exact = np.flatnonzero(values < 0)
+        self.last_exact_rows = int(exact.size)
         n_stations = len(subsets)
         key = np.int16 if n_stations < 2**15 else np.int64
-        group = slots[have]
-        order = have[np.argsort(group.astype(key), kind="stable")]
+        group = slots[exact]
+        order = exact[np.argsort(group.astype(key), kind="stable")]
         xs, ys = x[order], y[order]
-        values = np.full(order.size, np.nan, dtype=np.float64)
+        found = np.full(order.size, np.nan, dtype=np.float64)
         counts = np.bincount(group, minlength=n_stations)
         ends = np.cumsum(counts)
-        for slot in np.flatnonzero(counts):
+        self._served = np.flatnonzero(counts)
+        for slot in self._served:
             raster = self._raster_for(slot, subsets[slot])
             if raster is not None:
                 span = slice(ends[slot] - counts[slot], ends[slot])
-                values[span] = raster.thresholds_at(xs[span], ys[span])
-        out = np.full(x.size, default, dtype=np.float64)
-        out[order] = np.where(np.isnan(values), default, values)
+                found[span] = raster.thresholds_at(xs[span], ys[span])
+        values[order] = found
+        out = np.where(np.isnan(values), default, values)
         if full:
             return out
         thresholds = np.full(self.n_nodes, np.inf, dtype=np.float64)

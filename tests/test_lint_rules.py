@@ -51,6 +51,7 @@ class TestRegistry:
             "REP004",
             "REP010",
             "REP011",
+            "REP012",
             "REP020",
             "REP021",
             "REP030",
@@ -277,6 +278,79 @@ class TestRep011MutableDefault:
                 return items, pair
             """
         )
+
+
+class TestRep012UnusedImport:
+    def test_flags_unread_import_and_from_import(self):
+        findings = lint(
+            """
+            import os
+            import numpy as np
+            from typing import Iterator, Sequence
+
+            def first(xs: Sequence[int]) -> int:
+                return np.asarray(xs)[0]
+            """
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("REP012", 2), ("REP012", 4)]
+        assert "'os'" in findings[0].message and "'Iterator'" in findings[1].message
+
+    def test_applies_outside_the_library_too(self):
+        assert "REP012" in rule_ids("import json\n", path="tests/test_example.py")
+
+    def test_reads_that_are_not_plain_loads_count(self):
+        """``__all__``, string annotations (the ``TYPE_CHECKING`` idiom),
+        dotted imports read through their first component, re-export
+        aliases, ``__future__`` and optional-dependency fallbacks."""
+        assert "REP012" not in rule_ids(
+            """
+            from __future__ import annotations
+
+            import os.path
+            from typing import TYPE_CHECKING
+
+            from repro.geo import Point
+            from repro.geo import Rect as Rect
+
+            if TYPE_CHECKING:
+                from repro.core.plan import SheddingPlan
+                from repro.server import BaseStation
+
+            try:
+                import scipy
+            except ImportError:
+                scipy = None
+
+            __all__ = ["Point", "area"]
+
+            def area(plan: "SheddingPlan", stations: list["BaseStation"]) -> float:
+                return float(os.path.getsize(plan.path)) if scipy else 0.0
+            """
+        )
+
+    def test_package_init_reexports_are_exempt(self):
+        source = "from repro.geo import Point, Rect\n"
+        assert "REP012" not in rule_ids(source, path="src/repro/shapes/__init__.py")
+        assert "REP012" in rule_ids(source, path="src/repro/shapes/core.py")
+
+    def test_function_local_imports_are_not_module_bindings(self):
+        assert "REP012" not in rule_ids(
+            """
+            def registered():
+                import repro.lint.rules
+                return True
+            """
+        )
+
+    def test_side_effect_import_is_suppressed_with_its_reason(self):
+        source = """
+            import repro.lint.rules  # reprolint: disable=REP012 - registers the rules on import
+            """
+        assert rule_ids(source) == []
+        assert rule_ids(source.replace("disable=REP012", "disable=REP011")) == [
+            "REP000",
+            "REP012",
+        ]
 
 
 class TestRep020UnclampedPlan:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo import Point
 from repro.motion import (
@@ -63,6 +65,18 @@ class TestDeadReckoningTracker:
         tracker = DeadReckoningTracker(0)
         with pytest.raises(ValueError):
             tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=-1.0)
+
+    def test_nan_threshold_rejected(self):
+        """``deviation <= NaN`` is false: the node would report every sample."""
+        tracker = DeadReckoningTracker(0)
+        with pytest.raises(ValueError):
+            tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=float("nan"))
+
+    def test_infinite_threshold_accepted(self):
+        """``inf`` parks a node: one report to install a model, then silence."""
+        tracker = DeadReckoningTracker(0)
+        assert tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=np.inf)
+        assert tracker.observe(1.0, Point(1e9, 0), Point(0, 0), threshold=np.inf) is None
 
     def test_larger_threshold_fewer_reports(self, rng):
         """Monotonicity of the update volume in delta — the premise of f."""
@@ -147,6 +161,27 @@ class TestDeadReckoningFleet:
         with pytest.raises(ValueError):
             fleet.set_thresholds(np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize(
+        "thresholds",
+        [float("nan"), np.full(3, np.nan), np.array([1.0, np.nan, np.inf])],
+        ids=["scalar", "array", "one-element"],
+    )
+    def test_rejects_nan_thresholds(self, thresholds):
+        """``deviation > NaN`` is false: the row would never report again."""
+        fleet = DeadReckoningFleet(3)
+        fleet.set_thresholds(2.0)
+        with pytest.raises(ValueError):
+            fleet.set_thresholds(thresholds)
+        assert fleet.thresholds.tolist() == [2.0, 2.0, 2.0]
+
+    def test_infinite_thresholds_accepted(self):
+        """``inf`` is how the systems loop parks inactive nodes."""
+        fleet = DeadReckoningFleet(2)
+        fleet.set_thresholds(np.array([np.inf, 1.0]))
+        fleet.observe(0.0, np.zeros((2, 2)), np.zeros((2, 2)))
+        senders = fleet.observe(1.0, np.full((2, 2), 1e9), np.zeros((2, 2)))
+        assert senders.tolist() == [1]
+
     def test_rejects_bad_shapes(self):
         fleet = DeadReckoningFleet(2)
         with pytest.raises(ValueError):
@@ -162,3 +197,60 @@ class TestDeadReckoningFleet:
         np.testing.assert_array_equal(sent_pos, pos)
         np.testing.assert_array_equal(sent_vel, vel)
         np.testing.assert_array_equal(sent_time, [7.0, 7.0])
+
+
+# ----------------------------------------------------------------------
+# The in-place deviation kernel vs the broadcast + norm form it replaced
+# ----------------------------------------------------------------------
+
+_coordinate = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324]),
+)
+
+
+def _reference_deviation(fleet, t, positions):
+    dt = t - fleet._sent_time
+    predicted = fleet._sent_pos + fleet._sent_vel * dt[:, None]
+    return np.linalg.norm(predicted - positions, axis=1)
+
+
+class TestDeviationKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        newcomers=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        odd=st.lists(st.tuples(st.integers(0, 99), _coordinate, _coordinate), max_size=6),
+        parked=st.lists(st.integers(0, 99), max_size=4),
+    )
+    def test_observe_matches_the_broadcast_form(self, n, newcomers, seed, odd, parked):
+        """Same deviations bit for bit (NaN where NaN) and the same senders,
+        over fleets with ``inf`` thresholds, rows without a model, no rows
+        at all, and non-finite or huge coordinates."""
+        rng = np.random.default_rng(seed)
+        fleet = DeadReckoningFleet(n)
+        with np.errstate(all="ignore"):
+            for tick in range(4):
+                if tick == 2 and newcomers:
+                    # Rows without a model, arriving as a shard hand-off does.
+                    fresh = DeadReckoningFleet(newcomers)
+                    state = fresh.extract_rows(np.arange(newcomers))
+                    fleet.insert_rows(rng.integers(0, fleet.n_nodes + 1, newcomers), state)
+                size = fleet.n_nodes
+                thresholds = rng.choice([0.0, 0.5, 3.0, 40.0], size)
+                thresholds[[k % size for k in parked if size]] = np.inf
+                fleet.set_thresholds(thresholds)
+                positions = np.cumsum(rng.normal(0.0, 4.0, (size, 2)), axis=0)
+                velocities = rng.normal(0.0, 2.0, (size, 2))
+                for row, px, vx in odd:
+                    if size and row % 4 == tick:
+                        positions[row % size, row % 2] = px
+                        velocities[row % size, (row + 1) % 2] = vx
+                t = 1.5 * tick + float(rng.uniform(0.0, 1.0))
+                want = _reference_deviation(fleet, t, positions)
+                got = fleet._deviation(t, positions)
+                assert got.shape == (size,)
+                assert np.array_equal(got, want, equal_nan=True)
+                expected = np.flatnonzero(~fleet._has_model | (want > fleet.thresholds))
+                assert np.array_equal(fleet.observe(t, positions, velocities), expected)

@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AnalyticReduction, LiraConfig, StatisticsGrid
-from repro.core.plan import SheddingRegion
+from repro.core import AnalyticReduction, LiraConfig
+from repro.core.greedy import RegionStats
+from repro.core.plan import SheddingPlan, SheddingRegion
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Point, Rect
 from repro.server import (
@@ -38,6 +39,7 @@ from repro.server import (
 from repro.server.node_engine import VectorNodeEngine, _ThresholdRaster
 from repro.server.queue import ArrayBoundedQueue
 
+from tests.oracles.node_engine import full_gather_thresholds
 from tests.oracles.system import (
     BoundedQueue,
     MobileNode,
@@ -290,27 +292,41 @@ class TestThresholdRaster:
 
 
 class _ScriptedDownlink:
-    """Loses the broadcasts to the listed stations, delivers the rest."""
+    """Loses the broadcasts to the ``lost`` stations, delays those to the
+    ``delayed`` ones by the given seconds, delivers the rest."""
 
     def __init__(self):
         self.lost: set[int] = set()
+        self.delayed: dict[int, float] = {}
 
     def downlink_fate(self, station_id):
-        from repro.faults.channel import DELIVER, LOST
+        from repro.faults.channel import DELAYED, DELIVER, LOST
 
-        return (LOST if station_id in self.lost else DELIVER), 0.0
+        if station_id in self.lost:
+            return LOST, 0.0
+        if station_id in self.delayed:
+            return DELAYED, self.delayed[station_id]
+        return DELIVER, 0.0
+
+
+def _grid_plan(rect, k, deltas, epoch=0):
+    """A uniform ``k`` x ``k`` plan over ``rect``, Δ per region in row order."""
+    w, h = rect.width / k, rect.height / k
+    regions = [
+        RegionStats(
+            rect=Rect(rect.x1 + i * w, rect.y1 + j * h, rect.x1 + (i + 1) * w, rect.y1 + (j + 1) * h),
+            n=1.0, m=1.0, s=1.0,
+        )
+        for i in range(k)
+        for j in range(k)
+    ]
+    return SheddingPlan.from_regions(
+        bounds=rect, regions=regions, thresholds=np.asarray(deltas), resolution=k, epoch=epoch
+    )
 
 
 def _one_region_plan(delta):
-    from repro.core.greedy import RegionStats
-    from repro.core.plan import SheddingPlan
-
-    return SheddingPlan.from_regions(
-        bounds=BOUNDS,
-        regions=[RegionStats(rect=BOUNDS, n=1.0, m=1.0, s=1.0)],
-        thresholds=np.array([delta]),
-        resolution=1,
-    )
+    return _grid_plan(BOUNDS, 1, [delta])
 
 
 class TestSparseBookkeeping:
@@ -373,6 +389,25 @@ class TestSparseBookkeeping:
         assert (self._tick(obj, vec, positions) == 15.0).all()
         assert vec.install_counts().tolist() == [2] * 200
 
+    def test_station_without_rows_does_not_keep_a_stale_image(self):
+        """A station repaints ahead of the gather only if it served rows
+        on the previous tick; one that had none when the plan changed
+        must not answer from what it painted before."""
+        network, _, obj, vec = self._engines()
+        home, away = network.stations[0], network.stations[-1]
+        rng = np.random.default_rng(4)
+        at_home = [home.center.x, home.center.y] + rng.uniform(-400.0, 400.0, (200, 2))
+        at_away = [away.center.x, away.center.y] + rng.uniform(-400.0, 400.0, (200, 2))
+        network.install_plan(_grid_plan(BOUNDS, 8, 5.0 + np.arange(64.0)))
+        self._tick(obj, vec, at_home)
+        before = self._tick(obj, vec, at_home)
+        assert vec.last_exact_rows < 200  # home's cells are painted
+        self._tick(obj, vec, at_away)
+        network.install_plan(_grid_plan(BOUNDS, 8, 70.0 - np.arange(64.0)))
+        self._tick(obj, vec, at_away)
+        after = self._tick(obj, vec, at_home)
+        assert (after != before).all()
+
     def test_rejoining_node_catches_up_after_quiet_ticks(self):
         """A node away while its station re-broadcast must re-install on
         return even though no version moved on that tick."""
@@ -404,6 +439,176 @@ class TestSparseBookkeeping:
         merged = np.concatenate([positions[:50], positions])
         assert (vec.compute_thresholds(merged, None, default=30.0) == 20.0).all()
         assert vec.install_counts().tolist() == [2] * 50 + [1] * 200
+        # The Δ image holds no per-node state: painted on the first tick
+        # after a many-region plan arrives, it answers rows that join
+        # later — from an engine that never saw that plan — on their
+        # first tick here.
+        network.install_plan(_grid_plan(BOUNDS, 8, 5.0 + np.arange(64.0)))
+        got = vec.compute_thresholds(merged, None, default=30.0)
+        assert np.array_equal(got, full_gather_thresholds(vec, merged, None, 30.0))
+        vec.insert_rows(np.full(100, 250), other.extract_rows(np.arange(100)))
+        merged = np.concatenate([merged, positions[50:150]])
+        got = vec.compute_thresholds(merged, None, default=30.0)
+        assert np.array_equal(got, full_gather_thresholds(vec, merged, None, 30.0))
+        assert len(set(got[250:].tolist())) > 10
+        arrival_cells = vec.assigner.locate(merged[250:, 0], merged[250:, 1])[1]
+        assert (vec._image[arrival_cells] >= 0).sum() >= 25  # answered from the image
+        assert vec.install_counts().tolist() == [3] * 50 + [2] * 200 + [2] * 100
+
+
+# ----------------------------------------------------------------------
+# The Δ image is exact: vs the per-node oracle and the every-row gather
+# ----------------------------------------------------------------------
+
+#: Few distinct values, so most raster lines separate *equal* Δ.
+_DELTAS = np.array([5.0, 5.0, 5.0, 12.5, 40.0])
+
+_step = st.fixed_dictionaries({
+    # None: no install this step; the current k: same geometry (a delta
+    # on a fault-free network, a repaint otherwise); else new geometry.
+    "k": st.sampled_from([None, None, 1, 2, 3, 5]),
+    "changed": st.floats(0.0, 1.0),
+    "lost": st.sets(st.integers(0, 7), max_size=3),
+    "delayed": st.sets(st.integers(0, 7), max_size=2),
+    "churn": st.sampled_from([None, None, 0.2, 0.7]),
+    # Everybody gathers at one station, so the others serve no rows.
+    "herd": st.sampled_from([None, None, 0, 1, 2]),
+})
+
+
+class TestThresholdImage:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.lists(_station, min_size=1, max_size=8),
+        origin=st.tuples(_lattice, _lattice),
+        size=st.tuples(st.integers(1, 1600), st.integers(1, 1600)),
+        resolution=st.sampled_from([None, 1, 3]),
+        inset=st.tuples(st.sampled_from([0.0, 0.0, 0.3]), st.sampled_from([0.0, 0.0, 0.45])),
+        faulty=st.booleans(),
+        steps=st.lists(_step, min_size=2, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracles_over_plan_sequences(
+        self, layout, origin, size, resolution, inset, faulty, steps, seed
+    ):
+        """Full installs, deltas and repaints, new geometry, empty subsets,
+        lost and delayed broadcasts, rows dropping out and coming back;
+        positions on fine-cell edges, raster lines, the bounds' edges and
+        outside them.  Same Δ and protocol state after every tick."""
+        rng = np.random.default_rng(seed)
+        stations = [
+            BaseStation(station_id=3 * k + 1, center=Point(x, y), radius=r)
+            for k, (x, y, r) in enumerate(layout)
+        ]
+        bounds = Rect(
+            origin[0], origin[1], origin[0] + size[0] / 4.0, origin[1] + size[1] / 4.0
+        )
+        # The plan covers part of the space: positions beside it read Δ⊢
+        # and stations away from it are broadcast an empty subset.
+        plan_rect = Rect(
+            bounds.x1 + inset[0] * bounds.width, bounds.y1,
+            bounds.x2, bounds.y2 - inset[1] * bounds.height,
+        )
+        downlink = _ScriptedDownlink() if faulty else None
+        network = BaseStationNetwork(stations, downlink=downlink)
+        n = 48
+        obj = ObjectNodeEngine(n, network)
+        vec = VectorNodeEngine(
+            n, network, bounds, assigner=StationAssigner(stations, bounds, resolution)
+        )
+        fine = vec.assigner.fine_resolution
+        lines_x = np.concatenate([
+            np.linspace(bounds.x1, bounds.x2, fine + 1),
+            *(np.linspace(plan_rect.x1, plan_rect.x2, k + 1) for k in (2, 3, 5)),
+        ])
+        lines_y = np.concatenate([
+            np.linspace(bounds.y1, bounds.y2, fine + 1),
+            *(np.linspace(plan_rect.y1, plan_rect.y2, k + 1) for k in (2, 3, 5)),
+        ])
+        positions = np.column_stack([
+            rng.uniform(bounds.x1, bounds.x2, n), rng.uniform(bounds.y1, bounds.y2, n)
+        ])
+        plan, deltas = None, None
+        for tick, step in enumerate(steps):
+            t = 10.0 * tick
+            if downlink is not None:
+                ids = [s.station_id for s in stations]
+                downlink.lost = {ids[k % len(ids)] for k in step["lost"]}
+                downlink.delayed = {ids[k % len(ids)]: 15.0 for k in step["delayed"]}
+            k = step["k"]
+            if k is not None:
+                if plan is not None and len(plan.regions) == k * k:
+                    flip = rng.uniform(size=k * k) < step["changed"]
+                    deltas = np.where(flip, rng.choice(_DELTAS, k * k), deltas)
+                else:
+                    deltas = rng.choice(_DELTAS, k * k)
+                previous, plan = plan, _grid_plan(plan_rect, k, deltas, epoch=tick)
+                network.install_plan(
+                    plan, t=t, delta=previous.diff(plan) if previous is not None else None
+                )
+            network.deliver_pending(t)
+            # Each row stays put, or moves inside, on to a line, a corner
+            # of two lines, an edge of the bounds, or outside the bounds.
+            inside = np.column_stack([
+                rng.uniform(bounds.x1, bounds.x2, n), rng.uniform(bounds.y1, bounds.y2, n)
+            ])
+            on_x, on_y = rng.choice(lines_x, n), rng.choice(lines_y, n)
+            kinds = [
+                positions,
+                inside,
+                np.column_stack([on_x, inside[:, 1]]),
+                np.column_stack([inside[:, 0], on_y]),
+                np.column_stack([on_x, on_y]),
+                np.column_stack([rng.choice([bounds.x1, bounds.x2], n), inside[:, 1]]),
+                np.column_stack([inside[:, 0], rng.choice([bounds.y1, bounds.y2], n)]),
+                inside + rng.choice([-1.0, 1.0], (n, 2)) * [bounds.width, bounds.height],
+            ]
+            positions = np.stack(kinds)[rng.integers(0, len(kinds), n), np.arange(n)]
+            if step["herd"] is not None:
+                center = stations[step["herd"] % len(stations)].center
+                positions = [center.x, center.y] + rng.uniform(-1.0, 1.0, (n, 2))
+            active = None if step["churn"] is None else rng.uniform(size=n) >= step["churn"]
+
+            want = obj.compute_thresholds(positions, active, default=30.0)
+            got = vec.compute_thresholds(positions, active, default=30.0)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, full_gather_thresholds(vec, positions, active, 30.0))
+            assert np.array_equal(vec._handoffs, obj.handoff_counts())
+            assert np.array_equal(vec._installs, obj.install_counts())
+            assert vec._installed_version.tolist() == [
+                -1 if node.subset is None else node.subset.version for node in obj.nodes
+            ]
+            assert vec.total_handoffs == obj.total_handoffs
+
+    def test_most_rows_are_answered_from_the_image(self):
+        """Counted gate: on a uniform 20 000-node scene under a 250-region
+        plan, at least 0.6 of the rows take Δ from the image, every tick."""
+        bounds = Rect(0.0, 0.0, 14_000.0, 14_000.0)
+        rng = np.random.default_rng(21)
+        n = 20_000
+        positions = rng.uniform(0.0, 14_000.0, (n, 2))
+        velocities = rng.normal(0.0, 12.0, (n, 2))
+        system = LiraSystem(
+            bounds=bounds,
+            n_nodes=n,
+            queries=[],
+            reduction=AnalyticReduction(5.0, 100.0),
+            config=LiraConfig(l=250, alpha=128),
+            station_radius=1500.0,
+            adaptive_throttle=False,
+        )
+        assert len(system.network.stations) == 49
+        system.shedder.set_throttle_fraction(0.5)
+        system.bootstrap(positions, velocities)
+        system.adapt(positions, np.hypot(velocities[:, 0], velocities[:, 1]))
+        assert len(system.shards[0].plan.regions) == 250
+        system.tick(0.0, positions, velocities, 1.0)  # paints
+        shares = []
+        for tick in range(1, 11):
+            positions = np.clip(positions + velocities, 0.0, 14_000.0)
+            system.tick(float(tick), positions, velocities, 1.0)
+            shares.append(1.0 - system.node_engine.last_exact_rows / n)
+        assert min(shares) >= 0.6, shares
 
 
 # ----------------------------------------------------------------------
