@@ -5,7 +5,8 @@ through the real component path: mobile nodes attach to base stations,
 download region subsets on hand-off, pick their throttler locally with
 the 5x5 node-side index, dead-reckon, and push reports through the
 server's bounded queue — while THROTLOOP steers the throttle fraction
-and ad-hoc snapshot queries are answered from the trajectory archive.
+and ad-hoc snapshot queries are answered from a trajectory archive the
+script attaches (the system itself keeps only current state).
 
 Run:  python examples/full_system.py
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from repro.core import LiraConfig, measure_reduction_from_trace
 from repro.geo import Rect
-from repro.history import SnapshotQuery
+from repro.history import SnapshotQuery, TrajectoryStore
 from repro.queries import QueryDistribution, generate_workload
 from repro.server import LiraSystem
 from repro.trace import generate_default_trace
@@ -42,6 +43,8 @@ def main() -> None:
         station_radius=1800.0,
         adaptive_throttle=True,
     )
+    # The reader of the past brings the archive; attach before bootstrap.
+    system.history = TrajectoryStore(system.n_nodes)
     system.bootstrap(trace.positions[0], trace.velocities[0])
     print(
         f"{trace.num_nodes} nodes, {len(queries)} CQs, "

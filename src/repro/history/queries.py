@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.geo import Rect
 from repro.history.store import TrajectoryStore
+from repro.queries.range_query import RangeQuery
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,28 +27,12 @@ class SnapshotQuery:
 
     def evaluate(self, store: TrajectoryStore) -> np.ndarray:
         """Node ids believed inside the rectangle at ``time``."""
-        snapshot = store.believed_snapshot(self.time)
-        valid = ~np.isnan(snapshot[:, 0])
-        x, y = snapshot[:, 0], snapshot[:, 1]
-        mask = (
-            valid
-            & (x >= self.rect.x1)
-            & (x < self.rect.x2)
-            & (y >= self.rect.y1)
-            & (y < self.rect.y2)
-        )
-        return np.flatnonzero(mask)
+        # Unknown nodes are NaN rows, which compare outside every rect.
+        return self.evaluate_truth(store.believed_snapshot(self.time))
 
     def evaluate_truth(self, positions: np.ndarray) -> np.ndarray:
         """Ground-truth result from true positions at the query time."""
-        x, y = positions[:, 0], positions[:, 1]
-        mask = (
-            (x >= self.rect.x1)
-            & (x < self.rect.x2)
-            & (y >= self.rect.y1)
-            & (y < self.rect.y2)
-        )
-        return np.flatnonzero(mask)
+        return RangeQuery(0, self.rect).evaluate(positions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,33 +62,19 @@ class HistoricalRangeQuery:
 
     def evaluate(self, store: TrajectoryStore) -> np.ndarray:
         """Ids believed inside the rectangle at any sampled instant."""
-        hits = np.zeros(store.n_nodes, dtype=bool)
-        for t in self.sample_times():
-            snapshot = store.believed_snapshot(float(t))
-            valid = ~np.isnan(snapshot[:, 0])
-            x, y = snapshot[:, 0], snapshot[:, 1]
-            hits |= (
-                valid
-                & (x >= self.rect.x1)
-                & (x < self.rect.x2)
-                & (y >= self.rect.y1)
-                & (y < self.rect.y2)
-            )
-        return np.flatnonzero(hits)
+        return self._ever_inside(
+            store.believed_snapshot(float(t)) for t in self.sample_times()
+        )
 
     def evaluate_truth(self, trace, tick_of_time) -> np.ndarray:
         """Ground truth from a trace; ``tick_of_time`` maps time -> tick."""
-        hits = np.zeros(trace.num_nodes, dtype=bool)
-        for t in self.sample_times():
-            positions = trace.positions[tick_of_time(float(t))]
-            x, y = positions[:, 0], positions[:, 1]
-            hits |= (
-                (x >= self.rect.x1)
-                & (x < self.rect.x2)
-                & (y >= self.rect.y1)
-                & (y < self.rect.y2)
-            )
-        return np.flatnonzero(hits)
+        return self._ever_inside(
+            trace.positions[tick_of_time(float(t))] for t in self.sample_times()
+        )
+
+    def _ever_inside(self, snapshots) -> np.ndarray:
+        query = RangeQuery(0, self.rect)
+        return np.unique(np.concatenate([query.evaluate(s) for s in snapshots]))
 
 
 def snapshot_position_error(

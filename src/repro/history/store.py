@@ -72,13 +72,22 @@ class TrajectoryStore:
     ) -> None:
         """Archive a batch of reports received at time ``t``.
 
-        The whole batch is validated against per-node time order before
-        anything is appended; a late report raises ``ValueError`` and
-        leaves the archive unchanged.
+        The whole batch is validated (ids, shapes, per-node time order)
+        before anything is appended; a bad id, a mis-shaped array or a
+        late report raises ``ValueError`` and leaves the archive
+        unchanged.
         """
-        node_ids = np.asarray(node_ids, dtype=np.int64)
+        node_ids = np.asarray(node_ids)
         if node_ids.size == 0:
             return
+        if node_ids.ndim != 1 or node_ids.dtype.kind not in "iu":
+            raise ValueError("node_ids must be a 1-D integer array")
+        if node_ids.min() < 0 or node_ids.max() >= self.n_nodes:
+            raise ValueError(f"node ids must lie in [0, {self.n_nodes})")
+        node_ids = node_ids.astype(np.int64, copy=False)
+        shape = (node_ids.size, 2)
+        if np.shape(positions) != shape or np.shape(velocities) != shape:
+            raise ValueError(f"positions and velocities must have shape {shape}")
         late = t < self._last_time[node_ids]
         if late.any():
             bad = node_ids[int(np.argmax(late))]

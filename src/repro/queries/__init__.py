@@ -1,7 +1,6 @@
 """Continual-query workload substrate (range CQs, spatial distributions)."""
 
 from repro.queries.batch import BatchMeasurement, QueryEvalKernel, stack_bounds
-from repro.queries.io import load_workload, save_workload
 from repro.queries.range_query import RangeQuery, evaluate_queries
 from repro.queries.uncertain import (
     UncertainResult,
@@ -21,6 +20,4 @@ __all__ = [
     "evaluate_all_with_uncertainty",
     "evaluate_with_uncertainty",
     "generate_workload",
-    "load_workload",
-    "save_workload",
 ]

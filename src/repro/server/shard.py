@@ -275,8 +275,8 @@ class LiraShard:
         ``positions``/``velocities`` are the *global* arrays; the shard
         gathers its owned rows (a real shard's ingest would receive
         exactly these rows; the dense shard owns them all, row index ==
-        global id).  Returns senders in *global* ids for history
-        recording, and the nodes now served by a foreign station
+        global id).  Returns senders in *global* ids for an attached
+        ``LiraSystem.history``, and the nodes now served by a foreign station
         (``station_shard`` maps station slot → owning shard) for the
         coordinator's next-tick handoff.  Nodes falling outside every
         stored region use Δ⊢ conservatively.

@@ -8,7 +8,8 @@ Wires together everything the paper's architecture diagram shows:
 * **layer 3** — mobile nodes that store their station's subset, decide
   their throttler locally, and report via dead reckoning;
 
-plus the trajectory archive for historic/snapshot queries.  The
+and keeps the nodes' *current* state only; a reader of the past
+attaches its own archive (:attr:`LiraSystem.history`).  The
 simulation harness in :mod:`repro.sim` is the *measurement* loop (it
 shortcuts the protocol for speed); this class is the *systems* loop —
 every update flows through the real component path.
@@ -75,7 +76,6 @@ from repro.core import LiraConfig, LiraLoadShedder
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
-from repro.history import TrajectoryStore
 from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
 from repro.sanitize import rng_discipline
@@ -141,6 +141,15 @@ class RebalanceReport:
     budgets: np.ndarray
 
 
+class _NoArchive:
+    """Default :attr:`LiraSystem.history`: keeps nothing.  An object, not
+    ``None``, only while ``bench/layers.py`` pins ``history.record`` as a
+    traced seam (ROADMAP item 4: drop that row, then this goes)."""
+
+    def record(self, t, node_ids, positions, velocities) -> None:
+        pass
+
+
 def _slice_state(
     state: dict[str, dict[str, np.ndarray]], sel: np.ndarray
 ) -> dict[str, dict[str, np.ndarray]]:
@@ -169,8 +178,11 @@ class LiraSystem:
     Drive it with :meth:`bootstrap` (register the population),
     :meth:`adapt` (one server adaptation, typically every N ticks) and
     :meth:`tick` (one sampling period of true positions).  Query results
-    come from :meth:`evaluate_queries`; historic state from
-    :attr:`history`.  At ``n_shards=1`` the one shard's components are
+    come from :meth:`evaluate_queries`.  Nothing is archived unless a
+    reader assigns :attr:`history` a store before :meth:`bootstrap`
+    (``system.history = TrajectoryStore(system.n_nodes)``); it is then
+    fed every batch of reports sent, at every K.  At ``n_shards=1`` the
+    one shard's components are
     also reachable as :attr:`server`, :attr:`shedder`, :attr:`network`,
     :attr:`node_engine` and :attr:`fleet`; with more shards they are
     per shard (``shards[k].server`` …) and ``bootstrap`` must run before
@@ -275,7 +287,7 @@ class LiraSystem:
             self.node_engine, self.fleet = only.node_engine, only.fleet
         else:
             self.directory = ShardDirectory(station_list, self.shards)
-        self.history = TrajectoryStore(n_nodes)
+        self.history = _NoArchive()
         self._pending_handoffs: list[tuple[np.ndarray, np.ndarray]] = [
             (_EMPTY_I64, _EMPTY_I64) for _ in range(n_shards)
         ]
@@ -296,7 +308,7 @@ class LiraSystem:
         part of the steady-state update load THROTLOOP manages — pushing
         the entire population through the bounded queue in one tick
         would fabricate an overload.  Seeds the fleets' node-side
-        models, the server tables, and the trajectory archive
+        models, the server tables, and an attached :attr:`history`
         consistently.  With several shards, node→shard ownership comes
         from the serving station of each bootstrap position.
         """
@@ -429,7 +441,7 @@ class LiraSystem:
         return total_sent
 
     def _finish_tick(self, shard: LiraShard, t: float, out: TickResult) -> int:
-        """Archive one shard's reports and buffer its departures."""
+        """Feed one shard's reports to :attr:`history`; buffer departures."""
         sender_ids, sender_pos, sender_vel, dep_ids, dep_dst = out
         self.history.record(t, sender_ids, sender_pos, sender_vel)
         self._pending_handoffs[shard.shard_id] = (dep_ids, dep_dst)

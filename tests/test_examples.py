@@ -1,11 +1,12 @@
 """Smoke tests for the example scripts.
 
 Every example must at least import cleanly (no bit-rot against the
-public API); the two fastest also run end to end.  Examples print a lot
+public API); the three fastest also run end to end.  Examples print a lot
 — output is captured and sanity-checked, not asserted line by line.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +55,13 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "uniform" in out
         assert "delta" in out.lower()
+
+    def test_full_system_answers_a_snapshot_query_from_its_archive(self, capsys):
+        load_example("full_system.py").main()
+        out = capsys.readouterr().out
+        match = re.search(r"Snapshot query .* (\d+) believed / ", out)
+        assert match, out
+        assert int(match.group(1)) > 0
 
 
 class TestPackageEntryPoint:

@@ -71,6 +71,30 @@ class TestTrajectoryStore:
         with pytest.raises(ValueError):
             TrajectoryStore(0)
 
+    @pytest.mark.parametrize(
+        "ids, shape",
+        [
+            ([-1, 2], (2, 2)),  # wraps past the time-order check
+            ([1, 3], (2, 2)),
+            ([0.5, 1.5], (2, 2)),
+            ([1, 2], (2,)),
+            ([1, 2], (1, 2)),
+            ([1, 2], (2, 3)),
+        ],
+    )
+    def test_bad_batch_rejected_before_anything_is_written(self, ids, shape):
+        store = TrajectoryStore(3)
+        record_one(store, 0.0, 0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            store.record(1.0, ids, np.zeros(shape), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            store.record(1.0, ids, np.zeros((2, 2)), np.zeros(shape))
+        assert store.total_reports == 1
+        record_one(store, 2.0, 2, 5.0, 5.0)
+        snap = store.believed_snapshot(3.0)
+        assert snap[0].tolist() == [1.0, 1.0] and snap[2].tolist() == [5.0, 5.0]
+        assert np.isnan(snap[1]).all()
+
 
 class TestSnapshotQuery:
     def test_evaluates_against_past_belief(self):

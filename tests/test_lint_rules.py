@@ -595,9 +595,13 @@ class TestCli:
         target.write_text(textwrap.dedent(body))
         return target
 
+    def _lint(self, tmp_path: Path, *args: str) -> int:
+        """The CLI with its summary cache under ``tmp_path``, not the cwd."""
+        return lint_main(["--cache-dir", str(tmp_path / "cache"), *args])
+
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         target = self._write(tmp_path, "clean.py", "x = 1\n")
-        assert lint_main([str(target)]) == 0
+        assert self._lint(tmp_path, str(target)) == 0
 
     def test_violations_exit_one_with_location_lines(self, tmp_path, capsys):
         target = self._write(
@@ -611,7 +615,7 @@ class TestCli:
                 return acc
             """,
         )
-        assert lint_main([str(target)]) == 1
+        assert self._lint(tmp_path, str(target)) == 1
         out = capsys.readouterr().out
         assert f"{target}:5:" in out
         assert "REP002" in out
@@ -626,7 +630,7 @@ class TestCli:
             t = time.time()
             """,
         )
-        assert lint_main(["--format", "json", str(target)]) == 1
+        assert self._lint(tmp_path, "--format", "json", str(target)) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["files_checked"] == 1
         assert report["errors"] >= 1
@@ -644,7 +648,7 @@ class TestCli:
                 return acc
             """,
         )
-        assert lint_main(["--select", "REP011", str(target)]) == 1
+        assert self._lint(tmp_path, "--select", "REP011", str(target)) == 1
         out = capsys.readouterr().out
         assert "REP011" in out
         assert "REP002" not in out

@@ -28,6 +28,7 @@ from repro.core.greedy import RegionStats
 from repro.core.plan import SheddingPlan, SheddingRegion
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Point, Rect
+from repro.history import TrajectoryStore
 from repro.server import (
     BaseStation,
     BaseStationNetwork,
@@ -632,6 +633,9 @@ def _run_system(trace, queries, system_cls, policy="lira", spec=None, seed=9):
         policy=policy,
         policy_seed=3,
     )
+    # LiraSystem keeps no archive of its own: attach one (the oracle's own
+    # is replaced alike) so the two archives can be compared bit for bit.
+    system.history = TrajectoryStore(trace.num_nodes)
     system.bootstrap(trace.positions[0], trace.velocities[0])
     sent = []
     for tick in range(trace.num_ticks):

@@ -108,58 +108,3 @@ class TestWorkloadGeneration:
 
     def test_zero_queries_ok(self):
         assert generate_workload(self.BOUNDS, 0, 500.0, QueryDistribution.RANDOM) == []
-
-
-class TestWorkloadPersistence:
-    def test_roundtrip(self, tmp_path):
-        from repro.queries import load_workload, save_workload
-
-        original = generate_workload(
-            self_bounds := Rect(0.0, 0.0, 1000.0, 1000.0),
-            12,
-            200.0,
-            QueryDistribution.RANDOM,
-            seed=9,
-        )
-        path = tmp_path / "workload.json"
-        save_workload(original, path)
-        loaded = load_workload(path)
-        assert loaded == original
-
-    def test_rejects_foreign_file(self, tmp_path):
-        from repro.queries import load_workload
-
-        path = tmp_path / "not_a_workload.json"
-        path.write_text('{"something": "else"}')
-        with pytest.raises(ValueError, match="not a repro workload"):
-            load_workload(path)
-
-    def test_rejects_future_version(self, tmp_path):
-        import json
-
-        from repro.queries import load_workload
-
-        path = tmp_path / "future.json"
-        path.write_text(
-            json.dumps({"format": "repro.queries", "version": 99, "queries": []})
-        )
-        with pytest.raises(ValueError, match="version"):
-            load_workload(path)
-
-    def test_rejects_corrupt_rect(self, tmp_path):
-        import json
-
-        from repro.queries import load_workload
-
-        path = tmp_path / "corrupt.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "format": "repro.queries",
-                    "version": 1,
-                    "queries": [{"id": 0, "rect": [10, 0, 0, 10]}],
-                }
-            )
-        )
-        with pytest.raises(ValueError):
-            load_workload(path)

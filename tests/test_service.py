@@ -3,10 +3,14 @@ adaptation loop, and the socket protocol end to end."""
 
 import asyncio
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import LiraConfig
 from repro.core.reduction import AnalyticReduction
 from repro.faults import FaultInjector, FaultSpec
@@ -925,3 +929,15 @@ class TestBackgroundTaskSupervision:
             assert service._slow_callback_detector is None
 
         asyncio.run(scenario())
+
+
+def test_service_import_does_not_load_the_history_extension():
+    """``repro.server`` keeps current state only; the trajectory archive
+    is its reader's import, not the service's."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import repro.service; "
+        "sys.exit('repro.history' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

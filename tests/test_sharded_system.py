@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core import AnalyticReduction, LiraConfig
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
+from repro.history import TrajectoryStore
 from repro.queries import RangeQuery, evaluate_queries
 from repro.server import LiraSystem, hrw_shards
 
@@ -215,6 +216,25 @@ class TestMultiShardReproducibility:
         assert hrw_shards(np.arange(24), 3).tolist() == [
             2, 0, 2, 2, 0, 2, 1, 0, 0, 1, 0, 2, 2, 1, 0, 2, 0, 2, 1, 1, 1, 2, 2, 1,
         ]
+
+
+class TestAttachedArchive:
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_attached_store_receives_every_report(self, n_shards):
+        """``LiraSystem`` archives nothing itself; a store assigned before
+        ``bootstrap`` is fed every shard's batches, handoffs included."""
+        system = _make_sharded(n_shards)
+        store = system.history = TrajectoryStore(system.n_nodes)
+        stats, _, handoffs = _drive_sharded(system)
+        assert (handoffs > 0) == (n_shards > 1)
+        assert store.total_reports == stats.updates_sent
+        assert all(store.reports_for(i) >= 1 for i in range(system.n_nodes))
+        ids = store._ids[: store.total_reports]
+        times = store._times[: store.total_reports]
+        order = np.argsort(ids, kind="stable")
+        same_node = ids[order][1:] == ids[order][:-1]
+        assert same_node.any()
+        assert (np.diff(times[order])[same_node] >= 0.0).all()
 
 
 #: What delta / skipped installs are *meant* to change: airtime, and the

@@ -1,10 +1,13 @@
 """Integration tests for LiraSystem (the full three-layer deployment)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import AnalyticReduction, LiraConfig
 from repro.geo import Rect
+from repro.history import SnapshotQuery, TrajectoryStore
 from repro.queries import QueryDistribution, generate_workload
 from repro.server import LiraSystem
 
@@ -27,6 +30,8 @@ def system_and_trace(request):
         adaptive_throttle=False,
     )
     system.shedder.set_throttle_fraction(0.5)
+    # The system archives nothing on its own; the reader attaches a store.
+    system.history = TrajectoryStore(system.n_nodes)
     sent_per_tick = []
     for tick in range(trace.num_ticks):
         t = tick * trace.dt
@@ -91,8 +96,6 @@ class TestLiraSystem:
         assert system.stats().handoffs > 0
 
     def test_snapshot_query_on_history(self, system_and_trace):
-        from repro.history import SnapshotQuery
-
         system, trace, _ = system_and_trace
         mid_tick = trace.num_ticks // 2
         t = mid_tick * trace.dt
@@ -119,6 +122,7 @@ class TestBootstrap:
             reduction=AnalyticReduction(5.0, 100.0),
             config=LiraConfig(l=4, alpha=16),
         )
+        system.history = TrajectoryStore(system.n_nodes)
         system.bootstrap(small_trace.positions[0], small_trace.velocities[0])
         assert system.server.table.known_mask.all()
         assert system.history.total_reports == small_trace.num_nodes
@@ -145,3 +149,44 @@ class TestBootstrap:
         )
         # Everyone just registered at these exact positions: no deviation.
         assert sent == 0
+
+
+class TestSteadyStateMemory:
+    def test_default_system_does_not_grow_with_reports_sent(self):
+        """Nothing attached to ``history``: 100 more ticks of a 2 000-node
+        system (≈ 48 B per report if anything archived them) leave the
+        traced heap where it was."""
+        n = 2_000
+        rng = np.random.default_rng(11)
+        bounds = Rect(0.0, 0.0, 10_000.0, 10_000.0)
+        positions = rng.uniform(0.0, 10_000.0, size=(n, 2))
+        velocities = rng.uniform(-30.0, 30.0, size=(n, 2))
+        speeds = np.hypot(velocities[:, 0], velocities[:, 1])
+        system = LiraSystem(
+            bounds=bounds,
+            n_nodes=n,
+            queries=generate_workload(
+                bounds, 8, 500.0, QueryDistribution.PROPORTIONAL, positions, seed=3
+            ),
+            reduction=AnalyticReduction(5.0, 100.0),
+            config=LiraConfig(l=13, alpha=32, z=0.5),
+            service_rate=500.0,
+            station_radius=1500.0,
+            adaptive_throttle=False,
+        )
+        system.shedder.set_throttle_fraction(0.5)
+        system.bootstrap(positions, velocities)
+        traced = {}
+        tracemalloc.start()
+        try:
+            for tick in range(121):
+                positions = np.clip(positions + velocities, 0.0, 10_000.0)
+                if tick % 6 == 0:
+                    system.adapt(positions, speeds)
+                system.tick(float(tick), positions, velocities, 1.0)
+                if tick in (20, 120):
+                    traced[tick] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert system.stats().updates_sent > 10 * n
+        assert traced[120] - traced[20] < 64 * 1024, traced
