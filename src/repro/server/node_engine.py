@@ -13,15 +13,17 @@ install counters) and answers both with two batched lookups per tick:
    it, most cells exactly one, so only nodes near a real assignment
    boundary pay an exact first-minimum over a handful of gathered
    candidates — nobody scans every station;
-2. **threshold lookup** via a per-cell *Δ image* on the same raster:
-   Δ is a property of a region, so a cell that one station serves and
-   whose every point reads one Δ from that station's subset holds that
-   Δ, and most nodes need one gather.  The rest go to per-station
-   *threshold rasters*: the subset is rasterized onto the irregular
-   grid spanned by its region edges (every rect boundary is a raster
-   line exactly), nodes are grouped by station with one radix sort, and
-   ``current_threshold`` for a station's nodes is two ``searchsorted``
-   calls + one mask-free gather.
+2. **threshold lookup** via a *Δ image* on the same raster, one entry
+   per (cell, candidate station): Δ is a property of a region, so an
+   entry whose every point reads one Δ from that station's subset holds
+   that Δ, and one that a single Δ step per axis crosses holds the two
+   lines and the four values round them — one gather, or three and two
+   comparisons.  Only a cell that several raster lines of one axis
+   cross falls back to the per-station *threshold rasters*: the subset
+   is rasterized onto the irregular grid spanned by its region edges
+   (every rect boundary is a raster line exactly), nodes are grouped by
+   station with one radix sort, and ``current_threshold`` for a
+   station's nodes is two ``searchsorted`` calls + one mask-free gather.
 
 The per-node reference (one ``MobileNode`` object per node scanning the
 station list and probing a 5×5 grid index, ``tests/oracles/system.py``)
@@ -67,9 +69,11 @@ _PRUNE_EPS = 1e-9
 #: Fine candidate-raster cells per coarse cell and axis.
 _REFINE = 5
 
-#: Δ-image entry for "points of this cell read different values: look it
-#: up exactly".  Negative, so no Δ and no NaN ("no region") is mistaken for it.
+#: Δ-image entries that are not a value: "look it up exactly", and "one
+#: raster line per axis crosses this cell: two comparisons pick the value".
+#: Negative, so no Δ and no NaN ("no region") is mistaken for either.
 _EXACT = -1.0
+_SPLIT = -2.0
 
 
 class StationAssigner:
@@ -133,7 +137,14 @@ class StationAssigner:
         self._single = np.where(
             self._n_candidates == 1, np.append(self._candidates[0], -1), -1
         )
-        self._single_cells: dict[int, tuple[np.ndarray, ...]] = {}
+        #: Δ-image entry of each (candidate row, fine cell) pair that
+        #: exists, numbered row-major — every cell has a first candidate,
+        #: so row 0's entry is the cell itself — and -1, the image's spare
+        #: last entry, which cell -1 reads too, for the padding.
+        exists = self._candidates >= 0
+        self._entries = np.where(exists, np.cumsum(exists).reshape(exists.shape) - 1, -1)
+        self.n_entries = int(exists.sum())
+        self._slot_entries: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _boxes(self, i: np.ndarray, j: np.ndarray, span: int) -> tuple[np.ndarray, ...]:
         """``(x1, y1, x2, y2)`` of the squares of ``span`` fine cells whose
@@ -214,20 +225,23 @@ class StationAssigner:
         cells += np.minimum(((y - b.y1) / self._cell_h).astype(np.int64), last)
         return cells
 
-    def single_cells(self, slot: int) -> tuple[np.ndarray, ...]:
-        """``(cells, x1, y1, x2, y2)``: the fine cells whose lone candidate
-        is ``slot`` and their closed boxes grown by the pruning ε (memoized).
+    def slot_entries(self, slot: int) -> tuple[np.ndarray, ...]:
+        """``(entries, x1, y1, x2, y2)``: the Δ-image entry of every fine
+        cell that has ``slot`` among its candidates, and the cells' closed
+        boxes grown by the pruning ε (memoized).
 
         Every position :meth:`cells_of` maps to a cell lies inside its box:
         ε is nine orders of magnitude above the rounding of the
         subtract-and-divide that picks the cell.
         """
-        found = self._single_cells.get(slot)
+        found = self._slot_entries.get(slot)
         if found is None:
-            cells = np.flatnonzero(self._single[:-1] == slot)
+            layer, cells = np.nonzero(self._candidates == slot)
             x1, y1, x2, y2 = self._boxes(*np.divmod(cells, self.fine_resolution), 1)
             eps = self._eps
-            found = self._single_cells[slot] = (cells, x1 - eps, y1 - eps, x2 + eps, y2 + eps)
+            found = self._slot_entries[slot] = (
+                self._entries[layer, cells], x1 - eps, y1 - eps, x2 + eps, y2 + eps
+            )
         return found
 
     def assign(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -235,8 +249,10 @@ class StationAssigner:
         return self.locate(x, y)[0]
 
     def locate(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(station slot, fine raster cell)`` per position from one raster
-        walk; positions outside the raster bounds get cell -1."""
+        """``(station slot, Δ-image entry)`` per position from one raster
+        walk: the entry of the position's fine cell and of the winner's
+        row among the cell's candidates (the cell itself where it has one
+        candidate); positions outside the raster bounds get entry -1."""
         b = self.bounds
         if x.size == 0 or (
             x.min() >= b.x1 and x.max() <= b.x2 and y.min() >= b.y1 and y.max() <= b.y2
@@ -260,20 +276,31 @@ class StationAssigner:
         for k in (0, *range(2, len(self._candidates) + 1)):
             pick = np.flatnonzero(width == k)
             if pick.size:
-                rows = contested[pick]
-                cand = np.take(self._candidates[:k], at[pick], axis=1) if k else everyone
-                slots[rows] = self._resolve(x[rows], y[rows], cand)
+                rows, cell = contested[pick], at[pick]
+                cand = np.take(self._candidates[:k], cell, axis=1) if k else everyone
+                row = self._resolve(x[rows], y[rows], cand)
+                if k:
+                    flat = row * self._entries.shape[1] + cell
+                    slots[rows] = np.take(self._candidates, flat)
+                    cells[rows] = np.take(self._entries, flat)
+                else:  # every station is a candidate: its row is its slot
+                    slots[rows] = row
         return slots, cells
 
     def _resolve(self, x: np.ndarray, y: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Exact winner among per-position candidate columns (-1 padded)."""
+        """Row of the exact winner in each per-position candidate column
+        (-1 padded)."""
         d = np.hypot(x - self._cx[cand], y - self._cy[cand])
         covers = d <= self._radius[cand]
+        if len(cand) == 2:
+            # Most contested cells: the same first minimum, elementwise.
+            (d1, d2), (c1, c2) = d, covers
+            return np.where(c1 == c2, d2 < d1, c2).astype(np.intp)
         pick = np.argmin(np.where(covers, d, np.inf), axis=0)
         uncovered = np.flatnonzero(~covers.any(axis=0))
         if uncovered.size:
             pick[uncovered] = np.argmin(d[:, uncovered], axis=0)
-        return np.broadcast_to(cand, d.shape)[pick, np.arange(x.size)]
+        return pick
 
 
 class _ThresholdRaster:
@@ -352,16 +379,25 @@ class _ThresholdRaster:
             np.searchsorted(self._ys, y, side="right"),
         ]
 
-    def uniform_over(
+    def lookup(
         self, x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray
-    ) -> np.ndarray:
-        """What :meth:`thresholds_at` reads at *every* point of each closed
-        box (NaN included); ``_EXACT`` where it reads more than one value.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """What :meth:`thresholds_at` reads inside each closed box, as
+        ``(value, split)``.
 
-        The raster lines are the union of the subset's region edges and
-        most of them separate equal Δ, so the test is on values, not on
-        lines: no two adjacent raster cells in the index window a box
-        spans may differ (counted on an integral image per axis).
+        ``value`` is what it reads at *every* point of the box (NaN
+        included).  The raster lines are the union of the subset's region
+        edges and most of them separate equal Δ, so that test is on
+        values, not on lines: no two adjacent raster cells in the index
+        window a box spans may differ (counted on an integral image per
+        axis).  Where they do and at most one raster line per axis lies
+        in the box, ``value`` is ``_SPLIT`` and a point of the box reads
+        column ``2 + 2 * (x >= x_line) + (y >= y_line)`` of its ``split``
+        row ``(x_line, y_line, four values)``, a missing line ``+inf``:
+        the lines are the half-open region edges, every edge before the
+        box is <= x and the next one past it is > x, so the two
+        comparisons are what ``searchsorted(side="right")`` answers.
+        Anything else is ``_EXACT``.
         """
         p = self._padded
         i1 = np.searchsorted(self._xs, x1, side="right")
@@ -378,7 +414,14 @@ class _ThresholdRaster:
 
         broken = steps(p[:-1], p[1:], i1, i2, j1, j2 + 1)
         broken += steps(p[:, :-1], p[:, 1:], i1, i2 + 1, j1, j2)
-        return np.where(broken == 0, p[i1, j1], _EXACT)
+        one_line = (i2 - i1 <= 1) & (j2 - j1 <= 1)
+        value = np.where(broken == 0, p[i1, j1], np.where(one_line, _SPLIT, _EXACT))
+        # The line a box holds is the first one past its lower edge.
+        x_line = np.where(i2 > i1, np.append(self._xs, np.inf)[i1], np.inf)
+        y_line = np.where(j2 > j1, np.append(self._ys, np.inf)[j1], np.inf)
+        return value, np.stack(
+            [x_line, y_line, p[i1, j1], p[i1, j2], p[i2, j1], p[i2, j2]], axis=1
+        )
 
 
 class VectorNodeEngine:
@@ -416,16 +459,18 @@ class VectorNodeEngine:
         #: Station versions every node is known to be level with
         #: (``None`` = unknown): see :meth:`compute_thresholds`.
         self._level_with: np.ndarray | None = None
-        #: slot -> (regions tuple its image cells are painted from, or
+        #: slot -> (regions tuple its image entries are painted from, or
         #: ``None`` once that subset is gone; the slot's last raster | None).
         self._rasters: dict[int, tuple[tuple | None, _ThresholdRaster | None]] = {}
-        #: Per fine cell (last entry: cell -1, out of bounds) the Δ every
-        #: point of the cell reads, NaN for "no region", else ``_EXACT``.
-        self._image = np.full(self.assigner.fine_resolution**2 + 1, _EXACT)
-        #: Rows of the last tick the image could not answer, and the
-        #: slots that served them.
+        #: Per (fine cell, candidate station) entry — and one spare last
+        #: entry nobody paints, for cell -1, out of bounds — the Δ every
+        #: point of the cell reads from that station's subset, NaN for "no
+        #: region", ``_SPLIT`` (its row of ``_split`` then holds the two
+        #: lines and the four values round them) or ``_EXACT``.
+        self._image = np.full(self.assigner.n_entries + 1, _EXACT)
+        self._split = np.full((self._image.size, 6), np.nan)
+        #: Rows of the last tick the image could not answer.
         self.last_exact_rows = 0
-        self._served: np.ndarray | tuple = ()
 
     # ------------------------------------------------------------------
     # Per-tick station/subset state from the network
@@ -442,7 +487,7 @@ class VectorNodeEngine:
 
     def _raster_for(self, slot: int, subset) -> _ThresholdRaster | None:
         """The slot's raster, brought level with ``subset`` together with
-        the slot's cells of the Δ image (called for slots serving rows)."""
+        the slot's entries of the Δ image (called for slots serving rows)."""
         regions = subset.regions
         known, raster = self._rasters.get(slot, (None, None))
         if known is regions:
@@ -451,8 +496,11 @@ class VectorNodeEngine:
             # (A same-geometry subset, the delta-install steady state,
             # rewrote only the changed regions' raster cells in place.)
             raster = _ThresholdRaster(regions) if regions else None
-        cells, *boxes = self.assigner.single_cells(slot)
-        self._image[cells] = np.nan if raster is None else raster.uniform_over(*boxes)
+        entries, *boxes = self.assigner.slot_entries(slot)
+        if raster is None:
+            self._image[entries] = np.nan
+        else:
+            self._image[entries], self._split[entries] = raster.lookup(*boxes)
         # Holding the tuple keeps its identity meaningful.
         self._rasters[slot] = (regions, raster)
         return raster
@@ -481,7 +529,7 @@ class VectorNodeEngine:
         if x.size == 0:
             return np.full(self.n_nodes, np.inf, dtype=np.float64)
 
-        slots, cells = self.assigner.locate(x, y)
+        slots, entries = self.assigner.locate(x, y)
         previous = self._station_slot[rows]
         moved = np.flatnonzero(slots != previous)
         moved_rows = moved if full else rows[moved]
@@ -516,24 +564,37 @@ class VectorNodeEngine:
 
         # A station whose subset changed identity (install, delta
         # repaint, matured delayed broadcast) is repainted now if it
-        # served rows last tick; otherwise its cells leave the image and
-        # are painted again when it next serves rows.
-        for slot in self._served:
-            self._raster_for(slot, subsets[slot])
-        for slot, (known, raster) in self._rasters.items():
-            if known is not None and subsets[slot].regions is not known:
-                self._image[self.assigner.single_cells(slot)[0]] = _EXACT
-                self._rasters[slot] = (None, raster)
+        # serves rows this tick; otherwise its entries leave the image
+        # and are painted again, by the exact path, when it next does.
+        changed = [
+            (slot, raster)
+            for slot, (known, raster) in self._rasters.items()
+            if known is not None and subsets[slot].regions is not known
+        ]
+        if changed:
+            serving = np.bincount(slots, minlength=len(subsets))
+            for slot, raster in changed:
+                if serving[slot]:
+                    self._raster_for(slot, subsets[slot])
+                else:
+                    self._image[self.assigner.slot_entries(slot)[0]] = _EXACT
+                    self._rasters[slot] = (None, raster)
 
-        # Threshold gather.  Most rows sit in a cell whose every point
-        # reads one value, and take it from the image.  The rest get one
-        # raster lookup per station: grouped by station with one stable
-        # radix sort of the (narrow) slot keys, so each station reads a
-        # contiguous slice.  No subset, an empty one, or no region at the
-        # position all read NaN, replaced by Δ⊢ in one go.
-        values = self._image[cells]
+        # Threshold gather.  A row reads its entry of the image: the one
+        # value every point of its cell reads from its station's subset,
+        # or, in a cell one Δ step per axis crosses, the value on its
+        # side of the two lines.  What is left gets one raster lookup per
+        # station: grouped by station with one stable radix sort of the
+        # (narrow) slot keys, so each station reads a contiguous slice.
+        # No subset, an empty one, or no region at the position all read
+        # NaN, replaced by Δ⊢ in one go.
+        values = self._image[entries]
+        split = np.flatnonzero(values == _SPLIT)
+        at = entries[split]
+        side = 2 * (x[split] >= self._split[at, 0]) + (y[split] >= self._split[at, 1])
+        values[split] = self._split[at, 2 + side]
         values[self._installed_version[rows] < 0] = np.nan
-        exact = np.flatnonzero(values < 0)
+        exact = np.flatnonzero(values == _EXACT)
         self.last_exact_rows = int(exact.size)
         n_stations = len(subsets)
         key = np.int16 if n_stations < 2**15 else np.int64
@@ -543,18 +604,17 @@ class VectorNodeEngine:
         found = np.full(order.size, np.nan, dtype=np.float64)
         counts = np.bincount(group, minlength=n_stations)
         ends = np.cumsum(counts)
-        self._served = np.flatnonzero(counts)
-        for slot in self._served:
+        for slot in np.flatnonzero(counts):
             raster = self._raster_for(slot, subsets[slot])
             if raster is not None:
                 span = slice(ends[slot] - counts[slot], ends[slot])
                 found[span] = raster.thresholds_at(xs[span], ys[span])
         values[order] = found
-        out = np.where(np.isnan(values), default, values)
+        np.copyto(values, default, where=np.isnan(values))
         if full:
-            return out
+            return values
         thresholds = np.full(self.n_nodes, np.inf, dtype=np.float64)
-        thresholds[rows] = out
+        thresholds[rows] = values
         return thresholds
 
     # ------------------------------------------------------------------

@@ -75,6 +75,12 @@ UTILIZATION_TARGET = 0.8
 #: plan with about one tick of lag, so the raw control law limit cycles
 #: around the target; smoothing damps it.
 THROTTLE_SMOOTHING = 0.5
+#: Unread bytes a subscriber's transport may hold before plan pushes to
+#: it are withheld.  A 100-region plan frame is ≈ 10 KB, so a reader that
+#: is merely some pushes behind loses nothing, while one that stopped
+#: reading costs the process a bounded buffer instead of every plan
+#: since: ``_handle_conn`` drains a writer only for its own requests.
+SEND_BUDGET_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,9 +201,11 @@ class _Subscriber:
 
     writer: asyncio.StreamWriter
     station_id: int | None = None
-    #: Epoch of the last full-channel plan this subscriber received —
-    #: a delta frame is only sent to subscribers sitting at its base
-    #: epoch; everyone else gets a full-plan resync.
+    #: Epoch of the last plan content this subscriber received — a delta
+    #: frame is only sent to subscribers sitting at its base epoch;
+    #: everyone else gets a full-plan resync.  ``None`` (nothing yet, or a
+    #: push withheld) also keeps a station subscriber from being skipped
+    #: as unchanged.
     epoch: int | None = None
 
 
@@ -219,6 +227,8 @@ class ServiceCounters:
     delta_plans_pushed: int = 0
     #: Pushes skipped because the subscriber's content was unchanged.
     plan_pushes_skipped: int = 0
+    #: Pushes withheld from a subscriber over ``SEND_BUDGET_BYTES``.
+    plan_pushes_dropped: int = 0
     #: Plan/delta frame encodings (≤ once per kind per installed plan,
     #: regardless of subscriber count).
     plan_frames_encoded: int = 0
@@ -480,6 +490,7 @@ class LiraService:
             "plans_pushed": self.counters.plans_pushed,
             "delta_plans_pushed": self.counters.delta_plans_pushed,
             "plan_pushes_skipped": self.counters.plan_pushes_skipped,
+            "plan_pushes_dropped": self.counters.plan_pushes_dropped,
             "plan_frames_encoded": self.counters.plan_frames_encoded,
             "plan_epoch": self.plan.epoch if self.plan is not None else 0,
             "plan_broadcast_bytes": self.network.total_broadcast_bytes,
@@ -544,7 +555,9 @@ class LiraService:
         or after a geometry change) gets a full-plan resync.  Station
         subscribers whose subset the delta proved unchanged are skipped
         outright.  An adaptation that produced the identical plan object
-        pushes nothing at all.
+        pushes nothing at all.  A subscriber whose unread bytes exceed
+        ``SEND_BUDGET_BYTES`` gets nothing now and a full resync once it
+        has read them.
         """
         if self.plan is None or not self._subscribers:
             return
@@ -557,9 +570,14 @@ class LiraService:
             if subscriber.writer.is_closing():
                 continue
             live.append(subscriber)
+            if subscriber.writer.transport.get_write_buffer_size() > SEND_BUDGET_BYTES:
+                subscriber.epoch = None
+                self.counters.plan_pushes_dropped += 1
+                continue
             if subscriber.station_id is not None:
                 if (
-                    self._changed_stations is not None
+                    subscriber.epoch is not None
+                    and self._changed_stations is not None
                     and subscriber.station_id not in self._changed_stations
                 ):
                     self.counters.plan_pushes_skipped += 1
@@ -567,6 +585,7 @@ class LiraService:
                 payload = self._plan_frame(subscriber)
                 if payload is not None:
                     subscriber.writer.write(payload)
+                    subscriber.epoch = self.plan.epoch
                     self.counters.plans_pushed += 1
                 continue
             if delta is not None and subscriber.epoch == delta.base_epoch:

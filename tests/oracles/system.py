@@ -62,10 +62,12 @@ class _SubsetIndex:
             [] for _ in range(NODE_INDEX_SIDE * NODE_INDEX_SIDE)
         ]
         for idx, region in enumerate(regions):
+            # ``_cell_of`` is monotone, so every point of the half-open
+            # rect lands in a bucket of this range — the cell of ``x2``
+            # itself included: one ulp below an edge that sits on a bucket
+            # line, the quotient rounds up to the line.
             i_lo, j_lo = self._cell_of(region.rect.x1, region.rect.y1)
-            i_hi, j_hi = self._cell_of(
-                region.rect.x2 - 1e-9, region.rect.y2 - 1e-9
-            )
+            i_hi, j_hi = self._cell_of(region.rect.x2, region.rect.y2)
             for i in range(i_lo, i_hi + 1):
                 for j in range(j_lo, j_hi + 1):
                     self._buckets[i * NODE_INDEX_SIDE + j].append(idx)

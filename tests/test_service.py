@@ -64,11 +64,22 @@ def make_batch(n: int, seed: int = 0):
     return ids, pos, vel
 
 
+class FakeTransport:
+    """A transport whose unread backlog the test sets."""
+
+    def __init__(self):
+        self.buffered = 0
+
+    def get_write_buffer_size(self) -> int:
+        return self.buffered
+
+
 class FakeWriter:
     """The slice of ``asyncio.StreamWriter`` the dispatch path touches."""
 
     def __init__(self):
         self.payloads: list[bytes] = []
+        self.transport = FakeTransport()
 
     def write(self, payload: bytes) -> None:
         self.payloads.append(payload)
@@ -679,6 +690,95 @@ class TestControlStepIsTheLoops:
             )
             clock.advance(0.5)
         assert outcomes == {"full", "delta", "skip"}
+
+
+class TestSendBudget:
+    """A subscriber that stopped reading costs a bounded buffer: pushes to
+    it are withheld and counted, and it is resynced in full afterwards."""
+
+    def _service(self):
+        from repro.service.service import _Subscriber
+
+        clock = ManualClock(start=100.0)
+        service = make_service(n_nodes=64, service_rate=200.0, clock=clock)
+        stalled, healthy = FakeWriter(), FakeWriter()
+        service._subscribers = [_Subscriber(writer=stalled), _Subscriber(writer=healthy)]
+        return service, clock, stalled, healthy
+
+    def _push_rounds(self, service, clock, rng, want, limit=40):
+        """Adapt + push on drifting reports until a push of kind ``want``
+        ("plan" or "plan-delta") went out; the kinds of every push made."""
+        ids, pos, _ = make_batch(64, seed=int(rng.integers(1 << 30)))
+        kinds = []
+        for _ in range(limit):
+            pos = np.clip(pos + rng.normal(0.0, 15.0, pos.shape), 0.0, 999.0)
+            service.apply_ingest(clock(), ids, pos, np.zeros_like(pos))
+            service.pump_once(1.0, 1.0)
+            service.adapt_once()
+            if service._plan_dirty:
+                kinds.append("plan-delta" if service._last_delta is not None else "plan")
+            service._push_plan()
+            clock.advance(0.5)
+            if kinds and kinds[-1] == want:
+                return kinds
+        raise AssertionError(f"no {want} push in {limit} rounds: {kinds}")
+
+    def test_stalled_subscriber_gets_nothing_then_a_full_resync(self):
+        from repro.service.service import SEND_BUDGET_BYTES
+
+        service, clock, stalled, healthy = self._service()
+        rng = np.random.default_rng(6)
+        self._push_rounds(service, clock, rng, "plan")
+        assert [f.kind for f in stalled.frames()] == ["plan"]
+        # At the budget is still inside it; one byte more is not.
+        stalled.transport.buffered = SEND_BUDGET_BYTES
+        self._push_rounds(service, clock, rng, "plan-delta")
+        assert stalled.frames()[-1].kind == "plan-delta"
+        assert service.counters.plan_pushes_dropped == 0
+        received = len(stalled.payloads)
+        stalled.transport.buffered = SEND_BUDGET_BYTES + 1
+        missed = self._push_rounds(service, clock, rng, "plan-delta")
+        assert len(stalled.payloads) == received  # not one byte
+        assert service.counters.plan_pushes_dropped == len(missed)
+        assert service.stats_meta()["plan_pushes_dropped"] == len(missed)
+        assert service._subscribers[0].epoch is None
+        # It reads again: the next push is a delta for the subscriber that
+        # kept up, and a full plan for the one that missed its base.
+        stalled.transport.buffered = 0
+        after = self._push_rounds(service, clock, rng, "plan-delta")
+        caught_up = stalled.frames()[received:]
+        assert caught_up[0].kind == "plan"
+        assert [f.kind for f in caught_up[1:]] == after[1:]
+        assert service._subscribers[0].epoch == service.plan.epoch
+        assert service.counters.plan_pushes_dropped == len(missed)
+        # The subscriber under budget never noticed.
+        pushes = [f.kind for f in healthy.frames()]
+        assert pushes[-len(missed + after):] == missed + after
+        assert len(pushes) == service.counters.plans_pushed - len(stalled.payloads)
+
+    def test_station_subscriber_that_missed_a_push_is_not_skipped_as_unchanged(self):
+        from repro.service.service import SEND_BUDGET_BYTES, _Subscriber
+
+        service, clock, _, _ = self._service()
+        writer = FakeWriter()
+        station_id = service.network.stations[0].station_id
+        service._subscribers = [_Subscriber(writer=writer, station_id=station_id)]
+        rng = np.random.default_rng(7)
+        self._push_rounds(service, clock, rng, "plan")
+        assert [f.kind for f in writer.frames()] == ["plan-subset"]
+        writer.transport.buffered = SEND_BUDGET_BYTES + 1
+        self._push_rounds(service, clock, rng, "plan-delta")
+        assert len(writer.payloads) == 1 and service.counters.plan_pushes_dropped >= 1
+        # A later push whose delta leaves this station's subset alone
+        # would normally skip it; it still owes it the content it missed.
+        writer.transport.buffered = 0
+        service._plan_dirty, service._changed_stations = True, frozenset()
+        skipped = service.counters.plan_pushes_skipped
+        service._push_plan()
+        assert [f.kind for f in writer.frames()] == ["plan-subset"] * 2
+        service._push_plan()  # level again: unchanged means skipped
+        assert len(writer.payloads) == 2
+        assert service.counters.plan_pushes_skipped == skipped + 1
 
 
 class TestServiceConfig:
