@@ -114,8 +114,7 @@ class CompactNodeTable(NodeTable):
     An empty shard's zero-row table is legal.
 
     Row surgery (:meth:`extract_rows` / :meth:`insert_rows`) moves nodes
-    between shards; this table owns the authoritative id array the other
-    per-shard components stay row-aligned with.
+    between shards; the table's id array is the shard's owned-node set.
     """
 
     def __init__(self, ids: np.ndarray) -> None:

@@ -61,9 +61,8 @@ class DeadReckoningFleet:
     """
 
     def __init__(self, n_nodes: int) -> None:
-        # Zero is allowed: a shard of the partitioned deployment can
-        # transiently (or, with an unlucky station draw, permanently)
-        # own no nodes and still ticks through the same code path.
+        # Zero is allowed: an empty population ticks through the same
+        # code path.
         if n_nodes < 0:
             raise ValueError("n_nodes must be non-negative")
         self.n_nodes = n_nodes
@@ -124,39 +123,3 @@ class DeadReckoningFleet:
     def node_models(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot of (positions, velocities, times) of last-sent models."""
         return self._sent_pos.copy(), self._sent_vel.copy(), self._sent_time.copy()
-
-    # ------------------------------------------------------------------
-    # Row surgery (cross-shard node handoff)
-    # ------------------------------------------------------------------
-
-    def extract_rows(self, rows: np.ndarray) -> dict[str, np.ndarray]:
-        """Remove the given row indices and return their model state.
-
-        The last-*sent* model travels with a node migrating to another
-        shard's fleet, so its dead-reckoning deviation test continues
-        seamlessly; ``total_reports`` stays with the source fleet.
-        """
-        state = {
-            "sent_pos": self._sent_pos[rows].copy(),
-            "sent_vel": self._sent_vel[rows].copy(),
-            "sent_time": self._sent_time[rows].copy(),
-            "has_model": self._has_model[rows].copy(),
-        }
-        self._sent_pos = np.delete(self._sent_pos, rows, axis=0)
-        self._sent_vel = np.delete(self._sent_vel, rows, axis=0)
-        self._sent_time = np.delete(self._sent_time, rows)
-        self._has_model = np.delete(self._has_model, rows)
-        self.thresholds = np.delete(self.thresholds, rows)
-        self.n_nodes = int(self._sent_time.size)
-        return state
-
-    def insert_rows(self, at: np.ndarray, state: dict[str, np.ndarray]) -> None:
-        """Insert rows (from :meth:`extract_rows`) before indices ``at``."""
-        self._sent_pos = np.insert(self._sent_pos, at, state["sent_pos"], axis=0)
-        self._sent_vel = np.insert(self._sent_vel, at, state["sent_vel"], axis=0)
-        self._sent_time = np.insert(self._sent_time, at, state["sent_time"])
-        self._has_model = np.insert(self._has_model, at, state["has_model"])
-        self.thresholds = np.insert(
-            self.thresholds, at, np.zeros(state["sent_time"].size)
-        )
-        self.n_nodes = int(self._sent_time.size)

@@ -446,10 +446,9 @@ class VectorNodeEngine:
     ) -> None:
         self.n_nodes = n_nodes
         self.network = network
-        # ``assigner`` lets deployments with several engines over the
-        # same station layout (one per shard) share a single candidate
-        # raster instead of precomputing K identical copies; ``network``
-        # then only needs to answer ``subset_or_none``.
+        # ``assigner`` lets a caller choose the candidate raster (the
+        # tests build one at a custom resolution); ``network`` then only
+        # needs to answer ``subset_or_none``.
         self.assigner = assigner or StationAssigner(network.stations, bounds)
         self._station_slot = np.full(n_nodes, -1, dtype=np.int64)
         self._installed_version = np.full(n_nodes, -1, dtype=np.int64)
@@ -550,7 +549,7 @@ class VectorNodeEngine:
         # Same station: re-install where the broadcast version advanced
         # past the stored one.  A scan over everybody leaves every node
         # level with ``versions``; until some station's version moves
-        # (or rows arrive from another engine) there is nothing to find.
+        # there is nothing to find.
         if self._level_with is None or not np.array_equal(versions, self._level_with):
             slot_version = versions[slots]
             stale = np.flatnonzero(
@@ -616,45 +615,6 @@ class VectorNodeEngine:
         thresholds = np.full(self.n_nodes, np.inf, dtype=np.float64)
         thresholds[rows] = values
         return thresholds
-
-    # ------------------------------------------------------------------
-    # Row surgery (cross-shard node handoff)
-    # ------------------------------------------------------------------
-
-    def extract_rows(self, rows: np.ndarray) -> dict[str, np.ndarray]:
-        """Remove the given row indices and return their state.
-
-        Used when nodes migrate to a different shard's engine: the
-        per-node station slot, installed version, and counters travel
-        with the node so the destination engine sees exactly the state
-        a single global engine would hold.  ``total_handoffs`` stays —
-        it counts events observed while the rows lived here.
-        """
-        state = {
-            "station_slot": self._station_slot[rows].copy(),
-            "installed_version": self._installed_version[rows].copy(),
-            "handoffs": self._handoffs[rows].copy(),
-            "installs": self._installs[rows].copy(),
-        }
-        self._station_slot = np.delete(self._station_slot, rows)
-        self._installed_version = np.delete(self._installed_version, rows)
-        self._handoffs = np.delete(self._handoffs, rows)
-        self._installs = np.delete(self._installs, rows)
-        self.n_nodes = int(self._station_slot.size)
-        return state
-
-    def insert_rows(self, at: np.ndarray, state: dict[str, np.ndarray]) -> None:
-        """Insert rows (from :meth:`extract_rows`) before indices ``at``."""
-        self._station_slot = np.insert(
-            self._station_slot, at, state["station_slot"]
-        )
-        self._installed_version = np.insert(
-            self._installed_version, at, state["installed_version"]
-        )
-        self._handoffs = np.insert(self._handoffs, at, state["handoffs"])
-        self._installs = np.insert(self._installs, at, state["installs"])
-        self.n_nodes = int(self._station_slot.size)
-        self._level_with = None
 
     # ------------------------------------------------------------------
     # Introspection (parity with the per-node oracle)

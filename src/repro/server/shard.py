@@ -1,20 +1,22 @@
-"""The shard: one complete vertical slice of the LIRA architecture.
+"""The shard: the server-side slice of the LIRA architecture.
 
-A :class:`LiraShard` is everything the paper's architecture diagram
-stacks over one set of base stations — a bounded-queue CQ server, the
-GRIDREDUCE/GREEDYINCREMENT shedder with its THROTLOOP, the station
-network with its plan subsets, and (once :meth:`LiraShard.adopt` has
-run) the vectorized node engine and dead-reckoning fleet of the nodes
-those stations serve.  It is the only unit the repository deploys:
-:class:`~repro.server.system.LiraSystem` coordinates ``n_shards`` of
-them (one shard owning the whole dense population is the degenerate
-partition), and :class:`~repro.service.LiraService` fronts one whose
-node side lives in remote clients.
+A :class:`LiraShard` is what the paper's architecture diagram stacks
+*server-side* over one set of base stations — a bounded-queue CQ server
+holding the believed positions of the nodes those stations serve, the
+GRIDREDUCE/GREEDYINCREMENT shedder with its THROTLOOP, and the station
+network with its plan subsets.  The nodes themselves are not a shard's:
+LIRA is source-actuated, so a node decides its Δ from whatever subset its
+serving station broadcast, whichever shard owns that station.
+:class:`~repro.server.system.LiraSystem` runs the one node population
+and coordinates ``n_shards`` of these slices (one shard owning the
+whole dense population is the degenerate partition);
+:class:`~repro.service.LiraService` fronts one whose nodes are remote
+clients.
 
 Two things are defined here once and used by every deployment:
 
-* the **tick kernel** (:meth:`LiraShard.tick`) — thresholds →
-  dead-reckoning reports → uplink → substepped queue ingest;
+* the **ingest** (:meth:`LiraShard.ingest`) — one tick's reports into
+  the bounded queue, substepped with service;
 * the **control step** (:meth:`LiraShard.control_step`) — close the
   load-measurement period, step THROTLOOP, compute the LIRA (or
   trivial Δ⊢) plan, and install it: skipped when unchanged, as a delta
@@ -22,8 +24,6 @@ Two things are defined here once and used by every deployment:
 """
 
 from __future__ import annotations
-
-from typing import Any, Callable
 
 import numpy as np
 
@@ -33,31 +33,23 @@ from repro.core.plan import PlanDelta, SheddingPlan, clamp_thresholds
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
-from repro.index import CompactNodeTable
-from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
 from repro.sanitize import rng_discipline
 from repro.server.base_station import BaseStation
 from repro.server.cq_server import LoadMeasurement, MobileCQServer
-from repro.server.node_engine import StationAssigner, SubsetProvider, VectorNodeEngine
 from repro.server.protocol import BaseStationNetwork, RegionSubset
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 #: Arrival/service interleavings per tick: a sampling period's reports
 #: reach the bounded queue spread over the period, not as one burst that
 #: would overflow it before any service happened.
 RECEIVE_SUBSTEPS = 10
 
-#: ``(sender_ids, sender_pos, sender_vel, departure_ids, departure_dst)``
-TickResult = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
 
 class ShardDirectory:
     """Live merged station→subset view across the per-shard networks.
 
-    Satisfies the node engine's ``SubsetProvider`` protocol: any shard's
-    engine can resolve the subset of *any* station, whichever shard's
+    Satisfies the node engine's ``SubsetProvider`` protocol: the one
+    engine resolves the subset of *any* station, whichever shard's
     network installed it — the partitioned twin of one global network.
     """
 
@@ -78,7 +70,7 @@ class ShardDirectory:
 
 
 class LiraShard:
-    """One shard's complete vertical slice of the deployment.
+    """One shard's server-side slice of the deployment.
 
     Args:
         stations: the base stations this shard owns (possibly none).
@@ -86,8 +78,8 @@ class LiraShard:
         policy: ``"lira"`` or ``"random-drop"`` (validated by the caller).
         node_ids: ``None`` — the shard is born owning the whole dense
             population ``0..n_nodes-1`` (the degenerate partition); an
-            id array — it keeps a compact table a coordinator re-keys
-            when :meth:`adopt` hands it its initial partition.
+            id array — it keeps a compact table over those nodes, which
+            a coordinator re-keys at bootstrap and by handoff surgery.
         downlink: fault injector for this shard's plan broadcasts.
     """
 
@@ -142,33 +134,12 @@ class LiraShard:
         self.plan: SheddingPlan | None = None
         self._trivial_plan_cache: SheddingPlan | None = None
         self._dense = node_ids is None
-        # The node side exists once adopt() has run; a shard whose nodes
-        # are remote clients (the live service) never adopts.
-        self.node_engine: VectorNodeEngine | None = None
-        self.fleet: DeadReckoningFleet | None = None
 
     @property
     def ids(self) -> np.ndarray | None:
         """Owned global node ids, ascending (the table's row order);
         ``None`` for the dense whole-population shard (row == id)."""
         return None if self._dense else self.server.table.ids  # type: ignore[union-attr]
-
-    def adopt(
-        self,
-        ids: np.ndarray | None,
-        directory: SubsetProvider,
-        assigner: StationAssigner | None = None,
-    ) -> None:
-        """Create the node-side state for the initial owned partition.
-
-        ``ids=None`` adopts the whole population (dense shard); an id
-        array re-keys the compact table to exactly those nodes.
-        """
-        if ids is not None:
-            self.server.table = CompactNodeTable(ids)
-        n = self.n_nodes if ids is None else int(ids.size)
-        self.node_engine = VectorNodeEngine(n, directory, self.bounds, assigner=assigner)
-        self.fleet = DeadReckoningFleet(n)
 
     # ------------------------------------------------------------------
     # Control step
@@ -259,60 +230,30 @@ class LiraShard:
     # Data path
     # ------------------------------------------------------------------
 
-    def tick(
+    def ingest(
         self,
         t: float,
+        ids: np.ndarray,
         positions: np.ndarray,
         velocities: np.ndarray,
+        times: np.ndarray | None,
         dt: float,
-        station_shard: np.ndarray | None = None,
-        active: np.ndarray | None = None,
         rate_factor: float = 1.0,
-        uplink: Callable[..., Any] | None = None,
-    ) -> TickResult:
-        """One data-path tick: nodes decide and report, the server ingests.
+    ) -> None:
+        """One tick's reports from this shard's nodes into its server.
 
-        ``positions``/``velocities`` are the *global* arrays; the shard
-        gathers its owned rows (a real shard's ingest would receive
-        exactly these rows; the dense shard owns them all, row index ==
-        global id).  Returns senders in *global* ids for an attached
-        ``LiraSystem.history``, and the nodes now served by a foreign station
-        (``station_shard`` maps station slot → owning shard) for the
-        coordinator's next-tick handoff.  Nodes falling outside every
-        stored region use Δ⊢ conservatively.
+        ``ids`` are global node ids; ``times`` the uplink's per-report
+        send times (``None``: every report is from ``t``).  The period's
+        reports reach the bounded queue in :data:`RECEIVE_SUBSTEPS`
+        chunks, each followed by its share of service.
         """
-        node_engine, fleet, server = self.node_engine, self.fleet, self.server
-        assert node_engine is not None and fleet is not None
-        ids = self.ids
-        if ids is not None:
-            positions, velocities = positions[ids], velocities[ids]
-        thresholds = node_engine.compute_thresholds(
-            positions, active, default=self.config.delta_min
-        )
-        departure_ids, departure_dst = _EMPTY_I64, _EMPTY_I64
-        if station_shard is not None:
-            # Post-update slots: nodes now served by a foreign station
-            # depart at the end of this tick.
-            dest = station_shard[node_engine._station_slot]
-            moved = np.flatnonzero(dest != self.shard_id)
-            if moved.size:
-                departure_ids = ids[moved] if ids is not None else moved
-                departure_dst = dest[moved]
-        fleet.set_thresholds(thresholds)
-        senders = fleet.observe(t, positions, velocities)
-        sender_ids = ids[senders] if ids is not None else senders
-        sender_pos = positions[senders]
-        sender_vel = velocities[senders]
-        if uplink is not None:
-            u_ids, u_pos, u_vel, u_times = uplink(t, sender_ids, sender_pos, sender_vel)
-        else:
-            u_ids, u_pos, u_vel, u_times = sender_ids, sender_pos, sender_vel, None
+        server = self.server
         # Random Drop admits a random fraction z of arrivals at the server.
         admit = 1.0 if self.policy == "lira" else self.shedder.current_z
         # Slice-based chunking with np.array_split's size rule (the first
         # n % k chunks get one extra element): slicing yields views, so
         # substepping never copies the report arrays.
-        base, extra = divmod(int(u_ids.size), RECEIVE_SUBSTEPS)
+        base, extra = divmod(int(ids.size), RECEIVE_SUBSTEPS)
         lo = 0
         for c in range(RECEIVE_SUBSTEPS):
             hi = lo + base + (1 if c < extra else 0)
@@ -320,37 +261,27 @@ class LiraShard:
             lo = hi
             server.receive_reports(
                 t,
-                u_ids[chunk],
-                u_pos[chunk],
-                u_vel[chunk],
-                times=u_times[chunk] if u_times is not None else None,
+                ids[chunk],
+                positions[chunk],
+                velocities[chunk],
+                times=times[chunk] if times is not None else None,
                 admit_fraction=admit,
                 admit_rng=self._policy_rng if admit < 1.0 else None,
             )
             server.process(dt / RECEIVE_SUBSTEPS, rate_factor=rate_factor)
-        return sender_ids, sender_pos, sender_vel, departure_ids, departure_dst
 
     # ------------------------------------------------------------------
     # Row surgery (handoff)
     # ------------------------------------------------------------------
 
-    def extract_nodes(self, node_ids: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-        """Remove the given (ascending) global ids; return their state."""
-        assert self.node_engine is not None and self.fleet is not None
+    def extract_nodes(self, node_ids: np.ndarray) -> dict[str, np.ndarray]:
+        """Remove the given (ascending) global ids from the compact table;
+        return their believed-model state."""
         table = self.server.table
-        rows = table.rows_of(node_ids)  # type: ignore[union-attr]
-        return {
-            "engine": self.node_engine.extract_rows(rows),
-            "fleet": self.fleet.extract_rows(rows),
-            "table": table.extract_rows(rows),  # type: ignore[union-attr]
-        }
+        return table.extract_rows(table.rows_of(node_ids))  # type: ignore[union-attr]
 
-    def insert_nodes(
-        self, node_ids: np.ndarray, state: dict[str, dict[str, np.ndarray]]
-    ) -> None:
-        """Adopt nodes extracted from another shard (ascending ids)."""
-        assert self.node_engine is not None and self.fleet is not None
+    def insert_nodes(self, node_ids: np.ndarray, state: dict[str, np.ndarray]) -> None:
+        """Merge nodes extracted from another shard (ascending ids)."""
+        table = self.server.table
         at = np.searchsorted(self.ids, node_ids)
-        self.node_engine.insert_rows(at, state["engine"])
-        self.fleet.insert_rows(at, state["fleet"])
-        self.server.table.insert_rows(at, node_ids, state["table"])  # type: ignore[union-attr]
+        table.insert_rows(at, node_ids, state)  # type: ignore[union-attr]

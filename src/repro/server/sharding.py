@@ -2,10 +2,10 @@
 
 The service area is split across K shards by assigning every *base
 station* to a shard with rendezvous (highest-random-weight) hashing over
-the station id; a node belongs to the shard that owns its serving
+the station id; a node's reports go to the shard that owns its serving
 station, so the spatial partition is the union of the owned stations'
-coverage cells and node→shard routing reuses the exact station
-assignment the node engine already computes every tick.
+coverage cells and node→shard routing is one gather of the station
+slot the node engine already computes every tick.
 
 Rendezvous hashing is chosen over range/modulo partitioning because it
 is stateless (any process can recompute the owner of any station from
@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geo import Rect
 from repro.server.base_station import BaseStation
-from repro.server.node_engine import StationAssigner
 
 #: 2^64 / φ — the splitmix64 increment, reused to offset the keys and to
 #: derive the per-shard stream constants.
@@ -71,36 +69,26 @@ def hrw_shards(keys: np.ndarray, n_shards: int) -> np.ndarray:
 
 
 class ShardRouter:
-    """Station→shard ownership plus the shared station assigner.
+    """Station→shard ownership of a sharded deployment.
 
-    One router is built per sharded deployment and shared by every
-    shard: ``station_shard[slot]`` maps a station *slot* (index into the
-    global station list, the unit the vectorized node engine works in)
-    to its owning shard, and :attr:`assigner` is the single global
-    :class:`StationAssigner` all shard engines resolve positions
-    against — so a node's station assignment is identical to the
-    one-shard deployment's, and its shard is a pure function of that.
+    ``station_shard[slot]`` maps a station *slot* (index into the global
+    station list, the unit the vectorized node engine works in) to its
+    owning shard, so a node's shard is a pure function of its serving
+    station — identical to the one-shard deployment's assignment.
     """
 
-    def __init__(
-        self,
-        stations: list[BaseStation],
-        bounds: Rect,
-        n_shards: int,
-    ) -> None:
+    def __init__(self, stations: list[BaseStation], n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if not stations:
             raise ValueError("at least one base station is required")
         self.stations = list(stations)
-        self.bounds = bounds
         self.n_shards = n_shards
         station_ids = np.array(
             [s.station_id for s in self.stations], dtype=np.int64
         )
         #: Owning shard per station slot (global station-list order).
         self.station_shard = hrw_shards(station_ids, n_shards)
-        self.assigner = StationAssigner(self.stations, bounds)
 
     def stations_for(self, shard_id: int) -> list[BaseStation]:
         """The stations one shard owns, in global station-list order."""
@@ -109,7 +97,3 @@ class ShardRouter:
             for station, owner in zip(self.stations, self.station_shard)
             if int(owner) == shard_id
         ]
-
-    def shard_of_positions(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Owning shard per position: the serving station's shard."""
-        return self.station_shard[self.assigner.assign(x, y)]

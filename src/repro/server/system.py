@@ -14,32 +14,31 @@ simulation harness in :mod:`repro.sim` is the *measurement* loop (it
 shortcuts the protocol for speed); this class is the *systems* loop —
 every update flows through the real component path.
 
-The three layers over one set of base stations are a
-:class:`~repro.server.shard.LiraShard`; :class:`LiraSystem` is the
-coordinator over ``n_shards`` of them, so K servers provide K times the
-ingest capacity — the server-cost scaling story of the paper's Fig. 14.
-One shard owning the whole population is the degenerate partition: no
-router, no id gather, a dense node table.
+Layers 1 and 2 over one set of base stations are a
+:class:`~repro.server.shard.LiraShard`; :class:`LiraSystem` runs layer 3
+— one :class:`~repro.server.node_engine.VectorNodeEngine` and one
+:class:`~repro.motion.DeadReckoningFleet` over the whole population, at
+every K — and coordinates ``n_shards`` shards, so K servers provide K
+times the ingest capacity — the server-cost scaling story of the
+paper's Fig. 14.  One shard owning the whole population is the
+degenerate partition: no router, no id gather, a dense node table.
 
 Partitioning and routing
     Stations are assigned to shards by rendezvous hashing over station
-    ids (:mod:`repro.server.sharding`); a node belongs to the shard
-    owning its serving station.  All shard engines share one global
-    :class:`~repro.server.node_engine.StationAssigner`, so a node's
-    station — and therefore its shard — is a pure deterministic
-    function of its position, whatever K is.
+    ids (:mod:`repro.server.sharding`); a node's reports go to the
+    shard owning its serving station.  The one engine resolves a node's
+    station from its position exactly as at K=1, so its shard is a pure
+    deterministic function of its position, whatever K is.
 
 Handoff protocol
-    During a tick each shard computes its nodes' station slots as
-    usual; nodes whose new station belongs to another shard are
-    recorded as departures *after* the tick completes (their tick-T
-    report still lands in the old shard's queue, like a mobile handover
-    completing mid-call).  The buffered records are applied at the
-    start of the next tick in deterministic (source shard, node id)
-    order: the node's engine/fleet/table rows are surgically moved to
-    the destination shard.  Reports still sitting in the source queue
-    when the node leaves are discarded at table-ingest time and counted
-    (``updates_orphaned``).
+    A node whose serving station changed shard during tick T still
+    reports to its old shard on tick T (like a mobile handover
+    completing mid-call).  At the start of tick T+1 ownership follows
+    the station: only the *server-table* rows of those nodes move, in
+    deterministic order (source shards ascending, each destination
+    merging arrivals id-sorted).  Reports still sitting in the source
+    queue when the node leaves are discarded at table-ingest time and
+    counted (``updates_orphaned``).
 
 Budget coordination
     Each shard runs its own THROTLOOP against its own measured load.
@@ -61,14 +60,15 @@ Faults
     bit-identical to the perfect lossless deployment.  Injection is
     supported at ``n_shards=1``.
 
-Runs are bit-reproducible per seed at every K: one process advances the
-shards in lockstep, in shard order, with handoffs synchronized at tick
-boundaries.
+Runs are bit-reproducible per seed at every K: one process runs the
+node side once per tick and hands each shard its reports in shard
+order, with handoffs synchronized at tick boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -76,14 +76,15 @@ from repro.core import LiraConfig, LiraLoadShedder
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
+from repro.index import CompactNodeTable
 from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
 from repro.sanitize import rng_discipline
 from repro.server.base_station import place_uniform_stations
 from repro.server.cq_server import LoadMeasurement, MobileCQServer
-from repro.server.node_engine import VectorNodeEngine
+from repro.server.node_engine import SubsetProvider, VectorNodeEngine
 from repro.server.protocol import BaseStationNetwork
-from repro.server.shard import LiraShard, ShardDirectory, TickResult
+from repro.server.shard import LiraShard, ShardDirectory
 from repro.server.sharding import ShardRouter
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -150,28 +151,6 @@ class _NoArchive:
         pass
 
 
-def _slice_state(
-    state: dict[str, dict[str, np.ndarray]], sel: np.ndarray
-) -> dict[str, dict[str, np.ndarray]]:
-    return {
-        component: {key: value[sel] for key, value in arrays.items()}
-        for component, arrays in state.items()
-    }
-
-
-def _concat_states(
-    states: list[dict[str, dict[str, np.ndarray]]],
-) -> dict[str, dict[str, np.ndarray]]:
-    first = states[0]
-    return {
-        component: {
-            key: np.concatenate([s[component][key] for s in states])
-            for key in arrays
-        }
-        for component, arrays in first.items()
-    }
-
-
 class LiraSystem:
     """An end-to-end LIRA deployment over a fixed node population.
 
@@ -181,13 +160,13 @@ class LiraSystem:
     come from :meth:`evaluate_queries`.  Nothing is archived unless a
     reader assigns :attr:`history` a store before :meth:`bootstrap`
     (``system.history = TrajectoryStore(system.n_nodes)``); it is then
-    fed every batch of reports sent, at every K.  At ``n_shards=1`` the
-    one shard's components are
-    also reachable as :attr:`server`, :attr:`shedder`, :attr:`network`,
-    :attr:`node_engine` and :attr:`fleet`; with more shards they are
-    per shard (``shards[k].server`` …) and ``bootstrap`` must run before
-    ``adapt``/``tick``: the initial node partition is derived from the
-    bootstrap positions.
+    fed every batch of reports sent, at every K.  The node side,
+    :attr:`node_engine` and :attr:`fleet`, is the system's at every K.
+    At ``n_shards=1`` the one shard's components are also reachable as
+    :attr:`server`, :attr:`shedder` and :attr:`network`; with more
+    shards they are per shard (``shards[k].server`` …) and
+    ``bootstrap`` must run before ``adapt``/``tick``: the initial node
+    partition is derived from the bootstrap positions.
 
     Args:
         faults: optional fault injector wrapped around the protocol
@@ -209,8 +188,6 @@ class LiraSystem:
     server: MobileCQServer
     shedder: LiraLoadShedder
     network: BaseStationNetwork
-    node_engine: VectorNodeEngine
-    fleet: DeadReckoningFleet
 
     def __init__(
         self,
@@ -253,11 +230,7 @@ class LiraSystem:
         self._adaptive = adaptive_throttle
         station_list = place_uniform_stations(bounds, station_radius)
         #: Station→shard ownership; ``None`` when one shard owns them all.
-        self.router = (
-            ShardRouter(station_list, bounds, n_shards)
-            if n_shards > 1
-            else None
-        )
+        self.router = ShardRouter(station_list, n_shards) if n_shards > 1 else None
         self.shards: list[LiraShard] = [
             LiraShard(
                 k,
@@ -278,19 +251,23 @@ class LiraSystem:
             )
             for k in range(n_shards)
         ]
+        directory: SubsetProvider
         if self.router is None:
             only = self.shards[0]
-            only.adopt(None, only.network)
+            assert only.network is not None  # it owns every station
             self.server, self.shedder, self.network = (
                 only.server, only.shedder, only.network,
             )
-            self.node_engine, self.fleet = only.node_engine, only.fleet
+            directory = only.network
         else:
-            self.directory = ShardDirectory(station_list, self.shards)
+            directory = ShardDirectory(station_list, self.shards)
+        self.node_engine = VectorNodeEngine(n_nodes, directory, bounds)
+        self.fleet = DeadReckoningFleet(n_nodes)
+        #: Shard each node reports to (``None`` at one shard, or before
+        #: ``bootstrap``): its serving station's shard as of the end of
+        #: the previous tick.
+        self._owner: np.ndarray | None = None
         self.history = _NoArchive()
-        self._pending_handoffs: list[tuple[np.ndarray, np.ndarray]] = [
-            (_EMPTY_I64, _EMPTY_I64) for _ in range(n_shards)
-        ]
         self.total_cross_handoffs = 0
         self._plan_installed = False
         self._z_global = self.shards[0].shedder.current_z
@@ -307,35 +284,39 @@ class LiraSystem:
         Node registration happens once, at association time, and is not
         part of the steady-state update load THROTLOOP manages — pushing
         the entire population through the bounded queue in one tick
-        would fabricate an overload.  Seeds the fleets' node-side
+        would fabricate an overload.  Seeds the fleet's node-side
         models, the server tables, and an attached :attr:`history`
         consistently.  With several shards, node→shard ownership comes
         from the serving station of each bootstrap position.
         """
-        partition: list[np.ndarray | None] = [None]
         if self.router is not None:
-            if self.shards[0].fleet is not None:
+            if self._owner is not None:
                 raise RuntimeError("bootstrap() may only be called once")
             x = np.ascontiguousarray(positions[:, 0], dtype=np.float64)
             y = np.ascontiguousarray(positions[:, 1], dtype=np.float64)
-            owner = self.router.shard_of_positions(x, y)
-            partition = [np.flatnonzero(owner == k) for k in range(self.n_shards)]
-            for shard, ids in zip(self.shards, partition):
-                shard.adopt(ids, self.directory, self.router.assigner)
+            owner = self.router.station_shard[self.node_engine.assigner.assign(x, y)]
+            for k, shard in enumerate(self.shards):
+                shard.server.table = CompactNodeTable(np.flatnonzero(owner == k))
+            self._owner = owner
         t = 0.0
-        for shard, ids in zip(self.shards, partition):
-            pos_k = positions if ids is None else positions[ids]
-            vel_k = velocities if ids is None else velocities[ids]
-            assert shard.fleet is not None
-            local = shard.fleet.observe(t, pos_k, vel_k)
-            senders = local if ids is None else ids[local]
-            pos_k, vel_k = pos_k[local], vel_k[local]
-            shard.server.table.ingest(t, senders, pos_k, vel_k)
-            self.history.record(t, senders, pos_k, vel_k)
+        senders = self.fleet.observe(t, positions, velocities)
+        pos, vel = positions[senders], velocities[senders]
+        self.history.record(t, senders, pos, vel)
+        for shard, mine in self._route(senders):
+            shard.server.table.ingest(t, senders[mine], pos[mine], vel[mine])
 
     def _require_bootstrap(self, what: str) -> None:
-        if self.shards[0].fleet is None:
+        if self.router is not None and self._owner is None:
             raise RuntimeError(f"call bootstrap() before {what}()")
+
+    def _route(self, ids: np.ndarray) -> Iterator[tuple[LiraShard, slice | np.ndarray]]:
+        """``(shard, selector into ids)`` per shard: who gets which reports."""
+        if self._owner is None:
+            yield self.shards[0], slice(None)
+            return
+        owner = self._owner[ids]
+        for k, shard in enumerate(self.shards):
+            yield shard, np.flatnonzero(owner == k)
 
     # ------------------------------------------------------------------
     # Server-side control path
@@ -417,73 +398,65 @@ class LiraSystem:
         self.current_time = t
         faults = self.faults
         inject = self._inject
-        total_sent = 0
-        station_shard = None
-        if self.router is not None:
+        if self._owner is not None:
             self._apply_handoffs()
-            station_shard = self.router.station_shard
-        fault_args = {}
+        active: np.ndarray | None = None
+        rate_factor = 1.0
         if inject:
             assert faults is not None and self.network is not None
             self.network.deliver_pending(t)
-            fault_args = dict(
-                active=faults.churn_step(self.n_nodes),
-                rate_factor=faults.service_factor(t),
-                uplink=faults.uplink,
+            active = faults.churn_step(self.n_nodes)
+            rate_factor = faults.service_factor(t)
+        thresholds = self.node_engine.compute_thresholds(
+            positions, active, default=self.config.delta_min
+        )
+        self.fleet.set_thresholds(thresholds)
+        senders = self.fleet.observe(t, positions, velocities)
+        sender_pos, sender_vel = positions[senders], velocities[senders]
+        self.history.record(t, senders, sender_pos, sender_vel)
+        if inject:
+            assert faults is not None
+            ids, pos, vel, times = faults.uplink(t, senders, sender_pos, sender_vel)
+        else:
+            ids, pos, vel, times = senders, sender_pos, sender_vel, None
+        for shard, mine in self._route(ids):
+            shard.ingest(
+                t, ids[mine], pos[mine], vel[mine],
+                times[mine] if times is not None else None, dt, rate_factor,
             )
-        for shard in self.shards:
-            out = shard.tick(t, positions, velocities, dt, station_shard, **fault_args)
-            total_sent += self._finish_tick(shard, t, out)
         if faults is not None and not inject:
             counters = faults.counters
-            counters.uplink_sent += total_sent
-            counters.uplink_delivered += total_sent
-        return total_sent
+            counters.uplink_sent += int(senders.size)
+            counters.uplink_delivered += int(senders.size)
+        return int(senders.size)
 
-    def _finish_tick(self, shard: LiraShard, t: float, out: TickResult) -> int:
-        """Feed one shard's reports to :attr:`history`; buffer departures."""
-        sender_ids, sender_pos, sender_vel, dep_ids, dep_dst = out
-        self.history.record(t, sender_ids, sender_pos, sender_vel)
-        self._pending_handoffs[shard.shard_id] = (dep_ids, dep_dst)
-        return int(sender_ids.size)
+    def _apply_handoffs(self) -> None:
+        """Move each node whose serving station changed shard on the
+        previous tick to that station's shard.
 
-    def _apply_handoffs(self) -> int:
-        """Apply the previous tick's buffered cross-shard departures.
-
-        Rows move source-by-source in ascending shard order, each
-        source's departures in ascending node id; destinations merge
-        the incoming rows id-sorted.  No node is ever lost or
-        duplicated: extraction and insertion are the same rows.
+        Only server-table rows move: source shards in ascending order,
+        each source's departures in ascending node id; destinations merge
+        the incoming rows id-sorted.  No node is ever lost or duplicated:
+        extraction and insertion are the same rows.
         """
-        pending = self._pending_handoffs
-        moved_total = sum(int(ids.size) for ids, _ in pending)
-        if moved_total == 0:
-            return 0
-        buckets: list[list[tuple[np.ndarray, dict]]] = [
-            [] for _ in range(self.n_shards)
-        ]
-        for src in range(self.n_shards):
-            dep_ids, dep_dst = pending[src]
-            if dep_ids.size == 0:
-                continue
-            state = self.shards[src].extract_nodes(dep_ids)
-            for dst in range(self.n_shards):
-                sel = np.flatnonzero(dep_dst == dst)
-                if sel.size:
-                    buckets[dst].append((dep_ids[sel], _slice_state(state, sel)))
-        for dst in range(self.n_shards):
-            entries = buckets[dst]
-            if not entries:
-                continue
-            ids_in = np.concatenate([ids for ids, _ in entries])
-            merged = _concat_states([state for _, state in entries])
-            order = np.argsort(ids_in, kind="stable")
-            self.shards[dst].insert_nodes(ids_in[order], _slice_state(merged, order))
-        self._pending_handoffs = [
-            (_EMPTY_I64, _EMPTY_I64) for _ in range(self.n_shards)
-        ]
-        self.total_cross_handoffs += moved_total
-        return moved_total
+        assert self._owner is not None and self.router is not None
+        slots = self.node_engine._station_slot
+        dest = self.router.station_shard[slots]
+        # Slot -1: not attached yet (before the first tick).
+        moved = np.flatnonzero((dest != self._owner) & (slots >= 0))
+        if moved.size == 0:
+            return
+        src, dst = self._owner[moved], dest[moved]
+        by_source = np.argsort(src, kind="stable")
+        moved, src, dst = moved[by_source], src[by_source], dst[by_source]
+        parts = [self.shards[k].extract_nodes(moved[src == k]) for k in np.unique(src)]
+        state = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+        for k in np.unique(dst):
+            sel = np.flatnonzero(dst == k)
+            sel = sel[np.argsort(moved[sel], kind="stable")]
+            self.shards[k].insert_nodes(moved[sel], {key: v[sel] for key, v in state.items()})
+        self._owner[moved] = dst
+        self.total_cross_handoffs += int(moved.size)
 
     # ------------------------------------------------------------------
     # Queries + introspection
@@ -543,12 +516,12 @@ class LiraSystem:
             z=self.current_z,
             queue_length=sum(len(server.queue) for server in servers),
             queue_drops=sum(server.queue.total_dropped for server in servers),
-            updates_sent=sum(shard.fleet.total_reports for shard in self.shards),
+            updates_sent=self.fleet.total_reports,
             updates_processed=sum(server.table.updates_applied for server in servers),
             broadcast_bytes=sum(network.total_broadcast_bytes for network in networks),
-            # O(1) per shard: a monotonic counter the engine maintains
-            # tick by tick, not an O(N) reduction over per-node counters.
-            handoffs=sum(shard.node_engine.total_handoffs for shard in self.shards),
+            # O(1): a monotonic counter the engine maintains tick by
+            # tick, not an O(N) reduction over per-node counters.
+            handoffs=self.node_engine.total_handoffs,
             plan_version=max(network.version for network in networks),
             mean_plan_staleness=mean_staleness,
             stale_station_fraction=stale_fraction,

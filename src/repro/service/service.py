@@ -348,6 +348,9 @@ class LiraService:
         self._last_pump_t = clock()
         self._rate_factor = 1.0
         self._subscribers: list[_Subscriber] = []
+        #: Every open connection: its writer and its handler task, so
+        #: stop() can drop them and wait for the handlers to finish.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []
         self._slow_callback_detector: sanitize.SlowCallbackDetector | None = None
@@ -641,6 +644,9 @@ class LiraService:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[writer] = task
         try:
             while True:
                 try:
@@ -656,6 +662,7 @@ class LiraService:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._connections.pop(writer, None)
             self._subscribers = [
                 s for s in self._subscribers if s.writer is not writer
             ]
@@ -792,7 +799,8 @@ class LiraService:
         return None
 
     async def stop(self) -> None:
-        """Cancel the loops and close the listening socket."""
+        """Cancel the loops, close the listening socket, drop every open
+        connection."""
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -810,6 +818,13 @@ class LiraService:
             self._slow_callback_detector = None
         if self._asyncio_server is not None:
             self._asyncio_server.close()
+            # Since Python 3.12.1 wait_closed() also waits for every open
+            # connection.  abort(), not close(): bytes buffered for a peer
+            # that stopped reading would keep its connection open.
+            handlers = list(self._connections.values())
+            for writer in list(self._connections):
+                writer.transport.abort()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
 

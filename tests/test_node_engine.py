@@ -457,7 +457,9 @@ class TestSparseBookkeeping:
 
     def test_rejoining_node_catches_up_after_quiet_ticks(self):
         """A node away while its station re-broadcast must re-install on
-        return even though no version moved on that tick."""
+        return even though no version moved on that tick — and, the Δ
+        image holding no per-node state, read the image painted while it
+        was away on its first tick back."""
         network, _, obj, vec = _engine_pair(200)
         positions = np.random.default_rng(2).uniform(0.0, 4000.0, (200, 2))
         network.install_plan(_one_region_plan(10.0))
@@ -470,37 +472,15 @@ class TestSparseBookkeeping:
         got = _tick_pair(obj, vec, positions)
         assert (got == 20.0).all()
         assert vec.install_counts().tolist() == [2] * 200
-
-
-    def test_rows_arriving_from_another_engine_are_scanned(self):
-        """Row surgery voids "every node is level with these versions"."""
-        network, _, _, vec = _engine_pair(200)
-        positions = np.random.default_rng(3).uniform(0.0, 4000.0, (200, 2))
-        network.install_plan(_one_region_plan(10.0))
-        other = VectorNodeEngine(200, network, BOUNDS, assigner=vec.assigner)
-        other.compute_thresholds(positions, None, default=30.0)
-        network.install_plan(_one_region_plan(20.0))
-        vec.compute_thresholds(positions, None, default=30.0)
-        arrivals = other.extract_rows(np.arange(50))
-        vec.insert_rows(np.zeros(50, dtype=np.int64), arrivals)
-        merged = np.concatenate([positions[:50], positions])
-        assert (vec.compute_thresholds(merged, None, default=30.0) == 20.0).all()
-        assert vec.install_counts().tolist() == [2] * 50 + [1] * 200
-        # The Δ image holds no per-node state: painted on the first tick
-        # after a many-region plan arrives, it answers rows that join
-        # later — from an engine that never saw that plan — on their
-        # first tick here.
         network.install_plan(_grid_plan(BOUNDS, 8, 5.0 + np.arange(64.0)))
-        got = vec.compute_thresholds(merged, None, default=30.0)
-        assert np.array_equal(got, full_gather_thresholds(vec, merged, None, 30.0))
-        vec.insert_rows(np.full(100, 250), other.extract_rows(np.arange(100)))
-        merged = np.concatenate([merged, positions[50:150]])
-        got = vec.compute_thresholds(merged, None, default=30.0)
-        assert np.array_equal(got, full_gather_thresholds(vec, merged, None, 30.0))
-        assert len(set(got[250:].tolist())) > 10
-        arrival_cells = vec.assigner.locate(merged[250:, 0], merged[250:, 1])[1]
-        assert (vec._image[arrival_cells] >= 0).sum() >= 25  # answered from the image
-        assert vec.install_counts().tolist() == [3] * 50 + [2] * 200 + [2] * 100
+        # Paints the image for the stations of the active rows only.
+        want = obj.compute_thresholds(positions, active, default=30.0)
+        assert np.array_equal(vec.compute_thresholds(positions, active, default=30.0), want)
+        away = vec.assigner.locate(positions[:50, 0], positions[:50, 1])[1]
+        assert (vec._image[away] != _EXACT).all()
+        got = _tick_pair(obj, vec, positions)
+        assert vec.last_exact_rows == 0 and len(set(got[:50].tolist())) > 10
+        assert vec.install_counts().tolist() == [3] * 200
 
 
 # ----------------------------------------------------------------------

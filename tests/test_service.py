@@ -972,6 +972,94 @@ class TestSocketProtocol:
         assert len(bodies) == 1  # one buffer, read once, never concatenated
 
 
+class TestStalledPeers:
+    """Peers that stop reading, over a real unix socket: what they cost the
+    service is bounded, and they cannot keep it from shutting down."""
+
+    @staticmethod
+    def _service():
+        return ServiceConfig(
+            n_nodes=32, service_rate=1e9, side=1000.0, station_radius=800.0, l=4, alpha=8
+        ).build()
+
+    def test_stop_returns_and_drops_connections_that_stopped_reading(self, tmp_path):
+        """Since Python 3.12.1 ``wait_closed()`` waits for every open
+        connection: ``stop()`` must close them, and a subscriber with
+        replies buffered for it would never let a ``close()`` finish."""
+        sock = str(tmp_path / "stop.sock")
+
+        async def scenario():
+            service = self._service()
+            await service.start(path=sock)
+            sub_reader, sub_writer = await asyncio.open_unix_connection(sock)
+            sub_writer.write(encode_frame("subscribe", {}))
+            # Stats requests it never reads the replies to, until the
+            # service holds bytes for it that the socket would not take.
+            for _ in range(2_000):
+                if any(w.transport.get_write_buffer_size() for w in service._connections):
+                    break
+                sub_writer.write(encode_frame("stats", {"seq": 0}) * 64)
+                await asyncio.sleep(0.005)
+            else:
+                raise AssertionError("the service never held a reply back")
+            idle_reader, idle_writer = await asyncio.open_unix_connection(sock)
+            ids, pos, vel = make_batch(4)
+            idle_writer.write(encode_frame(
+                "ingest", {"seq": 1, "send_t": 0.0},
+                {"node_ids": ids, "positions": pos, "velocities": vel},
+            ))
+            ack = await asyncio.wait_for(read_frame(idle_reader), timeout=5.0)
+            assert ack.kind == "ingest-ack" and len(service._connections) == 2
+            await asyncio.wait_for(service.stop(), 2.0)
+            for reader in (sub_reader, idle_reader):
+                # What was already in flight, then EOF.
+                await asyncio.wait_for(reader.read(), 1.0)
+                assert reader.at_eof()
+            for writer in (sub_writer, idle_writer):
+                writer.close()
+
+        asyncio.run(scenario())
+
+    def test_client_that_never_reads_acks_costs_a_bounded_buffer(self, tmp_path):
+        """``_handle_conn`` awaits ``drain()`` after every dispatch, so a
+        client that sends and never reads its acks stops being read once
+        its connection's buffer passes the transport's high-water mark:
+        the acks it is owed stay under ``SEND_BUDGET_BYTES`` without a
+        budget check of their own."""
+        from repro.service.service import SEND_BUDGET_BYTES
+
+        sock = str(tmp_path / "acks.sock")
+
+        async def scenario():
+            service = self._service()
+            await service.start(path=sock)
+            try:
+                _, writer = await asyncio.open_unix_connection(sock)
+                ids, pos, vel = make_batch(4)
+                frame = encode_frame(
+                    "ingest", {"seq": 0, "send_t": 0.0},
+                    {"node_ids": ids, "positions": pos, "velocities": vel},
+                )
+                written, read, buffered = 0, [], []
+                while len(read) < 8 or len(set(read[-8:])) > 1:
+                    assert written < 40_000, "the service kept reading"
+                    writer.write(frame * 100)
+                    written += 100
+                    await asyncio.sleep(0.01)
+                    (server_side,) = service._connections
+                    read.append(service.counters.ingest_frames)
+                    buffered.append(server_side.transport.get_write_buffer_size())
+                # Stopped reading while the client kept writing.
+                assert 0 < read[-1] < written
+                assert 0 < max(buffered) <= SEND_BUDGET_BYTES
+                assert service.counters.acks_sent == read[-1]
+                writer.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+
 class TestBackgroundTaskSupervision:
     """A background loop that dies must be reported, and stop() must
     still shut the service down cleanly (regression for the bare
