@@ -54,10 +54,10 @@ class DeadReckoningTracker:
 class DeadReckoningFleet:
     """Vectorized node-side dead reckoning for ``n`` nodes.
 
-    State is the last *sent* model per node (position, velocity, time).
-    Per-node thresholds are set with :meth:`set_thresholds` — this is the
-    hook through which a shedding policy actuates load reduction at the
-    sources.
+    State is the last *sent* model per node (position, velocity, time),
+    columnar: x and y are contiguous rows.  Per-node thresholds are set
+    with :meth:`set_thresholds` — this is the hook through which a
+    shedding policy actuates load reduction at the sources.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -67,8 +67,8 @@ class DeadReckoningFleet:
             raise ValueError("n_nodes must be non-negative")
         self.n_nodes = n_nodes
         self.thresholds = np.zeros(n_nodes, dtype=np.float64)
-        self._sent_pos = np.zeros((n_nodes, 2), dtype=np.float64)
-        self._sent_vel = np.zeros((n_nodes, 2), dtype=np.float64)
+        self._sent_pos = np.zeros((2, n_nodes), dtype=np.float64)
+        self._sent_vel = np.zeros((2, n_nodes), dtype=np.float64)
         self._sent_time = np.zeros(n_nodes, dtype=np.float64)
         self._has_model = np.zeros(n_nodes, dtype=bool)
         self.total_reports = 0
@@ -94,8 +94,9 @@ class DeadReckoningFleet:
         deviation = self._deviation(t, positions)
         senders = np.flatnonzero(~self._has_model | (deviation > self.thresholds))
         if senders.size:
-            self._sent_pos[senders] = positions[senders]
-            self._sent_vel[senders] = velocities[senders]
+            for axis in (0, 1):
+                self._sent_pos[axis][senders] = positions[:, axis][senders]
+                self._sent_vel[axis][senders] = velocities[:, axis][senders]
             self._sent_time[senders] = t
             self._has_model[senders] = True
             self.total_reports += int(senders.size)
@@ -104,22 +105,18 @@ class DeadReckoningFleet:
     def _deviation(self, t: float, positions: np.ndarray) -> np.ndarray:
         """|sent_pos + sent_vel·dt - position| per node.
 
-        Column by column and in place: the operations (hence the bits)
-        of the broadcast form and ``np.linalg.norm(axis=1)``, without
-        their five N x 2 temporaries.
+        Both axes at once over the columnar state, in place: the
+        operations (hence the bits) of the broadcast form and
+        ``np.linalg.norm(axis=1)``, without their five N x 2 temporaries.
         """
-        dt = t - self._sent_time
-        deviation = self._sent_vel[:, 0] * dt
-        deviation += self._sent_pos[:, 0]
-        deviation -= positions[:, 0]
-        deviation *= deviation
-        dy = self._sent_vel[:, 1] * dt
-        dy += self._sent_pos[:, 1]
-        dy -= positions[:, 1]
-        dy *= dy
-        deviation += dy
+        d = self._sent_vel * (t - self._sent_time)
+        d += self._sent_pos
+        d -= positions.T
+        d *= d
+        deviation = d[0]
+        deviation += d[1]
         return np.sqrt(deviation, out=deviation)
 
     def node_models(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot of (positions, velocities, times) of last-sent models."""
-        return self._sent_pos.copy(), self._sent_vel.copy(), self._sent_time.copy()
+        return self._sent_pos.T.copy(), self._sent_vel.T.copy(), self._sent_time.copy()

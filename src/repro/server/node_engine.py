@@ -75,6 +75,12 @@ _REFINE = 5
 _EXACT = -1.0
 _SPLIT = -2.0
 
+#: Relative guard band of the resolve's squared-distance predicate: seven
+#: orders of magnitude above the <= 1-ulp error of ``hypot`` and the
+#: ~2-ulp error of ``dx*dx + dy*dy``; closer calls are left to ``hypot``.
+_GUARD = 1e-9
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+
 
 class StationAssigner:
     """Batched station assignment over a precomputed candidate raster.
@@ -115,6 +121,12 @@ class StationAssigner:
         self._cx = np.array([s.center.x for s in stations] + [np.inf])
         self._cy = np.array([s.center.y for s in stations] + [0.0])
         self._radius = np.array([s.radius for s in stations] + [-1.0])
+        # Squared radii shrunk / grown by the guard band; NaN, deciding
+        # nothing, for a radius whose square is near under- or overflow.
+        r = np.where((self._radius >= 1e-150) & (self._radius <= 1e150), self._radius, np.nan)
+        self._r2_in, self._r2_out = r * r * (1 - _GUARD), r * r * (1 + _GUARD)
+        #: Contested rows of the last :meth:`locate` that paid ``np.hypot``.
+        self.last_hypot_rows = 0
         self.station_ids = np.array(
             [s.station_id for s in stations], dtype=np.int64
         )
@@ -217,13 +229,17 @@ class StationAssigner:
         return table.reshape(len(refined), -1)
 
     def cells_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Flat fine-raster cell of each (in-bounds) position."""
-        b = self.bounds
-        last = self.fine_resolution - 1
-        cells = np.minimum(((x - b.x1) / self._cell_w).astype(np.int64), last)
+        """Flat fine-raster cell of each (in-bounds) position, in float and
+        in place: an in-bounds quotient is >= 0, so ``trunc`` of it clamped
+        to ``last`` is the clamped int cast."""
+        b, last = self.bounds, self.fine_resolution - 1
+        cells, row = x - b.x1, y - b.y1
+        for axis, width in ((cells, self._cell_w), (row, self._cell_h)):
+            axis /= width
+            np.trunc(np.minimum(axis, last, out=axis), out=axis)
         cells *= self.fine_resolution
-        cells += np.minimum(((y - b.y1) / self._cell_h).astype(np.int64), last)
-        return cells
+        cells += row
+        return cells.astype(np.int64)
 
     def slot_entries(self, slot: int) -> tuple[np.ndarray, ...]:
         """``(entries, x1, y1, x2, y2)``: the Δ-image entry of every fine
@@ -254,6 +270,7 @@ class StationAssigner:
         row among the cell's candidates (the cell itself where it has one
         candidate); positions outside the raster bounds get entry -1."""
         b = self.bounds
+        self.last_hypot_rows = 0
         if x.size == 0 or (
             x.min() >= b.x1 and x.max() <= b.x2 and y.min() >= b.y1 and y.max() <= b.y2
         ):
@@ -265,7 +282,7 @@ class StationAssigner:
         # Single-candidate cells need no distance computation at all:
         # the lone candidate wins whether or not it covers the point
         # (nearest-covering and nearest-overall coincide).  Only the
-        # contested remainder pays the gather + hypot, each row on its
+        # contested remainder pays the gather + resolve, each row on its
         # cell's own candidate count: columns are left-packed, so the
         # first k rows are exact (most contested cells have two).
         slots = self._single[cells]
@@ -288,19 +305,28 @@ class StationAssigner:
         return slots, cells
 
     def _resolve(self, x: np.ndarray, y: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Row of the exact winner in each per-position candidate column
-        (-1 padded)."""
-        d = np.hypot(x - self._cx[cand], y - self._cy[cand])
-        covers = d <= self._radius[cand]
-        if len(cand) == 2:
-            # Most contested cells: the same first minimum, elementwise.
-            (d1, d2), (c1, c2) = d, covers
+        """Row of the exact winner in each per-position candidate column:
+        the first ``np.hypot`` minimum over the covering candidates, over
+        all of them where none covers.  Decided on the squares of the same
+        ``dx``, ``dy`` where every comparison clears the guard band on
+        finite, normal squares; the other rows pay ``hypot``."""
+        dx, dy = x - self._cx[cand], y - self._cy[cand]
+        cand = np.broadcast_to(cand, dx.shape)  # ``everyone`` is one column
+        with np.errstate(over="ignore"):
+            sq = dx * dx + dy * dy
+            covers = sq <= self._r2_in[cand]
+            sure = (covers | (sq >= self._r2_out[cand])) & (sq >= _TINY) & (sq <= _HUGE)
+            relevant = np.where(covers | ~covers.any(axis=0), sq, np.inf)
+            near = relevant <= relevant.min(axis=0) * (1 + _GUARD)
+        unsure = np.flatnonzero(~(sure.all(axis=0) & (near.sum(axis=0) == 1)))
+        if unsure.size:  # those columns take ``hypot``'s distances and covers
+            self.last_hypot_rows += unsure.size
+            d = np.hypot(dx[:, unsure], dy[:, unsure])
+            sq[:, unsure], covers[:, unsure] = d, d <= self._radius[cand[:, unsure]]
+        if len(cand) == 2:  # most contested cells: elementwise, not down an axis
+            (d1, d2), (c1, c2) = sq, covers
             return np.where(c1 == c2, d2 < d1, c2).astype(np.intp)
-        pick = np.argmin(np.where(covers, d, np.inf), axis=0)
-        uncovered = np.flatnonzero(~covers.any(axis=0))
-        if uncovered.size:
-            pick[uncovered] = np.argmin(d[:, uncovered], axis=0)
-        return pick
+        return np.argmin(np.where(covers | ~covers.any(axis=0), sq, np.inf), axis=0)
 
 
 class _ThresholdRaster:
@@ -451,7 +477,10 @@ class VectorNodeEngine:
         # needs to answer ``subset_or_none``.
         self.assigner = assigner or StationAssigner(network.stations, bounds)
         self._station_slot = np.full(n_nodes, -1, dtype=np.int64)
-        self._installed_version = np.full(n_nodes, -1, dtype=np.int64)
+        #: The stored subset's version and region count, written together;
+        #: int32 each, so the pair costs what one int64 version did.
+        self._installed_version = np.full(n_nodes, -1, dtype=np.int32)
+        self._stored_regions = np.zeros(n_nodes, dtype=np.int32)
         self._handoffs = np.zeros(n_nodes, dtype=np.int64)
         self._installs = np.zeros(n_nodes, dtype=np.int64)
         self.total_handoffs = 0
@@ -474,15 +503,6 @@ class VectorNodeEngine:
     # ------------------------------------------------------------------
     # Per-tick station/subset state from the network
     # ------------------------------------------------------------------
-
-    def _station_state(self) -> tuple[np.ndarray, list]:
-        """Current subset version per station slot (-1 = none) + subsets."""
-        subsets = [
-            self.network.subset_or_none(station.station_id)
-            for station in self.assigner.stations
-        ]
-        versions = [-1 if subset is None else subset.version for subset in subsets]
-        return np.array(versions, dtype=np.int64), subsets
 
     def _raster_for(self, slot: int, subset) -> _ThresholdRaster | None:
         """The slot's raster, brought level with ``subset`` together with
@@ -541,10 +561,13 @@ class VectorNodeEngine:
             self._station_slot[rows] = slots
 
         # Hand-off: adopt the new station's subset version (-1, i.e.
-        # nothing stored, when its broadcast was lost).
-        versions, subsets = self._station_state()
+        # nothing stored, when its broadcast was lost) and region count.
+        subsets = [self.network.subset_or_none(s.station_id) for s in self.assigner.stations]
+        versions = np.array([-1 if s is None else s.version for s in subsets], dtype=np.int32)
+        sizes = np.array([0 if s is None else len(s.regions) for s in subsets], dtype=np.int32)
         moved_version = versions[slots[moved]]
         self._installed_version[moved_rows] = moved_version
+        self._stored_regions[moved_rows] = sizes[slots[moved]]
         self._installs[moved_rows[moved_version >= 0]] += 1
         # Same station: re-install where the broadcast version advanced
         # past the stored one.  A scan over everybody leaves every node
@@ -559,6 +582,7 @@ class VectorNodeEngine:
             stale_rows = stale if full else rows[stale]
             self._installs[stale_rows] += 1
             self._installed_version[stale_rows] = slot_version[stale]
+            self._stored_regions[stale_rows] = sizes[slots[stale]]
             self._level_with = versions if full else None
 
         # A station whose subset changed identity (install, delta
@@ -589,9 +613,9 @@ class VectorNodeEngine:
         # NaN, replaced by Δ⊢ in one go.
         values = self._image[entries]
         split = np.flatnonzero(values == _SPLIT)
-        at = entries[split]
-        side = 2 * (x[split] >= self._split[at, 0]) + (y[split] >= self._split[at, 1])
-        values[split] = self._split[at, 2 + side]
+        table, at = self._split.ravel(), entries[split] * 6
+        side = (x[split] >= table[at]) * 2 + (y[split] >= table[at + 1])
+        values[split] = table[at + side + 2]
         values[self._installed_version[rows] < 0] = np.nan
         exact = np.flatnonzero(values == _EXACT)
         self.last_exact_rows = int(exact.size)
@@ -622,14 +646,7 @@ class VectorNodeEngine:
 
     def stored_region_counts(self) -> np.ndarray:
         """How many shedding regions each node currently stores."""
-        _, subsets = self._station_state()
-        per_slot = np.array(
-            [0 if subset is None else len(subset.regions) for subset in subsets],
-            dtype=np.int64,
-        )
-        return np.where(
-            self._installed_version >= 0, per_slot[self._station_slot], 0
-        )
+        return self._stored_regions.astype(np.int64)
 
     def handoff_counts(self) -> np.ndarray:
         """Per-node hand-off counters (parity introspection)."""

@@ -1,19 +1,28 @@
-"""The node engine's threshold gather without its Δ image.
+"""The node engine's station walk and threshold gather in their plain forms.
 
 ``VectorNodeEngine.compute_thresholds`` answers most rows from a per-cell
-image of Δ and sends only the rest through the per-station rasters.  This
-is the gather it ran before the image existed — *every* row with an
-installed subset grouped by station and looked up in that station's
-raster — over the engine's own post-tick protocol state, with each
-raster built from scratch (no cache, no ``repaint``), so the image, its
-lazy per-slot painting and the raster reuse are all checked against it.
+image of Δ and sends only the rest through the per-station rasters.
+:func:`full_gather_thresholds` is the gather it ran before the image
+existed — *every* row with an installed subset grouped by station and
+looked up in that station's raster — over the engine's own post-tick
+protocol state, with each raster built from scratch (no cache, no
+``repaint``), so the image, its lazy per-slot painting and the raster
+reuse are all checked against it.
+
+``StationAssigner.locate`` decides most contested rows on squared
+distances.  :func:`hypot_locate` is the same walk with every contested row
+resolved by ``np.hypot`` (:func:`hypot_resolve`), and :func:`int_cells_of`
+the int64-cast cell index the float form of ``cells_of`` replaced.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
+
 import numpy as np
 
-from repro.server.node_engine import VectorNodeEngine, _ThresholdRaster
+from repro.server.node_engine import StationAssigner, VectorNodeEngine, _ThresholdRaster
 
 
 def full_gather_thresholds(
@@ -26,7 +35,7 @@ def full_gather_thresholds(
     rows = slice(None) if active is None else np.flatnonzero(active)
     x, y = positions[rows, 0], positions[rows, 1]
     slots = engine._station_slot[rows]
-    _, subsets = engine._station_state()
+    subsets = [engine.network.subset_or_none(s.station_id) for s in engine.assigner.stations]
     have = np.flatnonzero(engine._installed_version[rows] >= 0)
     group = slots[have]
     order = have[np.argsort(group, kind="stable")]
@@ -44,3 +53,40 @@ def full_gather_thresholds(
     thresholds = np.full(engine.n_nodes, np.inf, dtype=np.float64)
     thresholds[rows] = out
     return thresholds
+
+
+def hypot_resolve(
+    assigner: StationAssigner, x: np.ndarray, y: np.ndarray, cand: np.ndarray
+) -> np.ndarray:
+    """Row of the exact winner in each candidate column: the first
+    minimum of the ``hypot`` distances over the covering candidates, over
+    all of them where none covers."""
+    d = np.hypot(x - assigner._cx[cand], y - assigner._cy[cand])
+    covers = d <= assigner._radius[cand]
+    if len(cand) == 2:
+        (d1, d2), (c1, c2) = d, covers
+        return np.where(c1 == c2, d2 < d1, c2).astype(np.intp)
+    pick = np.argmin(np.where(covers, d, np.inf), axis=0)
+    uncovered = np.flatnonzero(~covers.any(axis=0))
+    if uncovered.size:
+        pick[uncovered] = np.argmin(d[:, uncovered], axis=0)
+    return pick
+
+
+def hypot_locate(
+    assigner: StationAssigner, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``assigner.locate(x, y)`` with every contested row resolved by
+    :func:`hypot_resolve` (on a shallow copy: ``assigner`` is untouched)."""
+    oracle = copy.copy(assigner)
+    oracle._resolve = functools.partial(hypot_resolve, assigner)
+    return oracle.locate(x, y)
+
+
+def int_cells_of(assigner: StationAssigner, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat fine-raster cell of each in-bounds position, by int64 casts."""
+    b, last = assigner.bounds, assigner.fine_resolution - 1
+    cells = np.minimum(((x - b.x1) / assigner._cell_w).astype(np.int64), last)
+    cells *= assigner.fine_resolution
+    cells += np.minimum(((y - b.y1) / assigner._cell_h).astype(np.int64), last)
+    return cells

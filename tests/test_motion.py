@@ -210,8 +210,8 @@ _coordinate = st.one_of(
 
 
 def _reference_deviation(fleet, t, positions):
-    dt = t - fleet._sent_time
-    predicted = fleet._sent_pos + fleet._sent_vel * dt[:, None]
+    sent_pos, sent_vel, sent_time = fleet.node_models()
+    predicted = sent_pos + sent_vel * (t - sent_time)[:, None]
     return np.linalg.norm(predicted - positions, axis=1)
 
 
@@ -229,6 +229,7 @@ class TestDeviationKernel:
         first tick), no rows at all, and non-finite or huge coordinates."""
         rng = np.random.default_rng(seed)
         fleet = DeadReckoningFleet(n)
+        has_model = np.zeros(n, dtype=bool)
         with np.errstate(all="ignore"):
             for tick in range(4):
                 size = fleet.n_nodes
@@ -246,5 +247,6 @@ class TestDeviationKernel:
                 got = fleet._deviation(t, positions)
                 assert got.shape == (size,)
                 assert np.array_equal(got, want, equal_nan=True)
-                expected = np.flatnonzero(~fleet._has_model | (want > fleet.thresholds))
+                expected = np.flatnonzero(~has_model | (want > fleet.thresholds))
                 assert np.array_equal(fleet.observe(t, positions, velocities), expected)
+                has_model[expected] = True

@@ -40,7 +40,7 @@ from repro.server import (
 from repro.server.node_engine import _EXACT, _SPLIT, VectorNodeEngine, _ThresholdRaster
 from repro.server.queue import ArrayBoundedQueue
 
-from tests.oracles.node_engine import full_gather_thresholds
+from tests.oracles.node_engine import full_gather_thresholds, hypot_locate, int_cells_of
 from tests.oracles.system import (
     BoundedQueue,
     MobileNode,
@@ -184,6 +184,142 @@ class TestStationAssignerProperty:
             (cy[:, None] + cy[None, :]).ravel() / 2.0,
         ])
         _assert_matches_station_for(assigner, network, xs, ys)
+
+
+def _on_the_boundaries(centers, radii, rng):
+    """Station centres, points on every pairwise bisector (exactly where
+    the lattice allows, else to the nearest float) and on every coverage
+    circle."""
+    i, j = np.triu_indices(len(centers), 1)
+    along = (centers[j] - centers[i])[:, ::-1] * [-1.0, 1.0]  # bisector direction
+    t = np.concatenate([
+        rng.choice([0.0, 0.25, -0.5, 1.0, -2.0, 3.0], (i.size, 3, 1)),
+        rng.uniform(-3.0, 3.0, (i.size, 3, 1)),
+    ], axis=1)
+    bisectors = (centers[i] + centers[j])[:, None] / 2.0 + t * along[:, None]
+    ways = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.8, -0.6]])
+    circles = centers[:, None] + radii[:, None, None] * ways
+    return np.concatenate([centers, bisectors.reshape(-1, 2), circles.reshape(-1, 2)])
+
+
+class TestFilteredResolve:
+    """``locate`` decides contested rows on squared distances and sends
+    every row it cannot decide safely to ``hypot``: its slots and entries
+    are the all-``hypot`` walk's, exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        layout=st.one_of(
+            st.lists(_station, min_size=2, max_size=2),  # ``everyone`` is two rows
+            st.lists(_station, min_size=1, max_size=8),
+        ),
+        # A second station on the first one's centre, or next to it at a
+        # distance whose square is subnormal.
+        twin=st.one_of(
+            st.none(), st.tuples(st.floats(0.5, 150.0), st.sampled_from([0.0, 2.0**-535]))
+        ),
+        origin=st.tuples(_lattice, _lattice),
+        size=st.tuples(st.integers(1, 1600), st.integers(1, 1600)),
+        resolution=st.sampled_from([None, 1, 3]),
+        # Powers of two keep the lattice exact: ~1e±150 puts squares near
+        # the ends of the normal range, ~1e154 past it.
+        scale=st.sampled_from([0, 0, 0, -500, 500, 512]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_locate_matches_the_hypot_walk(
+        self, layout, twin, origin, size, resolution, scale, seed
+    ):
+        """Coincident stations, points on bisectors and coverage circles
+        and 1-3 ulps either side, at and next to station centres, tiny and
+        huge coordinates, and non-finite positions out of bounds."""
+        offset = 1.0
+        if twin is not None:
+            radius, offset = twin
+            if offset:  # the first station moves to (0, 0), where such offsets exist
+                layout = [(x - layout[0][0], y - layout[0][1], r) for x, y, r in layout]
+            layout = [*layout, (layout[0][0] + offset, layout[0][1] + offset / 2, radius)]
+        unit = 2.0**scale
+        stations = [
+            BaseStation(station_id=k + 1, center=Point(x * unit, y * unit), radius=r * unit)
+            for k, (x, y, r) in enumerate(layout)
+        ]
+        bounds = Rect(
+            origin[0] * unit, origin[1] * unit,
+            (origin[0] + size[0] / 4.0) * unit, (origin[1] + size[1] / 4.0) * unit,
+        )
+        rng = np.random.default_rng(seed)
+        centers = np.array([[s.center.x, s.center.y] for s in stations])
+        radii = np.array([s.radius for s in stations])
+        on = _on_the_boundaries(centers, radii, rng)
+        next_to = centers[0] + (offset or 1.0) * unit * rng.uniform(-3.0, 3.0, (20, 2))
+        wild = np.array([np.inf, -np.inf, np.nan, 1e150, -1e150])
+        points = np.concatenate([
+            on,
+            np.column_stack([_ulps_away(on[:, 0], rng), _ulps_away(on[:, 1], rng)]),
+            np.column_stack([_ulps_away(on[:, 0], rng), on[:, 1]]),
+            next_to,
+            np.column_stack([rng.uniform(bounds.x1, bounds.x2, 40),
+                             rng.uniform(bounds.y1, bounds.y2, 40)]),
+            np.column_stack([rng.choice(wild, 10), rng.uniform(bounds.y1, bounds.y2, 10)]),
+            np.column_stack([rng.uniform(bounds.x1, bounds.x2, 10), rng.choice(wild, 10)]),
+        ])
+        x, y = points[:, 0].copy(), points[:, 1].copy()
+        with np.errstate(all="ignore"):
+            assigner = StationAssigner(stations, bounds, resolution=resolution)
+            slots, entries = assigner.locate(x, y)
+            want_slots, want_entries = hypot_locate(assigner, x, y)
+        assert np.array_equal(slots, want_slots)
+        assert np.array_equal(entries, want_entries)
+        assert 0 <= assigner.last_hypot_rows <= x.size
+
+    def test_contested_rows_rarely_pay_hypot(self):
+        """Counted gate: on 20 000 uniform nodes over the 14 km, 49-station
+        lattice, at most 0.1 % of the contested rows fall through to
+        ``np.hypot``."""
+        bounds = Rect(0.0, 0.0, 14_000.0, 14_000.0)
+        assigner = StationAssigner(place_uniform_stations(bounds, radius=1500.0), bounds)
+        assert len(assigner.stations) == 49
+        rng = np.random.default_rng(21)
+        x, y = rng.uniform(0.0, 14_000.0, (2, 20_000))
+        contested = int((assigner._single[assigner.cells_of(x, y)] < 0).sum())
+        assert contested > 2000
+        slots, entries = assigner.locate(x, y)
+        assert assigner.last_hypot_rows <= 0.001 * contested
+        want = hypot_locate(assigner, x, y)
+        assert np.array_equal(slots, want[0]) and np.array_equal(entries, want[1])
+
+
+class TestCellsOf:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        origin=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        size=st.tuples(st.floats(1e-3, 1e5), st.floats(1e-3, 1e5)),
+        resolution=st.sampled_from([None, 1, 3, 7, 128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float_form_matches_the_int_cast(self, origin, size, resolution, seed):
+        """Offset-origin bounds: every raster line, 1-3 ulps either side of
+        it, and the upper edges ``x == x2``, ``y == y2`` map to the cell the
+        int64 cast of the same quotient picks."""
+        bounds = Rect(origin[0], origin[1], origin[0] + size[0], origin[1] + size[1])
+        stations = [BaseStation(station_id=1, center=Point(*origin), radius=1.0)]
+        assigner = StationAssigner(stations, bounds, resolution=resolution)
+        rng = np.random.default_rng(seed)
+        steps = np.arange(assigner.fine_resolution + 1)
+        lines_x = np.concatenate([bounds.x1 + steps * assigner._cell_w,
+                                  np.linspace(bounds.x1, bounds.x2, steps.size)])
+        lines_y = np.concatenate([bounds.y1 + steps * assigner._cell_h,
+                                  np.linspace(bounds.y1, bounds.y2, steps.size)])
+        mid_x, mid_y = (bounds.x1 + bounds.x2) / 2.0, (bounds.y1 + bounds.y2) / 2.0
+        x = np.concatenate([lines_x, _ulps_away(lines_x, rng), _ulps_away(lines_x, rng),
+                            [bounds.x2, bounds.x2, bounds.x1, mid_x, bounds.x2]])
+        y = np.concatenate([rng.permutation(lines_y), _ulps_away(lines_y, rng),
+                            rng.choice(lines_y, lines_y.size),
+                            [bounds.y2, bounds.y1, bounds.y2, bounds.y2, mid_y]])
+        inside = (x >= bounds.x1) & (x <= bounds.x2) & (y >= bounds.y1) & (y <= bounds.y2)
+        x, y = x[inside], y[inside]
+        assert (x == bounds.x2).sum() >= 3 and (y == bounds.y2).sum() >= 3
+        assert np.array_equal(assigner.cells_of(x, y), int_cells_of(assigner, x, y))
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +609,10 @@ class TestSparseBookkeeping:
         assert (got == 20.0).all()
         assert vec.install_counts().tolist() == [2] * 200
         network.install_plan(_grid_plan(BOUNDS, 8, 5.0 + np.arange(64.0)))
-        # Paints the image for the stations of the active rows only.
-        want = obj.compute_thresholds(positions, active, default=30.0)
-        assert np.array_equal(vec.compute_thresholds(positions, active, default=30.0), want)
+        # Paints the image for the stations of the active rows only; the
+        # 50 away still store the one-region subset.
+        _tick_pair(obj, vec, positions, active)
+        assert vec.stored_region_counts()[:50].tolist() == [1] * 50
         away = vec.assigner.locate(positions[:50, 0], positions[:50, 1])[1]
         assert (vec._image[away] != _EXACT).all()
         got = _tick_pair(obj, vec, positions)
