@@ -2,16 +2,17 @@
 
 Not a paper figure — an ablation of the substrate choice.  The paper
 says LIRA composes with any update-efficient index (TPR-tree [15],
-B^x-style B+-tree indexing [8], grid indexes [9, 11]); here all three
-ingest the same LIRA-shed update stream and answer the same queries,
-asserting identical results while pytest-benchmark records their costs.
+B^x-style B+-tree indexing [8], grid indexes [9, 11]); here the
+TPR-tree and the grid index ingest the same LIRA-shed update stream and
+answer the same queries, asserting identical results while
+pytest-benchmark records their costs.
 """
 
 import pytest
 
 from repro.core import LiraConfig, StatisticsGrid
 from repro.geo import Rect
-from repro.index import BxTree, GridIndex, MovingObject, TPRTree
+from repro.index import GridIndex, MovingObject, TPRTree
 from repro.motion import DeadReckoningFleet
 from repro.sim import make_policies
 
@@ -71,19 +72,6 @@ def test_tpr_tree_stream(benchmark, update_stream):
 
     def run():
         tree = TPRTree(horizon=60.0, max_entries=8)
-        for o in stream:
-            tree.update(o)
-        return set(tree.query(rect, t))
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result == _expected(stream, rect, t)
-
-
-def test_bx_tree_stream(benchmark, update_stream):
-    trace, stream, rect, t = update_stream
-
-    def run():
-        tree = BxTree(trace.bounds, max_speed=35.0, grid_exp=6, phase_duration=60.0)
         for o in stream:
             tree.update(o)
         return set(tree.query(rect, t))

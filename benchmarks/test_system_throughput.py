@@ -3,13 +3,18 @@
 Not a paper figure — an engineering artifact: how many simulated
 seconds per wall-clock second the complete component path (node
 protocol -> dead reckoning -> bounded queue -> node table -> history)
-sustains at bench scale, as one shard and as four.
+sustains at bench scale, as one shard and as four — and what four
+shards add to the one-shard tick, as a gated ratio.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import AnalyticReduction, LiraConfig
+from repro.geo import Rect
+from repro.queries import QueryDistribution, generate_workload
 from repro.server import LiraSystem
+from repro.timing import Stopwatch
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
@@ -47,3 +52,51 @@ def test_full_system_tick_throughput(benchmark, bench_scale, n_shards):
 
     benchmark(one_tick)
     assert system.stats().updates_sent > 0
+
+
+def test_sharded_tick_scales():
+    """The node side runs once at every K, so four shards may add only
+    routing, four substepped ingests and an owner flip per handoff to the
+    one-shard tick: the K=4 median tick stays within 2.3x the K=1 median.
+
+    N = 20 000 random walkers in a 20 km square, 100 queries, a 49-region
+    plan at z = 0.5; both systems tick the same positions, alternately,
+    and the median of 50 timed ticks (after 10 warm-up ticks) is compared.
+    The bound sits between the ≈ 1.4x of an owner-flip handoff and the
+    ≈ 3x of a handoff that moves table rows (np.delete / np.insert per
+    source and destination shard), on a 2-core x86 container.
+    """
+    n_nodes, side, n_ticks, warmup = 20_000, 20_000.0, 60, 10
+    rng = np.random.default_rng(5)
+    bounds = Rect(0.0, 0.0, side, side)
+    positions = rng.uniform(0.0, side, size=(n_nodes, 2))
+    velocities = rng.uniform(-25.0, 25.0, size=(n_nodes, 2))
+    queries = generate_workload(
+        bounds, 100, 1000.0, QueryDistribution.PROPORTIONAL, positions, seed=5
+    )
+    systems = [
+        LiraSystem(
+            bounds, n_nodes, queries, AnalyticReduction(5.0, 100.0),
+            config=LiraConfig(l=49, alpha=64), service_rate=10_000.0,
+            adaptive_throttle=False, n_shards=n_shards,
+        )
+        for n_shards in (1, 4)
+    ]
+    for system in systems:
+        system.set_throttle_fraction(0.5)
+        system.bootstrap(positions, velocities)
+    samples: list[list[float]] = [[], []]
+    for tick in range(n_ticks):
+        positions = positions + velocities
+        velocities[(positions < 0.0) | (positions > side)] *= -1.0
+        positions = np.clip(positions, 0.0, side)
+        for system, timed in zip(systems, samples):
+            if tick % 20 == 0:
+                system.adapt(positions, np.hypot(velocities[:, 0], velocities[:, 1]))
+            with Stopwatch() as sw:
+                system.tick(float(tick + 1), positions, velocities, 1.0)
+            if tick >= warmup:
+                timed.append(sw.elapsed)
+    k1, k4 = (float(np.median(timed)) for timed in samples)
+    assert systems[1].stats().cross_handoffs > 0
+    assert k4 <= 2.3 * k1, f"K=4 median tick {k4 * 1e3:.2f} ms vs K=1 {k1 * 1e3:.2f} ms"

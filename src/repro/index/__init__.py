@@ -1,15 +1,10 @@
 """Spatial indexing substrate: grid index and the server's node table."""
 
-from repro.index.bplus_tree import BPlusTree
-from repro.index.bx_tree import BxTree
 from repro.index.grid_index import GridIndex
-from repro.index.node_table import CompactNodeTable, NodeTable
+from repro.index.node_table import NodeTable
 from repro.index.tpr_tree import MovingObject, TPBR, TPRTree
 
 __all__ = [
-    "BPlusTree",
-    "BxTree",
-    "CompactNodeTable",
     "GridIndex",
     "MovingObject",
     "NodeTable",

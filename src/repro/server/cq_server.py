@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo import Rect
-from repro.index import CompactNodeTable, NodeTable
+from repro.index import NodeTable
 from repro.queries import QueryEvalKernel, RangeQuery
 from repro.core.statistics_grid import StatisticsGrid
 from repro.server.queue import ArrayBoundedQueue
@@ -91,7 +91,6 @@ class MobileCQServer:
         service_rate: float,
         queue_capacity: int = 100,
         stats_alpha: int | None = None,
-        node_ids: np.ndarray | None = None,
     ) -> None:
         if service_rate <= 0:
             raise ValueError("service_rate must be positive")
@@ -99,12 +98,7 @@ class MobileCQServer:
         self.queries = list(queries)
         self.service_rate = service_rate
         self.queue = ArrayBoundedQueue(queue_capacity)
-        # ``node_ids`` gives the server a compact table over an explicit
-        # subset of the global population (one shard of a partitioned
-        # deployment); the default dense table covers 0..n-1.
-        self.table: NodeTable | CompactNodeTable = (
-            CompactNodeTable(node_ids) if node_ids is not None else NodeTable(n_nodes)
-        )
+        self.table = NodeTable(n_nodes)
         self.stats_grid = (
             StatisticsGrid(bounds, stats_alpha) if stats_alpha else None
         )
@@ -219,7 +213,7 @@ class MobileCQServer:
     def evaluate_queries(self, t: float) -> list[np.ndarray]:
         """Result sets from the server's *believed* positions at time ``t``.
 
-        One ascending array of table rows per query.  Believed positions
+        One ascending array of node ids per query.  Believed positions
         go through the cell -> query index, so only rows sitting in a
         query-bearing cell are compared.  Never-seen nodes predict to NaN
         and NaN is inside no rectangle — not even an open-ended one

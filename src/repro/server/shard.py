@@ -2,14 +2,17 @@
 
 A :class:`LiraShard` is what the paper's architecture diagram stacks
 *server-side* over one set of base stations — a bounded-queue CQ server
-holding the believed positions of the nodes those stations serve, the
-GRIDREDUCE/GREEDYINCREMENT shedder with its THROTLOOP, and the station
-network with its plan subsets.  The nodes themselves are not a shard's:
-LIRA is source-actuated, so a node decides its Δ from whatever subset its
-serving station broadcast, whichever shard owns that station.
-:class:`~repro.server.system.LiraSystem` runs the one node population
-and coordinates ``n_shards`` of these slices (one shard owning the
-whole dense population is the degenerate partition);
+applying the reports of the nodes those stations serve to the believed
+positions, the GRIDREDUCE/GREEDYINCREMENT shedder with its THROTLOOP,
+and the station network with its plan subsets.  The nodes themselves are
+not a shard's: LIRA is source-actuated, so a node decides its Δ from
+whatever subset its serving station broadcast, whichever shard owns that
+station.  :class:`~repro.server.system.LiraSystem` runs the one node
+population and coordinates ``n_shards`` of these slices (one shard
+owning the whole population is the degenerate partition); with more,
+each shard's node table is a view of one table over the whole population
+(:meth:`~repro.index.NodeTable.shard_view`) that applies only the
+reports of nodes the shard owns when they are applied.
 :class:`~repro.service.LiraService` fronts one whose nodes are remote
 clients.
 
@@ -76,10 +79,6 @@ class LiraShard:
         stations: the base stations this shard owns (possibly none).
         n_nodes: the *global* population size.
         policy: ``"lira"`` or ``"random-drop"`` (validated by the caller).
-        node_ids: ``None`` — the shard is born owning the whole dense
-            population ``0..n_nodes-1`` (the degenerate partition); an
-            id array — it keeps a compact table over those nodes, which
-            a coordinator re-keys at bootstrap and by handoff surgery.
         downlink: fault injector for this shard's plan broadcasts.
     """
 
@@ -98,7 +97,6 @@ class LiraShard:
         policy: str,
         policy_seed: int,
         incremental: bool,
-        node_ids: np.ndarray | None = None,
         downlink: FaultInjector | None = None,
     ) -> None:
         self.shard_id = shard_id
@@ -117,7 +115,6 @@ class LiraShard:
             queries,
             service_rate=service_rate,
             queue_capacity=queue_capacity,
-            node_ids=node_ids,
         )
         self.shedder = LiraLoadShedder(
             config, reduction, queue_capacity=queue_capacity, incremental=incremental
@@ -133,13 +130,6 @@ class LiraShard:
         #: first install); what the next control step diffs against.
         self.plan: SheddingPlan | None = None
         self._trivial_plan_cache: SheddingPlan | None = None
-        self._dense = node_ids is None
-
-    @property
-    def ids(self) -> np.ndarray | None:
-        """Owned global node ids, ascending (the table's row order);
-        ``None`` for the dense whole-population shard (row == id)."""
-        return None if self._dense else self.server.table.ids  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
     # Control step
@@ -269,19 +259,3 @@ class LiraShard:
                 admit_rng=self._policy_rng if admit < 1.0 else None,
             )
             server.process(dt / RECEIVE_SUBSTEPS, rate_factor=rate_factor)
-
-    # ------------------------------------------------------------------
-    # Row surgery (handoff)
-    # ------------------------------------------------------------------
-
-    def extract_nodes(self, node_ids: np.ndarray) -> dict[str, np.ndarray]:
-        """Remove the given (ascending) global ids from the compact table;
-        return their believed-model state."""
-        table = self.server.table
-        return table.extract_rows(table.rows_of(node_ids))  # type: ignore[union-attr]
-
-    def insert_nodes(self, node_ids: np.ndarray, state: dict[str, np.ndarray]) -> None:
-        """Merge nodes extracted from another shard (ascending ids)."""
-        table = self.server.table
-        at = np.searchsorted(self.ids, node_ids)
-        table.insert_rows(at, node_ids, state)  # type: ignore[union-attr]

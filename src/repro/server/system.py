@@ -21,7 +21,7 @@ Layers 1 and 2 over one set of base stations are a
 every K — and coordinates ``n_shards`` shards, so K servers provide K
 times the ingest capacity — the server-cost scaling story of the
 paper's Fig. 14.  One shard owning the whole population is the
-degenerate partition: no router, no id gather, a dense node table.
+degenerate partition: no router, no id gather, no ownership test.
 
 Partitioning and routing
     Stations are assigned to shards by rendezvous hashing over station
@@ -31,14 +31,17 @@ Partitioning and routing
     deterministic function of its position, whatever K is.
 
 Handoff protocol
-    A node whose serving station changed shard during tick T still
-    reports to its old shard on tick T (like a mobile handover
-    completing mid-call).  At the start of tick T+1 ownership follows
-    the station: only the *server-table* rows of those nodes move, in
-    deterministic order (source shards ascending, each destination
-    merging arrivals id-sorted).  Reports still sitting in the source
-    queue when the node leaves are discarded at table-ingest time and
-    counted (``updates_orphaned``).
+    The shards apply reports through one node table over the whole
+    population, addressed by global id; each shard's server holds a
+    view of it (:meth:`~repro.index.NodeTable.shard_view`) that applies
+    a report only if the shard owns its node at apply time.  A node
+    whose serving station changed shard during tick T still reports to
+    its old shard on tick T (like a mobile handover completing
+    mid-call).  At the start of tick T+1 ownership follows the station:
+    a handoff is one write to the owner array, and no model moves.
+    Reports still sitting in the old shard's queue are dropped when that
+    shard applies them and counted (``updates_orphaned``) — unless the
+    node has come back to that shard by then.
 
 Budget coordination
     Each shard runs its own THROTLOOP against its own measured load.
@@ -76,7 +79,6 @@ from repro.core import LiraConfig, LiraLoadShedder
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
-from repro.index import CompactNodeTable
 from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
 from repro.sanitize import rng_discipline
@@ -86,8 +88,6 @@ from repro.server.node_engine import SubsetProvider, VectorNodeEngine
 from repro.server.protocol import BaseStationNetwork
 from repro.server.shard import LiraShard, ShardDirectory
 from repro.server.sharding import ShardRouter
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 #: Systems-loop policies: LIRA's source-actuated region-aware shedding,
 #: or the paper's Random Drop regime (every node at Δ⊢, the server
@@ -246,7 +246,6 @@ class LiraSystem:
                 policy,
                 policy_seed,
                 incremental,
-                node_ids=None if self.router is None else _EMPTY_I64,
                 downlink=faults if inject else None,
             )
             for k in range(n_shards)
@@ -295,8 +294,9 @@ class LiraSystem:
             x = np.ascontiguousarray(positions[:, 0], dtype=np.float64)
             y = np.ascontiguousarray(positions[:, 1], dtype=np.float64)
             owner = self.router.station_shard[self.node_engine.assigner.assign(x, y)]
+            table = self.shards[0].server.table
             for k, shard in enumerate(self.shards):
-                shard.server.table = CompactNodeTable(np.flatnonzero(owner == k))
+                shard.server.table = table.shard_view(owner, k)
             self._owner = owner
         t = 0.0
         senders = self.fleet.observe(t, positions, velocities)
@@ -333,22 +333,18 @@ class LiraSystem:
             measurements = [shard.observe_load() for shard in self.shards]
             if self.n_shards > 1 and self._adaptive:
                 self._rebalance(measurements)
-            for shard in self.shards:
+            for k, shard in enumerate(self.shards):
                 if shard.network is None:
                     continue
-                ids = shard.ids
-                shard.replan(
-                    positions if ids is None else positions[ids],
-                    speeds if ids is None else speeds[ids],
-                    self.current_time,
-                )
+                mine = slice(None) if self._owner is None else self._owner == k
+                shard.replan(positions[mine], speeds[mine], self.current_time)
         self._plan_installed = True
 
     def _rebalance(self, measurements: list[LoadMeasurement]) -> None:
         """Re-allocate the global throttle budget across shards.
 
         Weights are measured arrival shares (falling back to owned-node
-        shares, then uniform, when the period saw no arrivals); the
+        shares when the period saw no arrivals); the
         global budget is the weighted mean of the per-shard THROTLOOP
         outputs and is conserved exactly: the last loaded shard absorbs
         the floating-point remainder so ``Σ b_k == z_global`` to the bit.
@@ -358,11 +354,8 @@ class LiraSystem:
         if total > 0:
             weights = arrivals / total
         else:
-            sizes = np.array([float(s.ids.size) for s in self.shards])
-            if sizes.sum() > 0:
-                weights = sizes / sizes.sum()
-            else:
-                weights = np.full(self.n_shards, 1.0 / self.n_shards)
+            assert self._owner is not None
+            weights = np.bincount(self._owner, minlength=self.n_shards) / self.n_nodes
         zs = np.array([s.shedder.throtloop.z for s in self.shards])
         z_global = float(weights @ zs)
         budgets = z_global * weights
@@ -431,32 +424,16 @@ class LiraSystem:
         return int(senders.size)
 
     def _apply_handoffs(self) -> None:
-        """Move each node whose serving station changed shard on the
-        previous tick to that station's shard.
-
-        Only server-table rows move: source shards in ascending order,
-        each source's departures in ascending node id; destinations merge
-        the incoming rows id-sorted.  No node is ever lost or duplicated:
-        extraction and insertion are the same rows.
-        """
+        """Hand each node whose serving station changed shard on the
+        previous tick to that station's shard: an owner flip in place,
+        which every shard's table view reads at apply time."""
         assert self._owner is not None and self.router is not None
         slots = self.node_engine._station_slot
         dest = self.router.station_shard[slots]
         # Slot -1: not attached yet (before the first tick).
-        moved = np.flatnonzero((dest != self._owner) & (slots >= 0))
-        if moved.size == 0:
-            return
-        src, dst = self._owner[moved], dest[moved]
-        by_source = np.argsort(src, kind="stable")
-        moved, src, dst = moved[by_source], src[by_source], dst[by_source]
-        parts = [self.shards[k].extract_nodes(moved[src == k]) for k in np.unique(src)]
-        state = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-        for k in np.unique(dst):
-            sel = np.flatnonzero(dst == k)
-            sel = sel[np.argsort(moved[sel], kind="stable")]
-            self.shards[k].insert_nodes(moved[sel], {key: v[sel] for key, v in state.items()})
-        self._owner[moved] = dst
-        self.total_cross_handoffs += int(moved.size)
+        moved = (dest != self._owner) & (slots >= 0)
+        self._owner[moved] = dest[moved]
+        self.total_cross_handoffs += int(np.count_nonzero(moved))
 
     # ------------------------------------------------------------------
     # Queries + introspection
@@ -464,21 +441,10 @@ class LiraSystem:
 
     def evaluate_queries(self, t: float | None = None) -> list[np.ndarray]:
         """Current CQ result sets from the servers' believed positions
-        (global ids, ascending; merged across shards)."""
+        (global ids, ascending).  Every shard's table view reads the one
+        table, so one evaluation answers for all the shards."""
         when = self.current_time if t is None else t
-        if self.router is None:
-            return self.server.evaluate_queries(when)
-        per_shard = [
-            [shard.ids[rows] for rows in shard.server.evaluate_queries(when)]
-            for shard in self.shards
-        ]
-        return [np.sort(np.concatenate(parts)) for parts in zip(*per_shard)]
-
-    def owned_ids(self) -> np.ndarray:
-        """Concatenated owned ids across shards (conservation checks)."""
-        if self.router is None:
-            return np.arange(self.n_nodes)
-        return np.concatenate([shard.ids for shard in self.shards])
+        return self.shards[0].server.evaluate_queries(when)
 
     @property
     def current_z(self) -> float:

@@ -109,3 +109,39 @@ class TestNodeTable:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             NodeTable(0)
+
+
+class TestShardView:
+    """A shard's view of the one table: shared models, own counters, and
+    an ownership test at apply time that runs before newest-wins."""
+
+    def test_views_share_the_models_and_keep_their_own_counters(self):
+        table = NodeTable(3)
+        owner = np.array([0, 1, 1])
+        a, b = table.shard_view(owner, 0), table.shard_view(owner, 1)
+        a.ingest(1.0, np.array([0, 1]), np.ones((2, 2)), np.zeros((2, 2)))
+        b.ingest(1.0, np.array([1, 2]), np.full((2, 2), 2.0), np.zeros((2, 2)))
+        np.testing.assert_array_equal(a.predict(1.0), [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(b.predict(1.0), a.predict(1.0))
+        assert (a.updates_applied, a.updates_orphaned) == (1, 1)
+        assert (b.updates_applied, b.updates_orphaned) == (2, 0)
+        assert table.updates_applied == 0 and table.known_mask.all()
+
+    def test_ownership_is_tested_before_staleness(self):
+        table = NodeTable(3)
+        owner = np.zeros(3, dtype=np.int64)
+        view = table.shard_view(owner, 0)
+        view.ingest(5.0, np.arange(3), np.zeros((3, 2)), np.zeros((3, 2)))
+        owner[2] = 1  # node 2 hands off: the view reads the flip in place
+        # Older than every stored model: 0 and 1 are stale, 2 is an orphan
+        # and is counted as one only.
+        view.ingest(3.0, np.arange(3), np.ones((3, 2)), np.zeros((3, 2)))
+        assert (view.updates_applied, view.updates_discarded, view.updates_orphaned) == (3, 2, 1)
+        # Newer, but no longer this shard's to apply.
+        view.ingest(6.0, np.array([2]), np.ones((1, 2)), np.zeros((1, 2)))
+        assert view.updates_orphaned == 2
+        np.testing.assert_array_equal(table.last_update_times, [5.0, 5.0, 5.0])
+        other = table.shard_view(owner, 1)
+        other.ingest(6.0, np.array([2]), np.ones((1, 2)), np.zeros((1, 2)))
+        np.testing.assert_array_equal(view.last_update_times, [5.0, 5.0, 6.0])
+        assert (other.updates_applied, other.updates_orphaned) == (1, 0)
