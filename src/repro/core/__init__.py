@@ -6,7 +6,6 @@ models, and the orchestrating :class:`LiraLoadShedder`.
 """
 
 from repro.core.config import LiraConfig, auto_alpha
-from repro.core.diagnostics import render_density_map, render_plan_heatmap
 from repro.core.gridreduce import (
     PartitioningResult,
     effective_region_count,
@@ -66,8 +65,6 @@ __all__ = [
     "greedy_increment_vector",
     "grid_reduce",
     "measure_reduction_from_trace",
-    "render_density_map",
-    "render_plan_heatmap",
     "uniform_partitioning",
     "validate_plan",
 ]

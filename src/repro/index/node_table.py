@@ -24,6 +24,10 @@ class NodeTable:
         self._vel = np.zeros((n_nodes, 2), dtype=np.float64)
         self._time = np.zeros(n_nodes, dtype=np.float64)
         self._known = np.zeros(n_nodes, dtype=bool)
+        #: Newest report time applied (NaN never counts): no stored model
+        #: is newer, so a batch at least this new skips the stale check.
+        #: One cell, so every shard view reads what any of them applied.
+        self._newest = np.full(1, -np.inf)
         self.updates_applied = 0
         self.updates_discarded = 0
         #: Reports for nodes another shard owned at apply time; always 0
@@ -66,7 +70,7 @@ class NodeTable:
         A shard view first drops reports for nodes it does not own
         (orphans); a report older than the node's stored model (a delayed
         message delivered out of order) is then discarded — newest model
-        wins.
+        wins, checked only for a batch older than any applied before it.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if node_ids.size == 0:
@@ -76,17 +80,22 @@ class NodeTable:
             if not owned.all():
                 self.updates_orphaned += int(node_ids.size - np.count_nonzero(owned))
                 node_ids = node_ids[owned]
+                if node_ids.size == 0:
+                    return
                 positions = np.asarray(positions)[owned]
                 velocities = np.asarray(velocities)[owned]
-        stale = self._known[node_ids] & (self._time[node_ids] > t)
-        if stale.any():
-            self.updates_discarded += int(stale.sum())
-            fresh = ~stale
-            node_ids = node_ids[fresh]
-            positions = np.asarray(positions)[fresh]
-            velocities = np.asarray(velocities)[fresh]
-            if node_ids.size == 0:
-                return
+        if t < self._newest[0]:
+            stale = self._known[node_ids] & (self._time[node_ids] > t)
+            if stale.any():
+                self.updates_discarded += int(stale.sum())
+                fresh = ~stale
+                node_ids = node_ids[fresh]
+                positions = np.asarray(positions)[fresh]
+                velocities = np.asarray(velocities)[fresh]
+                if node_ids.size == 0:
+                    return
+        elif t > self._newest[0]:
+            self._newest[0] = t
         self._pos[node_ids] = positions
         self._vel[node_ids] = velocities
         self._time[node_ids] = t

@@ -183,10 +183,13 @@ class MobileCQServer:
         if count:
             # Ascending distinct report times: preserves staleness and
             # lets the table's newest-wins compare discard out-of-order
-            # deliveries.
-            for report_t in np.unique(times):
-                mask = times == report_t
-                self.table.ingest(float(report_t), ids[mask], pos[mask], vel[mask])
+            # deliveries.  A poll at one time is that one group as polled.
+            if (times == times[0]).all():
+                self.table.ingest(float(times[0]), ids, pos, vel)
+            else:
+                for report_t in np.unique(times):
+                    mask = times == report_t
+                    self.table.ingest(float(report_t), ids[mask], pos[mask], vel[mask])
             if self.stats_grid is not None:
                 self.stats_grid.ingest_updates(
                     pos[:, 0], pos[:, 1], np.hypot(vel[:, 0], vel[:, 1])

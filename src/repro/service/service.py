@@ -20,7 +20,9 @@ as the paper's architecture separates them:
   reports have drained are completed, both when an ingest frame arrives
   (so spare capacity acks it in the same dispatch) and on a periodic
   timer (which drains a backlog and samples the optional
-  :class:`~repro.faults.FaultInjector` slowdown seam);
+  :class:`~repro.faults.FaultInjector` slowdown seam).  The timer parks
+  while the queue is empty; the next caller that reads the server first
+  replays the ticks it skipped, so an idle service does not wake;
 * **adaptation** — a periodic task runs the shard's control step
   (:meth:`~repro.server.shard.LiraShard.control_step`: close a
   load-measurement period, step THROTLOOP, recompute the shedding plan,
@@ -65,8 +67,9 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["IngestResult", "LiraService", "ServiceConfig"]
 
-#: Seconds between timer pumps: short against the SLO a deferred ack
-#: waits out, long enough that an idle service barely wakes.
+#: Seconds between timer pumps while the queue holds a backlog: short
+#: against the SLO a deferred ack waits out.  An empty queue parks the
+#: timer, so an idle service does not wake at all.
 PUMP_PERIOD = 0.005
 #: THROTLOOP target ρ.  The paper's 1−1/B only *stabilizes* queue
 #: length; a latency SLO needs sustained headroom to drain backlog.
@@ -221,6 +224,8 @@ class ServiceCounters:
     #: deferred means ingest latency is bound by the pump period or a backlog.
     acks_inline: int = 0
     acks_deferred: int = 0
+    #: Pumps the timer ran (replayed ticks excluded): none while idle.
+    timer_pumps: int = 0
     plans_computed: int = 0
     plans_pushed: int = 0
     #: Of ``plans_pushed``, how many went out as compact delta frames.
@@ -347,6 +352,11 @@ class LiraService:
         # in force is whatever the timer last sampled.
         self._last_pump_t = clock()
         self._rate_factor = 1.0
+        # While the timer is parked on an empty queue: the time of its
+        # last tick, run or replayed (None: running, or no timer at all).
+        # An enqueue sets the event to wake it.
+        self._parked_at: float | None = None
+        self._backlog = asyncio.Event()
         self._subscribers: list[_Subscriber] = []
         #: Every open connection: its writer and its handler task, so
         #: stop() can drop them and wait for the handlers to finish.
@@ -379,6 +389,8 @@ class LiraService:
             t, node_ids, positions, velocities, times=times
         )
         dropped = queue.lifetime_dropped - drops_before
+        if admitted and self._parked_at is not None:
+            self._backlog.set()
         self.counters.ingest_frames += 1
         self.counters.reports_received += int(np.asarray(node_ids).size)
         return IngestResult(
@@ -414,6 +426,34 @@ class LiraService:
         self.pump_once(dt, rate_factor)
         return self._complete_acks()
 
+    def _timer_pump(self, now: float) -> None:
+        """One timer tick; it parks the timer if it leaves the queue empty."""
+        self.counters.timer_pumps += 1
+        self._parked_at = None
+        self.counters.acks_deferred += self._pump(now)
+        if len(self.server.queue) == 0:
+            self._parked_at = now
+
+    def _replay_skipped_ticks(self, now: float) -> None:
+        """Run the whole ticks a parked timer skipped up to ``now``.
+
+        Each would have granted its period to the empty queue and clamped
+        the credit, so one pump up to the last of them lands on the same
+        credit and measurement period.  The fault injector still draws
+        once per tick, and the last draw stays in force.
+        """
+        start = self._parked_at
+        if start is None or len(self.server.queue):
+            return
+        k = int((now - start) / PUMP_PERIOD)
+        if k < 1:
+            return
+        if self.faults is not None:
+            for j in range(1, k + 1):
+                self._rate_factor = self.faults.service_factor(start + j * PUMP_PERIOD)
+        self._parked_at = start + k * PUMP_PERIOD
+        self._pump(self._parked_at, self._rate_factor)
+
     @property
     def plan(self) -> SheddingPlan | None:
         """The plan the station network currently serves."""
@@ -427,6 +467,7 @@ class LiraService:
         ground truth — a live server only knows what was reported to it.
         """
         now = self.clock()
+        self._replay_skipped_ticks(now)
         plan, delta, delivered = self.shard.control_step(*self._believed(now), now)
         self.counters.plans_computed += 1
         # Unchanged content (nothing installed): the network and every
@@ -487,6 +528,7 @@ class LiraService:
             "acks_sent": self.counters.acks_sent,
             "acks_inline": self.counters.acks_inline,
             "acks_deferred": self.counters.acks_deferred,
+            "timer_pumps": self.counters.timer_pumps,
             "protocol_errors": self.counters.protocol_errors,
             "protocol_errors_by_reason": dict(self.counters.protocol_errors_by_reason),
             "plans_computed": self.counters.plans_computed,
@@ -620,13 +662,25 @@ class LiraService:
 
     async def _pump_loop(self) -> None:
         self._last_pump_t = self.clock()
+        self._backlog = asyncio.Event()
+        delay = PUMP_PERIOD
         while True:
-            await asyncio.sleep(PUMP_PERIOD)
+            await asyncio.sleep(delay)
             now = self.clock()
             try:
-                self.counters.acks_deferred += self._pump(now)
+                self._timer_pump(now)
             except Exception:
                 logger.exception("service pump iteration failed")
+            delay = PUMP_PERIOD
+            if self._parked_at is None:
+                continue
+            # Parked until a backlog: an enqueue wakes the timer, and a
+            # dispatch that drained its own frame leaves it parked.
+            while len(self.server.queue) == 0:
+                self._backlog.clear()
+                await self._backlog.wait()
+            # Back on the schedule of the ticks the replays ran.
+            delay = max(0.0, self._parked_at + PUMP_PERIOD - self.clock())
 
     async def _adapt_loop(self) -> None:
         while True:
@@ -711,6 +765,7 @@ class LiraService:
         if fault is not None:
             self._protocol_error(writer, *fault)
             return
+        self._replay_skipped_ticks(recv_t)
         result = self.apply_ingest(recv_t, **frame.arrays)
         meta = {
             "seq": frame.meta.get("seq"),
@@ -813,6 +868,7 @@ class LiraService:
                 # not abort shutdown of the listener and its peer task.
                 pass
         self._tasks = []
+        self._parked_at = None  # no timer left to replay
         if self._slow_callback_detector is not None:
             self._slow_callback_detector.uninstall()
             self._slow_callback_detector = None

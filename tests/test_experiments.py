@@ -338,3 +338,15 @@ class TestCliReplicate:
         out = capsys.readouterr().out
         assert "(mean over 2 seeds)" in out
         assert "f empirical (std)" in out
+
+
+class TestFig03Ascii:
+    def test_render_partitioning_ascii(self):
+        from repro.experiments import render_partitioning_ascii
+
+        art = render_partitioning_ascii(scale=MICRO, width=24)
+        lines = art.splitlines()
+        assert len(lines) == 24
+        assert all(len(line) == 24 for line in lines)
+        # A 13-region partitioning uses more than 4 distinct glyphs.
+        assert len(set("".join(lines))) >= 5

@@ -145,3 +145,70 @@ class TestShardView:
         other.ingest(6.0, np.array([2]), np.ones((1, 2)), np.zeros((1, 2)))
         np.testing.assert_array_equal(view.last_update_times, [5.0, 5.0, 6.0])
         assert (other.updates_applied, other.updates_orphaned) == (1, 0)
+
+
+def _reference_ingest(state, counts, owner, shard, t, ids, pos):
+    """Per report, in order: orphan, stale (a stored time newer than
+    ``t``), or applied over whatever is stored — no watermark."""
+    for i, p in zip(ids.tolist(), pos.tolist()):
+        if owner is not None and owner[i] != shard:
+            counts["orphaned"] += 1
+        elif i in state and state[i][0] > t:
+            counts["discarded"] += 1
+        else:
+            state[i] = (t, p)
+            counts["applied"] += 1
+
+
+class TestNewestWatermark:
+    """The stale check runs only for a batch older than the newest report
+    applied, and every shard view reads the one watermark."""
+
+    def test_a_handed_off_node_cannot_go_back_in_time(self):
+        table = NodeTable(2)
+        owner = np.zeros(2, dtype=np.int64)
+        a, b = table.shard_view(owner, 0), table.shard_view(owner, 1)
+        a.ingest(5.0, np.array([0]), np.ones((1, 2)), np.zeros((1, 2)))
+        owner[0] = 1
+        # B has applied nothing itself, yet its delayed t = 4 report for
+        # node 0 is older than what A applied: discarded and counted.
+        b.ingest(4.0, np.array([0]), np.full((1, 2), 2.0), np.zeros((1, 2)))
+        assert (b.updates_applied, b.updates_discarded) == (0, 1)
+        np.testing.assert_array_equal(table.predict(5.0)[0], [1.0, 1.0])
+        b.ingest(5.0, np.array([0]), np.full((1, 2), 3.0), np.zeros((1, 2)))
+        assert (b.updates_applied, b.updates_discarded) == (1, 1)
+        np.testing.assert_array_equal(table.predict(5.0)[0], [3.0, 3.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_per_report_reference_across_views(self, seed):
+        """Times from {−inf, 0…4, +inf, NaN}, owners flipping between
+        batches: the views agree with the per-report reference on every
+        stored time, position and counter.  NaN is newer and older than
+        nothing, so it never raises the watermark and is never stale."""
+        rng = np.random.default_rng(seed)
+        n = 6
+        table = NodeTable(n)
+        owner = np.zeros(n, dtype=np.int64)
+        views = [table.shard_view(owner, k) for k in range(2)]
+        state, counts = {}, {"applied": 0, "discarded": 0, "orphaned": 0}
+        choices = [-np.inf, 0.0, 1.0, 2.0, 3.0, 4.0, np.inf, np.nan]
+        for _ in range(40):
+            owner[:] = rng.integers(0, 2, n)
+            t = float(rng.choice(choices))
+            ids = rng.integers(0, n, int(rng.integers(1, 5)))
+            pos = rng.normal(size=(ids.size, 2))
+            k = int(rng.integers(0, 2))
+            views[k].ingest(t, ids, pos, np.zeros_like(pos))
+            _reference_ingest(state, counts, owner, k, t, ids, pos)
+        assert counts == {
+            "applied": sum(v.updates_applied for v in views),
+            "discarded": sum(v.updates_discarded for v in views),
+            "orphaned": sum(v.updates_orphaned for v in views),
+        }
+        known = sorted(state)
+        np.testing.assert_array_equal(np.flatnonzero(table.known_mask), known)
+        np.testing.assert_array_equal(
+            table.last_update_times[known], [state[i][0] for i in known]
+        )
+        np.testing.assert_array_equal(table._pos[known], [state[i][1] for i in known])
+        assert counts["discarded"] > 0 and counts["orphaned"] > 0

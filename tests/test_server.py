@@ -347,6 +347,41 @@ class TestMobileCQServer:
         with pytest.raises(ValueError):
             MobileCQServer(self.BOUNDS, 1, [], service_rate=0.0)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [3.0] * 8,  # one time: applied as polled
+            [-np.inf] * 8,
+            [3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 0.0, 2.0],
+            [3.0, np.nan, 3.0, -np.inf, 1.0, np.nan, np.inf, 3.0],
+            [np.nan] * 8,
+        ],
+    )
+    def test_poll_equals_ascending_per_time_groups(self, times):
+        """A poll is applied as one ``ingest`` per distinct time, ascending
+        (what the per-message oracle does), whether or not its times differ;
+        a NaN time matches no group and is never applied."""
+        from repro.index import NodeTable
+
+        times = np.array(times)
+        ids = np.array([0, 1, 2, 0, 3, 1, 2, 4])
+        rng = np.random.default_rng(2)
+        server = self._server(service_rate=100.0, capacity=20, n_nodes=6)
+        reference = NodeTable(6)
+        for batch in range(2):  # the second poll meets stored models
+            pos, vel = rng.uniform(0, 100, (8, 2)), rng.normal(size=(8, 2))
+            server.receive_reports(0.0, ids, pos, vel, times=times - batch)
+            assert server.process(1.0) == 8
+            for t in np.unique(times - batch):
+                mask = times - batch == t
+                reference.ingest(float(t), ids[mask], pos[mask], vel[mask])
+        table = server.table
+        assert (table.updates_applied, table.updates_discarded) == (
+            reference.updates_applied, reference.updates_discarded)
+        np.testing.assert_array_equal(table.known_mask, reference.known_mask)
+        np.testing.assert_array_equal(table.last_update_times, reference.last_update_times)
+        np.testing.assert_array_equal(table.predict(5.0), reference.predict(5.0))
+
 
 class TestIncrementalServerMode:
     """The server has one evaluation path (the cell -> query index); it

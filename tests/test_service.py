@@ -2,10 +2,12 @@
 adaptation loop, and the socket protocol end to end."""
 
 import asyncio
+import copy
 import logging
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -508,20 +510,24 @@ class TestArrivalDrivenDrain:
                     service.apply_ingest(clock(), ids, pos, vel, times=times)
             clock.now = 100.0 + (tick + 1) * TICK
             service._pump(clock())
-            server, queue, table = service.server, service.server.queue, service.server.table
-            state = {
-                "queue": (len(queue), queue.lifetime_enqueued, queue.lifetime_dropped,
-                          queue.lifetime_dequeued),
-                "applied": (table.updates_applied, table.updates_discarded),
-                "credit": server._service_credit,
-                "period_time": server._period_time,
-                "table": (table._pos.copy(), table._vel.copy(), table._time.copy(),
-                          table._known.copy()),
-            }
+            state = self._state(service)
             if tick % 9 == 8:
-                state["measurement"] = server.take_load_measurement()
+                state["measurement"] = service.server.take_load_measurement()
             trail.append(state)
         return service, trail
+
+    @staticmethod
+    def _state(service):
+        server, queue, table = service.server, service.server.queue, service.server.table
+        return {
+            "queue": (len(queue), queue.lifetime_enqueued, queue.lifetime_dropped,
+                      queue.lifetime_dequeued),
+            "applied": (table.updates_applied, table.updates_discarded),
+            "credit": server._service_credit,
+            "period_time": server._period_time,
+            "table": (table._pos.copy(), table._vel.copy(), table._time.copy(),
+                      table._known.copy()),
+        }
 
     def test_inline_drain_is_the_same_queue_model(self):
         inline_service, inline = self._run(inline=True)
@@ -565,6 +571,84 @@ class TestArrivalDrivenDrain:
             faults._server_rng.bit_generator.state == reference._server_rng.bit_generator.state
         )
         assert 0 < faults.counters.slow_ticks < ticks
+
+    def _run_timer(self, parked: bool, slowdown_prob: float):
+        """The dispatch under a timer that ticks at every TICK, or under one
+        that pumps only while a backlog exists (what ``_pump_loop`` does);
+        two adaptations, the first inside an idle gap.
+
+        The trail is read at every tick through a copy that first replays
+        what a parked timer skipped, as any reader of the server would.
+        """
+        clock = ManualClock(start=100.0)
+        faults = None
+        if slowdown_prob:
+            spec = FaultSpec(slowdown_prob=slowdown_prob, slowdown_factor=0.5,
+                             slowdown_duration=2.5 * TICK)
+            faults = FaultInjector(spec, seed=5)
+        service = make_service(service_rate=256.0, queue_capacity=40, clock=clock, faults=faults)
+        trail, measured, zs, replayed = [], [], [], []
+        observe = service.shard.observe_load
+        service.shard.observe_load = lambda: measured.append(observe()) or measured[-1]
+        writer = FakeWriter()
+        # Single reports while the queue is empty: each is drained by its
+        # own dispatch, so a parked timer stays parked.
+        arrivals = self._arrivals() + [
+            (tick, TICK / 4, make_batch(1, seed=tick)) for tick in (25, 27, 33, 41)
+        ]
+        adapts = {26: 3 * TICK / 8, 45: 5 * TICK / 8}
+
+        def read(at, reader, *args):
+            clock.now = at
+            before = service._parked_at
+            reader(*args)
+            if before is not None and service._parked_at is not None:
+                replayed.append((service._parked_at - before) / TICK)
+
+        for tick in range(48):
+            for _, offset, (ids, pos, vel) in (a for a in arrivals if a[0] == tick):
+                frame = ingest_frame(ids, pos, vel, np.full(ids.size, 100.0 + tick * TICK + offset))
+                read(100.0 + tick * TICK + offset, service._dispatch, frame, writer)
+            if tick in adapts:
+                read(100.0 + tick * TICK + adapts[tick], service.adapt_once)
+                zs.append(service.shedder.current_z)
+            clock.now = 100.0 + (tick + 1) * TICK
+            if not parked:
+                service._pump(clock())
+            elif service._parked_at is None or len(service.server.queue):
+                service._timer_pump(clock())
+            probe = copy.deepcopy(service)
+            LiraService._replay_skipped_ticks(probe, clock())
+            state = self._state(probe)
+            state["rate_factor"] = probe._rate_factor
+            if faults is not None:
+                state["faults"] = (probe.faults._server_rng.bit_generator.state,
+                                   probe.faults._slow_until, probe.faults.counters.slow_ticks)
+            trail.append(state)
+        return SimpleNamespace(service=service, trail=trail, measured=measured, zs=zs,
+                               replayed=replayed, writer=writer)
+
+    @pytest.mark.parametrize("slowdown_prob", [0.0, 0.25])
+    def test_parked_timer_replays_to_the_always_on_state(self, monkeypatch, slowdown_prob):
+        monkeypatch.setattr("repro.service.service.PUMP_PERIOD", TICK)
+        on, parked = (self._run_timer(p, slowdown_prob) for p in (False, True))
+        for tick, (a, b) in enumerate(zip(on.trail, parked.trail, strict=True)):
+            assert a.keys() == b.keys()
+            for key in sorted(a.keys() - {"table"}):
+                assert a[key] == b[key], (tick, key)
+            for x, y in zip(a["table"], b["table"], strict=True):
+                np.testing.assert_array_equal(x, y)
+        assert on.measured == parked.measured and on.zs == parked.zs
+        assert on.writer.payloads == parked.writer.payloads  # every ack, at the same done_t
+        # The parked timer skipped the idle ticks, replayed several at once,
+        # and still saw backlog, overflow and both adaptations.
+        counters = parked.service.counters
+        assert counters.timer_pumps <= 48 - 15 and max(parked.replayed) >= 4
+        assert len(parked.measured) == 2 and parked.trail[-1]["queue"][2] > 0
+        assert counters.acks_deferred > 0 and counters.acks_inline > 0
+        assert sum(m.period for m in parked.measured) == 45 * TICK
+        if slowdown_prob:
+            assert 0 < parked.service.faults.counters.slow_ticks
 
 
 class TestAdaptation:
@@ -970,6 +1054,45 @@ class TestSocketProtocol:
             assert type(root_buffer(got)) is bytes and len(root_buffer(got)) == body_len
             assert np.shares_memory(got, np.frombuffer(root_buffer(got), dtype=np.uint8))
         assert len(bodies) == 1  # one buffer, read once, never concatenated
+
+    def test_idle_service_parks_its_timer_until_a_backlog(self, tmp_path):
+        """An idle service runs no timer pumps (an always-on 5 ms timer
+        runs ≈ 50 in the quarter second); one frame larger than the queue
+        leaves a backlog, which wakes the timer to drain it and ack."""
+        sock = str(tmp_path / "idle.sock")
+
+        async def scenario():
+            service = ServiceConfig(
+                n_nodes=64, service_rate=2_000.0, queue_capacity=40, adapt_period=0.1,
+                side=1000.0, station_radius=800.0, l=4, alpha=8,
+            ).build()
+            await service.start(path=sock)
+            try:
+                reader, writer = await asyncio.open_unix_connection(sock)
+                await asyncio.sleep(0.05)  # the first tick finds the queue empty
+                idle_from = service.counters.timer_pumps
+                await asyncio.sleep(0.25)
+                assert service.counters.timer_pumps == idle_from
+                ids, pos, vel = make_batch(64)
+                writer.write(encode_frame(
+                    "ingest", {"seq": 1, "send_t": 0.0},
+                    {"node_ids": ids, "positions": pos, "velocities": vel},
+                ))
+                ack = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert (ack.kind, ack.meta["admitted"], ack.meta["dropped"]) == ("ingest-ack", 40, 24)
+                # The dispatch drains at most one period's 10 updates: the
+                # rest went out on timer pumps, and the ack with them.
+                assert service.counters.acks_deferred == 1
+                assert len(service.server.queue) == 0
+                assert service.counters.timer_pumps > idle_from
+                writer.write(encode_frame("stats", {"seq": 2}))
+                stats = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert stats.meta["timer_pumps"] == service.counters.timer_pumps
+                writer.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
 
 
 class TestStalledPeers:
