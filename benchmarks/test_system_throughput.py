@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import AnalyticReduction, LiraConfig
 from repro.geo import Rect
+from repro.index import NodeTable
 from repro.queries import QueryDistribution, generate_workload
 from repro.server import LiraSystem
 from repro.timing import Stopwatch
@@ -100,3 +101,34 @@ def test_sharded_tick_scales():
     k1, k4 = (float(np.median(timed)) for timed in samples)
     assert systems[1].stats().cross_handoffs > 0
     assert k4 <= 2.3 * k1, f"K=4 median tick {k4 * 1e3:.2f} ms vs K=1 {k1 * 1e3:.2f} ms"
+
+
+def test_node_table_ingest_moves_rows():
+    """Applying a batch is four scatters, and the two of whole ``(x, y)``
+    rows move 16-byte records: 6 000 reports into a 10 000-node table
+    cost at most 8x one 6 000-element float64 scatter.
+
+    Medians of 100 alternated samples of 10 calls each.  On a 2-core x86
+    container the ratio reads ≈ 4.5x; scattering the ``(n, 2)`` arrays
+    row by row through numpy's 2-wide fancy index reads ≈ 15x.
+    """
+    rng = np.random.default_rng(7)
+    n_nodes, n_reports, calls = 10_000, 6_000, 10
+    ids = rng.choice(n_nodes, n_reports, replace=False)
+    positions = rng.uniform(0.0, 1e4, size=(n_reports, 2))
+    velocities = rng.normal(size=(n_reports, 2))
+    table = NodeTable(n_nodes)
+    flat, values = np.zeros(n_nodes), positions[:, 0].copy()
+    samples: list[list[float]] = [[], []]
+    for _ in range(100):
+        with Stopwatch() as sw:
+            for _ in range(calls):
+                table.ingest(1.0, ids, positions, velocities)
+        samples[0].append(sw.elapsed)
+        with Stopwatch() as sw:
+            for _ in range(calls):
+                flat[ids] = values
+        samples[1].append(sw.elapsed)
+    ingest, scatter = (float(np.median(timed)) for timed in samples)
+    assert table.updates_applied == 100 * calls * n_reports
+    assert ingest <= 8 * scatter, f"ingest {ingest / scatter:.1f}x one scatter"

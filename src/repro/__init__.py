@@ -31,7 +31,6 @@ from repro.core import (
     greedy_increment,
     grid_reduce,
     measure_reduction_from_trace,
-    validate_plan,
 )
 from repro.faults import FaultInjector, FaultSpec
 from repro.server import LiraSystem
@@ -69,6 +68,5 @@ __all__ = [
     "grid_reduce",
     "make_policies",
     "measure_reduction_from_trace",
-    "validate_plan",
     "__version__",
 ]

@@ -35,7 +35,6 @@ from repro.core.reduction import (
 from repro.core.shedder import AdaptationReport, LiraLoadShedder
 from repro.core.statistics_grid import StatisticsGrid
 from repro.core.throtloop import ThrotLoop
-from repro.core.validation import PlanValidationReport, validate_plan
 
 __all__ = [
     "AdaptationReport",
@@ -49,7 +48,6 @@ __all__ = [
     "PlanDelta",
     "PlanEpochMismatch",
     "PiecewiseLinearReduction",
-    "PlanValidationReport",
     "ReductionFunction",
     "RegionHierarchy",
     "RegionNode",
@@ -66,5 +64,4 @@ __all__ = [
     "grid_reduce",
     "measure_reduction_from_trace",
     "uniform_partitioning",
-    "validate_plan",
 ]

@@ -269,17 +269,6 @@ def greedy_increment_vector(
         # Δ⇔ = 0, or a positive Δ⇔ below the resolution floor.
         if fairness is not None and fairness < (pw.delta_max - pw.delta_min) * 1e-4:
             return _uniform_solution(pw, z, weights, m)
-        total_weight = float(weights.sum())
-        if total_weight <= z * total_weight + _EPS:
-            deltas = np.full(len(regions), pw.delta_min, dtype=np.float64)
-            return GreedyResult(
-                thresholds=deltas,
-                expenditure=total_weight,
-                budget=z * total_weight,
-                inaccuracy=float((m * deltas).sum()),
-                steps=0,
-                budget_met=True,
-            )
         return _solve(weights[None], m[None], pw, z, fairness, horizon)[0]
 
 
@@ -333,51 +322,54 @@ def _solve(
 ) -> GreedyBatch:
     """Solve ``(P, A)`` problems on a budget horizon, retrying at full κ.
 
-    Rows first build only ``horizon.columns(κ)`` knot-path columns per
-    region; rows whose truncated solve is not *proved* equal to the
-    full one (see :func:`_solve_rows`) are solved again over all κ
-    columns.  Regions with no query mass have infinite gains down the
-    whole knot path and would defeat any horizon: a single problem
-    carries them as a closed-form head block (:func:`_unbounded_head`),
-    stacked problems are ragged, so their rows with such regions take
-    full κ directly.  The depth the cut windows consumed becomes the
-    next call's hint.
+    A row whose budget is already met pops nothing — the reference
+    loop's while-condition fails on entry — so it gets Δ⊢ everywhere,
+    its whole total as expenditure and no table.  The other rows first
+    build only ``horizon.columns(κ)`` knot-path columns per region; rows
+    whose truncated solve is not *proved* equal to the full one (see
+    :func:`_solve_rows`) are solved again over all κ columns.  Regions
+    with no query mass have infinite gains down the whole knot path and
+    would defeat any horizon: a single problem carries them as a
+    closed-form head block (:func:`_unbounded_head`), stacked problems
+    are ragged, so their rows with such regions take full κ directly.
+    The depth the cut windows consumed becomes the next call's hint.
     """
     if horizon is None:
         horizon = GreedyHorizon()
-    sched = _schedule_for(pw)
-    k = sched.n_entries
     p_count, a = weights.shape
     totals = weights.sum(axis=1)
     budgets = z * totals
-    # What _solve_rows fills in, row by proved row.
-    thresholds = np.empty((p_count, a), dtype=np.float64)
-    expenditure = np.empty(p_count, dtype=np.float64)
-    steps = np.empty(p_count, dtype=np.int64)
+    # The no-pop result; _solve_rows overwrites the open rows.
+    thresholds = np.full((p_count, a), pw.delta_min, dtype=np.float64)
+    expenditure = totals.copy()
+    steps = np.zeros(p_count, dtype=np.int64)
     out = (thresholds, expenditure, steps)
-    unbounded = (m <= 1e-300) & (weights > 0)
-    head = _unbounded_head(weights[0], unbounded[0], sched) if p_count == 1 else None
-    full = unbounded.any(axis=1) if head is None else np.zeros(1, dtype=bool)
-    problem = (weights, m, totals, budgets, pw, sched, fairness, head)
+    open_rows = np.flatnonzero(~(totals <= budgets + _EPS))
+    if open_rows.size:
+        sched = _schedule_for(pw)
+        k = sched.n_entries
+        unbounded = (m <= 1e-300) & (weights > 0)
+        head = _unbounded_head(weights[0], unbounded[0], sched) if p_count == 1 else None
+        full = unbounded.any(axis=1) if head is None else np.zeros(1, dtype=bool)
+        problem = (weights, m, totals, budgets, pw, sched, fairness, head)
 
-    h = horizon.columns(k)
-    rows = np.arange(p_count)
-    depth = np.zeros(p_count, dtype=np.int64)
-    retried = 0
-    if h < k:
-        quick = rows[~full]
-        if quick.size:
+        h = horizon.columns(k)
+        quick = open_rows[~full[open_rows]]
+        rows = open_rows
+        depth = np.zeros(p_count, dtype=np.int64)
+        retried = 0
+        if h < k and quick.size:
             proved, depth[quick], built = _solve_rows(out, quick, h, *problem)
             horizon.table_entries += built
             retried = quick.size - int(proved.sum())
-            rows = np.concatenate((rows[full], quick[~proved]))
-    if rows.size:
-        _, depth[rows], built = _solve_rows(out, rows, k, *problem)
-        horizon.table_entries += built
-    horizon.retries += retried
-    horizon.last_columns = k if retried else h
-    if not full.all():
-        horizon.depth = int(np.median(depth[~full]))
+            rows = np.concatenate((open_rows[full[open_rows]], quick[~proved]))
+        if rows.size:
+            _, depth[rows], built = _solve_rows(out, rows, k, *problem)
+            horizon.table_entries += built
+        horizon.retries += retried
+        horizon.last_columns = k if retried else h
+        if quick.size:
+            horizon.depth = int(np.median(depth[quick]))
     return GreedyBatch(
         thresholds=thresholds,
         expenditure=expenditure,

@@ -131,7 +131,7 @@ class IncrementalGridReduceCache:
         self.misses = 0
         self.kernel_calls = 0
         self.rows_solved = 0
-        self._round_start = (0, 0, 0, 0, 0, 0)
+        self._round_start = self._totals()
 
     def level_store(
         self, level: int
@@ -175,6 +175,7 @@ class IncrementalGridReduceCache:
             self.misses,
             self.kernel_calls,
             self.rows_solved,
+            self.gain_horizon.table_entries,
             self.greedy_horizon.table_entries,
             self.greedy_horizon.retries,
         )
@@ -182,16 +183,20 @@ class IncrementalGridReduceCache:
     def counters(self) -> dict[str, int]:
         """The diagnostics by name: lifetime, and the last round's share.
 
-        The ``greedy_*`` entries describe the final throttler solve:
-        table entries built, solves the horizon failed to prove (each
-        retried at full κ), and ``greedy_horizon``, the columns per
-        region of the last accepted solve (a gauge).
+        ``gain_table_entries`` counts the table entries the gain kernel
+        built for its rows (a row whose budget is already met builds
+        none, so a z = 1 round reads 0).  The ``greedy_*`` entries
+        describe the final throttler solve: table entries built, solves
+        the horizon failed to prove (each retried at full κ), and
+        ``greedy_horizon``, the columns per region of the last accepted
+        solve (a gauge).
         """
         names = (
             "memo_hits",
             "memo_misses",
             "gain_kernel_calls",
             "gain_rows_solved",
+            "gain_table_entries",
             "greedy_table_entries",
             "greedy_horizon_retries",
         )

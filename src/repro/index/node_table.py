@@ -13,6 +13,16 @@ import copy
 
 import numpy as np
 
+#: One ``(x, y)`` float64 pair as a single 16-byte element: numpy moves a
+#: whole row per index instead of looping over a 2-wide inner axis.
+_ROW = np.dtype((np.void, 16))
+
+
+def _rows(xy: np.ndarray) -> np.ndarray:
+    """``(n, 2)`` coordinates as ``n`` row records, bytes as float64 holds them."""
+    xy = np.ascontiguousarray(xy, dtype=np.float64)
+    return xy.view(_ROW).reshape(xy.shape[:-1])
+
 
 class NodeTable:
     """Vectorized store of last-received motion models for ``n`` nodes."""
@@ -22,6 +32,7 @@ class NodeTable:
             raise ValueError("n_nodes must be positive")
         self._pos = np.zeros((n_nodes, 2), dtype=np.float64)
         self._vel = np.zeros((n_nodes, 2), dtype=np.float64)
+        self._pos_rows, self._vel_rows = _rows(self._pos), _rows(self._vel)
         self._time = np.zeros(n_nodes, dtype=np.float64)
         self._known = np.zeros(n_nodes, dtype=bool)
         #: Newest report time applied (NaN never counts): no stored model
@@ -75,6 +86,7 @@ class NodeTable:
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if node_ids.size == 0:
             return
+        pos, vel = _rows(positions), _rows(velocities)
         if self._owner is not None:
             owned = self._owner[node_ids] == self._shard
             if not owned.all():
@@ -82,22 +94,20 @@ class NodeTable:
                 node_ids = node_ids[owned]
                 if node_ids.size == 0:
                     return
-                positions = np.asarray(positions)[owned]
-                velocities = np.asarray(velocities)[owned]
+                pos, vel = pos[owned], vel[owned]
         if t < self._newest[0]:
             stale = self._known[node_ids] & (self._time[node_ids] > t)
             if stale.any():
                 self.updates_discarded += int(stale.sum())
                 fresh = ~stale
                 node_ids = node_ids[fresh]
-                positions = np.asarray(positions)[fresh]
-                velocities = np.asarray(velocities)[fresh]
                 if node_ids.size == 0:
                     return
+                pos, vel = pos[fresh], vel[fresh]
         elif t > self._newest[0]:
             self._newest[0] = t
-        self._pos[node_ids] = positions
-        self._vel[node_ids] = velocities
+        self._pos_rows[node_ids] = pos
+        self._vel_rows[node_ids] = vel
         self._time[node_ids] = t
         self._known[node_ids] = True
         self.updates_applied += int(node_ids.size)

@@ -67,8 +67,8 @@ class UnclampedPlanConstruction(Rule):
 
     ``SheddingPlan.from_regions`` validates raster alignment but trusts
     its thresholds; handing it raw numbers skips the Δ⊢/Δ⊣ domain and
-    Δ⇔ fairness guarantees every consumer (validation, the simulator,
-    the broadcast layer) relies on.  Thresholds must come from
+    Δ⇔ fairness guarantees every consumer (the simulator, the broadcast
+    layer) relies on.  Thresholds must come from
     ``greedy_increment(...)`` or be projected with
     ``clamp_thresholds(...)``; the bare ``SheddingPlan(...)``
     constructor is reserved for ``repro.core.plan`` itself.

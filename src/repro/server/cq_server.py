@@ -152,8 +152,8 @@ class MobileCQServer:
             self._period_shed += shed
             self.total_admission_dropped += shed
             node_ids = node_ids[admitted_mask]
-            positions = positions[admitted_mask]
-            velocities = velocities[admitted_mask]
+            positions = np.compress(admitted_mask, positions, axis=0)
+            velocities = np.compress(admitted_mask, velocities, axis=0)
             if times is not None:
                 times = np.asarray(times, dtype=np.float64)[admitted_mask]
         if times is None:
@@ -189,7 +189,10 @@ class MobileCQServer:
             else:
                 for report_t in np.unique(times):
                     mask = times == report_t
-                    self.table.ingest(float(report_t), ids[mask], pos[mask], vel[mask])
+                    self.table.ingest(
+                        float(report_t), ids[mask],
+                        np.compress(mask, pos, axis=0), np.compress(mask, vel, axis=0),
+                    )
             if self.stats_grid is not None:
                 self.stats_grid.ingest_updates(
                     pos[:, 0], pos[:, 1], np.hypot(vel[:, 0], vel[:, 1])

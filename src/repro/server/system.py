@@ -300,23 +300,27 @@ class LiraSystem:
             self._owner = owner
         t = 0.0
         senders = self.fleet.observe(t, positions, velocities)
-        pos, vel = positions[senders], velocities[senders]
+        pos, vel = np.take(positions, senders, axis=0), np.take(velocities, senders, axis=0)
         self.history.record(t, senders, pos, vel)
-        for shard, mine in self._route(senders):
-            shard.server.table.ingest(t, senders[mine], pos[mine], vel[mine])
+        for shard, *report in self._route(senders, pos, vel):
+            shard.server.table.ingest(t, *report)
 
     def _require_bootstrap(self, what: str) -> None:
         if self.router is not None and self._owner is None:
             raise RuntimeError(f"call bootstrap() before {what}()")
 
-    def _route(self, ids: np.ndarray) -> Iterator[tuple[LiraShard, slice | np.ndarray]]:
-        """``(shard, selector into ids)`` per shard: who gets which reports."""
+    def _route(self, ids: np.ndarray, *columns: np.ndarray | None) -> Iterator[tuple]:
+        """``(shard, ids, *columns)`` per shard, each gathered by row to
+        the reports that shard gets (a ``None`` column stays ``None``)."""
         if self._owner is None:
-            yield self.shards[0], slice(None)
+            yield self.shards[0], ids, *columns
             return
         owner = self._owner[ids]
         for k, shard in enumerate(self.shards):
-            yield shard, np.flatnonzero(owner == k)
+            mine = np.flatnonzero(owner == k)
+            yield shard, ids[mine], *(
+                None if c is None else np.take(c, mine, axis=0) for c in columns
+            )
 
     # ------------------------------------------------------------------
     # Server-side control path
@@ -336,8 +340,11 @@ class LiraSystem:
             for k, shard in enumerate(self.shards):
                 if shard.network is None:
                     continue
-                mine = slice(None) if self._owner is None else self._owner == k
-                shard.replan(positions[mine], speeds[mine], self.current_time)
+                pos, spd = positions, speeds
+                if self._owner is not None:
+                    mine = self._owner == k
+                    pos, spd = np.compress(mine, positions, axis=0), speeds[mine]
+                shard.replan(pos, spd, self.current_time)
         self._plan_installed = True
 
     def _rebalance(self, measurements: list[LoadMeasurement]) -> None:
@@ -405,18 +412,16 @@ class LiraSystem:
         )
         self.fleet.set_thresholds(thresholds)
         senders = self.fleet.observe(t, positions, velocities)
-        sender_pos, sender_vel = positions[senders], velocities[senders]
+        sender_pos = np.take(positions, senders, axis=0)
+        sender_vel = np.take(velocities, senders, axis=0)
         self.history.record(t, senders, sender_pos, sender_vel)
         if inject:
             assert faults is not None
             ids, pos, vel, times = faults.uplink(t, senders, sender_pos, sender_vel)
         else:
             ids, pos, vel, times = senders, sender_pos, sender_vel, None
-        for shard, mine in self._route(ids):
-            shard.ingest(
-                t, ids[mine], pos[mine], vel[mine],
-                times[mine] if times is not None else None, dt, rate_factor,
-            )
+        for shard, *report in self._route(ids, pos, vel, times):
+            shard.ingest(t, *report, dt, rate_factor)
         if faults is not None and not inject:
             counters = faults.counters
             counters.uplink_sent += int(senders.size)

@@ -491,13 +491,13 @@ class LiraService:
         known = np.flatnonzero(table.known_mask)
         if known.size == 0:
             return None, None
-        believed = table.predict(now)[known]
+        believed = np.take(table.predict(now), known, axis=0)
         # Clamp believed positions into bounds: extrapolating a stale
         # model can walk a node outside the monitoring region, and the
         # statistics grid ignores out-of-bounds samples entirely.
         believed[:, 0] = np.clip(believed[:, 0], self.bounds.x1, self.bounds.x2)
         believed[:, 1] = np.clip(believed[:, 1], self.bounds.y1, self.bounds.y2)
-        vel = table.velocities[known]
+        vel = np.take(table.velocities, known, axis=0)
         return believed, np.hypot(vel[:, 0], vel[:, 1])
 
     def stats_meta(self) -> dict:

@@ -9,7 +9,8 @@ wrong.  These tests pin the contract: whatever the hint says, every
 field of the result is bit-identical to the scalar reference loop — on
 problems with zero-mass (infinite-gain) regions, zero-weight regions,
 zero-rate segments and cross-region ties — and the counters tell an
-operator what the horizon did.
+operator what the horizon did.  Rows whose budget is already met build
+no table at all and leave the hint alone.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PiecewiseLinearReduction, greedy_increment
-from repro.core.greedy import RegionStats, _as_piecewise
+from repro.core.greedy import _EPS, RegionStats, _as_piecewise
 from repro.core.greedy_vector import greedy_increment_arrays
 from repro.core.incremental import _MIN_HORIZON, GreedyHorizon
 from repro.geo import Rect
@@ -151,6 +152,111 @@ class TestHorizonEquivalence:
                     as_regions(map(tuple, stats)), reduction, z, use_speed=use_speed
                 )
                 assert_results_identical(ref, batch[p], f"row {p}")
+
+
+def _horizon_state(horizon):
+    return (horizon.depth, horizon.last_columns, horizon.table_entries, horizon.retries)
+
+
+def _unmet(stacked, z, use_speed):
+    """Row mask of stacked ``(n, m, s)`` problems whose budget is not yet met."""
+    n, s = stacked[..., 0], stacked[..., 2]
+    weights = n * s if use_speed else n
+    if use_speed:
+        fallback = (weights.sum(axis=1) <= 0) & (n.sum(axis=1) > 0)
+        weights = np.where(fallback[:, None], n, weights)
+    totals = weights.sum(axis=1)
+    return ~(totals <= z * totals + _EPS)
+
+
+class TestBudgetMetRows:
+    """A row whose budget is already met pops nothing: it is answered Δ⊢
+    everywhere, builds no table and leaves the horizon hint alone."""
+
+    def _check(self, stacked, reduction, z, use_speed, depth):
+        pw = _as_piecewise(reduction, None)
+        mixed, alone = GreedyHorizon(depth=depth), GreedyHorizon(depth=depth)
+        unmet = _unmet(stacked, z, use_speed)
+        for _ in range(2):  # the second pass runs on the learned hint
+            batch = greedy_increment_arrays(
+                stacked[..., 0], stacked[..., 1], stacked[..., 2], pw, z, use_speed, mixed
+            )
+            for p, stats in enumerate(stacked):
+                ref = greedy_increment_reference(
+                    as_regions(map(tuple, stats)), reduction, z, use_speed=use_speed
+                )
+                assert_results_identical(ref, batch[p], f"row {p}")
+                if not unmet[p]:
+                    assert ref.steps == 0
+            # The met rows cost nothing: the horizon ends where solving the
+            # unmet rows alone leaves it, entries and learned depth included.
+            rest = stacked[unmet]
+            greedy_increment_arrays(
+                rest[..., 0], rest[..., 1], rest[..., 2], pw, z, use_speed, alone
+            )
+            assert _horizon_state(mixed) == _horizon_state(alone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problems=st.lists(region_stats(max_regions=1), min_size=1, max_size=6),
+        met=st.lists(
+            st.sampled_from(["zero", "tiny", "edge"]), min_size=1, max_size=4
+        ),
+        reduction=deep_reductions(),
+        z=z_values,
+        use_speed=st.booleans(),
+        depth=hint_depths,
+        data=st.data(),
+    )
+    def test_met_rows_mixed_with_open_rows_match_reference(
+        self, problems, met, reduction, z, use_speed, depth, data
+    ):
+        rows = [
+            [row[data.draw(st.integers(0, len(row) - 1))] for _ in range(4)]
+            for row in problems
+        ]
+        # Rows whose budget is met at any z: no weight at all, a total
+        # far below the tolerance, and one exactly at it (met at z = 0).
+        fillers = {
+            "zero": [(0.0, 3.0, 2.0)] * 4,
+            "tiny": [(1e-12, 0.0, 1.0), (2e-12, 4.0, 1.0), (0.0, 1.0, 1.0), (1e-12, 2.0, 0.0)],
+            "edge": [(0.25e-9, 1.0, 1.0)] * 4,
+        }
+        for kind in met:
+            rows.insert(data.draw(st.integers(0, len(rows))), fillers[kind])
+        self._check(np.array(rows), reduction, z, use_speed, depth)
+
+    def test_all_met_at_z_one_builds_nothing(self):
+        rng = np.random.default_rng(11)
+        stacked = np.stack(
+            [rng.uniform(0.0, 40.0, (88, 4)), rng.uniform(0.0, 5.0, (88, 4)),
+             rng.uniform(0.0, 3.0, (88, 4))],
+            axis=-1,
+        )
+        stacked[::7, :, 1] = 0.0  # zero-mass rows: unbounded, full κ if opened
+        reduction = _convex_reduction()
+        self._check(stacked, reduction, 1.0, True, 5)
+        horizon = GreedyHorizon(depth=5)
+        greedy_increment_arrays(
+            stacked[..., 0], stacked[..., 1], stacked[..., 2],
+            _as_piecewise(reduction, None), 1.0, True, horizon,
+        )
+        assert _horizon_state(horizon) == (5, 0, 0, 0)
+        # At z < 1 the same rows open and build tables.
+        self._check(stacked, reduction, 0.7, True, 5)
+
+    def test_single_problem_at_z_one_builds_nothing(self):
+        regions = as_regions([(20.0 + i, 2.5, 2.0) for i in range(12)] + [(9.0, 0.0, 2.0)] * 3)
+        reduction = _convex_reduction()
+        for fairness in (None, 20.0):
+            horizon = GreedyHorizon(depth=3)
+            got = greedy_increment(
+                regions, reduction, 1.0, fairness=fairness, horizon=horizon
+            )
+            assert_results_identical(
+                greedy_increment_reference(regions, reduction, 1.0, fairness=fairness), got
+            )
+            assert _horizon_state(horizon) == (3, 0, 0, 0)
 
 
 def _convex_reduction(kappa=40):

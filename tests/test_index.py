@@ -5,6 +5,7 @@ import pytest
 
 from repro.geo import Rect
 from repro.index import GridIndex, NodeTable
+from repro.service import decode_frame, encode_frame
 
 
 class TestGridIndex:
@@ -212,3 +213,100 @@ class TestNewestWatermark:
         )
         np.testing.assert_array_equal(table._pos[known], [state[i][1] for i in known])
         assert counts["discarded"] > 0 and counts["orphaned"] > 0
+
+
+def _per_row_reference(n, batches):
+    """Stored ``(positions, velocities)`` after ``batches`` of ``(ids, pos,
+    vel)``: one coordinate at a time, in report order."""
+    stored = np.zeros((2, n, 2))
+    for ids, pos, vel in batches:
+        for j, i in enumerate(ids.tolist()):
+            for c in range(2):
+                stored[0, i, c], stored[1, i, c] = pos[j][c], vel[j][c]
+    return stored
+
+
+def _assert_same_bits(table, stored):
+    np.testing.assert_array_equal(table._pos.view(np.uint64), stored[0].view(np.uint64))
+    np.testing.assert_array_equal(table._vel.view(np.uint64), stored[1].view(np.uint64))
+
+
+class TestRowMoves:
+    """``ingest`` moves each ``(x, y)`` pair as one 16-byte record: every
+    stored bit equals a per-row, per-coordinate reference copy."""
+
+    N = 64
+
+    def _batch(self, seed, size=40, unique=True):
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(self.N, size, replace=not unique)
+        return ids, rng.normal(size=(size, 2)) * 1e3, rng.normal(size=(size, 2))
+
+    def test_duplicate_ids_last_report_wins(self):
+        ids, pos, vel = self._batch(1, size=300, unique=False)
+        assert np.unique(ids).size < ids.size
+        table = NodeTable(self.N)
+        table.ingest(1.0, ids, pos, vel)
+        _assert_same_bits(table, _per_row_reference(self.N, [(ids, pos, vel)]))
+        assert table.updates_applied == ids.size
+
+    @pytest.mark.parametrize("form", ["float32", "frame", "read-only", "strided", "fortran"])
+    def test_input_forms(self, form):
+        ids, pos, vel = self._batch(2)
+        if form == "float32":
+            pos, vel = pos.astype(np.float32), vel.astype(np.float32)
+        elif form == "frame":  # what the service applies: views into the frame
+            frame = decode_frame(
+                encode_frame("ingest", {}, {"node_ids": ids, "positions": pos, "velocities": vel})
+            )
+            ids, pos, vel = (frame.arrays[k] for k in ("node_ids", "positions", "velocities"))
+            assert not pos.flags.writeable
+        elif form == "read-only":
+            pos = np.frombuffer(pos.tobytes(), dtype=np.float64).reshape(-1, 2)
+            vel = np.frombuffer(vel.astype(np.float32).tobytes(), dtype=np.float32).reshape(-1, 2)
+        elif form == "strided":
+            pos, vel = np.repeat(pos, 3, axis=0)[::3], np.stack((vel[:, 0], vel[:, 1]))
+            vel = vel.T
+            assert not (pos.flags.c_contiguous or vel.flags.c_contiguous)
+        else:
+            pos, vel = np.asfortranarray(pos), np.asfortranarray(vel)
+        table = NodeTable(self.N)
+        table.ingest(1.0, ids, pos, vel)
+        _assert_same_bits(table, _per_row_reference(self.N, [(ids, pos, vel)]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_special_values_keep_their_bits(self, dtype):
+        payload_nan = np.array([0x7FF8_0000_0000_0123], dtype=np.uint64).view(np.float64)[0]
+        special = np.array(
+            [np.nan, payload_nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -1.5]
+        ).astype(dtype)
+        pos = np.stack((special, special[::-1]), axis=1)
+        vel = np.stack((special[::-1], -special), axis=1)
+        ids = np.arange(special.size) * 3
+        table = NodeTable(self.N)
+        table.ingest(1.0, ids, pos, vel)
+        stored = _per_row_reference(self.N, [(ids, pos, vel)])
+        _assert_same_bits(table, stored)
+        assert table._pos.view(np.uint64)[6, 0] == 0x8000_0000_0000_0000  # -0.0
+
+    def test_shard_views_write_through_the_shared_rows(self):
+        rng = np.random.default_rng(4)
+        table = NodeTable(self.N)
+        owner = np.zeros(self.N, dtype=np.int64)
+        views = [table.shard_view(owner, k) for k in range(3)]
+        applied = []
+        for step in range(12):
+            owner[:] = rng.integers(0, 3, self.N)
+            ids, pos, vel = self._batch(10 + step, unique=False)
+            pos[::5] = np.nan
+            vel[1::7] = -0.0
+            k = step % 3
+            views[k].ingest(float(step), ids, pos, vel)
+            mine = owner[ids] == k
+            applied.append((ids[mine], pos[mine], vel[mine]))
+        _assert_same_bits(table, _per_row_reference(self.N, applied))
+        for view in views:
+            assert np.shares_memory(view._pos_rows, table._pos)
+            assert np.shares_memory(view._vel_rows, table._vel)
+        assert sum(v.updates_applied for v in views) == sum(a[0].size for a in applied)
+        assert sum(v.updates_orphaned for v in views) > 0

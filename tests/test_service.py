@@ -689,6 +689,22 @@ class TestAdaptation:
             service.pump_once(0.25)
         service.adapt_once()
         assert service.shedder.current_z < 1.0
+        stats = service.stats_meta()
+        assert stats["last_round_gain_table_entries"] > 0
+        assert stats["gain_table_entries"] >= stats["last_round_gain_table_entries"]
+
+    def test_unloaded_round_builds_no_gain_tables(self):
+        """At z = 1 every CALCERRGAIN row's budget is already met: the
+        gain kernel solves rows but builds no GREEDYINCREMENT table."""
+        service = make_service()
+        ids, pos, vel = make_batch(32)
+        service.apply_ingest(100.0, ids, pos, vel)
+        service.pump_once(10.0)
+        service.adapt_once()
+        stats = service.stats_meta()
+        assert stats["z"] == 1.0
+        assert stats["last_round_gain_rows_solved"] > 0
+        assert stats["last_round_gain_table_entries"] == 0
 
     def test_utilization_target_is_wired_through(self):
         service = make_service()
@@ -952,6 +968,7 @@ class TestSocketProtocol:
                     "memo_misses",
                     "gain_kernel_calls",
                     "gain_rows_solved",
+                    "gain_table_entries",
                 ):
                     assert frame.meta[key] >= frame.meta["last_round_" + key] >= 0
                 assert frame.meta["memo_misses"] > 0

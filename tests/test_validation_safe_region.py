@@ -1,72 +1,12 @@
-"""Tests for plan validation and the safe-region baseline policy."""
+"""Tests for the safe-region baseline policy."""
 
 import numpy as np
 import pytest
 
-from repro.core import LiraConfig, LiraLoadShedder, SheddingPlan, validate_plan
-from repro.core.greedy import RegionStats
 from repro.geo import Rect
 from repro.queries import RangeQuery
 from repro.shedding import SafeRegionPolicy
 from repro.shedding.safe_region import distance_to_rect_boundary
-
-
-class TestValidatePlan:
-    def _valid_plan(self, small_grid, reduction, **config_overrides):
-        config = LiraConfig(l=16, alpha=16, **config_overrides)
-        shedder = LiraLoadShedder(config, reduction)
-        return shedder.adapt(small_grid), config, shedder.reduction
-
-    def test_lira_plan_passes_all_checks(self, small_grid, reduction):
-        plan, config, pw = self._valid_plan(small_grid, reduction)
-        report = validate_plan(plan, config, pw)
-        assert report.ok
-        assert bool(report)
-        assert report.predicted_expenditure_ratio is not None
-        assert report.predicted_expenditure_ratio <= config.z + 0.02
-
-    def test_detects_domain_violation(self, small_grid, reduction):
-        plan, config, pw = self._valid_plan(small_grid, reduction)
-        broken = SheddingPlan(
-            bounds=plan.bounds,
-            regions=plan.regions,
-            id_grid=plan._id_grid,
-        )
-        broken._deltas = plan.thresholds + 200.0  # way above delta_max
-        report = validate_plan(broken, config)
-        assert not report.ok
-        assert any("above delta_max" in e for e in report.errors)
-
-    def test_detects_fairness_violation(self, small_grid, reduction):
-        plan, config, pw = self._valid_plan(small_grid, reduction, fairness=50.0)
-        broken = SheddingPlan(
-            bounds=plan.bounds, regions=plan.regions, id_grid=plan._id_grid
-        )
-        deltas = plan.thresholds
-        deltas[0] = 5.0
-        deltas[-1] = 100.0
-        broken._deltas = deltas
-        report = validate_plan(broken, config)
-        assert any("fairness" in e for e in report.errors)
-
-    def test_detects_incomplete_tiling(self, reduction):
-        bounds = Rect(0, 0, 100, 100)
-        quads = list(bounds.quadrants())
-        regions = [RegionStats(rect=r, n=1, m=1, s=1) for r in quads]
-        plan = SheddingPlan.from_regions(bounds, regions, np.full(4, 10.0), 4)
-        # Remove one region behind the plan's back.
-        plan.regions.pop()
-        report = validate_plan(plan, LiraConfig(l=4, alpha=16))
-        assert any("area" in e for e in report.errors)
-
-    def test_saturated_plan_budget_exempt(self, small_grid, reduction):
-        """If the budget is unreachable, all-delta-max is the accepted
-        fallback and must not be flagged."""
-        config = LiraConfig(l=16, alpha=16, z=0.01)
-        shedder = LiraLoadShedder(config, reduction)
-        plan = shedder.adapt(small_grid)
-        report = validate_plan(plan, config, shedder.reduction)
-        assert report.ok
 
 
 class TestDistanceToRectBoundary:
