@@ -42,3 +42,16 @@ def test_fig14_scaling_shape(benchmark, bench_scale):
     # l term: at fixed alpha, more regions cost more.
     assert large[-1] > large[0]
     assert small[-1] > small[0]
+
+
+def test_fig14_paper_scale_point(benchmark, bench_scale):
+    """The paper's largest partitioning, l = 1000 at α = 256: the cost
+    keeps the O(l log l) shape — it grows with l, and by no more than
+    1000·log 1000 / (100·log 100) = 15× the l = 100 cost."""
+    result = benchmark.pedantic(
+        lambda: run_fig14(scale=bench_scale, ls=(100, 250, 1000), alphas=(256,), repeats=3),
+        rounds=1,
+        iterations=1,
+    )
+    at_100, _, at_1000 = result.get_series("alpha=256").y
+    assert at_100 < at_1000 <= 15 * at_100

@@ -19,7 +19,9 @@ with array reductions, exploiting two structural facts:
    heap), which is exactly what a stable descending sort over the
    prefix-min keys produces.  Unbounded (infinite-gain) entries pop
    first, round-robin in ``(segment, region)`` order — the FIFO
-   tie-break among equal heap keys.
+   tie-break among equal heap keys.  A query-free region's entries are
+   all unbounded unless a zero rate ends the run, so they form a
+   closed-form *head* that needs no table and no sort (:func:`_head`).
 2. **The expenditure chain is a single ufunc accumulation.**  With the
    pop order fixed, ``expenditure -= rate·step`` over the pops is
    ``np.subtract.accumulate`` over the gathered per-pop subtrahends —
@@ -36,9 +38,11 @@ with array reductions, exploiting two structural facts:
    (:class:`~repro.core.incremental.GreedyHorizon`) — a hint that can
    cost a retry, never a result.
 
-One pipeline (:func:`_solve`) serves the final throttler solve (one
-problem, fairness) and GRIDREDUCE's stacked CALCERRGAIN rows.
-Everything the sort cannot prove is delegated, never approximated:
+One pipeline (:func:`_solve`: the head, then tables → order → chain →
+cut on the horizon for what is left) serves the final throttler solve
+(one problem, fairness) and GRIDREDUCE's stacked CALCERRGAIN rows
+alike.  Everything the sort cannot prove is delegated, never
+approximated:
 
 * a pop whose budget-landing test fires (the usual way a run ends),
   or a fairness constraint about to engage, hands off to
@@ -46,11 +50,12 @@ Everything the sort cannot prove is delegated, never approximated:
   reconstructed state (deltas, expenditure, heap with
   order-preserving counters), which finishes the run exactly;
 * a cross-region tie among the prefix's finite keys (where FIFO order
-  depends on push history the sort cannot see) runs the whole problem
-  in that loop, from the initial state.
+  depends on push history the sort cannot see) runs the rest of the
+  problem in that loop, from the head's end.
 
 Either way the result is bit-identical to the reference loop — enforced
-by the equivalence suite in ``tests/test_adapt_vector.py``.
+by the equivalence suites in ``tests/test_adapt_vector.py`` and
+``tests/test_greedy_horizon.py``.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -295,9 +299,8 @@ def greedy_increment_arrays(
     grouped into batches (every op is row-local).
 
     Under ``REPRO_SANITIZE=1`` the kernel runs with NaN/overflow
-    trapping (:func:`repro.sanitize.vector_errstate`); the deliberate
-    ``errstate(ignore)`` window around the landing-step division keeps
-    its local masking either way.
+    trapping (:func:`repro.sanitize.vector_errstate`); the landing-step
+    divisions are masked, so they divide by no zero either way.
     """
     with vector_errstate():
         n = np.asarray(n, dtype=np.float64)
@@ -324,22 +327,23 @@ def _solve(
 
     A row whose budget is already met pops nothing — the reference
     loop's while-condition fails on entry — so it gets Δ⊢ everywhere,
-    its whole total as expenditure and no table.  The other rows first
-    build only ``horizon.columns(κ)`` knot-path columns per region; rows
-    whose truncated solve is not *proved* equal to the full one (see
-    :func:`_solve_rows`) are solved again over all κ columns.  Regions
-    with no query mass have infinite gains down the whole knot path and
-    would defeat any horizon: a single problem carries them as a
-    closed-form head block (:func:`_unbounded_head`), stacked problems
-    are ragged, so their rows with such regions take full κ directly.
-    The depth the cut windows consumed becomes the next call's hint.
+    its whole total as expenditure and no table.  Regions with no query
+    mass have infinite gains down the whole knot path and would defeat
+    any horizon: every open row with such regions pops them first, in
+    closed form (:func:`_head`).  What is left of the rows builds only
+    ``horizon.columns(κ)`` knot-path columns per region; rows whose
+    truncated solve is not *proved* equal to the full one (see
+    :func:`_solve_rows`) are solved again over all κ columns.  Only a
+    zero rate (or an underflowing ``w·r``), which ends an infinite run
+    early, sends a row with query-free regions through the sort at full
+    κ.  The depth the cut windows consumed becomes the next call's hint.
     """
     if horizon is None:
         horizon = GreedyHorizon()
     p_count, a = weights.shape
     totals = weights.sum(axis=1)
     budgets = z * totals
-    # The no-pop result; _solve_rows overwrites the open rows.
+    # The no-pop result; _head and _solve_rows overwrite the open rows.
     thresholds = np.full((p_count, a), pw.delta_min, dtype=np.float64)
     expenditure = totals.copy()
     steps = np.zeros(p_count, dtype=np.int64)
@@ -349,9 +353,20 @@ def _solve(
         sched = _schedule_for(pw)
         k = sched.n_entries
         unbounded = (m <= 1e-300) & (weights > 0)
-        head = _unbounded_head(weights[0], unbounded[0], sched) if p_count == 1 else None
-        full = unbounded.any(axis=1) if head is None else np.zeros(1, dtype=bool)
-        problem = (weights, m, totals, budgets, pw, sched, fairness, head)
+        # fl(w·r) is monotone in r: positive at the smallest rate, the
+        # gain is infinite on every segment.
+        head = unbounded & (weights * sched.rate_at.min() > 0)
+        full = (unbounded & ~head).any(axis=1)
+        head[full] = False
+        start = totals
+        headed = head[open_rows].any(axis=1)
+        if headed.any():
+            start = totals.copy()
+            rows = open_rows[headed]
+            horizon.head_entries += k * int(head[rows].sum())
+            going = _head(out, rows, head, weights, m, start, budgets, pw, sched, fairness)
+            open_rows = np.concatenate((open_rows[~headed], going))
+        problem = (weights, m, start, budgets, pw, sched, fairness, head)
 
         h = horizon.columns(k)
         quick = open_rows[~full[open_rows]]
@@ -382,39 +397,106 @@ def _solve(
     )
 
 
-class _Head(NamedTuple):
-    """One problem's infinite-key entries in pop order; ``rest`` are the
-    regions left for the sort."""
-
-    regions: np.ndarray
-    entries: np.ndarray
-    rates: np.ndarray
-    rest: np.ndarray
+def _head_pops(ids: np.ndarray, sched: _SegmentSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The head of regions ``ids`` in pop order — ``(segment, region)``
+    round-robin, the heap's FIFO tie-break — and which pops advance."""
+    return np.tile(ids, sched.n_entries), np.repeat(sched.full_step > 0, ids.size)
 
 
-def _unbounded_head(
-    weights: np.ndarray, unbounded: np.ndarray, sched: _SegmentSchedule
-) -> _Head | None:
-    """One problem's infinite-key entries as a closed-form block.
+def _head(
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows: np.ndarray,
+    head: np.ndarray,
+    weights: np.ndarray,
+    m: np.ndarray,
+    start: np.ndarray,
+    budgets: np.ndarray,
+    pw: PiecewiseLinearReduction,
+    sched: _SegmentSchedule,
+    fairness: float | None,
+) -> np.ndarray:
+    """Pop the query-free regions (``head``) of ``rows`` in closed form.
 
-    Infinite gains pop before every finite one, round-robin in
-    ``(segment, region)`` order (the heap's FIFO tie-break), so while
-    every entry of the unbounded regions is infinite the block needs no
-    sort and those regions no table.  ``None`` when there is no such
-    region or a zero-rate segment ends the infinite run early — the
-    general order handles those.
+    Their entries all carry infinite keys, so they pop before every
+    finite one in ``(segment, region)`` order: the head needs no table
+    and no sort.  Its chain is one ``subtract.accumulate`` over a dense,
+    segment-major ``(rows, κ·A)`` layout in which the other regions'
+    slots subtract exactly 0.0 — ``x − 0.0 == x``, so the fold is the
+    heap's, subtraction for subtraction.  A run that ends in the head
+    (budget met, clean landing) is assembled here; a landing with a
+    residue or a fairness engagement continues in the scalar loop from
+    the head's pops.  Returns the rows that go on past the head, with
+    the expenditure they enter the sort with in ``start`` (a heap that
+    empties with the head is among them: the sort pass stops it at once).
     """
-    ids = np.flatnonzero(unbounded)
-    wr = sched.rate_at[:, None] * weights[ids]
-    if ids.size == 0 or not (wr > 0).all():
-        return None
-    k = sched.n_entries
-    return _Head(
-        regions=np.tile(ids, k),
-        entries=np.repeat(np.arange(k), ids.size),
-        rates=wr.reshape(-1),
-        rest=np.flatnonzero(~unbounded),
-    )
+    thresholds, expenditure, steps = out
+    k, a = sched.n_entries, weights.shape[1]
+    r_count, n = rows.size, k * a
+    hd, bud = head[rows], budgets[rows]
+    # Slot s·A + i is region i's s-th pop: fl(w·S[s]), then · step.
+    full_step = np.repeat(sched.full_step, a)
+    wr = np.tile(np.where(hd, weights[rows], 0.0), k)
+    wr *= np.repeat(sched.rate_at, a)
+    chain = np.empty((r_count, n + 1))
+    chain[:, 0] = start[rows]
+    np.multiply(wr, full_step, out=chain[:, 1:])
+    np.subtract.accumulate(chain, axis=1, out=chain)
+
+    # Cuts as dense slot counts: the pops consumed before the run stops
+    # (``beyond``: not in the head).  ``term``: the first chain value at
+    # or under the budget; ``land``: the first partial landing (one
+    # masked divide); ``engage``: fairness could act.  Slot order is pop
+    # order, so the reference's tie rules carry over: ``term`` wins ties.
+    beyond = n + 1
+    term = beyond - (chain <= (bud + _EPS)[:, None]).sum(axis=1)
+    excess = chain[:, :-1] - bud[:, None]
+    lands = wr > 1e-300
+    excess /= np.where(lands, wr, 1.0)
+    lands &= excess < full_step
+    land = np.where(lands.any(axis=1), lands.argmax(axis=1), beyond)
+    engage = beyond
+    if fairness is not None:  # the final solve: one problem
+        # The head pops segment s as one block and Δ⊳ moves only between
+        # blocks (it stays Δ⊢ unless every region is in the head), so
+        # fairness engages at the first pop of the first block that the
+        # one-region schedule engages.
+        ids = np.flatnonzero(hd[0])
+        s = _fairness_engagement(sched, np.arange(k), k, 1, ids.size == a, fairness)
+        if s < k:
+            engage = s * a + int(ids[0])
+    cut = np.minimum(np.minimum(term, land), engage)
+    going = cut > n
+    start[rows[going]] = chain[going, n]
+    if going.all():
+        return rows
+
+    # Region i popped its entries s with s·A + i < cut.
+    popped = np.minimum((cut[:, None] + (a - 1) - np.arange(a)) // a, k) * hd
+    counts = np.minimum(popped, sched.n_advances)
+    deltas = sched.path_vals[counts]
+    rowsel = np.arange(r_count)
+    exp_at = chain[rowsel, np.minimum(cut, n)]
+    rate = wr[rowsel, np.minimum(cut, n - 1)]
+    step = (exp_at - bud) / np.where(rate > 1e-300, rate, 1.0)
+    exp_land = exp_at - rate * step
+    landed = (land < np.minimum(term, engage)) & (exp_land <= bud + _EPS)
+    lr = np.flatnonzero(landed)
+    if lr.size:
+        deltas[lr, cut[lr] % a] = sched.delta_at[cut[lr] // a] + step[lr]
+    done = landed | (term <= np.minimum(cut, n))
+    thresholds[rows[done]] = deltas[done]
+    expenditure[rows[done]] = np.where(landed, exp_land, exp_at)[done]
+    steps[rows[done]] = (counts.sum(axis=1) + landed)[done]
+
+    for r in np.flatnonzero(~(done | going)):
+        pops, advancing = _head_pops(np.flatnonzero(hd[r]), sched)
+        n_pops = int(popped[r].sum())
+        row = rows[r]
+        thresholds[row], expenditure[row], steps[row] = _continue_scalar(
+            pw, sched, weights[row], m[row], float(chain[r, cut[r]]), float(bud[r]),
+            fairness, pops[:n_pops], advancing[:n_pops],
+        )
+    return rows[going]
 
 
 def _solve_rows(
@@ -428,14 +510,17 @@ def _solve_rows(
     pw: PiecewiseLinearReduction,
     sched: _SegmentSchedule,
     fairness: float | None,
-    head: _Head | None,
+    head: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve ``rows`` on the first ``h`` knot-path columns of every region.
 
-    The one tables → order → chain → cut pipeline.  Returns, per row,
-    whether the result is *proved* and the knot-path depth its cut
-    window consumed, plus the number of table entries built; proved
-    rows are written into ``out`` = (thresholds, expenditure, steps).
+    The one tables → order → chain → cut pipeline.  ``totals`` is the
+    expenditure a row enters it with; the ``head`` regions are already
+    popped to the end of the knot path (:func:`_head`) and sit out.
+    Returns, per row, whether the result is *proved* and the knot-path
+    depth its cut window consumed, plus the number of live table entries
+    built; proved rows are written into ``out`` = (thresholds,
+    expenditure, steps).
 
     **Horizon lemma.**  Keys are prefix minima and the sort is stable,
     so every entry of a region beyond column ``h−1`` sorts after that
@@ -445,36 +530,28 @@ def _solve_rows(
     proved when its cut window — the prefix through the cut, extended
     over the equal-key run straddling it — ends there or earlier.
     """
-    w, mm, tot, bud = weights[rows], m[rows], totals[rows], budgets[rows]
+    hr = head[rows]
+    w = np.where(hr, 0.0, weights[rows])
+    mm, tot, bud = m[rows], totals[rows], budgets[rows]
     thresholds, expenditure, steps = out
     r_count, a = w.shape
     k = sched.n_entries
-    all_active = bool((w > 0).all())
-    n_head = 0
-    if head is not None:
-        n_head = head.regions.size
-        w, mm = w[:, head.rest], mm[:, head.rest]
     keys, wr = _entry_tables(w, mm, sched, h)
     # Regions never pushed (w ≤ 0) sort last (-inf) and spend nothing.
     live = w > 0
-    if not live.all():
+    all_active = bool(live.all())
+    if not all_active:
         keys = np.where(live[..., None], keys, -np.inf)
         wr = np.where(live[..., None], wr, 0.0)
-    n_sorted = w.shape[1] * h
-    n_live = n_head + live.sum(axis=1) * h
-    n_total = n_head + n_sorted
+    n_total = a * h
+    n_live = live.sum(axis=1) * h
 
     order = _candidate_order(keys)
-    flat = order + (np.arange(r_count) * n_sorted)[:, None]
+    flat = order + (np.arange(r_count) * n_total)[:, None]
     region_ord = order // h
     entry_ord = order - region_ord * h
     wr_ord = wr.reshape(-1)[flat]
     keys_ord = keys.reshape(-1)[flat]
-    if head is not None:
-        region_ord = np.concatenate((head.regions[None], head.rest[region_ord]), axis=1)
-        entry_ord = np.concatenate((head.entries[None], entry_ord), axis=1)
-        wr_ord = np.concatenate((head.rates[None], wr_ord), axis=1)
-        keys_ord = np.concatenate((np.full((1, n_head), np.inf), keys_ord), axis=1)
     fs_ord = sched.full_step[entry_ord]
     fs_pos = fs_ord > 0
     # ``chain[:, j]`` is E entering pop j (one more column than pops):
@@ -519,25 +596,27 @@ def _solve_rows(
     tie_pair = eq & (region_ord[:, 1:] != region_ord[:, :-1])
     tie = _first_true(tie_pair, n_total) <= hi - 2
 
-    sorted_live = (pos >= n_head) & (pos < n_live[:, None])
+    sorted_live = pos < n_live[:, None]
     proved = np.ones(r_count, dtype=bool)
     if h < k:
         proved = hi <= _first_true((entry_ord == h - 1) & sorted_live, n_total + 1)
     depth = np.where(sorted_live & (pos < hi[:, None]), entry_ord + 1, 0).max(axis=1)
 
-    # Clean-row assembly: thresholds from per-region advance counts,
-    # one scattered partial step for landing rows (the reference does
-    # exactly one more, partial, pop and its while-condition fails).
+    # Clean-row assembly: thresholds from per-region advance counts (the
+    # head regions' whole knot path included), one scattered partial
+    # step for landing rows (the reference does exactly one more,
+    # partial, pop and its while-condition fails).
     adv = (pos < cut[:, None]) & fs_pos
     flat_reg = (region_ord + (np.arange(r_count) * a)[:, None])[adv]
     counts = np.bincount(flat_reg, minlength=r_count * a).reshape(r_count, a)
+    counts += hr * sched.n_advances
     deltas = sched.path_vals[counts]
     rowsel = np.arange(r_count)
     exp_at = chain[rowsel, cut]
     rate = wr_ord[rowsel, np.minimum(cut, n_total - 1)]
     step = (exp_at - bud) / np.where(rate > 1e-300, rate, 1.0)
     exp_land = exp_at - rate * step
-    landed = (cut == land) & (cut < term) & (cut < engage) & (exp_land <= bud + _EPS)
+    landed = (land < np.minimum(term, engage)) & (exp_land <= bud + _EPS)
     lr = np.flatnonzero(landed)
     if lr.size:
         deltas[lr, region_ord[lr, cut[lr]]] = (
@@ -550,25 +629,18 @@ def _solve_rows(
     steps[rows[done]] = (counts.sum(axis=1) + landed)[done]
 
     for r in np.flatnonzero(proved & slow):
-        # Tie rows restart the reference loop from scratch (pop order
-        # ambiguous); the others continue it from the verified cut.
+        # Tie rows restart the reference loop from the head's end (pop
+        # order ambiguous); the others continue it from the verified cut.
         start = 0 if tie[r] else int(cut[r])
-        pops = region_ord[r, :start]
-        advancing = fs_pos[r, :start]
+        pops, advancing = _head_pops(np.flatnonzero(hr[r]), sched)
         row = rows[r]
         thresholds[row], expenditure[row], steps[row] = _continue_scalar(
-            pw=pw,
-            sched=sched,
-            weights=weights[row],
-            m=m[row],
-            deltas=sched.path_vals[np.bincount(pops[advancing], minlength=a)],
-            expenditure=float(chain[r, start]),
-            budget=float(bud[r]),
-            steps=int(advancing.sum()),
-            fairness=fairness,
-            pops=pops,
+            pw, sched, weights[row], m[row], float(chain[r, start]), float(bud[r]),
+            fairness,
+            np.concatenate((pops, region_ord[r, :start])),
+            np.concatenate((advancing, fs_pos[r, :start])),
         )
-    return proved, depth, r_count * n_total
+    return proved, depth, int(n_live.sum())
 
 
 def _fairness_engagement(
@@ -592,7 +664,9 @@ def _fairness_engagement(
     the pop for the post-pop minimum the reference ``at_limit`` test
     reads; the minimum is non-decreasing and ``fl`` is monotone, so the
     substitution only ever engages earlier (never later) than the
-    reference — erring into the exact scalar path.
+    reference — erring into the exact scalar path.  A region missing
+    from ``entry_ord`` (never pushed, or popped by a head before it)
+    must clear ``all_active``: Δ⊳ then stays Δ⊢, earlier still.
     """
     n = entry_ord.size
     cur_min: np.ndarray | float = sched.path_vals[0]
@@ -618,30 +692,31 @@ def _continue_scalar(
     sched: _SegmentSchedule,
     weights: np.ndarray,
     m: np.ndarray,
-    deltas: np.ndarray,
     expenditure: float,
     budget: float,
-    steps: int,
     fairness: float | None,
     pops: np.ndarray,
+    advancing: np.ndarray,
 ) -> tuple[np.ndarray, float, int]:
     """Finish a run exactly: the reference loop from reconstructed state.
 
-    ``pops`` lists the regions of the verified prefix in pop order;
-    ``deltas``, ``expenditure`` and ``steps`` are the state it left.
-    The heap is rebuilt with order-preserving counters — regions never
-    popped keep their initial push rank, re-pushed regions are ordered
-    by the position of their latest pop — so every future FIFO
-    tie-break matches the uninterrupted run (the prefix was verified
-    tie-free, making the reconstruction unambiguous).  Returns the
-    final ``(thresholds, expenditure, steps)``.
+    ``pops`` lists the regions of the verified prefix in pop order,
+    ``advancing`` which of those pops moved a throttler, and
+    ``expenditure`` is what the prefix left.  The heap is rebuilt with
+    order-preserving counters — regions never popped keep their initial
+    push rank, re-pushed regions are ordered by the position of their
+    latest pop — so every future FIFO tie-break matches the
+    uninterrupted run (the prefix was verified tie-free, making the
+    reconstruction unambiguous).  Returns the final ``(thresholds,
+    expenditure, steps)``.
     """
     d_min, d_max = pw.delta_min, pw.delta_max
     seg = pw.segment_size
     w_l = weights.tolist()
     m_l = m.tolist()
-    deltas_l = deltas.tolist()
     l = len(w_l)
+    deltas_l = sched.path_vals[np.bincount(pops[advancing], minlength=l)].tolist()
+    steps = int(advancing.sum())
     cut = pops.size
 
     # Sorted-list multiset: same float values as the reference

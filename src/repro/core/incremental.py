@@ -71,9 +71,12 @@ class GreedyHorizon:
 
     depth: int = 0
     #: Columns per region of the last accepted solve (diagnostics, as
-    #: are the lifetime totals below).
+    #: are the lifetime totals below: live entries the sort pipeline
+    #: built, query-free entries popped in closed form — κ per such
+    #: region — and solves retried at full κ).
     last_columns: int = 0
     table_entries: int = 0
+    head_entries: int = 0
     retries: int = 0
 
     def columns(self, kappa: int) -> int:
@@ -176,20 +179,24 @@ class IncrementalGridReduceCache:
             self.kernel_calls,
             self.rows_solved,
             self.gain_horizon.table_entries,
+            self.gain_horizon.head_entries,
+            self.gain_horizon.retries,
             self.greedy_horizon.table_entries,
+            self.greedy_horizon.head_entries,
             self.greedy_horizon.retries,
         )
 
     def counters(self) -> dict[str, int]:
         """The diagnostics by name: lifetime, and the last round's share.
 
-        ``gain_table_entries`` counts the table entries the gain kernel
-        built for its rows (a row whose budget is already met builds
-        none, so a z = 1 round reads 0).  The ``greedy_*`` entries
-        describe the final throttler solve: table entries built, solves
-        the horizon failed to prove (each retried at full κ), and
-        ``greedy_horizon``, the columns per region of the last accepted
-        solve (a gauge).
+        ``gain_*`` describe the gain kernel's rows, ``greedy_*`` the
+        final throttler solve: ``*_table_entries`` the live entries the
+        sort pipeline built (a row whose budget is already met builds
+        none, so a z = 1 round reads 0), ``*_head_entries`` the
+        query-free regions' entries popped in closed form (κ per such
+        region), ``*_horizon_retries`` the rows the horizon failed to
+        prove (each retried at full κ), and ``greedy_horizon`` the
+        columns per region of the last accepted solve (a gauge).
         """
         names = (
             "memo_hits",
@@ -197,7 +204,10 @@ class IncrementalGridReduceCache:
             "gain_kernel_calls",
             "gain_rows_solved",
             "gain_table_entries",
+            "gain_head_entries",
+            "gain_horizon_retries",
             "greedy_table_entries",
+            "greedy_head_entries",
             "greedy_horizon_retries",
         )
         totals = self._totals()

@@ -2,11 +2,6 @@
 
 from repro.queries.batch import BatchMeasurement, QueryEvalKernel, stack_bounds
 from repro.queries.range_query import RangeQuery, evaluate_queries
-from repro.queries.uncertain import (
-    UncertainResult,
-    evaluate_all_with_uncertainty,
-    evaluate_with_uncertainty,
-)
 from repro.queries.workload import QueryDistribution, generate_workload
 
 __all__ = [
@@ -14,10 +9,7 @@ __all__ = [
     "QueryDistribution",
     "QueryEvalKernel",
     "RangeQuery",
-    "UncertainResult",
     "evaluate_queries",
     "stack_bounds",
-    "evaluate_all_with_uncertainty",
-    "evaluate_with_uncertainty",
     "generate_workload",
 ]

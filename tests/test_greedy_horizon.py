@@ -8,7 +8,9 @@ else retries at full κ.  The horizon is seeded by a cross-call hint
 wrong.  These tests pin the contract: whatever the hint says, every
 field of the result is bit-identical to the scalar reference loop — on
 problems with zero-mass (infinite-gain) regions, zero-weight regions,
-zero-rate segments and cross-region ties — and the counters tell an
+zero-rate segments and cross-region ties, and, under strictly falling
+reductions, with the zero-mass regions popped as the closed-form head
+(``repro.core.greedy_vector._head``) — and the counters tell an
 operator what the horizon did.  Rows whose budget is already met build
 no table at all and leave the hint alone.
 """
@@ -49,6 +51,27 @@ def deep_reductions(draw):
 
 
 @st.composite
+def strict_reductions(draw):
+    """Strictly falling f: every rate > 0, so every query-free region's
+    entries are infinite down the whole knot path and pop as the
+    closed-form head (``deep_reductions`` nearly always draws a zero
+    rate, which sends them through the sort instead)."""
+    n_segments = draw(st.integers(min_value=_MIN_HORIZON + 1, max_value=40))
+    drops = np.array(
+        draw(
+            st.lists(
+                st.floats(min_value=1e-3, max_value=1.0),
+                min_size=n_segments,
+                max_size=n_segments,
+            )
+        )
+    )
+    values = np.concatenate(([1.0], 1.0 - 0.9 * np.cumsum(drops) / drops.sum()))
+    knots = np.linspace(5.0, 5.0 + 3.0 * n_segments, n_segments + 1)
+    return PiecewiseLinearReduction(knots, values)
+
+
+@st.composite
 def region_stats(draw, max_regions=10):
     """``(n, m, s)`` rows with zero-mass, zero-weight and duplicated regions.
 
@@ -86,6 +109,10 @@ fairness_values = st.one_of(st.none(), st.floats(min_value=0.5, max_value=150.0)
 
 z_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
 
+query_free = st.tuples(
+    st.floats(min_value=0.0, max_value=80.0), st.just(0.0), st.floats(min_value=0.0, max_value=6.0)
+)
+
 
 class TestHorizonEquivalence:
     @settings(max_examples=150, deadline=None)
@@ -101,6 +128,30 @@ class TestHorizonEquivalence:
     def test_final_solve_any_hint_matches_reference(
         self, rows, reduction, z, other_z, fairness, use_speed, depth
     ):
+        self._check_final_solve(rows, reduction, z, other_z, fairness, use_speed, depth)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=region_stats(),
+        free=st.lists(query_free, min_size=1, max_size=4),
+        reduction=strict_reductions(),
+        z=z_values,
+        other_z=st.floats(min_value=0.0, max_value=1.0),
+        fairness=fairness_values,
+        use_speed=st.booleans(),
+        depth=hint_depths,
+        data=st.data(),
+    )
+    def test_final_solve_with_a_head_matches_reference(
+        self, rows, free, reduction, z, other_z, fairness, use_speed, depth, data
+    ):
+        """Every rate > 0: the query-free regions pop as the closed-form
+        head, wherever they sit among zero-weight and duplicated ones."""
+        for region in free:
+            rows.insert(data.draw(st.integers(0, len(rows))), region)
+        self._check_final_solve(rows, reduction, z, other_z, fairness, use_speed, depth)
+
+    def _check_final_solve(self, rows, reduction, z, other_z, fairness, use_speed, depth):
         regions = as_regions(rows)
         ref = greedy_increment_reference(
             regions, reduction, z, fairness=fairness, use_speed=use_speed
@@ -140,13 +191,41 @@ class TestHorizonEquivalence:
                 for row in problems
             ]
         )
+        self._check_stacked(stacked, reduction, z, use_speed, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool=region_stats(max_regions=6),
+        free=st.lists(query_free, min_size=1, max_size=3),
+        n_rows=st.integers(min_value=1, max_value=6),
+        reduction=strict_reductions(),
+        z=z_values,
+        use_speed=st.booleans(),
+        depth=hint_depths,
+        data=st.data(),
+    )
+    def test_stacked_rows_with_a_head_match_reference(
+        self, pool, free, n_rows, reduction, z, use_speed, depth, data
+    ):
+        """Rows mixing query-free, zero-weight, duplicated and ordinary
+        children, every rate > 0: ragged heads, one horizon."""
+        pool = pool + free
+        stacked = np.array(
+            [
+                [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(4)]
+                for _ in range(n_rows)
+            ]
+        )
+        self._check_stacked(stacked, reduction, z, use_speed, depth)
+
+    def _check_stacked(self, stacked, reduction, z, use_speed, depth):
         pw = _as_piecewise(reduction, None)
         horizon = GreedyHorizon(depth=depth)
         for _ in range(2):  # the second pass runs on the learned hint
             batch = greedy_increment_arrays(
                 stacked[..., 0], stacked[..., 1], stacked[..., 2], pw, z, use_speed, horizon
             )
-            assert len(batch) == len(problems)
+            assert len(batch) == len(stacked)
             for p, stats in enumerate(stacked):
                 ref = greedy_increment_reference(
                     as_regions(map(tuple, stats)), reduction, z, use_speed=use_speed
@@ -155,7 +234,13 @@ class TestHorizonEquivalence:
 
 
 def _horizon_state(horizon):
-    return (horizon.depth, horizon.last_columns, horizon.table_entries, horizon.retries)
+    return (
+        horizon.depth,
+        horizon.last_columns,
+        horizon.table_entries,
+        horizon.head_entries,
+        horizon.retries,
+    )
 
 
 def _unmet(stacked, z, use_speed):
@@ -233,7 +318,7 @@ class TestBudgetMetRows:
              rng.uniform(0.0, 3.0, (88, 4))],
             axis=-1,
         )
-        stacked[::7, :, 1] = 0.0  # zero-mass rows: unbounded, full κ if opened
+        stacked[::7, :, 1] = 0.0  # zero-mass rows: all head if opened
         reduction = _convex_reduction()
         self._check(stacked, reduction, 1.0, True, 5)
         horizon = GreedyHorizon(depth=5)
@@ -241,7 +326,7 @@ class TestBudgetMetRows:
             stacked[..., 0], stacked[..., 1], stacked[..., 2],
             _as_piecewise(reduction, None), 1.0, True, horizon,
         )
-        assert _horizon_state(horizon) == (5, 0, 0, 0)
+        assert _horizon_state(horizon) == (5, 0, 0, 0, 0)
         # At z < 1 the same rows open and build tables.
         self._check(stacked, reduction, 0.7, True, 5)
 
@@ -256,7 +341,7 @@ class TestBudgetMetRows:
             assert_results_identical(
                 greedy_increment_reference(regions, reduction, 1.0, fairness=fairness), got
             )
-            assert _horizon_state(horizon) == (3, 0, 0, 0)
+            assert _horizon_state(horizon) == (3, 0, 0, 0, 0)
 
 
 def _convex_reduction(kappa=40):
@@ -306,10 +391,11 @@ class TestHorizonCounters:
 
     def test_zero_mass_regions_ride_the_head_block(self):
         """Infinite-gain regions march all κ columns without entering the
-        sort: the finite regions still solve at the floor."""
+        sort: the finite regions still solve at the floor — or, when
+        fairness engages inside the head, build nothing at all."""
         regions = self._regions(count=20, zero_mass=6)
         reduction = _convex_reduction()
-        for fairness in (None, 20.0):
+        for fairness, sorted_entries in ((None, 20 * _MIN_HORIZON), (20.0, 0)):
             horizon = GreedyHorizon()
             ref = greedy_increment_reference(regions, reduction, 0.6, fairness=fairness)
             got = greedy_increment(
@@ -317,7 +403,34 @@ class TestHorizonCounters:
             )
             assert_results_identical(ref, got, f"fairness {fairness}")
             assert horizon.retries == 0
-            assert horizon.table_entries == 6 * 40 + 20 * _MIN_HORIZON
+            assert horizon.head_entries == 6 * 40
+            assert horizon.table_entries == sorted_entries
+
+    def test_a_query_free_child_rides_the_head_not_full_kappa(self):
+        """A stacked row with one query-free child pops that child's κ
+        entries in closed form and builds only its other three regions'
+        horizon columns; the row beside it, without one, builds all four."""
+        stacked = np.array(
+            [
+                [(30.0, 2.5, 2.0), (25.0, 3.0, 2.0), (28.0, 2.0, 2.0), (20.0, 0.0, 2.0)],
+                [(30.0, 2.5, 2.0), (25.0, 3.0, 2.0), (28.0, 2.0, 2.0), (20.0, 1.0, 2.0)],
+            ]
+        )
+        reduction = _convex_reduction()
+        horizon = GreedyHorizon()
+        batch = greedy_increment_arrays(
+            stacked[..., 0], stacked[..., 1], stacked[..., 2],
+            _as_piecewise(reduction, None), 0.6, True, horizon,
+        )
+        for p, stats in enumerate(stacked):
+            ref = greedy_increment_reference(
+                as_regions(map(tuple, stats)), reduction, 0.6, use_speed=True
+            )
+            assert_results_identical(ref, batch[p], f"row {p}")
+        assert batch[0].thresholds[3] == reduction.delta_max
+        assert (horizon.head_entries, horizon.table_entries, horizon.retries) == (
+            40, (3 + 4) * _MIN_HORIZON, 0,
+        )
 
     def test_a_hint_from_nowhere_costs_a_retry_never_a_result(self):
         regions, reduction = self._regions(), _convex_reduction()

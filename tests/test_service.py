@@ -969,6 +969,11 @@ class TestSocketProtocol:
                     "gain_kernel_calls",
                     "gain_rows_solved",
                     "gain_table_entries",
+                    "gain_head_entries",
+                    "gain_horizon_retries",
+                    "greedy_table_entries",
+                    "greedy_head_entries",
+                    "greedy_horizon_retries",
                 ):
                     assert frame.meta[key] >= frame.meta["last_round_" + key] >= 0
                 assert frame.meta["memo_misses"] > 0
