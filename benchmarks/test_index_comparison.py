@@ -12,7 +12,8 @@ import pytest
 
 from repro.core import LiraConfig, StatisticsGrid
 from repro.geo import Rect
-from repro.index import GridIndex, MovingObject, TPRTree
+from repro.index import GridIndex
+from repro.index.tpr_tree import MovingObject, TPRTree
 from repro.motion import DeadReckoningFleet
 from repro.sim import make_policies
 

@@ -100,12 +100,12 @@ def main() -> None:
         if tick % adapt_every == 0:
             print(
                 f"{t:>6.0f} {server.service_rate:>6.0f} {shedder.current_z:>6.2f} "
-                f"{len(server.queue):>6} {server.queue.total_dropped:>8} "
+                f"{len(server.queue):>6} {server.queue.lifetime_dropped:>8} "
                 f"{senders.size:>10}"
             )
 
     print(
-        f"\nFinal: {server.queue.total_dropped} updates dropped at the queue "
+        f"\nFinal: {server.queue.lifetime_dropped} updates dropped at the queue "
         f"over the whole run; final z = {shedder.current_z:.2f}.\n"
         "Reading: z dives when the slowdown hits, the sent/tick column "
         "follows it down (source-actuated shedding), and z recovers to 1.0 "

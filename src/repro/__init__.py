@@ -38,7 +38,6 @@ from repro.shedding import (
     LiraGridPolicy,
     LiraPolicy,
     RandomDropPolicy,
-    SafeRegionPolicy,
     UniformDeltaPolicy,
 )
 from repro.sim import Simulation, SimulationConfig, build_scenario, make_policies
@@ -56,7 +55,6 @@ __all__ = [
     "LiraSystem",
     "PiecewiseLinearReduction",
     "RandomDropPolicy",
-    "SafeRegionPolicy",
     "SheddingPlan",
     "Simulation",
     "SimulationConfig",

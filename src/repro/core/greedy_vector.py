@@ -363,7 +363,7 @@ def _solve(
         if headed.any():
             start = totals.copy()
             rows = open_rows[headed]
-            horizon.head_entries += k * int(head[rows].sum())
+            horizon.counts.head_entries += k * int(head[rows].sum())
             going = _head(out, rows, head, weights, m, start, budgets, pw, sched, fairness)
             open_rows = np.concatenate((open_rows[~headed], going))
         problem = (weights, m, start, budgets, pw, sched, fairness, head)
@@ -375,13 +375,13 @@ def _solve(
         retried = 0
         if h < k and quick.size:
             proved, depth[quick], built = _solve_rows(out, quick, h, *problem)
-            horizon.table_entries += built
+            horizon.counts.table_entries += built
             retried = quick.size - int(proved.sum())
             rows = np.concatenate((open_rows[full[open_rows]], quick[~proved]))
         if rows.size:
             _, depth[rows], built = _solve_rows(out, rows, k, *problem)
-            horizon.table_entries += built
-        horizon.retries += retried
+            horizon.counts.table_entries += built
+        horizon.counts.horizon_retries += retried
         horizon.last_columns = k if retried else h
         if quick.size:
             horizon.depth = int(np.median(depth[quick]))

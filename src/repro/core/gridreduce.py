@@ -186,7 +186,7 @@ def _score(
             stored_keys, stored_gains, valid = store
             hit = valid[ii, jj] & (keys == stored_keys[ii, jj]).all(axis=1)
             ii_hit, jj_hit = ii[hit], jj[hit]
-            cache.hits += len(ii_hit)
+            cache.counts.memo_hits += len(ii_hit)
             gains.update(
                 zip(
                     zip(repeat(level), ii_hit.tolist(), jj_hit.tolist()),
@@ -202,9 +202,9 @@ def _score(
         return
     solved, rows = kernel(misses)
     if cache is not None:
-        cache.misses += len(solved)
-        cache.kernel_calls += rows > 0
-        cache.rows_solved += rows
+        cache.counts.memo_misses += len(solved)
+        cache.counts.gain_kernel_calls += rows > 0
+        cache.counts.gain_rows_solved += rows
     offset = 0
     for (level, ii, jj, keys), store in zip(misses, stores):
         level_gains = solved[offset : offset + len(ii)]

@@ -33,6 +33,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.counters import Counters
+
 if TYPE_CHECKING:
     from repro.core.greedy import GreedyResult
     from repro.core.plan import SheddingPlan
@@ -71,13 +73,13 @@ class GreedyHorizon:
 
     depth: int = 0
     #: Columns per region of the last accepted solve (diagnostics, as
-    #: are the lifetime totals below: live entries the sort pipeline
+    #: are the lifetime ``counts``: live entries the sort pipeline
     #: built, query-free entries popped in closed form — κ per such
     #: region — and solves retried at full κ).
     last_columns: int = 0
-    table_entries: int = 0
-    head_entries: int = 0
-    retries: int = 0
+    counts: Counters = field(
+        default_factory=lambda: Counters("table_entries", "head_entries", "horizon_retries")
+    )
 
     def columns(self, kappa: int) -> int:
         """Columns to build per region: hint × 2, floor 8, cap κ."""
@@ -129,12 +131,21 @@ class IncrementalGridReduceCache:
         self.greedy_horizon = GreedyHorizon()
         # Diagnostics (not part of any contract), accumulated across
         # rounds: memo hits/misses, gain-kernel calls that solved at
-        # least one row, and the GREEDYINCREMENT rows they solved.
-        self.hits = 0
-        self.misses = 0
-        self.kernel_calls = 0
-        self.rows_solved = 0
-        self._round_start = self._totals()
+        # least one row, the GREEDYINCREMENT rows they solved, and the
+        # two call sites' horizon counts.
+        self.counts = Counters(
+            "memo_hits", "memo_misses", "gain_kernel_calls", "gain_rows_solved",
+            gain=self.gain_horizon.counts, greedy=self.greedy_horizon.counts,
+        )
+        self._round_mark = self.counts.snapshot()
+
+    @property
+    def hits(self) -> int:
+        return self.counts.memo_hits
+
+    @property
+    def misses(self) -> int:
+        return self.counts.memo_misses
 
     def level_store(
         self, level: int
@@ -165,26 +176,12 @@ class IncrementalGridReduceCache:
         survives, see the class docstring) and marks where this round's
         share of the diagnostic counters starts.
         """
-        self._round_start = self._totals()
+        self._round_mark = self.counts.snapshot()
         if self.z is not None and self.z == z:
             return
         self.z = z
         for _, _, valid in self.levels.values():
             valid[:] = False
-
-    def _totals(self) -> tuple[int, ...]:
-        return (
-            self.hits,
-            self.misses,
-            self.kernel_calls,
-            self.rows_solved,
-            self.gain_horizon.table_entries,
-            self.gain_horizon.head_entries,
-            self.gain_horizon.retries,
-            self.greedy_horizon.table_entries,
-            self.greedy_horizon.head_entries,
-            self.greedy_horizon.retries,
-        )
 
     def counters(self) -> dict[str, int]:
         """The diagnostics by name: lifetime, and the last round's share.
@@ -198,22 +195,8 @@ class IncrementalGridReduceCache:
         prove (each retried at full κ), and ``greedy_horizon`` the
         columns per region of the last accepted solve (a gauge).
         """
-        names = (
-            "memo_hits",
-            "memo_misses",
-            "gain_kernel_calls",
-            "gain_rows_solved",
-            "gain_table_entries",
-            "gain_head_entries",
-            "gain_horizon_retries",
-            "greedy_table_entries",
-            "greedy_head_entries",
-            "greedy_horizon_retries",
-        )
-        totals = self._totals()
-        out = dict(zip(names, totals))
-        for name, total, start in zip(names, totals, self._round_start):
-            out["last_round_" + name] = total - start
+        out = self.counts.snapshot()
+        out.update({"last_round_" + k: v for k, v in self.counts.since(self._round_mark).items()})
         out["greedy_horizon"] = self.greedy_horizon.last_columns
         return out
 

@@ -1,15 +1,9 @@
 """Incremental CQ evaluation: query indexing, result deltas, moving queries."""
 
-from repro.cq.engine import (
-    EngineStats,
-    IncrementalCQEngine,
-    MovingRangeQuery,
-    ResultDelta,
-)
+from repro.cq.engine import IncrementalCQEngine, MovingRangeQuery, ResultDelta
 from repro.cq.query_index import QueryIndex
 
 __all__ = [
-    "EngineStats",
     "IncrementalCQEngine",
     "MovingRangeQuery",
     "QueryIndex",

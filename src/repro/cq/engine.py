@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.counters import Counters
 from repro.geo import Point, Rect
 from repro.queries import RangeQuery
 from repro.cq.query_index import QueryIndex
@@ -54,16 +55,6 @@ class ResultDelta:
         return not self.added and not self.removed
 
 
-@dataclass
-class EngineStats:
-    """Work counters for cost accounting."""
-
-    updates_processed: int = 0
-    deltas_emitted: int = 0
-    memberships_changed: int = 0
-    moving_query_moves: int = 0
-
-
 class IncrementalCQEngine:
     """Maintains all CQ result sets under a stream of position updates.
 
@@ -90,7 +81,10 @@ class IncrementalCQEngine:
         self._positions = np.full((n_nodes, 2), np.nan)
         self._moving: dict[int, MovingRangeQuery] = {}
         self._anchored_by: dict[int, list[int]] = {}
-        self.stats = EngineStats()
+        #: Work counters for cost accounting.
+        self.stats = Counters(
+            "updates_processed", "deltas_emitted", "memberships_changed", "moving_query_moves"
+        )
         for query in queries or []:
             self.install(query)
 

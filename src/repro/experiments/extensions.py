@@ -17,7 +17,7 @@ import numpy as np
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import MEDIUM, ExperimentScale
 from repro.history import TrajectoryStore, snapshot_position_error
-from repro.index import MovingObject, TPRTree
+from repro.index.tpr_tree import MovingObject, TPRTree
 from repro.metrics.cost import Stopwatch
 from repro.motion import DeadReckoningFleet
 from repro.sim import Simulation, SimulationConfig, make_policies
@@ -97,7 +97,7 @@ def run_ext_motion_models(
     tests), which is why the model interface stays pluggable.
     """
     from repro.geo import Point
-    from repro.motion import compare_update_volume
+    from repro.motion.models import compare_update_volume
 
     scenario = scale.scenario()
     trace = scenario.trace
@@ -289,7 +289,7 @@ def run_ext_safe_region(
     to the rest of the population (snapshot/historic queries).  LIRA at
     matched update volume keeps the whole population tracked within Δ⊣.
     """
-    from repro.shedding import SafeRegionPolicy
+    from repro.shedding.safe_region import SafeRegionPolicy
 
     scenario = scale.scenario()
     trace = scenario.trace

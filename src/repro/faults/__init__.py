@@ -5,7 +5,6 @@ from repro.faults.channel import (
     DELIVER,
     LOSSLESS,
     LOST,
-    FaultCounters,
     FaultInjector,
     FaultSpec,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "DELIVER",
     "LOSSLESS",
     "LOST",
-    "FaultCounters",
     "FaultInjector",
     "FaultSpec",
 ]

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.counters import Counters
+
 _PROBABILITY_FIELDS = (
     "uplink_loss",
     "uplink_delay",
@@ -126,26 +128,6 @@ LOST = "lost"
 DELAYED = "delayed"
 
 
-@dataclass
-class FaultCounters:
-    """Cumulative fault accounting, surfaced through ``SystemStats``."""
-
-    uplink_sent: int = 0
-    uplink_lost: int = 0
-    uplink_delayed: int = 0
-    uplink_delivered: int = 0
-    uplink_reordered_batches: int = 0
-    downlink_broadcasts: int = 0
-    downlink_lost: int = 0
-    downlink_delayed: int = 0
-    slow_ticks: int = 0
-    departures: int = 0
-    rejoins: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-
 class FaultInjector:
     """Seedable fault source for every seam of the systems loop.
 
@@ -164,7 +146,12 @@ class FaultInjector:
         self._downlink_rng = np.random.default_rng(downlink_seq)
         self._server_rng = np.random.default_rng(server_seq)
         self._churn_rng = np.random.default_rng(churn_seq)
-        self.counters = FaultCounters()
+        #: Cumulative fault accounting, surfaced through ``SystemStats``.
+        self.counters = Counters(
+            "uplink_sent", "uplink_lost", "uplink_delayed", "uplink_delivered",
+            "uplink_reordered_batches", "downlink_broadcasts", "downlink_lost",
+            "downlink_delayed", "slow_ticks", "departures", "rejoins",
+        )
         #: In-flight delayed uplink messages, struct-of-arrays:
         #: (arrival_t, seq, send_t, node_id, position, velocity).
         #: Maturity order is (arrival_t, seq) ascending — identical to

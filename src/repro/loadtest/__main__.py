@@ -11,7 +11,9 @@ forwarded so both sides build the identical scenario)::
         --duration 10 --slo-p99-ms 150
 
 Prints the :class:`~repro.loadtest.LoadtestReport` as JSON.  With
-``--check``, exits non-zero when the declared SLO is violated.
+``--check``, exits non-zero when the declared SLO is violated or the
+service refused any frame (``protocol_errors`` in its final ``stats``
+reply: the sender sends only well-formed frames).
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 when the declared SLO is violated",
+        help="exit 1 when the declared SLO is violated or the service refused a frame",
     )
     parser.add_argument("--output", help="also write the JSON report to this path")
     return parser
@@ -191,9 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
-    if args.check and doc.get("ingest_slo") and not doc["ingest_slo"]["ok"]:
-        return 1
-    return 0
+    if not args.check:
+        return 0
+    slo_violated = doc.get("ingest_slo") and not doc["ingest_slo"]["ok"]
+    refused = doc["server_stats"].get("protocol_errors", 0) > 0
+    return 1 if slo_violated or refused else 0
 
 
 if __name__ == "__main__":

@@ -2,22 +2,10 @@
 
 from repro.motion.dead_reckoning import DeadReckoningFleet, DeadReckoningTracker
 from repro.motion.linear import LinearMotionModel, MotionReport
-from repro.motion.models import (
-    ModelDrivenTracker,
-    SecondOrderMotionModel,
-    compare_update_volume,
-    make_linear_model,
-    make_second_order_model,
-)
 
 __all__ = [
     "DeadReckoningFleet",
     "DeadReckoningTracker",
     "LinearMotionModel",
-    "ModelDrivenTracker",
     "MotionReport",
-    "SecondOrderMotionModel",
-    "compare_update_volume",
-    "make_linear_model",
-    "make_second_order_model",
 ]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.counters import Counters
 from repro.geo import Rect
 from repro.index import NodeTable
 from repro.queries import QueryEvalKernel, RangeQuery
@@ -108,15 +109,14 @@ class MobileCQServer:
             self.queries, bounds=bounds, cells_per_side=_QUERY_INDEX_CELLS
         )
         self._service_credit = 0.0
-        self._period_arrivals = 0
-        self._period_processed = 0
-        self._period_shed = 0
+        #: Monotonic fates of arriving reports: shed at admission (Random
+        #: Drop), dropped by the full queue, or processed.  A measurement
+        #: period is ``since(_mark)``.
+        self.counts = Counters("arrivals", "processed", "dropped", "shed")
+        self._mark = self.counts.snapshot()
+        # A float sum restarted each period (a difference of running
+        # float sums would not carry the same bits).
         self._period_time = 0.0
-        # The queue's monotonic drop counter is the single source of
-        # truth for overflow drops; the measurement period just marks
-        # where it stood when the period opened.
-        self._period_drop_mark = self.queue.lifetime_dropped
-        self.total_admission_dropped = 0
 
     def receive_reports(
         self,
@@ -148,9 +148,7 @@ class MobileCQServer:
             if admit_rng is None:
                 raise ValueError("admit_fraction < 1 requires admit_rng")
             admitted_mask = admit_rng.random(arrivals) < admit_fraction
-            shed = arrivals - int(admitted_mask.sum())
-            self._period_shed += shed
-            self.total_admission_dropped += shed
+            self.counts.shed += arrivals - int(admitted_mask.sum())
             node_ids = node_ids[admitted_mask]
             positions = np.compress(admitted_mask, positions, axis=0)
             velocities = np.compress(admitted_mask, velocities, axis=0)
@@ -159,7 +157,8 @@ class MobileCQServer:
         if times is None:
             times = np.full(node_ids.size, t, dtype=np.float64)
         admitted = self.queue.offer_arrays(times, node_ids, positions, velocities)
-        self._period_arrivals += arrivals
+        self.counts.arrivals += arrivals
+        self.counts.dropped += node_ids.size - admitted
         return admitted
 
     def process(self, dt: float, rate_factor: float = 1.0) -> int:
@@ -197,7 +196,7 @@ class MobileCQServer:
                 self.stats_grid.ingest_updates(
                     pos[:, 0], pos[:, 1], np.hypot(vel[:, 0], vel[:, 1])
                 )
-        self._period_processed += count
+        self.counts.processed += count
         self._period_time += dt
         return count
 
@@ -232,22 +231,13 @@ class MobileCQServer:
         """Close the current measurement period and return its statistics.
 
         Feed :attr:`LoadMeasurement.arrival_rate` and ``service_rate``
-        to THROTLOOP for adaptive throttle-fraction control.  Overflow
-        drops are derived from the queue's monotonic counter, so they
-        stay correct even if the queue's resettable counters were
-        zeroed mid-period.
+        to THROTLOOP for adaptive throttle-fraction control.
         """
         measurement = LoadMeasurement(
-            arrivals=self._period_arrivals,
-            processed=self._period_processed,
-            dropped=self.queue.lifetime_dropped - self._period_drop_mark,
             period=self._period_time,
             service_rate=self.service_rate,
-            shed=self._period_shed,
+            **self.counts.since(self._mark),
         )
-        self._period_arrivals = 0
-        self._period_processed = 0
-        self._period_shed = 0
+        self._mark = self.counts.snapshot()
         self._period_time = 0.0
-        self._period_drop_mark = self.queue.lifetime_dropped
         return measurement

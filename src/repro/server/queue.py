@@ -13,24 +13,16 @@ from collections import deque
 import numpy as np
 
 
-def _drop_fraction(enqueued: int, dropped: int) -> float:
-    """``dropped / (enqueued + dropped)``, 0.0 when nothing arrived."""
-    arrivals = enqueued + dropped
-    if arrivals == 0:
-        return 0.0
-    return dropped / arrivals
-
-
 class ArrayBoundedQueue:
     """A FIFO queue with a hard capacity, holding struct-of-arrays chunks.
 
     Semantically identical to offering each message of a batch to a
     per-message bounded queue in order: with ``f`` free slots, the first
     ``f`` messages of the batch enqueue and the rest are dropped, and
-    every counter (``total_*`` and the monotonic ``lifetime_*`` family)
-    advances exactly as a per-message queue's would.  Messages are
-    columns — ``(times, node_ids, positions, velocities)`` — so the
-    server ingest path never materializes per-update objects.
+    the monotonic ``lifetime_*`` counts advance exactly as a per-message
+    queue's would.  Messages are columns — ``(times, node_ids,
+    positions, velocities)`` — so the server ingest path never
+    materializes per-update objects.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -42,13 +34,8 @@ class ArrayBoundedQueue:
             deque()
         )
         self._size = 0
-        self.total_enqueued = 0
-        self.total_dropped = 0
-        self.total_dequeued = 0
-        # Monotonic lifetime counters: never cleared by reset_counters().
-        # Period accounting (e.g. the server's load measurements) derives
-        # from these, so a mid-period reset of the resettable counters
-        # cannot make the two views of "how many drops" disagree.
+        # Monotonic counts, never reset: a reader's period is a
+        # difference of two readings.
         self.lifetime_enqueued = 0
         self.lifetime_dropped = 0
         self.lifetime_dequeued = 0
@@ -89,12 +76,8 @@ class ArrayBoundedQueue:
                 chunk = (chunk[0].copy(), chunk[1].copy(), chunk[2].copy(), chunk[3].copy())
             self._chunks.append(chunk)
             self._size += fit
-            self.total_enqueued += fit
             self.lifetime_enqueued += fit
-        dropped = n - fit
-        if dropped:
-            self.total_dropped += dropped
-            self.lifetime_dropped += dropped
+        self.lifetime_dropped += n - fit
         return fit
 
     def poll_arrays(
@@ -123,7 +106,6 @@ class ArrayBoundedQueue:
                 remaining = 0
         count = max_items - remaining
         self._size -= count
-        self.total_dequeued += count
         self.lifetime_dequeued += count
         if not taken:
             return (
@@ -141,24 +123,12 @@ class ArrayBoundedQueue:
             np.concatenate([c[3] for c in taken]),
         )
 
-    def drop_rate(self) -> float:
-        """Fraction of all arrivals dropped so far.
-
-        Derived from the monotonic ``lifetime_*`` counters, so a
-        :meth:`reset_counters` call mid-run cannot silently turn this
-        into a per-period rate.  Use :meth:`period_drop_rate` for the
-        drop fraction since the last reset.
-        """
-        return _drop_fraction(self.lifetime_enqueued, self.lifetime_dropped)
-
-    def period_drop_rate(self) -> float:
-        """Fraction of arrivals dropped since the last
-        :meth:`reset_counters` (the resettable-counter view)."""
-        return _drop_fraction(self.total_enqueued, self.total_dropped)
-
-    def reset_counters(self) -> None:
-        """Zero the resettable counters (queue contents and the
-        monotonic ``lifetime_*`` counters are kept)."""
-        self.total_enqueued = 0
-        self.total_dropped = 0
-        self.total_dequeued = 0
+    def drop_rate(self, mark: tuple[int, int] = (0, 0)) -> float:
+        """Fraction of arrivals dropped since ``mark``, an earlier
+        ``(lifetime_enqueued, lifetime_dropped)`` reading (default: ever);
+        0.0 when nothing arrived."""
+        dropped = self.lifetime_dropped - mark[1]
+        arrivals = self.lifetime_enqueued - mark[0] + dropped
+        if arrivals == 0:
+            return 0.0
+        return dropped / arrivals

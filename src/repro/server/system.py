@@ -480,13 +480,13 @@ class LiraSystem:
                 for k in (0, 1)
             )
         servers = [shard.server for shard in self.shards]
-        counters = self.faults.counters if self.faults is not None else None
+        faults = self.faults.counters.snapshot() if self.faults is not None else {}
         active = self.faults.active_mask if self.faults is not None else None
         return SystemStats(
             time=self.current_time,
             z=self.current_z,
             queue_length=sum(len(server.queue) for server in servers),
-            queue_drops=sum(server.queue.total_dropped for server in servers),
+            queue_drops=sum(server.queue.lifetime_dropped for server in servers),
             updates_sent=self.fleet.total_reports,
             updates_processed=sum(server.table.updates_applied for server in servers),
             broadcast_bytes=sum(network.total_broadcast_bytes for network in networks),
@@ -496,17 +496,17 @@ class LiraSystem:
             plan_version=max(network.version for network in networks),
             mean_plan_staleness=mean_staleness,
             stale_station_fraction=stale_fraction,
-            uplink_sent=counters.uplink_sent if counters else 0,
-            uplink_lost=counters.uplink_lost if counters else 0,
-            uplink_delayed=counters.uplink_delayed if counters else 0,
+            uplink_sent=faults.get("uplink_sent", 0),
+            uplink_lost=faults.get("uplink_lost", 0),
+            uplink_delayed=faults.get("uplink_delayed", 0),
             uplink_in_flight=(
                 self.faults.uplink_in_flight if self.faults is not None else 0
             ),
-            downlink_lost=counters.downlink_lost if counters else 0,
-            downlink_delayed=counters.downlink_delayed if counters else 0,
-            admission_drops=sum(server.total_admission_dropped for server in servers),
+            downlink_lost=faults.get("downlink_lost", 0),
+            downlink_delayed=faults.get("downlink_delayed", 0),
+            admission_drops=sum(server.counts.shed for server in servers),
             updates_discarded=sum(server.table.updates_discarded for server in servers),
-            slow_ticks=counters.slow_ticks if counters else 0,
+            slow_ticks=faults.get("slow_ticks", 0),
             active_nodes=(
                 int(active.sum()) if active is not None else self.n_nodes
             ),

@@ -46,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Coroutine
 
 import numpy as np
@@ -55,6 +55,7 @@ from repro import sanitize, timing
 from repro.core import LiraConfig
 from repro.core.plan import PlanDelta, SheddingPlan
 from repro.core.reduction import AnalyticReduction, ReductionFunction
+from repro.counters import Counters
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
@@ -212,35 +213,6 @@ class _Subscriber:
     epoch: int | None = None
 
 
-@dataclass
-class ServiceCounters:
-    """Monotonic service-level accounting (wire activity, not queue state)."""
-
-    ingest_frames: int = 0
-    reports_received: int = 0
-    acks_sent: int = 0
-    #: ``acks_sent`` split by who wrote the ack: an ingest dispatch (the
-    #: frame's own or a later arrival's drain) or the timer pump.  Mostly
-    #: deferred means ingest latency is bound by the pump period or a backlog.
-    acks_inline: int = 0
-    acks_deferred: int = 0
-    #: Pumps the timer ran (replayed ticks excluded): none while idle.
-    timer_pumps: int = 0
-    plans_computed: int = 0
-    plans_pushed: int = 0
-    #: Of ``plans_pushed``, how many went out as compact delta frames.
-    delta_plans_pushed: int = 0
-    #: Pushes skipped because the subscriber's content was unchanged.
-    plan_pushes_skipped: int = 0
-    #: Pushes withheld from a subscriber over ``SEND_BUDGET_BYTES``.
-    plan_pushes_dropped: int = 0
-    #: Plan/delta frame encodings (≤ once per kind per installed plan,
-    #: regardless of subscriber count).
-    plan_frames_encoded: int = 0
-    protocol_errors: int = 0
-    protocol_errors_by_reason: dict[str, int] = field(default_factory=dict)
-
-
 #: The arrays of an ingest frame and the shape of one report in each;
 #: ``times`` is optional.
 _INGEST_ARRAYS = {"node_ids": (), "positions": (2,), "velocities": (2,), "times": ()}
@@ -333,7 +305,36 @@ class LiraService:
         self.network = self.shard.network
         self.shedder.throtloop.utilization_target = UTILIZATION_TARGET
         self.shedder.throtloop.smoothing = THROTTLE_SMOOTHING
-        self.counters = ServiceCounters()
+        #: Monotonic service-level accounting (wire activity, not queue state).
+        self.counters = Counters(
+            "ingest_frames",
+            "reports_received",
+            # acks_sent split by who wrote the ack: an ingest dispatch (the
+            # frame's own or a later arrival's drain) or the timer pump.
+            # Mostly deferred means ingest latency is bound by the pump
+            # period or a backlog.
+            "acks_sent",
+            "acks_inline",
+            "acks_deferred",
+            # Pumps the timer ran (replayed ticks excluded): none while idle.
+            "timer_pumps",
+            "protocol_errors",
+            "plans_computed",
+            "plans_pushed",
+            # Of plans_pushed, how many went out as compact delta frames.
+            "delta_plans_pushed",
+            # Pushes skipped because the subscriber's content was unchanged.
+            "plan_pushes_skipped",
+            # Pushes withheld from a subscriber over SEND_BUDGET_BYTES.
+            "plan_pushes_dropped",
+            # Plan/delta frame encodings (at most once per kind per
+            # installed plan, regardless of subscriber count).
+            "plan_frames_encoded",
+        )
+        self.protocol_errors_by_reason: dict[str, int] = {}
+        # (lifetime_enqueued, lifetime_dropped) of the queue at the last
+        # adapt_once: what ``period_drop_rate`` differences against.
+        self._drop_mark = (0, 0)
         self.plan_generated_t = 0.0
         # Delta-broadcast state of the last install: the delta that
         # carried the previous plan to the current one (None = full
@@ -470,6 +471,8 @@ class LiraService:
         self._replay_skipped_ticks(now)
         plan, delta, delivered = self.shard.control_step(*self._believed(now), now)
         self.counters.plans_computed += 1
+        queue = self.server.queue
+        self._drop_mark = (queue.lifetime_enqueued, queue.lifetime_dropped)
         # Unchanged content (nothing installed): the network and every
         # subscriber already hold it — nothing to push.
         self._plan_dirty = delivered is not None
@@ -517,26 +520,14 @@ class LiraService:
             "queue_length": len(queue),
             "queue_capacity": queue.capacity,
             "drop_rate": queue.drop_rate(),
-            "period_drop_rate": queue.period_drop_rate(),
+            "period_drop_rate": queue.drop_rate(self._drop_mark),
             "lifetime_enqueued": queue.lifetime_enqueued,
             "lifetime_dropped": queue.lifetime_dropped,
             "lifetime_dequeued": queue.lifetime_dequeued,
             "updates_applied": table.updates_applied,
             "updates_discarded": table.updates_discarded,
-            "ingest_frames": self.counters.ingest_frames,
-            "reports_received": self.counters.reports_received,
-            "acks_sent": self.counters.acks_sent,
-            "acks_inline": self.counters.acks_inline,
-            "acks_deferred": self.counters.acks_deferred,
-            "timer_pumps": self.counters.timer_pumps,
-            "protocol_errors": self.counters.protocol_errors,
-            "protocol_errors_by_reason": dict(self.counters.protocol_errors_by_reason),
-            "plans_computed": self.counters.plans_computed,
-            "plans_pushed": self.counters.plans_pushed,
-            "delta_plans_pushed": self.counters.delta_plans_pushed,
-            "plan_pushes_skipped": self.counters.plan_pushes_skipped,
-            "plan_pushes_dropped": self.counters.plan_pushes_dropped,
-            "plan_frames_encoded": self.counters.plan_frames_encoded,
+            **self.counters.snapshot(),
+            "protocol_errors_by_reason": dict(self.protocol_errors_by_reason),
             "plan_epoch": self.plan.epoch if self.plan is not None else 0,
             "plan_broadcast_bytes": self.network.total_broadcast_bytes,
             "subscribers": len(self._subscribers),
@@ -755,7 +746,7 @@ class LiraService:
     def _protocol_error(self, writer: asyncio.StreamWriter, reason: str, message: str) -> None:
         """Count a refused frame by reason and tell the peer why."""
         self.counters.protocol_errors += 1
-        by_reason = self.counters.protocol_errors_by_reason
+        by_reason = self.protocol_errors_by_reason
         by_reason[reason] = by_reason.get(reason, 0) + 1
         writer.write(encode_frame("error", {"message": message}))
 

@@ -4,14 +4,12 @@ from repro.shedding.lira import LiraPolicy
 from repro.shedding.lira_grid import LiraGridPolicy
 from repro.shedding.policy import SheddingPolicy
 from repro.shedding.random_drop import RandomDropPolicy
-from repro.shedding.safe_region import SafeRegionPolicy
 from repro.shedding.uniform import UniformDeltaPolicy
 
 __all__ = [
     "LiraGridPolicy",
     "LiraPolicy",
     "RandomDropPolicy",
-    "SafeRegionPolicy",
     "SheddingPolicy",
     "UniformDeltaPolicy",
 ]

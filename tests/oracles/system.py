@@ -32,7 +32,6 @@ from repro.queries import RangeQuery
 from repro.server.base_station import place_uniform_stations
 from repro.server.cq_server import MobileCQServer
 from repro.server.protocol import BaseStationNetwork, RegionSubset
-from repro.server.queue import _drop_fraction
 from repro.server.system import SystemStats
 
 from tests.oracles.gridreduce import reference_plan
@@ -215,6 +214,14 @@ class ObjectNodeEngine:
         )
 
 
+def _drop_fraction(enqueued: int, dropped: int) -> float:
+    """``dropped / (enqueued + dropped)``, 0.0 when nothing arrived."""
+    arrivals = enqueued + dropped
+    if arrivals == 0:
+        return 0.0
+    return dropped / arrivals
+
+
 class BoundedQueue:
     """A FIFO queue with a hard capacity and drop accounting."""
 
@@ -324,8 +331,7 @@ class MessageCQServer(MobileCQServer):
         admitted = 0
         for k, node_id in enumerate(node_ids):
             if admitted_mask is not None and not admitted_mask[k]:
-                self._period_shed += 1
-                self.total_admission_dropped += 1
+                self.counts.shed += 1
                 continue
             message = UpdateMessage(
                 time=float(times[k]) if times is not None else t,
@@ -337,7 +343,9 @@ class MessageCQServer(MobileCQServer):
             )
             if self.queue.offer(message):
                 admitted += 1
-        self._period_arrivals += len(node_ids)
+            else:
+                self.counts.dropped += 1
+        self.counts.arrivals += len(node_ids)
         return admitted
 
     def process(self, dt: float, rate_factor: float = 1.0) -> int:
@@ -358,7 +366,7 @@ class MessageCQServer(MobileCQServer):
                     self.stats_grid.ingest_update(
                         m.x, m.y, float(np.hypot(m.vx, m.vy))
                     )
-        self._period_processed += len(batch)
+        self.counts.processed += len(batch)
         self._period_time += dt
         return len(batch)
 
@@ -502,7 +510,7 @@ class ReferenceLiraSystem:
             uplink_in_flight=faults.uplink_in_flight if faults is not None else 0,
             downlink_lost=counters.downlink_lost if counters else 0,
             downlink_delayed=counters.downlink_delayed if counters else 0,
-            admission_drops=self.server.total_admission_dropped,
+            admission_drops=self.server.counts.shed,
             updates_discarded=self.server.table.updates_discarded,
             slow_ticks=counters.slow_ticks if counters else 0,
             active_nodes=(

@@ -237,9 +237,9 @@ def _horizon_state(horizon):
     return (
         horizon.depth,
         horizon.last_columns,
-        horizon.table_entries,
-        horizon.head_entries,
-        horizon.retries,
+        horizon.counts.table_entries,
+        horizon.counts.head_entries,
+        horizon.counts.horizon_retries,
     )
 
 
@@ -367,9 +367,9 @@ class TestHorizonCounters:
         horizon = GreedyHorizon()
         got = greedy_increment(regions, reduction, 0.95, horizon=horizon)
         assert_results_identical(greedy_increment_reference(regions, reduction, 0.95), got)
-        assert horizon.retries == 0
+        assert horizon.counts.horizon_retries == 0
         assert horizon.last_columns == _MIN_HORIZON
-        assert horizon.table_entries == len(regions) * _MIN_HORIZON
+        assert horizon.counts.table_entries == len(regions) * _MIN_HORIZON
         assert 1 <= horizon.depth < _MIN_HORIZON
 
     def test_deep_budget_retries_once_then_learns(self):
@@ -379,14 +379,14 @@ class TestHorizonCounters:
         ref = greedy_increment_reference(regions, reduction, 0.3)
         got = greedy_increment(regions, reduction, 0.3, horizon=horizon)
         assert_results_identical(ref, got)
-        assert (horizon.retries, horizon.last_columns) == (1, kappa)
-        assert horizon.table_entries == len(regions) * (_MIN_HORIZON + kappa)
+        assert (horizon.counts.horizon_retries, horizon.last_columns) == (1, kappa)
+        assert horizon.counts.table_entries == len(regions) * (_MIN_HORIZON + kappa)
         learned = horizon.depth
         assert _MIN_HORIZON <= learned < kappa // 2
         # The learned depth proves the next solve without a retry.
         got = greedy_increment(regions, reduction, 0.3, horizon=horizon)
         assert_results_identical(ref, got)
-        assert (horizon.retries, horizon.last_columns) == (1, 2 * learned)
+        assert (horizon.counts.horizon_retries, horizon.last_columns) == (1, 2 * learned)
         assert horizon.depth == learned
 
     def test_zero_mass_regions_ride_the_head_block(self):
@@ -402,9 +402,9 @@ class TestHorizonCounters:
                 regions, reduction, 0.6, fairness=fairness, horizon=horizon
             )
             assert_results_identical(ref, got, f"fairness {fairness}")
-            assert horizon.retries == 0
-            assert horizon.head_entries == 6 * 40
-            assert horizon.table_entries == sorted_entries
+            assert horizon.counts.horizon_retries == 0
+            assert horizon.counts.head_entries == 6 * 40
+            assert horizon.counts.table_entries == sorted_entries
 
     def test_a_query_free_child_rides_the_head_not_full_kappa(self):
         """A stacked row with one query-free child pops that child's κ
@@ -428,9 +428,9 @@ class TestHorizonCounters:
             )
             assert_results_identical(ref, batch[p], f"row {p}")
         assert batch[0].thresholds[3] == reduction.delta_max
-        assert (horizon.head_entries, horizon.table_entries, horizon.retries) == (
-            40, (3 + 4) * _MIN_HORIZON, 0,
-        )
+        assert horizon.counts.snapshot() == {
+            "table_entries": (3 + 4) * _MIN_HORIZON, "head_entries": 40, "horizon_retries": 0,
+        }
 
     def test_a_hint_from_nowhere_costs_a_retry_never_a_result(self):
         regions, reduction = self._regions(), _convex_reduction()
@@ -439,4 +439,4 @@ class TestHorizonCounters:
             horizon = GreedyHorizon(depth=depth)
             got = greedy_increment(regions, reduction, 0.3, horizon=horizon)
             assert_results_identical(ref, got, f"depth {depth}")
-            assert horizon.retries == (depth < 8)
+            assert horizon.counts.horizon_retries == (depth < 8)

@@ -241,7 +241,7 @@ class TestGainKernelCalls:
         cache = IncrementalGridReduceCache()
         first = _reduce(hierarchy, 0.5, cache=cache)
         assert first.expansions == 83
-        assert 0 < cache.kernel_calls <= 25
+        assert 0 < cache.counts.gain_kernel_calls <= 25
         # Speculation stays a small share of the rows scored: every
         # pushed node (none is a leaf at this l) plus the wasted ones.
         assert cache.misses <= 1.25 * len(cache.trajectory.scored)
@@ -255,7 +255,8 @@ class TestGainKernelCalls:
         )
         uncached = _reduce(hierarchy, 0.5)
         assert uncached.regions == first.regions
-        assert (len(calls), sum(calls)) == (cache.kernel_calls, cache.rows_solved)
+        counts = cache.counts
+        assert (len(calls), sum(calls)) == (counts.gain_kernel_calls, counts.gain_rows_solved)
 
     def test_full_churn_round_with_z_step_call_budget(self):
         from repro.core.incremental import IncrementalGridReduceCache
@@ -394,7 +395,7 @@ def test_patch_drift_round_saves_gain_rows_and_broadcast_bytes():
             steady_rows.append(last["last_round_gain_rows_solved"])
             cold = IncrementalGridReduceCache()
             _reduce(RegionHierarchy(grid), 0.6, cache=cold)
-            cold_rows.append(cold.rows_solved)
+            cold_rows.append(cold.counts.gain_rows_solved)
     assert median(cold_rows) >= 4 * median(steady_rows) > 0  # 311 vs 45
     full_bytes = pushed.total_broadcast_bytes - warm_bytes[0]
     delta_bytes = patched.total_broadcast_bytes - warm_bytes[1]

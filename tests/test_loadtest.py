@@ -199,3 +199,29 @@ class TestLiveRuns:
         assert not random_drop.ingest_slo.ok
         assert random_drop.ingest.p50 >= 0.8 * 160 / 400.0
         assert random_drop.ingest.p99 >= 2 * lira.ingest.p99
+
+
+class TestCheckExitCode:
+    """``--check`` fails on a violated SLO and on any refused frame."""
+
+    @pytest.mark.parametrize(
+        ("slo_ok", "protocol_errors", "check", "code"),
+        [
+            (True, 0, True, 0),
+            (False, 0, True, 1),
+            (True, 1, True, 1),
+            (True, 1, False, 0),
+        ],
+    )
+    def test_exit_code(self, monkeypatch, capsys, slo_ok, protocol_errors, check, code):
+        from repro.loadtest import __main__ as cli
+
+        async def fake_run(args):
+            return {
+                "ingest_slo": {"ok": slo_ok},
+                "server_stats": {"protocol_errors": protocol_errors},
+            }
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert cli.main(["--port", "1"] + ["--check"] * check) == code
+        assert '"protocol_errors"' in capsys.readouterr().out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geo import Point
-from repro.motion import (
+from repro.motion.models import (
     ModelDrivenTracker,
     SecondOrderMotionModel,
     compare_update_volume,

@@ -1133,26 +1133,10 @@ class TestArrayBoundedQueue:
                 assert pos_b[k, 1] == msg.y
                 assert vel_b[k, 0] == msg.vx
                 assert vel_b[k, 1] == msg.vy
-        assert batched.total_enqueued == scalar.total_enqueued
-        assert batched.total_dropped == scalar.total_dropped
-        assert batched.total_dequeued == scalar.total_dequeued
         assert batched.lifetime_enqueued == scalar.lifetime_enqueued
         assert batched.lifetime_dropped == scalar.lifetime_dropped
+        assert batched.lifetime_dequeued == scalar.lifetime_dequeued
         assert batched.drop_rate() == scalar.drop_rate()
-
-    def test_reset_counters_preserves_lifetime(self):
-        rng = np.random.default_rng(6)
-        q = ArrayBoundedQueue(capacity=16)
-        for times, ids, pos, vel in _batches(rng, 4):
-            q.offer_arrays(times, ids, pos, vel)
-        lifetime = q.lifetime_enqueued
-        dropped = q.lifetime_dropped
-        q.reset_counters()
-        assert q.total_enqueued == 0
-        assert q.total_dropped == 0
-        assert q.total_dequeued == 0
-        assert q.lifetime_enqueued == lifetime
-        assert q.lifetime_dropped == dropped
 
     def test_empty_poll_shapes(self):
         q = ArrayBoundedQueue(capacity=4)

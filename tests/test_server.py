@@ -100,21 +100,22 @@ class TestBoundedQueue:
         assert q.period_drop_rate() == 0.0  # the per-period view
 
     def test_array_queue_drop_rate_survives_counter_reset(self):
-        """The SoA queue mirrors the lifetime-derived drop_rate()."""
+        """The SoA queue's drop_rate() reads its monotonic counts: all
+        arrivals by default, or those since a ``(lifetime_enqueued,
+        lifetime_dropped)`` mark — a period never resets the counts."""
         q = ArrayBoundedQueue(1)
         q.offer_arrays(
             np.zeros(2), np.arange(2), np.zeros((2, 2)), np.zeros((2, 2))
         )  # 1 fits, 1 drops
         assert q.drop_rate() == pytest.approx(0.5)
-        q.reset_counters()
-        assert q.drop_rate() == pytest.approx(0.5)
-        assert q.period_drop_rate() == 0.0
+        mark = (q.lifetime_enqueued, q.lifetime_dropped)
+        assert q.drop_rate(mark) == 0.0  # nothing arrived since the mark
         q.poll_arrays(1)
         q.offer_arrays(
             np.zeros(1), np.arange(1), np.zeros((1, 2)), np.zeros((1, 2))
         )
         assert q.drop_rate() == pytest.approx(1 / 3)
-        assert q.period_drop_rate() == 0.0
+        assert q.drop_rate(mark) == 0.0
 
 
 class TestBaseStations:
@@ -208,7 +209,7 @@ class TestMobileCQServer:
         vel = np.zeros((4, 2))
         admitted = server.receive_reports(0.0, ids, pos, vel)
         assert admitted == 2
-        assert server.queue.total_dropped == 2
+        assert server.queue.lifetime_dropped == 2
 
     def test_service_rate_limits_throughput(self):
         server = self._server(service_rate=2.0, capacity=10)
@@ -283,18 +284,17 @@ class TestMobileCQServer:
         assert negative.utilization == float("inf")
 
     def test_period_drops_survive_queue_counter_reset(self):
-        """Satellite regression: period drop accounting is derived from
-        the queue's monotonic lifetime counter, so zeroing the queue's
-        resettable counters mid-period cannot under-report drops."""
+        """Satellite regression: a period's drops are a difference of
+        monotonic counts, so they add up across batches and the next
+        period starts from the mark the last one closed at."""
         server = self._server(service_rate=1.0, capacity=2, n_nodes=8)
         ids = np.arange(4)
         server.receive_reports(0.0, ids, np.zeros((4, 2)), np.zeros((4, 2)))
-        assert server.queue.total_dropped == 2
-        server.queue.reset_counters()  # external reset mid-period
+        assert server.queue.lifetime_dropped == 2
         server.receive_reports(1.0, ids + 4, np.zeros((4, 2)), np.zeros((4, 2)))
         server.process(1.0)
         m = server.take_load_measurement()
-        assert m.dropped == 6  # 2 before the reset + 4 after
+        assert m.dropped == 6  # 2 from the first batch + 4 from the second
         # The next period starts from a clean mark.
         assert server.take_load_measurement().dropped == 0
 
@@ -316,7 +316,7 @@ class TestMobileCQServer:
         assert m.arrivals == 100
         assert m.shed == 100 - admitted
         assert m.dropped == 0
-        assert server.total_admission_dropped == m.shed
+        assert server.counts.shed == m.shed
         assert 10 < admitted < 60  # ~Binomial(100, 0.3)
 
     def test_admission_fraction_requires_rng(self):

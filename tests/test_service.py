@@ -360,7 +360,7 @@ class TestIngestValidation:
         for _ in range(2):
             service._dispatch(ingest_frame(*make_batch(4), payload=np.zeros(1)), writer)
         assert service.counters.protocol_errors == 3
-        assert service.counters.protocol_errors_by_reason == {"unknown-kind": 1, "unknown-array": 2}
+        assert service.protocol_errors_by_reason == {"unknown-kind": 1, "unknown-array": 2}
 
 
 def root_buffer(array: np.ndarray):
@@ -646,6 +646,7 @@ class TestArrivalDrivenDrain:
         assert counters.timer_pumps <= 48 - 15 and max(parked.replayed) >= 4
         assert len(parked.measured) == 2 and parked.trail[-1]["queue"][2] > 0
         assert counters.acks_deferred > 0 and counters.acks_inline > 0
+        assert counters.acks_sent == counters.acks_inline + counters.acks_deferred
         assert sum(m.period for m in parked.measured) == 45 * TICK
         if slowdown_prob:
             assert 0 < parked.service.faults.counters.slow_ticks
@@ -710,6 +711,56 @@ class TestAdaptation:
         service = make_service()
         assert service.shedder.throtloop.target_utilization == pytest.approx(0.8)
         assert service.shedder.throtloop.smoothing == pytest.approx(0.5)
+
+
+#: The ``stats`` reply's keys: a reply may add keys, never drop one.
+STATS_KEYS = frozenset({
+    "acks_deferred", "acks_inline", "acks_sent", "delta_plans_pushed", "drop_rate",
+    "gain_head_entries", "gain_horizon_retries", "gain_kernel_calls", "gain_rows_solved",
+    "gain_table_entries", "greedy_head_entries", "greedy_horizon", "greedy_horizon_retries",
+    "greedy_table_entries", "ingest_frames", "last_round_gain_head_entries",
+    "last_round_gain_horizon_retries", "last_round_gain_kernel_calls",
+    "last_round_gain_rows_solved", "last_round_gain_table_entries",
+    "last_round_greedy_head_entries", "last_round_greedy_horizon_retries",
+    "last_round_greedy_table_entries", "last_round_memo_hits", "last_round_memo_misses",
+    "lifetime_dequeued", "lifetime_dropped", "lifetime_enqueued", "memo_hits", "memo_misses",
+    "period_drop_rate", "plan_broadcast_bytes", "plan_epoch", "plan_frames_encoded",
+    "plan_pushes_dropped", "plan_pushes_skipped", "plan_regions", "plan_version",
+    "plans_computed", "plans_pushed", "policy", "protocol_errors",
+    "protocol_errors_by_reason", "queue_capacity", "queue_length", "reports_received",
+    "service_rate", "subscribers", "timer_pumps", "updates_applied", "updates_discarded", "z",
+})
+
+
+class TestStatsReply:
+    def test_reply_keeps_every_pinned_key(self):
+        assert len(STATS_KEYS) == 52
+        service = make_service()
+        assert service.stats_meta().keys() >= STATS_KEYS
+        service.adapt_once()
+        assert service.stats_meta().keys() >= STATS_KEYS
+
+    def test_period_drop_rate_covers_the_arrivals_since_the_last_adapt(self):
+        clock = ManualClock(start=100.0)
+        service = make_service(service_rate=100.0, queue_capacity=50, clock=clock)
+        ids, pos, vel = make_batch(32)
+        # An overloaded round: 64 arrivals into 50 slots.
+        for _ in range(2):
+            service.apply_ingest(clock(), ids, pos, vel)
+        stats = service.stats_meta()
+        assert stats["period_drop_rate"] == stats["drop_rate"] == 14 / 64
+        service.adapt_once()
+        # A drop-free round: the queue drains, then 5 reports all fit.
+        clock.advance(1.0)
+        service.pump_once(1.0)
+        service.apply_ingest(clock(), *make_batch(5, seed=1))
+        stats = service.stats_meta()
+        assert stats["period_drop_rate"] == 0.0
+        assert stats["drop_rate"] == 14 / 69
+        service.adapt_once()
+        service.apply_ingest(clock(), ids, pos, vel)
+        service.apply_ingest(clock(), ids, pos, vel)
+        assert service.stats_meta()["period_drop_rate"] == 19 / 64
 
 
 class TestControlStepIsTheLoops:
@@ -1058,7 +1109,7 @@ class TestSocketProtocol:
                 err = await asyncio.wait_for(read_frame(reader), timeout=5.0)
                 assert err.kind == "error" and "magic" in err.meta["message"]
                 assert await asyncio.wait_for(read_frame(reader), timeout=5.0) is None
-                assert service.counters.protocol_errors_by_reason == {"bad-frame": 1}
+                assert service.protocol_errors_by_reason == {"bad-frame": 1}
                 assert service.counters.ingest_frames == 1
                 writer.close()
                 return _PREFIX.unpack_from(payload)[2]
@@ -1274,3 +1325,17 @@ def test_service_import_does_not_load_the_history_extension():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_service_import_loads_no_extension_module():
+    """The extensions are imported by their experiments, not by the
+    package re-exports the service reaches."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    extensions = ("repro.index.tpr_tree", "repro.motion.models", "repro.shedding.safe_region")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import repro.service; "
+        f"print([m for m in {extensions!r} if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

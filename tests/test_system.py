@@ -127,7 +127,7 @@ class TestBootstrap:
         assert system.server.table.known_mask.all()
         assert system.history.total_reports == small_trace.num_nodes
         # Nothing went through the bounded queue.
-        assert system.server.queue.total_enqueued == 0
+        assert system.server.queue.lifetime_enqueued == 0
 
     def test_first_tick_after_bootstrap_sends_little(self, small_trace):
         from repro.queries import RangeQuery

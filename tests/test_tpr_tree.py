@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo import Rect
-from repro.index import MovingObject, TPBR, TPRTree
+from repro.index.tpr_tree import MovingObject, TPBR, TPRTree
 
 
 def obj(object_id, x, y, vx=0.0, vy=0.0, time=0.0) -> MovingObject:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.geo import Rect
 from repro.queries import RangeQuery
-from repro.shedding import SafeRegionPolicy
+from repro.shedding.safe_region import SafeRegionPolicy
 from repro.shedding.safe_region import distance_to_rect_boundary
 
 
