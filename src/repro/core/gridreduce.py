@@ -163,25 +163,24 @@ def _group_coords(coords, leaf_level: int):
 
 def _score(
     hierarchy: RegionHierarchy,
-    cache: IncrementalGridReduceCache | None,
+    cache: IncrementalGridReduceCache,
     kernel,
     gains: dict[NodeCoord, float],
     coords,
 ) -> None:
     """Resolve the gains of ``coords`` into the per-call ``gains`` table.
 
-    With a ``cache``, clean nodes (gathered key bit-equal to the stored
-    one) read their memoized gain; dirty or never-seen nodes — all of
-    them without a cache — re-solve through ``kernel`` in one batched
-    call and refresh their memo rows.  Stale entries can never survive
-    a statistics change — the key *is* the gain's full input — so no
-    invalidation bookkeeping exists.
+    Clean nodes (gathered key bit-equal to the one ``cache`` stored)
+    read their memoized gain; dirty or never-seen nodes re-solve
+    through ``kernel`` in one batched call and refresh their memo rows.
+    Stale entries can never survive a statistics change — the key *is*
+    the gain's full input — so no invalidation bookkeeping exists.
     """
     misses, stores = [], []
     for level, ii, jj in _group_coords(coords, hierarchy.depth):
         keys = _gather_keys(hierarchy, level, ii, jj)
-        # ``None``: no memo, or level too deep for one — everything misses.
-        store = cache.level_store(level) if cache is not None else None
+        # ``None``: level too deep for a memo — everything misses.
+        store = cache.level_store(level)
         if store is not None:
             stored_keys, stored_gains, valid = store
             hit = valid[ii, jj] & (keys == stored_keys[ii, jj]).all(axis=1)
@@ -201,10 +200,9 @@ def _score(
     if not misses:
         return
     solved, rows = kernel(misses)
-    if cache is not None:
-        cache.counts.memo_misses += len(solved)
-        cache.counts.gain_kernel_calls += rows > 0
-        cache.counts.gain_rows_solved += rows
+    cache.counts.memo_misses += len(solved)
+    cache.counts.gain_kernel_calls += rows > 0
+    cache.counts.gain_rows_solved += rows
     offset = 0
     for (level, ii, jj, keys), store in zip(misses, stores):
         level_gains = solved[offset : offset + len(ii)]
@@ -271,36 +269,31 @@ def grid_reduce(
     bit-identical to the per-node reference
     (``tests/oracles/gridreduce.py``).
 
-    ``cache`` (incremental mode) memoizes per-node gains across calls,
-    keyed on each node's exact aggregate statistics, and uses the
-    previous run's heap push sequence as a *prefetch hint*: all of it
-    is scored up front in one batch — clean nodes hit the memo, dirty
-    ones re-solve together — so a round whose statistics drift only
-    touched a few hierarchy nodes re-solves GREEDYINCREMENT for those
-    nodes alone, and a round that dirtied everything (or moved ``z``,
-    which voids the gains but not the hint) still makes a handful of
-    kernel calls.  Results are bit-identical with and without a cache;
-    the caller must pass a cache dedicated to this (hierarchy,
-    reduction, increment, use_speed) combination.
+    ``cache`` memoizes per-node gains across calls, keyed on each
+    node's exact aggregate statistics, and uses the previous run's heap
+    push sequence as a *prefetch hint*: all of it is scored up front in
+    one batch — clean nodes hit the memo, dirty ones re-solve together
+    — so a round whose statistics drift only touched a few hierarchy
+    nodes re-solves GREEDYINCREMENT for those nodes alone, and a round
+    that dirtied everything (or moved ``z``, which voids the gains but
+    not the hint) still makes a handful of kernel calls.  The default,
+    a fresh cache per call, holds no gain and no hint: the from-scratch
+    run, and bit-identical to any cached one.  A cache passed in must
+    be dedicated to this (hierarchy, reduction, increment, use_speed)
+    combination.
     """
     if isinstance(reduction, PiecewiseLinearReduction) and increment is None:
         increment = reduction.segment_size
+    cache = IncrementalGridReduceCache() if cache is None else cache
     target = effective_region_count(l)
     depth = hierarchy.depth
     kernel = _coord_kernel(
-        z,
-        reduction,
-        _as_piecewise(reduction, increment),
-        use_speed,
-        cache.gain_horizon if cache is not None else GreedyHorizon(),
+        z, reduction, _as_piecewise(reduction, increment), use_speed, cache.gain_horizon
     )
 
     gains: dict[NodeCoord, float] = {}
-    hint: list[NodeCoord] = [(0, 0, 0)]
-    if cache is not None:
-        cache.begin_round(z)
-        if cache.trajectory is not None:
-            hint = cache.trajectory.scored
+    cache.begin_round(z)
+    hint = cache.trajectory.scored if cache.trajectory is not None else [(0, 0, 0)]
     _score(hierarchy, cache, kernel, gains, hint)
 
     # Heap entries are (-gain, push counter, level, i, j).
@@ -343,10 +336,7 @@ def grid_reduce(
             RegionStats(hierarchy.rect(level, i, j), n, m, s)
             for i, j, n, m, s in zip(ii, jj, *stats)
         ]
-    if cache is not None:
-        cache.trajectory = GridReduceTrajectory(
-            scored=scored, result=result, expansions=expansions
-        )
+    cache.trajectory = GridReduceTrajectory(scored=scored, result=result, expansions=expansions)
     return PartitioningResult(regions=regions, coords=result, expansions=expansions)
 
 

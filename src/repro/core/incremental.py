@@ -3,8 +3,9 @@
 LIRA's pitch is *lightweight* adaptivity: steady-state adaptation cost
 should track the drift in the statistics, not the domain size.  This
 module holds the state that survives between adaptation rounds and
-makes that possible while keeping the results bit-identical to the
-from-scratch path:
+makes that possible while keeping the results bit-identical to a
+round that starts from nothing (a fresh session, the from-scratch
+round):
 
 * :class:`IncrementalGridReduceCache` — per-node CALCERRGAIN gains
   memoized by quad-tree coordinate and *validated by value* against the
@@ -203,7 +204,8 @@ class IncrementalGridReduceCache:
 
 @dataclass
 class IncrementalAdaptSession:
-    """Between-round state owned by an incremental ``LiraLoadShedder``."""
+    """A ``LiraLoadShedder``'s adapt state: kept between rounds when
+    the shedder is incremental, fresh every round otherwise."""
 
     hierarchy: "RegionHierarchy | None" = None
     prev_n: np.ndarray | None = None

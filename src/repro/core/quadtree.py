@@ -132,7 +132,7 @@ class RegionHierarchy:
         """Total node count ``(4^(depth+1) − 1) / 3``."""
         return (4 ** (self.depth + 1) - 1) // 3
 
-    def refresh(self, grid: StatisticsGrid, dirty: np.ndarray) -> list[np.ndarray]:
+    def refresh(self, grid: StatisticsGrid, dirty: np.ndarray) -> None:
         """Recompute only the aggregates whose underlying cells changed.
 
         ``dirty`` is a boolean α×α mask over leaf cells whose statistics
@@ -143,31 +143,20 @@ class RegionHierarchy:
         so a refreshed hierarchy is bit-identical to
         ``RegionHierarchy(grid)`` as long as the clean cells really are
         unchanged.
-
-        Returns the per-level dirty masks (index 0 = the root level's
-        1x1 mask, index ``depth`` = ``dirty`` itself); incremental
-        GRIDREDUCE uses these to decide which memoized gains and cached
-        trajectories are still valid.
         """
         dirty = np.asarray(dirty, dtype=bool)
         if dirty.shape != (self.alpha, self.alpha):
             raise ValueError(
                 f"dirty mask shape {dirty.shape} != ({self.alpha}, {self.alpha})"
             )
-        masks: list[np.ndarray] = [np.zeros(0, dtype=bool)] * (self.depth + 1)
-        masks[self.depth] = dirty
         if dirty.any():
             self._n_levels[self.depth][dirty] = grid.n[dirty]
             self._m_levels[self.depth][dirty] = grid.m[dirty]
             self._s_levels[self.depth][dirty] = grid.s[dirty]
         for level in range(self.depth - 1, -1, -1):
-            child_dirty = masks[level + 1]
-            parent_dirty = (
-                (child_dirty[0::2, 0::2] | child_dirty[0::2, 1::2])
-                | child_dirty[1::2, 0::2]
-            ) | child_dirty[1::2, 1::2]
-            masks[level] = parent_dirty
-            ii, jj = np.nonzero(parent_dirty)
+            # This level's mask: a node is dirty if any child is.
+            dirty = dirty[0::2, 0::2] | dirty[0::2, 1::2] | dirty[1::2, 0::2] | dirty[1::2, 1::2]
+            ii, jj = np.nonzero(dirty)
             if ii.size == 0:
                 continue
             n_child = self._n_levels[level + 1]
@@ -193,7 +182,6 @@ class RegionHierarchy:
             self._n_levels[level][ii, jj] = n_parent
             self._m_levels[level][ii, jj] = m_parent
             self._s_levels[level][ii, jj] = s_parent
-        return masks
 
     def level_stats(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(n, m, s)`` statistic arrays of one level (2^d × 2^d).

@@ -49,13 +49,15 @@ class LiraLoadShedder:
             once into κ = ``config.n_segments`` linear segments of size
             c_Δ, the form under which GREEDYINCREMENT is optimal.
         queue_capacity: B for the embedded THROTLOOP controller.
-        incremental: keep cross-round state (hierarchy refresh, gain
-            memo, trajectory replay, greedy/plan reuse) so adaptation
-            cost tracks the statistics drift instead of the domain
-            size.  Plans are bit-identical to the from-scratch path;
-            additionally, a round whose inputs did not change returns
-            the *same plan object* and an unchanged epoch, letting
-            downstream broadcast layers skip or delta-encode the push.
+        incremental: keep :attr:`session` from round to round
+            (hierarchy refresh, gain memo, trajectory replay,
+            greedy/plan reuse) so adaptation cost tracks the statistics
+            drift instead of the domain size; a round whose inputs did
+            not change then returns the *same plan object* and an
+            unchanged epoch, letting downstream broadcast layers skip
+            or delta-encode the push.  ``False`` starts every round on
+            a fresh session, which carries nothing: the from-scratch
+            round.  Plans are bit-identical either way.
     """
 
     def __init__(
@@ -78,17 +80,10 @@ class LiraLoadShedder:
         self.throtloop = ThrotLoop(queue_capacity=queue_capacity, z=1.0)
         self._fixed_z: float | None = config.z
         self.last_report: AdaptationReport | None = None
-        self._session = IncrementalAdaptSession() if incremental else None
-
-    @property
-    def incremental(self) -> bool:
-        """Whether this shedder keeps cross-round incremental state."""
-        return self._session is not None
-
-    @property
-    def session(self) -> IncrementalAdaptSession | None:
-        """The incremental session state (diagnostics), if enabled."""
-        return self._session
+        self.incremental = incremental
+        #: The adapt rounds' state (and diagnostics): the last round's
+        #: session when ``incremental`` is off.
+        self.session = IncrementalAdaptSession()
 
     def use_adaptive_throttle(self) -> None:
         """Let THROTLOOP drive z instead of the configured constant."""
@@ -153,40 +148,10 @@ class LiraLoadShedder:
     def _compute_plan(
         self, grid: StatisticsGrid, z: float
     ) -> tuple[SheddingPlan, GreedyResult]:
-        """One partition + throttle solve; routes to the session if set."""
-        if self._session is not None:
-            return self._compute_plan_incremental(grid, z)
-        hierarchy = RegionHierarchy(grid)
-        partitioning = grid_reduce(
-            hierarchy,
-            self.config.l,
-            z,
-            self.reduction,
-            increment=self.config.increment,
-            use_speed=self.config.use_speed,
-        )
-        result = greedy_increment(
-            partitioning.regions,
-            self.reduction,
-            z,
-            increment=self.config.increment,
-            fairness=self.config.fairness,
-            use_speed=self.config.use_speed,
-        )
-        plan = SheddingPlan.from_regions(
-            bounds=grid.bounds,
-            regions=partitioning.regions,
-            thresholds=result.thresholds,
-            resolution=grid.alpha,
-        )
-        return plan, result
+        """One partition + throttle solve on :attr:`session`.
 
-    def _compute_plan_incremental(
-        self, grid: StatisticsGrid, z: float
-    ) -> tuple[SheddingPlan, GreedyResult]:
-        """The incremental adapt round — bit-identical to from-scratch.
-
-        Stages, each skipping work the drift did not invalidate:
+        Stages, each skipping work the drift since the session's last
+        round did not invalidate (a fresh session skips nothing):
 
         1. sparse hierarchy refresh over the exact changed-cell mask;
         2. GRIDREDUCE with the gain memo + trajectory replay cache;
@@ -196,8 +161,9 @@ class LiraLoadShedder:
            (epoch unchanged); same geometry → raster reuse with a new
            epoch; otherwise a full rebuild with a new epoch.
         """
-        session = self._session
-        assert session is not None
+        if not self.incremental:
+            self.session = IncrementalAdaptSession()
+        session = self.session
         dirty = session.dirty_mask(grid)
         if dirty is None:
             session.hierarchy = RegionHierarchy(grid)

@@ -211,9 +211,6 @@ class IncrementalCQEngine:
         """The current result set of one query."""
         return frozenset(self._results[query_id])
 
-    def all_results(self) -> dict[int, frozenset[int]]:
-        return {qid: frozenset(m) for qid, m in self._results.items()}
-
     def _scan_members(self, rect: Rect) -> set[int]:
         x, y = self._positions[:, 0], self._positions[:, 1]
         mask = (

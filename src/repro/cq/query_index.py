@@ -75,9 +75,6 @@ class QueryIndex:
     def get(self, query_id: int) -> RangeQuery:
         return self._queries[query_id]
 
-    def all_queries(self) -> list[RangeQuery]:
-        return list(self._queries.values())
-
     def queries_at(self, x: float, y: float) -> set[int]:
         """Ids of queries whose rectangle contains point ``(x, y)``."""
         i = int((x - self.bounds.x1) / self._cell_w)

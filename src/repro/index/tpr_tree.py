@@ -87,12 +87,6 @@ class TPBR:
             max(self.y1 + self.vy1 * dt, self.y2 + self.vy2 * dt),
         )
 
-    def area_at(self, t: float) -> float:
-        dt = max(0.0, t - self.time)
-        w = (self.x2 + self.vx2 * dt) - (self.x1 + self.vx1 * dt)
-        h = (self.y2 + self.vy2 * dt) - (self.y1 + self.vy1 * dt)
-        return max(w, 0.0) * max(h, 0.0)
-
     def integrated_area(self, t0: float, horizon: float) -> float:
         """Exact ``∫ area(t) dt`` over ``[t0, t0 + horizon]``.
 
@@ -239,10 +233,6 @@ class TPRTree:
                 else:
                     stack.append(entry.child)
         return result
-
-    def object_ids(self) -> list[int]:
-        """All indexed ids."""
-        return list(self._objects)
 
     def height(self) -> int:
         """Tree height (1 = a single leaf root)."""

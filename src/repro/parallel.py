@@ -1,9 +1,8 @@
 """Shared process-pool heuristics.
 
-Every pool user in this repository — the experiment sweep engine
-(:mod:`repro.experiments.runner`), the sharded systems loop
-(:mod:`repro.server.system`), and the lint driver
-(:mod:`repro.lint.engine`) — faces the same two questions: how many
+Both pool users in this repository — the experiment sweep engine
+(:mod:`repro.experiments.runner`) and the lint driver
+(:mod:`repro.lint.engine`) — face the same two questions: how many
 workers by default, and whether a pool can beat the serial loop at all.
 Answering them in one place keeps the fallback behaviour identical
 across seams (and keeps the single-core pessimization documented once).

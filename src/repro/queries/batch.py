@@ -129,10 +129,6 @@ class QueryEvalKernel:
             self.cells_per_side = 0
             self._bucket_offsets = None
 
-    @property
-    def num_queries(self) -> int:
-        return len(self.queries)
-
     # ------------------------------------------------------------------
     # Cell -> query inverted index
     # ------------------------------------------------------------------

@@ -105,7 +105,6 @@ class LiraShard:
         self.n_nodes = n_nodes
         self.config = config
         self.policy = policy
-        self.incremental = incremental
         self.network = (
             BaseStationNetwork(stations, downlink=downlink) if stations else None
         )
@@ -174,7 +173,8 @@ class LiraShard:
             )
             plan = self.shedder.adapt(grid)
         previous, delta = self.plan, None
-        if self.incremental and self.network.downlink is None and previous is not None:
+        faulty = self.network.downlink is not None
+        if self.shedder.incremental and not faulty and previous is not None:
             if previous is plan:
                 return plan, None, None
             delta = previous.diff(plan)

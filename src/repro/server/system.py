@@ -60,8 +60,11 @@ Faults
     (so nodes run with *stale* region subsets); the server may suffer
     transient service-rate dips; and nodes may churn.  With
     ``faults=None`` (or a null-spec injector) every code path is
-    bit-identical to the perfect lossless deployment.  Injection is
-    supported at ``n_shards=1``.
+    bit-identical to the perfect lossless deployment.  Injection works
+    at every K: the node side draws churn, the uplink and the service
+    factor once per tick, and every shard's network shares the one
+    injector as its downlink, drawn station by station as the shards
+    install their plans in ascending order.
 
 Runs are bit-reproducible per seed at every K: one process runs the
 node side once per tick and hands each shard its reports in shard
@@ -170,8 +173,7 @@ class LiraSystem:
 
     Args:
         faults: optional fault injector wrapped around the protocol
-            loop; ``None`` is the perfect channel.  A non-null spec with
-            ``n_shards > 1`` raises.
+            loop; ``None`` is the perfect channel.
         policy: ``"lira"`` (default) or ``"random-drop"`` — the latter
             runs the paper's uncontrolled regime through the same
             protocol stack: a trivial one-region plan at Δ⊢ and
@@ -216,17 +218,12 @@ class LiraSystem:
         self.queries = list(queries)
         self.policy = policy
         self.faults = faults
-        self.incremental = incremental
         self.n_shards = n_shards
         # A null-spec injector is contractually a no-op (every seam
         # passes batches through untouched), so the tick path skips the
         # fault seams entirely and only maintains the injector's O(1)
         # uplink bookkeeping — zero overhead versus ``faults=None``.
         inject = self._inject = faults is not None and not faults.spec.is_null
-        if inject and n_shards > 1:
-            raise NotImplementedError(
-                "fault injection is supported at n_shards=1 only"
-            )
         self._adaptive = adaptive_throttle
         station_list = place_uniform_stations(bounds, station_radius)
         #: Station→shard ownership; ``None`` when one shard owns them all.
@@ -403,8 +400,10 @@ class LiraSystem:
         active: np.ndarray | None = None
         rate_factor = 1.0
         if inject:
-            assert faults is not None and self.network is not None
-            self.network.deliver_pending(t)
+            assert faults is not None
+            for shard in self.shards:
+                if shard.network is not None:
+                    shard.network.deliver_pending(t)
             active = faults.churn_step(self.n_nodes)
             rate_factor = faults.service_factor(t)
         thresholds = self.node_engine.compute_thresholds(

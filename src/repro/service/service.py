@@ -507,12 +507,10 @@ class LiraService:
         """The ``stats`` frame payload: one consistent snapshot."""
         queue = self.server.queue
         table = self.server.table
-        session = self.shedder.session
-        assert session is not None  # the service's shard is incremental
         return {
             # Hinted vs cold GRIDREDUCE path at a glance: memo hits/misses,
             # gain-kernel calls and rows, lifetime and ``last_round_*``.
-            **session.gridreduce.counters(),
+            **self.shedder.session.gridreduce.counters(),
             "policy": self.policy,
             "z": self.shedder.current_z,
             "plan_version": self.network.version,

@@ -333,7 +333,7 @@ _BEHAVIOR_FIELDS = (
 )
 
 
-def _run_system(trace, queries, faults=None, policy="lira", service_rate=500.0):
+def _run_system(trace, queries, faults=None, policy="lira", service_rate=500.0, n_shards=1):
     system = LiraSystem(
         bounds=trace.bounds,
         n_nodes=trace.num_nodes,
@@ -347,6 +347,7 @@ def _run_system(trace, queries, faults=None, policy="lira", service_rate=500.0):
         faults=faults,
         policy=policy,
         policy_seed=3,
+        n_shards=n_shards,
     )
     system.bootstrap(trace.positions[0], trace.velocities[0])
     sent = []
@@ -406,28 +407,40 @@ class TestSystemGuarantees:
         for name in _BEHAVIOR_FIELDS:
             assert getattr(stats_a, name) == getattr(stats_b, name), name
 
-    def test_faulty_run_reproducible_per_seed(self, small_trace, queries):
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_faulty_run_reproducible_per_seed(self, small_trace, queries, n_shards):
+        """Every fault stream comes from the one injector, drawn in one
+        process in a fixed order (the downlink in ascending shard order),
+        so a seed fixes the run at every K, and every report sent is
+        accounted for from ``SystemStats`` alone."""
         spec = FaultSpec(
             uplink_loss=0.2,
             uplink_delay=0.15,
             uplink_reorder=0.3,
             downlink_loss=0.3,
+            downlink_delay=0.2,
             slowdown_prob=0.2,
             slowdown_duration=20.0,
             churn_leave=0.02,
         )
         runs = [
             _run_system(
-                small_trace, queries, faults=FaultInjector(spec, seed=42)
+                small_trace, queries, faults=FaultInjector(spec, seed=42), n_shards=n_shards
             )
             for _ in range(2)
         ]
         (sys_a, sent_a), (sys_b, sent_b) = runs
         assert sent_a == sent_b
-        assert sys_a.stats() == sys_b.stats()
+        stats = sys_a.stats()
+        assert stats == sys_b.stats()
         assert sys_a.faults.counters == sys_b.faults.counters
-        assert np.array_equal(
-            sys_a.server.table.predict(0.0), sys_b.server.table.predict(0.0), equal_nan=True
+        table_a, table_b = (s.shards[0].server.table for s in (sys_a, sys_b))
+        assert np.array_equal(table_a.predict(0.0), table_b.predict(0.0), equal_nan=True)
+        assert stats.uplink_lost > 0 and stats.downlink_lost > 0
+        assert stats.updates_sent == (
+            stats.updates_processed + stats.queue_length + stats.queue_drops
+            + stats.admission_drops + stats.updates_discarded + stats.updates_orphaned
+            + stats.uplink_lost + stats.uplink_in_flight
         )
 
     def test_different_seeds_diverge(self, small_trace, queries):

@@ -107,6 +107,24 @@ class TestIncrementalEquivalence:
             _assert_same_content(oracle, inc.adapt(grid))
             _drift(rng, positions, 0.05)
 
+    def test_round_that_forgets(self):
+        """``incremental=False`` runs every round on a fresh session: each
+        round ≡ the scalar oracle, and a repeated grid reuses nothing."""
+        rng, positions, speeds, queries = _scenario(5)
+        full, _ = _shedders(fairness=50.0)
+        for z in (0.5, 0.5, 0.3):
+            full.set_throttle_fraction(z)
+            grid = StatisticsGrid.from_snapshot(BOUNDS, 16, positions, speeds, queries)
+            plan = full.adapt(grid)
+            _assert_same_content(reference_plan(full.config, REDUCTION, grid, z), plan)
+            assert plan.epoch == 0
+            _drift(rng, positions, 0.05)
+        again = full.adapt(grid)
+        _assert_same_content(plan, again)
+        assert full.session.gridreduce.hits == 0
+        assert full.session.last_plan_reused is False
+        assert again.epoch == 0 and again is not plan
+
     def test_z_change_invalidates_memo(self):
         rng, positions, speeds, queries = _scenario(5)
         full, inc = _shedders(fairness=None)

@@ -3,9 +3,9 @@
 The contract under test is the one DESIGN.md §8 states: the degenerate
 partition ``LiraSystem(n_shards=1)`` is bit-identical to the per-node
 oracle loop (stats, plans, thresholds, query results — across fault
-regimes), and K>1 is bit-reproducible per seed with conserved node
-ownership and update accounting, and an exactly budget-sum-invariant
-coordinator.
+regimes), and K>1 is bit-reproducible per seed (under fault injection too) with
+conserved node ownership and update accounting, and an exactly
+budget-sum-invariant coordinator.
 """
 
 import hashlib
@@ -163,15 +163,6 @@ class TestK1BitIdentity:
         _drive_pair(ref, sharded, n_ticks=30, seed=5)
         assert ref.stats() == sharded.stats()
 
-    def test_faults_rejected_beyond_one_shard(self):
-        with pytest.raises(NotImplementedError):
-            LiraSystem(
-                Rect(0.0, 0.0, 100.0, 100.0), 10, [],
-                AnalyticReduction(5.0, 100.0),
-                faults=FaultInjector(FaultSpec(uplink_loss=0.5)),
-                n_shards=2,
-            )
-
 
 class TestMultiShardReproducibility:
     @pytest.mark.parametrize("n_shards", [2, 4])
@@ -228,6 +219,53 @@ class TestMultiShardReproducibility:
         assert digest.hexdigest() == (
             "6870727de507e6a2c3d20fbb3cd2c956afe2552433b9b43db411bca78aad7376"
         )
+
+    @pytest.mark.parametrize(
+        "n_shards, expected, digest",
+        [
+            (2, dict(
+                z=0.9263157894736828, queue_length=198, queue_drops=330,
+                updates_sent=1558, updates_processed=673, broadcast_bytes=5712,
+                uplink_sent=1158, uplink_lost=250, uplink_delayed=140,
+                uplink_in_flight=70, updates_discarded=1, cross_handoffs=113,
+                updates_orphaned=36,
+            ), "29167c69ef3267ce5b3fc4ee5a8735b1f1e10ff193f2e9cc33274f720da6be18"),
+            (4, dict(
+                z=0.9337423312883427, queue_length=142, queue_drops=159,
+                updates_sent=1574, updates_processed=902, broadcast_bytes=6192,
+                uplink_sent=1174, uplink_lost=254, uplink_delayed=146,
+                uplink_in_flight=77, updates_discarded=6, cross_handoffs=152,
+                updates_orphaned=34,
+            ), "6870727de507e6a2c3d20fbb3cd2c956afe2552433b9b43db411bca78aad7376"),
+        ],
+        ids=["2", "4"],
+    )
+    def test_faulty_bits_pinned_across_commits(self, n_shards, expected, digest):
+        """The same pin under every fault at once, on a scene whose
+        per-shard queues overflow (so the drops depend on K): the one
+        injector, drawn in ascending shard order, fixes the run."""
+        spec = FaultSpec(
+            uplink_loss=0.2, uplink_delay=0.15, uplink_reorder=0.3,
+            downlink_loss=0.3, downlink_delay=0.2,
+            slowdown_prob=0.2, slowdown_duration=20.0, churn_leave=0.02,
+        )
+        stats, results, _ = _drive_sharded(
+            _make_sharded(n_shards, service_rate=10.0, faults=FaultInjector(spec, seed=11))
+        )
+        assert vars(stats) == dict(
+            time=39.0, handoffs=189, plan_version=5, mean_plan_staleness=10.56,
+            stale_station_fraction=0.32, downlink_lost=32, downlink_delayed=20,
+            admission_drops=0, slow_ticks=35, active_nodes=366, **expected,
+        )
+        assert stats.updates_sent == (
+            stats.updates_processed + stats.queue_length + stats.queue_drops
+            + stats.admission_drops + stats.updates_discarded + stats.updates_orphaned
+            + stats.uplink_lost + stats.uplink_in_flight
+        )
+        hashed = hashlib.sha256()
+        for rows in results:
+            hashed.update(rows.astype(np.int64).tobytes() + b";")
+        assert hashed.hexdigest() == digest
 
     def test_orphaned_updates_are_accounted(self):
         """A backlogged shard still holds reports of nodes that hand off;
