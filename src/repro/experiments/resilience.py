@@ -66,13 +66,17 @@ def run_system(
     spec: FaultSpec | None = None,
     seed: int | None = None,
     max_ticks: int | None = None,
+    n_shards: int = 1,
 ) -> ResilienceRun:
     """Run one seeded systems-loop deployment and measure degradation.
 
     ``spec=None`` disables the fault layer entirely (the perfect
     channel, bit-identical to a system constructed without one).
     Errors are averaged over every tick after the first adaptation
-    period (bootstrap transients excluded).
+    period (bootstrap transients excluded).  With ``n_shards`` K > 1
+    every shard gets the service rate and queue capacity (K shards
+    provide K-fold capacity, as :class:`LiraSystem` documents), and the
+    peak queue is the fullest shard's.
     """
     scenario = scale.scenario()
     trace = scenario.trace
@@ -95,6 +99,7 @@ def run_system(
         faults=faults,
         policy=policy,
         policy_seed=scale.seed,
+        n_shards=n_shards,
     )
     system.bootstrap(trace.positions[0], trace.velocities[0])
     n_ticks = trace.num_ticks if max_ticks is None else min(max_ticks, trace.num_ticks)
@@ -108,7 +113,7 @@ def run_system(
         if tick % ADAPT_EVERY == 0:
             system.adapt(positions, trace.speeds(tick))
         system.tick(t, positions, trace.velocities[tick], trace.dt)
-        peak_queue = max(peak_queue, len(system.server.queue))
+        peak_queue = max(peak_queue, *(len(shard.server.queue) for shard in system.shards))
         if tick >= ADAPT_EVERY:
             shed_results = system.evaluate_queries(t)
             true_results = evaluate_queries(queries, positions)

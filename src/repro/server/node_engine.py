@@ -10,8 +10,9 @@ install counters) and answers both with two batched lookups per tick:
 1. **station assignment** via a precomputed two-level *candidate
    raster* over the monitoring bounds: each raster cell stores the
    small set of stations that could possibly serve any point inside
-   it, most cells exactly one, so only nodes near a real assignment
-   boundary pay an exact first-minimum over a handful of gathered
+   it, most cells exactly one, and a contested cell the winner proved on
+   each side of its boundary lines, so only nodes within a guard band of
+   a boundary pay an exact first-minimum over a handful of gathered
    candidates — nobody scans every station;
 2. **threshold lookup** via a *Δ image* on the same raster, one entry
    per (cell, candidate station): Δ is a property of a region, so an
@@ -37,6 +38,7 @@ default Δ⊢ exactly where the per-node path does.
 
 from __future__ import annotations
 
+import itertools
 from typing import Protocol
 
 import numpy as np
@@ -75,11 +77,15 @@ _REFINE = 5
 _EXACT = -1.0
 _SPLIT = -2.0
 
-#: Relative guard band of the resolve's squared-distance predicate: seven
-#: orders of magnitude above the <= 1-ulp error of ``hypot`` and the
-#: ~2-ulp error of ``dx*dx + dy*dy``; closer calls are left to ``hypot``.
-_GUARD = 1e-9
-_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+#: Half-width of the guard band round a contested cell's split lines, in
+#: pruning ε: a row closer than that to a line is left to the resolve.
+_BAND = 4.0
+
+#: Margin by which a split's winner must beat every other candidate, in
+#: units of the squared distances at play (both farthest corners plus the
+#: cell's diagonal): twenty times a crude bound, ≈ 400 · 2**-53, on the
+#: rounding of its evaluation and of the two ``hypot`` distances it orders.
+_MARGIN = 2.0**-40
 
 
 class StationAssigner:
@@ -90,7 +96,9 @@ class StationAssigner:
     no station fall back to the nearest station overall; distance ties
     resolve to the earliest station in list order (candidates are kept
     in list order and the resolve picks the first minimum, matching the
-    per-node path's ``min()``).
+    per-node path's ``min()``; distances are ``np.hypot``'s, and
+    ``station_for``'s ``math.hypot`` can round a near-tie within an ulp
+    the other way).
 
     The raster stores, per cell, every station that could be the winner
     for *some* point in the cell (see :meth:`_prune`).  It is built in
@@ -98,8 +106,9 @@ class StationAssigner:
     cell, and each contested coarse cell is split ``_REFINE`` x
     ``_REFINE`` and pruned again against its own few candidates only.
     Most positions then fall in a fine cell with a single candidate and
-    need no distance computation at all; only positions near a real
-    assignment boundary pay the exact resolve.  Positions outside the
+    need no distance computation at all, most of the rest read the
+    winner proved for their side of their cell (:meth:`_build_split`),
+    and only the few left pay the exact resolve.  Positions outside the
     raster bounds (rare; traces are generated inside them) are resolved
     against the full station list, so the assignment is exact
     everywhere.
@@ -121,11 +130,8 @@ class StationAssigner:
         self._cx = np.array([s.center.x for s in stations] + [np.inf])
         self._cy = np.array([s.center.y for s in stations] + [0.0])
         self._radius = np.array([s.radius for s in stations] + [-1.0])
-        # Squared radii shrunk / grown by the guard band; NaN, deciding
-        # nothing, for a radius whose square is near under- or overflow.
-        r = np.where((self._radius >= 1e-150) & (self._radius <= 1e150), self._radius, np.nan)
-        self._r2_in, self._r2_out = r * r * (1 - _GUARD), r * r * (1 + _GUARD)
-        #: Contested rows of the last :meth:`locate` that paid ``np.hypot``.
+        #: Contested rows of the last :meth:`locate` the split left to the
+        #: resolve, every one of which pays ``np.hypot``.
         self.last_hypot_rows = 0
         self.station_ids = np.array(
             [s.station_id for s in stations], dtype=np.int64
@@ -134,6 +140,7 @@ class StationAssigner:
         self._eps = _PRUNE_EPS * float(
             np.abs(np.concatenate((extent, self._cx[:-1], self._cy, self._radius))).max()
         )
+        self._band = _BAND * self._eps
         if resolution is None:
             resolution = int(np.clip(4 * np.ceil(np.sqrt(len(stations))), 8, 128))
         #: Coarse cells per axis; the lookup raster is ``_REFINE`` x finer.
@@ -157,6 +164,17 @@ class StationAssigner:
         self._entries = np.where(exists, np.cumsum(exists).reshape(exists.shape) - 1, -1)
         self.n_entries = int(exists.sum())
         self._slot_entries: dict[int, tuple[np.ndarray, ...]] = {}
+        #: The per-cell split (:meth:`_build_split`): each cell's boundary
+        #: lines, and per (cell, side) the proved winner's slot and entry;
+        #: -1 unproved, as in the spare last row that cell -1 reads.
+        size = self.fine_resolution**2
+        self._x_line, self._y_line = np.full((2, size + 1), np.nan)
+        self._split_slot, self._split_entry = np.full((2, size + 1, 4), -1, dtype=np.int32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(2, len(self._candidates) + 1):
+                cells = np.flatnonzero(self._n_candidates[:-1] == k)
+                if cells.size:
+                    self._build_split(cells, self._candidates[:k, cells])
 
     def _boxes(self, i: np.ndarray, j: np.ndarray, span: int) -> tuple[np.ndarray, ...]:
         """``(x1, y1, x2, y2)`` of the squares of ``span`` fine cells whose
@@ -228,6 +246,78 @@ class StationAssigner:
         table[:, fi, fj] = refined
         return table.reshape(len(refined), -1)
 
+    def _build_split(self, cells: np.ndarray, cand: np.ndarray) -> None:
+        """Prove, once, the winner on each side of the boundary lines of
+        contested ``cells`` (``cand``: their candidates, one count).
+
+        A cell's lines are the bisectors of its candidate pairs that are
+        axis-parallel (equal radius, one shared centre coordinate) and
+        cross the ε-grown cell: ``-inf`` is "none on this axis" (every
+        point is on the ``>=`` side), NaN on both axes "two differ, no
+        split".  Side ``2 * (x >= x_line) + (y >= y_line)`` owns the
+        ε-grown cell clipped to that side at half the band, and its
+        winner ``w`` (the nearest farthest corner) is proved only when
+        ``w`` covers all of it and, for every other candidate ``o``,
+        ``|p - o|² - |p - w|²`` exceeds the ``_MARGIN`` at the corner that
+        minimises it: there ``w`` is ``hypot``'s first minimum bit for
+        bit.  Every position :meth:`cells_of` maps to a cell lies within
+        ε of it, so a row farther than the band from both lines is in its
+        side's sub-box (DESIGN.md §5).  Arrays are (axis, ...), relative
+        to each cell's lower corner so large coordinates do not cancel.
+        """
+        n, eps, half = cells.size, self._eps, self._band / 2
+        i, j = np.divmod(cells, self.fine_resolution)
+        low = np.stack([self.bounds.x1 + i * self._cell_w, self.bounds.y1 + j * self._cell_h])
+        side_len = np.array([[self._cell_w], [self._cell_h]])
+        o = np.stack([self._cx[cand], self._cy[cand]]) - low[:, None]
+        a, b = np.array(list(itertools.combinations(range(len(cand)), 2))).T
+        apart = o[:, a] != o[:, b]
+        crossing = (self._radius[cand[a]] == self._radius[cand[b]]) & apart & ~apart[::-1]
+        mid = (o[:, a] + o[:, b]) / 2
+        crossing &= np.abs(mid - side_len[:, None] / 2) <= side_len[:, None] / 2 + eps
+        first = np.where(crossing, mid, np.inf).min(axis=1)
+        last = np.where(crossing, mid, -np.inf).max(axis=1)
+        # One line, none (-inf), or two that differ (NaN, on both axes).
+        lines = np.where(first >= last, last, np.nan)
+        lines[:, np.isnan(lines).any(axis=0)] = np.nan
+        self._x_line[cells], self._y_line[cells] = lines + low
+        # (axis, below the line / on or above it, cell) ranges; a side whose
+        # sub-box is empty is out of reach and stays unproved.  (A line
+        # lies within ε of the cell, so half the band clears the far edge.)
+        lo, hi = np.full((2, 2, n), -eps), np.empty((2, 2, n))
+        np.maximum(-eps, lines + half, out=lo[:, 1])
+        np.subtract(lines, half, out=hi[:, 0])
+        hi[:, 1] = side_len + eps
+        reach = lo <= hi
+        side, task = np.nonzero((reach[0][:, None] & reach[1][None]).reshape(4, n))
+        pick = np.stack([side >> 1, (side & 1) + 2]) * n + task
+        lo, hi = np.take(lo, pick)[:, None], np.take(hi, pick)[:, None]
+        # (axis, candidate, task) from here on.  A winner is nearer than any
+        # other candidate at every point, so it has the smallest farthest
+        # corner: the only candidate worth proving.
+        o = np.take(o, task, axis=2)
+        far = (np.maximum(o - lo, hi - o) ** 2).sum(axis=0)
+        far_w, win = far.min(axis=0), np.zeros(task.size, dtype=np.intp)
+        for row in range(len(cand) - 1, 0, -1):
+            win[far[row] == far_w] = row
+        at = win * task.size + np.arange(task.size)
+        # ``|p - o|² - |p - w|²`` is separable and linear per axis, each
+        # term ``g * (2u - w - o)`` with ``g = w - o``: its minimum over a
+        # range is its value at the centre less ``|g|`` times the width.
+        w = np.take(o.reshape(2, -1), at, axis=1)[:, None]
+        g = w - o
+        gain = (g * ((lo + hi - w) - o) - np.abs(g) * (hi - lo)).sum(axis=0)
+        scale = far_w + np.square(side_len + eps).sum()
+        beaten = gain > _MARGIN * (far + scale)
+        beaten.ravel()[at] = True
+        at = win * self._entries.shape[1] + cells[task]
+        winner = np.take(self._candidates, at)
+        cover = np.maximum(self._radius[winner] - eps, 0.0)
+        proved = beaten.all(axis=0) & (far_w < cover * cover)
+        flat = cells[task] * 4 + side
+        self._split_slot.ravel()[flat] = np.where(proved, winner, -1)
+        self._split_entry.ravel()[flat] = np.where(proved, np.take(self._entries, at), -1)
+
     def cells_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Flat fine-raster cell of each (in-bounds) position, in float and
         in place: an in-bounds quotient is >= 0, so ``trunc`` of it clamped
@@ -270,7 +360,6 @@ class StationAssigner:
         row among the cell's candidates (the cell itself where it has one
         candidate); positions outside the raster bounds get entry -1."""
         b = self.bounds
-        self.last_hypot_rows = 0
         if x.size == 0 or (
             x.min() >= b.x1 and x.max() <= b.x2 and y.min() >= b.y1 and y.max() <= b.y2
         ):
@@ -281,13 +370,28 @@ class StationAssigner:
             cells[inside] = self.cells_of(x[inside], y[inside])
         # Single-candidate cells need no distance computation at all:
         # the lone candidate wins whether or not it covers the point
-        # (nearest-covering and nearest-overall coincide).  Only the
-        # contested remainder pays the gather + resolve, each row on its
+        # (nearest-covering and nearest-overall coincide).  A contested
+        # row farther than the band from its cell's split lines reads its
+        # side's proved winner; the rest pay the resolve, each row on its
         # cell's own candidate count: columns are left-packed, so the
         # first k rows are exact (most contested cells have two).
         slots = self._single[cells]
         contested = np.flatnonzero(slots < 0)
         at = cells[contested]
+        dx = np.take(x, contested)
+        dx -= np.take(self._x_line, at)
+        dy = np.take(y, contested)
+        dy -= np.take(self._y_line, at)
+        flat = at * 4
+        flat += (dx >= 0) * 2
+        flat += dy >= 0
+        won = np.take(self._split_slot, flat)
+        band = self._band
+        left = np.flatnonzero(~((np.abs(dx) > band) & (np.abs(dy) > band) & (won >= 0)))
+        slots[contested] = won
+        cells[contested] = np.take(self._split_entry, flat)
+        contested, at = contested[left], at[left]
+        self.last_hypot_rows = int(contested.size)
         width = self._n_candidates[at]
         everyone = np.arange(len(self.stations))[:, None]
         for k in (0, *range(2, len(self._candidates) + 1)):
@@ -307,26 +411,13 @@ class StationAssigner:
     def _resolve(self, x: np.ndarray, y: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Row of the exact winner in each per-position candidate column:
         the first ``np.hypot`` minimum over the covering candidates, over
-        all of them where none covers.  Decided on the squares of the same
-        ``dx``, ``dy`` where every comparison clears the guard band on
-        finite, normal squares; the other rows pay ``hypot``."""
-        dx, dy = x - self._cx[cand], y - self._cy[cand]
-        cand = np.broadcast_to(cand, dx.shape)  # ``everyone`` is one column
-        with np.errstate(over="ignore"):
-            sq = dx * dx + dy * dy
-            covers = sq <= self._r2_in[cand]
-            sure = (covers | (sq >= self._r2_out[cand])) & (sq >= _TINY) & (sq <= _HUGE)
-            relevant = np.where(covers | ~covers.any(axis=0), sq, np.inf)
-            near = relevant <= relevant.min(axis=0) * (1 + _GUARD)
-        unsure = np.flatnonzero(~(sure.all(axis=0) & (near.sum(axis=0) == 1)))
-        if unsure.size:  # those columns take ``hypot``'s distances and covers
-            self.last_hypot_rows += unsure.size
-            d = np.hypot(dx[:, unsure], dy[:, unsure])
-            sq[:, unsure], covers[:, unsure] = d, d <= self._radius[cand[:, unsure]]
+        all of them where none covers."""
+        d = np.hypot(x - self._cx[cand], y - self._cy[cand])
+        covers = d <= self._radius[cand]
         if len(cand) == 2:  # most contested cells: elementwise, not down an axis
-            (d1, d2), (c1, c2) = sq, covers
+            (d1, d2), (c1, c2) = d, covers
             return np.where(c1 == c2, d2 < d1, c2).astype(np.intp)
-        return np.argmin(np.where(covers | ~covers.any(axis=0), sq, np.inf), axis=0)
+        return np.argmin(np.where(covers | ~covers.any(axis=0), d, np.inf), axis=0)
 
 
 class _ThresholdRaster:

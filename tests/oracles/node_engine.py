@@ -9,16 +9,16 @@ protocol state, with each raster built from scratch (no cache, no
 ``repaint``), so the image, its lazy per-slot painting and the raster
 reuse are all checked against it.
 
-``StationAssigner.locate`` decides most contested rows on squared
-distances.  :func:`hypot_locate` is the same walk with every contested row
-resolved by ``np.hypot`` (:func:`hypot_resolve`), and :func:`int_cells_of`
-the int64-cast cell index the float form of ``cells_of`` replaced.
+``StationAssigner.locate`` reads most contested rows from a per-cell split
+proved when the raster is built.  :func:`hypot_locate` is the same walk with
+that split table emptied, so every contested row takes the ``np.hypot``
+resolve, and :func:`int_cells_of` the int64-cast cell index the float form
+of ``cells_of`` replaced.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 
 import numpy as np
 
@@ -55,31 +55,14 @@ def full_gather_thresholds(
     return thresholds
 
 
-def hypot_resolve(
-    assigner: StationAssigner, x: np.ndarray, y: np.ndarray, cand: np.ndarray
-) -> np.ndarray:
-    """Row of the exact winner in each candidate column: the first
-    minimum of the ``hypot`` distances over the covering candidates, over
-    all of them where none covers."""
-    d = np.hypot(x - assigner._cx[cand], y - assigner._cy[cand])
-    covers = d <= assigner._radius[cand]
-    if len(cand) == 2:
-        (d1, d2), (c1, c2) = d, covers
-        return np.where(c1 == c2, d2 < d1, c2).astype(np.intp)
-    pick = np.argmin(np.where(covers, d, np.inf), axis=0)
-    uncovered = np.flatnonzero(~covers.any(axis=0))
-    if uncovered.size:
-        pick[uncovered] = np.argmin(d[:, uncovered], axis=0)
-    return pick
-
-
 def hypot_locate(
     assigner: StationAssigner, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``assigner.locate(x, y)`` with every contested row resolved by
-    :func:`hypot_resolve` (on a shallow copy: ``assigner`` is untouched)."""
+    """``assigner.locate(x, y)`` with no side of any cell proved, so every
+    contested row is resolved by ``np.hypot`` (on a shallow copy:
+    ``assigner`` is untouched)."""
     oracle = copy.copy(assigner)
-    oracle._resolve = functools.partial(hypot_resolve, assigner)
+    oracle._split_slot = np.full_like(assigner._split_slot, -1)
     return oracle.locate(x, y)
 
 

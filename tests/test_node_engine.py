@@ -202,10 +202,23 @@ def _on_the_boundaries(centers, radii, rng):
     return np.concatenate([centers, bisectors.reshape(-1, 2), circles.reshape(-1, 2)])
 
 
+def _spy_on_resolve(assigner, monkeypatch):
+    """The row counts of every call :meth:`StationAssigner.locate` makes
+    to its ``hypot`` resolve from now on."""
+    seen, resolve = [], assigner._resolve
+
+    def spy(x, y, cand):
+        seen.append(x.size)
+        return resolve(x, y, cand)
+
+    monkeypatch.setattr(assigner, "_resolve", spy)
+    return seen
+
+
 class TestFilteredResolve:
-    """``locate`` decides contested rows on squared distances and sends
-    every row it cannot decide safely to ``hypot``: its slots and entries
-    are the all-``hypot`` walk's, exactly."""
+    """``locate`` reads a contested row's winner from its cell's proved
+    split and sends every row the split leaves to the ``hypot`` resolve:
+    its slots and entries are the no-split walk's, exactly."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -272,10 +285,49 @@ class TestFilteredResolve:
         assert np.array_equal(entries, want_entries)
         assert 0 <= assigner.last_hypot_rows <= x.size
 
-    def test_contested_rows_rarely_pay_hypot(self):
+    def test_rows_inside_the_band_are_left_to_hypot(self):
+        """Just right of the bisector x = 0 of two stations 2 km apart the
+        right one is nearer, by less than ``hypot`` resolves below
+        x ≈ 10⁻¹³: those rows tie, and the tie goes to the first station."""
+        stations = [
+            BaseStation(station_id=1, center=Point(-1000.0, 0.0), radius=1500.0),
+            BaseStation(station_id=2, center=Point(1000.0, 0.0), radius=1500.0),
+        ]
+        assigner = StationAssigner(stations, Rect(-2000.0, -1000.0, 2000.0, 1000.0))
+        rng = np.random.default_rng(4)
+        x = np.concatenate([np.geomspace(1e-300, 2.0 * assigner._band, 400), [0.0]])
+        x = np.concatenate([x, -x])
+        y = rng.uniform(-1000.0, 1000.0, x.size)
+        slots, entries = assigner.locate(x.copy(), y.copy())
+        want_slots, want_entries = hypot_locate(assigner, x.copy(), y.copy())
+        assert (want_slots[x > 0] == 0).any() and (want_slots[x > 0] == 1).any()
+        assert np.array_equal(slots, want_slots)
+        assert np.array_equal(entries, want_entries)
+
+    def test_a_lead_below_rounding_is_not_proved(self):
+        """Twin stations 10⁻⁶ apart on one axis: past the band, the nearer
+        one leads by less than ``hypot`` resolves, so the split must leave
+        those rows to the resolve, whose tie goes to the first station."""
+        stations = [
+            BaseStation(station_id=1, center=Point(0.0, 0.0), radius=2000.0),
+            BaseStation(station_id=2, center=Point(1e-6, 0.0), radius=2000.0),
+        ]
+        bounds = Rect(-1000.0, -1000.0, 1000.0, 1000.0)
+        assigner = StationAssigner(stations, bounds)
+        rng = np.random.default_rng(3)
+        x = 5e-7 + np.geomspace(1.5, 50.0, 4000) * assigner._band
+        y = rng.uniform(-1000.0, 1000.0, x.size)
+        slots, entries = assigner.locate(x.copy(), y.copy())
+        want_slots, want_entries = hypot_locate(assigner, x.copy(), y.copy())
+        assert (want_slots == 0).any() and (want_slots == 1).any()
+        assert np.array_equal(slots, want_slots)
+        assert np.array_equal(entries, want_entries)
+
+    def test_contested_rows_rarely_pay_hypot(self, monkeypatch):
         """Counted gate: on 20 000 uniform nodes over the 14 km, 49-station
         lattice, at most 0.1 % of the contested rows fall through to
-        ``np.hypot``."""
+        ``np.hypot`` — none does: the split decides every one, so the
+        resolve is never called."""
         bounds = Rect(0.0, 0.0, 14_000.0, 14_000.0)
         assigner = StationAssigner(place_uniform_stations(bounds, radius=1500.0), bounds)
         assert len(assigner.stations) == 49
@@ -283,10 +335,93 @@ class TestFilteredResolve:
         x, y = rng.uniform(0.0, 14_000.0, (2, 20_000))
         contested = int((assigner._single[assigner.cells_of(x, y)] < 0).sum())
         assert contested > 2000
+        resolved = _spy_on_resolve(assigner, monkeypatch)
         slots, entries = assigner.locate(x, y)
         assert assigner.last_hypot_rows <= 0.001 * contested
+        assert sum(resolved) == 0
+        monkeypatch.undo()
         want = hypot_locate(assigner, x, y)
         assert np.array_equal(slots, want[0]) and np.array_equal(entries, want[1])
+
+
+#: Lattices whose every contested cell has a split: square, and non-square
+#: with lines across cell interiors.
+_LATTICES = [(14_000.0, 14_000.0), (10_000.0, 10_000.0), (14_000.0, 9_000.0), (20_000.0, 7_000.0)]
+
+
+class TestLatticeSplit:
+    """The per-cell split on ``place_uniform_stations`` lattices, whose
+    assignment boundaries are axis-parallel lines: offset and non-square
+    bounds put them across cell interiors, not only along cell edges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        origin=st.tuples(st.floats(-5e4, 5e4), st.floats(-5e4, 5e4)),
+        size=st.tuples(st.floats(1500.0, 16_000.0), st.floats(1500.0, 16_000.0)),
+        radius=st.one_of(st.just(1500.0), st.floats(1000.0, 4000.0)),
+        resolution=st.sampled_from([None, None, 3, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_locate_matches_the_no_split_walk_and_station_for(
+        self, origin, size, radius, resolution, seed
+    ):
+        """Points on every bisector and at ±band/2, ±band and ±2·band
+        across it, each 0 or 1-3 ulps away, where two lines cross too, and
+        uniform points."""
+        bounds = Rect(origin[0], origin[1], origin[0] + size[0], origin[1] + size[1])
+        stations = place_uniform_stations(bounds, radius=radius)
+        assigner = StationAssigner(stations, bounds, resolution=resolution)
+        rng = np.random.default_rng(seed)
+        across = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]) * assigner._band
+        lines = []
+        for axis in (0, 1):
+            centres = np.unique([(s.center.x, s.center.y)[axis] for s in stations])
+            lines.append(((centres[1:] + centres[:-1]) / 2)[:, None] + across)
+        x_lines, y_lines = (v.ravel() for v in lines)
+        x_lines = np.concatenate([x_lines, _ulps_away(x_lines, rng, least=1)])
+        y_lines = np.concatenate([y_lines, _ulps_away(y_lines, rng, least=1)])
+        x1, y1, x2, y2 = bounds.x1, bounds.y1, bounds.x2, bounds.y2
+        n_x, n_y = x_lines.size, y_lines.size
+        parts = [
+            rng.uniform((x1, y1), (x2, y2), (200, 2)),
+            np.column_stack([np.repeat(x_lines, 3), rng.uniform(y1, y2, 3 * n_x)]),
+            np.column_stack([rng.uniform(x1, x2, 3 * n_y), np.repeat(y_lines, 3)]),
+        ]
+        if n_x and n_y:
+            parts.append(np.column_stack([rng.choice(x_lines, 200), rng.choice(y_lines, 200)]))
+        x, y = np.concatenate(parts).T
+        slots, entries = assigner.locate(x.copy(), y.copy())
+        want_slots, want_entries = hypot_locate(assigner, x.copy(), y.copy())
+        assert np.array_equal(slots, want_slots)
+        assert np.array_equal(entries, want_entries)
+        # ``station_for`` measures with ``math.hypot``, which can round a
+        # near-tie the other way from ``np.hypot``: it is the judge only
+        # clear of the band, where no rounding decides.
+        clear = np.ones(x.size, dtype=bool)
+        for v, bisectors in ((x, lines[0][:, 0]), (y, lines[1][:, 0])):
+            gap = np.abs(v[:, None] - bisectors).min(axis=1, initial=np.inf)
+            clear &= gap > 1.5 * assigner._band
+        sample = rng.choice(np.flatnonzero(clear), 300)
+        _assert_matches_station_for(assigner, BaseStationNetwork(stations), x[sample], y[sample])
+
+    @pytest.mark.parametrize("width, height", _LATTICES)
+    def test_every_contested_cell_has_a_split(self, width, height, monkeypatch):
+        """Counted gate: every contested cell has a split, and none of
+        200 000 uniform positions reaches the resolve."""
+        bounds = Rect(0.0, 0.0, width, height)
+        assigner = StationAssigner(place_uniform_stations(bounds, radius=1500.0), bounds)
+        contested = np.flatnonzero(assigner._n_candidates[:-1] > 1)
+        assert contested.size > 1000
+        assert not np.isnan(assigner._x_line[contested]).any()
+        assert (assigner._split_slot[contested] >= 0).any(axis=1).all()
+        rng = np.random.default_rng(34)
+        x, y = rng.uniform(0.0, width, 200_000), rng.uniform(0.0, height, 200_000)
+        resolved = _spy_on_resolve(assigner, monkeypatch)
+        slots, entries = assigner.locate(x, y)
+        assert sum(resolved) == 0 and assigner.last_hypot_rows == 0
+        monkeypatch.undo()
+        want_slots, want_entries = hypot_locate(assigner, x, y)
+        assert np.array_equal(slots, want_slots) and np.array_equal(entries, want_entries)
 
 
 class TestCellsOf:
@@ -641,9 +776,11 @@ _step = st.fixed_dictionaries({
 })
 
 
-def _ulps_away(values, rng):
-    """Each value moved 0-3 representable numbers down or up."""
+def _ulps_away(values, rng, least=0):
+    """Each value moved ``least``-3 representable numbers down or up."""
     out, shift = values.copy(), rng.integers(-3, 4, values.size)
+    if least:
+        shift = rng.integers(least, 4, values.size) * rng.choice([-1, 1], values.size)
     for step in range(1, 4):
         go = np.abs(shift) >= step
         out[go] = np.nextafter(out[go], np.sign(shift[go]) * np.inf)
