@@ -21,6 +21,10 @@ import numpy as np
 from repro.geo import Point
 from repro.motion.linear import LinearMotionModel, MotionReport
 
+#: Nodes per block of :meth:`DeadReckoningFleet.deviation`: a block's
+#: temporaries (768 KiB) fit in one core's L2.
+DEVIATION_BLOCK = 32_768
+
 
 class DeadReckoningTracker:
     """Node-side dead reckoning for a single mobile node.
@@ -80,18 +84,29 @@ class DeadReckoningFleet:
             raise ValueError("thresholds must be non-negative")
         self.thresholds = values.copy()
 
-    def observe(self, t: float, positions: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    def observe(
+        self,
+        t: float,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        deviation: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Process one tick of samples; return ids of nodes that report.
 
         ``positions`` and ``velocities`` have shape ``(n, 2)``.  Nodes
         without a model yet always report.  Reporting nodes' stored
-        models are replaced with the new samples.
+        models are replaced with the new samples.  ``deviation`` is
+        :meth:`deviation` at ``(t, positions)`` when the caller already
+        has it (computed since the last ``observe``).
         """
         positions = np.asarray(positions, dtype=np.float64)
         velocities = np.asarray(velocities, dtype=np.float64)
         if positions.shape != (self.n_nodes, 2) or velocities.shape != (self.n_nodes, 2):
             raise ValueError("positions/velocities must have shape (n_nodes, 2)")
-        deviation = self._deviation(t, positions)
+        if deviation is None:
+            deviation = self._deviation(t, positions)
+        elif deviation.shape != (self.n_nodes,):
+            raise ValueError("deviation must have shape (n_nodes,)")
         senders = np.flatnonzero(~self._has_model | (deviation > self.thresholds))
         if senders.size:
             for axis in (0, 1):
@@ -102,20 +117,33 @@ class DeadReckoningFleet:
             self.total_reports += int(senders.size)
         return senders
 
-    def _deviation(self, t: float, positions: np.ndarray) -> np.ndarray:
+    def deviation(self, t: float, positions: np.ndarray) -> np.ndarray:
         """|sent_pos + sent_vel·dt - position| per node.
 
-        Both axes at once over the columnar state, in place: the
-        operations (hence the bits) of the broadcast form and
-        ``np.linalg.norm(axis=1)``, without their five N x 2 temporaries.
+        Reads the last-sent models and ``positions`` and writes neither,
+        so it may run while another thread computes the thresholds.
         """
-        d = self._sent_vel * (t - self._sent_time)
-        d += self._sent_pos
-        d -= positions.T
-        d *= d
-        deviation = d[0]
-        deviation += d[1]
-        return np.sqrt(deviation, out=deviation)
+        positions = np.asarray(positions, dtype=np.float64)
+        if positions.shape != (self.n_nodes, 2):
+            raise ValueError("positions must have shape (n_nodes, 2)")
+        return self._deviation(t, positions)
+
+    def _deviation(self, t: float, positions: np.ndarray) -> np.ndarray:
+        """:meth:`deviation` of checked ``positions``.  Both axes at once
+        over the columnar state, in blocks of :data:`DEVIATION_BLOCK`
+        nodes so the temporaries stay in cache: per element the
+        operations (hence the bits) of the broadcast form and
+        ``np.linalg.norm(axis=1)``."""
+        out = np.empty(self.n_nodes, dtype=np.float64)
+        for lo in range(0, self.n_nodes, DEVIATION_BLOCK):
+            block = slice(lo, lo + DEVIATION_BLOCK)
+            d = self._sent_vel[:, block] * (t - self._sent_time[block])
+            d += self._sent_pos[:, block]
+            d -= positions[block].T
+            d *= d
+            np.add(d[0], d[1], out=out[block])
+            np.sqrt(out[block], out=out[block])
+        return out
 
     def node_models(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot of (positions, velocities, times) of last-sent models."""

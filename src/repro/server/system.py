@@ -74,6 +74,7 @@ order, with handoffs synchronized at tick boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -83,6 +84,7 @@ from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
 from repro.motion import DeadReckoningFleet
+from repro.parallel import run_beside
 from repro.queries import RangeQuery
 from repro.sanitize import rng_discipline
 from repro.server.base_station import place_uniform_stations
@@ -96,6 +98,13 @@ from repro.server.sharding import ShardRouter
 #: or the paper's Random Drop regime (every node at Δ⊢, the server
 #: admitting a random fraction z of arrivals).
 POLICIES = ("lira", "random-drop")
+
+#: Fleets of at most this many nodes compute the tick's deviation after
+#: the Δ lookup, not on a helper thread beside it: a thread's start and
+#: join (≈ 0.35 ms wall on a 2-core x86 container) cost more than the
+#: ≈ 0.1 ms per 10 000 nodes of kernel it would hide.  Measured tick by
+#: tick, the thread breaks even near 33 000 nodes.
+SERIAL_DEVIATION_NODES = 32_768
 
 
 @dataclass
@@ -387,11 +396,22 @@ class LiraSystem:
         """One sampling period: nodes decide, report; servers ingest.
 
         Returns the number of reports sent.  The plan must have been
-        installed (call :meth:`adapt` first).
+        installed (call :meth:`adapt` first).  On a fleet of more than
+        :data:`SERIAL_DEVIATION_NODES` nodes the dead-reckoning deviation
+        runs on a helper thread while this thread looks up the thresholds
+        (:func:`~repro.parallel.run_beside`; in turn on one usable CPU);
+        the thread is joined before the sender test, and none outlives
+        the call.
         """
         self._require_bootstrap("tick")
         if not self._plan_installed:
             raise RuntimeError("call adapt() before the first tick()")
+        # Checked before any state moves: a rejected tick leaves the
+        # engine, the fault draws and the clock where they were.
+        positions = np.asarray(positions, dtype=np.float64)
+        velocities = np.asarray(velocities, dtype=np.float64)
+        if positions.shape != (self.n_nodes, 2) or velocities.shape != (self.n_nodes, 2):
+            raise ValueError("positions/velocities must have shape (n_nodes, 2)")
         self.current_time = t
         faults = self.faults
         inject = self._inject
@@ -406,11 +426,19 @@ class LiraSystem:
                     shard.network.deliver_pending(t)
             active = faults.churn_step(self.n_nodes)
             rate_factor = faults.service_factor(t)
-        thresholds = self.node_engine.compute_thresholds(
-            positions, active, default=self.config.delta_min
+        # The deviation reads only the fleet's last-sent models and the
+        # positions, not Δ: on a large fleet it runs on a helper thread
+        # beside the lookup.
+        thresholds, deviation = run_beside(
+            partial(self.fleet.deviation, t, positions),
+            partial(
+                self.node_engine.compute_thresholds,
+                positions, active, default=self.config.delta_min,
+            ),
+            overlap=self.n_nodes > SERIAL_DEVIATION_NODES,
         )
         self.fleet.set_thresholds(thresholds)
-        senders = self.fleet.observe(t, positions, velocities)
+        senders = self.fleet.observe(t, positions, velocities, deviation=deviation)
         sender_pos = np.take(positions, senders, axis=0)
         sender_vel = np.take(velocities, senders, axis=0)
         self.history.record(t, senders, sender_pos, sender_vel)

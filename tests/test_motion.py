@@ -12,6 +12,7 @@ from repro.motion import (
     LinearMotionModel,
     MotionReport,
 )
+from repro.motion.dead_reckoning import DEVIATION_BLOCK
 
 
 class TestLinearMotionModel:
@@ -244,9 +245,58 @@ class TestDeviationKernel:
                         velocities[row % size, (row + 1) % 2] = vx
                 t = 1.5 * tick + float(rng.uniform(0.0, 1.0))
                 want = _reference_deviation(fleet, t, positions)
-                got = fleet._deviation(t, positions)
+                got = fleet.deviation(t, positions)
                 assert got.shape == (size,)
                 assert np.array_equal(got, want, equal_nan=True)
                 expected = np.flatnonzero(~has_model | (want > fleet.thresholds))
                 assert np.array_equal(fleet.observe(t, positions, velocities), expected)
                 has_model[expected] = True
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, DEVIATION_BLOCK - 1, DEVIATION_BLOCK, DEVIATION_BLOCK + 1, 2 * DEVIATION_BLOCK + 3],
+    )
+    def test_blocks_match_the_broadcast_form(self, n):
+        """Fleets around the block size: the same bits as the unblocked
+        form and the same senders, with the odd coordinates on the rows
+        either side of every block edge, and ``deviation`` changes no
+        state of the fleet."""
+        rng = np.random.default_rng(n)
+        fleet = DeadReckoningFleet(n)
+        has_model = np.zeros(n, dtype=bool)
+        odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324])
+        edges = np.append(np.arange(0, n, DEVIATION_BLOCK), n)[:, None] + [-1, 0, 1]
+        rows = edges[(edges >= 0) & (edges < n)]
+        with np.errstate(all="ignore"):
+            for tick in range(4):
+                fleet.set_thresholds(rng.choice([0.0, 0.5, 3.0, 40.0, np.inf], n))
+                positions = rng.normal(0.0, 4.0, (n, 2)) + 1e3 * tick
+                velocities = rng.normal(0.0, 2.0, (n, 2))
+                positions[rows, tick % 2] = rng.choice(odd, rows.size)
+                velocities[rows, (tick + 1) % 2] = rng.choice(odd, rows.size)
+                t = 1.5 * tick + float(rng.uniform(0.0, 1.0))
+                want = _reference_deviation(fleet, t, positions)
+                state = (*fleet.node_models(), fleet.thresholds.copy(), fleet.total_reports)
+                got = fleet.deviation(t, positions)
+                assert np.array_equal(got, want, equal_nan=True)
+                after = (*fleet.node_models(), fleet.thresholds, fleet.total_reports)
+                for before, now in zip(state, after):
+                    assert np.array_equal(before, now, equal_nan=True)
+                expected = np.flatnonzero(~has_model | (want > fleet.thresholds))
+                assert np.array_equal(fleet.observe(t, positions, velocities), expected)
+                has_model[expected] = True
+
+    def test_observe_takes_the_callers_deviation(self):
+        """A deviation handed to ``observe`` is the one the sender test
+        reads; a wrongly shaped one is refused before any state moves."""
+        fleet = DeadReckoningFleet(3)
+        positions = np.zeros((3, 2))
+        velocities = np.ones((3, 2))
+        fleet.observe(0.0, positions, velocities)
+        fleet.set_thresholds(1.0)
+        moved = positions + 5.0
+        with pytest.raises(ValueError):
+            fleet.observe(1.0, moved, velocities, deviation=np.zeros(2))
+        assert fleet.total_reports == 3
+        senders = fleet.observe(1.0, moved, velocities, deviation=np.array([0.0, 2.0, 1.0]))
+        assert senders.tolist() == [1]
