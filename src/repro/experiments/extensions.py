@@ -23,6 +23,14 @@ from repro.motion import DeadReckoningFleet
 from repro.sim import Simulation, SimulationConfig, make_policies
 
 
+def _simulation(scale, queries, policy, z, adapt_every=None) -> Simulation:
+    """The closed loop on ``scale``'s trace, adapt schedule and seed."""
+    config = SimulationConfig(
+        z=z, adapt_every=adapt_every or scale.adapt_every, seed=scale.seed
+    )
+    return Simulation(scale.scenario().trace, queries, policy, config)
+
+
 def run_ext_snapshot(
     scale: ExperimentScale = MEDIUM,
     fairness_values: tuple[float, ...] = (0.0, 10.0, 25.0, 50.0, 95.0),
@@ -35,12 +43,7 @@ def run_ext_snapshot(
     for fairness in fairness_values:
         config = scale.lira_config(fairness=fairness)
         policy = make_policies(scenario, config, include=("lira",))["lira"]
-        result = Simulation(
-            trace,
-            scenario.queries,
-            policy,
-            SimulationConfig(z=z, adapt_every=scale.adapt_every, seed=scale.seed),
-        ).run()
+        result = _simulation(scale, scenario.queries, policy, z).run()
         cq_errors.append(result.mean_position_error)
         snap_errors.append(_replay_snapshot_error(scenario, policy))
     result = ExperimentResult(
@@ -154,7 +157,7 @@ def run_ext_adaptivity(
     shedding aggressively exactly where the new queries now live.
     """
     from repro.queries import QueryDistribution
-    from repro.sim import QueryTimeline, run_dynamic_simulation
+    from repro.sim import QueryTimeline
 
     scenario = scale.scenario()
     trace = scenario.trace
@@ -173,11 +176,10 @@ def run_ext_adaptivity(
 
     config = scale.lira_config()
     outcomes = {}
-    for label, adapt_every in (("re-adapting", scale.adapt_every), ("one-shot", None)):
+    # The one-shot plan adapts at tick 0 and its schedule never comes round again.
+    for label, adapt_every in (("re-adapting", scale.adapt_every), ("one-shot", trace.num_ticks)):
         policy = make_policies(scenario, config, include=("lira",))["lira"]
-        outcomes[label] = run_dynamic_simulation(
-            trace, timeline, policy, z, adapt_every=adapt_every, seed=scale.seed
-        )
+        outcomes[label] = _simulation(scale, timeline, policy, z, adapt_every).run()
 
     result = ExperimentResult(
         experiment_id="ext-adaptivity",
@@ -191,8 +193,8 @@ def run_ext_adaptivity(
         result.add_series(
             f"{label} E_rr^C",
             [
-                outcome.mean_error(0.0, switch_time),
-                outcome.mean_error(switch_time, trace.duration),
+                outcome.window_error(0.0, switch_time),
+                outcome.window_error(switch_time, trace.duration),
             ],
         )
     return result
@@ -296,12 +298,7 @@ def run_ext_safe_region(
 
     # The safe-region run (z-independent).
     safe = SafeRegionPolicy(scenario.queries, delta_min=scenario.delta_min)
-    safe_sim = Simulation(
-        trace,
-        scenario.queries,
-        safe,
-        SimulationConfig(z=1.0, adapt_every=scale.adapt_every, seed=scale.seed),
-    ).run()
+    safe_sim = _simulation(scale, scenario.queries, safe, 1.0).run()
     safe_snapshot = _replay_snapshot_error(scenario, safe)
 
     result = ExperimentResult(
@@ -319,12 +316,7 @@ def run_ext_safe_region(
     for z in zs:
         config = scale.lira_config()
         policy = make_policies(scenario, config, include=("lira",))["lira"]
-        sim = Simulation(
-            trace,
-            scenario.queries,
-            policy,
-            SimulationConfig(z=z, adapt_every=scale.adapt_every, seed=scale.seed),
-        ).run()
+        sim = _simulation(scale, scenario.queries, policy, z).run()
         lira_updates.append(sim.updates_sent)
         lira_cq.append(sim.mean_containment_error)
         lira_snap.append(_replay_snapshot_error(scenario, policy))
@@ -362,8 +354,6 @@ def run_ext_reeval(
         notes="delta yield = result-changing deltas per processed update; "
         "region-aware shedding keeps the useful updates",
     )
-    from repro.core import StatisticsGrid
-
     for policy_name in ("lira", "uniform"):
         updates, deltas = [], []
         for z in zs:
@@ -374,18 +364,10 @@ def run_ext_reeval(
             engine = IncrementalCQEngine(
                 trace.bounds, trace.num_nodes, scenario.queries
             )
-            fleet = DeadReckoningFleet(trace.num_nodes)
-            for tick in range(trace.num_ticks):
-                t = tick * trace.dt
+            sim = _simulation(scale, scenario.queries, policy, z)
+            for tick, t, _, admitted in sim.ticks():
                 positions = trace.positions[tick]
-                if tick % scale.adapt_every == 0:
-                    grid = StatisticsGrid.from_snapshot(
-                        trace.bounds, policy.alpha, positions,
-                        trace.speeds(tick), scenario.queries,
-                    )
-                    policy.adapt(grid, z)
-                fleet.set_thresholds(policy.thresholds_for(positions))
-                for node_id in fleet.observe(t, positions, trace.velocities[tick]):
+                for node_id in admitted:
                     engine.apply_update(
                         t,
                         int(node_id),
@@ -415,31 +397,21 @@ def run_ext_index_load(
         config = scale.lira_config()
         policy = make_policies(scenario, config, include=("lira",))["lira"]
         # Collect the update stream the policy admits.
-        fleet = DeadReckoningFleet(trace.num_nodes)
+        sim = _simulation(scale, scenario.queries, policy, z)
         stream: list[MovingObject] = []
-        from repro.core import StatisticsGrid
-
-        for tick in range(trace.num_ticks):
-            t = tick * trace.dt
-            positions = trace.positions[tick]
-            if tick % scale.adapt_every == 0:
-                grid = StatisticsGrid.from_snapshot(
-                    trace.bounds, policy.alpha, positions, trace.speeds(tick),
-                    scenario.queries,
+        for tick, t, _, admitted in sim.ticks():
+            positions, velocities = trace.positions[tick], trace.velocities[tick]
+            stream.extend(
+                MovingObject(
+                    int(node_id),
+                    float(positions[node_id, 0]),
+                    float(positions[node_id, 1]),
+                    float(velocities[node_id, 0]),
+                    float(velocities[node_id, 1]),
+                    time=t,
                 )
-                policy.adapt(grid, z)
-            fleet.set_thresholds(policy.thresholds_for(positions))
-            for node_id in fleet.observe(t, positions, trace.velocities[tick]):
-                stream.append(
-                    MovingObject(
-                        int(node_id),
-                        float(positions[node_id, 0]),
-                        float(positions[node_id, 1]),
-                        float(trace.velocities[tick][node_id, 0]),
-                        float(trace.velocities[tick][node_id, 1]),
-                        time=t,
-                    )
-                )
+                for node_id in admitted
+            )
         tree = TPRTree(horizon=6 * trace.dt, max_entries=8)
         with Stopwatch() as stopwatch:
             for obj in stream:

@@ -1,12 +1,7 @@
 """Closed-loop simulation harness and experiment scenarios."""
 
 from repro.sim import cache
-from repro.sim.dynamics import (
-    DynamicResult,
-    QueryTimeline,
-    TimedQuery,
-    run_dynamic_simulation,
-)
+from repro.sim.dynamics import QueryTimeline, TimedQuery
 from repro.sim.scenario import Scenario, build_scenario, make_policies
 from repro.sim.simulation import (
     Simulation,
@@ -16,7 +11,6 @@ from repro.sim.simulation import (
 )
 
 __all__ = [
-    "DynamicResult",
     "QueryTimeline",
     "Scenario",
     "cache",
@@ -27,5 +21,4 @@ __all__ = [
     "build_scenario",
     "make_policies",
     "reference_update_count",
-    "run_dynamic_simulation",
 ]

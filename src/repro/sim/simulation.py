@@ -4,14 +4,18 @@ Each tick, the policy's current shedding plan determines every node's
 inaccuracy threshold (by the region it is in), nodes report via dead
 reckoning, the server ingests what the policy admits, and query results
 are evaluated against the server's believed positions and compared with
-ground truth.  Periodically the policy re-adapts from fresh statistics.
+ground truth.  Periodically the policy re-adapts from fresh statistics
+of the queries installed at that tick (a static list, or a churning
+:class:`~repro.sim.dynamics.QueryTimeline`, Section 4.3.2).
 
 This is the measurement loop behind every accuracy figure in the paper
-(Figures 4-13).
+(Figures 4-13); :meth:`Simulation.ticks` is the loop without the measuring.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +26,7 @@ from repro.metrics.accuracy import FairnessStats, fairness_stats
 from repro.motion import DeadReckoningFleet
 from repro.queries import QueryEvalKernel, RangeQuery
 from repro.shedding import SheddingPolicy
+from repro.sim.dynamics import QueryTimeline, TimedQuery
 from repro.trace import Trace
 
 
@@ -45,7 +50,11 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Aggregated accuracy and cost measurements of one run."""
+    """Aggregated accuracy and cost measurements of one run.
+
+    Per-query arrays follow the timeline's entries.  ``containment_per_tick``
+    is NaN on warmup ticks and on ticks where no query has a true result.
+    """
 
     policy_name: str
     z: float
@@ -60,56 +69,72 @@ class SimulationResult:
     ticks_measured: int
     adaptations: int = 0
     updates_per_tick: np.ndarray = field(default_factory=lambda: np.empty(0))
+    times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    containment_per_tick: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def window_error(self, t_from: float = 0.0, t_to: float = float("inf")) -> float:
+        """Mean per-tick containment error over ``[t_from, t_to)`` (NaN ticks skipped)."""
+        mask = (self.times >= t_from) & (self.times < t_to)
+        window = self.containment_per_tick[mask]
+        window = window[~np.isnan(window)]
+        return float(window.mean()) if window.size else float("nan")
 
 
 class Simulation:
     """Runs one (trace, workload, policy) combination to completion.
 
-    Per-tick accuracy comes from
-    :meth:`~repro.queries.QueryEvalKernel.measure`; the brute-force
-    per-query loop it is proved bit-identical to lives in
-    ``tests/oracles/measurement.py``.
+    ``queries`` is a static list or a :class:`QueryTimeline`; a list is
+    a one-phase timeline.  Per-tick accuracy comes from
+    :meth:`~repro.queries.QueryEvalKernel.measure`, rebuilt only when the
+    active query set changes; the brute-force per-query loop it is
+    proved bit-identical to lives in ``tests/oracles/measurement.py``.
     """
 
     def __init__(
         self,
         trace: Trace,
-        queries: list[RangeQuery],
+        queries: list[RangeQuery] | QueryTimeline,
         policy: SheddingPolicy,
         config: SimulationConfig | None = None,
     ) -> None:
-        if not queries:
+        if not isinstance(queries, QueryTimeline):
+            queries = QueryTimeline([TimedQuery(q, 0.0) for q in queries])
+        if not queries.entries:
             raise ValueError("at least one query is required")
         self.trace = trace
-        self.queries = queries
+        self.timeline = queries
         self.policy = policy
         self.config = config or SimulationConfig()
 
-    def run(self) -> SimulationResult:
-        """Execute the closed loop over the whole trace."""
-        trace, queries, policy, cfg = self.trace, self.queries, self.policy, self.config
-        n, t_total = trace.num_nodes, trace.num_ticks
+    def ticks(self) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
+        """Run the closed loop, yielding ``(tick, t, senders, admitted)``.
+
+        Each tick re-adapts on schedule from a statistics grid of the
+        queries active at ``t``, gives every node the threshold of its
+        shedding region, runs dead reckoning and ingests what the policy
+        admits.  While a step is out, ``self.table`` is the server view
+        after that ingest and ``self.active`` the indices of the timeline
+        entries active at ``t`` (a new list only when the set changes).
+        """
+        trace, policy, cfg = self.trace, self.policy, self.config
+        entries = self.timeline.entries
+        change_times = self.timeline.change_times()
         rng = np.random.default_rng(cfg.seed)
-        fleet = DeadReckoningFleet(n)
-        table = NodeTable(n)
+        self.fleet = DeadReckoningFleet(trace.num_nodes)
+        self.table = NodeTable(trace.num_nodes)
+        self.active: list[int] = []
+        self.adaptations = 0
+        phase = -1
 
-        n_q = len(queries)
-        cont_sum = np.zeros(n_q)
-        cont_cnt = np.zeros(n_q)
-        pos_sum = np.zeros(n_q)
-        pos_cnt = np.zeros(n_q)
-        kernel = QueryEvalKernel(
-            queries, bounds=trace.bounds, cells_per_side=max(policy.alpha, 16)
-        )
-        updates_per_tick = np.zeros(t_total, dtype=np.int64)
-        admitted_total = 0
-        adaptations = 0
-        ticks_measured = 0
-
-        for tick in range(t_total):
+        for tick in range(trace.num_ticks):
             t = tick * trace.dt
             positions = trace.positions[tick]
             velocities = trace.velocities[tick]
+            if (crossed := bisect_right(change_times, t)) != phase:
+                phase = crossed
+                active = [i for i, e in enumerate(entries) if e.active_at(t)]
+                if active != self.active:
+                    self.active = active
 
             if tick % cfg.adapt_every == 0:
                 grid = StatisticsGrid.from_snapshot(
@@ -117,33 +142,59 @@ class Simulation:
                     policy.alpha,
                     positions,
                     trace.speeds(tick),
-                    queries,
+                    [entries[i].query for i in self.active],
                 )
                 policy.adapt(grid, cfg.z)
-                adaptations += 1
+                self.adaptations += 1
 
             # Nodes look up the throttler of their current shedding region.
-            fleet.set_thresholds(policy.thresholds_for(positions))
-            senders = fleet.observe(t, positions, velocities)
-            updates_per_tick[tick] = senders.size
-
+            self.fleet.set_thresholds(policy.thresholds_for(positions))
+            senders = self.fleet.observe(t, positions, velocities)
             fraction = policy.admission_fraction()
             if fraction < 1.0 and senders.size:
-                keep = rng.random(senders.size) < fraction
-                admitted = senders[keep]
+                admitted = senders[rng.random(senders.size) < fraction]
             else:
                 admitted = senders
-            table.ingest(t, admitted, positions[admitted], velocities[admitted])
-            admitted_total += int(admitted.size)
+            self.table.ingest(t, admitted, positions[admitted], velocities[admitted])
+            yield tick, t, senders, admitted
 
-            if tick < cfg.warmup_ticks:
+    def run(self) -> SimulationResult:
+        """Execute the closed loop over the whole trace and measure it."""
+        trace, policy, cfg = self.trace, self.policy, self.config
+        entries = self.timeline.entries
+        n_q, t_total = len(entries), trace.num_ticks
+        cont_sum = np.zeros(n_q)
+        cont_cnt = np.zeros(n_q)
+        pos_sum = np.zeros(n_q)
+        pos_cnt = np.zeros(n_q)
+        times = np.empty(t_total)
+        per_tick = np.full(t_total, np.nan)
+        updates_per_tick = np.zeros(t_total, dtype=np.int64)
+        admitted_total = 0
+        ticks_measured = 0
+        kernel_for: list[int] | None = None
+
+        for tick, t, senders, admitted in self.ticks():
+            times[tick] = t
+            updates_per_tick[tick] = senders.size
+            admitted_total += int(admitted.size)
+            if tick < cfg.warmup_ticks or not self.active:
                 continue
+            if kernel_for is not self.active:
+                kernel_for, rows = self.active, np.asarray(self.active)
+                kernel = QueryEvalKernel(
+                    [entries[i].query for i in kernel_for],
+                    bounds=trace.bounds,
+                    cells_per_side=max(policy.alpha, 16),
+                )
             ticks_measured += 1
-            m = kernel.measure(positions, table.predict(t))
-            cont_sum += np.where(m.has_true, m.containment_error, 0.0)
-            cont_cnt += m.has_true
-            pos_sum += np.where(m.has_believed, m.position_error, 0.0)
-            pos_cnt += m.has_believed
+            m = kernel.measure(trace.positions[tick], self.table.predict(t))
+            cont_sum[rows] += np.where(m.has_true, m.containment_error, 0.0)
+            cont_cnt[rows] += m.has_true
+            pos_sum[rows] += np.where(m.has_believed, m.position_error, 0.0)
+            pos_cnt[rows] += m.has_believed
+            if m.has_true.any():
+                per_tick[tick] = float(m.containment_error[m.has_true].mean())
 
         with np.errstate(invalid="ignore", divide="ignore"):
             per_query_cont = np.where(cont_cnt > 0, cont_sum / np.maximum(cont_cnt, 1), np.nan)
@@ -160,11 +211,13 @@ class Simulation:
             position_fairness=pos_fair,
             per_query_containment=per_query_cont,
             per_query_position=per_query_pos,
-            updates_sent=int(fleet.total_reports),
+            updates_sent=int(self.fleet.total_reports),
             updates_admitted=admitted_total,
             ticks_measured=ticks_measured,
-            adaptations=adaptations,
+            adaptations=self.adaptations,
             updates_per_tick=updates_per_tick,
+            times=times,
+            containment_per_tick=per_tick,
         )
 
 

@@ -4,7 +4,7 @@ Every module here is the readable, per-element form of an algorithm
 whose only runtime implementation under ``src/`` is the array form:
 the scalar GREEDYINCREMENT heap loop, per-node CALCERRGAIN/GRIDREDUCE,
 the per-``MobileNode`` systems loop with its per-message bounded queue,
-the node engine's every-row threshold gather, and the per-``Vehicle``
-trace loop.  The equivalence suites call them
+the node engine's every-row threshold gather, the per-``Vehicle``
+trace loop, and the churning-workload loop ``Simulation`` absorbed.  The equivalence suites call them
 directly; nothing under ``src/`` imports them.
 """

@@ -1,4 +1,4 @@
-"""Tests for time-varying workloads and the dynamic simulation loop."""
+"""Tests for time-varying workloads and ``Simulation`` over a query timeline."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,8 @@ import pytest
 from repro.core import LiraConfig
 from repro.geo import Rect
 from repro.queries import RangeQuery
-from repro.sim import (
-    QueryTimeline,
-    TimedQuery,
-    make_policies,
-    run_dynamic_simulation,
-)
+from repro.sim import QueryTimeline, Simulation, SimulationConfig, TimedQuery, make_policies
+from tests.oracles.dynamics import run_dynamic_simulation
 
 
 def q(query_id, x1=0.0, y1=0.0, x2=100.0, y2=100.0) -> RangeQuery:
@@ -33,6 +29,14 @@ class TestTimedQuery:
     def test_validation(self):
         with pytest.raises(ValueError):
             TimedQuery(q(0), t_install=5.0, t_remove=5.0)
+        # A NaN bound would make the query never active and never a
+        # change time; an infinite install time can never be reached.
+        for t_install in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                TimedQuery(q(0), t_install=t_install)
+        with pytest.raises(ValueError):
+            TimedQuery(q(0), t_install=0.0, t_remove=float("nan"))
+        assert TimedQuery(q(0), t_install=0.0).t_remove == float("inf")
 
 
 class TestQueryTimeline:
@@ -119,6 +123,10 @@ class TestQueryTimeline:
         assert [x.query_id for x in timeline.active_at(25.0)] == [1]
 
 
+def make_policy(scenario, name="lira"):
+    return make_policies(scenario, LiraConfig(l=13, alpha=32), include=(name,))[name]
+
+
 class TestDynamicSimulation:
     def _timeline(self, scenario):
         half = scenario.trace.duration / 2
@@ -128,58 +136,62 @@ class TestDynamicSimulation:
             end_time=scenario.trace.duration,
         )
 
+    def _run(self, scenario, adapt_every):
+        return Simulation(
+            scenario.trace,
+            self._timeline(scenario),
+            make_policy(scenario),
+            SimulationConfig(z=0.5, adapt_every=adapt_every),
+        ).run()
+
     def test_runs_and_records(self, tiny_scenario):
-        policy = make_policies(
-            tiny_scenario, LiraConfig(l=13, alpha=32), include=("lira",)
-        )["lira"]
-        outcome = run_dynamic_simulation(
-            tiny_scenario.trace,
-            self._timeline(tiny_scenario),
-            policy,
-            z=0.5,
-            adapt_every=10,
-        )
+        outcome = self._run(tiny_scenario, adapt_every=10)
         assert outcome.times.shape == (tiny_scenario.trace.num_ticks,)
         assert outcome.adaptations >= 2
         assert outcome.updates_per_tick.sum() > 0
-        assert not np.isnan(outcome.mean_error())
+        assert not np.isnan(outcome.window_error())
 
     def test_one_shot_adapts_once(self, tiny_scenario):
-        policy = make_policies(
-            tiny_scenario, LiraConfig(l=13, alpha=32), include=("lira",)
-        )["lira"]
-        outcome = run_dynamic_simulation(
-            tiny_scenario.trace,
-            self._timeline(tiny_scenario),
-            policy,
-            z=0.5,
-            adapt_every=None,
-        )
+        outcome = self._run(tiny_scenario, adapt_every=tiny_scenario.trace.num_ticks)
         assert outcome.adaptations == 1
 
     def test_mean_error_windowing(self, tiny_scenario):
-        policy = make_policies(
-            tiny_scenario, LiraConfig(l=13, alpha=32), include=("lira",)
-        )["lira"]
-        outcome = run_dynamic_simulation(
-            tiny_scenario.trace,
-            self._timeline(tiny_scenario),
-            policy,
-            z=0.5,
-            adapt_every=10,
-        )
+        outcome = self._run(tiny_scenario, adapt_every=10)
         duration = tiny_scenario.trace.duration
-        whole = outcome.mean_error()
-        first = outcome.mean_error(0.0, duration / 2)
-        second = outcome.mean_error(duration / 2, duration)
+        whole = outcome.window_error()
+        first = outcome.window_error(0.0, duration / 2)
+        second = outcome.window_error(duration / 2, duration)
         assert min(first, second) - 1e-12 <= whole <= max(first, second) + 1e-12
 
     def test_empty_window_is_nan(self, tiny_scenario):
-        policy = make_policies(
-            tiny_scenario, LiraConfig(l=13, alpha=32), include=("lira",)
-        )["lira"]
-        outcome = run_dynamic_simulation(
-            tiny_scenario.trace, self._timeline(tiny_scenario), policy, z=0.5,
-            adapt_every=10,
+        outcome = self._run(tiny_scenario, adapt_every=10)
+        assert np.isnan(outcome.window_error(1e9, 2e9))
+
+
+class TestLoopParity:
+    """``Simulation`` over a timeline ≡ the dynamic loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("policy_name", ["lira", "uniform", "random-drop"])
+    @pytest.mark.parametrize("one_shot", [False, True], ids=["every-10", "one-shot"])
+    def test_matches_the_old_dynamic_loop(self, tiny_scenario, policy_name, one_shot):
+        trace, queries = tiny_scenario.trace, tiny_scenario.queries
+        # Three phases, the middle one empty, switching between ticks.
+        timeline = QueryTimeline.phased(
+            [(0.0, queries[::2]), (0.35 * trace.duration, []),
+             (0.65 * trace.duration, queries[1::2])],
+            end_time=trace.duration,
         )
-        assert np.isnan(outcome.mean_error(1e9, 2e9))
+        expected = run_dynamic_simulation(
+            trace, timeline, make_policy(tiny_scenario, policy_name), z=0.5,
+            adapt_every=None if one_shot else 10,
+        )
+        config = SimulationConfig(z=0.5, adapt_every=trace.num_ticks if one_shot else 10)
+        result = Simulation(trace, timeline, make_policy(tiny_scenario, policy_name), config).run()
+        np.testing.assert_array_equal(result.containment_per_tick, expected.containment_errors)
+        np.testing.assert_array_equal(result.times, expected.times)
+        np.testing.assert_array_equal(result.updates_per_tick, expected.updates_per_tick)
+        assert result.adaptations == expected.adaptations
+        # The empty phase is measured nowhere, and both measured phases are.
+        assert np.isnan(result.window_error(0.4 * trace.duration, 0.6 * trace.duration))
+        assert not np.isnan(result.window_error(0.0, 0.35 * trace.duration))
+        assert not np.isnan(result.window_error(0.65 * trace.duration))

@@ -57,6 +57,8 @@ def assert_results_identical(a, b):
     assert a.ticks_measured == b.ticks_measured
     assert a.adaptations == b.adaptations
     np.testing.assert_array_equal(a.updates_per_tick, b.updates_per_tick)
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.containment_per_tick, b.containment_per_tick)
 
 
 @pytest.fixture(scope="module")

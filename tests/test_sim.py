@@ -1,5 +1,7 @@
 """Unit tests for the simulation harness and scenario builder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from repro.core import LiraConfig
 from repro.queries import QueryDistribution
 from repro.shedding import LiraPolicy, RandomDropPolicy, UniformDeltaPolicy
 from repro.sim import (
+    QueryTimeline,
     Simulation,
     SimulationConfig,
+    SimulationResult,
     build_scenario,
     make_policies,
     reference_update_count,
 )
+from repro.sim import simulation as simulation_module
 
 
 class TestSimulationConfig:
@@ -121,6 +126,65 @@ class TestSimulation:
         ).run()
         assert result.per_query_containment.shape == (len(tiny_scenario.queries),)
         assert result.per_query_position.shape == (len(tiny_scenario.queries),)
+
+
+class TestTimeline:
+    """One loop for a static list and a query timeline."""
+
+    def test_list_equals_one_phase_timeline(self, tiny_scenario):
+        trace, queries = tiny_scenario.trace, tiny_scenario.queries
+        timeline = QueryTimeline.phased([(0.0, queries)], end_time=trace.duration)
+        config = SimulationConfig(z=0.5, adapt_every=10)
+        results = [
+            Simulation(trace, workload, RandomDropPolicy(tiny_scenario.delta_min), config).run()
+            for workload in (queries, timeline)
+        ]
+        for f in dataclasses.fields(SimulationResult):
+            np.testing.assert_array_equal(
+                getattr(results[0], f.name), getattr(results[1], f.name), err_msg=f.name
+            )
+
+    def test_kernel_built_once_per_active_set(self, tiny_scenario, monkeypatch):
+        built = []
+        kernel = simulation_module.QueryEvalKernel
+
+        def spy(queries, **index_options):
+            built.append([query.query_id for query in queries])
+            return kernel(queries, **index_options)
+
+        monkeypatch.setattr(simulation_module, "QueryEvalKernel", spy)
+        trace, queries = tiny_scenario.trace, tiny_scenario.queries
+        policy = UniformDeltaPolicy(tiny_scenario.reduction)
+        config = SimulationConfig(z=0.5, adapt_every=10, warmup_ticks=3)
+        Simulation(trace, queries, policy, config).run()
+        assert built == [[query.query_id for query in queries]]
+
+        # Phase a ends inside the warmup; the empty phase needs no kernel.
+        a, b, c = queries[:1], queries[1::2], queries[2::2]
+        timeline = QueryTimeline.phased(
+            [(0.0, a), (trace.dt, b), (100.0, []), (200.0, c)], end_time=trace.duration
+        )
+        built.clear()
+        Simulation(trace, timeline, policy, config).run()
+        assert built == [[query.query_id for query in phase] for phase in (b, c)]
+
+    def test_requires_timeline_entries(self, tiny_scenario):
+        policy = UniformDeltaPolicy(tiny_scenario.reduction)
+        with pytest.raises(ValueError):
+            Simulation(tiny_scenario.trace, QueryTimeline(), policy)
+
+    def test_ticks_yields_every_tick(self, tiny_scenario):
+        policy = UniformDeltaPolicy(tiny_scenario.reduction)
+        assert policy.admission_fraction() == 1.0
+        sim = Simulation(
+            tiny_scenario.trace, tiny_scenario.queries, policy, SimulationConfig(z=0.5)
+        )
+        steps = list(sim.ticks())
+        assert [step[0] for step in steps] == list(range(tiny_scenario.trace.num_ticks))
+        for tick, t, senders, admitted in steps:
+            assert t == tick * tiny_scenario.trace.dt
+            assert admitted is senders
+        assert sum(step[2].size for step in steps) == sim.fleet.total_reports
 
 
 class TestReferenceUpdateCount:
