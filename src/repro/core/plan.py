@@ -83,11 +83,6 @@ class PlanDelta:
     changes: tuple[tuple[int, float, float, float, float], ...]
     stat_changes: tuple[tuple[int, float, float, float], ...] = ()
 
-    @property
-    def num_changes(self) -> int:
-        """Regions whose throttler changed (the airtime-relevant count)."""
-        return len(self.changes)
-
     def to_dict(self) -> dict:
         """A JSON-serializable description of the delta."""
         return {
@@ -275,10 +270,6 @@ class SheddingPlan:
     def thresholds_for(self, positions: np.ndarray) -> np.ndarray:
         """The Δ each node at ``positions`` must use (vectorized lookup)."""
         return self._deltas[self.region_ids_for(positions)]
-
-    def threshold_at(self, x: float, y: float) -> float:
-        """The Δ applying at a single point."""
-        return float(self.thresholds_for(np.array([[x, y]]))[0])
 
     def region_at(self, x: float, y: float) -> SheddingRegion:
         """The shedding region containing a point."""

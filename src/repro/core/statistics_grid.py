@@ -5,10 +5,10 @@ An α×α uniform grid over the monitoring space storing, per cell
 queries ``m``, and the average node speed ``s``.  Paper Section 3.2.1
 lists three maintenance options — piggybacking on a grid index, explicit
 maintenance from the update stream (optionally sampled), and off-line
-precomputation.  All three are supported here:
+precomputation.  The last two are supported here:
 
 * :meth:`StatisticsGrid.from_snapshot` — build from a position snapshot
-  plus a query workload (the off-line / index-backed route);
+  plus a query workload (the off-line route);
 * :meth:`StatisticsGrid.ingest_update` + :meth:`StatisticsGrid.roll` —
   constant-time-per-update incremental maintenance with optional
   sampling, accumulating a fresh window and swapping it in.
@@ -16,15 +16,10 @@ precomputation.  All three are supported here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.geo import Rect
 from repro.queries import RangeQuery
-
-if TYPE_CHECKING:
-    from repro.index.grid_index import GridIndex
 
 
 class StatisticsGrid:
@@ -86,36 +81,6 @@ class StatisticsGrid:
             else:
                 grid.set_query_statistics(queries)
                 StatisticsGrid._query_layer = (key, grid.m.copy())
-        return grid
-
-    @classmethod
-    def from_grid_index(
-        cls,
-        index: GridIndex,
-        queries: list[RangeQuery] | None = None,
-        speeds: np.ndarray | None = None,
-    ) -> "StatisticsGrid":
-        """Piggyback on a server's grid index (paper Section 3.2.1).
-
-        "If the mobile CQ server uses a grid-based index on mobile node
-        positions the statistics grid can be trivially supported as a
-        part of the grid index": node counts come straight from the
-        index's cell occupancy.  ``index`` is a
-        :class:`~repro.index.GridIndex` whose ``cells_per_side`` becomes
-        α.  Per-cell speeds are zero unless ``speeds`` (indexed by point
-        id) is supplied.
-        """
-        grid = cls(index.bounds, index.cells_per_side)
-        grid.n = index.cell_counts().astype(np.float64)
-        if speeds is not None:
-            speeds = np.asarray(speeds, dtype=np.float64)
-            speed_sum = np.zeros_like(grid.n)
-            for point_id, (cx, cy) in index._locations.items():
-                speed_sum[cx, cy] += speeds[point_id]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                grid.s = np.where(grid.n > 0, speed_sum / np.maximum(grid.n, 1), 0.0)
-        if queries:
-            grid.set_query_statistics(queries)
         return grid
 
     def set_node_statistics(
@@ -279,14 +244,6 @@ class StatisticsGrid:
             min(max(i, 0), self.alpha - 1),
             min(max(j, 0), self.alpha - 1),
         )
-
-    def cell_rect(self, i: int, j: int) -> Rect:
-        """The geographic rectangle of cell ``(i, j)``."""
-        if not (0 <= i < self.alpha and 0 <= j < self.alpha):
-            raise IndexError(f"cell ({i}, {j}) outside {self.alpha}x{self.alpha} grid")
-        x1 = self.bounds.x1 + i * self._cell_w
-        y1 = self.bounds.y1 + j * self._cell_h
-        return Rect(x1, y1, x1 + self._cell_w, y1 + self._cell_h)
 
     @property
     def total_nodes(self) -> float:

@@ -139,8 +139,3 @@ class ThrotLoop:
                 utilization, previous, self.z,
             )
         return self.z
-
-    def reset(self) -> None:
-        """Return to the initial fully open budget (z = 1)."""
-        self.z = 1.0
-        self._smoothed_utilization = None

@@ -26,7 +26,7 @@ from repro.experiments.extensions import (
 from repro.experiments.base import ExperimentResult, Series
 from repro.experiments.common import FULL, MEDIUM, SCALES, SMALL, ExperimentScale
 from repro.experiments.fig01_reduction import run_fig01
-from repro.experiments.fig03_partitioning import render_partitioning_ascii, run_fig03
+from repro.experiments.fig03_partitioning import run_fig03
 from repro.experiments.fig08_fig09_regions import run_fig08, run_fig09
 from repro.experiments.fig10_fig11_fairness import run_fig10, run_fig11
 from repro.experiments.fig12_fig13_workload import run_fig12, run_fig13
@@ -76,7 +76,6 @@ __all__ = [
     "SCALES",
     "SMALL",
     "Series",
-    "render_partitioning_ascii",
     "replicate",
     "run_ablation_alpha_rule",
     "run_ablation_increment",

@@ -55,32 +55,3 @@ def run_fig03(
     result.add_series("mean queries m", mean_m)
     result.add_series("mean nodes n", mean_n)
     return result
-
-
-def render_partitioning_ascii(
-    scale: ExperimentScale = MEDIUM, z: float = 0.5, width: int = 48
-) -> str:
-    """ASCII art of the partitioning: region boundaries over node density."""
-    scenario = scale.scenario()
-    trace = scenario.trace
-    grid = StatisticsGrid.from_snapshot(
-        trace.bounds, scale.alpha, trace.snapshot(0), trace.speeds(0), scenario.queries
-    )
-    hierarchy = RegionHierarchy(grid)
-    partitioning = grid_reduce(hierarchy, scale.l, z, scenario.reduction.piecewise(95))
-    # Raster of region ids at `width` resolution.
-    raster = np.zeros((width, width), dtype=np.int64)
-    cell_w = trace.bounds.width / width
-    cell_h = trace.bounds.height / width
-    for rid, region in enumerate(partitioning.regions):
-        i_lo = int(round((region.rect.x1 - trace.bounds.x1) / cell_w))
-        i_hi = max(i_lo + 1, int(round((region.rect.x2 - trace.bounds.x1) / cell_w)))
-        j_lo = int(round((region.rect.y1 - trace.bounds.y1) / cell_h))
-        j_hi = max(j_lo + 1, int(round((region.rect.y2 - trace.bounds.y1) / cell_h)))
-        raster[i_lo:i_hi, j_lo:j_hi] = rid
-    glyphs = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-    lines = []
-    for j in range(width - 1, -1, -1):
-        line = "".join(glyphs[raster[i, j] % len(glyphs)] for i in range(width))
-        lines.append(line)
-    return "\n".join(lines)

@@ -3,7 +3,6 @@
 from repro.faults.channel import (
     DELAYED,
     DELIVER,
-    LOSSLESS,
     LOST,
     FaultInjector,
     FaultSpec,
@@ -12,7 +11,6 @@ from repro.faults.channel import (
 __all__ = [
     "DELAYED",
     "DELIVER",
-    "LOSSLESS",
     "LOST",
     "FaultInjector",
     "FaultSpec",

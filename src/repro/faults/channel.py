@@ -28,7 +28,7 @@ no injector at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -348,19 +348,3 @@ class FaultInjector:
     def active_mask(self) -> np.ndarray | None:
         """The current churn mask (``None`` when churn is disabled)."""
         return self._active
-
-
-@dataclass(frozen=True)
-class _Lossless:
-    """Marker for documentation: the default channel is simply ``None``.
-
-    The systems loop treats ``faults=None`` (or a null-spec injector) as
-    a perfect channel; this sentinel exists so call sites can spell the
-    intent explicitly as ``LOSSLESS``.
-    """
-
-    name: str = field(default="lossless")
-
-
-#: The perfect channel: no loss, no delay, no reordering, no churn.
-LOSSLESS = _Lossless()

@@ -40,16 +40,7 @@ class Point:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_tuple(self) -> tuple[float, float]:
-        """Return ``(x, y)`` as a plain tuple."""
-        return (self.x, self.y)
-
 
 def midpoint(a: Point, b: Point) -> Point:
     """The point halfway between ``a`` and ``b``."""
     return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def lerp(a: Point, b: Point, t: float) -> Point:
-    """Linear interpolation from ``a`` (t=0) to ``b`` (t=1)."""
-    return Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)

@@ -88,20 +88,6 @@ class Rect:
             min(self.y2, other.y2),
         )
 
-    def overlap_fraction(self, other: "Rect") -> float:
-        """Fraction of *this* rectangle's area covered by ``other``.
-
-        Used for the paper's fractional query counting: a query partially
-        intersecting a shedding region contributes fractionally to that
-        region's query count m_i.
-        """
-        inter = self.intersection(other)
-        # reprolint: disable=REP010 - exact guard for a degenerate
-        # zero-area rectangle before dividing by self.area.
-        if inter is None or self.area == 0.0:
-            return 0.0
-        return inter.area / self.area
-
     def quadrants(self) -> tuple["Rect", "Rect", "Rect", "Rect"]:
         """Split into four equal quadrants (SW, SE, NW, NE order)."""
         cx, cy = (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
@@ -111,15 +97,3 @@ class Rect:
             Rect(self.x1, cy, cx, self.y2),
             Rect(cx, cy, self.x2, self.y2),
         )
-
-    def clamp_point(self, p: Point) -> Point:
-        """The nearest point to ``p`` inside the rectangle."""
-        return Point(
-            min(max(p.x, self.x1), self.x2),
-            min(max(p.y, self.y1), self.y2),
-        )
-
-    def intersects_circle(self, center: Point, radius: float) -> bool:
-        """True if a disk intersects the rectangle (for base-station coverage)."""
-        nearest = self.clamp_point(center)
-        return nearest.distance_to(center) <= radius

@@ -1,14 +1,12 @@
 """Historic / ad-hoc snapshot query support (the fairness threshold's client)."""
 
 from repro.history.queries import (
-    HistoricalRangeQuery,
     SnapshotQuery,
     snapshot_position_error,
 )
 from repro.history.store import TrajectoryStore
 
 __all__ = [
-    "HistoricalRangeQuery",
     "SnapshotQuery",
     "TrajectoryStore",
     "snapshot_position_error",

@@ -29,8 +29,8 @@ class TrajectoryStore:
     """Archive of all received motion models, per node.
 
     ``record`` is called with the same batches the node table ingests;
-    ``believed_position`` / ``believed_snapshot`` reconstruct the
-    server's view at any past time.
+    ``believed_snapshot`` reconstructs the server's view at any past
+    time.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -45,7 +45,6 @@ class TrajectoryStore:
         self._size = 0
         self._counts = np.zeros(n_nodes, dtype=np.int64)
         self._last_time = np.full(n_nodes, -np.inf)
-        self._first_time = np.full(n_nodes, np.nan)
         # Lazy CSR view of the log grouped by node (row order within a
         # node is report-time order, because appends are).
         self._order: np.ndarray | None = None
@@ -104,9 +103,6 @@ class TrajectoryStore:
         self._positions[grew] = positions
         self._velocities[grew] = velocities
         self._size = end
-        fresh = np.isnan(self._first_time[node_ids])
-        if fresh.any():
-            self._first_time[node_ids[fresh]] = t
         self._last_time[node_ids] = t
         self._counts += np.bincount(node_ids, minlength=self.n_nodes)
         self.total_reports += int(node_ids.size)
@@ -121,30 +117,6 @@ class TrajectoryStore:
             self._indptr = indptr
         assert self._indptr is not None
         return self._order, self._indptr
-
-    def reports_for(self, node_id: int) -> int:
-        """Number of archived reports for one node."""
-        return int(self._counts[node_id])
-
-    def believed_position(self, node_id: int, t: float) -> tuple[float, float] | None:
-        """The server's belief of where ``node_id`` was at time ``t``.
-
-        ``None`` if no model was active yet (before the node's first
-        report).
-        """
-        if self._counts[node_id] == 0:
-            return None
-        order, indptr = self._csr()
-        rows = order[indptr[node_id] : indptr[node_id + 1]]
-        idx = int(np.searchsorted(self._times[rows], t, side="right")) - 1
-        if idx < 0:
-            return None
-        row = rows[idx]
-        dt = t - self._times[row]
-        return (
-            float(self._positions[row, 0] + self._velocities[row, 0] * dt),
-            float(self._positions[row, 1] + self._velocities[row, 1] * dt),
-        )
 
     def believed_snapshot(self, t: float) -> np.ndarray:
         """Believed positions of all nodes at time ``t``; NaN where unknown.
@@ -168,8 +140,3 @@ class TrajectoryStore:
             dt = (t - self._times[rows])[:, None]
             out[have] = self._positions[rows] + self._velocities[rows] * dt
         return out
-
-    def first_report_time(self, node_id: int) -> float | None:
-        if self._counts[node_id] == 0:
-            return None
-        return float(self._first_time[node_id])

@@ -9,17 +9,14 @@ ids currently inside them, supporting point updates and range queries.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.geo import Rect
-from repro.queries import QueryEvalKernel, RangeQuery
 
 
 class GridIndex:
     """A uniform spatial grid index on 2-D points.
 
-    Points are identified by integer ids.  The index supports bulk
-    build, incremental moves, and rectangle queries.  Out-of-bounds
+    Points are identified by integer ids.  The index supports
+    incremental inserts and moves, and rectangle queries.  Out-of-bounds
     points are clamped into the boundary cells, matching how a server
     would treat nodes just outside the administrative region.
     """
@@ -66,14 +63,6 @@ class GridIndex:
         if not self._cells[cell]:
             del self._cells[cell]
 
-    def bulk_build(self, positions: np.ndarray) -> None:
-        """Rebuild from scratch with ids ``0..n-1`` at ``positions`` (n, 2)."""
-        self._cells.clear()
-        self._locations.clear()
-        self._positions.clear()
-        for point_id, (x, y) in enumerate(np.asarray(positions, dtype=np.float64)):
-            self.insert(point_id, float(x), float(y))
-
     def query(self, rect: Rect) -> list[int]:
         """Ids of points inside ``rect`` (half-open containment)."""
         lo = self.cell_of(rect.x1, rect.y1)
@@ -86,39 +75,3 @@ class GridIndex:
                     if rect.contains_xy(x, y):
                         result.append(point_id)
         return result
-
-    def query_batch(self, queries: list[RangeQuery]) -> list[np.ndarray]:
-        """Evaluate a whole query workload in one vectorized pass.
-
-        Returns one sorted point-id array per query, in query order.
-        Containment semantics are exactly those of :meth:`query` — both
-        delegate to the half-open convention of :class:`~repro.geo.Rect`,
-        with the batch path going through
-        :class:`~repro.queries.QueryEvalKernel`, the cell -> query index
-        the CQ server evaluates through.
-        """
-        if not self._positions:
-            return [np.empty(0, dtype=np.int64) for _ in queries]
-        ids = np.fromiter(
-            self._positions.keys(), dtype=np.int64, count=len(self._positions)
-        )
-        coords = np.array(
-            [self._positions[int(i)] for i in ids], dtype=np.float64
-        )
-        kernel = QueryEvalKernel(
-            queries, bounds=self.bounds, cells_per_side=self.cells_per_side
-        )
-        order = np.argsort(ids, kind="stable")
-        ids, coords = ids[order], coords[order]
-        return [ids[rows] for rows in kernel.evaluate(coords)]
-
-    def cell_counts(self) -> np.ndarray:
-        """Point counts per cell, shape ``(cells, cells)`` indexed [cx, cy].
-
-        This is the hook the statistics grid uses when piggybacking on
-        the server's index.
-        """
-        counts = np.zeros((self.cells_per_side, self.cells_per_side), dtype=np.int64)
-        for (cx, cy), members in self._cells.items():
-            counts[cx, cy] = len(members)
-        return counts

@@ -139,6 +139,8 @@ class NodeTable:
         """
         return self._vel.copy()
 
+    # reprolint: disable=REP015 - test seam: the index and fault suites
+    # check each stored model's report time through it.
     @property
     def last_update_times(self) -> np.ndarray:
         """Report time of each node's stored motion model."""

@@ -15,7 +15,7 @@ Programmatic use::
 """
 
 from repro.lint.config import LintConfig, RuleConfig
-from repro.lint.engine import lint_file, lint_source, run_paths
+from repro.lint.engine import lint_source, run_paths
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import REGISTRY, Rule, all_rules, register
 
@@ -27,7 +27,6 @@ __all__ = [
     "RuleConfig",
     "Severity",
     "all_rules",
-    "lint_file",
     "lint_source",
     "register",
     "run_paths",

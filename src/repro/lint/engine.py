@@ -5,7 +5,8 @@ builds (or loads from the content-hash cache) its per-function effect
 summary; the summaries join into a :class:`~repro.lint.project.ProjectIndex`
 whose taint closure makes rules *interprocedural* — a helper that reads
 the wall clock taints every call site reachable from it, across
-modules.  **Phase 2** walks each file once, dispatching every node to
+modules.  When REP015 runs, phase 1 also summarizes the project's
+consumer files (linted or not) for the names they read.  **Phase 2** walks each file once, dispatching every node to
 the rules registered for that node's type (see
 :class:`repro.lint.registry.Rule`) with the project index available as
 ``ctx.project``.
@@ -31,7 +32,7 @@ from pathlib import Path, PurePosixPath
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
-from repro.lint.project import ProjectIndex, SummaryCache
+from repro.lint.project import ProjectIndex, SummaryCache, consumer_files
 from repro.lint.registry import Rule, all_rules
 from repro.lint.summaries import (
     ImportResolver,
@@ -300,19 +301,11 @@ def _lint_tree(
     findings = suppressions.filter(walker.findings)
     if config.is_enabled("REP000"):
         findings.extend(
-            suppressions.unused(path, config.severity_for("REP000", Severity.ERROR))
+            suppressions.unused(
+                path, config.severity_for("REP000", Severity.ERROR), config.is_enabled
+            )
         )
     return sorted(findings, key=lambda f: (f.line, f.col, f.rule_id))
-
-
-def lint_file(
-    path: str | Path,
-    config: LintConfig | None = None,
-    project: ProjectIndex | None = None,
-) -> list[Finding]:
-    """Lint one file on disk."""
-    text = Path(path).read_text(encoding="utf-8")
-    return lint_source(text, path=str(path), config=config, project=project)
 
 
 def iter_python_files(paths: list[str | Path]) -> list[Path]:
@@ -345,40 +338,49 @@ _WORKER_PROJECT: ProjectIndex | None = None
 _WORKER_CONFIG: LintConfig | None = None
 
 
-def _lint_worker_init(modules: list[ModuleSummary], config: LintConfig) -> None:
+def _lint_worker_init(
+    modules: list[ModuleSummary],
+    reads: frozenset[str] | None,
+    config: LintConfig,
+) -> None:
     global _WORKER_PROJECT, _WORKER_CONFIG
-    _WORKER_PROJECT = ProjectIndex(modules)
+    _WORKER_PROJECT = ProjectIndex(modules, reads=reads)
     _WORKER_CONFIG = config
 
 
 def _lint_one(path: str) -> list[Finding]:
     """Pool worker: re-read and lint one file against the shared index."""
-    assert _WORKER_CONFIG is not None
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [_parse_failure(path, exc)]
-    return _lint_tree(path, source, tree, _WORKER_CONFIG, _WORKER_PROJECT)
+    source = Path(path).read_text(encoding="utf-8")
+    return lint_source(source, path, _WORKER_CONFIG, _WORKER_PROJECT)
 
 
 def build_project(
     sources: list[tuple[str, str]],
     cache: SummaryCache | None = None,
     jobs: int = 1,
+    consumers: list[Path] | None = None,
 ) -> ProjectIndex:
-    """Phase 1: summaries for every (path, source), cached and parallel."""
-    summaries: dict[str, ModuleSummary | None] = {}
+    """Phase 1: summaries for every (path, source), cached and parallel.
+
+    ``consumers`` (files, linted or not) feed the index's REP015 census;
+    without them the index carries none.
+    """
+    linted = {Path(path).resolve(): path for path, _ in sources}
+    extra = [
+        (str(file), file.read_text(encoding="utf-8"))
+        for file in consumers or ()
+        if file.resolve() not in linted
+    ]
+    summaries: dict[str, ModuleSummary] = {}
     missing: list[tuple[str, str]] = []
-    for path, source in sources:
+    for path, source in sources + extra:
+        cached = None
         if cache is not None:
-            digest = source_digest(module_name_for(path), source)
-            summaries[path] = cache.get(digest)
-            if summaries[path] is None:
-                missing.append((path, source))
-        else:
-            summaries[path] = None
+            cached = cache.get(source_digest(module_name_for(path), source))
+        if cached is None:
             missing.append((path, source))
+        else:
+            summaries[path] = cached
     if missing:
         if pool_is_profitable(jobs, len(missing)):
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -389,7 +391,14 @@ def build_project(
             summaries[path] = summary
             if cache is not None:
                 cache.put(summary)
-    return ProjectIndex([s for s in summaries.values() if s is not None])
+    reads: frozenset[str] | None = None
+    if consumers is not None:
+        reads = frozenset(
+            name
+            for file in consumers
+            for name in summaries[linted.get(file.resolve(), str(file))].reads
+        )
+    return ProjectIndex([summaries[path] for path, _ in sources], reads=reads)
 
 
 def run_paths(
@@ -416,7 +425,8 @@ def run_paths(
     sources: list[tuple[str, str]] = [
         (str(file), file.read_text(encoding="utf-8")) for file in files
     ]
-    project = build_project(sources, cache=cache, jobs=jobs)
+    consumers = consumer_files(paths) if config.is_enabled("REP015") else None
+    project = build_project(sources, cache=cache, jobs=jobs, consumers=consumers)
 
     findings: list[Finding] = []
     if pool_is_profitable(jobs, len(sources)):
@@ -424,16 +434,11 @@ def run_paths(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_lint_worker_init,
-            initargs=(modules, config),
+            initargs=(modules, project.reads, config),
         ) as pool:
             for result in pool.map(_lint_one, [path for path, _ in sources]):
                 findings.extend(result)
     else:
         for path, source in sources:
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                findings.append(_parse_failure(path, exc))
-                continue
-            findings.extend(_lint_tree(path, source, tree, config, project))
+            findings.extend(lint_source(source, path, config, project))
     return findings, len(files)

@@ -118,3 +118,16 @@ SYNC_LOCK_CONSTRUCTORS = frozenset({
     "threading.Lock", "threading.RLock", "threading.Condition",
     "threading.Semaphore", "threading.BoundedSemaphore",
 })
+
+#: REP015's consumers: directories, relative to the project root (the
+#: nearest ancestor of the linted paths holding ``pyproject.toml``),
+#: whose files count as readers of a ``src/`` definition.  ``bench/``
+#: is read for names but linted only when named on the command line;
+#: the rest of ``tests/`` is not a consumer (a def only its own tests
+#: read is dead).
+PROJECT_MARKER = "pyproject.toml"
+CONSUMER_ROOTS = ("src", "bench", "benchmarks", "examples", "scripts", "tests/oracles")
+
+#: Decorators that register a definition in a table (the rule
+#: registry): the registry reads it, not a name (REP015 exemption).
+REGISTERING_DECORATORS = frozenset({"register"})

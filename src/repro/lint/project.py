@@ -18,11 +18,17 @@ routed through ``repro.timing``" means the same thing to both layers.
 :class:`SummaryCache` persists summaries keyed by content hash (module
 name and format version mixed in), so warm runs only re-summarize
 files whose bytes changed.
+
+The index also holds the **consumer census** REP015 asks about: the
+identifiers read by every file under the project's consumer roots
+(:data:`repro.lint.knowledge.CONSUMER_ROOTS`), found from the project
+root whatever subset of the tree is being linted.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from fnmatch import fnmatch
 from pathlib import Path
@@ -51,10 +57,37 @@ def chain_text(chain: tuple[str, ...]) -> str:
     return " -> ".join(chain)
 
 
-class ProjectIndex:
-    """Symbol table + transitive effect taints over a set of modules."""
+def consumer_files(paths: Iterable[str | Path]) -> list[Path] | None:
+    """Every ``.py`` file under the consumer roots of the linted paths'
+    project, or ``None`` when no ancestor holds ``pyproject.toml``."""
+    resolved = [Path(p).resolve() for p in paths]
+    if not resolved:
+        return None
+    common = Path(os.path.commonpath(resolved))
+    for root in (common, *common.parents):
+        if (root / knowledge.PROJECT_MARKER).is_file():
+            break
+    else:
+        return None
+    files: list[Path] = []
+    for consumer in knowledge.CONSUMER_ROOTS:
+        files.extend(sorted((root / consumer).rglob("*.py")))
+    return files
 
-    def __init__(self, modules: Iterable[ModuleSummary]) -> None:
+
+class ProjectIndex:
+    """Symbol table + transitive effect taints over a set of modules.
+
+    ``reads`` is the consumer census (``None`` when the run has no
+    project root, e.g. a bare snippet: REP015 then stays silent).
+    """
+
+    def __init__(
+        self,
+        modules: Iterable[ModuleSummary],
+        reads: frozenset[str] | None = None,
+    ) -> None:
+        self.reads = reads
         self.modules: dict[str, ModuleSummary] = {}
         self.functions: dict[str, FunctionSummary] = {}
         self._path_of: dict[str, str] = {}

@@ -6,6 +6,7 @@ Rule families:
   unordered iteration, environment reads.
 * ``numeric`` — REP010-REP011: float equality, mutable defaults.
 * ``imports`` — REP012: module-level imports the module never reads.
+* ``deadcode`` — REP015: library defs no consumer file reads.
 * ``invariants`` — REP020-REP021: the paper's Δ-bound/fairness clamping
   seam and the shedding-policy interface.
 * ``pools`` — REP030: picklability of process-pool callables.
@@ -19,6 +20,7 @@ Rule families:
 
 from repro.lint.rules import (  # noqa: F401 - imported for registration
     async_rules,
+    deadcode,
     determinism,
     imports,
     invariants,

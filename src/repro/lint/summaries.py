@@ -4,7 +4,8 @@ One :class:`ModuleSummary` per file records, for every function and
 method defined in it, the *effects the determinism contract cares
 about* — wall-clock reads, unseeded/global RNG draws, environment
 reads, blocking calls, module-global mutation, unordered shard
-iteration — plus the resolved names of everything it calls.  The
+iteration — plus the resolved names of everything it calls, and the
+identifiers the file reads anywhere (REP015's consumer census).  The
 project index (:mod:`repro.lint.project`) closes these summaries over
 the call graph so a helper that reads the clock two hops away taints
 every reachable call site.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
@@ -30,7 +32,7 @@ from repro.lint import knowledge
 
 #: Bump when the summary format or detectors change: invalidates every
 #: cached entry (the digest mixes this in).
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: The effect kinds a summary can carry.
 TAINTS = ("clock", "rng", "env", "blocks", "global_mutation", "shard_iter")
@@ -41,6 +43,8 @@ _MUTATING_METHODS = frozenset({
 })
 
 _DICT_VIEWS = ("keys", "values", "items")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def module_name_for(path: str | Path) -> str:
@@ -157,12 +161,14 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ModuleSummary:
-    """Every function summary of one file, plus its identity."""
+    """Every function summary of one file, its reads, and its identity."""
 
     module: str
     path: str
     digest: str
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
+    #: Identifiers the file reads (see :func:`names_read`).
+    reads: frozenset[str] = frozenset()
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -173,6 +179,7 @@ class ModuleSummary:
             "functions": {
                 name: fn.to_dict() for name, fn in sorted(self.functions.items())
             },
+            "reads": sorted(self.reads),
         }
 
     @classmethod
@@ -185,7 +192,45 @@ class ModuleSummary:
                 str(name): FunctionSummary.from_dict(fn)
                 for name, fn in dict(data["functions"]).items()
             },
+            reads=frozenset(str(name) for name in data["reads"]),
         )
+
+
+def names_read(tree: ast.Module) -> frozenset[str]:
+    """Every identifier the file reads, for REP015's consumer census.
+
+    A read is a loaded name, an attribute, a keyword argument, or an
+    identifier inside a string constant (``getattr`` targets, seams
+    patched by name).  Docstrings (any bare string statement) and
+    ``__all__`` entries are documentation and export lists, not reads;
+    imports bind names without reading them.
+    """
+    skip: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skip.add(id(node.value))
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets: list[ast.expr] = (
+                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            )
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                skip.update(id(node) for node in ast.walk(stmt))
+    reads: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            reads.add(node.arg)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in skip
+        ):
+            reads.update(_IDENTIFIER.findall(node.value))
+    return frozenset(reads)
 
 
 def _module_level_names(tree: ast.Module) -> set[str]:
@@ -454,5 +499,9 @@ def summarize_module(
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     add(item, stmt.name)
     return ModuleSummary(
-        module=module, path=posix, digest=digest, functions=functions
+        module=module,
+        path=posix,
+        digest=digest,
+        functions=functions,
+        reads=names_read(tree),
     )

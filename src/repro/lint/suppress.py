@@ -18,6 +18,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.lint.findings import Finding, Severity
 
@@ -89,12 +90,16 @@ class SuppressionIndex:
                 kept.append(finding)
         return kept
 
-    def unused(self, path: str, severity: Severity) -> list[Finding]:
-        """REP000 findings for directives (or rule ids) that masked nothing."""
+    def unused(
+        self, path: str, severity: Severity, ran: Callable[[str], bool]
+    ) -> list[Finding]:
+        """REP000 findings for directives (or rule ids) that masked nothing,
+        among the rules that ran (``ran(rule_id)``): a ``--select`` run
+        cannot tell whether a suppression of an unselected rule is stale."""
         out: list[Finding] = []
         for sup in self._all:
             for rule_id in sup.rules:
-                if rule_id not in sup.used:
+                if rule_id not in sup.used and ran(rule_id):
                     out.append(
                         Finding(
                             rule_id="REP000",

@@ -68,11 +68,6 @@ class LoadtestReport:
     samples_excluded_warmup: int = 0
     server_stats: dict = field(default_factory=dict)
 
-    @property
-    def slo_ok(self) -> bool | None:
-        """SLO verdict (None when nothing was measured or declared)."""
-        return self.ingest_slo.ok if self.ingest_slo is not None else None
-
     def to_dict(self) -> dict:
         return {
             "schedule": self.schedule,

@@ -1,12 +1,10 @@
-"""Dead-reckoning update generation.
+"""Dead-reckoning update generation for the whole population.
 
-Two implementations of the same protocol:
-
-* :class:`DeadReckoningTracker` — one node, object per node.  Clear and
-  directly testable against the protocol's definition.
-* :class:`DeadReckoningFleet` — the whole population in numpy arrays.
-  Used by the simulator, where observing thousands of nodes per tick in
-  Python objects would dominate runtime.
+:class:`DeadReckoningFleet` keeps every node's last-sent model in numpy
+arrays: the simulator observes thousands of nodes per tick, which in
+Python objects would dominate runtime.  The one-node form of the same
+protocol is :class:`repro.motion.models.ModelDrivenTracker` with the
+linear model.
 
 A node reports when the deviation between its last-sent linear model's
 prediction and its true position exceeds its inaccuracy threshold Δ.
@@ -18,41 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geo import Point
-from repro.motion.linear import LinearMotionModel, MotionReport
-
 #: Nodes per block of :meth:`DeadReckoningFleet.deviation`: a block's
 #: temporaries (768 KiB) fit in one core's L2.
 DEVIATION_BLOCK = 32_768
-
-
-class DeadReckoningTracker:
-    """Node-side dead reckoning for a single mobile node.
-
-    Call :meth:`observe` every time the node samples its position; it
-    returns a :class:`MotionReport` when the protocol requires sending
-    one (including the very first observation), else ``None``.
-    """
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self.model: LinearMotionModel | None = None
-        self.reports_sent = 0
-
-    def observe(
-        self, t: float, position: Point, velocity: Point, threshold: float
-    ) -> MotionReport | None:
-        """Process one position sample under inaccuracy threshold Δ=``threshold``."""
-        if not threshold >= 0:  # rejects NaN too, which would report every sample
-            raise ValueError("threshold must be non-negative")
-        if self.model is not None and self.model.deviation(t, position) <= threshold:
-            return None
-        report = MotionReport(
-            node_id=self.node_id, time=t, position=position, velocity=velocity
-        )
-        self.model = LinearMotionModel.from_report(report)
-        self.reports_sent += 1
-        return report
 
 
 class DeadReckoningFleet:
@@ -145,6 +111,8 @@ class DeadReckoningFleet:
             np.sqrt(out[block], out=out[block])
         return out
 
+    # reprolint: disable=REP015 - test seam: the motion suite reads the
+    # last-sent models to prove observe/deviation purity.
     def node_models(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Snapshot of (positions, velocities, times) of last-sent models."""
         return self._sent_pos.T.copy(), self._sent_vel.T.copy(), self._sent_time.copy()

@@ -16,16 +16,6 @@ from repro.geo import Point
 
 
 @dataclass(frozen=True, slots=True)
-class MotionReport:
-    """One dead-reckoning report: model parameters sent by a node."""
-
-    node_id: int
-    time: float
-    position: Point
-    velocity: Point
-
-
-@dataclass(frozen=True, slots=True)
 class LinearMotionModel:
     """A linear motion model anchored at a report.
 
@@ -36,11 +26,6 @@ class LinearMotionModel:
     position: Point
     velocity: Point
     time: float
-
-    @classmethod
-    def from_report(cls, report: MotionReport) -> "LinearMotionModel":
-        """Build the server-side model for a received report."""
-        return cls(position=report.position, velocity=report.velocity, time=report.time)
 
     def predict(self, t: float) -> Point:
         """Predicted position at time ``t`` (extrapolation is unclamped)."""

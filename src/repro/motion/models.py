@@ -108,7 +108,7 @@ class ModelDrivenTracker:
         self, t: float, position: Point, velocity: Point, threshold: float
     ) -> bool:
         """Process one sample; returns True when a report is sent."""
-        if threshold < 0:
+        if not threshold >= 0:  # rejects NaN too, which would never report again
             raise ValueError("threshold must be non-negative")
         sample_dt = (
             t - self._last_sample_time if self._last_sample_time is not None else 0.0

@@ -147,11 +147,6 @@ class RoadNetwork:
         )
         return indptr, seg_ids
 
-    @property
-    def total_length(self) -> float:
-        """Sum of all segment lengths, in meters."""
-        return sum(seg.length for seg in self.segments)
-
     def validate(self) -> None:
         """Raise ``ValueError`` if the graph is structurally inconsistent.
 

@@ -4,7 +4,6 @@ from repro.server.base_station import (
     BYTES_PER_REGION,
     UDP_PAYLOAD_BYTES,
     BaseStation,
-    mean_broadcast_bytes,
     mean_regions_per_station,
     place_density_dependent_stations,
     place_uniform_stations,
@@ -34,7 +33,6 @@ __all__ = [
     "MobileCQServer",
     "UDP_PAYLOAD_BYTES",
     "hrw_shards",
-    "mean_broadcast_bytes",
     "mean_regions_per_station",
     "place_density_dependent_stations",
     "place_uniform_stations",

@@ -43,11 +43,9 @@ def coverage_mask(stations: list[BaseStation], plan: SheddingPlan) -> np.ndarray
     """Boolean (stations × regions) coverage-intersection matrix.
 
     Entry ``[s, r]`` is True iff region ``r`` intersects station ``s``'s
-    coverage disk — the vectorized form of
-    ``Rect.intersects_circle(center, radius)``: the disk center is
-    clamped into each rectangle (``min(max(c, lo), hi)`` per axis,
-    exactly the scalar path's arithmetic) and the clamped distance
-    compared against the radius.
+    coverage disk: the disk center is clamped into each rectangle
+    (``min(max(c, lo), hi)`` per axis) and the clamped distance compared
+    against the radius.
     """
     x1, y1, x2, y2 = plan.rect_arrays()
     cx = np.array([s.center.x for s in stations], dtype=np.float64)[:, None]
@@ -139,8 +137,3 @@ def mean_regions_per_station(
     if not stations:
         raise ValueError("at least one station is required")
     return float(np.mean(coverage_mask(stations, plan).sum(axis=1)))
-
-
-def mean_broadcast_bytes(stations: list[BaseStation], plan: SheddingPlan) -> float:
-    """Average broadcast payload per station for installing a new plan."""
-    return mean_regions_per_station(stations, plan) * BYTES_PER_REGION

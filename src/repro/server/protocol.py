@@ -251,15 +251,8 @@ class BaseStationNetwork:
         pool = covering or self.stations
         return min(pool, key=lambda s: s.center.distance_to(p))
 
-    def subset_for_station(self, station_id: int) -> RegionSubset:
-        """The current subset of one station (hand-off download)."""
-        if station_id not in self._subsets:
-            raise KeyError(
-                f"station {station_id} has no subset; install a plan first"
-            )
-        return self._subsets[station_id]
-
     def subset_or_none(self, station_id: int) -> RegionSubset | None:
-        """Like :meth:`subset_for_station`, but ``None`` when the station
-        has never received a broadcast (lost on a faulty downlink)."""
+        """The current subset of one station (hand-off download), or
+        ``None`` when the station has never received a broadcast (before
+        the first install, or lost on a faulty downlink)."""
         return self._subsets.get(station_id)

@@ -176,19 +176,3 @@ def store_reduction(key: str, reduction: PiecewiseLinearReduction) -> None:
         )
 
     _atomic_write(reduction_path(key), write)
-
-
-def purge() -> int:
-    """Delete every cached artifact; returns the number of files removed."""
-    removed = 0
-    for sub in ("traces", "reductions"):
-        directory = cache_dir() / sub
-        if not directory.is_dir():
-            continue
-        for path in directory.glob("*.npz"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed

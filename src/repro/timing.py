@@ -45,6 +45,8 @@ def monotonic() -> float:
     return time.monotonic()
 
 
+# reprolint: disable=REP015 - test seam: the deterministic clock the
+# sanitizer and adapt-timing suites inject.
 class ManualClock:
     """A deterministic :data:`Clock` for tests: reads what you set.
 

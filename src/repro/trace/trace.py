@@ -72,15 +72,6 @@ class Trace:
         """Average speed over all nodes and ticks."""
         return float(np.linalg.norm(self.velocities, axis=2).mean())
 
-    def slice_ticks(self, start: int, stop: int) -> "Trace":
-        """A sub-trace covering ticks ``[start, stop)``."""
-        return Trace(
-            bounds=self.bounds,
-            dt=self.dt,
-            positions=self.positions[start:stop],
-            velocities=self.velocities[start:stop],
-        )
-
     def save(self, path: str | Path, compressed: bool = True) -> None:
         """Persist to a ``.npz`` file (positions, velocities, metadata).
 

@@ -4,8 +4,9 @@ Everything the runtime keeps as arrays exists here as objects: one
 :class:`MobileNode` per node scanning the station list and probing the
 paper's 5×5 grid index (:class:`ObjectNodeEngine`), one
 :class:`UpdateMessage` per report in a per-message :class:`BoundedQueue`
-(:class:`MessageCQServer`), and plans from the scalar kernels
-(:func:`tests.oracles.gridreduce.reference_plan`).
+(:class:`MessageCQServer`), plans from the scalar kernels
+(:func:`tests.oracles.gridreduce.reference_plan`), and station coverage
+one disk and rectangle at a time (:func:`disk_meets_rect`).
 :class:`ReferenceLiraSystem` wires them into the same bootstrap / adapt
 / tick / stats loop; at matched seeds ``LiraSystem(n_shards=1)`` must
 agree with it bit for bit — stats, plans, thresholds, believed
@@ -25,7 +26,7 @@ from repro.core.greedy import RegionStats
 from repro.core.plan import SheddingPlan, SheddingRegion, clamp_thresholds
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
-from repro.geo import Rect
+from repro.geo import Point, Rect
 from repro.history import TrajectoryStore
 from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
@@ -39,6 +40,15 @@ from tests.oracles.gridreduce import reference_plan
 #: Side cell count of the node-side lookup index ("a tiny 5x5 grid
 #: index on the mobile node side", Section 4.3.2).
 NODE_INDEX_SIDE = 5
+
+
+def disk_meets_rect(rect: Rect, center: Point, radius: float) -> bool:
+    """One entry of ``coverage_mask``: the disk center clamped into the
+    rectangle lies within ``radius`` of it."""
+    nearest = Point(
+        min(max(center.x, rect.x1), rect.x2), min(max(center.y, rect.y1), rect.y2)
+    )
+    return nearest.distance_to(center) <= radius
 
 
 class _SubsetIndex:

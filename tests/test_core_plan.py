@@ -51,17 +51,15 @@ class TestLookup:
     def test_threshold_at_each_quadrant(self):
         plan = self._plan()
         # Quadrant order from Rect.quadrants(): SW, SE, NW, NE.
-        assert plan.threshold_at(25.0, 25.0) == 5.0
-        assert plan.threshold_at(75.0, 25.0) == 10.0
-        assert plan.threshold_at(25.0, 75.0) == 20.0
-        assert plan.threshold_at(75.0, 75.0) == 40.0
+        centers = np.array([[25.0, 25.0], [75.0, 25.0], [25.0, 75.0], [75.0, 75.0]])
+        assert plan.thresholds_for(centers).tolist() == [5.0, 10.0, 20.0, 40.0]
 
     def test_vectorized_matches_scalar(self, rng):
         plan = self._plan()
         positions = rng.uniform(0, 100, size=(100, 2))
         vectorized = plan.thresholds_for(positions)
         for k in range(100):
-            assert vectorized[k] == plan.threshold_at(*positions[k])
+            assert vectorized[k] == plan.region_at(*positions[k]).delta
 
     def test_lookup_matches_rect_containment(self, rng):
         plan = self._plan()
@@ -73,8 +71,8 @@ class TestLookup:
 
     def test_out_of_bounds_clamps(self):
         plan = self._plan()
-        assert plan.threshold_at(-50.0, -50.0) == 5.0
-        assert plan.threshold_at(500.0, 500.0) == 40.0
+        outside = np.array([[-50.0, -50.0], [500.0, 500.0]])
+        assert plan.thresholds_for(outside).tolist() == [5.0, 40.0]
 
     def test_region_at(self):
         plan = self._plan()
@@ -90,7 +88,8 @@ class TestLookup:
         plan = self._plan()
         values = plan.thresholds
         values[0] = 999.0
-        assert plan.threshold_at(25.0, 25.0) == 5.0
+        assert plan.region_at(25.0, 25.0).delta == 5.0
+        assert plan.thresholds_for(np.array([[25.0, 25.0]]))[0] == 5.0
 
 
 class TestQuadtreePlanRoundtrip:

@@ -82,7 +82,7 @@ class TestNavigation:
         grid = StatisticsGrid(BOUNDS, 4)
         h = RegionHierarchy(grid)
         leaf = h.node(h.depth, 2, 3)
-        assert leaf.rect == grid.cell_rect(2, 3)
+        assert leaf.rect == Rect(40.0, 60.0, 60.0, 80.0)  # cell (2, 3) of 4x4 over 80x80
 
     def test_leaves_have_no_children(self):
         h = RegionHierarchy(StatisticsGrid(BOUNDS, 2))

@@ -202,18 +202,6 @@ class TestIncrementalMaintenance:
 
 
 class TestGeometry:
-    def test_cell_rect_tiles_bounds(self):
-        grid = StatisticsGrid(BOUNDS, 4)
-        total = sum(
-            grid.cell_rect(i, j).area for i in range(4) for j in range(4)
-        )
-        assert total == pytest.approx(BOUNDS.area)
-
-    def test_cell_rect_bounds_checked(self):
-        grid = StatisticsGrid(BOUNDS, 4)
-        with pytest.raises(IndexError):
-            grid.cell_rect(4, 0)
-
     def test_cell_indices_vectorized_matches_scalar(self, rng):
         grid = StatisticsGrid(BOUNDS, 8)
         positions = rng.uniform(-10, 110, size=(50, 2))
@@ -224,40 +212,3 @@ class TestGeometry:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             StatisticsGrid(BOUNDS, 0)
-
-
-class TestGridIndexPiggyback:
-    def test_counts_match_index(self, rng):
-        from repro.index import GridIndex
-
-        index = GridIndex(BOUNDS, 8)
-        positions = rng.uniform(0, 100, size=(120, 2))
-        index.bulk_build(positions)
-        grid = StatisticsGrid.from_grid_index(index)
-        assert grid.alpha == 8
-        assert grid.total_nodes == 120
-        np.testing.assert_array_equal(grid.n, index.cell_counts())
-
-    def test_matches_snapshot_construction(self, rng):
-        from repro.index import GridIndex
-
-        positions = rng.uniform(0, 100, size=(80, 2))
-        index = GridIndex(BOUNDS, 4)
-        index.bulk_build(positions)
-        via_index = StatisticsGrid.from_grid_index(index)
-        via_snapshot = StatisticsGrid.from_snapshot(BOUNDS, 4, positions)
-        np.testing.assert_allclose(via_index.n, via_snapshot.n)
-
-    def test_speeds_and_queries(self, rng):
-        from repro.index import GridIndex
-
-        positions = np.array([[10.0, 10.0], [12.0, 11.0], [90.0, 90.0]])
-        speeds = np.array([4.0, 8.0, 2.0])
-        index = GridIndex(BOUNDS, 4)
-        index.bulk_build(positions)
-        grid = StatisticsGrid.from_grid_index(
-            index, queries=[RangeQuery(0, Rect(0, 0, 25, 25))], speeds=speeds
-        )
-        assert grid.s[0, 0] == pytest.approx(6.0)
-        assert grid.s[3, 3] == pytest.approx(2.0)
-        assert grid.total_queries == pytest.approx(1.0)

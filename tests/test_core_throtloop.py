@@ -85,12 +85,6 @@ class TestControlLaw:
         final_utilization = full_load * loop.z / capacity
         assert final_utilization == pytest.approx(loop.target_utilization, rel=1e-3)
 
-    def test_reset(self):
-        loop = ThrotLoop(queue_capacity=10)
-        loop.step(100.0, 1.0)
-        loop.reset()
-        assert loop.z == 1.0
-
 
 class TestValidation:
     def test_rejects_bad_rates(self):
@@ -216,9 +210,3 @@ class TestSmoothing:
             loop.step(full_load * loop.z, capacity)
         final_utilization = full_load * loop.z / capacity
         assert final_utilization == pytest.approx(loop.target_utilization, rel=0.05)
-
-    def test_reset_clears_smoothing_state(self):
-        loop = ThrotLoop(queue_capacity=50, smoothing=0.2)
-        loop.step_utilization(5.0)
-        loop.reset()
-        assert loop._smoothed_utilization is None

@@ -234,9 +234,9 @@ class TestNetworkUnderDownlinkFaults:
         )
         net.install_plan(plan, t=0.0)
         sid = station[0].station_id
-        assert net.subset_for_station(sid).version == 1
+        assert net.subset_or_none(sid).version == 1
         net.install_plan(plan, t=100.0)  # lost: station keeps v1
-        assert net.subset_for_station(sid).version == 1
+        assert net.subset_or_none(sid).version == 1
         mean_age, stale_fraction = net.staleness(150.0)
         assert mean_age == pytest.approx(150.0)  # serving the t=0 plan
         assert stale_fraction == 1.0
@@ -252,10 +252,10 @@ class TestNetworkUnderDownlinkFaults:
         net.install_plan(plan, t=0.0)
         net.install_plan(plan, t=50.0)  # delayed until t=80
         sid = station[0].station_id
-        assert net.subset_for_station(sid).version == 1
+        assert net.subset_or_none(sid).version == 1
         assert net.deliver_pending(60.0) == 0
         assert net.deliver_pending(80.0) == 1
-        assert net.subset_for_station(sid).version == 2
+        assert net.subset_or_none(sid).version == 2
         assert net.staleness(80.0) == (pytest.approx(30.0), 0.0)
 
     def test_stale_delayed_broadcast_never_clobbers_newer(self, plan):
@@ -265,9 +265,9 @@ class TestNetworkUnderDownlinkFaults:
         net.install_plan(plan, t=0.0)  # v1 delayed until t=100
         net.install_plan(plan, t=10.0)  # v2 delivered immediately
         sid = station[0].station_id
-        assert net.subset_for_station(sid).version == 2
+        assert net.subset_or_none(sid).version == 2
         assert net.deliver_pending(200.0) == 0  # matured v1 is discarded
-        assert net.subset_for_station(sid).version == 2
+        assert net.subset_or_none(sid).version == 2
 
     def test_never_delivered_station_counts_fully_stale(self, plan):
         station = place_uniform_stations(plan.bounds, 1e6)[:1]

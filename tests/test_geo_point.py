@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.geo import Point, lerp, midpoint
+from repro.geo import Point, midpoint
 
 
 class TestPointArithmetic:
@@ -46,19 +46,7 @@ class TestPointMetrics:
         a, b = Point(-1.0, 2.0), Point(3.0, -2.0)
         assert a.distance_to(b) == pytest.approx(math.hypot(4.0, 4.0))
 
-    def test_as_tuple(self):
-        assert Point(1.0, 2.0).as_tuple() == (1.0, 2.0)
-
 
 class TestHelpers:
     def test_midpoint(self):
         assert midpoint(Point(0.0, 0.0), Point(2.0, 4.0)) == Point(1.0, 2.0)
-
-    def test_lerp_endpoints(self):
-        a, b = Point(1.0, 1.0), Point(3.0, 5.0)
-        assert lerp(a, b, 0.0) == a
-        assert lerp(a, b, 1.0) == b
-
-    def test_lerp_midpoint_matches_midpoint(self):
-        a, b = Point(-2.0, 0.0), Point(4.0, 6.0)
-        assert lerp(a, b, 0.5) == midpoint(a, b)

@@ -1,8 +1,12 @@
 """Unit tests for repro.geo.rect."""
 
+import numpy as np
 import pytest
 
+from repro.core.greedy import RegionStats
+from repro.core.plan import SheddingPlan
 from repro.geo import Point, Rect
+from repro.server.base_station import BaseStation, coverage_mask
 
 
 class TestConstruction:
@@ -78,21 +82,6 @@ class TestIntersection:
         inner = Rect(2.0, 2.0, 3.0, 3.0)
         assert outer.intersection(inner) == inner
 
-    def test_overlap_fraction_full(self):
-        inner = Rect(2.0, 2.0, 3.0, 3.0)
-        outer = Rect(0.0, 0.0, 10.0, 10.0)
-        assert inner.overlap_fraction(outer) == pytest.approx(1.0)
-
-    def test_overlap_fraction_half(self):
-        a = Rect(0.0, 0.0, 2.0, 1.0)
-        b = Rect(1.0, 0.0, 3.0, 1.0)
-        assert a.overlap_fraction(b) == pytest.approx(0.5)
-
-    def test_overlap_fraction_disjoint_is_zero(self):
-        a = Rect(0.0, 0.0, 1.0, 1.0)
-        b = Rect(2.0, 2.0, 3.0, 3.0)
-        assert a.overlap_fraction(b) == 0.0
-
 
 class TestQuadrants:
     def test_quadrants_tile_the_rect(self):
@@ -114,18 +103,22 @@ class TestQuadrants:
             assert sum(q.contains(p) for q in quads) == 1
 
 
+def _disk_meets(rect: Rect, center: Point, radius: float) -> bool:
+    """A station's coverage disk against a one-region plan over ``rect``
+    (``coverage_mask`` is where disk/rectangle intersection lives)."""
+    region = RegionStats(rect=rect, n=1.0, m=0.0, s=1.0)
+    plan = SheddingPlan.from_regions(rect, [region], np.array([5.0]), 4)
+    return bool(coverage_mask([BaseStation(0, center, radius)], plan)[0, 0])
+
+
 class TestCircleIntersection:
     def test_circle_centered_inside_intersects(self, unit_rect):
-        assert unit_rect.intersects_circle(Point(0.5, 0.5), 0.1)
+        assert _disk_meets(unit_rect, Point(0.5, 0.5), 0.1)
 
     def test_circle_far_away_does_not(self, unit_rect):
-        assert not unit_rect.intersects_circle(Point(10.0, 10.0), 1.0)
+        assert not _disk_meets(unit_rect, Point(10.0, 10.0), 1.0)
 
     def test_circle_touching_corner(self, unit_rect):
         # Distance from (2, 2) to corner (1, 1) is sqrt(2) ~ 1.414.
-        assert unit_rect.intersects_circle(Point(2.0, 2.0), 1.5)
-        assert not unit_rect.intersects_circle(Point(2.0, 2.0), 1.3)
-
-    def test_clamp_point(self, unit_rect):
-        assert unit_rect.clamp_point(Point(5.0, -3.0)) == Point(1.0, 0.0)
-        assert unit_rect.clamp_point(Point(0.3, 0.7)) == Point(0.3, 0.7)
+        assert _disk_meets(unit_rect, Point(2.0, 2.0), 1.5)
+        assert not _disk_meets(unit_rect, Point(2.0, 2.0), 1.3)

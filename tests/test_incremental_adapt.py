@@ -29,6 +29,7 @@ from repro.server.node_engine import _ThresholdRaster
 from repro.server.protocol import BYTES_PER_REGION, BaseStationNetwork
 
 from tests.oracles.gridreduce import grid_reduce_reference, reference_plan
+from tests.oracles.system import disk_meets_rect
 
 SIDE = 1000.0
 BOUNDS = Rect(0.0, 0.0, SIDE, SIDE)
@@ -550,7 +551,7 @@ class TestPlanDelta:
         drifted = [(10.0 * k + 1.0, 1.5, 2.0) for k in range(16)]
         new = _tiled_plan([20.0] * 16, drifted, epoch=4)
         delta = base.diff(new)
-        assert delta.num_changes == 0  # nothing a node must re-learn
+        assert len(delta.changes) == 0  # nothing a node must re-learn
         assert len(delta.stat_changes) == 16
         _assert_same_content(base.apply_delta(delta), new)
 
@@ -561,7 +562,7 @@ class TestPlanDelta:
         new_deltas[5] = 35.0
         new = _tiled_plan(new_deltas, stats, epoch=1)
         delta = base.diff(new)
-        assert delta.num_changes == 1
+        assert len(delta.changes) == 1
         assert delta.stat_changes == ()
 
     def test_epoch_mismatch_raises(self):
@@ -957,6 +958,6 @@ class TestCoverageMask:
         mask = coverage_mask(stations, plan)
         for row, station in enumerate(stations):
             for col, region in enumerate(plan.regions):
-                assert mask[row, col] == region.rect.intersects_circle(
-                    station.center, station.radius
+                assert mask[row, col] == disk_meets_rect(
+                    region.rect, station.center, station.radius
                 )

@@ -21,7 +21,8 @@ class TestGridIndex:
     def test_query_matches_brute_force(self, rng):
         index = GridIndex(self.BOUNDS, 8)
         positions = rng.uniform(0, 100, size=(200, 2))
-        index.bulk_build(positions)
+        for point_id, (x, y) in enumerate(positions):
+            index.insert(point_id, float(x), float(y))
         rect = Rect(20.0, 30.0, 70.0, 90.0)
         expected = {
             i for i, (x, y) in enumerate(positions) if rect.contains_xy(x, y)
@@ -50,14 +51,6 @@ class TestGridIndex:
         index.insert(1, -50.0, 500.0)
         # Clamped into the boundary cell; still findable by cell scan.
         assert index.cell_of(-50.0, 500.0) == (0, 3)
-
-    def test_cell_counts(self, rng):
-        index = GridIndex(self.BOUNDS, 4)
-        positions = rng.uniform(0, 100, size=(50, 2))
-        index.bulk_build(positions)
-        counts = index.cell_counts()
-        assert counts.sum() == 50
-        assert counts.shape == (4, 4)
 
     def test_rejects_bad_cells(self):
         with pytest.raises(ValueError):

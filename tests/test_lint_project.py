@@ -8,12 +8,14 @@ clean.
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
 from repro.lint import LintConfig, run_paths
-from repro.lint.engine import build_project, lint_file
+from repro.lint.engine import build_project, lint_source
 from repro.lint.project import ProjectIndex, SummaryCache, chain_text
+from repro.lint.summaries import SUMMARY_VERSION
 from repro.lint.summaries import (
     module_name_for,
     source_digest,
@@ -245,16 +247,23 @@ class TestParallelAndCache:
         return sorted(f.format() for f in findings), checked
 
     def test_jobs_and_cache_do_not_change_findings(self, tmp_path):
-        write_tree(tmp_path / "tree", self.FILES)
+        """REP002 and the REP015 census alike: the tree is a project
+        (``pyproject.toml`` + ``src/``), so the consumer reads are cached
+        and shipped to the pool workers too."""
         root = tmp_path / "tree"
+        write_tree(root, {f"src/{name}": body for name, body in self.FILES.items()})
+        (root / "pyproject.toml").write_text("")
         cache_dir = tmp_path / "cache"
-        serial = self._run(root)
-        parallel = self._run(root, jobs=2)
-        cold_cache = self._run(root, cache_dir=cache_dir)
-        warm_cache = self._run(root, cache_dir=cache_dir)
+        serial = self._run(root / "src")
+        parallel = self._run(root / "src", jobs=2)
+        cold_cache = self._run(root / "src", cache_dir=cache_dir)
+        warm_cache = self._run(root / "src", cache_dir=cache_dir)
         assert serial == parallel == cold_cache == warm_cache
         assert serial[1] == 3
         assert any("REP002" in line for line in serial[0])
+        # ``stamp`` is read by two.py; nothing reads ``caller``.
+        rep015 = [line for line in serial[0] if "REP015" in line]
+        assert len(rep015) == 1 and "'caller'" in rep015[0]
 
     def test_cache_hits_on_second_build(self, tmp_path):
         write_tree(tmp_path / "tree", self.FILES)
@@ -293,26 +302,142 @@ class TestParallelAndCache:
         assert checked == 3
         assert any("REP002" in line for line in findings)
 
+    def test_entry_written_at_the_previous_version_misses(self, tmp_path):
+        """Summaries carry the module's reads since version 2; an entry
+        from before (no reads) must be recomputed, not trusted."""
+        write_tree(tmp_path / "tree", self.FILES)
+        sources = [
+            (str(p), p.read_text()) for p in sorted((tmp_path / "tree").glob("*.py"))
+        ]
+        build_project(sources, cache=SummaryCache(tmp_path / "cache"))
+        for entry in (tmp_path / "cache").glob("*.json"):
+            data = json.loads(entry.read_text())
+            data["version"] = SUMMARY_VERSION - 1
+            del data["reads"]
+            entry.write_text(json.dumps(data))
+        cache = SummaryCache(tmp_path / "cache")
+        project = build_project(sources, cache=cache)
+        assert cache.hits == 0 and cache.misses == len(sources)
+        assert "stamp" in project.modules["two"].reads
+
     def test_digest_mixes_module_and_version(self):
         assert source_digest("a", "x = 1\n") != source_digest("b", "x = 1\n")
 
 
 class TestLintFileUsesSingleFileProject:
-    def test_intra_file_interprocedural_findings(self, tmp_path):
-        target = tmp_path / "solo.py"
-        target.write_text(
-            textwrap.dedent(
-                """
-                import time
+    def test_intra_file_interprocedural_findings(self):
+        source = textwrap.dedent(
+            """
+            import time
 
-                def helper():
-                    return time.time()
+            def helper():
+                return time.time()
 
-                def caller():
-                    return helper()
-                """
-            )
+            def caller():
+                return helper()
+            """
         )
         config = LintConfig(library_globs=("*",))
-        findings = lint_file(target, config=config)
+        findings = lint_source(source, path="solo.py", config=config)
         assert [f.rule_id for f in findings] == ["REP002", "REP002"]
+
+
+class TestConsumerCensus:
+    """REP015 over a project: consumers are found from ``pyproject.toml``,
+    not from the paths being linted."""
+
+    PROJECT = {
+        "pyproject.toml": "",
+        "src/repro/__init__.py": """
+            from repro.mod import docstring_only, listed_only
+            """,
+        "src/repro/mod.py": '''
+            """Helpers; ``docstring_only`` is only ever named here."""
+
+            __all__ = ["listed_only"]
+
+            def used_in_src():
+                return 0
+
+            def read_by_bench():
+                return 1
+
+            def read_by_oracle():
+                return 2
+
+            def read_by_benchmarks():
+                return 3
+
+            def docstring_only():
+                return 4
+
+            def listed_only():
+                return 5
+
+            def test_only():
+                return 6
+
+            def main():
+                return used_in_src()
+            ''',
+        "bench/run.py": """
+            from repro.mod import read_by_bench
+
+            read_by_bench()
+            """,
+        "tests/oracles/ref.py": """
+            from repro.mod import read_by_oracle
+
+            read_by_oracle()
+            """,
+        "tests/test_mod.py": """
+            from repro.mod import test_only
+
+            def test_it():
+                assert test_only() == 6
+            """,
+        "benchmarks/test_speed.py": """
+            from repro.mod import read_by_benchmarks
+
+            def test_speed():
+                read_by_benchmarks()
+            """,
+        "scripts/run.py": """
+            from repro.mod import main
+
+            main()
+            """,
+        "examples/demo.py": "x = 1\n",
+    }
+
+    @staticmethod
+    def _flagged(root: Path, *paths: str) -> list[str]:
+        config = LintConfig(select=frozenset({"REP015"}))
+        findings, _ = run_paths([root / p for p in paths], config=config)
+        return sorted(f.message.split("'")[1] for f in findings)
+
+    def test_reads_in_bench_and_oracles_count(self, tmp_path):
+        write_tree(tmp_path, self.PROJECT)
+        flagged = self._flagged(tmp_path, "src")
+        assert "read_by_bench" not in flagged
+        assert "read_by_oracle" not in flagged
+        assert "read_by_benchmarks" not in flagged and "main" not in flagged
+
+    def test_docstring_all_and_other_tests_are_not_reads(self, tmp_path):
+        write_tree(tmp_path, self.PROJECT)
+        assert self._flagged(tmp_path, "src") == [
+            "docstring_only", "listed_only", "test_only",
+        ]
+
+    def test_src_alone_matches_the_ci_path_set(self, tmp_path):
+        write_tree(tmp_path, self.PROJECT)
+        ci = self._flagged(tmp_path, "src", "tests", "scripts", "benchmarks", "examples")
+        assert ci == self._flagged(tmp_path, "src")
+        assert self._flagged(tmp_path, "src/repro/mod.py") == ci
+
+    def test_snippet_without_a_project_never_reports(self, tmp_path):
+        write_tree(tmp_path, self.PROJECT)
+        path = tmp_path / "src/repro/mod.py"
+        findings = lint_source(path.read_text(), path=str(path))
+        assert [f for f in findings if f.rule_id == "REP015"] == []
+        assert self._flagged(tmp_path, "src")  # the same file in its project does

@@ -20,6 +20,8 @@ import pytest
 
 from repro.lint import LintConfig, Severity, all_rules, lint_source, run_paths
 from repro.lint.cli import main as lint_main
+from repro.lint.project import ProjectIndex
+from repro.lint.summaries import summarize_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +54,7 @@ class TestRegistry:
             "REP010",
             "REP011",
             "REP012",
+            "REP015",
             "REP020",
             "REP021",
             "REP030",
@@ -353,6 +356,103 @@ class TestRep012UnusedImport:
         ]
 
 
+def census(source: str, reads: set[str], path: str = LIBRARY_PATH) -> list[tuple[str, int]]:
+    """REP015 with ``reads`` standing in for the consumer files' names."""
+    source = textwrap.dedent(source)
+    project = ProjectIndex([summarize_module(path, source)], reads=frozenset(reads))
+    return [(f.rule_id, f.line) for f in lint_source(source, path=path, project=project)]
+
+
+class TestRep015UnreferencedDef:
+    def test_flags_functions_classes_and_methods_no_consumer_reads(self):
+        source = """
+            import functools
+
+            def orphan():
+                return 1
+
+            class Unused:
+                def method(self):
+                    return 2
+
+                @property
+                def size(self):
+                    return 3
+
+                @staticmethod
+                @functools.lru_cache
+                def cached():
+                    return 4
+            """
+        assert census(source, reads=set()) == [
+            ("REP015", 4), ("REP015", 7), ("REP015", 8), ("REP015", 11), ("REP015", 15),
+        ]
+        # Decorated defs are anchored at their first decorator.
+        assert census(source, reads={"orphan", "Unused", "method"}) == [
+            ("REP015", 11), ("REP015", 15),
+        ]
+
+    def test_exempt_defs_do_not_fire(self):
+        assert census(
+            """
+            import abc
+            import ast
+            from typing import Protocol
+
+            from repro.lint.registry import Rule, register
+
+            class Shape(Protocol):
+                def area(self) -> float: ...
+
+            class Base(abc.ABC):
+                def __init__(self):
+                    self.x = 1
+
+                @abc.abstractmethod
+                def run(self): ...
+
+            class Walker(ast.NodeVisitor):
+                def visit_Call(self, node):
+                    return node
+
+                def helper(self):
+                    return 0
+
+            @register
+            class SomeRule(Rule):
+                id = "REP999"
+            """,
+            reads={"Shape", "Base", "Walker", "Rule"},
+        ) == [("REP015", 22)]
+
+    def test_read_names_and_non_library_files_do_not_fire(self):
+        source = """
+            def orphan():
+                return 1
+            """
+        assert census(source, reads={"orphan"}) == []
+        assert census(source, reads=set(), path="tests/test_example.py") == []
+
+    def test_silent_without_a_consumer_census(self):
+        assert rule_ids("def orphan():\n    return 1\n") == []
+
+    def test_suppressed_with_its_reason(self):
+        source = """
+            import numpy as np
+
+            class Engine:
+                # reprolint: disable=REP015 - test seam: parity with the
+                # per-node oracle.
+                @property
+                def counts(self) -> np.ndarray:
+                    return np.zeros(3)
+            """
+        assert census(source, reads={"Engine"}) == []
+        assert census(source.replace("REP015", "REP011"), reads={"Engine"}) == [
+            ("REP000", 5), ("REP015", 7),
+        ]
+
+
 class TestRep020UnclampedPlan:
     def test_flags_hand_built_thresholds(self):
         assert "REP020" in rule_ids(
@@ -565,6 +665,17 @@ class TestSuppressions:
             """
         )
         assert sorted(f.rule_id for f in findings) == ["REP000", "REP010"]
+
+    def test_suppression_of_a_rule_that_did_not_run_is_not_unused(self):
+        """``--select REP015`` (CI's census step) must not call every other
+        rule's suppressions stale."""
+        source = """
+            def check(x: float) -> bool:
+                return x == 0.0  # reprolint: disable=REP010 - exact zero guard
+            """
+        selected = LintConfig(select=frozenset({"REP015"}))
+        assert lint(source, config=selected) == []
+        assert [f.rule_id for f in lint(source.replace("0.0", "0"))] == ["REP000"]
 
 
 class TestParseFailure:

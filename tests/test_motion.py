@@ -1,4 +1,8 @@
-"""Unit tests for dead reckoning (linear models, tracker, fleet)."""
+"""Unit tests for dead reckoning (linear models, tracker, fleet).
+
+The one-node tracker is :class:`ModelDrivenTracker` with its default
+linear model: dead reckoning decision for decision.
+"""
 
 import numpy as np
 import pytest
@@ -6,13 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo import Point
-from repro.motion import (
-    DeadReckoningFleet,
-    DeadReckoningTracker,
-    LinearMotionModel,
-    MotionReport,
-)
+from repro.motion import DeadReckoningFleet, LinearMotionModel
 from repro.motion.dead_reckoning import DEVIATION_BLOCK
+from repro.motion.models import ModelDrivenTracker
 
 
 class TestLinearMotionModel:
@@ -28,56 +28,48 @@ class TestLinearMotionModel:
         model = LinearMotionModel(Point(0.0, 0.0), Point(1.0, 0.0), time=0.0)
         assert model.deviation(4.0, Point(4.0, 3.0)) == pytest.approx(3.0)
 
-    def test_from_report(self):
-        report = MotionReport(5, 1.0, Point(2.0, 2.0), Point(0.5, 0.5))
-        model = LinearMotionModel.from_report(report)
-        assert model.position == report.position
-        assert model.velocity == report.velocity
-        assert model.time == report.time
-
 
 class TestDeadReckoningTracker:
     def test_first_observation_always_reports(self):
-        tracker = DeadReckoningTracker(node_id=1)
-        report = tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=100.0)
-        assert report is not None
-        assert report.node_id == 1
+        tracker = ModelDrivenTracker(node_id=1)
+        assert tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=100.0)
+        assert tracker.node_id == 1 and tracker.reports_sent == 1
 
     def test_no_report_while_prediction_holds(self):
-        tracker = DeadReckoningTracker(0)
+        tracker = ModelDrivenTracker(0)
         tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=5.0)
         # Moving exactly as predicted: no report.
-        assert tracker.observe(10.0, Point(10, 0), Point(1, 0), threshold=5.0) is None
+        assert not tracker.observe(10.0, Point(10, 0), Point(1, 0), threshold=5.0)
 
     def test_report_when_deviation_exceeds_threshold(self):
-        tracker = DeadReckoningTracker(0)
+        tracker = ModelDrivenTracker(0)
         tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=5.0)
         # Actual position deviates 6 m laterally from the prediction.
-        report = tracker.observe(10.0, Point(10, 6), Point(1, 0), threshold=5.0)
-        assert report is not None
+        assert tracker.observe(10.0, Point(10, 6), Point(1, 0), threshold=5.0)
         assert tracker.reports_sent == 2
 
     def test_deviation_exactly_at_threshold_does_not_report(self):
-        tracker = DeadReckoningTracker(0)
+        tracker = ModelDrivenTracker(0)
         tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=5.0)
-        assert tracker.observe(1.0, Point(5.0, 0.0), Point(0, 0), threshold=5.0) is None
+        assert not tracker.observe(1.0, Point(5.0, 0.0), Point(0, 0), threshold=5.0)
 
     def test_negative_threshold_rejected(self):
-        tracker = DeadReckoningTracker(0)
+        tracker = ModelDrivenTracker(0)
         with pytest.raises(ValueError):
             tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=-1.0)
 
     def test_nan_threshold_rejected(self):
-        """``deviation <= NaN`` is false: the node would report every sample."""
-        tracker = DeadReckoningTracker(0)
+        """``deviation > NaN`` is false: after its first report the node
+        would never report again."""
+        tracker = ModelDrivenTracker(0)
         with pytest.raises(ValueError):
             tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=float("nan"))
 
     def test_infinite_threshold_accepted(self):
         """``inf`` parks a node: one report to install a model, then silence."""
-        tracker = DeadReckoningTracker(0)
+        tracker = ModelDrivenTracker(0)
         assert tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=np.inf)
-        assert tracker.observe(1.0, Point(1e9, 0), Point(0, 0), threshold=np.inf) is None
+        assert not tracker.observe(1.0, Point(1e9, 0), Point(0, 0), threshold=np.inf)
 
     def test_larger_threshold_fewer_reports(self, rng):
         """Monotonicity of the update volume in delta — the premise of f."""
@@ -92,7 +84,7 @@ class TestDeadReckoningTracker:
             history.append((position.copy(), velocity.copy()))
         counts = []
         for threshold in (1.0, 10.0, 50.0):
-            tracker = DeadReckoningTracker(0)
+            tracker = ModelDrivenTracker(0)
             sent = 0
             for tick, (pos, vel) in enumerate(history):
                 if tracker.observe(tick * dt, Point(*pos), Point(*vel), threshold):
@@ -134,19 +126,18 @@ class TestDeadReckoningFleet:
         velocities = rng.normal(0, 1.0, (ticks, n, 2))
         fleet = DeadReckoningFleet(n)
         fleet.set_thresholds(thresholds)
-        trackers = [DeadReckoningTracker(i) for i in range(n)]
+        trackers = [ModelDrivenTracker(i) for i in range(n)]
         for tick in range(ticks):
             t = tick * 1.0
             fleet_senders = set(map(int, fleet.observe(t, positions[tick], velocities[tick])))
             tracker_senders = set()
             for i, tracker in enumerate(trackers):
-                report = tracker.observe(
+                if tracker.observe(
                     t,
                     Point(*positions[tick, i]),
                     Point(*velocities[tick, i]),
                     thresholds[i],
-                )
-                if report is not None:
+                ):
                     tracker_senders.add(i)
             assert fleet_senders == tracker_senders
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geo import Point
+from repro.motion import DeadReckoningFleet
 from repro.motion.models import (
     ModelDrivenTracker,
     SecondOrderMotionModel,
@@ -51,10 +52,11 @@ class TestModelDrivenTracker:
         assert tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=10.0)
 
     def test_linear_factory_matches_basic_tracker(self):
-        from repro.motion import DeadReckoningTracker
-
+        """The linear factory is plain dead reckoning: a one-node
+        :class:`DeadReckoningFleet` makes the same decisions."""
         rng = np.random.default_rng(4)
-        basic = DeadReckoningTracker(0)
+        basic = DeadReckoningFleet(1)
+        basic.set_thresholds(10.0)
         model_driven = ModelDrivenTracker(0, make_linear_model)
         position = np.zeros(2)
         velocity = np.array([5.0, 0.0])
@@ -62,9 +64,18 @@ class TestModelDrivenTracker:
             velocity = velocity + rng.normal(0, 1.0, 2)
             position = position + velocity
             p, v = Point(*position), Point(*velocity)
-            a = basic.observe(float(k), p, v, 10.0) is not None
+            a = basic.observe(float(k), position[None], velocity[None]).size == 1
             b = model_driven.observe(float(k), p, v, 10.0)
             assert a == b
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan])
+    def test_rejects_negative_and_nan_threshold(self, threshold):
+        """A NaN Δ used to pass the ``< 0`` check, and ``deviation > NaN``
+        is false, so the node reported once and then never again."""
+        tracker = ModelDrivenTracker(0)
+        with pytest.raises(ValueError, match="non-negative"):
+            tracker.observe(0.0, Point(0, 0), Point(100, 0), threshold)
+        assert tracker.reports_sent == 0
 
     def test_second_order_estimates_acceleration(self):
         tracker = ModelDrivenTracker(0, make_second_order_model)

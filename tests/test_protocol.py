@@ -6,7 +6,7 @@ from repro.core import AnalyticReduction, LiraConfig, LiraLoadShedder
 from repro.server import BaseStationNetwork, place_uniform_stations
 from repro.server.base_station import BYTES_PER_REGION
 
-from tests.oracles.system import MobileNode
+from tests.oracles.system import MobileNode, disk_meets_rect
 
 
 @pytest.fixture(scope="module")
@@ -30,16 +30,16 @@ def network(plan, request):
 class TestBaseStationNetwork:
     def test_every_station_gets_a_subset(self, network):
         for station in network.stations:
-            subset = network.subset_for_station(station.station_id)
+            subset = network.subset_or_none(station.station_id)
+            assert subset is not None
             assert subset.version == network.version
 
     def test_subset_contains_only_coverage_regions(self, network, plan):
         for station in network.stations:
-            subset = network.subset_for_station(station.station_id)
+            subset = network.subset_or_none(station.station_id)
+            assert subset is not None
             for region in subset.regions:
-                assert region.rect.intersects_circle(
-                    station.center, station.radius
-                )
+                assert disk_meets_rect(region.rect, station.center, station.radius)
 
     def test_broadcast_accounting(self, plan, small_grid):
         stations = place_uniform_stations(small_grid.bounds, 1200.0)
@@ -70,11 +70,10 @@ class TestBaseStationNetwork:
         with pytest.raises(ValueError):
             BaseStationNetwork([])
 
-    def test_subset_before_install_raises(self, plan, small_grid):
+    def test_subset_before_install_is_none(self, plan, small_grid):
         stations = place_uniform_stations(small_grid.bounds, 1200.0)
         net = BaseStationNetwork(stations)
-        with pytest.raises(KeyError):
-            net.subset_for_station(0)
+        assert net.subset_or_none(0) is None
 
 
 class TestMobileNode:
@@ -88,7 +87,7 @@ class TestMobileNode:
             y = rng.uniform(bounds.y1, bounds.y2 - 1e-6)
             node.observe_position(x, y, network)
             local = node.current_threshold(x, y, default=5.0)
-            assert local == plan.threshold_at(x, y)
+            assert local == plan.region_at(x, y).delta
 
     def test_handoff_counted_and_subset_swapped(self, network, plan):
         node = MobileNode(node_id=1)
@@ -140,7 +139,7 @@ class TestMobileNode:
             x, y = small_trace.positions[tick][0]
             node.observe_position(x, y, network)
             local = node.current_threshold(x, y, default=5.0)
-            if local != plan.threshold_at(x, y):
+            if local != plan.region_at(x, y).delta:
                 mismatches += 1
         assert mismatches == 0
 
@@ -235,4 +234,4 @@ class TestFaultTolerance:
         assert node.subset.version == net.version
         assert node.current_threshold(
             *right, default=3.21
-        ) == plan.threshold_at(*right)
+        ) == plan.region_at(*right).delta

@@ -71,7 +71,7 @@ class TestWorkloadGeneration:
         queries = generate_workload(
             self.BOUNDS, 100, 500.0, QueryDistribution.PROPORTIONAL, nodes, seed=4
         )
-        centers = np.array([q.rect.center.as_tuple() for q in queries])
+        centers = np.array([(q.rect.center.x, q.rect.center.y) for q in queries])
         # Nodes live in [0, 3000]^2; nearly all proportional queries should too.
         inside = ((centers < 3500).all(axis=1)).mean()
         assert inside > 0.9
@@ -81,7 +81,7 @@ class TestWorkloadGeneration:
         queries = generate_workload(
             self.BOUNDS, 100, 500.0, QueryDistribution.INVERSE, nodes, seed=5
         )
-        centers = np.array([q.rect.center.as_tuple() for q in queries])
+        centers = np.array([(q.rect.center.x, q.rect.center.y) for q in queries])
         inside_dense = ((centers < 3000).all(axis=1)).mean()
         # Dense area is 9% of the space; inverse should send few queries there.
         assert inside_dense < 0.15
@@ -90,7 +90,7 @@ class TestWorkloadGeneration:
         queries = generate_workload(
             self.BOUNDS, 200, 500.0, QueryDistribution.RANDOM, seed=6
         )
-        centers = np.array([q.rect.center.as_tuple() for q in queries])
+        centers = np.array([(q.rect.center.x, q.rect.center.y) for q in queries])
         # Roughly a quarter in each half along each axis.
         assert 0.3 < (centers[:, 0] < 5000).mean() < 0.7
         assert 0.3 < (centers[:, 1] < 5000).mean() < 0.7

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo import Rect
-from repro.index import GridIndex
 from repro.queries import (
     QueryDistribution,
     QueryEvalKernel,
@@ -249,31 +248,3 @@ class TestCandidateCounts:
         assert sum(r.size for r in results) > 0
         assert server.kernel.last_candidate_rows / n <= 0.15
         assert server.kernel.last_candidate_pairs / (len(queries) * n) <= 0.005
-
-
-class TestGridIndexBatchPath:
-    def test_query_batch_matches_query(self, rng):
-        index = GridIndex(BOUNDS, cells_per_side=10)
-        positions = rng.uniform(-50.0, 1050.0, (300, 2))
-        index.bulk_build(positions)
-        queries = random_workload(rng, 20)
-        batch = index.query_batch(queries)
-        for query, ids in zip(queries, batch):
-            assert set(map(int, ids)) == set(index.query(query.rect))
-            assert np.all(np.diff(ids) > 0)  # sorted, unique
-
-    def test_query_batch_empty_index(self):
-        index = GridIndex(BOUNDS, cells_per_side=4)
-        batch = index.query_batch([RangeQuery(0, Rect(0.0, 0.0, 10.0, 10.0))])
-        assert len(batch) == 1 and batch[0].size == 0
-
-    def test_query_batch_after_moves_and_removals(self, rng):
-        index = GridIndex(BOUNDS, cells_per_side=8)
-        positions = rng.uniform(0.0, 1000.0, (50, 2))
-        index.bulk_build(positions)
-        index.remove(7)
-        index.insert(3, 1.0, 1.0)
-        queries = [RangeQuery(0, Rect(0.0, 0.0, 500.0, 500.0))]
-        batch = index.query_batch(queries)
-        assert set(map(int, batch[0])) == set(index.query(queries[0].rect))
-        assert 7 not in set(map(int, batch[0]))

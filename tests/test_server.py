@@ -12,7 +12,6 @@ from repro.server import (
     ArrayBoundedQueue,
     BaseStation,
     MobileCQServer,
-    mean_broadcast_bytes,
     mean_regions_per_station,
     place_density_dependent_stations,
     place_uniform_stations,
@@ -162,14 +161,6 @@ class TestBaseStations:
         large_r = place_uniform_stations(bounds, 2000.0)
         assert mean_regions_per_station(small_r, plan) < mean_regions_per_station(
             large_r, plan
-        )
-
-    def test_broadcast_bytes_formula(self, small_grid, reduction):
-        plan = self._plan(small_grid, reduction)
-        stations = place_uniform_stations(small_grid.bounds, 1000.0)
-        regions = mean_regions_per_station(stations, plan)
-        assert mean_broadcast_bytes(stations, plan) == pytest.approx(
-            regions * BYTES_PER_REGION
         )
 
     def test_region_payload_is_16_bytes(self):

@@ -148,11 +148,6 @@ class TestTraceContainer:
     def test_mean_speed_positive(self, small_trace):
         assert small_trace.mean_speed() > 0.0
 
-    def test_slice_ticks(self, small_trace):
-        sub = small_trace.slice_ticks(2, 5)
-        assert sub.num_ticks == 3
-        np.testing.assert_array_equal(sub.positions[0], small_trace.positions[2])
-
     def test_save_load_roundtrip(self, small_trace, tmp_path):
         path = tmp_path / "trace.npz"
         small_trace.save(path)

@@ -153,8 +153,3 @@ class TestScenarioBuildThroughCache:
             assert not (cache_dir / "traces").exists()
         finally:
             cache.set_cache_enabled(True)
-
-    def test_purge_empties_cache(self, cache_dir):
-        fresh_build()
-        assert cache.purge() >= 2  # trace + reduction
-        assert cache.purge() == 0
