@@ -1,12 +1,13 @@
 """Micro-benchmark of the statistics-grid maintenance hot pair.
 
 ``ingest_updates`` + ``roll`` is the paper's constant-time incremental
-maintenance route; THROTLOOP-driven deployments call it every
-adaptation window.  ``roll`` is double-buffered (the accumulators
-become the live arrays, the old live arrays become the next window), so
-besides timing it we assert the buffer swap really happens — a
-regression back to per-roll allocation would silently double the
-allocator traffic at large α.
+maintenance route; the sampled-statistics experiment
+(``run_ext_sampling``) ingests every tick and rolls every adaptation
+window.  ``roll`` is double-buffered (the accumulators become the live
+arrays, the old live arrays become the next window), so besides timing
+it we assert the buffer swap really happens — a regression back to
+per-roll allocation would silently double the allocator traffic at
+large α.
 """
 
 import numpy as np

@@ -9,7 +9,7 @@ precomputation.  The last two are supported here:
 
 * :meth:`StatisticsGrid.from_snapshot` — build from a position snapshot
   plus a query workload (the off-line route);
-* :meth:`StatisticsGrid.ingest_update` + :meth:`StatisticsGrid.roll` —
+* :meth:`StatisticsGrid.ingest_updates` + :meth:`StatisticsGrid.roll` —
   constant-time-per-update incremental maintenance with optional
   sampling, accumulating a fresh window and swapping it in.
 """
@@ -160,26 +160,17 @@ class StatisticsGrid:
     # Incremental maintenance from the update stream
     # ------------------------------------------------------------------
 
-    def ingest_update(self, x: float, y: float, speed: float = 0.0) -> None:
-        """Account one position update into the current accumulation window.
-
-        Constant time, as the paper requires.  Callers implementing
-        sampling simply invoke this for a subset of updates; the
-        normalization happens in :meth:`roll`.
-        """
-        i, j = self._cell_of(x, y)
-        self._acc_count[i, j] += 1.0
-        self._acc_speed[i, j] += speed
-        self._acc_updates += 1
-
     def ingest_updates(
         self, xs: np.ndarray, ys: np.ndarray, speeds: np.ndarray
     ) -> None:
-        """Batched :meth:`ingest_update`: account a whole update batch.
+        """Account a batch of position updates into the current
+        accumulation window.
 
-        ``np.add.at`` applies the unbuffered accumulations in element
-        order, so the resulting accumulators are bit-identical to
-        calling :meth:`ingest_update` once per message in batch order.
+        Constant time per update, as the paper requires.  Callers
+        implementing sampling pass the sampled subset; the normalization
+        happens in :meth:`roll`.  ``np.add.at`` applies the unbuffered
+        accumulations in element order, so a batch accumulates exactly
+        as its updates would one at a time, in batch order.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -236,14 +227,6 @@ class StatisticsGrid:
         np.clip(ix, 0, self.alpha - 1, out=ix)
         np.clip(iy, 0, self.alpha - 1, out=iy)
         return ix, iy
-
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        i = int((x - self.bounds.x1) / self._cell_w)
-        j = int((y - self.bounds.y1) / self._cell_h)
-        return (
-            min(max(i, 0), self.alpha - 1),
-            min(max(j, 0), self.alpha - 1),
-        )
 
     @property
     def total_nodes(self) -> float:

@@ -105,21 +105,14 @@ def run_policy_suite(
     z: float,
     scale: ExperimentScale,
     include: tuple[str, ...] = ("lira", "lira-grid", "uniform", "random-drop"),
-    queries=None,
 ) -> dict[str, SimulationResult]:
     """Run the requested policies on one scenario at throttle fraction z."""
     policies = make_policies(scenario, config, include=include)
     sim_config = SimulationConfig(z=z, adapt_every=scale.adapt_every, seed=scale.seed)
-    results = {}
-    for name, policy in policies.items():
-        sim = Simulation(
-            scenario.trace,
-            queries if queries is not None else scenario.queries,
-            policy,
-            sim_config,
-        )
-        results[name] = sim.run()
-    return results
+    return {
+        name: Simulation(scenario.trace, scenario.queries, policy, sim_config).run()
+        for name, policy in policies.items()
+    }
 
 
 def relative_to(results: dict[str, SimulationResult], metric: str) -> dict[str, float]:

@@ -209,7 +209,7 @@ def run_ext_sampling(
 
     Section 3.2.1: "the statistics can easily be approximated using
     sampling."  Each adaptation window, only a fraction of the update
-    stream feeds the grid (via :meth:`StatisticsGrid.ingest_update` +
+    stream feeds the grid (via :meth:`StatisticsGrid.ingest_updates` +
     :meth:`~StatisticsGrid.roll`); we measure how far the resulting
     query error drifts from the full-statistics plan.
     """
@@ -252,14 +252,10 @@ def run_ext_sampling(
             senders = fleet.observe(t, positions, velocities)
             table.ingest(t, senders, positions[senders], velocities[senders])
             speeds = np.linalg.norm(velocities[senders], axis=1)
-            for k, node_id in enumerate(senders):
-                if rng.random() < rate:
-                    grid.ingest_update(
-                        float(positions[node_id, 0]),
-                        float(positions[node_id, 1]),
-                        float(speeds[k]),
-                    )
-                    window_updates += 1
+            keep = rng.random(senders.size) < rate
+            kept = senders[keep]
+            grid.ingest_updates(positions[kept, 0], positions[kept, 1], speeds[keep])
+            window_updates += int(kept.size)
             if tick < 3:
                 continue
             m = kernel.measure(positions, table.predict(t))

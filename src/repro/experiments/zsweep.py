@@ -22,12 +22,7 @@ Figures 4 and 5.
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import (
-    MEDIUM,
-    ExperimentScale,
-    relative_to,
-    run_policy_suite,
-)
+from repro.experiments.common import MEDIUM, ExperimentScale, relative_to
 from repro.experiments.runner import run_jobs, run_policy_sweep, suite_jobs
 from repro.queries import QueryDistribution
 from repro.sim.simulation import SimulationResult
@@ -88,16 +83,9 @@ def run_zsweep(
     ``mean_position_error`` or ``mean_containment_error``.  ``jobs``
     selects parallel fan-out (``None`` or 1 runs serially in-process).
     """
-    if jobs is not None and jobs > 1:
-        results_by_z = run_policy_sweep(
-            scale, zs, POLICY_ORDER, distribution=distribution, n_workers=jobs
-        )
-    else:
-        scenario = scale.scenario(distribution=distribution)
-        config = scale.lira_config()
-        results_by_z = {
-            z: run_policy_suite(scenario, config, z, scale) for z in zs
-        }
+    results_by_z = run_policy_sweep(
+        scale, zs, POLICY_ORDER, distribution=distribution, n_workers=jobs or 1
+    )
     return _format_zsweep(metric, distribution, zs, results_by_z)
 
 

@@ -4,11 +4,10 @@ Exit codes: 0 — clean (warnings allowed); 1 — at least one
 error-severity finding (including unused suppressions and parse
 failures); 2 — usage error (unknown rule, missing path).
 
-``--jobs N`` fans the summary and lint phases over a process pool
-(``--jobs 0`` means one per CPU); ``--format sarif`` / ``--format
-github`` emit SARIF 2.1.0 and GitHub Actions workflow commands for CI
-annotation.  Per-function summaries are cached by content hash under
-``--cache-dir`` (default ``.reprolint_cache``; ``--no-cache`` disables).
+``--format sarif`` / ``--format github`` emit SARIF 2.1.0 and GitHub
+Actions workflow commands for CI annotation.  Whether the run uses a
+process pool is the engine's choice (:func:`repro.lint.engine.run_paths`),
+not an option.
 """
 
 from __future__ import annotations
@@ -131,25 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         "--ignore", metavar="RULES", help="comma-separated rule ids to skip"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the summary and lint phases "
-        "(default: 1 = serial; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=".reprolint_cache",
-        metavar="DIR",
-        help="summary cache directory (default: .reprolint_cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-function summary cache",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
     args = parser.parse_args(argv)
@@ -172,12 +152,7 @@ def main(argv: list[str] | None = None) -> int:
 
     config = LintConfig(select=select, ignore=ignore)
     try:
-        findings, files_checked = run_paths(
-            list(args.paths),
-            config=config,
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-        )
+        findings, files_checked = run_paths(list(args.paths), config=config)
     except FileNotFoundError as exc:
         parser.error(str(exc))
 

@@ -1,20 +1,21 @@
 """The reprolint engine: a project pass feeding one shared walk per file.
 
 Linting now runs in two phases.  **Phase 1** parses every file and
-builds (or loads from the content-hash cache) its per-function effect
-summary; the summaries join into a :class:`~repro.lint.project.ProjectIndex`
-whose taint closure makes rules *interprocedural* — a helper that reads
-the wall clock taints every call site reachable from it, across
-modules.  When REP015 runs, phase 1 also summarizes the project's
-consumer files (linted or not) for the names they read.  **Phase 2** walks each file once, dispatching every node to
-the rules registered for that node's type (see
+builds its per-function effect summary; the summaries join into a
+:class:`~repro.lint.project.ProjectIndex` whose taint closure makes
+rules *interprocedural* — a helper that reads the wall clock taints
+every call site reachable from it, across modules.  When REP015 runs,
+phase 1 also summarizes the project's consumer files (linted or not)
+for the names they read.  **Phase 2** walks each file once, dispatching
+every node to the rules registered for that node's type (see
 :class:`repro.lint.registry.Rule`) with the project index available as
 ``ctx.project``.
 
-Both phases fan out over a ``ProcessPoolExecutor`` when ``jobs > 1``
-(same profitability fallback as the experiment sweep engine); results
-are position-sorted per file, so parallel runs are bit-identical to
-serial ones.
+The engine picks its own execution: both phases fan out over a
+``ProcessPoolExecutor`` when phase 1 has enough files for a pool to pay
+and more than one CPU is usable (:func:`_pool_workers`), and run in
+process otherwise.  Results are position-sorted per file, so pooled
+runs are bit-identical to serial ones.
 
 The walk maintains an ancestor stack so rules can ask about their
 enclosing scope, and the :class:`FileContext` centralizes the
@@ -32,17 +33,16 @@ from pathlib import Path, PurePosixPath
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
-from repro.lint.project import ProjectIndex, SummaryCache, consumer_files
+from repro.lint.project import ProjectIndex, consumer_files
 from repro.lint.registry import Rule, all_rules
 from repro.lint.summaries import (
     ImportResolver,
     ModuleSummary,
     module_name_for,
-    source_digest,
     summarize_module,
 )
 from repro.lint.suppress import SuppressionIndex
-from repro.parallel import default_jobs, pool_is_profitable
+from repro.parallel import pool_is_profitable, usable_cpus
 
 #: Node types that open a new assignment scope.
 _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Module)
@@ -326,6 +326,25 @@ def iter_python_files(paths: list[str | Path]) -> list[Path]:
 # Project runs (phase 1: summaries; phase 2: per-file rule walks)
 # ----------------------------------------------------------------------
 
+#: Fewest files phase 1 must summarize (linted files plus consumers)
+#: before both phases fan out over a process pool.  On a 2-CPU x86
+#: container a pool of two breaks even at ≈ 8 files of this repo's
+#: mean size (174 lines) and still loses at 256 files of a few lines,
+#: so twice the break-even keeps small projects serial; any run inside
+#: this repo pools, because the REP015 census alone summarizes ≈ 180
+#: consumer files.
+_POOL_MIN_FILES = 16
+
+
+def _pool_workers(n_files: int) -> int:
+    """Worker processes for a run that summarizes ``n_files`` files:
+    every usable CPU when a pool can pay, else 1 (the serial loop)."""
+    cpus = usable_cpus()
+    if n_files >= _POOL_MIN_FILES and pool_is_profitable(cpus, n_files):
+        return cpus
+    return 1
+
+
 def _summarize_one(args: tuple[str, str]) -> ModuleSummary:
     """Pool worker: summarize one file from its source text."""
     path, source = args
@@ -348,49 +367,35 @@ def _lint_worker_init(
     _WORKER_CONFIG = config
 
 
-def _lint_one(path: str) -> list[Finding]:
-    """Pool worker: re-read and lint one file against the shared index."""
-    source = Path(path).read_text(encoding="utf-8")
+def _lint_one(args: tuple[str, str]) -> list[Finding]:
+    """Pool worker: lint one file's source against the shared index."""
+    path, source = args
     return lint_source(source, path, _WORKER_CONFIG, _WORKER_PROJECT)
 
 
 def build_project(
     sources: list[tuple[str, str]],
-    cache: SummaryCache | None = None,
-    jobs: int = 1,
     consumers: list[Path] | None = None,
+    workers: int = 1,
 ) -> ProjectIndex:
-    """Phase 1: summaries for every (path, source), cached and parallel.
+    """Phase 1: summaries for every (path, source), over a process pool
+    of ``workers`` when that is more than 1.
 
     ``consumers`` (files, linted or not) feed the index's REP015 census;
     without them the index carries none.
     """
     linted = {Path(path).resolve(): path for path, _ in sources}
-    extra = [
+    items = sources + [
         (str(file), file.read_text(encoding="utf-8"))
         for file in consumers or ()
         if file.resolve() not in linted
     ]
-    summaries: dict[str, ModuleSummary] = {}
-    missing: list[tuple[str, str]] = []
-    for path, source in sources + extra:
-        cached = None
-        if cache is not None:
-            cached = cache.get(source_digest(module_name_for(path), source))
-        if cached is None:
-            missing.append((path, source))
-        else:
-            summaries[path] = cached
-    if missing:
-        if pool_is_profitable(jobs, len(missing)):
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                computed = list(pool.map(_summarize_one, missing))
-        else:
-            computed = [_summarize_one(item) for item in missing]
-        for (path, _), summary in zip(missing, computed):
-            summaries[path] = summary
-            if cache is not None:
-                cache.put(summary)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(_summarize_one, items))
+    else:
+        computed = [_summarize_one(item) for item in items]
+    summaries = {path: summary for (path, _), summary in zip(items, computed)}
     reads: frozenset[str] | None = None
     if consumers is not None:
         reads = frozenset(
@@ -404,39 +409,33 @@ def build_project(
 def run_paths(
     paths: list[str | Path],
     config: LintConfig | None = None,
-    jobs: int | None = None,
-    cache_dir: str | Path | None = None,
 ) -> tuple[list[Finding], int]:
     """Lint files/directories as one project; ``(findings, files_checked)``.
 
-    ``jobs > 1`` fans both phases over a process pool (with the shared
-    single-core/single-job fallback); ``cache_dir`` enables the
-    content-hash summary cache.  Findings are identical across all
-    (jobs, cache) combinations.
+    Both phases run over a process pool exactly when phase 1 has enough
+    files for one to pay (:data:`_POOL_MIN_FILES`) and more than one CPU
+    is usable; findings are identical either way.
     """
     config = config or LintConfig()
     files = iter_python_files(paths)
-    if jobs is None:
-        jobs = 1
-    elif jobs <= 0:
-        jobs = default_jobs()
-    cache = SummaryCache(cache_dir) if cache_dir is not None else None
-
     sources: list[tuple[str, str]] = [
         (str(file), file.read_text(encoding="utf-8")) for file in files
     ]
     consumers = consumer_files(paths) if config.is_enabled("REP015") else None
-    project = build_project(sources, cache=cache, jobs=jobs, consumers=consumers)
+    # Phase 1 summarizes every linted file and every consumer.
+    summarized = {file.resolve() for file in files + (consumers or [])}
+    workers = _pool_workers(len(summarized))
+    project = build_project(sources, consumers, workers)
 
     findings: list[Finding] = []
-    if pool_is_profitable(jobs, len(sources)):
+    if workers > 1:
         modules = list(project.modules.values())
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_lint_worker_init,
             initargs=(modules, project.reads, config),
         ) as pool:
-            for result in pool.map(_lint_one, [path for path, _ in sources]):
+            for result in pool.map(_lint_one, sources):
                 findings.extend(result)
     else:
         for path, source in sources:

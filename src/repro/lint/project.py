@@ -1,4 +1,4 @@
-"""Whole-program layer: module graph, taint closure, summary cache.
+"""Whole-program layer: module graph, taint closure, consumer census.
 
 :class:`ProjectIndex` joins every file's :class:`ModuleSummary` into one
 symbol table and computes the transitive closure of the effect taints
@@ -15,10 +15,6 @@ what a seam is for.  The seam patterns are shared with the direct
 rules' allowlists via :mod:`repro.lint.knowledge`, so "clean because
 routed through ``repro.timing``" means the same thing to both layers.
 
-:class:`SummaryCache` persists summaries keyed by content hash (module
-name and format version mixed in), so warm runs only re-summarize
-files whose bytes changed.
-
 The index also holds the **consumer census** REP015 asks about: the
 identifiers read by every file under the project's consumer roots
 (:data:`repro.lint.knowledge.CONSUMER_ROOTS`), found from the project
@@ -27,7 +23,6 @@ root whatever subset of the tree is being linted.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from fnmatch import fnmatch
@@ -35,11 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.lint import knowledge
-from repro.lint.summaries import (
-    SUMMARY_VERSION,
-    FunctionSummary,
-    ModuleSummary,
-)
+from repro.lint.summaries import FunctionSummary, ModuleSummary
 
 #: Per-taint seam path patterns: a function defined in a matching file
 #: absorbs the taint instead of propagating it.
@@ -197,46 +188,3 @@ class ProjectIndex:
                 work.append((caller, taint))
         return taints
 
-
-class SummaryCache:
-    """Content-hash summary store under ``.reprolint_cache/``.
-
-    One JSON file per (module, source-bytes, format-version) digest;
-    a cold entry is simply recomputed, a corrupt one is ignored, so the
-    cache can never change lint results — only skip work.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    def _entry(self, digest: str) -> Path:
-        return self.root / f"{digest}.json"
-
-    def get(self, digest: str) -> ModuleSummary | None:
-        try:
-            data = json.loads(self._entry(digest).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if data.get("version") != SUMMARY_VERSION or data.get("digest") != digest:
-            self.misses += 1
-            return None
-        try:
-            summary = ModuleSummary.from_dict(data)
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return summary
-
-    def put(self, summary: ModuleSummary) -> None:
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            entry = self._entry(summary.digest)
-            tmp = entry.with_suffix(".tmp")
-            tmp.write_text(json.dumps(summary.to_dict()), encoding="utf-8")
-            tmp.replace(entry)
-        except OSError:
-            pass  # cache is best-effort; linting proceeds uncached

@@ -10,10 +10,6 @@ project index (:mod:`repro.lint.project`) closes these summaries over
 the call graph so a helper that reads the clock two hops away taints
 every reachable call site.
 
-Summaries are pure functions of the file's source (plus its module
-name), which makes them safely cacheable by content hash — see
-:class:`repro.lint.project.SummaryCache`.
-
 The effect detectors here mirror the direct rules (REP001/REP002/
 REP004, REP031, the REP040 blocking set) byte for byte via the shared
 sets in :mod:`repro.lint.knowledge`: a function the summarizer marks
@@ -23,16 +19,11 @@ sets in :mod:`repro.lint.knowledge`: a function the summarizer marks
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
 from repro.lint import knowledge
-
-#: Bump when the summary format or detectors change: invalidates every
-#: cached entry (the digest mixes this in).
-SUMMARY_VERSION = 2
 
 #: The effect kinds a summary can carry.
 TAINTS = ("clock", "rng", "env", "blocks", "global_mutation", "shard_iter")
@@ -74,14 +65,6 @@ def module_name_for(path: str | Path) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts) if parts else str(posix.stem)
-
-
-def source_digest(module: str, source: str) -> str:
-    """Content hash keying the summary cache (format-versioned)."""
-    h = hashlib.sha256()
-    h.update(f"{SUMMARY_VERSION}\x00{module}\x00".encode())
-    h.update(source.encode("utf-8", errors="surrogateescape"))
-    return h.hexdigest()
 
 
 class ImportResolver:
@@ -137,27 +120,6 @@ class FunctionSummary:
     calls: tuple[str, ...] = ()
     executor_calls: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "is_async": self.is_async,
-            "direct": dict(self.direct),
-            "calls": list(self.calls),
-            "executor_calls": list(self.executor_calls),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),
-            is_async=bool(data["is_async"]),
-            direct={str(k): str(v) for k, v in dict(data["direct"]).items()},
-            calls=tuple(data["calls"]),
-            executor_calls=tuple(data["executor_calls"]),
-        )
-
 
 @dataclass(frozen=True)
 class ModuleSummary:
@@ -165,35 +127,9 @@ class ModuleSummary:
 
     module: str
     path: str
-    digest: str
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     #: Identifiers the file reads (see :func:`names_read`).
     reads: frozenset[str] = frozenset()
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "digest": self.digest,
-            "functions": {
-                name: fn.to_dict() for name, fn in sorted(self.functions.items())
-            },
-            "reads": sorted(self.reads),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        return cls(
-            module=str(data["module"]),
-            path=str(data["path"]),
-            digest=str(data["digest"]),
-            functions={
-                str(name): FunctionSummary.from_dict(fn)
-                for name, fn in dict(data["functions"]).items()
-            },
-            reads=frozenset(str(name) for name in data["reads"]),
-        )
 
 
 def names_read(tree: ast.Module) -> frozenset[str]:
@@ -476,13 +412,12 @@ def summarize_module(
     """Build the summary of one file (parses ``source`` unless given)."""
     if module is None:
         module = module_name_for(path)
-    digest = source_digest(module, source)
     posix = PurePosixPath(Path(path).as_posix()).as_posix()
     if tree is None:
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError:
-            return ModuleSummary(module=module, path=posix, digest=digest)
+            return ModuleSummary(module=module, path=posix)
     resolver = ImportResolver(tree)
     module_names = _module_level_names(tree)
     functions: dict[str, FunctionSummary] = {}
@@ -501,7 +436,6 @@ def summarize_module(
     return ModuleSummary(
         module=module,
         path=posix,
-        digest=digest,
         functions=functions,
         reads=names_read(tree),
     )

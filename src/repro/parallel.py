@@ -1,12 +1,14 @@
 """Shared parallelism helpers.
 
-Both process-pool users in this repository — the experiment sweep
-engine (:mod:`repro.experiments.runner`) and the lint driver
-(:mod:`repro.lint.engine`) — face the same two questions: how many
-workers by default, and whether a pool can beat the serial loop at all.
-Answering them in one place keeps the fallback behaviour identical
-across seams (and keeps the single-core pessimization documented once).
-Both count CPUs with :func:`usable_cpus`, as :func:`run_beside` does.
+Both process-pool users in this repository face the question whether a
+pool can beat the serial loop at all (:func:`pool_is_profitable`).  The
+experiment sweep engine (:mod:`repro.experiments.runner`) also takes a
+worker count from its caller, :func:`default_jobs` when none is given;
+the lint driver (:mod:`repro.lint.engine`) takes none and picks its own
+execution from its file count.  Answering the shared question in one
+place keeps the fallback behaviour identical across seams (and keeps
+the single-core pessimization documented once).  Both count CPUs with
+:func:`usable_cpus`, as :func:`run_beside` does.
 
 :func:`run_beside` is the one thread-level overlap, used by
 :meth:`repro.server.LiraSystem.tick`: numpy releases the GIL inside its

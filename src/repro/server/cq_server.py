@@ -20,7 +20,6 @@ from repro.counters import Counters
 from repro.geo import Rect
 from repro.index import NodeTable
 from repro.queries import QueryEvalKernel, RangeQuery
-from repro.core.statistics_grid import StatisticsGrid
 from repro.server.queue import ArrayBoundedQueue
 
 #: Side cell count of the server's cell -> query index.  A rule, not a
@@ -74,12 +73,10 @@ class MobileCQServer:
         queries: installed continual range queries.
         service_rate: μ, updates the server can integrate per second.
         queue_capacity: B, the input-queue size (Section 3.4).
-        stats_alpha: side cell count of the maintained statistics grid;
-            ``None`` disables statistics maintenance.
 
     Queued updates are struct-of-arrays chunks
     (:class:`~repro.server.queue.ArrayBoundedQueue`) applied to the node
-    table / statistics grid as array operations; the per-message form
+    table as array operations; the per-message form
     (``tests/oracles/system.py``) agrees on every admission lottery
     draw, FIFO overflow drop, newest-wins discard and counter.
     """
@@ -91,7 +88,6 @@ class MobileCQServer:
         queries: list[RangeQuery],
         service_rate: float,
         queue_capacity: int = 100,
-        stats_alpha: int | None = None,
     ) -> None:
         if service_rate <= 0:
             raise ValueError("service_rate must be positive")
@@ -100,9 +96,6 @@ class MobileCQServer:
         self.service_rate = service_rate
         self.queue = ArrayBoundedQueue(queue_capacity)
         self.table = NodeTable(n_nodes)
-        self.stats_grid = (
-            StatisticsGrid(bounds, stats_alpha) if stats_alpha else None
-        )
         # The paper's server keeps a grid index that query evaluation
         # runs through; here it indexes the (fixed) queries by cell.
         self.kernel = QueryEvalKernel(
@@ -192,10 +185,6 @@ class MobileCQServer:
                         float(report_t), ids[mask],
                         np.compress(mask, pos, axis=0), np.compress(mask, vel, axis=0),
                     )
-            if self.stats_grid is not None:
-                self.stats_grid.ingest_updates(
-                    pos[:, 0], pos[:, 1], np.hypot(vel[:, 0], vel[:, 1])
-                )
         self.counts.processed += count
         self._period_time += dt
         return count

@@ -371,11 +371,6 @@ class MessageCQServer(MobileCQServer):
             for t in sorted(set(times)):
                 mask = np.array([mt == t for mt in times])
                 self.table.ingest(t, ids[mask], pos[mask], vel[mask])
-            if self.stats_grid is not None:
-                for m in batch:
-                    self.stats_grid.ingest_update(
-                        m.x, m.y, float(np.hypot(m.vx, m.vy))
-                    )
         self.counts.processed += len(batch)
         self._period_time += dt
         return len(batch)

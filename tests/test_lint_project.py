@@ -1,4 +1,4 @@
-"""Tests for the whole-program layer: summaries, taint closure, cache.
+"""Tests for the whole-program layer: summaries, taint closure, execution.
 
 The acceptance fixture from the issue lives here: a wall-clock read two
 call hops away in another module must be flagged by REP002 at the call
@@ -8,19 +8,16 @@ clean.
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import LintConfig, run_paths
+from repro.lint import engine
 from repro.lint.engine import build_project, lint_source
-from repro.lint.project import ProjectIndex, SummaryCache, chain_text
-from repro.lint.summaries import SUMMARY_VERSION
-from repro.lint.summaries import (
-    module_name_for,
-    source_digest,
-    summarize_module,
-)
+from repro.lint.project import ProjectIndex, chain_text
+from repro.lint.summaries import module_name_for, summarize_module
 
 
 def write_tree(root: Path, files: dict[str, str]) -> None:
@@ -92,15 +89,6 @@ class TestSummaries:
         assert fn.is_async
         assert "time.sleep" in fn.executor_calls
         assert "time.sleep" not in fn.calls
-
-    def test_round_trips_through_dict(self, tmp_path):
-        path = tmp_path / "m.py"
-        source = "import time\n\ndef f():\n    return time.monotonic()\n"
-        path.write_text(source)
-        summary = summarize_module(path, source)
-        from repro.lint.summaries import ModuleSummary
-
-        assert ModuleSummary.from_dict(summary.to_dict()) == summary
 
 
 class TestTaintClosure:
@@ -224,7 +212,10 @@ class TestCrossModuleLinting:
         assert [f.format() for f in findings] == []
 
 
-class TestParallelAndCache:
+class TestExecution:
+    """The engine picks serial or pooled execution itself; both give the
+    same findings, and a small project never starts a pool."""
+
     FILES = {
         "one.py": """
             import time
@@ -241,87 +232,50 @@ class TestParallelAndCache:
         "three.py": "x = 1\n",
     }
 
-    def _run(self, root: Path, **kwargs):
+    def _run(self, root: Path):
         config = LintConfig(library_globs=("*",))
-        findings, checked = run_paths([root], config=config, **kwargs)
+        findings, checked = run_paths([root], config=config)
         return sorted(f.format() for f in findings), checked
 
-    def test_jobs_and_cache_do_not_change_findings(self, tmp_path):
-        """REP002 and the REP015 census alike: the tree is a project
-        (``pyproject.toml`` + ``src/``), so the consumer reads are cached
-        and shipped to the pool workers too."""
+    def _project(self, tmp_path: Path) -> Path:
+        """A project (``pyproject.toml`` + ``src/``) with a cross-module
+        clock taint and one def nothing reads."""
         root = tmp_path / "tree"
         write_tree(root, {f"src/{name}": body for name, body in self.FILES.items()})
         (root / "pyproject.toml").write_text("")
-        cache_dir = tmp_path / "cache"
+        return root
+
+    def test_pooled_equals_serial(self, tmp_path, monkeypatch):
+        """REP002 through the taint closure and the REP015 census alike:
+        the consumer reads reach the pool workers too."""
+        root = self._project(tmp_path)
+        monkeypatch.setattr(engine, "_pool_workers", lambda n_files: 1)
         serial = self._run(root / "src")
-        parallel = self._run(root / "src", jobs=2)
-        cold_cache = self._run(root / "src", cache_dir=cache_dir)
-        warm_cache = self._run(root / "src", cache_dir=cache_dir)
-        assert serial == parallel == cold_cache == warm_cache
+        monkeypatch.setattr(engine, "_pool_workers", lambda n_files: 2)
+        pooled = self._run(root / "src")
+        assert serial == pooled
         assert serial[1] == 3
-        assert any("REP002" in line for line in serial[0])
+        assert any("two.py" in line and "REP002" in line for line in serial[0])
         # ``stamp`` is read by two.py; nothing reads ``caller``.
         rep015 = [line for line in serial[0] if "REP015" in line]
         assert len(rep015) == 1 and "'caller'" in rep015[0]
 
-    def test_cache_hits_on_second_build(self, tmp_path):
-        write_tree(tmp_path / "tree", self.FILES)
-        sources = [
-            (str(p), p.read_text()) for p in sorted((tmp_path / "tree").glob("*.py"))
-        ]
-        cache = SummaryCache(tmp_path / "cache")
-        build_project(sources, cache=cache)
-        assert cache.hits == 0 and cache.misses == len(sources)
-        cache2 = SummaryCache(tmp_path / "cache")
-        build_project(sources, cache=cache2)
-        assert cache2.hits == len(sources) and cache2.misses == 0
+    def test_small_project_never_starts_a_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a few-file project started a process pool")
 
-    def test_edit_invalidates_only_the_changed_file(self, tmp_path):
-        root = tmp_path / "tree"
-        write_tree(root, self.FILES)
-        cache_dir = tmp_path / "cache"
-        before, _ = self._run(root, cache_dir=cache_dir)
-        assert not any("three.py" in line for line in before)
-        # Introduce a violation into the previously-clean file; the
-        # digest changes, so the stale cached summary cannot mask it.
-        (root / "three.py").write_text(
-            "import time\n\ndef stamp():\n    return time.time()\n"
-        )
-        after, _ = self._run(root, cache_dir=cache_dir)
-        assert any("three.py" in line and "REP002" in line for line in after)
-
-    def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        root = tmp_path / "tree"
-        write_tree(root, self.FILES)
-        cache_dir = tmp_path / "cache"
-        self._run(root, cache_dir=cache_dir)
-        for entry in cache_dir.glob("*.json"):
-            entry.write_text("{not json")
-        findings, checked = self._run(root, cache_dir=cache_dir)
+        root = self._project(tmp_path)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        findings, checked = self._run(root / "src")
         assert checked == 3
-        assert any("REP002" in line for line in findings)
+        assert any("REP015" in line for line in findings)
 
-    def test_entry_written_at_the_previous_version_misses(self, tmp_path):
-        """Summaries carry the module's reads since version 2; an entry
-        from before (no reads) must be recomputed, not trusted."""
-        write_tree(tmp_path / "tree", self.FILES)
-        sources = [
-            (str(p), p.read_text()) for p in sorted((tmp_path / "tree").glob("*.py"))
-        ]
-        build_project(sources, cache=SummaryCache(tmp_path / "cache"))
-        for entry in (tmp_path / "cache").glob("*.json"):
-            data = json.loads(entry.read_text())
-            data["version"] = SUMMARY_VERSION - 1
-            del data["reads"]
-            entry.write_text(json.dumps(data))
-        cache = SummaryCache(tmp_path / "cache")
-        project = build_project(sources, cache=cache)
-        assert cache.hits == 0 and cache.misses == len(sources)
-        assert "stamp" in project.modules["two"].reads
-
-    def test_digest_mixes_module_and_version(self):
-        assert source_digest("a", "x = 1\n") != source_digest("b", "x = 1\n")
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_pool_only_with_files_and_cpus_to_spare(self, monkeypatch, cpus):
+        monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr("repro.parallel.usable_cpus", lambda: cpus)
+        assert engine._pool_workers(engine._POOL_MIN_FILES - 1) == 1
+        assert engine._pool_workers(engine._POOL_MIN_FILES) == (cpus if cpus > 1 else 1)
 
 
 class TestLintFileUsesSingleFileProject:

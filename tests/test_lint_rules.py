@@ -706,13 +706,9 @@ class TestCli:
         target.write_text(textwrap.dedent(body))
         return target
 
-    def _lint(self, tmp_path: Path, *args: str) -> int:
-        """The CLI with its summary cache under ``tmp_path``, not the cwd."""
-        return lint_main(["--cache-dir", str(tmp_path / "cache"), *args])
-
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         target = self._write(tmp_path, "clean.py", "x = 1\n")
-        assert self._lint(tmp_path, str(target)) == 0
+        assert lint_main([str(target)]) == 0
 
     def test_violations_exit_one_with_location_lines(self, tmp_path, capsys):
         target = self._write(
@@ -726,7 +722,7 @@ class TestCli:
                 return acc
             """,
         )
-        assert self._lint(tmp_path, str(target)) == 1
+        assert lint_main([str(target)]) == 1
         out = capsys.readouterr().out
         assert f"{target}:5:" in out
         assert "REP002" in out
@@ -741,7 +737,7 @@ class TestCli:
             t = time.time()
             """,
         )
-        assert self._lint(tmp_path, "--format", "json", str(target)) == 1
+        assert lint_main(["--format", "json", str(target)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["files_checked"] == 1
         assert report["errors"] >= 1
@@ -759,10 +755,16 @@ class TestCli:
                 return acc
             """,
         )
-        assert self._lint(tmp_path, "--select", "REP011", str(target)) == 1
+        assert lint_main(["--select", "REP011", str(target)]) == 1
         out = capsys.readouterr().out
         assert "REP011" in out
         assert "REP002" not in out
+
+    def test_run_leaves_nothing_in_the_cwd(self, tmp_path, monkeypatch):
+        target = self._write(tmp_path, "dirty.py", "import time\nt = time.time()\n")
+        monkeypatch.chdir(tmp_path)
+        assert lint_main([target.name]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["dirty.py"]
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         target = self._write(tmp_path, "clean.py", "x = 1\n")
@@ -791,7 +793,7 @@ class TestSelfCheck:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "--no-cache", "src"],
+            [sys.executable, "-m", "repro.lint", "src"],
             cwd=REPO_ROOT,
             env=env,
             capture_output=True,
@@ -1253,7 +1255,7 @@ class TestOutputFormats:
 
     def test_sarif_report(self, tmp_path, capsys):
         target = self._dirty(tmp_path)
-        assert lint_main(["--format", "sarif", "--no-cache", str(target)]) == 1
+        assert lint_main(["--format", "sarif", str(target)]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
@@ -1269,7 +1271,7 @@ class TestOutputFormats:
 
     def test_github_annotations(self, tmp_path, capsys):
         target = self._dirty(tmp_path)
-        assert lint_main(["--format", "github", "--no-cache", str(target)]) == 1
+        assert lint_main(["--format", "github", str(target)]) == 1
         out = capsys.readouterr().out
         assert f"::error file={target},line=2," in out
         assert "title=REP002::" in out

@@ -1286,7 +1286,7 @@ class TestArrayBoundedQueue:
 
 
 # ----------------------------------------------------------------------
-# StatisticsGrid.ingest_updates vs scalar ingest_update
+# StatisticsGrid.ingest_updates vs a scalar per-update loop
 # ----------------------------------------------------------------------
 
 
@@ -1300,8 +1300,13 @@ class TestBatchedGridIngest:
         speeds = rng.uniform(0.0, 40.0, 500)
         a = copy.deepcopy(small_grid)
         b = copy.deepcopy(small_grid)
-        for i in range(xs.size):
-            a.ingest_update(float(xs[i]), float(ys[i]), float(speeds[i]))
+        x1, y1, last = a.bounds.x1, a.bounds.y1, a.alpha - 1
+        for k in range(xs.size):  # the scalar oracle: one update at a time
+            i = min(max(int((float(xs[k]) - x1) / a._cell_w), 0), last)
+            j = min(max(int((float(ys[k]) - y1) / a._cell_h), 0), last)
+            a._acc_count[i, j] += 1.0
+            a._acc_speed[i, j] += float(speeds[k])
+            a._acc_updates += 1
         b.ingest_updates(xs, ys, speeds)
         assert np.array_equal(a._acc_count, b._acc_count)
         assert np.array_equal(a._acc_speed, b._acc_speed)

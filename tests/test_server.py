@@ -321,19 +321,6 @@ class TestMobileCQServer:
                 admit_fraction=0.5,
             )
 
-    def test_stats_grid_maintenance(self):
-        queries = [RangeQuery(0, Rect(0.0, 0.0, 50.0, 50.0))]
-        server = MobileCQServer(
-            self.BOUNDS, 2, queries, service_rate=10.0, stats_alpha=4
-        )
-        server.receive_reports(
-            0.0, np.array([0]), np.array([[10.0, 10.0]]), np.array([[3.0, 4.0]])
-        )
-        server.process(1.0)
-        server.stats_grid.roll()
-        assert server.stats_grid.total_nodes == pytest.approx(1.0)
-        assert server.stats_grid.mean_speed == pytest.approx(5.0)
-
     def test_rejects_bad_service_rate(self):
         with pytest.raises(ValueError):
             MobileCQServer(self.BOUNDS, 1, [], service_rate=0.0)
