@@ -3,7 +3,7 @@
 Each benchmark regenerates one paper figure/table at a reduced (but
 shape-preserving) scale and asserts the qualitative result the paper
 reports, while pytest-benchmark records the runtime.  Traces and
-reduction functions are cached across benchmarks (see
+reduction functions are memoized in-process across benchmarks (see
 ``repro.sim.scenario.build_scenario``), so the measured time is the
 experiment itself, not scene construction.
 """

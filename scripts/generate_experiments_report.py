@@ -23,7 +23,7 @@ import re
 from pathlib import Path
 
 from repro.experiments import EXPERIMENTS, SCALES
-from repro.metrics.cost import Stopwatch
+from repro.timing import Stopwatch
 
 #: What the paper's version of each artifact shows (the target shape).
 PAPER_CLAIMS = {

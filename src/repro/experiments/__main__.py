@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from pathlib import Path
 
 from repro.experiments import EXPERIMENTS, SCALES
-from repro.metrics.cost import Stopwatch
+from repro.experiments.base import ExperimentResult
+from repro.timing import Stopwatch
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,17 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         help="fan simulations of sweep experiments over N worker "
         "processes (experiments without a jobs parameter run serially)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the persistent trace/scenario cache (see repro.sim.cache); "
-        "traces are regenerated from scratch and nothing is written to disk",
-    )
     args = parser.parse_args(argv)
-    if args.no_cache:
-        from repro.sim import cache
-
-        cache.set_cache_enabled(False)
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
@@ -82,16 +74,33 @@ def main(argv: list[str] | None = None) -> int:
         print("zsweep-all")
         return 0
 
+    scale = SCALES[args.scale]
+
+    def emit(name: str, result: ExperimentResult) -> None:
+        """Print ``result``'s table, then its chart and save it if asked."""
+        print(result.format_table())
+        if args.plot:
+            from repro.experiments.plotting import render_ascii_chart
+
+            print()
+            print(render_ascii_chart(result, logy=args.logy))
+        if args.save:
+            target = Path(args.save)
+            out = target.with_name(f"{target.stem}_{name}{target.suffix}")
+            result.save(out)
+            print(f"[saved {out}]")
+
     if args.experiment == "zsweep-all":
         # Figures 4-7 from one (z x policy x figure) fan-out; the shared
         # proportional-distribution simulations run once, not twice.
+        if args.replicate:
+            parser.error("--replicate does not apply to zsweep-all")
         from repro.experiments.zsweep import run_figs04_07
 
-        scale = SCALES[args.scale]
         with Stopwatch() as stopwatch:
             results = run_figs04_07(scale=scale, jobs=args.jobs)
         for name, result in results.items():
-            print(result.format_table())
+            emit(name, result)
             print()
         print(
             f"[zsweep-all completed in {stopwatch.elapsed:.1f}s "
@@ -104,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiment(s): {unknown}; try 'list'")
 
-    scale = SCALES[args.scale]
     for name in names:
         runner = EXPERIMENTS[name]
         parameters = inspect.signature(runner).parameters
@@ -117,26 +125,13 @@ def main(argv: list[str] | None = None) -> int:
                 from repro.experiments.replication import replicate
 
                 seeds = tuple(scale.seed + 10 * k for k in range(args.replicate))
-                result = replicate(runner, scale, seeds=seeds)
+                result = replicate(runner, scale, seeds=seeds, **kwargs)
             elif supports_scale:
                 result = runner(scale=scale, **kwargs)
             else:
                 result = runner()
-        elapsed = stopwatch.elapsed
-        print(result.format_table())
-        if args.plot:
-            from repro.experiments.plotting import render_ascii_chart
-
-            print()
-            print(render_ascii_chart(result, logy=args.logy))
-        if args.save:
-            from pathlib import Path
-
-            target = Path(args.save)
-            out = target.with_name(f"{target.stem}_{name}{target.suffix}")
-            result.save(out)
-            print(f"[saved {out}]")
-        print(f"[{name} completed in {elapsed:.1f}s at scale={scale.name}]")
+        emit(name, result)
+        print(f"[{name} completed in {stopwatch.elapsed:.1f}s at scale={scale.name}]")
         print()
     return 0
 

@@ -66,7 +66,7 @@ def run_ablation_increment(
     falling as c_Δ grows.
     """
     from repro.core import LiraLoadShedder, StatisticsGrid
-    from repro.metrics.cost import Stopwatch
+    from repro.timing import Stopwatch
 
     scenario = scale.scenario()
     trace = scenario.trace

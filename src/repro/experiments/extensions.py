@@ -18,9 +18,9 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.common import MEDIUM, ExperimentScale
 from repro.history import TrajectoryStore, snapshot_position_error
 from repro.index.tpr_tree import MovingObject, TPRTree
-from repro.metrics.cost import Stopwatch
 from repro.motion import DeadReckoningFleet
 from repro.sim import Simulation, SimulationConfig, make_policies
+from repro.timing import Stopwatch
 
 
 def _simulation(scale, queries, policy, z, adapt_every=None) -> Simulation:

@@ -8,14 +8,12 @@ executes such job sets on a :class:`~concurrent.futures.ProcessPoolExecutor`.
 Scenarios are *not* pickled across the pool — a worker receives a
 :class:`ScenarioSpec` (the hashable argument bundle of
 :func:`~repro.sim.build_scenario`) and rebuilds the scenario through the
-``lru_cache`` behind ``build_scenario``.  That makes the handle safe
-under both ``fork`` (cache pages are shared copy-on-write) and ``spawn``
-(each worker rebuilds once, then hits its process-local cache); the
-optional pool initializer pre-warms every distinct spec so job latency
-is simulation time, not scene construction.  Under ``spawn``, each
-worker's first build also consults the persistent on-disk cache
-(:mod:`repro.sim.cache`), so the trace and reduction curve are loaded,
-not regenerated — workers only pay for workload generation.
+``lru_cache`` behind ``build_scenario``.  :func:`run_jobs` builds every
+distinct spec in the parent before it starts the pool, so ``fork``
+workers inherit the built scenarios copy-on-write and job latency is
+simulation time, not scene construction; under ``spawn`` or
+``forkserver`` each worker builds each spec at most once, then hits its
+process-local memo.
 
 Determinism: a job carries its own simulation seed, and each
 ``Simulation.run`` creates a fresh ``np.random.default_rng(seed)``, so
@@ -52,7 +50,7 @@ __all__ = [
 class ScenarioSpec:
     """Hashable, picklable recipe for :func:`~repro.sim.build_scenario`.
 
-    Workers rebuild (or cache-hit) the scenario from this spec instead of
+    Workers rebuild (or memo-hit) the scenario from this spec instead of
     unpickling multi-megabyte trace arrays per job.
     """
 
@@ -78,7 +76,7 @@ class ScenarioSpec:
         mn_ratio: float = 0.01,
         side_length: float = 1000.0,
     ) -> "ScenarioSpec":
-        """The spec matching ``scale.scenario(...)`` — same cache key."""
+        """The spec matching ``scale.scenario(...)`` — same memo key."""
         return cls(
             n_nodes=scale.n_nodes,
             mn_ratio=mn_ratio,
@@ -136,12 +134,6 @@ def run_job(job: SimJob) -> SimulationResult:
     return Simulation(scenario.trace, scenario.queries, policy, sim_config).run()
 
 
-def _warm_worker(specs: tuple[ScenarioSpec, ...]) -> None:
-    """Pool initializer: populate the per-process scenario cache."""
-    for spec in specs:
-        spec.build()
-
-
 def run_jobs(
     jobs: list[SimJob], n_workers: int | None = None
 ) -> list[SimulationResult]:
@@ -154,10 +146,9 @@ def run_jobs(
     n_workers = max(1, min(n_workers, len(jobs)))
     if not pool_is_profitable(n_workers, len(jobs)):
         return [run_job(job) for job in jobs]
-    specs = tuple(dict.fromkeys(job.spec for job in jobs))
-    with ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_warm_worker, initargs=(specs,)
-    ) as pool:
+    for spec in dict.fromkeys(job.spec for job in jobs):
+        spec.build()
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(run_job, jobs))
 
 

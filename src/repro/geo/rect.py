@@ -60,12 +60,8 @@ class Rect:
     def center(self) -> Point:
         return Point((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
 
-    def contains(self, p: Point) -> bool:
-        """True if ``p`` lies inside (half-open on the max edges)."""
-        return self.x1 <= p.x < self.x2 and self.y1 <= p.y < self.y2
-
     def contains_xy(self, x: float, y: float) -> bool:
-        """Like :meth:`contains` but avoids constructing a Point."""
+        """True if ``(x, y)`` lies inside (half-open on the max edges)."""
         return self.x1 <= x < self.x2 and self.y1 <= y < self.y2
 
     def intersects(self, other: "Rect") -> bool:

@@ -104,10 +104,9 @@ EXECUTOR_SEAMS = frozenset({"asyncio.to_thread", "run_in_executor"})
 CLOCK_SEAM_PATHS = ("*/repro/timing.py", "repro/timing.py")
 
 #: Files allowed to read the environment (REP004 allowlist and the
-#: ``env`` taint seam): the cache configuration module, CLI entry
-#: points, and the opt-in runtime sanitizer switches.
+#: ``env`` taint seam): CLI entry points and the opt-in runtime
+#: sanitizer switches.
 ENV_SEAM_PATHS = (
-    "*/repro/sim/cache.py",
     "*/__main__.py",
     "*/repro/sanitize/*",
     "repro/sanitize/*",

@@ -148,7 +148,7 @@ class WallClockRead(Rule):
                 ctx,
                 node,
                 f"{qualname} read outside the timing harness; route through "
-                "repro.timing.Stopwatch (see repro.metrics.cost)",
+                "repro.timing.Stopwatch",
             )
 
 
@@ -249,16 +249,15 @@ class EnvironRead(Rule):
     """``os.environ`` reads outside the documented configuration seams.
 
     Environment variables are invisible inputs: two runs of the same
-    command can differ without any change to spec or seed.  Only the
-    cache module (``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``), CLI entry
-    points, and the opt-in runtime sanitizer switches may consult them;
-    library code takes parameters.  Calls into project functions that
-    transitively read the environment are flagged too.
+    command can differ without any change to spec or seed.  Only CLI
+    entry points and the opt-in runtime sanitizer switches may consult
+    them; library code takes parameters.  Calls into project functions
+    that transitively read the environment are flagged too.
     """
 
     id = "REP004"
     name = "environ-read"
-    summary = "os.environ access outside sim/cache.py and CLI entry points"
+    summary = "os.environ access outside CLI entry points and sanitize/"
     library_only = True
     default_allow = knowledge.ENV_SEAM_PATHS
     node_types = (ast.Attribute, ast.Name, ast.Call)
@@ -287,6 +286,6 @@ class EnvironRead(Rule):
                 ctx,
                 node,
                 f"{qualname} accessed outside the config seams "
-                "(repro.sim.cache, __main__ entry points); pass explicit "
+                "(__main__ entry points, repro.sanitize); pass explicit "
                 "parameters instead",
             )

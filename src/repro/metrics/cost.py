@@ -1,16 +1,9 @@
-"""Load-shedding cost metrics (paper Section 4.1.2) and the timing seam.
+"""Load-shedding cost metrics (paper Section 4.1.2).
 
 Server-side cost: wall-clock time of one adaptation step (THROTLOOP +
 GRIDREDUCE + GREEDYINCREMENT).  Mobile-node / wireless cost: the number
 of shedding regions a node must know and the broadcast bytes required to
 install them.
-
-This module is also the canonical import point for the project's
-wall-clock helpers (:class:`~repro.timing.Stopwatch` and friends):
-benchmark scripts and experiment harnesses measure durations through
-these instead of reading :mod:`time` directly, which keeps the
-reprolint REP002 clock allowlist down to the one underlying module,
-``repro.timing``.
 """
 
 from __future__ import annotations
@@ -26,15 +19,13 @@ from repro.server.base_station import (
     BaseStation,
     mean_regions_per_station,
 )
-from repro.timing import Stopwatch, wall_time_samples
+from repro.timing import wall_time_samples
 
 __all__ = [
     "AdaptationTiming",
     "MessagingCost",
-    "Stopwatch",
     "messaging_cost",
     "time_adaptation",
-    "wall_time_samples",
 ]
 
 

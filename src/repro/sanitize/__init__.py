@@ -16,7 +16,7 @@ production and default test runs pay nothing:
   kernels under ``np.errstate(invalid="raise", over="raise")`` so NaNs
   and overflows fail loudly instead of propagating into plans.
 
-This package is an environment-variable seam (like ``repro.sim.cache``):
+This package is the one library environment-variable seam (REP004):
 the ``REPRO_SANITIZE*`` reads below are the one sanctioned place the
 switches are consulted — everything else calls these helpers.
 """

@@ -1,6 +1,5 @@
 """Closed-loop simulation harness and experiment scenarios."""
 
-from repro.sim import cache
 from repro.sim.dynamics import QueryTimeline, TimedQuery
 from repro.sim.scenario import Scenario, build_scenario, make_policies
 from repro.sim.simulation import (
@@ -13,7 +12,6 @@ from repro.sim.simulation import (
 __all__ = [
     "QueryTimeline",
     "Scenario",
-    "cache",
     "TimedQuery",
     "Simulation",
     "SimulationConfig",

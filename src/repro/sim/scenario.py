@@ -2,11 +2,12 @@
 
 Building a trace and measuring the empirical reduction function are the
 expensive parts of an experiment; a :class:`Scenario` does both once and
-is shared across a parameter sweep.  :func:`build_scenario` memoizes on
-its parameters in-process, and both the trace and the empirical
-reduction curve are additionally backed by the persistent on-disk cache
-(:mod:`repro.sim.cache`), so pool workers and fresh CLI invocations load
-them instead of regenerating.
+is shared across a parameter sweep.  Scenarios are built, not stored:
+a scenario is a pure function of its parameters, so :func:`build_scenario`
+memoizes in-process only.  The trace is memoized on its own arguments and
+the empirical reduction on those plus (Δ⊢, Δ⊣, sample count), so every
+workload variant over one trace (another distribution, m/n or query
+side) reuses both and only generates its queries.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-
 from repro.core import AnalyticReduction, LiraConfig, measure_reduction_from_trace
-from repro.core.reduction import ReductionFunction
+from repro.core.reduction import PiecewiseLinearReduction, ReductionFunction
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.roadnet import make_default_scene
 from repro.shedding import (
@@ -26,7 +26,6 @@ from repro.shedding import (
     SheddingPolicy,
     UniformDeltaPolicy,
 )
-from repro.sim import cache
 from repro.trace import Trace, TraceGenerator
 
 
@@ -81,49 +80,29 @@ def _cached_trace(
     side_meters: float,
     collector_spacing: float,
 ) -> Trace:
-    key = cache.cache_key(
-        "default-scene-trace",
-        n_nodes=n_nodes,
-        duration=duration,
-        dt=dt,
-        seed=seed,
-        side_meters=side_meters,
-        collector_spacing=collector_spacing,
-    )
-    cached = cache.load_trace(key)
-    if cached is not None:
-        return cached
     network, traffic = make_default_scene(
         side_meters=side_meters, seed=seed, collector_spacing=collector_spacing
     )
     generator = TraceGenerator(network, traffic, n_vehicles=n_nodes, seed=seed)
-    trace = generator.generate(duration=duration, dt=dt, warmup=10 * dt)
-    cache.store_trace(key, trace)
-    return trace
+    return generator.generate(duration=duration, dt=dt, warmup=10 * dt)
 
 
-def _empirical_reduction(
-    trace: Trace,
-    trace_key_fields: dict,
+@lru_cache(maxsize=8)
+def _cached_reduction(
+    n_nodes: int,
+    duration: float,
+    dt: float,
+    seed: int,
+    side_meters: float,
+    collector_spacing: float,
     delta_min: float,
     delta_max: float,
     n_samples: int,
-):
-    key = cache.cache_key(
-        "empirical-reduction",
-        delta_min=delta_min,
-        delta_max=delta_max,
-        n_samples=n_samples,
-        **trace_key_fields,
-    )
-    cached = cache.load_reduction(key)
-    if cached is not None:
-        return cached
-    reduction = measure_reduction_from_trace(
+) -> PiecewiseLinearReduction:
+    trace = _cached_trace(n_nodes, duration, dt, seed, side_meters, collector_spacing)
+    return measure_reduction_from_trace(
         trace, delta_min, delta_max, n_samples=n_samples
     )
-    cache.store_reduction(key, reduction)
-    return reduction
 
 
 @lru_cache(maxsize=8)
@@ -152,16 +131,13 @@ def _cached_scenario(
         seed=seed,
     )
     if reduction_kind == "empirical":
-        reduction = _empirical_reduction(
-            trace,
-            {
-                "n_nodes": n_nodes,
-                "duration": duration,
-                "dt": dt,
-                "seed": seed,
-                "side_meters": side_meters,
-                "collector_spacing": collector_spacing,
-            },
+        reduction = _cached_reduction(
+            n_nodes,
+            duration,
+            dt,
+            seed,
+            side_meters,
+            collector_spacing,
             delta_min,
             delta_max,
             reduction_samples,
@@ -195,12 +171,11 @@ def build_scenario(
     reduction: str = "empirical",
     reduction_samples: int = 12,
 ) -> Scenario:
-    """Build (or fetch from cache) a complete experiment scenario.
+    """Build (or fetch from the in-process memo) a complete experiment scenario.
 
     Defaults mirror the paper: ~200 km^2 region, m/n = 0.01, w = 1000 m,
     proportional query distribution, Δ ∈ [5, 100] m, and an empirically
-    measured reduction function.  The trace and reduction curve hit the
-    in-process memo first and the persistent cache second.
+    measured reduction function.  Equal arguments return the same object.
     """
     return _cached_scenario(
         n_nodes,

@@ -9,16 +9,10 @@ query evaluation) can stay vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.geo import Rect
-
-#: On-disk ``.npz`` format version written by :meth:`Trace.save`.
-#: Version 1 files (no ``version`` field) are still readable; bump this
-#: whenever the layout changes incompatibly.
-TRACE_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -71,68 +65,3 @@ class Trace:
     def mean_speed(self) -> float:
         """Average speed over all nodes and ticks."""
         return float(np.linalg.norm(self.velocities, axis=2).mean())
-
-    def save(self, path: str | Path, compressed: bool = True) -> None:
-        """Persist to a ``.npz`` file (positions, velocities, metadata).
-
-        The file carries a format version (:data:`TRACE_FORMAT_VERSION`)
-        so readers can reject layouts they do not understand.
-        ``compressed=False`` trades ~10% larger files for several-fold
-        faster loads — the trace cache uses it because load latency is
-        its whole point.
-        """
-        writer = np.savez_compressed if compressed else np.savez
-        writer(
-            Path(path),
-            positions=self.positions,
-            velocities=self.velocities,
-            dt=np.array([self.dt]),
-            bounds=np.array(
-                [self.bounds.x1, self.bounds.y1, self.bounds.x2, self.bounds.y2]
-            ),
-            version=np.array([TRACE_FORMAT_VERSION], dtype=np.int64),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        """Load and validate a trace previously written by :meth:`save`.
-
-        Raises ``ValueError`` on unknown format versions, missing or
-        malformed fields, non-finite samples, or positions outside the
-        stored bounds; shape consistency is enforced by the constructor.
-        """
-        with np.load(Path(path)) as data:
-            fields = set(data.files)
-            missing = {"positions", "velocities", "dt", "bounds"} - fields
-            if missing:
-                raise ValueError(f"trace file {path} is missing fields {sorted(missing)}")
-            version = int(data["version"][0]) if "version" in fields else 1
-            if version > TRACE_FORMAT_VERSION:
-                raise ValueError(
-                    f"trace file {path} has format version {version}; this "
-                    f"reader supports <= {TRACE_FORMAT_VERSION}"
-                )
-            bounds_arr = np.asarray(data["bounds"], dtype=np.float64)
-            if bounds_arr.shape != (4,):
-                raise ValueError(f"trace file {path} has malformed bounds")
-            bounds = Rect(*bounds_arr.tolist())
-            trace = cls(
-                bounds=bounds,
-                dt=float(data["dt"][0]),
-                positions=data["positions"],
-                velocities=data["velocities"],
-            )
-        if not (
-            np.isfinite(trace.positions).all() and np.isfinite(trace.velocities).all()
-        ):
-            raise ValueError(f"trace file {path} contains non-finite samples")
-        xs = trace.positions[:, :, 0]
-        ys = trace.positions[:, :, 1]
-        if trace.positions.size and not (
-            (xs >= bounds.x1).all()
-            and (xs <= bounds.x2).all()
-            and (ys >= bounds.y1).all()
-            and (ys <= bounds.y2).all()
-        ):
-            raise ValueError(f"trace file {path} has positions outside its bounds")
-        return trace

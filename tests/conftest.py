@@ -13,25 +13,6 @@ from repro.sim import build_scenario
 from repro.trace import Trace, TraceGenerator
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_trace_cache(tmp_path_factory):
-    """Point the persistent scenario cache at a per-session temp directory.
-
-    Keeps test runs from reading (or polluting) the user's real cache —
-    a stale entry from an older code version would silently change what
-    the fixtures build.
-    """
-    import os
-
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("lira-cache"))
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
-
-
 @pytest.fixture(scope="session")
 def small_scene():
     """A small road network + traffic model (~16 km^2)."""
@@ -79,7 +60,7 @@ def reduction() -> AnalyticReduction:
 
 @pytest.fixture(scope="session")
 def tiny_scenario():
-    """A cached full scenario small enough for integration tests."""
+    """A memoized full scenario small enough for integration tests."""
     return build_scenario(
         n_nodes=400,
         duration=300.0,

@@ -348,3 +348,47 @@ class TestCliReplicate:
         out = capsys.readouterr().out
         assert "(mean over 2 seeds)" in out
         assert "f empirical (std)" in out
+
+    def test_replicate_forwards_jobs(self, monkeypatch, capsys):
+        calls = []
+
+        def runner(scale, jobs=None):
+            calls.append(jobs)
+            result = ExperimentResult("fake", "fake", "x", [1.0])
+            result.add_series("y", [float(scale.seed)])
+            return result
+
+        monkeypatch.setitem(EXPERIMENTS, "fake", runner)
+        assert experiments_main(
+            ["fake", "--scale", "small", "--replicate", "2", "--jobs", "3"]
+        ) == 0
+        assert calls == [3, 3]
+        assert "(mean over 2 seeds)" in capsys.readouterr().out
+
+    def test_zsweep_all_rejects_replicate(self):
+        with pytest.raises(SystemExit):
+            experiments_main(["zsweep-all", "--replicate", "2"])
+
+
+class TestCliZsweepAll:
+    def test_save_and_plot(self, monkeypatch, tmp_path, capsys):
+        from repro.experiments import zsweep
+
+        def run_figs04_07(scale, jobs=None):
+            results = {}
+            for fig_id in ("fig04", "fig05"):
+                result = ExperimentResult(fig_id, fig_id, "z", [0.5, 0.9])
+                result.add_series("lira abs", [1.0, 2.0])
+                results[fig_id] = result
+            return results
+
+        monkeypatch.setattr(zsweep, "run_figs04_07", run_figs04_07)
+        target = tmp_path / "out.csv"
+        assert experiments_main(
+            ["zsweep-all", "--scale", "small", "--save", str(target), "--plot"]
+        ) == 0
+        assert (tmp_path / "out_fig04.csv").read_text().startswith("z,lira abs")
+        assert (tmp_path / "out_fig05.csv").exists()
+        out = capsys.readouterr().out
+        assert out.count("[saved ") == 2
+        assert "zsweep-all completed" in out

@@ -45,18 +45,18 @@ class TestProperties:
 
 class TestContainment:
     def test_contains_interior_point(self, unit_rect):
-        assert unit_rect.contains(Point(0.5, 0.5))
+        assert unit_rect.contains_xy(0.5, 0.5)
 
     def test_half_open_min_edge_included(self, unit_rect):
-        assert unit_rect.contains(Point(0.0, 0.0))
+        assert unit_rect.contains_xy(0.0, 0.0)
 
     def test_half_open_max_edge_excluded(self, unit_rect):
-        assert not unit_rect.contains(Point(1.0, 0.5))
-        assert not unit_rect.contains(Point(0.5, 1.0))
+        assert not unit_rect.contains_xy(1.0, 0.5)
+        assert not unit_rect.contains_xy(0.5, 1.0)
 
-    def test_contains_xy_matches_contains(self, unit_rect):
-        for x, y in [(0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (-0.1, 0.5)]:
-            assert unit_rect.contains_xy(x, y) == unit_rect.contains(Point(x, y))
+    def test_contains_xy_excludes_outside_points(self, unit_rect):
+        for x, y in [(1.0, 1.0), (-0.1, 0.5), (0.5, -0.1), (2.0, 2.0)]:
+            assert not unit_rect.contains_xy(x, y)
 
 
 class TestIntersection:
@@ -100,7 +100,7 @@ class TestQuadrants:
         r = Rect(0.0, 0.0, 2.0, 2.0)
         quads = r.quadrants()
         for p in [Point(0.5, 0.5), Point(1.5, 0.5), Point(1.0, 1.0), Point(0.1, 1.9)]:
-            assert sum(q.contains(p) for q in quads) == 1
+            assert sum(q.contains_xy(p.x, p.y) for q in quads) == 1
 
 
 def _disk_meets(rect: Rect, center: Point, radius: float) -> bool:

@@ -200,13 +200,13 @@ class TestRep004EnvironRead:
             """
         )
 
-    def test_cache_module_is_allowlisted(self):
+    def test_scenario_module_is_not_allowlisted(self):
         source = """
         import os
-        root = os.environ.get("REPRO_CACHE_DIR")
+        root = os.environ.get("HOME")
         """
-        assert "REP004" not in [
-            f.rule_id for f in lint(source, path="src/repro/sim/cache.py")
+        assert "REP004" in [
+            f.rule_id for f in lint(source, path="src/repro/sim/scenario.py")
         ]
 
     def test_cli_entry_point_is_allowlisted(self):

@@ -93,7 +93,9 @@ class TestRectProperties:
             sum(q.area for q in quads) - r.area
         ) <= 1e-6 * max(r.area, 1.0)
         center_of_mass = r.center
-        assert sum(q.contains(center_of_mass) for q in quads) == 1
+        assert sum(
+            q.contains_xy(center_of_mass.x, center_of_mass.y) for q in quads
+        ) == 1
 
 
 # ---------------------------------------------------------------------------

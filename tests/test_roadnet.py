@@ -161,7 +161,7 @@ class TestTrafficModel:
     def test_generate_hotspots_within_bounds(self):
         bounds = Rect(0.0, 0.0, 5000.0, 5000.0)
         for spot in generate_hotspots(bounds, seed=4, n_hotspots=5):
-            assert bounds.contains(spot.center)
+            assert bounds.contains_xy(spot.center.x, spot.center.y)
 
     def test_turn_weight_ignores_length(self, small_scene):
         network, traffic = small_scene

@@ -17,6 +17,7 @@ from repro.sim import (
     make_policies,
     reference_update_count,
 )
+from repro.sim import scenario as scenario_module
 from repro.sim import simulation as simulation_module
 
 
@@ -228,6 +229,35 @@ class TestScenarioBuilder:
     def test_make_policies_unknown_rejected(self, tiny_scenario):
         with pytest.raises(ValueError):
             make_policies(tiny_scenario, LiraConfig(l=4, alpha=32), include=("nope",))
+
+    def test_cold_build_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        # Arguments no other test uses, so the in-process memo is cold.
+        build_scenario(
+            n_nodes=120, duration=60.0, side_meters=2500.0, seed=11,
+            reduction_samples=3,
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_workload_variants_measure_reduction_once(self, monkeypatch):
+        calls = []
+        measure = scenario_module.measure_reduction_from_trace
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "measure_reduction_from_trace", counted)
+        spec = dict(
+            n_nodes=130, duration=60.0, side_meters=2500.0, seed=12,
+            reduction_samples=3,
+        )
+        a = build_scenario(distribution=QueryDistribution.PROPORTIONAL, **spec)
+        b = build_scenario(distribution=QueryDistribution.INVERSE, **spec)
+        assert a is not b and a.trace is b.trace
+        assert a.reduction is b.reduction
+        assert len(calls) == 1
 
     def test_unknown_reduction_kind_rejected(self):
         with pytest.raises(ValueError):

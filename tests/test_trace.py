@@ -5,7 +5,7 @@ import pytest
 
 from repro.geo import Point, Rect
 from repro.roadnet import RoadClass, RoadNetwork, TrafficVolumeModel
-from repro.trace import TRACE_FORMAT_VERSION, Trace, TraceGenerator
+from repro.trace import Trace, TraceGenerator
 
 from tests.oracles.vehicles import Vehicle
 
@@ -84,6 +84,7 @@ class TestTraceGenerator:
         a = TraceGenerator(network, traffic, n_vehicles=50, seed=5).generate(100.0, 10.0)
         b = TraceGenerator(network, traffic, n_vehicles=50, seed=5).generate(100.0, 10.0)
         np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.velocities, b.velocities)
 
     def test_vehicles_actually_move(self, small_trace):
         displacement = np.linalg.norm(
@@ -147,74 +148,3 @@ class TestTraceContainer:
 
     def test_mean_speed_positive(self, small_trace):
         assert small_trace.mean_speed() > 0.0
-
-    def test_save_load_roundtrip(self, small_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        small_trace.save(path)
-        loaded = Trace.load(path)
-        np.testing.assert_array_equal(loaded.positions, small_trace.positions)
-        np.testing.assert_array_equal(loaded.velocities, small_trace.velocities)
-        assert loaded.dt == small_trace.dt
-        assert loaded.bounds == small_trace.bounds
-
-    def test_save_stamps_format_version(self, small_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        small_trace.save(path)
-        with np.load(path) as data:
-            assert int(data["version"][0]) == TRACE_FORMAT_VERSION
-
-    def test_load_accepts_legacy_unversioned_files(self, small_trace, tmp_path):
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(
-            path,
-            positions=small_trace.positions,
-            velocities=small_trace.velocities,
-            dt=np.array([small_trace.dt]),
-            bounds=np.array([
-                small_trace.bounds.x1, small_trace.bounds.y1,
-                small_trace.bounds.x2, small_trace.bounds.y2,
-            ]),
-        )
-        loaded = Trace.load(path)
-        np.testing.assert_array_equal(loaded.positions, small_trace.positions)
-
-    def test_load_rejects_future_version(self, small_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        small_trace.save(path)
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["version"] = np.array([TRACE_FORMAT_VERSION + 1], dtype=np.int64)
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="format version"):
-            Trace.load(path)
-
-    def test_load_rejects_missing_fields(self, small_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        np.savez_compressed(path, positions=small_trace.positions)
-        with pytest.raises(ValueError, match="missing fields"):
-            Trace.load(path)
-
-    def test_load_rejects_out_of_bounds_positions(self, small_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        bad = Trace(
-            bounds=Rect(0.0, 0.0, 1.0, 1.0),  # far smaller than the data
-            dt=small_trace.dt,
-            positions=small_trace.positions,
-            velocities=small_trace.velocities,
-        )
-        bad.save(path)
-        with pytest.raises(ValueError, match="outside its bounds"):
-            Trace.load(path)
-
-    def test_load_rejects_non_finite_samples(self, small_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        positions = small_trace.positions.copy()
-        positions[0, 0, 0] = np.nan
-        Trace(
-            bounds=small_trace.bounds,
-            dt=small_trace.dt,
-            positions=positions,
-            velocities=small_trace.velocities,
-        ).save(path)
-        with pytest.raises(ValueError, match="non-finite"):
-            Trace.load(path)
