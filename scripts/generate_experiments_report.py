@@ -5,8 +5,8 @@ each as a markdown section containing (a) what the paper reports, (b)
 the regenerated data, and (c) an automatically computed summary of the
 measured shape.  A section is a pure function of the scale's seed
 (wall-clock timings go to stdout, never into the file) — except the
-sections whose *data* are measured times (fig14, ablation-increment,
-ext-index-load).  ``--check`` regenerates the ``--only`` sections and
+sections whose *data* are measured times (fig14 and
+ablation-increment).  ``--check`` regenerates the ``--only`` sections and
 fails if they differ from the ones already in ``--out``.
 
 Usage:  python scripts/generate_experiments_report.py [--scale medium]
@@ -131,17 +131,6 @@ PAPER_CLAIMS = {
         "but raises whole-population snapshot error: the trade-off the "
         "fairness threshold navigates."
     ),
-    "ext-index-load": (
-        "(Extension.) TPR-tree maintenance work falls roughly proportionally "
-        "with the throttle fraction — the server-side load LIRA sheds."
-    ),
-    "ext-motion-models": (
-        "(Extension.) The paper adopts linear motion modeling, noting "
-        "advanced models exist [2]. On raw urban traces a naive "
-        "constant-acceleration model amplifies velocity noise and sends "
-        "MORE updates — the cited advanced models are road-constrained for "
-        "this reason. Vindication of the paper's choice."
-    ),
     "ext-adaptivity": (
         "(Extension.) Workload churn: with periodic re-adaptation LIRA "
         "follows a mid-trace proportional→inverse query shift; a stale "
@@ -159,12 +148,6 @@ PAPER_CLAIMS = {
         "excellent CQ accuracy per update, but no load control and no "
         "snapshot/historic query support. LIRA keeps the whole population "
         "tracked within Δ⊣ at a controllable budget."
-    ),
-    "ext-reeval": (
-        "(Extension.) The other predominant cost the paper names: query "
-        "re-evaluation. Region-aware shedding cuts updates from query-free "
-        "regions first, so at equal z LIRA retains more result-changing "
-        "deltas per processed update than Uniform Δ."
     ),
 }
 
@@ -260,18 +243,6 @@ def summarize(exp_id: str, result) -> list[str]:
                 f"CQ error {cq[0]:.2f} → {cq[-1]:.2f} m (falling) while "
                 f"snapshot error {snap[0]:.2f} → {snap[-1]:.2f} m (rising)."
             )
-        elif exp_id == "ext-index-load":
-            counts, times = series("updates applied"), series("index time (ms)")
-            lines.append(
-                f"z=1 applies {counts[0]:.0f} updates in {times[0]:.0f} ms; "
-                f"z={result.x[-1]} applies {counts[-1]:.0f} in {times[-1]:.0f} ms."
-            )
-        elif exp_id == "ext-motion-models":
-            savings = series("second-order savings")
-            lines.append(
-                f"second-order 'savings' range {min(savings):.2f} to "
-                f"{max(savings):.2f} (negative = more updates than linear)."
-            )
         elif exp_id == "ext-adaptivity":
             re_adapt = series("re-adapting E_rr^C")
             one_shot = series("one-shot E_rr^C")
@@ -292,15 +263,6 @@ def summarize(exp_id: str, result) -> list[str]:
                 f"snapshot error: LIRA {min(lira_snap):.1f}–{max(lira_snap):.1f} m "
                 f"vs safe-region {safe_snap[0]:.1f} m — the untracked-population "
                 "cost the paper's related work discusses."
-            )
-        elif exp_id == "ext-reeval":
-            lira_y = series("lira delta yield")
-            uni_y = series("uniform delta yield")
-            lira_d = series("lira deltas")
-            lines.append(
-                f"at z=0.5 LIRA keeps {lira_d[2] / lira_d[0]:.1%} of the "
-                f"full-accuracy deltas; delta yield LIRA {lira_y[2]:.3f} vs "
-                f"Uniform {uni_y[2]:.3f}."
             )
         elif exp_id == "ablation-speed":
             lines.append("see sent-ratio columns vs the z targets.")

@@ -11,7 +11,6 @@ statistics-grid cell boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -418,16 +417,3 @@ class SheddingPlan:
             doc["resolution"],
             epoch=int(doc.get("epoch", 0)),
         )
-
-    def save(self, path: str | Path) -> None:
-        """Write the plan to a JSON file."""
-        import json
-
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SheddingPlan":
-        """Read a plan written by :meth:`save`."""
-        import json
-
-        return cls.from_dict(json.loads(Path(path).read_text()))

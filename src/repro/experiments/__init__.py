@@ -16,9 +16,6 @@ from repro.experiments.ablations import (
 from repro.experiments.replication import replicate
 from repro.experiments.extensions import (
     run_ext_adaptivity,
-    run_ext_index_load,
-    run_ext_motion_models,
-    run_ext_reeval,
     run_ext_safe_region,
     run_ext_sampling,
     run_ext_snapshot,
@@ -59,12 +56,9 @@ EXPERIMENTS = {
     "ablation-alpha": run_ablation_alpha_rule,
     "ablation-increment": run_ablation_increment,
     "ext-snapshot": run_ext_snapshot,
-    "ext-index-load": run_ext_index_load,
-    "ext-reeval": run_ext_reeval,
     "ext-safe-region": run_ext_safe_region,
     "ext-adaptivity": run_ext_adaptivity,
     "ext-sampling": run_ext_sampling,
-    "ext-motion-models": run_ext_motion_models,
 }
 
 __all__ = [
@@ -94,9 +88,6 @@ __all__ = [
     "run_fig13",
     "run_fig14",
     "run_ext_adaptivity",
-    "run_ext_index_load",
-    "run_ext_motion_models",
-    "run_ext_reeval",
     "run_ext_safe_region",
     "run_ext_sampling",
     "run_ext_snapshot",

@@ -1,13 +1,21 @@
 """Extension experiments beyond the paper's figures.
 
-* **ext-snapshot** — makes Section 3.1.1's motivation quantitative: the
+Each one tests a sentence of the paper and tells the cases apart:
+
+* **ext-snapshot** — Section 3.1.1's motivation made quantitative: the
   position error of ad-hoc *snapshot* queries (over the whole
   population, answered from the trajectory archive) as a function of
   the fairness threshold Δ⇔.  CQ error improves with loose fairness;
   snapshot error degrades — the trade-off Δ⇔ navigates.
-* **ext-index-load** — the downstream benefit of shedding: maintenance
-  work a TPR-tree (the paper's reference update-efficient index) absorbs
-  under each policy's update stream, versus the full-accuracy stream.
+* **ext-sampling** — Section 3.2.1: "the statistics can easily be
+  approximated using sampling."  Plan quality as the statistics grid
+  samples a thinning fraction of the update stream.
+* **ext-adaptivity** — Section 4.3.2's periodic re-adaptation: a
+  re-adapting plan against a stale one-shot plan when the query
+  workload shifts mid-trace.
+* **ext-safe-region** — the related-work comparison: safe-region
+  monitoring is accurate for CQs but neither controls load nor tracks
+  the rest of the population, which LIRA does within Δ⊣.
 """
 
 from __future__ import annotations
@@ -17,10 +25,8 @@ import numpy as np
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import MEDIUM, ExperimentScale
 from repro.history import TrajectoryStore, snapshot_position_error
-from repro.index.tpr_tree import MovingObject, TPRTree
 from repro.motion import DeadReckoningFleet
 from repro.sim import Simulation, SimulationConfig, make_policies
-from repro.timing import Stopwatch
 
 
 def _simulation(scale, queries, policy, z, adapt_every=None) -> Simulation:
@@ -79,70 +85,6 @@ def _replay_snapshot_error(scenario, policy) -> float:
         for tick in probes
     ]
     return float(np.nanmean(errors))
-
-
-def run_ext_motion_models(
-    scale: ExperimentScale = MEDIUM,
-    thresholds: tuple[float, ...] = (5.0, 10.0, 25.0, 50.0),
-    sample_nodes: int = 60,
-) -> ExperimentResult:
-    """Update volume of linear vs second-order dead reckoning.
-
-    The paper adopts linear motion modeling and notes more advanced
-    models exist [2].  This experiment shows *why the paper's choice is
-    right for raw traces*: a naive constant-acceleration model estimates
-    acceleration from consecutive velocity samples, and on realistic
-    urban traces (speed jitter, abrupt turns) that estimate is noise —
-    the quadratic extrapolation diverges faster than the linear one and
-    the model sends *more* updates at equal Δ.  The advanced models the
-    paper cites are road-network-constrained precisely to avoid this.
-    On smooth trajectories the ordering flips (see the motion-model unit
-    tests), which is why the model interface stays pluggable.
-    """
-    from repro.geo import Point
-    from repro.motion.models import compare_update_volume
-
-    scenario = scale.scenario()
-    trace = scenario.trace
-    rng = np.random.default_rng(scale.seed)
-    node_ids = rng.choice(trace.num_nodes, size=min(sample_nodes, trace.num_nodes),
-                          replace=False)
-    result = ExperimentResult(
-        experiment_id="ext-motion-models",
-        title="Update volume: linear vs second-order dead reckoning",
-        x_label="delta (m)",
-        x=list(thresholds),
-        notes=f"summed over {len(node_ids)} sampled vehicles; negative savings "
-        "= the naive second-order model amplifies velocity noise, vindicating "
-        "the paper's linear choice for unconstrained traces",
-    )
-    linear_counts, second_counts = [], []
-    for threshold in thresholds:
-        linear_total = second_total = 0
-        for node_id in node_ids:
-            samples = [
-                (
-                    tick * trace.dt,
-                    Point(*trace.positions[tick, node_id]),
-                    Point(*trace.velocities[tick, node_id]),
-                )
-                for tick in range(trace.num_ticks)
-            ]
-            counts = compare_update_volume(samples, threshold)
-            linear_total += counts["linear"]
-            second_total += counts["second-order"]
-        linear_counts.append(linear_total)
-        second_counts.append(second_total)
-    result.add_series("linear updates", linear_counts)
-    result.add_series("second-order updates", second_counts)
-    result.add_series(
-        "second-order savings",
-        [
-            (l - s) / l if l else 0.0
-            for l, s in zip(linear_counts, second_counts)
-        ],
-    )
-    return result
 
 
 def run_ext_adaptivity(
@@ -323,105 +265,4 @@ def run_ext_safe_region(
     result.add_series(
         "safe-region snapshot E_rr^P (m)", [safe_snapshot] * len(zs)
     )
-    return result
-
-
-def run_ext_reeval(
-    scale: ExperimentScale = MEDIUM,
-    zs: tuple[float, ...] = (1.0, 0.75, 0.5, 0.3),
-) -> ExperimentResult:
-    """Query re-evaluation work under shedding: LIRA vs Uniform Δ.
-
-    Each admitted report is processed by the incremental CQ engine
-    (query-index lookup + membership reconciliation).  Shedding cuts the
-    number of reports; region-awareness means LIRA cuts reports from
-    query-free regions first, so it retains more *result-changing*
-    reports per processed update than Uniform Δ at the same budget.
-    """
-    from repro.cq import IncrementalCQEngine
-
-    scenario = scale.scenario()
-    trace = scenario.trace
-    result = ExperimentResult(
-        experiment_id="ext-reeval",
-        title="CQ re-evaluation work vs throttle fraction (LIRA vs Uniform)",
-        x_label="z",
-        x=list(zs),
-        notes="delta yield = result-changing deltas per processed update; "
-        "region-aware shedding keeps the useful updates",
-    )
-    for policy_name in ("lira", "uniform"):
-        updates, deltas = [], []
-        for z in zs:
-            config = scale.lira_config()
-            policy = make_policies(scenario, config, include=(policy_name,))[
-                policy_name
-            ]
-            engine = IncrementalCQEngine(
-                trace.bounds, trace.num_nodes, scenario.queries
-            )
-            sim = _simulation(scale, scenario.queries, policy, z)
-            for tick, t, _, admitted in sim.ticks():
-                positions = trace.positions[tick]
-                for node_id in admitted:
-                    engine.apply_update(
-                        t,
-                        int(node_id),
-                        float(positions[node_id, 0]),
-                        float(positions[node_id, 1]),
-                    )
-            updates.append(engine.stats.updates_processed)
-            deltas.append(engine.stats.deltas_emitted)
-        result.add_series(f"{policy_name} updates", updates)
-        result.add_series(f"{policy_name} deltas", deltas)
-        result.add_series(
-            f"{policy_name} delta yield",
-            [d / u if u else 0.0 for d, u in zip(deltas, updates)],
-        )
-    return result
-
-
-def run_ext_index_load(
-    scale: ExperimentScale = MEDIUM,
-    zs: tuple[float, ...] = (1.0, 0.75, 0.5, 0.3),
-) -> ExperimentResult:
-    """TPR-tree maintenance load under LIRA's shedding, by throttle fraction."""
-    scenario = scale.scenario()
-    trace = scenario.trace
-    update_counts, apply_times = [], []
-    for z in zs:
-        config = scale.lira_config()
-        policy = make_policies(scenario, config, include=("lira",))["lira"]
-        # Collect the update stream the policy admits.
-        sim = _simulation(scale, scenario.queries, policy, z)
-        stream: list[MovingObject] = []
-        for tick, t, _, admitted in sim.ticks():
-            positions, velocities = trace.positions[tick], trace.velocities[tick]
-            stream.extend(
-                MovingObject(
-                    int(node_id),
-                    float(positions[node_id, 0]),
-                    float(positions[node_id, 1]),
-                    float(velocities[node_id, 0]),
-                    float(velocities[node_id, 1]),
-                    time=t,
-                )
-                for node_id in admitted
-            )
-        tree = TPRTree(horizon=6 * trace.dt, max_entries=8)
-        with Stopwatch() as stopwatch:
-            for obj in stream:
-                tree.update(obj)
-        update_counts.append(len(stream))
-        apply_times.append(stopwatch.elapsed * 1000.0)
-    result = ExperimentResult(
-        experiment_id="ext-index-load",
-        title="TPR-tree maintenance load vs throttle fraction (LIRA stream)",
-        x_label="z",
-        x=list(zs),
-        notes="shedding cuts both the update count and the index time "
-        "roughly proportionally — the server-side work LIRA saves",
-    )
-    result.add_series("updates applied", update_counts)
-    result.add_series("index time (ms)", apply_times)
     return result

@@ -13,7 +13,7 @@ point where all threshold policies converge to ∀Δᵢ = Δ⊣.
 
 Every sweep accepts ``jobs``: with ``jobs > 1`` the (z x policy) matrix
 fans out over a process pool via :mod:`repro.experiments.runner`, with
-numbers bit-identical to the serial path (same scenario cache keys, same
+numbers bit-identical to the serial path (same scenario specs, same
 per-job seeds).  :func:`run_figs04_07` additionally fans the *figure*
 dimension, deduplicating the shared proportional-distribution runs of
 Figures 4 and 5.

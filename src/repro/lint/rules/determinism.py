@@ -1,6 +1,6 @@
 """Determinism rules: the same seed and spec must give identical bits.
 
-Everything downstream — the on-disk scenario cache, pool-vs-serial
+Everything downstream — scenarios rebuilt from their spec, pool-vs-serial
 equivalence, the fault-injection regression suite — assumes simulation
 output is a pure function of ``(spec, seed)``.  These rules flag the
 classic ways that promise quietly breaks: unseeded or global-state RNGs,
@@ -13,7 +13,7 @@ resolved through the project index — transitively performs the effect.
 A helper that reads ``time.time()`` three modules away is flagged at
 every reachable call site, with the witness chain in the message.
 Routing through a seam module (``repro.timing`` for clocks, the
-cache/CLI/sanitizer modules for the environment) absorbs the taint; see
+CLI/sanitizer modules for the environment) absorbs the taint; see
 :mod:`repro.lint.project`.
 """
 

@@ -2,14 +2,15 @@
 
 :class:`DeadReckoningFleet` keeps every node's last-sent model in numpy
 arrays: the simulator observes thousands of nodes per tick, which in
-Python objects would dominate runtime.  The one-node form of the same
-protocol is :class:`repro.motion.models.ModelDrivenTracker` with the
-linear model.
+Python objects would dominate runtime.
 
-A node reports when the deviation between its last-sent linear model's
-prediction and its true position exceeds its inaccuracy threshold Δ.
-The threshold is *per node* — LIRA sets it to the update throttler of
-the node's current shedding region.
+The paper adopts piece-wise linear approximation of node movement
+(Wolfson et al. [19]): a node reports ``(position, velocity, time)`` and
+the server extrapolates ``position + velocity * (t - time)`` until the
+next report.  A node reports when the deviation between its last-sent
+model's prediction and its true position exceeds its inaccuracy
+threshold Δ.  The threshold is *per node* — LIRA sets it to the update
+throttler of the node's current shedding region.
 """
 
 from __future__ import annotations

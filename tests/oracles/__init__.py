@@ -5,6 +5,7 @@ whose only runtime implementation under ``src/`` is the array form:
 the scalar GREEDYINCREMENT heap loop, per-node CALCERRGAIN/GRIDREDUCE,
 the per-``MobileNode`` systems loop with its per-message bounded queue,
 the node engine's every-row threshold gather, the per-``Vehicle``
-trace loop, and the churning-workload loop ``Simulation`` absorbed.  The equivalence suites call them
+trace loop, the churning-workload loop ``Simulation`` absorbed, and the
+one-node dead-reckoning tracker.  The equivalence suites call them
 directly; nothing under ``src/`` imports them.
 """

@@ -33,7 +33,6 @@ class TestExamplesImport:
             "adaptive_overload.py",
             "fairness_tuning.py",
             "full_system.py",
-            "delta_streaming.py",
         ):
             assert required in ALL_EXAMPLES
 
@@ -49,12 +48,6 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "lira" in out
         assert "random-drop" in out
-
-    def test_delta_streaming_runs(self, capsys):
-        load_example("delta_streaming.py").main()
-        out = capsys.readouterr().out
-        assert "uniform" in out
-        assert "delta" in out.lower()
 
     def test_full_system_answers_a_snapshot_query_from_its_archive(self, capsys):
         load_example("full_system.py").main()

@@ -1,60 +1,10 @@
-"""Unit tests for the grid index and node table."""
+"""Unit tests for the node table."""
 
 import numpy as np
 import pytest
 
-from repro.geo import Rect
-from repro.index import GridIndex, NodeTable
+from repro.index import NodeTable
 from repro.service import decode_frame, encode_frame
-
-
-class TestGridIndex:
-    BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
-
-    def test_insert_and_query(self):
-        index = GridIndex(self.BOUNDS, 10)
-        index.insert(1, 5.0, 5.0)
-        index.insert(2, 50.0, 50.0)
-        assert index.query(Rect(0, 0, 10, 10)) == [1]
-        assert len(index) == 2
-
-    def test_query_matches_brute_force(self, rng):
-        index = GridIndex(self.BOUNDS, 8)
-        positions = rng.uniform(0, 100, size=(200, 2))
-        for point_id, (x, y) in enumerate(positions):
-            index.insert(point_id, float(x), float(y))
-        rect = Rect(20.0, 30.0, 70.0, 90.0)
-        expected = {
-            i for i, (x, y) in enumerate(positions) if rect.contains_xy(x, y)
-        }
-        assert set(index.query(rect)) == expected
-
-    def test_move_point_between_cells(self):
-        index = GridIndex(self.BOUNDS, 10)
-        index.insert(7, 5.0, 5.0)
-        index.insert(7, 95.0, 95.0)  # move
-        assert index.query(Rect(0, 0, 10, 10)) == []
-        assert index.query(Rect(90, 90, 100, 100)) == [7]
-        assert len(index) == 1
-
-    def test_remove(self):
-        index = GridIndex(self.BOUNDS, 4)
-        index.insert(3, 10.0, 10.0)
-        index.remove(3)
-        assert len(index) == 0
-        assert index.query(Rect(0, 0, 100, 100)) == []
-        with pytest.raises(KeyError):
-            index.remove(3)
-
-    def test_out_of_bounds_points_clamp_to_edges(self):
-        index = GridIndex(self.BOUNDS, 4)
-        index.insert(1, -50.0, 500.0)
-        # Clamped into the boundary cell; still findable by cell scan.
-        assert index.cell_of(-50.0, 500.0) == (0, 3)
-
-    def test_rejects_bad_cells(self):
-        with pytest.raises(ValueError):
-            GridIndex(self.BOUNDS, 0)
 
 
 class TestNodeTable:

@@ -1,7 +1,7 @@
-"""Unit tests for dead reckoning (linear models, tracker, fleet).
+"""Unit tests for dead reckoning (the fleet and its deviation kernel).
 
-The one-node tracker is :class:`ModelDrivenTracker` with its default
-linear model: dead reckoning decision for decision.
+The one-node oracle is :class:`tests.oracles.dead_reckoning.LinearTracker`:
+dead reckoning decision for decision.
 """
 
 import numpy as np
@@ -9,88 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import Point
-from repro.motion import DeadReckoningFleet, LinearMotionModel
+from repro.motion import DeadReckoningFleet
 from repro.motion.dead_reckoning import DEVIATION_BLOCK
-from repro.motion.models import ModelDrivenTracker
 
-
-class TestLinearMotionModel:
-    def test_predicts_linearly(self):
-        model = LinearMotionModel(Point(0.0, 0.0), Point(2.0, -1.0), time=10.0)
-        assert model.predict(15.0) == Point(10.0, -5.0)
-
-    def test_prediction_at_report_time_is_position(self):
-        model = LinearMotionModel(Point(3.0, 4.0), Point(1.0, 1.0), time=7.0)
-        assert model.predict(7.0) == Point(3.0, 4.0)
-
-    def test_deviation(self):
-        model = LinearMotionModel(Point(0.0, 0.0), Point(1.0, 0.0), time=0.0)
-        assert model.deviation(4.0, Point(4.0, 3.0)) == pytest.approx(3.0)
-
-
-class TestDeadReckoningTracker:
-    def test_first_observation_always_reports(self):
-        tracker = ModelDrivenTracker(node_id=1)
-        assert tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=100.0)
-        assert tracker.node_id == 1 and tracker.reports_sent == 1
-
-    def test_no_report_while_prediction_holds(self):
-        tracker = ModelDrivenTracker(0)
-        tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=5.0)
-        # Moving exactly as predicted: no report.
-        assert not tracker.observe(10.0, Point(10, 0), Point(1, 0), threshold=5.0)
-
-    def test_report_when_deviation_exceeds_threshold(self):
-        tracker = ModelDrivenTracker(0)
-        tracker.observe(0.0, Point(0, 0), Point(1, 0), threshold=5.0)
-        # Actual position deviates 6 m laterally from the prediction.
-        assert tracker.observe(10.0, Point(10, 6), Point(1, 0), threshold=5.0)
-        assert tracker.reports_sent == 2
-
-    def test_deviation_exactly_at_threshold_does_not_report(self):
-        tracker = ModelDrivenTracker(0)
-        tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=5.0)
-        assert not tracker.observe(1.0, Point(5.0, 0.0), Point(0, 0), threshold=5.0)
-
-    def test_negative_threshold_rejected(self):
-        tracker = ModelDrivenTracker(0)
-        with pytest.raises(ValueError):
-            tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=-1.0)
-
-    def test_nan_threshold_rejected(self):
-        """``deviation > NaN`` is false: after its first report the node
-        would never report again."""
-        tracker = ModelDrivenTracker(0)
-        with pytest.raises(ValueError):
-            tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=float("nan"))
-
-    def test_infinite_threshold_accepted(self):
-        """``inf`` parks a node: one report to install a model, then silence."""
-        tracker = ModelDrivenTracker(0)
-        assert tracker.observe(0.0, Point(0, 0), Point(0, 0), threshold=np.inf)
-        assert not tracker.observe(1.0, Point(1e9, 0), Point(0, 0), threshold=np.inf)
-
-    def test_larger_threshold_fewer_reports(self, rng):
-        """Monotonicity of the update volume in delta — the premise of f."""
-        t_ticks, dt = 60, 1.0
-        # A wandering node: velocity jitters each tick.
-        velocity = np.array([5.0, 0.0])
-        position = np.array([0.0, 0.0])
-        history = []
-        for _ in range(t_ticks):
-            velocity += rng.normal(0.0, 1.0, 2)
-            position = position + velocity * dt
-            history.append((position.copy(), velocity.copy()))
-        counts = []
-        for threshold in (1.0, 10.0, 50.0):
-            tracker = ModelDrivenTracker(0)
-            sent = 0
-            for tick, (pos, vel) in enumerate(history):
-                if tracker.observe(tick * dt, Point(*pos), Point(*vel), threshold):
-                    sent += 1
-            counts.append(sent)
-        assert counts[0] >= counts[1] >= counts[2]
+from tests.oracles.dead_reckoning import LinearTracker
 
 
 class TestDeadReckoningFleet:
@@ -118,27 +40,62 @@ class TestDeadReckoningFleet:
         senders = fleet.observe(1.0, moved, np.zeros((3, 2)))
         assert sorted(senders) == [0, 1]  # node 2's threshold absorbs it
 
+    def test_no_report_while_prediction_holds(self):
+        fleet = DeadReckoningFleet(1)
+        fleet.set_thresholds(5.0)
+        fleet.observe(0.0, np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+        # Moving exactly as predicted: no report.
+        senders = fleet.observe(10.0, np.array([[10.0, 0.0]]), np.array([[1.0, 0.0]]))
+        assert senders.size == 0
+
+    def test_deviation_exactly_at_threshold_does_not_report(self):
+        """The test is ``deviation > Δ``: a 3-4-5 step of exactly Δ = 5 m
+        stays silent, and a threshold of 0 silences a node that sits still."""
+        fleet = DeadReckoningFleet(2)
+        fleet.set_thresholds(np.array([5.0, 0.0]))
+        fleet.observe(0.0, np.zeros((2, 2)), np.zeros((2, 2)))
+        moved = np.array([[3.0, 4.0], [0.0, 0.0]])
+        assert fleet.deviation(1.0, moved).tolist() == [5.0, 0.0]
+        assert fleet.observe(1.0, moved, np.zeros((2, 2))).size == 0
+
+    def test_larger_threshold_fewer_reports(self, rng):
+        """Monotonicity of the update volume in delta — the premise of f.
+        Three nodes wander the same jittery path at Δ = 1, 10 and 50 m."""
+        ticks, dt = 60, 1.0
+        velocity = np.array([5.0, 0.0])
+        position = np.array([0.0, 0.0])
+        fleet = DeadReckoningFleet(3)
+        fleet.set_thresholds(np.array([1.0, 10.0, 50.0]))
+        counts = np.zeros(3, dtype=int)
+        for tick in range(ticks):
+            velocity += rng.normal(0.0, 1.0, 2)
+            position = position + velocity * dt
+            senders = fleet.observe(tick * dt, np.tile(position, (3, 1)), np.tile(velocity, (3, 1)))
+            counts[senders] += 1
+        assert counts[0] >= counts[1] >= counts[2]
+
     def test_matches_scalar_tracker(self, rng):
-        """Fleet and per-node tracker must implement the same protocol."""
-        n, ticks = 4, 30
-        thresholds = np.array([2.0, 5.0, 10.0, 20.0])
+        """Fleet and per-node tracker must implement the same protocol,
+        also where the deviation equals the threshold: the last two nodes
+        sit still at Δ = 0, and the one before them steps exactly Δ."""
+        n, ticks = 7, 30
+        thresholds = np.array([2.0, 5.0, 10.0, 20.0, 5.0, 0.0, 0.0])
         positions = np.cumsum(rng.normal(0, 3.0, (ticks, n, 2)), axis=0)
         velocities = rng.normal(0, 1.0, (ticks, n, 2))
+        positions[:, 4] = [[3.0 * (tick % 2), 4.0 * (tick % 2)] for tick in range(ticks)]
+        positions[:, 5:] = 0.0
+        velocities[:, 4:] = 0.0
         fleet = DeadReckoningFleet(n)
         fleet.set_thresholds(thresholds)
-        trackers = [ModelDrivenTracker(i) for i in range(n)]
+        trackers = [LinearTracker() for _ in range(n)]
         for tick in range(ticks):
             t = tick * 1.0
             fleet_senders = set(map(int, fleet.observe(t, positions[tick], velocities[tick])))
-            tracker_senders = set()
-            for i, tracker in enumerate(trackers):
-                if tracker.observe(
-                    t,
-                    Point(*positions[tick, i]),
-                    Point(*velocities[tick, i]),
-                    thresholds[i],
-                ):
-                    tracker_senders.add(i)
+            tracker_senders = {
+                i
+                for i, tracker in enumerate(trackers)
+                if tracker.observe(t, *positions[tick, i], *velocities[tick, i], thresholds[i])
+            }
             assert fleet_senders == tracker_senders
 
     def test_report_counting(self):

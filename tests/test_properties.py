@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import PiecewiseLinearReduction, ThrotLoop, greedy_increment
 from repro.core.greedy import RegionStats
-from repro.geo import Point, Rect
-from repro.motion.models import ModelDrivenTracker
+from repro.geo import Rect
+from repro.motion import DeadReckoningFleet
 
 from tests.oracles.greedy import _MinMultiset
 
@@ -233,16 +233,21 @@ class TestDeadReckoningProperties:
         st.floats(min_value=0.0, max_value=100.0),
     )
     def test_server_view_error_bounded_by_threshold(self, samples, threshold):
-        """Whenever no report fires, the model deviation is <= threshold —
-        i.e. dead reckoning guarantees the inaccuracy bound."""
-        tracker = ModelDrivenTracker(0)
+        """After every tick the model deviation is <= threshold — dead
+        reckoning guarantees the inaccuracy bound — and a node reports
+        only when its deviation before the tick exceeded the threshold
+        (a sender's fresh model deviates by exactly 0)."""
+        fleet = DeadReckoningFleet(1)
+        fleet.set_thresholds(threshold)
         for tick, (x, y, vx, vy) in enumerate(samples):
             t = float(tick)
-            pos, vel = Point(x, y), Point(vx, vy)
-            if not tracker.observe(t, pos, vel, threshold):
-                assert tracker.model.deviation(t, pos) <= threshold + 1e-9
-            else:
-                assert tracker.model.deviation(t, pos) == 0.0
+            pos, vel = np.array([[x, y]]), np.array([[vx, vy]])
+            before = fleet.deviation(t, pos)[0] if tick else np.inf
+            sent = fleet.observe(t, pos, vel).size == 1
+            assert sent == (before > threshold)
+            after = fleet.deviation(t, pos)[0]
+            assert after == (0.0 if sent else before)
+            assert after <= threshold
 
 
 # ---------------------------------------------------------------------------
