@@ -20,51 +20,32 @@ Quickstart::
     print(result.mean_containment_error)
 """
 
-from repro.core import (
-    AnalyticReduction,
-    LiraConfig,
-    LiraLoadShedder,
-    PiecewiseLinearReduction,
-    SheddingPlan,
-    StatisticsGrid,
-    ThrotLoop,
-    greedy_increment,
-    grid_reduce,
-    measure_reduction_from_trace,
-)
-from repro.faults import FaultInjector, FaultSpec
-from repro.server import LiraSystem
-from repro.shedding import (
-    LiraGridPolicy,
-    LiraPolicy,
-    RandomDropPolicy,
-    UniformDeltaPolicy,
-)
-from repro.sim import Simulation, SimulationConfig, build_scenario, make_policies
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalyticReduction",
-    "FaultInjector",
-    "FaultSpec",
-    "LiraConfig",
-    "LiraGridPolicy",
-    "LiraLoadShedder",
-    "LiraPolicy",
-    "LiraSystem",
-    "PiecewiseLinearReduction",
-    "RandomDropPolicy",
-    "SheddingPlan",
-    "Simulation",
-    "SimulationConfig",
-    "StatisticsGrid",
-    "ThrotLoop",
-    "UniformDeltaPolicy",
-    "build_scenario",
-    "greedy_increment",
-    "grid_reduce",
-    "make_policies",
-    "measure_reduction_from_trace",
-    "__version__",
-]
+#: The public names by home module.  Each is imported on first access
+#: (PEP 562), so a program that reads none of them, such as the live
+#: service, loads neither the simulator nor the linter.
+_HOMES = {
+    "repro.core": (
+        "AnalyticReduction", "LiraConfig", "LiraLoadShedder", "PiecewiseLinearReduction",
+        "SheddingPlan", "StatisticsGrid", "ThrotLoop", "greedy_increment", "grid_reduce",
+        "measure_reduction_from_trace",
+    ),
+    "repro.faults": ("FaultInjector", "FaultSpec"),
+    "repro.server": ("LiraSystem",),
+    "repro.shedding": ("LiraGridPolicy", "LiraPolicy", "RandomDropPolicy", "UniformDeltaPolicy"),
+    "repro.sim": ("Simulation", "SimulationConfig", "build_scenario", "make_policies"),
+}
+_HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
+
+__all__ = [*_HOME_OF, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_HOME_OF[name]), name)
+    return value

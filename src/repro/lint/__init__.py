@@ -12,22 +12,27 @@ Programmatic use::
 
     findings = lint_source(code, path="src/repro/example.py")
     findings, n_files = run_paths(["src"], LintConfig())
+
+The names below are imported on first access (PEP 562), so importing
+:mod:`repro.lint.knowledge` alone does not load the engine.
 """
 
-from repro.lint.config import LintConfig, RuleConfig
-from repro.lint.engine import lint_source, run_paths
-from repro.lint.findings import Finding, Severity
-from repro.lint.registry import REGISTRY, Rule, all_rules, register
+import importlib
+from typing import Any
 
-__all__ = [
-    "Finding",
-    "LintConfig",
-    "REGISTRY",
-    "Rule",
-    "RuleConfig",
-    "Severity",
-    "all_rules",
-    "lint_source",
-    "register",
-    "run_paths",
-]
+_HOMES = {
+    "repro.lint.config": ("LintConfig", "RuleConfig"),
+    "repro.lint.engine": ("lint_source", "run_paths"),
+    "repro.lint.findings": ("Finding", "Severity"),
+    "repro.lint.registry": ("REGISTRY", "Rule", "all_rules", "register"),
+}
+_HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME_OF)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_HOME_OF[name]), name)
+    return value

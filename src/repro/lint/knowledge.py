@@ -8,7 +8,10 @@ would flag at its definition.  Centralizing the sets here keeps the
 two layers from drifting.
 
 This module imports nothing from the rest of the linter so both the
-engine and the rule modules can depend on it freely.
+engine and the rule modules can depend on it freely, and neither does
+its package's ``__init__`` (its re-exports are lazy): the runtime RNG
+guard (:mod:`repro.sanitize.rng_guard`) reads these sets without
+loading the lint engine.
 """
 
 from __future__ import annotations

@@ -59,8 +59,9 @@ class UnreferencedDefinition(Rule):
     def only its own tests read is dead.  A read is a loaded name, an
     attribute, a keyword argument or an identifier in a non-docstring
     string; docstrings, ``__all__`` entries and ``__init__.py``
-    re-imports are not.  Matching is by bare name, so it can miss dead
-    code but never flags a def something reads.  Exempt: dunders,
+    re-exports (eager imports or a lazy table's strings) are not.
+    Matching is by bare name, so it can miss dead code but never flags
+    a def something reads.  Exempt: dunders,
     ``Protocol`` members, ``@abstractmethod`` methods, ``visit_*`` on
     ``ast.NodeVisitor`` subclasses and defs under ``@register``.  A test
     seam carries a suppression stating that it is one.  Silent on a

@@ -132,14 +132,15 @@ class ModuleSummary:
     reads: frozenset[str] = frozenset()
 
 
-def names_read(tree: ast.Module) -> frozenset[str]:
+def names_read(tree: ast.Module, package_init: bool) -> frozenset[str]:
     """Every identifier the file reads, for REP015's consumer census.
 
     A read is a loaded name, an attribute, a keyword argument, or an
     identifier inside a string constant (``getattr`` targets, seams
-    patched by name).  Docstrings (any bare string statement) and
-    ``__all__`` entries are documentation and export lists, not reads;
-    imports bind names without reading them.
+    patched by name).  Docstrings (any bare string statement), ``__all__``
+    entries and, in a ``package_init``, the strings of module-level
+    assignments (a lazy re-export table; a registry's values still count)
+    are documentation and export lists, not reads; nor are imports.
     """
     skip: set[int] = set()
     for node in ast.walk(tree):
@@ -150,8 +151,8 @@ def names_read(tree: ast.Module) -> frozenset[str]:
             targets: list[ast.expr] = (
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             )
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                skip.update(id(node) for node in ast.walk(stmt))
+            if package_init or any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                skip.update(id(node) for node in ast.walk(stmt) if isinstance(node, ast.Constant))
     reads: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -437,5 +438,5 @@ def summarize_module(
         module=module,
         path=posix,
         functions=functions,
-        reads=names_read(tree),
+        reads=names_read(tree, PurePosixPath(posix).name == "__init__.py"),
     )

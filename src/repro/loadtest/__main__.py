@@ -22,18 +22,16 @@ import argparse
 import asyncio
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
-from repro import timing
 from repro.geo import Rect
 from repro.loadtest.runner import run_loadtest
 from repro.loadtest.schedule import PROFILES, LoadProfile, OpenLoopSchedule
 from repro.metrics.slo import SLOSpec
 
-#: How long to retry connecting to a spawned service's socket.
-SPAWN_CONNECT_TIMEOUT_S = 10.0
+#: How long a spawned service may take to print its ``listening`` line.
+SPAWN_LISTEN_TIMEOUT_S = 10.0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def spawn_service(args: argparse.Namespace, socket_path: str) -> subprocess.Popen:
+async def spawn_service(
+    args: argparse.Namespace, socket_path: str
+) -> asyncio.subprocess.Process:
     cmd = [
         sys.executable,
         "-m",
@@ -116,22 +116,19 @@ def spawn_service(args: argparse.Namespace, socket_path: str) -> subprocess.Pope
         "--slowdown-duration",
         str(args.slowdown_duration),
     ]
-    env = dict(os.environ)
-    return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
+    return await asyncio.create_subprocess_exec(*cmd, stdout=asyncio.subprocess.PIPE)
 
 
-async def wait_for_socket(path: str, timeout: float) -> None:
-    """Retry-connect until the spawned service is accepting."""
-    deadline = timing.monotonic() + timeout
-    while True:
-        try:
-            _, writer = await asyncio.open_unix_connection(path)
-            writer.close()
-            return
-        except (ConnectionRefusedError, FileNotFoundError):
-            if timing.monotonic() >= deadline:
-                raise TimeoutError(f"service at {path} never came up")
-            await asyncio.sleep(0.05)
+async def wait_until_listening(process: asyncio.subprocess.Process) -> None:
+    """Wait for the service's ``listening`` line: it serves a plan from then on.
+
+    A service that exits first fails the run at once, naming its exit status.
+    """
+    assert process.stdout is not None
+    line = await asyncio.wait_for(process.stdout.readline(), SPAWN_LISTEN_TIMEOUT_S)
+    if not line.startswith(b"listening"):
+        status = await process.wait()
+        raise RuntimeError(f"spawned service exited with status {status} before listening")
 
 
 async def run(args: argparse.Namespace) -> dict:
@@ -150,18 +147,15 @@ async def run(args: argparse.Namespace) -> dict:
         p95_ms=args.slo_p95_ms,
         p99_ms=args.slo_p99_ms,
     )
-    process: subprocess.Popen | None = None
+    process: asyncio.subprocess.Process | None = None
     tmpdir: tempfile.TemporaryDirectory | None = None
     socket_path = args.socket
     try:
         if args.spawn:
             tmpdir = tempfile.TemporaryDirectory(prefix="lira-loadtest-")
             socket_path = os.path.join(tmpdir.name, "lira.sock")
-            # One-shot fork/exec before the measurement window opens;
-            # nothing else is scheduled on the loop yet, so briefly
-            # blocking it here cannot distort measured latencies.
-            process = spawn_service(args, socket_path)  # reprolint: disable=REP040
-            await wait_for_socket(socket_path, SPAWN_CONNECT_TIMEOUT_S)
+            process = await spawn_service(args, socket_path)
+            await wait_until_listening(process)
         report = await run_loadtest(
             schedule,
             slo=slo,
@@ -174,13 +168,13 @@ async def run(args: argparse.Namespace) -> dict:
         doc["policy"] = args.policy
         return doc
     finally:
-        if process is not None:
+        if process is not None and process.returncode is None:
             process.terminate()
             try:
-                process.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+                await asyncio.wait_for(process.wait(), 5.0)
+            except asyncio.TimeoutError:
                 process.kill()
-                process.wait()
+                await process.wait()
         if tmpdir is not None:
             tmpdir.cleanup()
 

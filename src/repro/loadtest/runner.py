@@ -98,6 +98,7 @@ class _Receiver:
         #: (scheduled_send_t, latency) per acked ingest frame.
         self.ingest_samples: list[tuple[float, float]] = []
         self.plan_latencies: list[float] = []
+        self.subscribed_t = float("-inf")  # an older plan answers subscribe: no push
         self.plan: SheddingPlan | None = None
         self.reports_admitted = 0
         self.reports_dropped = 0
@@ -109,6 +110,12 @@ class _Receiver:
         self.stats_event = asyncio.Event()
         self.all_acked = asyncio.Event()
         self.all_acked.set()
+
+    def _plan_received(self, meta: dict) -> None:
+        self.plans_received += 1
+        generated = meta.get("generated_t")
+        if generated is not None and float(generated) >= self.subscribed_t:
+            self.plan_latencies.append(self.clock() - float(generated))
 
     def handle(self, kind: str, meta: dict) -> None:
         if kind == "ingest-ack":
@@ -125,18 +132,12 @@ class _Receiver:
                 self.all_acked.set()
             return
         if kind in ("plan", "plan-subset"):
-            self.plans_received += 1
-            generated = meta.get("generated_t")
-            if generated is not None:
-                self.plan_latencies.append(self.clock() - float(generated))
+            self._plan_received(meta)
             if "plan" in meta:
                 self.plan = SheddingPlan.from_dict(meta["plan"])
             return
         if kind == "plan-delta":
-            self.plans_received += 1
-            generated = meta.get("generated_t")
-            if generated is not None:
-                self.plan_latencies.append(self.clock() - float(generated))
+            self._plan_received(meta)
             if self.plan is None or "delta" not in meta:
                 # No base plan to patch — keep shedding at the default
                 # until the server resyncs us with a full push.
@@ -180,8 +181,8 @@ async def run_loadtest(
 
     Connect via unix socket ``path`` or TCP ``host``/``port``.  Samples
     scheduled inside the first ``warmup_s`` seconds are excluded from
-    the latency summary (they measure cold-start, bootstrap reporting,
-    and the pre-first-plan regime, not steady-state behaviour).
+    the latency summary (they measure bootstrap reporting and THROTLOOP
+    settling from the first plan's z = 1, not steady-state behaviour).
     """
     if path is not None:
         reader, writer = await asyncio.open_unix_connection(path)
@@ -196,6 +197,7 @@ async def run_loadtest(
     frames_sent = 0
     reports_sent = 0
     try:
+        state.subscribed_t = clock()
         writer.write(encode_frame("subscribe", {}))
         await writer.drain()
 

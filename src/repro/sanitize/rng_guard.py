@@ -9,7 +9,8 @@ dispatch, third-party callbacks).
 
 The patched name sets are the same frozensets REP001 checks
 (:mod:`repro.lint.knowledge`), so the static and dynamic layers enforce
-one contract.
+one contract.  They are imported when a guard is installed, so a
+process that never sanitizes does not load the linter.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import random as _random_module
 from typing import Any, Callable, ContextManager, Iterator
 
 import numpy as np
-
-from repro.lint.knowledge import NP_LEGACY_GLOBAL_FNS, STDLIB_RANDOM_FNS
 
 __all__ = ["GlobalRngGuard", "RngDisciplineError", "rng_discipline"]
 
@@ -61,6 +60,8 @@ class GlobalRngGuard:
     def install(self) -> None:
         if self.installed:
             return
+        from repro.lint.knowledge import NP_LEGACY_GLOBAL_FNS, STDLIB_RANDOM_FNS
+
         for name in sorted(NP_LEGACY_GLOBAL_FNS):
             if hasattr(np.random, name):
                 self._saved_np[name] = getattr(np.random, name)

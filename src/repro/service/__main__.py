@@ -8,8 +8,8 @@
 The scenario (bounds, query workload, LIRA parameters) is a pure
 function of the flags, so a load generator launched with the same
 values reconstructs the identical scenario on its side.  Prints one
-``listening ...`` line once the socket is bound — process supervisors
-(and the loadtest ``--spawn`` path) can wait for it.
+``listening ...`` line once it serves a plan on a bound socket — process
+supervisors (and the loadtest ``--spawn`` path) wait for it.
 """
 
 from __future__ import annotations

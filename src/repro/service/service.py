@@ -27,7 +27,9 @@ as the paper's architecture separates them:
   (:meth:`~repro.server.shard.LiraShard.control_step`: close a
   load-measurement period, step THROTLOOP, recompute the shedding plan,
   install it into the station network) on the *believed* node state,
-  and pushes the result to every subscribed client.
+  and pushes the result to every subscribed client.  :meth:`LiraService.start`
+  runs the first step before it binds, so a listening service is serving
+  a plan and a new subscriber's first frame is one.
 
 Every timestamp flows through the :data:`repro.timing.Clock` seam —
 :func:`repro.timing.monotonic` in production (comparable across
@@ -787,9 +789,18 @@ class LiraService:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        """Bind (unix socket if ``path`` else TCP) and start the loops."""
+        """Install the first plan, bind (unix socket if ``path`` else TCP)
+        and start the loops.
+
+        The first control step runs before the bind, so any peer that can
+        connect is served a plan (the trivial Δ⊢ plan: no reports yet).
+        No service time has elapsed, so THROTLOOP is not stepped: its
+        first sample is still the first ``adapt_period`` of traffic.
+        """
         if self._asyncio_server is not None:
             raise RuntimeError("service already started")
+        if self.plan is None:
+            self.adapt_once()
         if path is not None:
             self._asyncio_server = await asyncio.start_unix_server(
                 self._handle_conn, path=path

@@ -383,6 +383,27 @@ class TestConsumerCensus:
             "docstring_only", "listed_only", "test_only",
         ]
 
+    def test_lazy_reexport_table_is_not_a_read(self, tmp_path):
+        """A package ``__init__.py`` that re-exports on first access
+        (PEP 562) names its exports in strings: like the eager re-import
+        it replaces, that is an export list, not a read."""
+        write_tree(tmp_path, {**self.PROJECT, "src/repro/__init__.py": '''
+            _HOMES = {"repro.mod": ("docstring_only", "listed_only")}
+            '''})
+        assert self._flagged(tmp_path, "src") == [
+            "docstring_only", "listed_only", "test_only",
+        ]
+
+    def test_package_init_registry_values_are_reads(self, tmp_path):
+        """Only the strings of a package ``__init__.py``'s assignments are
+        export lists: a registry there (``{"k": fn}``) reads ``fn``."""
+        write_tree(tmp_path, {**self.PROJECT, "src/repro/__init__.py": '''
+            from repro.mod import docstring_only
+
+            REGISTRY = {"listed_only": docstring_only}
+            '''})
+        assert self._flagged(tmp_path, "src") == ["listed_only", "test_only"]
+
     def test_src_alone_matches_the_ci_path_set(self, tmp_path):
         write_tree(tmp_path, self.PROJECT)
         ci = self._flagged(tmp_path, "src", "tests", "scripts", "benchmarks", "examples")

@@ -2,14 +2,17 @@
 shapes, and short end-to-end runs against a live in-process service."""
 
 import asyncio
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.geo import Rect
 from repro.loadtest import LoadProfile, OpenLoopSchedule, run_loadtest
 from repro.metrics import SLOSpec
 from repro.service import ServiceConfig
+from repro.timing import Stopwatch
 
 BOUNDS = Rect(0.0, 0.0, 2000.0, 2000.0)
 
@@ -118,7 +121,14 @@ class TestWanderTrace:
         assert wall_speeds.max() <= 30.0 * schedule.time_scale + 1e-9
 
 
-def run_live(policy: str, sock: str, slowdown: bool = False, overload: float = 3.0):
+def run_live(
+    policy: str,
+    sock: str,
+    slowdown: bool = False,
+    overload: float = 3.0,
+    adapt_period: float = 0.25,
+    duration: float = 4.0,
+):
     """Short end-to-end run: in-process service + loadtest client."""
 
     async def scenario():
@@ -130,7 +140,7 @@ def run_live(policy: str, sock: str, slowdown: bool = False, overload: float = 3
             service_rate=400.0,
             queue_capacity=160,
             policy=policy,
-            adapt_period=0.25,
+            adapt_period=adapt_period,
             station_radius=1600.0,
             l=4,
             alpha=8,
@@ -144,7 +154,7 @@ def run_live(policy: str, sock: str, slowdown: bool = False, overload: float = 3
             schedule = OpenLoopSchedule.build(
                 bounds=cfg.bounds,
                 n_nodes=cfg.n_nodes,
-                duration=4.0,
+                duration=duration,
                 overload=overload,
                 service_rate=cfg.service_rate,
                 seed=3,
@@ -173,6 +183,14 @@ class TestLiveRuns:
         doc = report.to_dict()
         assert doc["ingest_latency"]["count"] == report.ingest.count
         assert doc["ingest_slo"]["slo"] == "ingest-lira"
+
+    def test_plan_answering_subscribe_is_no_push_sample(self, tmp_path):
+        """The plan installed at start answers ``subscribe``: its age is
+        no push latency, so with no adapt round in the run, no plan
+        latency is reported."""
+        report = run_live("lira", str(tmp_path / "sub.sock"), adapt_period=60.0, duration=1.0)
+        assert report.plans_received == 1
+        assert report.plan is None
 
     def test_slo_accounting_flags_injected_slowdown(self, tmp_path):
         """A server pinned at 15% capacity cannot hold the ingest SLO
@@ -225,3 +243,15 @@ class TestCheckExitCode:
         monkeypatch.setattr(cli, "run", fake_run)
         assert cli.main(["--port", "1"] + ["--check"] * check) == code
         assert '"protocol_errors"' in capsys.readouterr().out
+
+
+def test_spawned_service_that_exits_before_listening_fails_at_once(monkeypatch):
+    """``--spawn`` waits on the service's ``listening`` line, so a service
+    that dies first ends the run as soon as it exits, with its exit status,
+    instead of being retried until a connect timeout."""
+    from repro.loadtest import __main__ as cli
+
+    monkeypatch.setenv("PYTHONPATH", str(Path(repro.__file__).resolve().parents[1]))
+    with Stopwatch() as watch, pytest.raises(RuntimeError, match="exited with status 1 "):
+        cli.main(["--spawn", "--adapt-period", "-1", "--duration", "1"])
+    assert watch.elapsed < 5.0

@@ -141,6 +141,22 @@ class TestRngGuard:
         with rng_discipline():
             assert isinstance(float(np.random.rand()), float)
 
+    def test_guard_patches_the_rep001_sets(self, monkeypatch):
+        """The guard reads REP001's name sets when it installs, and
+        patches every function in them that the modules define."""
+        from repro.lint.knowledge import NP_LEGACY_GLOBAL_FNS, STDLIB_RANDOM_FNS
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        want_np = {name for name in NP_LEGACY_GLOBAL_FNS if hasattr(np.random, name)}
+        want_random = {name for name in STDLIB_RANDOM_FNS if hasattr(random, name)}
+        with rng_discipline() as guard:
+            assert guard._saved_np.keys() == want_np and len(want_np) > 20
+            assert guard._saved_random.keys() == want_random and len(want_random) > 10
+            for module, names in ((np.random, want_np), (random, want_random)):
+                for name in names:
+                    with pytest.raises(RngDisciplineError):
+                        getattr(module, name)()
+
     def test_rng_discipline_guards_when_enabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         with rng_discipline():

@@ -3,6 +3,7 @@ adaptation loop, and the socket protocol end to end."""
 
 import asyncio
 import copy
+import importlib
 import logging
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import LiraConfig
+from repro.core import LiraConfig, SheddingPlan
 from repro.core.reduction import AnalyticReduction
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
@@ -969,6 +970,9 @@ class TestSocketProtocol:
             )
             service = cfg.build()
             await service.start(path=sock)
+            # The first plan's load period held no service time: THROTLOOP's
+            # first sample is still the first period of traffic.
+            assert service.shedder.throtloop._smoothed_utilization is None
             try:
                 reader, writer = await asyncio.open_unix_connection(sock)
                 writer.write(encode_frame("ping", {"seq": 1}))
@@ -995,15 +999,20 @@ class TestSocketProtocol:
                     )
                 )
                 await writer.drain()
+                # start() installed a plan before it bound, so the reply to
+                # subscribe is that plan, ahead of the ingest's ack.
+                plan = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert plan.kind == "plan"
+                assert plan.meta["version"] >= 1
+                assert "plan" in plan.meta
                 ack = await asyncio.wait_for(read_frame(reader), timeout=5.0)
                 assert ack.kind == "ingest-ack"
                 assert ack.meta["admitted"] == 32
                 assert ack.meta["done_t"] >= ack.meta["recv_t"]
 
+                # The adapt loop's next round plans over those reports.
                 plan = await asyncio.wait_for(read_frame(reader), timeout=5.0)
                 assert plan.kind == "plan"
-                assert plan.meta["version"] >= 1
-                assert "plan" in plan.meta
 
                 writer.write(encode_frame("stats", {"seq": 3}))
                 await writer.drain()
@@ -1033,6 +1042,36 @@ class TestSocketProtocol:
                 await service.stop()
 
         asyncio.run(scenario())
+
+    def test_first_reply_to_subscribe_is_a_plan(self, tmp_path):
+        """A fresh service holds a plan before any peer can connect: the
+        first frame a subscriber reads is the plan start() installed, not
+        one the adapt loop pushes a period later."""
+        sock = str(tmp_path / "first.sock")
+
+        async def scenario():
+            service = make_service()  # ManualClock: no time passes
+            service.adapt_period = 3600.0  # and the adapt loop never fires
+            await service.start(path=sock)
+            try:
+                reader, writer = await asyncio.open_unix_connection(sock)
+                writer.write(encode_frame("subscribe", {}))
+                writer.write(encode_frame("stats", {"seq": 1}))
+                first = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                stats = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                writer.close()
+                return service, first, stats
+            finally:
+                await service.stop()
+
+        service, first, stats = asyncio.run(scenario())
+        assert first.kind == "plan"
+        plan = SheddingPlan.from_dict(first.meta["plan"])
+        # No reports yet: the trivial one-region plan at Δ⊢.
+        assert plan.num_regions == 1 and plan.regions[0].delta == 5.0
+        assert service.counters.plans_computed == 1
+        assert stats.kind == "stats-reply"
+        assert stats.meta["plan_epoch"] == plan.epoch == service.plan.epoch
 
     def test_unknown_kind_and_shape_mismatch_report_errors(self, tmp_path):
         sock = str(tmp_path / "svc2.sock")
@@ -1328,14 +1367,30 @@ def test_service_import_does_not_load_the_history_extension():
 
 
 def test_service_import_loads_no_extension_module():
-    """The extension module is imported by its experiment, not by the
-    package re-exports the service reaches."""
+    """The service process imports the serving path only: the package
+    re-exports are lazy, so neither the linter, the simulator and its
+    trace substrates, the experiments nor the extension policy loads."""
     src = str(Path(repro.__file__).resolve().parent.parent)
-    extensions = ("repro.shedding.safe_region",)
+    unserved = (
+        "repro.lint", "repro.sim", "repro.roadnet", "repro.trace", "repro.experiments",
+        "repro.shedding.safe_region",
+    )
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import repro.service; "
-        f"print([m for m in {extensions!r} if m in sys.modules])"
+        f"import sys; sys.path.insert(0, {src!r}); import repro.service.__main__; "
+        f"print(sorted(m for m in sys.modules for p in {unserved!r} "
+        "if m == p or m.startswith(p + '.')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.lint"])
+def test_every_public_name_resolves(package):
+    """The lazy re-exports keep every name in ``__all__``, by attribute
+    and by ``from … import *``."""
+    module = importlib.import_module(package)
+    assert all(getattr(module, name) is not None for name in module.__all__)
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= namespace.keys()
