@@ -25,7 +25,6 @@ from repro.core.greedy import RegionStats, _as_piecewise
 from repro.core.incremental import (
     KEY_WIDTH,
     GreedyHorizon,
-    GridReduceTrajectory,
     IncrementalGridReduceCache,
     NodeCoord,
 )
@@ -40,9 +39,9 @@ if TYPE_CHECKING:
 
 
 # How many of the heap's best unexpanded entries get their children
-# scored alongside an expansion's own.  A constant, not a parameter:
-# the call count bottoms out at the drill-down chain depth by 4 while
-# the speculative rows keep growing (table in DESIGN.md §11).
+# scored alongside a fall-through's own.  A constant, not a parameter:
+# unhinted, the call count bottoms out at the chain depth by 4 while the
+# speculative rows keep growing (tables in DESIGN.md §11).
 _FRONTIER_LOOKAHEAD = 4
 
 
@@ -241,6 +240,33 @@ def _frontier(heap, gains: dict[NodeCoord, float], depth: int) -> list[NodeCoord
     return [c for _, _, level, i, j in best for c in _children(level, i, j)]
 
 
+def _cold_hint(hierarchy: RegionHierarchy, target: int) -> list[NodeCoord]:
+    """The nodes a from-scratch round will likely push, found with no kernel call.
+
+    The expansion loop over a closed-form stand-in for the gain, a node's
+    ``n·m``, run for 1.5× the expansions of a full run (stand-in and budget
+    from DESIGN.md §11's table).  ``n·m = 0`` means gain 0 at the node and
+    below it, so such a node is never expanded: an ineligible root hints
+    itself only.
+    """
+    depth = hierarchy.depth
+    weights = [(n * m).tolist() for n, m, _ in map(hierarchy.level_stats, range(depth))]
+    hint: list[NodeCoord] = [(0, 0, 0)]
+    heap = [(-weights[0][0][0], 0, 0, 0)] if depth and weights[0][0][0] > 0.0 else []
+    for _ in range((target - 1) // 2):
+        if not heap:
+            break
+        _, level, i, j = heapq.heappop(heap)
+        children = _children(level, i, j)
+        hint += children
+        if level + 1 < depth:
+            below = weights[level + 1]
+            for child in children:
+                if below[child[1]][child[2]] > 0.0:
+                    heapq.heappush(heap, (-below[child[1]][child[2]], *child))
+    return hint
+
+
 def grid_reduce(
     hierarchy: RegionHierarchy,
     l: int,
@@ -260,27 +286,25 @@ def grid_reduce(
 
     The loop runs on ``(level, i, j)`` coordinates and a per-call gain
     table filled by the batched array kernel; only the final nodes are
-    boxed.  When an expansion's children are unscored it scores them
-    *together with* the children of the ``_FRONTIER_LOOKAHEAD`` best
-    heap entries — the nodes about to be popped — so the number of
-    kernel calls tracks the depth of the drill-down chains, not the
-    number of expansions.  Speculative rows can only be wasted, never
+    boxed.  A *prefetch hint* (a list of nodes) is scored up front in
+    one batch; when an expansion's children are still unscored it
+    scores them *together with* the children of the
+    ``_FRONTIER_LOOKAHEAD`` best heap entries, the nodes about to be
+    popped.  Hinted or speculative rows can only be wasted, never
     change a gain (the kernel is row-local), so the partitioning is
     bit-identical to the per-node reference
     (``tests/oracles/gridreduce.py``).
 
     ``cache`` memoizes per-node gains across calls, keyed on each
-    node's exact aggregate statistics, and uses the previous run's heap
-    push sequence as a *prefetch hint*: all of it is scored up front in
-    one batch — clean nodes hit the memo, dirty ones re-solve together
-    — so a round whose statistics drift only touched a few hierarchy
-    nodes re-solves GREEDYINCREMENT for those nodes alone, and a round
-    that dirtied everything (or moved ``z``, which voids the gains but
-    not the hint) still makes a handful of kernel calls.  The default,
-    a fresh cache per call, holds no gain and no hint: the from-scratch
-    run, and bit-identical to any cached one.  A cache passed in must
-    be dedicated to this (hierarchy, reduction, increment, use_speed)
-    combination.
+    node's exact aggregate statistics, and hints the previous run's heap
+    push sequence: clean nodes hit the memo and dirty ones re-solve
+    together, so a round whose drift touched a few hierarchy nodes
+    re-solves GREEDYINCREMENT for those alone, and one that dirtied
+    everything (or moved ``z``, which voids the gains but not the hint)
+    still makes a handful of kernel calls.  A cache with no previous
+    run (the default: a fresh one per call) hints ``_cold_hint``'s guess
+    from the hierarchy.  A cache passed in must be dedicated to this
+    (hierarchy, reduction, increment, use_speed) combination.
     """
     if isinstance(reduction, PiecewiseLinearReduction) and increment is None:
         increment = reduction.segment_size
@@ -293,7 +317,7 @@ def grid_reduce(
 
     gains: dict[NodeCoord, float] = {}
     cache.begin_round(z)
-    hint = cache.trajectory.scored if cache.trajectory is not None else [(0, 0, 0)]
+    hint = cache.trajectory if cache.trajectory is not None else _cold_hint(hierarchy, target)
     _score(hierarchy, cache, kernel, gains, hint)
 
     # Heap entries are (-gain, push counter, level, i, j).
@@ -336,7 +360,7 @@ def grid_reduce(
             RegionStats(hierarchy.rect(level, i, j), n, m, s)
             for i, j, n, m, s in zip(ii, jj, *stats)
         ]
-    cache.trajectory = GridReduceTrajectory(scored=scored, result=result, expansions=expansions)
+    cache.trajectory = scored
     return PartitioningResult(regions=regions, coords=result, expansions=expansions)
 
 

@@ -13,11 +13,11 @@ round):
   the node's ``(n, m, s)``, its four children's statistics, ``z`` and
   the static reduction inputs, so an exact float match guarantees the
   memoized gain is the one a fresh solve would produce).  The cache
-  also records the previous run's *trajectory* — the heap push sequence
-  and the final partitioning — a purely structural prefetch hint: the
-  next run scores that whole node set in one batched kernel call
-  instead of one call per expansion, whatever happened to the
-  statistics or to ``z`` in between.
+  also records the previous run's *trajectory* — the heap push
+  sequence — a purely structural prefetch hint: the next run scores
+  that whole node set in one batched kernel call instead of one call
+  per expansion, whatever happened to the statistics or to ``z`` in
+  between.
 
 * :class:`IncrementalAdaptSession` — the load shedder's between-round
   state: the persistent :class:`~repro.core.quadtree.RegionHierarchy`
@@ -87,21 +87,6 @@ class GreedyHorizon:
         return min(kappa, max(_MIN_HORIZON, 2 * self.depth))
 
 
-@dataclass
-class GridReduceTrajectory:
-    """The observable history of one GRIDREDUCE run.
-
-    ``scored`` is every node pushed onto the expansion heap, in push
-    order (the set whose gains determine the whole pop sequence);
-    ``result`` is the final partitioning's node coordinates in output
-    order; ``expansions`` the number of quadrant splits performed.
-    """
-
-    scored: list[NodeCoord]
-    result: list[NodeCoord]
-    expansions: int
-
-
 class IncrementalGridReduceCache:
     """Gain memo + trajectory cache consumed by ``grid_reduce``.
 
@@ -125,7 +110,9 @@ class IncrementalGridReduceCache:
         self.levels: dict[
             int, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
-        self.trajectory: GridReduceTrajectory | None = None
+        #: The last run's heap push sequence (every node whose gain the
+        #: pop order read), or ``None`` before the first run.
+        self.trajectory: list[NodeCoord] | None = None
         # Horizon hints of the two GREEDYINCREMENT call sites: the gain
         # kernel's rows and the shedder's final throttler solve.
         self.gain_horizon = GreedyHorizon()

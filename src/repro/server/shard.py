@@ -47,6 +47,11 @@ from repro.server.protocol import BaseStationNetwork, RegionSubset
 #: would overflow it before any service happened.
 RECEIVE_SUBSTEPS = 10
 
+#: Shard policies: LIRA's source-actuated region-aware shedding, or the
+#: paper's Random Drop regime (every node at Δ⊢, the server admitting a
+#: random fraction z of arrivals).
+POLICIES = ("lira", "random-drop")
+
 
 class ShardDirectory:
     """Live merged station→subset view across the per-shard networks.
@@ -78,7 +83,7 @@ class LiraShard:
     Args:
         stations: the base stations this shard owns (possibly none).
         n_nodes: the *global* population size.
-        policy: ``"lira"`` or ``"random-drop"`` (validated by the caller).
+        policy: one of ``POLICIES``.
         downlink: fault injector for this shard's plan broadcasts.
     """
 
@@ -99,6 +104,8 @@ class LiraShard:
         incremental: bool,
         downlink: FaultInjector | None = None,
     ) -> None:
+        if policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}")
         self.shard_id = shard_id
         self.stations = stations
         self.bounds = bounds

@@ -94,11 +94,6 @@ from repro.server.protocol import BaseStationNetwork
 from repro.server.shard import LiraShard, ShardDirectory
 from repro.server.sharding import ShardRouter
 
-#: Systems-loop policies: LIRA's source-actuated region-aware shedding,
-#: or the paper's Random Drop regime (every node at Δ⊢, the server
-#: admitting a random fraction z of arrivals).
-POLICIES = ("lira", "random-drop")
-
 #: Fleets of at most this many nodes compute the tick's deviation after
 #: the Δ lookup, not on a helper thread beside it: a thread's start and
 #: join (≈ 0.35 ms wall on a 2-core x86 container) cost more than the
@@ -217,8 +212,6 @@ class LiraSystem:
         incremental: bool = False,
         n_shards: int = 1,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.config = config or LiraConfig(l=49, alpha=64)

@@ -62,8 +62,7 @@ from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.server.base_station import place_uniform_stations
-from repro.server.shard import LiraShard
-from repro.server.system import POLICIES
+from repro.server.shard import POLICIES, LiraShard
 from repro.service.framing import Frame, FrameError, encode_frame, read_frame
 
 logger = logging.getLogger(__name__)
@@ -276,8 +275,6 @@ class LiraService:
         faults: FaultInjector | None = None,
         clock: timing.Clock = timing.monotonic,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
         self.config = config or LiraConfig(l=13, alpha=16)
         self.bounds = bounds
         self.n_nodes = n_nodes

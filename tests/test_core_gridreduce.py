@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     RegionHierarchy,
@@ -176,7 +178,7 @@ class TestFrontierLookahead:
         pw = reduction.piecewise(19)
         result = grid_reduce(hierarchy, 25, 0.5, pw, cache=cache)
         assert result.regions == grid_reduce_reference(hierarchy, 25, 0.5, pw).regions
-        pushed = set(cache.trajectory.scored)
+        pushed = set(cache.trajectory)
         speculated = {
             (level, int(i), int(j))
             for level, (_, _, valid) in cache.levels.items()
@@ -188,6 +190,69 @@ class TestFrontierLookahead:
             # Quadrants without queries have m == 0, hence gain 0.
             assert max(i, j) < 1 << (level - 1)
             assert hierarchy.node(level - 1, i // 2, j // 2).m > 0.0
+
+
+@st.composite
+def _grids(draw):
+    """Random grids, degenerate ones included: no queries, no nodes, all
+    mass in one cell, a single cell."""
+    alpha = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    shape = draw(st.sampled_from(["mixed", "no-queries", "no-nodes", "one-cell"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = StatisticsGrid(BOUNDS, alpha)
+    # Small integer counts: equal gains, and so ties, are common.
+    grid.n = rng.integers(0, 6, (alpha, alpha)) * (rng.random((alpha, alpha)) < 0.6)
+    grid.m = rng.integers(0, 4, (alpha, alpha)) * (rng.random((alpha, alpha)) < 0.4)
+    if shape == "no-queries":
+        grid.m = np.zeros_like(grid.m)
+    elif shape == "no-nodes":
+        grid.n = np.zeros_like(grid.n)
+    elif shape == "one-cell":
+        i, j = rng.integers(0, alpha, 2)
+        n, m = grid.n.sum() + 1, grid.m.sum() + 1
+        grid.n, grid.m = np.zeros((alpha, alpha)), np.zeros((alpha, alpha))
+        grid.n[i, j], grid.m[i, j] = n, m
+    grid.n, grid.m = grid.n.astype(np.float64), grid.m.astype(np.float64)
+    grid.s = np.where(grid.n > 0, rng.uniform(1.0, 30.0, (alpha, alpha)), 0.0)
+    return grid
+
+
+class TestColdHint:
+    """A from-scratch round scores a hint derived from its own hierarchy;
+    the hint can only waste rows, never change the partitioning."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        grid=_grids(),
+        l=st.integers(min_value=1, max_value=300),
+        z=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_bare_run_equals_reference(self, reduction, grid, l, z):
+        pw = reduction.piecewise(19)
+        hierarchy = RegionHierarchy(grid)
+        result = grid_reduce(hierarchy, l, z, pw)
+        reference = grid_reduce_reference(hierarchy, l, z, pw)
+        assert result.regions == reference.regions
+        assert result.expansions == reference.expansions
+
+    def test_ineligible_root_hints_itself_only(self, reduction):
+        """No queries (or no nodes) anywhere: every gain is 0, so the
+        hint — the service's start-time adapt, before any report — scores
+        nothing beyond the root."""
+        from repro.core.gridreduce import _cold_hint
+        from repro.core.incremental import IncrementalGridReduceCache
+
+        for queries in ([], [RangeQuery(0, Rect(0.0, 0.0, 40.0, 40.0))]):
+            positions = np.random.default_rng(4).uniform(0, 160, (50, 2))
+            if queries:
+                positions = positions[:0]
+            hierarchy = RegionHierarchy(
+                StatisticsGrid.from_snapshot(BOUNDS, 8, positions, None, queries)
+            )
+            assert _cold_hint(hierarchy, 25) == [(0, 0, 0)]
+            cache = IncrementalGridReduceCache()
+            grid_reduce(hierarchy, 25, 0.5, reduction.piecewise(19), cache=cache)
+            assert cache.counts.gain_rows_solved == 0
 
 
 class TestCalcErrGain:

@@ -249,21 +249,26 @@ def _reduce(hierarchy, z, cache=None, reduce=grid_reduce):
 
 
 class TestGainKernelCalls:
-    """Kernel calls per GRIDREDUCE track chain depth, not expansions."""
+    """Kernel calls per GRIDREDUCE: a handful, whether the round's hint
+    comes from the previous round or from the hierarchy itself."""
 
     def test_from_scratch_call_budget(self, monkeypatch):
         from repro.core import greedy_vector
         from repro.core.incremental import IncrementalGridReduceCache
 
-        _, positions, speeds, queries = _bench_scene(1)
-        hierarchy = _bench_hierarchy(positions, speeds, queries)
-        cache = IncrementalGridReduceCache()
-        first = _reduce(hierarchy, 0.5, cache=cache)
-        assert first.expansions == 83
-        assert 0 < cache.counts.gain_kernel_calls <= 25
-        # Speculation stays a small share of the rows scored: every
-        # pushed node (none is a leaf at this l) plus the wasted ones.
-        assert cache.misses <= 1.25 * len(cache.trajectory.scored)
+        for seed in (1, 2, 3):
+            _, positions, speeds, queries = _bench_scene(seed)
+            hierarchy = _bench_hierarchy(positions, speeds, queries)
+            cache = IncrementalGridReduceCache()
+            first = _reduce(hierarchy, 0.5, cache=cache)
+            assert first.expansions == 83
+            # The cold hint plus its fall-throughs: 2–3 calls here, 20–28
+            # when only the root is scored up front.
+            assert 0 < cache.counts.gain_kernel_calls <= 4
+            # Speculation stays a small share of the rows solved: 1.15–1.20
+            # per pushed node (none is a leaf at this l), 3.9–4.0 when
+            # every non-leaf node is scored up front.
+            assert cache.counts.gain_rows_solved <= 1.5 * len(cache.trajectory)
         # The uncached path is the same code over a throwaway table.
         calls = []
         solve = greedy_vector.greedy_increment_arrays
@@ -299,13 +304,12 @@ class TestGainKernelCalls:
 
         cache = IncrementalGridReduceCache()
         _, positions, speeds, queries = _bench_scene(3)
-        _reduce(_bench_hierarchy(positions, speeds, queries), 0.6, cache=cache)
-        wrong = cache.trajectory
+        wrong = _reduce(_bench_hierarchy(positions, speeds, queries), 0.6, cache=cache)
         _, positions, speeds, queries = _bench_scene(4)  # unrelated scene
         hierarchy = _bench_hierarchy(positions, speeds, queries)
         reference = _reduce(hierarchy, 0.6, reduce=grid_reduce_reference)
         hinted = _reduce(hierarchy, 0.6, cache=cache)
-        assert set(wrong.result) != set(cache.trajectory.result)
+        assert set(wrong.coords) != set(hinted.coords)
         assert hinted.regions == reference.regions
         assert hinted.expansions == reference.expansions
 

@@ -937,6 +937,9 @@ class TestServiceConfig:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
             ServiceConfig(policy="drop-everything")
+        # A service built without a config: its shard refuses it.
+        with pytest.raises(ValueError, match="policy"):
+            make_service(policy="drop-everything")
 
     def test_workload_is_deterministic(self):
         a = ServiceConfig(workload_seed=3).queries()
@@ -1369,11 +1372,14 @@ def test_service_import_does_not_load_the_history_extension():
 def test_service_import_loads_no_extension_module():
     """The service process imports the serving path only: the package
     re-exports are lazy, so neither the linter, the simulator and its
-    trace substrates, the experiments nor the extension policy loads."""
+    trace substrates, the experiments, the extension policy nor the
+    systems loop (its node engine, shard router, motion model and
+    helper thread) loads."""
     src = str(Path(repro.__file__).resolve().parent.parent)
     unserved = (
         "repro.lint", "repro.sim", "repro.roadnet", "repro.trace", "repro.experiments",
-        "repro.shedding.safe_region",
+        "repro.shedding.safe_region", "repro.server.system", "repro.server.node_engine",
+        "repro.server.sharding", "repro.motion", "repro.parallel",
     )
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import repro.service.__main__; "
@@ -1385,12 +1391,21 @@ def test_service_import_loads_no_extension_module():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.lint"])
+@pytest.mark.parametrize("package", ["repro", "repro.lint", "repro.server"])
 def test_every_public_name_resolves(package):
     """The lazy re-exports keep every name in ``__all__``, by attribute
-    and by ``from … import *``."""
+    and by ``from … import *``, and importing the package alone loads
+    none of the modules they live in."""
     module = importlib.import_module(package)
     assert all(getattr(module, name) is not None for name in module.__all__)
     namespace: dict = {}
     exec(f"from {package} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import {package}; "
+        f"print(sorted(sys.modules.keys() & {set(module._HOMES)!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -240,6 +240,11 @@ def _state(system):
     )
 
 
+def test_unknown_policy_is_refused():
+    with pytest.raises(ValueError, match="policy"):
+        _booted(policy="drop-everything")
+
+
 class TestRejectedTick:
     @pytest.mark.parametrize("n_shards", [1, 4])
     def test_bad_shape_moves_nothing(self, n_shards):
