@@ -61,8 +61,10 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         metavar="N",
-        help="fan simulations of sweep experiments over N worker "
-        "processes (experiments without a jobs parameter run serially)",
+        help="run the simulations of a policy-suite experiment (fig04-fig13, "
+        "zsweep-all, ablation-speed/-alpha/-increment) on N worker processes "
+        "(default: every usable CPU); ext-*, resilience, fig14 and the "
+        "tables run in-process",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:

@@ -12,19 +12,28 @@
 
 from __future__ import annotations
 
-from repro.core import auto_alpha
+from repro.core import LiraLoadShedder, StatisticsGrid, auto_alpha
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import MEDIUM, ExperimentScale, run_policy_suite
-from repro.sim import Simulation, SimulationConfig, make_policies, reference_update_count
+from repro.experiments.common import MEDIUM, ExperimentScale
+from repro.experiments.runner import SimJob, run_jobs
+from repro.sim import reference_update_count
+from repro.timing import Stopwatch
 
 
 def run_ablation_speed_factor(
     scale: ExperimentScale = MEDIUM,
     zs: tuple[float, ...] = (0.4, 0.5, 0.6, 0.75),
+    jobs: int | None = None,
 ) -> ExperimentResult:
     """Budget adherence with and without the speed-factor correction."""
     scenario = scale.scenario()
     reference = reference_update_count(scenario.trace, scenario.delta_min)
+    grid = [
+        SimJob(scale, "lira", z, scale.lira_config(use_speed=use_speed))
+        for use_speed in (True, False)
+        for z in zs
+    ]
+    results = run_jobs(grid, jobs)
     result = ExperimentResult(
         experiment_id="ablation-speed",
         title="Update budget adherence: sent/reference vs z, +/- speed factor",
@@ -32,24 +41,10 @@ def run_ablation_speed_factor(
         x=list(zs),
         notes="values should track z; closer tracking = better budget model",
     )
-    for use_speed in (True, False):
-        ratios = []
-        errors = []
-        for z in zs:
-            config = scale.lira_config(use_speed=use_speed)
-            policy = make_policies(scenario, config, include=("lira",))["lira"]
-            sim = Simulation(
-                scenario.trace,
-                scenario.queries,
-                policy,
-                SimulationConfig(z=z, adapt_every=scale.adapt_every, seed=scale.seed),
-            )
-            res = sim.run()
-            ratios.append(res.updates_sent / reference)
-            errors.append(res.mean_containment_error)
-        label = "with speed" if use_speed else "without speed"
-        result.add_series(f"sent ratio ({label})", ratios)
-        result.add_series(f"E_rr^C ({label})", errors)
+    for k, label in enumerate(("with speed", "without speed")):
+        runs = results[k * len(zs) : (k + 1) * len(zs)]
+        result.add_series(f"sent ratio ({label})", [r.updates_sent / reference for r in runs])
+        result.add_series(f"E_rr^C ({label})", [r.mean_containment_error for r in runs])
     return result
 
 
@@ -57,17 +52,18 @@ def run_ablation_increment(
     scale: ExperimentScale = MEDIUM,
     increments: tuple[float, ...] = (0.5, 1.0, 5.0, 20.0),
     z: float = 0.5,
+    jobs: int | None = None,
 ) -> ExperimentResult:
     """Effect of the greedy increment c_Δ (Theorem 3.1's segment size).
 
     Smaller c_Δ means a finer piecewise-linear approximation of f and a
     solution closer to the continuous optimum, at O(κ·l·log l) cost.
     Expect: error roughly flat until c_Δ gets coarse, adaptation time
-    falling as c_Δ grows.
+    falling as c_Δ grows.  The error column comes from the job list; the
+    time column is timed here, one standalone adaptation per c_Δ.
     """
-    from repro.core import LiraLoadShedder, StatisticsGrid
-    from repro.timing import Stopwatch
-
+    configs = [scale.lira_config(increment=increment) for increment in increments]
+    results = run_jobs([SimJob(scale, "lira", z, config) for config in configs], jobs)
     scenario = scale.scenario()
     trace = scenario.trace
     result = ExperimentResult(
@@ -78,19 +74,8 @@ def run_ablation_increment(
         notes="error should stay near-flat until c_delta is coarse; "
         "adaptation time falls with c_delta (fewer segments kappa)",
     )
-    errors, times = [], []
-    for increment in increments:
-        config = scale.lira_config(increment=increment)
-        policy = make_policies(scenario, config, include=("lira",))["lira"]
-        sim = Simulation(
-            trace,
-            scenario.queries,
-            policy,
-            SimulationConfig(z=z, adapt_every=scale.adapt_every, seed=scale.seed),
-        )
-        res = sim.run()
-        errors.append(res.mean_containment_error)
-        # Time one standalone adaptation for the cost column.
+    times = []
+    for config in configs:
         grid = StatisticsGrid.from_snapshot(
             trace.bounds, config.resolved_alpha, trace.snapshot(0),
             trace.speeds(0), scenario.queries,
@@ -99,7 +84,7 @@ def run_ablation_increment(
         with Stopwatch() as stopwatch:
             shedder.adapt(grid)
         times.append(stopwatch.elapsed * 1000.0)
-    result.add_series("E_rr^C", errors)
+    result.add_series("E_rr^C", [r.mean_containment_error for r in results])
     result.add_series("adaptation time (ms)", times)
     return result
 
@@ -108,9 +93,11 @@ def run_ablation_alpha_rule(
     scale: ExperimentScale = MEDIUM,
     alphas: tuple[int, ...] = (8, 16, 32, 64, 128),
     z: float = 0.5,
+    jobs: int | None = None,
 ) -> ExperimentResult:
     """LIRA error vs statistics-grid resolution α at fixed l."""
-    scenario = scale.scenario()
+    grid = [SimJob(scale, "lira", z, scale.lira_config(alpha=alpha)) for alpha in alphas]
+    results = run_jobs(grid, jobs)
     rule_alpha = auto_alpha(scale.l)
     result = ExperimentResult(
         experiment_id="ablation-alpha",
@@ -120,10 +107,5 @@ def run_ablation_alpha_rule(
         x=[float(a) for a in alphas],
         notes="error should stop improving at/near the rule's alpha",
     )
-    errors = []
-    for alpha in alphas:
-        config = scale.lira_config(alpha=alpha)
-        results = run_policy_suite(scenario, config, z, scale, include=("lira",))
-        errors.append(results["lira"].mean_containment_error)
-    result.add_series("E_rr^C", errors)
+    result.add_series("E_rr^C", [r.mean_containment_error for r in results])
     return result

@@ -2,7 +2,8 @@
 
 Defines the experiment *scales* (SMALL for benchmarks and CI, MEDIUM
 for the recorded EXPERIMENTS.md runs, FULL approaching the paper's
-setup) and the policy-suite runner every accuracy figure shares.
+setup); every accuracy figure runs its simulations as
+:class:`~repro.experiments.runner.SimJob` lists.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from repro.core import LiraConfig
 from repro.queries import QueryDistribution
-from repro.sim import Scenario, Simulation, SimulationConfig, build_scenario, make_policies
+from repro.sim import Scenario, build_scenario
 from repro.sim.simulation import SimulationResult
 
 
@@ -97,22 +98,6 @@ FULL = ExperimentScale(
 )
 
 SCALES = {scale.name: scale for scale in (SMALL, MEDIUM, FULL)}
-
-
-def run_policy_suite(
-    scenario: Scenario,
-    config: LiraConfig,
-    z: float,
-    scale: ExperimentScale,
-    include: tuple[str, ...] = ("lira", "lira-grid", "uniform", "random-drop"),
-) -> dict[str, SimulationResult]:
-    """Run the requested policies on one scenario at throttle fraction z."""
-    policies = make_policies(scenario, config, include=include)
-    sim_config = SimulationConfig(z=z, adapt_every=scale.adapt_every, seed=scale.seed)
-    return {
-        name: Simulation(scenario.trace, scenario.queries, policy, sim_config).run()
-        for name, policy in policies.items()
-    }
 
 
 def relative_to(results: dict[str, SimulationResult], metric: str) -> dict[str, float]:

@@ -13,7 +13,8 @@
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import MEDIUM, ExperimentScale, run_policy_suite
+from repro.experiments.common import MEDIUM, ExperimentScale
+from repro.experiments.runner import SimJob, run_jobs
 
 DEFAULT_FAIRNESS = (10.0, 25.0, 50.0, 75.0, 95.0)
 
@@ -22,23 +23,15 @@ def run_fig10(
     scale: ExperimentScale = MEDIUM,
     fairness_values: tuple[float, ...] = DEFAULT_FAIRNESS,
     z: float = 0.75,
+    jobs: int | None = None,
 ) -> ExperimentResult:
     """Fairness metrics (D_ev^C, C_ov^C) for LIRA and Uniform Δ vs Δ⇔."""
-    scenario = scale.scenario()
-    uniform_results = run_policy_suite(
-        scenario, scale.lira_config(), z, scale, include=("uniform",)
-    )["uniform"]
-    u_dev = uniform_results.containment_fairness.std_dev
-    u_cov = uniform_results.containment_fairness.coefficient_of_variance
-
-    lira_dev, lira_cov = [], []
-    for fairness in fairness_values:
-        config = scale.lira_config(fairness=fairness)
-        results = run_policy_suite(scenario, config, z, scale, include=("lira",))
-        stats = results["lira"].containment_fairness
-        lira_dev.append(stats.std_dev)
-        lira_cov.append(stats.coefficient_of_variance)
-
+    grid = [SimJob(scale, "uniform", z, scale.lira_config())] + [
+        SimJob(scale, "lira", z, scale.lira_config(fairness=fairness))
+        for fairness in fairness_values
+    ]
+    uniform, *lira = (r.containment_fairness for r in run_jobs(grid, jobs))
+    n = len(fairness_values)
     result = ExperimentResult(
         experiment_id="fig10",
         title="Fairness in query result accuracy vs fairness threshold (z=%.2f)" % z,
@@ -46,10 +39,10 @@ def run_fig10(
         x=list(fairness_values),
         notes="Uniform-Delta rows are constant (it has no fairness knob)",
     )
-    result.add_series("LIRA D_ev^C", lira_dev)
-    result.add_series("Uniform D_ev^C", [u_dev] * len(fairness_values))
-    result.add_series("LIRA C_ov^C", lira_cov)
-    result.add_series("Uniform C_ov^C", [u_cov] * len(fairness_values))
+    result.add_series("LIRA D_ev^C", [stats.std_dev for stats in lira])
+    result.add_series("Uniform D_ev^C", [uniform.std_dev] * n)
+    result.add_series("LIRA C_ov^C", [stats.coefficient_of_variance for stats in lira])
+    result.add_series("Uniform C_ov^C", [uniform.coefficient_of_variance] * n)
     return result
 
 
@@ -57,9 +50,16 @@ def run_fig11(
     scale: ExperimentScale = MEDIUM,
     fairness_values: tuple[float, ...] = DEFAULT_FAIRNESS,
     zs: tuple[float, ...] = (0.3, 0.5, 0.7, 0.9),
+    jobs: int | None = None,
 ) -> ExperimentResult:
     """LIRA mean position error vs Δ⇔ for several throttle fractions."""
-    scenario = scale.scenario()
+    grid = [
+        SimJob(scale, "lira", z, scale.lira_config(fairness=fairness))
+        for z in zs
+        for fairness in fairness_values
+    ]
+    errors = [r.mean_position_error for r in run_jobs(grid, jobs)]
+    n = len(fairness_values)
     result = ExperimentResult(
         experiment_id="fig11",
         title="Impact of fairness threshold on E_rr^P for different z",
@@ -67,11 +67,6 @@ def run_fig11(
         x=list(fairness_values),
         notes="sensitivity to fairness should peak at intermediate z",
     )
-    for z in zs:
-        errors = []
-        for fairness in fairness_values:
-            config = scale.lira_config(fairness=fairness)
-            results = run_policy_suite(scenario, config, z, scale, include=("lira",))
-            errors.append(results["lira"].mean_position_error)
-        result.add_series(f"z={z}", errors)
+    for k, z in enumerate(zs):
+        result.add_series(f"z={z}", errors[k * n : (k + 1) * n])
     return result

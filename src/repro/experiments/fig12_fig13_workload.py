@@ -13,7 +13,8 @@
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import MEDIUM, ExperimentScale, run_policy_suite
+from repro.experiments.common import MEDIUM, ExperimentScale
+from repro.experiments.runner import SimJob, run_jobs
 
 
 def run_fig12(
@@ -21,8 +22,15 @@ def run_fig12(
     ls: tuple[int, ...] = (4, 16, 49, 100, 250),
     mn_ratios: tuple[float, ...] = (0.01, 0.1),
     z: float = 0.5,
+    jobs: int | None = None,
 ) -> ExperimentResult:
     """Uniform-Δ E_rr^C relative to LIRA vs l, for two m/n ratios."""
+    cells = [(mn, l, policy) for mn in mn_ratios for l in ls for policy in ("lira", "uniform")]
+    grid = [
+        SimJob(scale, policy, z, scale.lira_config(l=l), mn_ratio=mn)
+        for mn, l, policy in cells
+    ]
+    results = dict(zip(cells, run_jobs(grid, jobs)))
     result = ExperimentResult(
         experiment_id="fig12",
         title="Uniform-Delta containment error relative to LIRA vs l, by m/n",
@@ -31,15 +39,10 @@ def run_fig12(
         notes="LIRA's advantage should be much larger at small m/n",
     )
     for mn in mn_ratios:
-        scenario = scale.scenario(mn_ratio=mn)
         ratios = []
         for l in ls:
-            config = scale.lira_config(l=l)
-            results = run_policy_suite(
-                scenario, config, z, scale, include=("lira", "uniform")
-            )
-            lira_err = results["lira"].mean_containment_error
-            uni_err = results["uniform"].mean_containment_error
+            lira_err = results[mn, l, "lira"].mean_containment_error
+            uni_err = results[mn, l, "uniform"].mean_containment_error
             ratios.append(uni_err / lira_err if lira_err > 0 else float("inf"))
         result.add_series(f"m/n={mn}", ratios)
     return result
@@ -49,8 +52,12 @@ def run_fig13(
     scale: ExperimentScale = MEDIUM,
     side_lengths: tuple[float, ...] = (250.0, 500.0, 1000.0, 2000.0, 3000.0),
     z: float = 0.5,
+    jobs: int | None = None,
 ) -> ExperimentResult:
     """LIRA E_rr^P and E_rr^C vs query side length parameter w."""
+    config = scale.lira_config()
+    grid = [SimJob(scale, "lira", z, config, side_length=w) for w in side_lengths]
+    results = run_jobs(grid, jobs)
     result = ExperimentResult(
         experiment_id="fig13",
         title="Impact of query side length on LIRA errors (z=%.2f)" % z,
@@ -58,14 +65,6 @@ def run_fig13(
         x=list(side_lengths),
         notes="position error should rise with w; containment error should fall",
     )
-    pos_errors, cont_errors = [], []
-    for w in side_lengths:
-        scenario = scale.scenario(side_length=w)
-        results = run_policy_suite(
-            scenario, scale.lira_config(), z, scale, include=("lira",)
-        )
-        pos_errors.append(results["lira"].mean_position_error)
-        cont_errors.append(results["lira"].mean_containment_error)
-    result.add_series("E_rr^P (m)", pos_errors)
-    result.add_series("E_rr^C", cont_errors)
+    result.add_series("E_rr^P (m)", [r.mean_position_error for r in results])
+    result.add_series("E_rr^C", [r.mean_containment_error for r in results])
     return result

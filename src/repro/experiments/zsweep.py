@@ -11,19 +11,18 @@ every z; relative gaps explode as z → 1 (LIRA sheds from query-free
 regions at nearly zero error) and collapse to 1 as z approaches the
 point where all threshold policies converge to ∀Δᵢ = Δ⊣.
 
-Every sweep accepts ``jobs``: with ``jobs > 1`` the (z x policy) matrix
-fans out over a process pool via :mod:`repro.experiments.runner`, with
-numbers bit-identical to the serial path (same scenario specs, same
-per-job seeds).  :func:`run_figs04_07` additionally fans the *figure*
-dimension, deduplicating the shared proportional-distribution runs of
-Figures 4 and 5.
+Every sweep runs its (distribution x z x policy) jobs through
+:func:`~repro.experiments.runner.run_jobs` on ``jobs`` processes (every
+usable CPU by default), with numbers bit-identical to a serial run.
+:func:`run_figs04_07` runs all four figures from one job list, running
+the proportional-distribution jobs Figures 4 and 5 share once.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import MEDIUM, ExperimentScale, relative_to
-from repro.experiments.runner import run_jobs, run_policy_sweep, suite_jobs
+from repro.experiments.runner import SimJob, run_jobs
 from repro.queries import QueryDistribution
 from repro.sim.simulation import SimulationResult
 
@@ -70,6 +69,29 @@ def _format_zsweep(
     return result
 
 
+def _sweeps(
+    scale: ExperimentScale,
+    zs: tuple[float, ...],
+    distributions: list[QueryDistribution],
+    jobs: int | None,
+) -> dict[QueryDistribution, dict[float, dict[str, SimulationResult]]]:
+    """``results[distribution][z][policy]`` of the four policies, from one
+    job list run on ``jobs`` processes."""
+    config = scale.lira_config()
+    grid = [
+        SimJob(scale, policy, z, config, distribution)
+        for distribution in distributions
+        for z in zs
+        for policy in POLICY_ORDER
+    ]
+    out: dict[QueryDistribution, dict[float, dict[str, SimulationResult]]] = {
+        distribution: {z: {} for z in zs} for distribution in distributions
+    }
+    for job, result in zip(grid, run_jobs(grid, jobs)):
+        out[job.distribution][job.z][job.policy] = result
+    return out
+
+
 def run_zsweep(
     metric: str,
     distribution: QueryDistribution,
@@ -80,12 +102,9 @@ def run_zsweep(
     """Sweep z for all four policies; report absolute + relative ``metric``.
 
     ``metric`` is a :class:`~repro.sim.SimulationResult` attribute:
-    ``mean_position_error`` or ``mean_containment_error``.  ``jobs``
-    selects parallel fan-out (``None`` or 1 runs serially in-process).
+    ``mean_position_error`` or ``mean_containment_error``.
     """
-    results_by_z = run_policy_sweep(
-        scale, zs, POLICY_ORDER, distribution=distribution, n_workers=jobs or 1
-    )
+    results_by_z = _sweeps(scale, zs, [distribution], jobs)[distribution]
     return _format_zsweep(metric, distribution, zs, results_by_z)
 
 
@@ -94,27 +113,13 @@ def run_figs04_07(
     zs: tuple[float, ...] = DEFAULT_ZS,
     jobs: int | None = None,
 ) -> dict[str, ExperimentResult]:
-    """All four z-sweep figures from one (z x policy x figure) job fan-out.
-
-    Figures 4 and 5 share the proportional-distribution simulations, so
-    the fan-out runs each (distribution, z, policy) combination exactly
-    once — 3 distributions x len(zs) x 4 policies jobs — and derives both
-    metrics from the shared results.
-    """
+    """All four z-sweep figures from one (distribution x z x policy) job
+    list: 3 distributions x len(zs) x 4 policies jobs, Figures 4 and 5
+    both read from the proportional-distribution results."""
     distributions = sorted(
         {dist for _, _, dist in ZSWEEP_FIGURES}, key=lambda d: d.value
     )
-    all_jobs = []
-    for dist in distributions:
-        all_jobs.extend(
-            suite_jobs(scale, zs, POLICY_ORDER, distribution=dist, tag=dist.value)
-        )
-    results = run_jobs(all_jobs, n_workers=jobs)
-    sweeps: dict[QueryDistribution, dict[float, dict[str, SimulationResult]]] = {
-        dist: {z: {} for z in zs} for dist in distributions
-    }
-    for job, result in zip(all_jobs, results):
-        sweeps[QueryDistribution(job.tag)][job.z][job.policy] = result
+    sweeps = _sweeps(scale, zs, distributions, jobs)
     out = {}
     for fig_id, metric, dist in ZSWEEP_FIGURES:
         result = _format_zsweep(metric, dist, zs, sweeps[dist])

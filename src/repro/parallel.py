@@ -2,10 +2,10 @@
 
 Both process-pool users in this repository face the question whether a
 pool can beat the serial loop at all (:func:`pool_is_profitable`).  The
-experiment sweep engine (:mod:`repro.experiments.runner`) also takes a
-worker count from its caller, :func:`default_jobs` when none is given;
-the lint driver (:mod:`repro.lint.engine`) takes none and picks its own
-execution from its file count.  Answering the shared question in one
+experiment job executor (:func:`repro.experiments.runner.run_jobs`)
+also takes a worker count from its caller, every usable CPU when none
+is given; the lint driver (:mod:`repro.lint.engine`) takes none and
+picks its own execution from its file count.  Answering the shared question in one
 place keeps the fallback behaviour identical across seams (and keeps
 the single-core pessimization documented once).  Both count CPUs with
 :func:`usable_cpus`, as :func:`run_beside` does.
@@ -30,15 +30,10 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-__all__ = ["default_jobs", "pool_is_profitable", "run_beside", "usable_cpus"]
+__all__ = ["pool_is_profitable", "run_beside", "usable_cpus"]
 
 M = TypeVar("M")
 S = TypeVar("S")
-
-
-def default_jobs() -> int:
-    """Worker count when the caller does not specify one: every usable CPU."""
-    return usable_cpus()
 
 
 def pool_is_profitable(n_workers: int, n_jobs: int) -> bool:

@@ -431,22 +431,39 @@ class _ThresholdRaster:
     resolution) rasterize just as exactly.  Overlapping regions are
     painted in reverse subset order so the lowest region index wins,
     matching the per-node index's bucket-scan order.
+
+    ``bounds`` is the monitoring space, which is closed: the last row and
+    column of regions own its upper edges, as in
+    :meth:`~repro.core.plan.SheddingPlan.region_ids_for`.  An edge on
+    ``x2``/``y2`` (to rounding) becomes the line one ulp past it, so the
+    half-open test gives the edge itself to the region below it and the
+    per-tick lookups do nothing extra.
     """
 
-    def __init__(self, regions: tuple[SheddingRegion, ...]) -> None:
+    def __init__(
+        self, regions: tuple[SheddingRegion, ...], bounds: Rect | None = None
+    ) -> None:
         self._regions = regions
-        xs = sorted({e for r in regions for e in (r.rect.x1, r.rect.x2)})
-        ys = sorted({e for r in regions for e in (r.rect.y1, r.rect.y2)})
-        self._xs = np.array(xs, dtype=np.float64)
-        self._ys = np.array(ys, dtype=np.float64)
+        edges = np.array([(r.rect.x1, r.rect.x2, r.rect.y1, r.rect.y2) for r in regions])
+        if bounds is not None:
+            tol = _PRUNE_EPS * max(1.0, *map(abs, (bounds.x1, bounds.y1, bounds.x2, bounds.y2)))
+            for column, top in ((1, bounds.x2), (3, bounds.y2)):
+                edges[np.abs(edges[:, column] - top) <= tol, column] = np.nextafter(top, np.inf)
+        self._xs = np.unique(edges[:, :2])
+        self._ys = np.unique(edges[:, 2:])
+        #: Each region's raster cell range ``(i1, i2, j1, j2)``.
+        self._spans = np.concatenate(
+            (np.searchsorted(self._xs, edges[:, :2]), np.searchsorted(self._ys, edges[:, 2:])),
+            axis=1,
+        ).tolist()
         # Owner grid: index (into the subset tuple) of the region each
         # raster cell belongs to, -1 outside every region.  Painted in
         # reverse order so the lowest region index wins; the threshold
         # grid then derives from it, which is what lets ``repaint``
         # update only the cells a changed region owns.
-        owner = np.full((len(xs) - 1, len(ys) - 1), -1, dtype=np.int64)
+        owner = np.full((self._xs.size - 1, self._ys.size - 1), -1, dtype=np.int64)
         for index in range(len(regions) - 1, -1, -1):
-            i1, i2, j1, j2 = self._cell_span(regions[index].rect)
+            i1, i2, j1, j2 = self._spans[index]
             owner[i1:i2, j1:j2] = index
         self._owner = owner
         # One NaN cell of padding all round ("no region here"), so a
@@ -454,17 +471,9 @@ class _ThresholdRaster:
         # maps positions before the first / from the last raster line
         # on to the border.  ``_grid`` is the interior view.
         deltas = np.array([r.delta for r in regions] + [np.nan], dtype=np.float64)
-        self._padded = np.full((len(xs) + 1, len(ys) + 1), np.nan, dtype=np.float64)
+        self._padded = np.full((self._xs.size + 1, self._ys.size + 1), np.nan, dtype=np.float64)
         self._grid = self._padded[1:-1, 1:-1]
         self._grid[:] = deltas[owner]
-
-    def _cell_span(self, rect) -> tuple[int, int, int, int]:
-        return (
-            int(np.searchsorted(self._xs, rect.x1)),
-            int(np.searchsorted(self._xs, rect.x2)),
-            int(np.searchsorted(self._ys, rect.y1)),
-            int(np.searchsorted(self._ys, rect.y2)),
-        )
 
     def repaint(self, regions: tuple[SheddingRegion, ...]) -> bool:
         """Update in place for a same-geometry subset; False otherwise.
@@ -483,7 +492,7 @@ class _ThresholdRaster:
         for index, (new, prev) in enumerate(zip(regions, old)):
             if new.delta == prev.delta:
                 continue
-            i1, i2, j1, j2 = self._cell_span(new.rect)
+            i1, i2, j1, j2 = self._spans[index]
             block = self._grid[i1:i2, j1:j2]
             block[self._owner[i1:i2, j1:j2] == index] = new.delta
         self._regions = regions
@@ -605,7 +614,7 @@ class VectorNodeEngine:
         if not (raster is not None and regions and raster.repaint(regions)):
             # (A same-geometry subset, the delta-install steady state,
             # rewrote only the changed regions' raster cells in place.)
-            raster = _ThresholdRaster(regions) if regions else None
+            raster = _ThresholdRaster(regions, self.assigner.bounds) if regions else None
         entries, *boxes = self.assigner.slot_entries(slot)
         if raster is None:
             self._image[entries] = np.nan

@@ -43,10 +43,6 @@ class ArrayBoundedQueue:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def is_full(self) -> bool:
-        return self._size >= self.capacity
-
     def offer_arrays(
         self,
         times: np.ndarray,

@@ -12,7 +12,9 @@ and keeps the nodes' *current* state only; a reader of the past
 attaches its own archive (:attr:`LiraSystem.history`).  The
 simulation harness in :mod:`repro.sim` is the *measurement* loop (it
 shortcuts the protocol for speed); this class is the *systems* loop —
-every update flows through the real component path.
+every update flows through the real component path.  With the queue
+lifted and z pinned, the two send the same updates on every tick
+(``tests/test_loop_parity.py``).
 
 Layers 1 and 2 over one set of base stations are a
 :class:`~repro.server.shard.LiraShard`; :class:`LiraSystem` runs layer 3

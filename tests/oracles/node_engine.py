@@ -4,7 +4,8 @@
 image of Δ and sends only the rest through the per-station rasters.
 :func:`full_gather_thresholds` is the gather it ran before the image
 existed — *every* row with an installed subset grouped by station and
-looked up in that station's raster — over the engine's own post-tick
+looked up in that station's raster (the monitoring space closed, so the
+last regions own its upper edges) — over the engine's own post-tick
 protocol state, with each raster built from scratch (no cache, no
 ``repaint``), so the image, its lazy per-slot painting and the raster
 reuse are all checked against it.
@@ -47,7 +48,8 @@ def full_gather_thresholds(
         regions = subsets[slot].regions
         if regions:
             span = slice(ends[slot] - counts[slot], ends[slot])
-            values[span] = _ThresholdRaster(regions).thresholds_at(xs[span], ys[span])
+            raster = _ThresholdRaster(regions, engine.assigner.bounds)
+            values[span] = raster.thresholds_at(xs[span], ys[span])
     out = np.full(x.size, default, dtype=np.float64)
     out[order] = np.where(np.isnan(values), default, values)
     thresholds = np.full(engine.n_nodes, np.inf, dtype=np.float64)

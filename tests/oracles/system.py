@@ -15,6 +15,7 @@ positions, query results, history — under every fault regime.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -51,6 +52,21 @@ def disk_meets_rect(rect: Rect, center: Point, radius: float) -> bool:
     return nearest.distance_to(center) <= radius
 
 
+def closed_rect(rect: Rect, space: Rect | None) -> Rect:
+    """``rect`` with an upper edge that is the monitoring space's (to
+    rounding) moved one ulp past it: the space is closed, so the half-open
+    :meth:`Rect.contains_xy` gives ``x2``/``y2`` themselves to the last
+    row and column of regions.  ``space=None`` leaves ``rect`` as it is."""
+    if space is None:
+        return rect
+    tol = 1e-9 * max(1.0, abs(space.x1), abs(space.y1), abs(space.x2), abs(space.y2))
+
+    def edge(value: float, top: float) -> float:
+        return math.nextafter(top, math.inf) if abs(value - top) <= tol else value
+
+    return Rect(rect.x1, rect.y1, edge(rect.x2, space.x2), edge(rect.y2, space.y2))
+
+
 class _SubsetIndex:
     """The mobile node's 5×5 grid index over its stored region subset.
 
@@ -58,25 +74,26 @@ class _SubsetIndex:
     box) they intersect; a lookup scans only one cell's candidates.
     """
 
-    def __init__(self, regions: tuple[SheddingRegion, ...]) -> None:
+    def __init__(self, regions: tuple[SheddingRegion, ...], space: Rect | None) -> None:
         self.regions = regions
-        xs1 = min(r.rect.x1 for r in regions)
-        ys1 = min(r.rect.y1 for r in regions)
-        xs2 = max(r.rect.x2 for r in regions)
-        ys2 = max(r.rect.y2 for r in regions)
+        self.rects = [closed_rect(r.rect, space) for r in regions]
+        xs1 = min(r.x1 for r in self.rects)
+        ys1 = min(r.y1 for r in self.rects)
+        xs2 = max(r.x2 for r in self.rects)
+        ys2 = max(r.y2 for r in self.rects)
         self.bbox = Rect(xs1, ys1, xs2, ys2)
         self._cell_w = max(self.bbox.width / NODE_INDEX_SIDE, 1e-9)
         self._cell_h = max(self.bbox.height / NODE_INDEX_SIDE, 1e-9)
         self._buckets: list[list[int]] = [
             [] for _ in range(NODE_INDEX_SIDE * NODE_INDEX_SIDE)
         ]
-        for idx, region in enumerate(regions):
+        for idx, rect in enumerate(self.rects):
             # ``_cell_of`` is monotone, so every point of the half-open
             # rect lands in a bucket of this range — the cell of ``x2``
             # itself included: one ulp below an edge that sits on a bucket
             # line, the quotient rounds up to the line.
-            i_lo, j_lo = self._cell_of(region.rect.x1, region.rect.y1)
-            i_hi, j_hi = self._cell_of(region.rect.x2, region.rect.y2)
+            i_lo, j_lo = self._cell_of(rect.x1, rect.y1)
+            i_hi, j_hi = self._cell_of(rect.x2, rect.y2)
             for i in range(i_lo, i_hi + 1):
                 for j in range(j_lo, j_hi + 1):
                     self._buckets[i * NODE_INDEX_SIDE + j].append(idx)
@@ -92,7 +109,7 @@ class _SubsetIndex:
     def region_at(self, x: float, y: float) -> SheddingRegion | None:
         i, j = self._cell_of(x, y)
         for idx in self._buckets[i * NODE_INDEX_SIDE + j]:
-            if self.regions[idx].rect.contains_xy(x, y):
+            if self.rects[idx].contains_xy(x, y):
                 return self.regions[idx]
         return None
 
@@ -103,10 +120,13 @@ class MobileNode:
 
     Holds the current station's region subset and answers "what Δ do I
     use here?" locally.  ``handoffs`` and ``subset_installs`` count the
-    events the paper's messaging-cost analysis cares about.
+    events the paper's messaging-cost analysis cares about.  ``space``
+    is the monitoring space, whose upper edges the last regions own
+    (:func:`closed_rect`); ``None`` keeps every region half-open.
     """
 
     node_id: int
+    space: Rect | None = None
     station_id: int | None = None
     subset: RegionSubset | None = None
     handoffs: int = 0
@@ -141,7 +161,7 @@ class MobileNode:
 
     def _install(self, subset: RegionSubset) -> None:
         self.subset = subset
-        self._index = _SubsetIndex(subset.regions) if subset.regions else None
+        self._index = _SubsetIndex(subset.regions, self.space) if subset.regions else None
         self.subset_installs += 1
 
     def _clear(self) -> None:
@@ -170,10 +190,12 @@ class ObjectNodeEngine:
     """The reference node-side path: one :class:`MobileNode` per node,
     with the engine interface of ``VectorNodeEngine``."""
 
-    def __init__(self, n_nodes: int, network: BaseStationNetwork) -> None:
+    def __init__(
+        self, n_nodes: int, network: BaseStationNetwork, space: Rect | None = None
+    ) -> None:
         self.n_nodes = n_nodes
         self.network = network
-        self.nodes = [MobileNode(node_id=i) for i in range(n_nodes)]
+        self.nodes = [MobileNode(node_id=i, space=space) for i in range(n_nodes)]
         self.total_handoffs = 0
 
     def compute_thresholds(
@@ -417,7 +439,7 @@ class ReferenceLiraSystem:
             place_uniform_stations(bounds, station_radius),
             downlink=faults if self._inject else None,
         )
-        self.node_engine = ObjectNodeEngine(n_nodes, self.network)
+        self.node_engine = ObjectNodeEngine(n_nodes, self.network, bounds)
         self.fleet = DeadReckoningFleet(n_nodes)
         self.history = TrajectoryStore(n_nodes)
         self.receive_substeps = max(1, receive_substeps)

@@ -649,7 +649,7 @@ def _engine_pair(n, stations=None, resolution=None):
     downlink = _ScriptedDownlink()
     network = BaseStationNetwork(stations, downlink=downlink)
     assigner = StationAssigner(stations, BOUNDS, resolution)
-    obj = ObjectNodeEngine(n, network)
+    obj = ObjectNodeEngine(n, network, BOUNDS)
     return network, downlink, obj, VectorNodeEngine(n, network, BOUNDS, assigner=assigner)
 
 
@@ -825,7 +825,7 @@ class TestThresholdImage:
         downlink = _ScriptedDownlink() if faulty else None
         network = BaseStationNetwork(stations, downlink=downlink)
         n = 48
-        obj = ObjectNodeEngine(n, network)
+        obj = ObjectNodeEngine(n, network, bounds)
         vec = VectorNodeEngine(
             n, network, bounds, assigner=StationAssigner(stations, bounds, resolution)
         )
@@ -931,7 +931,7 @@ class TestThresholdImage:
             (positions >= 0.0).all(axis=1) & (positions <= 4000.0).all(axis=1)
         ]
         n = len(positions)
-        obj = ObjectNodeEngine(n, network)
+        obj = ObjectNodeEngine(n, network, BOUNDS)
         vec = VectorNodeEngine(n, network, BOUNDS, assigner=scout.assigner)
         _tick_pair(obj, vec, positions)  # paints
         got = _tick_pair(obj, vec, positions)
@@ -1282,7 +1282,6 @@ class TestArrayBoundedQueue:
         assert ids.shape == (0,)
         assert pos.shape == (0, 2)
         assert vel.shape == (0, 2)
-        assert not q.is_full
 
 
 # ----------------------------------------------------------------------

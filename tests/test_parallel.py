@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro.parallel as parallel
-from repro.parallel import default_jobs, pool_is_profitable, run_beside, usable_cpus
+from repro.parallel import pool_is_profitable, run_beside, usable_cpus
 
 
 @pytest.mark.parametrize(
@@ -32,7 +32,7 @@ def test_every_seam_counts_cpus_under_the_quota(monkeypatch, quota, cap):
     unlimited = usable_cpus()
     monkeypatch.setattr(parallel, "_cgroup_cpu_quota", lambda: quota)
     cpus = unlimited if cap is None else min(unlimited, cap)
-    assert usable_cpus() == default_jobs() == cpus
+    assert usable_cpus() == cpus
     assert pool_is_profitable(4, 4) == (cpus > 1)
 
 

@@ -1,24 +1,22 @@
-"""Equivalence proofs for the performance engine.
+"""Equivalence proofs for the one sweep path.
 
-The acceptance bar of the vectorized kernel and the parallel sweep
-engine is *numerical identity* with the serial brute-force path: same
-per-query errors, same fairness statistics, same update counts, bit for
-bit.  These tests run the three execution modes — brute-force serial,
-kernel serial, kernel parallel (2 workers) — on the SMALL experiment
-scale and compare every ``SimulationResult`` field exactly.
+Every policy-suite experiment runs its simulations as a list of
+``SimJob`` values through ``run_jobs``.  The acceptance bar is
+*numerical identity* with the serial brute-force path (the per-query
+measurement loop of ``tests/oracles/measurement.py``, over a scene and
+policy built here from the test's own parameters): same per-query
+errors, same fairness statistics, same update counts, bit for bit,
+in-process and on a two-worker pool alike.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.experiments.common import SMALL, ExperimentScale, run_policy_suite
-from repro.experiments.runner import (
-    ScenarioSpec,
-    run_job,
-    run_jobs,
-    run_policy_sweep,
-    suite_jobs,
-)
+from repro.experiments.common import SMALL, ExperimentScale
+from repro.experiments.runner import SimJob, run_jobs
+from repro.queries import QueryDistribution
 from repro.sim import Simulation, SimulationConfig, make_policies
 from tests.oracles.measurement import run_brute_force
 
@@ -38,8 +36,25 @@ SMALL_EQ = ExperimentScale(
     seed=SMALL.seed,
 )
 
-POLICIES = ("lira", "random-drop")
 Z = 0.5
+#: One job list over two scenes (each its own distribution and m/n), two
+#: region counts l and two policies.
+CELLS = [
+    (distribution, mn_ratio, l, policy)
+    for distribution, mn_ratio in (
+        (QueryDistribution.PROPORTIONAL, 0.01),
+        (QueryDistribution.INVERSE, 0.02),
+    )
+    for l in (16, SMALL.l)
+    for policy in ("lira", "lira-grid")
+]
+
+
+def _jobs():
+    return [
+        SimJob(SMALL_EQ, policy, Z, SMALL_EQ.lira_config(l=l), distribution, mn_ratio)
+        for distribution, mn_ratio, l, policy in CELLS
+    ]
 
 
 def assert_results_identical(a, b):
@@ -62,77 +77,73 @@ def assert_results_identical(a, b):
 
 
 @pytest.fixture(scope="module")
-def small_scenario():
-    return SMALL_EQ.scenario()
+def brute_force_results():
+    """The serial brute-force reference, one per cell, in cell order."""
+    results = []
+    for distribution, mn_ratio, l, policy_name in CELLS:
+        scenario = SMALL_EQ.scenario(mn_ratio=mn_ratio, distribution=distribution)
+        config = SMALL_EQ.lira_config(l=l)
+        policy = make_policies(scenario, config, include=(policy_name,))[policy_name]
+        sim_config = SimulationConfig(z=Z, adapt_every=SMALL_EQ.adapt_every, seed=SMALL_EQ.seed)
+        simulation = Simulation(scenario.trace, scenario.queries, policy, sim_config)
+        results.append(run_brute_force(simulation))
+    return results
 
 
-@pytest.fixture(scope="module")
-def brute_force_results(small_scenario):
-    """The serial brute-force reference: RangeQuery.evaluate + setdiff1d."""
-    config = SMALL_EQ.lira_config()
-    policies = make_policies(small_scenario, config, include=POLICIES)
-    sim_config = SimulationConfig(
-        z=Z, adapt_every=SMALL_EQ.adapt_every, seed=SMALL_EQ.seed
-    )
-    return {
-        name: run_brute_force(
-            Simulation(small_scenario.trace, small_scenario.queries, policy, sim_config)
-        )
-        for name, policy in policies.items()
-    }
+def test_the_cells_tell_their_results_apart(brute_force_results):
+    """Each field a cell varies changes its result, so a job that dropped
+    one would fail the equivalences below."""
+    errors = [r.mean_containment_error for r in brute_force_results]
+    assert len(set(errors)) == len(errors)
 
 
 class TestKernelEquivalence:
-    def test_kernel_matches_bruteforce_small_scale(
-        self, small_scenario, brute_force_results
-    ):
-        kernel_results = run_policy_suite(
-            small_scenario, SMALL_EQ.lira_config(), Z, SMALL_EQ, include=POLICIES
-        )
-        for name in POLICIES:
-            assert_results_identical(brute_force_results[name], kernel_results[name])
+    def test_kernel_matches_bruteforce_small_scale(self, brute_force_results):
+        """In-process ``run_jobs`` == serial brute force, field for field."""
+        results = run_jobs(_jobs(), n_workers=1)
+        assert len(results) == len(brute_force_results)
+        for want, got in zip(brute_force_results, results):
+            assert_results_identical(want, got)
 
 
 class TestParallelRunner:
-    def test_spec_matches_scale_scenario_cache(self, small_scenario):
-        spec = ScenarioSpec.from_scale(SMALL_EQ)
-        assert spec.build() is small_scenario  # same lru_cache entry
-
     def test_jobs_are_picklable(self):
-        import pickle
-
-        jobs = suite_jobs(SMALL_EQ, (Z,), POLICIES, tag="fig")
+        jobs = _jobs()
         restored = pickle.loads(pickle.dumps(jobs))
         assert restored == jobs
+        assert [job.scenario() for job in restored] == [job.scenario() for job in jobs]
 
     def test_parallel_matches_bruteforce_small_scale(self, brute_force_results):
         """2-worker pool run == serial brute force, field for field."""
-        swept = run_policy_sweep(SMALL_EQ, (Z,), POLICIES, n_workers=2)
-        for name in POLICIES:
-            assert_results_identical(brute_force_results[name], swept[Z][name])
+        results = run_jobs(_jobs(), n_workers=2)
+        assert len(results) == len(brute_force_results)
+        for want, got in zip(brute_force_results, results):
+            assert_results_identical(want, got)
 
     def test_run_jobs_serial_equals_run_job(self):
-        jobs = suite_jobs(SMALL_EQ, (Z,), ("random-drop",))
-        [pooled] = run_jobs(jobs, n_workers=1)
-        direct = run_job(jobs[0])
-        assert_results_identical(pooled, direct)
+        jobs = _jobs()[:2]
+        for pooled, job in zip(run_jobs(jobs, n_workers=1), jobs):
+            assert_results_identical(pooled, job.run())
 
     def test_run_jobs_empty(self):
         assert run_jobs([], n_workers=4) == []
 
     def test_results_in_job_order(self):
-        jobs = suite_jobs(SMALL_EQ, (0.4, 0.9), ("random-drop",))
+        """A job three times longer than the rest goes first: a pool that
+        returned results as they complete would hand the short ones back
+        ahead of it."""
+        jobs = [SimJob(SMALL, "lira", Z, SMALL.lira_config())] + _jobs()
         results = run_jobs(jobs, n_workers=2)
-        assert [j.z for j in jobs] == [0.4, 0.9]
-        # Lower budget (smaller z) admits fewer updates.
-        assert results[0].updates_admitted < results[1].updates_admitted
+        assert len(results) == len(jobs)
+        for job, got in zip(jobs, results):
+            assert_results_identical(job.run(), got)
 
 
 class TestReferenceUpdateCountCache:
-    def test_memoized_per_trace_and_threshold(self, small_scenario):
+    def test_memoized_per_trace_and_threshold(self):
         from repro.sim import reference_update_count
 
-        trace = small_scenario.trace
+        trace = SMALL_EQ.scenario().trace
         first = reference_update_count(trace, 5.0)
         assert trace._reference_update_cache[5.0] == first
         # Poison the cache: a second call must not recompute.

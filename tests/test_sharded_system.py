@@ -186,13 +186,13 @@ class TestMultiShardReproducibility:
         "n_shards, expected",
         [
             (2, dict(
-                z=0.5887491231546091, queue_length=342, updates_sent=1542,
-                updates_processed=1161, broadcast_bytes=5408,
+                z=0.6674272133095647, queue_length=270, updates_sent=1470,
+                updates_processed=1161, broadcast_bytes=5536,
                 cross_handoffs=113, updates_orphaned=39,
             )),
             (4, dict(
-                z=0.7826132521974299, queue_length=178, updates_sent=1572,
-                updates_processed=1369, broadcast_bytes=6144,
+                z=0.7826132521974299, queue_length=161, updates_sent=1539,
+                updates_processed=1353, broadcast_bytes=6112,
                 cross_handoffs=153, updates_orphaned=25,
             )),
         ],
@@ -224,11 +224,11 @@ class TestMultiShardReproducibility:
         "n_shards, expected, digest",
         [
             (2, dict(
-                z=0.9263157894736828, queue_length=198, queue_drops=330,
-                updates_sent=1558, updates_processed=673, broadcast_bytes=5712,
-                uplink_sent=1158, uplink_lost=250, uplink_delayed=140,
-                uplink_in_flight=70, updates_discarded=1, cross_handoffs=113,
-                updates_orphaned=36,
+                z=0.9658536585365839, queue_length=198, queue_drops=327,
+                updates_sent=1550, updates_processed=674, broadcast_bytes=5712,
+                uplink_sent=1150, uplink_lost=242, uplink_delayed=144,
+                uplink_in_flight=73, updates_discarded=2, cross_handoffs=113,
+                updates_orphaned=34,
             ), "29167c69ef3267ce5b3fc4ee5a8735b1f1e10ff193f2e9cc33274f720da6be18"),
             (4, dict(
                 z=0.9337423312883427, queue_length=142, queue_drops=159,
