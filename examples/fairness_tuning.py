@@ -13,7 +13,7 @@ Run:  python examples/fairness_tuning.py
 
 import numpy as np
 
-from repro import LiraConfig, LiraPolicy, Simulation, SimulationConfig, build_scenario
+from repro import LiraConfig, LiraLoadShedder, Simulation, SimulationConfig, build_scenario
 from repro.index import NodeTable
 from repro.motion import DeadReckoningFleet
 
@@ -33,7 +33,7 @@ def main() -> None:
     print("-" * len(header))
     for fairness in (0.0, 10.0, 25.0, 50.0, 95.0):
         config = LiraConfig(l=49, alpha=64, z=z, fairness=fairness)
-        policy = LiraPolicy(config, scenario.reduction)
+        policy = LiraLoadShedder(config, scenario.reduction)
         result = Simulation(
             scenario.trace,
             scenario.queries,
@@ -55,7 +55,7 @@ def main() -> None:
     )
 
 
-def _snapshot_probe(scenario, policy: LiraPolicy, z: float) -> float:
+def _snapshot_probe(scenario, policy: LiraLoadShedder, z: float) -> float:
     """Mean position error of the *whole population* under the final plan.
 
     Replays the trace with the policy's last plan fixed, then measures

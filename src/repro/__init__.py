@@ -9,11 +9,11 @@ CQ workloads, a CQ server with a bounded input queue, base stations).
 
 Quickstart::
 
-    from repro import LiraConfig, LiraPolicy, build_scenario
+    from repro import LiraConfig, LiraLoadShedder, build_scenario
     from repro.sim import Simulation, SimulationConfig
 
     scenario = build_scenario(n_nodes=1000)
-    policy = LiraPolicy(LiraConfig(l=100, alpha=64), scenario.reduction)
+    policy = LiraLoadShedder(LiraConfig(l=100, alpha=64), scenario.reduction)
     result = Simulation(
         scenario.trace, scenario.queries, policy, SimulationConfig(z=0.5)
     ).run()
@@ -36,7 +36,7 @@ _HOMES = {
     ),
     "repro.faults": ("FaultInjector", "FaultSpec"),
     "repro.server": ("LiraSystem",),
-    "repro.shedding": ("LiraGridPolicy", "LiraPolicy", "RandomDropPolicy", "UniformDeltaPolicy"),
+    "repro.shedding": ("LiraGridPolicy", "RandomDropPolicy", "UniformDeltaPolicy"),
     "repro.sim": ("Simulation", "SimulationConfig", "build_scenario", "make_policies"),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}

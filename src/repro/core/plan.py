@@ -11,6 +11,7 @@ statistics-grid cell boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,8 +26,8 @@ def clamp_thresholds(thresholds: np.ndarray, config: LiraConfig) -> np.ndarray:
     Enforces the Δ domain ``Δ⊢ ≤ Δᵢ ≤ Δ⊣`` and the fairness spread
     ``max Δᵢ − min Δᵢ ≤ Δ⇔`` (by lowering outliers toward
     ``min Δᵢ + Δ⇔``).  ``greedy_increment`` constructs thresholds inside
-    these bounds already; hand-built threshold vectors — trivial plans,
-    ablations, test fixtures — must route through this helper before
+    these bounds already; hand-built threshold vectors — ablations,
+    test fixtures — must route through this helper before
     reaching :meth:`SheddingPlan.from_regions` (reprolint rule REP020).
     """
     out = np.array(thresholds, dtype=np.float64, copy=True)
@@ -163,6 +164,19 @@ class SheddingPlan:
         ]
         id_grid = cls._rasterize(bounds, shed_regions, resolution)
         return cls(bounds=bounds, regions=shed_regions, id_grid=id_grid, epoch=epoch)
+
+    @staticmethod
+    @lru_cache(maxsize=16)
+    def uniform(bounds: Rect, delta: float) -> "SheddingPlan":
+        """One region covering ``bounds`` at ``delta``: every node alike.
+
+        The plan Uniform Δ and Random Drop serve, and the one a server
+        serves before it knows any node.  Memoized by ``(bounds, delta)``:
+        a repeat returns the same object, so a network re-installing it
+        skips its coverage work and an incremental shard skips the push.
+        """
+        region = RegionStats(rect=bounds, n=0.0, m=0.0, s=0.0)
+        return SheddingPlan.from_regions(bounds, [region], np.array([delta]), resolution=1)
 
     def with_content(
         self,

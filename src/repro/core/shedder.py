@@ -1,12 +1,15 @@
 """The LIRA load shedder: GRIDREDUCE + GREEDYINCREMENT + THROTLOOP.
 
-:class:`LiraLoadShedder` is the server-side orchestrator.  Each call to
-:meth:`LiraLoadShedder.adapt` runs one adaptation step — partition the
-space from the current statistics grid, set the update throttlers within
-the current budget — and returns the :class:`~repro.core.plan.SheddingPlan`
-to broadcast.  The throttle fraction z can be fixed (a system-level
-parameter) or driven by the embedded :class:`~repro.core.throtloop.ThrotLoop`
-via :meth:`LiraLoadShedder.observe_load`.
+:class:`LiraLoadShedder` is the server-side orchestrator and the LIRA
+policy itself (a :class:`~repro.shedding.policy.SheddingPolicy`).  Each
+call to :meth:`LiraLoadShedder.adapt` runs one adaptation step —
+partition the space from the current statistics grid, set the update
+throttlers within the budget — and returns the
+:class:`~repro.core.plan.SheddingPlan` to broadcast.  The throttle
+fraction z can be fixed (a system-level parameter) or driven by the
+embedded :class:`~repro.core.throtloop.ThrotLoop` via
+:meth:`LiraLoadShedder.observe_load`; every shard keeps one as its z
+controller, whichever policy serves its plans.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.core.quadtree import RegionHierarchy
 from repro.core.reduction import ReductionFunction
 from repro.core.statistics_grid import StatisticsGrid
 from repro.core.throtloop import ThrotLoop
+from repro.shedding.policy import SheddingPolicy
 from repro.timing import Stopwatch
 
 logger = logging.getLogger(__name__)
@@ -40,7 +44,7 @@ class AdaptationReport:
     elapsed_seconds: float
 
 
-class LiraLoadShedder:
+class LiraLoadShedder(SheddingPolicy):
     """Server-side LIRA: computes shedding plans from grid statistics.
 
     Args:
@@ -60,6 +64,8 @@ class LiraLoadShedder:
             round.  Plans are bit-identical either way.
     """
 
+    name = "LIRA"
+
     def __init__(
         self,
         config: LiraConfig,
@@ -76,6 +82,7 @@ class LiraLoadShedder:
                 f"[{config.delta_min}, {config.delta_max}]"
             )
         self.config = config
+        self.alpha = config.resolved_alpha
         self.reduction = reduction.piecewise(config.n_segments)
         self.throtloop = ThrotLoop(queue_capacity=queue_capacity, z=1.0)
         self._fixed_z: float | None = config.z
@@ -104,19 +111,21 @@ class LiraLoadShedder:
         """The throttle fraction the next adaptation will use."""
         return self._fixed_z if self._fixed_z is not None else self.throtloop.z
 
-    def adapt(self, grid: StatisticsGrid) -> SheddingPlan:
-        """One full adaptation step; returns the new shedding plan.
+    def adapt(self, grid: StatisticsGrid, z: float | None = None) -> SheddingPlan:
+        """One full adaptation step at ``z`` (default :attr:`current_z`);
+        returns the new shedding plan.
 
         Runs GRIDREDUCE on the hierarchy built from ``grid``, then
         GREEDYINCREMENT over the resulting regions.  Timing and budget
         diagnostics land in :attr:`last_report`.
         """
-        if grid.alpha != self.config.resolved_alpha:
+        if grid.alpha != self.alpha:
             raise ValueError(
                 f"statistics grid is {grid.alpha} cells/side, config expects "
-                f"{self.config.resolved_alpha}"
+                f"{self.alpha}"
             )
-        z = self.current_z
+        if z is None:
+            z = self.current_z
         with Stopwatch() as stopwatch:
             plan, result = self._compute_plan(grid, z)
         elapsed = stopwatch.elapsed
@@ -129,7 +138,10 @@ class LiraLoadShedder:
             result.inaccuracy,
             elapsed * 1000,
         )
-        if not result.budget_met:
+        # One warning per stretch of unmet rounds: the round that loses
+        # the budget (or a first round without it), not every round after.
+        previous = self.last_report
+        if not result.budget_met and (previous is None or previous.budget_met):
             logger.warning(
                 "update budget unreachable at z=%.3f: all throttlers "
                 "saturated; consider raising delta_max or lowering load",
@@ -143,6 +155,7 @@ class LiraLoadShedder:
             predicted_inaccuracy=result.inaccuracy,
             elapsed_seconds=elapsed,
         )
+        self.plan = plan
         return plan
 
     def _compute_plan(

@@ -235,7 +235,7 @@ def run_ext_safe_region(
     trace = scenario.trace
 
     # The safe-region run (z-independent).
-    safe = SafeRegionPolicy(scenario.queries, delta_min=scenario.delta_min)
+    safe = SafeRegionPolicy(scenario.queries, scale.lira_config())
     safe_sim = _simulation(scale, scenario.queries, safe, 1.0).run()
     safe_snapshot = _replay_snapshot_error(scenario, safe)
 

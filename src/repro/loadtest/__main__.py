@@ -29,6 +29,7 @@ from repro.geo import Rect
 from repro.loadtest.runner import run_loadtest
 from repro.loadtest.schedule import PROFILES, LoadProfile, OpenLoopSchedule
 from repro.metrics.slo import SLOSpec
+from repro.shedding import POLICIES
 
 #: How long a spawned service may take to print its ``listening`` line.
 SPAWN_LISTEN_TIMEOUT_S = 10.0
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="spawn a matching service subprocess on a temporary unix socket",
     )
-    parser.add_argument("--policy", choices=("lira", "random-drop"), default="lira")
+    parser.add_argument("--policy", choices=tuple(POLICIES), default="lira")
     parser.add_argument("--overload", type=float, default=4.0)
     parser.add_argument("--duration", type=float, default=10.0)
     parser.add_argument("--warmup", type=float, default=3.0)

@@ -21,8 +21,8 @@ Two things are defined here once and used by every deployment:
 * the **ingest** (:meth:`LiraShard.ingest`) — one tick's reports into
   the bounded queue, substepped with service;
 * the **control step** (:meth:`LiraShard.control_step`) — close the
-  load-measurement period, step THROTLOOP, compute the LIRA (or
-  trivial Δ⊢) plan, and install it: skipped when unchanged, as a delta
+  load-measurement period, step THROTLOOP, take the plan the shard's
+  policy serves, and install it: skipped when unchanged, as a delta
   when the geometry held, in full otherwise.
 """
 
@@ -31,8 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
-from repro.core.greedy import RegionStats
-from repro.core.plan import PlanDelta, SheddingPlan, clamp_thresholds
+from repro.core.plan import PlanDelta, SheddingPlan
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
@@ -41,16 +40,12 @@ from repro.sanitize import rng_discipline
 from repro.server.base_station import BaseStation
 from repro.server.cq_server import LoadMeasurement, MobileCQServer
 from repro.server.protocol import BaseStationNetwork, RegionSubset
+from repro.shedding import PolicyFactory, policy_factory
 
 #: Arrival/service interleavings per tick: a sampling period's reports
 #: reach the bounded queue spread over the period, not as one burst that
 #: would overflow it before any service happened.
 RECEIVE_SUBSTEPS = 10
-
-#: Shard policies: LIRA's source-actuated region-aware shedding, or the
-#: paper's Random Drop regime (every node at Δ⊢, the server admitting a
-#: random fraction z of arrivals).
-POLICIES = ("lira", "random-drop")
 
 
 class ShardDirectory:
@@ -83,7 +78,11 @@ class LiraShard:
     Args:
         stations: the base stations this shard owns (possibly none).
         n_nodes: the *global* population size.
-        policy: one of ``POLICIES``.
+        policy: a policy name or factory
+            (:func:`~repro.shedding.policy_factory`), building the shard's
+            plan source from its shedder (LIRA's is the shedder itself).
+        policy_seed: seed of the admission lottery, drawn when the
+            policy admits less than every arrival.
         downlink: fault injector for this shard's plan broadcasts.
     """
 
@@ -99,19 +98,16 @@ class LiraShard:
         service_rate: float,
         queue_capacity: int,
         adaptive_throttle: bool,
-        policy: str,
+        policy: str | PolicyFactory,
         policy_seed: int,
         incremental: bool,
         downlink: FaultInjector | None = None,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
         self.shard_id = shard_id
         self.stations = stations
         self.bounds = bounds
         self.n_nodes = n_nodes
         self.config = config
-        self.policy = policy
         self.network = (
             BaseStationNetwork(stations, downlink=downlink) if stations else None
         )
@@ -127,6 +123,8 @@ class LiraShard:
         )
         if adaptive_throttle:
             self.shedder.use_adaptive_throttle()
+        #: The plan source; the shedder keeps setting z whatever it is.
+        self.policy = policy_factory(policy)(self.shedder, reduction)
         # Shard 0 draws the one-shard deployment's admission stream;
         # other shards get independent deterministic streams.
         self._policy_rng = np.random.default_rng(
@@ -135,7 +133,6 @@ class LiraShard:
         #: The plan the network currently serves (``None`` before the
         #: first install); what the next control step diffs against.
         self.plan: SheddingPlan | None = None
-        self._trivial_plan_cache: SheddingPlan | None = None
 
     # ------------------------------------------------------------------
     # Control step
@@ -155,30 +152,29 @@ class LiraShard:
     def replan(
         self, positions: np.ndarray | None, speeds: np.ndarray | None, t: float
     ) -> tuple[SheddingPlan, PlanDelta | None, dict[int, RegionSubset] | None]:
-        """Compute the plan for a node snapshot and install it.
+        """Take the policy's plan for a node snapshot and install it.
 
-        ``positions=None`` (nothing known yet) and the Random Drop
-        policy get the trivial one-region plan at Δ⊢.  Returns ``(plan,
-        delta, delivered)``: in incremental mode over a fault-free
-        downlink, a plan whose content is unchanged (the shedder
-        returned the same object) is not installed at all — ``delivered``
-        is ``None`` — and a same-geometry successor ships as a
-        per-region ``delta``.  Faulty downlinks always get the full
+        ``positions=None`` (nothing known yet) gets the one-region plan
+        at Δ⊢.  Returns ``(plan, delta, delivered)``: in incremental mode
+        over a fault-free downlink, a plan whose content is unchanged
+        (the policy returned the same object) is not installed at all —
+        ``delivered`` is ``None`` — and a same-geometry successor ships as
+        a per-region ``delta``.  Faulty downlinks always get the full
         push: the periodic re-broadcast is what lets stations recover
         from lost plan broadcasts.
         """
         assert self.network is not None
-        if self.policy == "random-drop" or positions is None:
-            plan = self._trivial_plan()
+        if positions is None:
+            plan = SheddingPlan.uniform(self.bounds, self.config.delta_min)
         else:
             grid = StatisticsGrid.from_snapshot(
                 self.bounds,
-                self.config.resolved_alpha,
+                self.policy.alpha,
                 positions,
                 speeds,
                 self.server.queries,
             )
-            plan = self.shedder.adapt(grid)
+            plan = self.policy.adapt(grid, self.shedder.current_z)
         previous, delta = self.plan, None
         faulty = self.network.downlink is not None
         if self.shedder.incremental and not faulty and previous is not None:
@@ -203,26 +199,6 @@ class LiraShard:
             self.observe_load()
             return self.replan(positions, speeds, t)
 
-    def _trivial_plan(self) -> SheddingPlan:
-        """One region covering the bounds at Δ⊢: no source throttling.
-
-        Memoized: the plan depends only on the (immutable) bounds and
-        config, and reinstalling the *same* object lets the network's
-        coverage cache skip recomputing per-station subsets every
-        adaptation.
-        """
-        if self._trivial_plan_cache is None:
-            region = RegionStats(rect=self.bounds, n=0.0, m=0.0, s=0.0)
-            self._trivial_plan_cache = SheddingPlan.from_regions(
-                bounds=self.bounds,
-                regions=[region],
-                thresholds=clamp_thresholds(
-                    np.array([self.config.delta_min]), self.config
-                ),
-                resolution=1,
-            )
-        return self._trivial_plan_cache
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -246,7 +222,7 @@ class LiraShard:
         """
         server = self.server
         # Random Drop admits a random fraction z of arrivals at the server.
-        admit = 1.0 if self.policy == "lira" else self.shedder.current_z
+        admit = self.policy.admission_fraction()
         # Slice-based chunking with np.array_split's size rule (the first
         # n % k chunks get one extra element): slicing yields views, so
         # substepping never copies the report arrays.

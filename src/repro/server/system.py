@@ -9,11 +9,11 @@ Wires together everything the paper's architecture diagram shows:
   their throttler locally, and report via dead reckoning;
 
 and keeps the nodes' *current* state only; a reader of the past
-attaches its own archive (:attr:`LiraSystem.history`).  The
-simulation harness in :mod:`repro.sim` is the *measurement* loop (it
-shortcuts the protocol for speed); this class is the *systems* loop —
-every update flows through the real component path.  With the queue
-lifted and z pinned, the two send the same updates on every tick
+attaches its own archive (:attr:`LiraSystem.history`).  This is the
+one closed loop — every update flows through the real component path.
+The paper figures' :class:`~repro.sim.Simulation` measures one of
+these (K=1, queue lifted, z pinned); with those settings it sends the
+same updates on every tick as the direct per-tick lookup it replaced
 (``tests/test_loop_parity.py``).
 
 Layers 1 and 2 over one set of base stations are a
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -95,6 +95,7 @@ from repro.server.node_engine import SubsetProvider, VectorNodeEngine
 from repro.server.protocol import BaseStationNetwork
 from repro.server.shard import LiraShard, ShardDirectory
 from repro.server.sharding import ShardRouter
+from repro.shedding import PolicyFactory
 
 #: Fleets of at most this many nodes compute the tick's deviation after
 #: the Δ lookup, not on a helper thread beside it: a thread's start and
@@ -180,10 +181,11 @@ class LiraSystem:
     Args:
         faults: optional fault injector wrapped around the protocol
             loop; ``None`` is the perfect channel.
-        policy: ``"lira"`` (default) or ``"random-drop"`` — the latter
-            runs the paper's uncontrolled regime through the same
-            protocol stack: a trivial one-region plan at Δ⊢ and
-            server-side random admission at fraction z.
+        policy: a policy name (default ``"lira"``) or factory
+            (:func:`~repro.shedding.policy_factory`): what builds each
+            shard's plan source.  Every policy runs through the same
+            protocol stack — e.g. ``"random-drop"`` is a one-region plan
+            at Δ⊢ and server-side random admission at fraction z.
         policy_seed: seed for the Random Drop admission lottery.
         incremental: keep cross-round adaptation state in every shard's
             shedder (bit-identical plans; unchanged plans are not
@@ -209,7 +211,7 @@ class LiraSystem:
         station_radius: float = 2000.0,
         adaptive_throttle: bool = True,
         faults: FaultInjector | None = None,
-        policy: str = "lira",
+        policy: str | PolicyFactory = "lira",
         policy_seed: int = 0,
         incremental: bool = False,
         n_shards: int = 1,
@@ -220,7 +222,6 @@ class LiraSystem:
         self.bounds = bounds
         self.n_nodes = n_nodes
         self.queries = list(queries)
-        self.policy = policy
         self.faults = faults
         self.n_shards = n_shards
         # A null-spec injector is contractually a no-op (every seam
@@ -267,7 +268,7 @@ class LiraSystem:
         #: ``bootstrap``): its serving station's shard as of the end of
         #: the previous tick.
         self._owner: np.ndarray | None = None
-        self.history = _NoArchive()
+        self.history: Any = _NoArchive()
         self.total_cross_handoffs = 0
         self._plan_installed = False
         self._z_global = self.shards[0].shedder.current_z

@@ -21,6 +21,7 @@ import logging
 import sys
 
 from repro.service.service import ServiceConfig
+from repro.shedding import POLICIES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="TCP port to bind on 127.0.0.1 (0 picks a free port)",
     )
-    parser.add_argument("--policy", choices=("lira", "random-drop"), default="lira")
+    parser.add_argument("--policy", choices=tuple(POLICIES), default="lira")
     parser.add_argument("--side", type=float, default=10_000.0)
     parser.add_argument("--n-nodes", type=int, default=400)
     parser.add_argument("--n-queries", type=int, default=20)

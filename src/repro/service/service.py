@@ -36,11 +36,12 @@ Every timestamp flows through the :data:`repro.timing.Clock` seam —
 processes on Linux), :class:`repro.timing.ManualClock` in tests — so
 the service itself never reads the wall clock (REP002).
 
-Policy semantics mirror :class:`~repro.server.system.LiraSystem`:
-``"lira"`` computes real region plans so clients shed at the *sources*;
-``"random-drop"`` is the paper's uncontrolled regime — a trivial
-one-region plan at Δ⊢ (no source throttling) with overload handled by
-queue-overflow dropping alone.
+The policy is a name in :data:`repro.shedding.POLICIES`, as for
+:class:`~repro.server.system.LiraSystem`: the shard installs the plan
+it serves, so clients shed at the *sources*.  ``"random-drop"`` is the
+paper's uncontrolled regime — a one-region plan at Δ⊢ (no source
+throttling) with overload handled by queue-overflow dropping alone:
+ingest applies reports without the admission lottery.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.server.base_station import place_uniform_stations
-from repro.server.shard import POLICIES, LiraShard
+from repro.server.shard import LiraShard
 from repro.service.framing import Frame, FrameError, encode_frame, read_frame
+from repro.shedding import policy_factory
 
 logger = logging.getLogger(__name__)
 
@@ -118,8 +120,7 @@ class ServiceConfig:
     slowdown_duration: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
+        policy_factory(self.policy)  # an unknown name raises ValueError
         if self.side <= 0:
             raise ValueError("side must be positive")
         if self.adapt_period <= 0:

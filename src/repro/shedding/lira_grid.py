@@ -9,11 +9,11 @@ of region-aware partitioning (paper Figure 8).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import LiraConfig, ReductionFunction, greedy_increment
+from repro.core.config import LiraConfig
+from repro.core.greedy import greedy_increment
 from repro.core.gridreduce import uniform_partitioning
 from repro.core.plan import SheddingPlan
+from repro.core.reduction import ReductionFunction
 from repro.core.statistics_grid import StatisticsGrid
 from repro.shedding.policy import SheddingPolicy
 
@@ -31,9 +31,8 @@ class LiraGridPolicy(SheddingPolicy):
         self.config = config
         self.reduction = reduction.piecewise(config.n_segments)
         self.alpha = config.resolved_alpha
-        self.plan: SheddingPlan | None = None
 
-    def adapt(self, grid: StatisticsGrid, z: float) -> None:
+    def adapt(self, grid: StatisticsGrid, z: float) -> SheddingPlan:
         partitioning = uniform_partitioning(grid, self.config.l)
         result = greedy_increment(
             partitioning.regions,
@@ -49,11 +48,7 @@ class LiraGridPolicy(SheddingPolicy):
             thresholds=result.thresholds,
             resolution=grid.alpha,
         )
-
-    def thresholds_for(self, positions: np.ndarray) -> np.ndarray:
-        if self.plan is None:
-            raise RuntimeError("adapt() must run before thresholds_for()")
-        return self.plan.thresholds_for(positions)
+        return self.plan
 
     def describe(self) -> str:
         side = max(int(self.config.l**0.5), 1)

@@ -1,16 +1,15 @@
 """Random Drop baseline: server-actuated dropping of excess updates.
 
-Every node reports at the ideal resolution Δ⊢; the overloaded server
-admits only a fraction z of the arriving updates and discards the rest
-at the input queue, uniformly at random.  This is what happens *without*
+Every node reports at the ideal resolution Δ⊢ (a one-region plan); the
+overloaded server admits only a fraction z of the arriving updates and
+discards the rest at the input queue, uniformly at random.  This is what happens *without*
 any intelligent load shedding — the paper's worst performer, included
 to quantify the value of source-actuated, region-aware shedding.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.core.plan import SheddingPlan
 from repro.core.statistics_grid import StatisticsGrid
 from repro.shedding.policy import SheddingPolicy
 
@@ -26,13 +25,12 @@ class RandomDropPolicy(SheddingPolicy):
         self.delta_min = delta_min
         self.z = 1.0
 
-    def adapt(self, grid: StatisticsGrid, z: float) -> None:
+    def adapt(self, grid: StatisticsGrid, z: float) -> SheddingPlan:
         if not (0.0 <= z <= 1.0):
             raise ValueError("z must be in [0, 1]")
         self.z = z
-
-    def thresholds_for(self, positions: np.ndarray) -> np.ndarray:
-        return np.full(len(positions), self.delta_min, dtype=np.float64)
+        self.plan = SheddingPlan.uniform(grid.bounds, self.delta_min)
+        return self.plan
 
     def admission_fraction(self) -> float:
         return self.z

@@ -7,51 +7,39 @@ LIRA can mimic this by setting Δ⊣ very large; the cost is that snapshot
 and historic queries become unanswerable since far-from-query nodes are
 effectively untracked.
 
-This policy implements that paradigm as an extra baseline: a node's
-inaccuracy threshold is its distance to the nearest installed query
-boundary (clamped below by Δ⊢) — moving less than that distance cannot
-change any result.  Nodes *inside* a query region use Δ⊢.  The policy
-ignores the throttle fraction: its update volume is workload-driven,
-not budget-driven (which is precisely what it cannot control under
-overload — LIRA's reason for existing).
+This policy implements that paradigm as an extra baseline, served as a
+LIRA plan: every statistics-grid cell is one region whose threshold is
+its distance to the nearest installed query (clamped below by Δ⊢) — a
+node moving less than that cannot change any result.  A cell that meets
+a query is at distance 0, so its nodes use Δ⊢.  The policy ignores the
+throttle fraction: its update volume is workload-driven, not
+budget-driven (which is precisely what it cannot control under overload
+— LIRA's reason for existing).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import LiraConfig
+from repro.core.gridreduce import uniform_partitioning
+from repro.core.plan import SheddingPlan
 from repro.core.statistics_grid import StatisticsGrid
 from repro.queries import RangeQuery
 from repro.shedding.policy import SheddingPolicy
 
 
-def distance_to_rect_boundary(positions: np.ndarray, rect) -> np.ndarray:
-    """Distance from each point to the rectangle's boundary (0 on it).
-
-    For outside points this is the distance to the rectangle; for inside
-    points, the distance to the nearest edge.  Vectorized over points.
-    """
-    x, y = positions[:, 0], positions[:, 1]
-    dx = np.maximum(np.maximum(rect.x1 - x, x - rect.x2), 0.0)
-    dy = np.maximum(np.maximum(rect.y1 - y, y - rect.y2), 0.0)
-    outside = np.hypot(dx, dy)
-    inside_margin = np.minimum(
-        np.minimum(x - rect.x1, rect.x2 - x),
-        np.minimum(y - rect.y1, rect.y2 - y),
-    )
-    # reprolint: disable=REP010 - dx/dy are np.maximum(..., 0.0) outputs,
-    # so "inside" is an exact comparison against that exact 0.0 clamp.
-    inside = (dx == 0.0) & (dy == 0.0)
-    return np.where(inside, np.maximum(inside_margin, 0.0), outside)
-
-
 class SafeRegionPolicy(SheddingPolicy):
-    """Per-node thresholds from distance to the nearest query boundary.
+    """Per-cell thresholds from distance to the nearest query.
 
-    ``slack`` scales the distance into a threshold conservatively
-    (reports fire *before* a node could have crossed into a result),
-    and ``delta_cap`` optionally bounds the threshold — ``None``
-    reproduces the pure paradigm where far nodes are nearly untracked.
+    A cell's distance is the least distance of any point in it, so a
+    node's threshold never exceeds its own distance to the queries:
+    the safe-region guarantee holds for every node.  ``slack`` scales
+    the distance into a threshold conservatively (reports fire *before*
+    a node could have crossed into a result), and ``delta_cap``
+    optionally bounds the threshold — ``None`` reproduces the pure
+    paradigm where far nodes are nearly untracked.  ``config`` gives Δ⊢
+    and the grid's α.
     """
 
     name = "Safe Region"
@@ -59,7 +47,7 @@ class SafeRegionPolicy(SheddingPolicy):
     def __init__(
         self,
         queries: list[RangeQuery],
-        delta_min: float = 5.0,
+        config: LiraConfig,
         slack: float = 0.5,
         delta_cap: float | None = None,
     ) -> None:
@@ -67,37 +55,44 @@ class SafeRegionPolicy(SheddingPolicy):
             raise ValueError("safe-region monitoring requires installed queries")
         if not (0.0 < slack <= 1.0):
             raise ValueError("slack must be in (0, 1]")
-        if delta_cap is not None and delta_cap < delta_min:
+        if delta_cap is not None and delta_cap < config.delta_min:
             raise ValueError("delta_cap must be >= delta_min")
         self.queries = queries
-        self.delta_min = delta_min
+        self.delta_min = config.delta_min
+        self.alpha = config.resolved_alpha
         self.slack = slack
         self.delta_cap = delta_cap
 
-    def adapt(self, grid: StatisticsGrid, z: float) -> None:
-        """No-op: safe regions depend on queries, not on load statistics."""
+    def adapt(self, grid: StatisticsGrid, z: float) -> SheddingPlan:
+        """The cell plan, built on the first call: safe regions depend
+        on the queries, not on load statistics or ``z``."""
+        if self.plan is None:
+            self.plan = self._cell_plan(grid)
+        return self.plan
 
-    def thresholds_for(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.float64)
-        nearest = np.full(len(positions), np.inf)
-        inside_any = np.zeros(len(positions), dtype=bool)
+    def _cell_plan(self, grid: StatisticsGrid) -> SheddingPlan:
+        cells = uniform_partitioning(grid, grid.alpha**2).regions
+        x1, y1, x2, y2 = (
+            np.array([getattr(cell.rect, edge) for cell in cells])
+            for edge in ("x1", "y1", "x2", "y2")
+        )
+        nearest = np.full(len(cells), np.inf)
         for query in self.queries:
-            d = distance_to_rect_boundary(positions, query.rect)
-            x, y = positions[:, 0], positions[:, 1]
-            inside = (
-                (x >= query.rect.x1)
-                & (x < query.rect.x2)
-                & (y >= query.rect.y1)
-                & (y < query.rect.y2)
-            )
-            inside_any |= inside
-            nearest = np.minimum(nearest, d)
+            rect = query.rect
+            dx = np.maximum(np.maximum(rect.x1 - x2, x1 - rect.x2), 0.0)
+            dy = np.maximum(np.maximum(rect.y1 - y2, y1 - rect.y2), 0.0)
+            nearest = np.minimum(nearest, np.hypot(dx, dy))
         thresholds = np.maximum(nearest * self.slack, self.delta_min)
-        # Result membership must stay accurate for nodes inside queries.
-        thresholds[inside_any] = self.delta_min
         if self.delta_cap is not None:
             thresholds = np.minimum(thresholds, self.delta_cap)
-        return thresholds
+        return SheddingPlan.from_regions(
+            bounds=grid.bounds,
+            regions=cells,
+            # reprolint: disable=REP020 - the paradigm tracks far nodes
+            # beyond Δ⊣ on purpose; Δ⊢ is the only bound it keeps.
+            thresholds=thresholds,
+            resolution=grid.alpha,
+        )
 
     def describe(self) -> str:
         cap = f", cap={self.delta_cap}" if self.delta_cap is not None else ""

@@ -3,14 +3,13 @@
 The paper's non-region-aware alternative: THROTLOOP still chooses the
 throttle fraction z, but every node uses the same Δ — the smallest
 threshold whose update-reduction ``f(Δ)`` meets the budget.  No space
-partitioning, no per-region throttlers.
+partitioning, no per-region throttlers: a one-region plan.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import ReductionFunction
+from repro.core.plan import SheddingPlan
+from repro.core.reduction import ReductionFunction
 from repro.core.statistics_grid import StatisticsGrid
 from repro.shedding.policy import SheddingPolicy
 
@@ -24,13 +23,10 @@ class UniformDeltaPolicy(SheddingPolicy):
         self.reduction = reduction
         self.delta: float | None = None
 
-    def adapt(self, grid: StatisticsGrid, z: float) -> None:
+    def adapt(self, grid: StatisticsGrid, z: float) -> SheddingPlan:
         self.delta = self.reduction.delta_for_fraction(z)
-
-    def thresholds_for(self, positions: np.ndarray) -> np.ndarray:
-        if self.delta is None:
-            raise RuntimeError("adapt() must run before thresholds_for()")
-        return np.full(len(positions), self.delta, dtype=np.float64)
+        self.plan = SheddingPlan.uniform(grid.bounds, self.delta)
+        return self.plan
 
     def describe(self) -> str:
         if self.delta is None:

@@ -15,17 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.core import AnalyticReduction, LiraConfig, measure_reduction_from_trace
+from repro.core import (
+    AnalyticReduction,
+    LiraConfig,
+    LiraLoadShedder,
+    measure_reduction_from_trace,
+)
 from repro.core.reduction import PiecewiseLinearReduction, ReductionFunction
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.roadnet import make_default_scene
-from repro.shedding import (
-    LiraGridPolicy,
-    LiraPolicy,
-    RandomDropPolicy,
-    SheddingPolicy,
-    UniformDeltaPolicy,
-)
+from repro.shedding import POLICIES, SheddingPolicy, policy_factory
 from repro.trace import Trace, TraceGenerator
 
 
@@ -197,19 +196,12 @@ def build_scenario(
 def make_policies(
     scenario: Scenario,
     config: LiraConfig,
-    include: tuple[str, ...] = ("lira", "lira-grid", "uniform", "random-drop"),
+    include: tuple[str, ...] = tuple(POLICIES),
 ) -> dict[str, SheddingPolicy]:
-    """Instantiate the paper's four policies for a scenario.
-
-    Keys: ``lira``, ``lira-grid``, ``uniform``, ``random-drop``.
-    """
-    factories = {
-        "lira": lambda: LiraPolicy(config, scenario.reduction),
-        "lira-grid": lambda: LiraGridPolicy(config, scenario.reduction),
-        "uniform": lambda: UniformDeltaPolicy(scenario.reduction),
-        "random-drop": lambda: RandomDropPolicy(delta_min=scenario.delta_min),
+    """Instantiate the paper's policies for a scenario, keyed by their
+    :data:`~repro.shedding.POLICIES` names (default: all four)."""
+    reduction = scenario.reduction
+    return {
+        name: policy_factory(name)(LiraLoadShedder(config, reduction), reduction)
+        for name in include
     }
-    unknown = set(include) - set(factories)
-    if unknown:
-        raise ValueError(f"unknown policies: {sorted(unknown)}")
-    return {name: factories[name]() for name in include}

@@ -1,15 +1,18 @@
-"""Closed-loop simulation: trace → policy → dead reckoning → query results.
+"""Closed-loop simulation: the paper figures' measurement of the systems loop.
 
-Each tick, the policy's current shedding plan determines every node's
-inaccuracy threshold (by the region it is in), nodes report via dead
-reckoning, the server ingests what the policy admits, and query results
-are evaluated against the server's believed positions and compared with
-ground truth.  Periodically the policy re-adapts from fresh statistics
-of the queries installed at that tick (a static list, or a churning
-:class:`~repro.sim.dynamics.QueryTimeline`, Section 4.3.2).
+A :class:`Simulation` runs one (trace, workload, policy) combination on
+one K=1 :class:`~repro.server.LiraSystem` with the queue model lifted
+and z pinned: each tick every node reads its threshold from the plan
+subset its station broadcast, reports via dead reckoning, and the server
+ingests what the policy admits.  Periodically the policy serves a new
+plan from fresh statistics of the queries installed at that tick (a
+static list, or a churning :class:`~repro.sim.dynamics.QueryTimeline`,
+Section 4.3.2).  The simulation itself only measures: query results
+against the server's believed positions, compared with ground truth.
 
-This is the measurement loop behind every accuracy figure in the paper
-(Figures 4-13); :meth:`Simulation.ticks` is the loop without the measuring.
+This is the measurement behind every accuracy figure in the paper
+(Figures 4-13).  The per-tick plan lookup it replaced is the parity
+oracle ``tests/oracles/simulation.py``.
 """
 
 from __future__ import annotations
@@ -20,14 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.statistics_grid import StatisticsGrid
-from repro.index import NodeTable
+from repro.core import AnalyticReduction, LiraConfig
 from repro.metrics.accuracy import FairnessStats, fairness_stats
 from repro.motion import DeadReckoningFleet
 from repro.queries import QueryEvalKernel, RangeQuery
+from repro.server import LiraSystem
 from repro.shedding import SheddingPolicy
 from repro.sim.dynamics import QueryTimeline, TimedQuery
 from repro.trace import Trace
+
+#: The shard's z controller is pinned at :attr:`SimulationConfig.z`, so
+#: of its configuration only Δ⊢ is read: the threshold of a node that
+#: no stored region covers.
+_Z_CONTROLLER = LiraConfig()
+_Z_REDUCTION = AnalyticReduction(_Z_CONTROLLER.delta_min, _Z_CONTROLLER.delta_max)
 
 
 @dataclass
@@ -80,6 +89,15 @@ class SimulationResult:
         return float(window.mean()) if window.size else float("nan")
 
 
+class _LastBatch:
+    """A :attr:`LiraSystem.history` that keeps only the latest senders."""
+
+    senders = np.empty(0, dtype=np.int64)
+
+    def record(self, t, node_ids, positions, velocities) -> None:
+        self.senders = node_ids
+
+
 class Simulation:
     """Runs one (trace, workload, policy) combination to completion.
 
@@ -106,22 +124,31 @@ class Simulation:
         self.policy = policy
         self.config = config or SimulationConfig()
 
-    def ticks(self) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
-        """Run the closed loop, yielding ``(tick, t, senders, admitted)``.
+    def ticks(self) -> Iterator[tuple[int, float, np.ndarray, int]]:
+        """Run the closed loop, yielding ``(tick, t, senders, admitted)``:
+        the ids of the nodes that reported and how many the server kept.
 
-        Each tick re-adapts on schedule from a statistics grid of the
-        queries active at ``t``, gives every node the threshold of its
-        shedding region, runs dead reckoning and ingests what the policy
-        admits.  While a step is out, ``self.table`` is the server view
-        after that ingest and ``self.active`` the indices of the timeline
+        Each tick first points the server's query set (what the grid of
+        its next adapt reads; the simulation measures with its own
+        kernel) at the queries active at ``t`` and re-adapts on
+        schedule, then ticks
+        :attr:`system` on the trace's true positions.  While a step is
+        out, ``self.system.server.table`` is the server view after that
+        tick's ingest and ``self.active`` the indices of the timeline
         entries active at ``t`` (a new list only when the set changes).
         """
         trace, policy, cfg = self.trace, self.policy, self.config
         entries = self.timeline.entries
         change_times = self.timeline.change_times()
-        rng = np.random.default_rng(cfg.seed)
-        self.fleet = DeadReckoningFleet(trace.num_nodes)
-        self.table = NodeTable(trace.num_nodes)
+        # The queue model lifted: every report of a tick is applied within it.
+        self.system = system = LiraSystem(
+            trace.bounds, trace.num_nodes, [], _Z_REDUCTION, _Z_CONTROLLER,
+            service_rate=1e12, queue_capacity=trace.num_nodes, adaptive_throttle=False,
+            policy=lambda shedder, reduction: policy, policy_seed=cfg.seed,
+        )
+        system.set_throttle_fraction(cfg.z)
+        system.history = batch = _LastBatch()
+        server = system.server
         self.active: list[int] = []
         self.adaptations = 0
         phase = -1
@@ -129,34 +156,20 @@ class Simulation:
         for tick in range(trace.num_ticks):
             t = tick * trace.dt
             positions = trace.positions[tick]
-            velocities = trace.velocities[tick]
             if (crossed := bisect_right(change_times, t)) != phase:
                 phase = crossed
                 active = [i for i, e in enumerate(entries) if e.active_at(t)]
                 if active != self.active:
                     self.active = active
+                    server.queries = [entries[i].query for i in active]
 
             if tick % cfg.adapt_every == 0:
-                grid = StatisticsGrid.from_snapshot(
-                    trace.bounds,
-                    policy.alpha,
-                    positions,
-                    trace.speeds(tick),
-                    [entries[i].query for i in self.active],
-                )
-                policy.adapt(grid, cfg.z)
+                system.adapt(positions, trace.speeds(tick))
                 self.adaptations += 1
 
-            # Nodes look up the throttler of their current shedding region.
-            self.fleet.set_thresholds(policy.thresholds_for(positions))
-            senders = self.fleet.observe(t, positions, velocities)
-            fraction = policy.admission_fraction()
-            if fraction < 1.0 and senders.size:
-                admitted = senders[rng.random(senders.size) < fraction]
-            else:
-                admitted = senders
-            self.table.ingest(t, admitted, positions[admitted], velocities[admitted])
-            yield tick, t, senders, admitted
+            shed = server.counts.shed
+            sent = system.tick(t, positions, trace.velocities[tick], trace.dt)
+            yield tick, t, batch.senders, sent - (server.counts.shed - shed)
 
     def run(self) -> SimulationResult:
         """Execute the closed loop over the whole trace and measure it."""
@@ -177,7 +190,7 @@ class Simulation:
         for tick, t, senders, admitted in self.ticks():
             times[tick] = t
             updates_per_tick[tick] = senders.size
-            admitted_total += int(admitted.size)
+            admitted_total += admitted
             if tick < cfg.warmup_ticks or not self.active:
                 continue
             if kernel_for is not self.active:
@@ -188,7 +201,7 @@ class Simulation:
                     cells_per_side=max(policy.alpha, 16),
                 )
             ticks_measured += 1
-            m = kernel.measure(trace.positions[tick], self.table.predict(t))
+            m = kernel.measure(trace.positions[tick], self.system.server.table.predict(t))
             cont_sum[rows] += np.where(m.has_true, m.containment_error, 0.0)
             cont_cnt[rows] += m.has_true
             pos_sum[rows] += np.where(m.has_believed, m.position_error, 0.0)
@@ -211,7 +224,7 @@ class Simulation:
             position_fairness=pos_fair,
             per_query_containment=per_query_cont,
             per_query_position=per_query_pos,
-            updates_sent=int(self.fleet.total_reports),
+            updates_sent=int(self.system.fleet.total_reports),
             updates_admitted=admitted_total,
             ticks_measured=ticks_measured,
             adaptations=self.adaptations,

@@ -1,8 +1,9 @@
 """The dynamic simulation loop ``Simulation`` replaced: the parity oracle.
 
 Before :class:`~repro.sim.Simulation` took a
-:class:`~repro.sim.QueryTimeline`, a churning workload ran on this
-second copy of the closed loop.  It builds an unindexed
+:class:`~repro.sim.QueryTimeline`, a churning workload ran on a second
+copy of the closed loop; this is its measurement over the direct loop
+(``tests/oracles/simulation.py``).  It builds an unindexed
 ``QueryEvalKernel`` of the active queries on every measured tick and
 ``adapt_every=None`` adapts at tick 0 only.  ``Simulation(trace,
 timeline, policy, config).run()`` must reproduce its per-tick errors,
@@ -16,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.statistics_grid import StatisticsGrid
 from repro.index import NodeTable
-from repro.motion import DeadReckoningFleet
 from repro.queries import QueryEvalKernel
 from repro.shedding import SheddingPolicy
-from repro.sim import QueryTimeline
+from repro.sim import QueryTimeline, SimulationConfig
 from repro.trace import Trace
+
+from tests.oracles.simulation import direct_ticks
 
 
 @dataclass
@@ -56,42 +57,23 @@ def run_dynamic_simulation(
     ``adapt_every = None`` adapts exactly once (tick 0) and then leaves
     the plan stale — the comparison baseline for the adaptivity
     experiment.  Statistics grids are built from the current snapshot
-    and the *currently active* queries, as a live server would.
+    and the *currently active* queries, as a live server would: the
+    direct loop of ``tests/oracles/simulation.py``, measured here.
     """
-    rng = np.random.default_rng(seed)
     n = trace.num_nodes
-    fleet = DeadReckoningFleet(n)
     table = NodeTable(n)
     times = np.empty(trace.num_ticks)
     errors = np.full(trace.num_ticks, np.nan)
     updates = np.zeros(trace.num_ticks, dtype=np.int64)
-    adaptations = 0
+    config = SimulationConfig(z=z, adapt_every=adapt_every or trace.num_ticks, seed=seed)
 
-    for tick in range(trace.num_ticks):
-        t = tick * trace.dt
+    for tick, t, senders, admitted in direct_ticks(trace, timeline, policy, config):
         times[tick] = t
         positions = trace.positions[tick]
         velocities = trace.velocities[tick]
-        active = timeline.active_at(t)
-
-        must_adapt = tick == 0 or (
-            adapt_every is not None and tick % adapt_every == 0
-        )
-        if must_adapt:
-            grid = StatisticsGrid.from_snapshot(
-                trace.bounds, policy.alpha, positions, trace.speeds(tick), active
-            )
-            policy.adapt(grid, z)
-            adaptations += 1
-
-        fleet.set_thresholds(policy.thresholds_for(positions))
-        senders = fleet.observe(t, positions, velocities)
         updates[tick] = senders.size
-        fraction = policy.admission_fraction()
-        if fraction < 1.0 and senders.size:
-            senders = senders[rng.random(senders.size) < fraction]
-        table.ingest(t, senders, positions[senders], velocities[senders])
-
+        table.ingest(t, admitted, positions[admitted], velocities[admitted])
+        active = timeline.active_at(t)
         if tick < warmup_ticks or not active:
             continue
         m = QueryEvalKernel(active).measure(positions, table.predict(t))
@@ -102,5 +84,5 @@ def run_dynamic_simulation(
         times=times,
         containment_errors=errors,
         updates_per_tick=updates,
-        adaptations=adaptations,
+        adaptations=len(range(0, trace.num_ticks, config.adapt_every)),
     )

@@ -150,6 +150,32 @@ class TestLogging:
             shedder.adapt(small_grid)
         assert any("unreachable" in r.message for r in caplog.records)
 
+    @staticmethod
+    def _warnings_per_round(small_grid, caplog, zs):
+        """Unreachable-budget warnings logged by each round at ``zs``."""
+        import logging
+
+        shedder = LiraLoadShedder(
+            LiraConfig(l=16, alpha=16), AnalyticReduction(5.0, 100.0)
+        )
+        counts = []
+        with caplog.at_level(logging.WARNING, logger="repro.core.shedder"):
+            for z in zs:
+                caplog.clear()
+                shedder.adapt(small_grid, z)
+                counts.append(sum("unreachable" in r.message for r in caplog.records))
+        return counts, shedder
+
+    def test_second_unmet_round_in_a_row_does_not_warn(self, small_grid, caplog):
+        counts, shedder = self._warnings_per_round(small_grid, caplog, (0.01, 0.01))
+        assert counts == [1, 0]
+        assert shedder.last_report.budget_met is False
+
+    def test_unmet_round_after_a_met_one_warns(self, small_grid, caplog):
+        counts, shedder = self._warnings_per_round(small_grid, caplog, (0.01, 0.9, 0.01))
+        assert counts == [1, 0, 1]
+        assert shedder.last_report.budget_met is False
+
     def test_throttle_tightening_logged(self, caplog):
         import logging
 

@@ -1,35 +1,97 @@
-"""The systems loop sends what the measurement loop sends.
+"""The systems loop sends what the direct loop sends.
 
-``Simulation`` (the paper figures' loop) gives every node the Δ of its
-region straight from the plan; ``LiraSystem`` runs the protocol: plans
-go out as per-station region subsets and each node looks its Δ up in
-the subset it stored.  With the queue model lifted and z pinned the two
-must pick the same senders on every tick.  The monitoring space is
+The direct loop (``tests/oracles/simulation.py``, what ``Simulation``
+ran before) gives every node the Δ of its region straight from the
+plan; ``Simulation`` now measures a K=1 ``LiraSystem``, which runs the
+protocol: plans go out as per-station region subsets and each node looks
+its Δ up in the subset it stored.  With the queue model lifted and z
+pinned the two must pick the same senders and admit the same number of
+reports on every tick, for every policy.  The monitoring space is
 closed in both: a node on the map's upper edge (the road generator pins
 the network's outer ring there) reads the Δ of the last row or column
 of regions, not Δ⊢.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalyticReduction, LiraConfig
 from repro.experiments.common import SMALL
 from repro.geo import Rect
-from repro.queries import RangeQuery
+from repro.queries import QueryDistribution, RangeQuery
 from repro.server import LiraSystem
-from repro.sim import Simulation, SimulationConfig, make_policies
+from repro.shedding import POLICIES
+from repro.shedding.safe_region import SafeRegionPolicy
+from repro.sim import QueryTimeline, Simulation, SimulationConfig, make_policies
+
+from tests.oracles.simulation import direct_ticks
 
 
-class _Senders:
-    """A ``LiraSystem.history`` that keeps each tick's sender ids."""
+def _assert_same_ticks(queries, make_policy, z, adapt_every=SMALL.adapt_every):
+    """Run the direct loop and ``Simulation`` on fresh policies from
+    ``make_policy`` and compare them tick by tick."""
+    trace = SMALL.scenario().trace
+    config = SimulationConfig(z=z, adapt_every=adapt_every, seed=SMALL.seed)
+    want = list(direct_ticks(trace, queries, make_policy(), config))
+    got = list(Simulation(trace, queries, make_policy(), config).ticks())
+    assert len(got) == len(want) == trace.num_ticks
+    for (tick, _, senders, admitted), (_, _, sent, kept) in zip(want, got):
+        assert np.array_equal(senders, np.sort(sent)), (
+            f"tick {tick}: {senders.size} vs {sent.size} senders"
+        )
+        assert admitted.size == kept, f"tick {tick}: {admitted.size} vs {kept} admitted"
 
-    def __init__(self) -> None:
-        self.ticks: list[np.ndarray] = []
 
-    def record(self, t, node_ids, positions, velocities) -> None:
-        self.ticks.append(np.sort(node_ids))
+def _paper_policy(name):
+    scenario = SMALL.scenario()
+    return lambda: make_policies(scenario, SMALL.lira_config(), include=(name,))[name]
+
+
+def test_sender_sets_equal_on_every_tick_of_the_small_trace():
+    scenario = SMALL.scenario()
+    _assert_same_ticks(scenario.queries, _paper_policy("lira"), 0.5)
+    # The scene has nodes on the upper edges, so the rule is exercised.
+    trace, top = scenario.trace, scenario.trace.bounds
+    assert ((trace.positions[..., 0] == top.x2) | (trace.positions[..., 1] == top.y2)).any()
+
+
+@pytest.mark.parametrize("z", [0.3, 0.5])
+@pytest.mark.parametrize("name", list(POLICIES))
+def test_every_paper_policy_matches_the_direct_loop(name, z):
+    _assert_same_ticks(SMALL.scenario().queries, _paper_policy(name), z)
+
+
+@pytest.mark.parametrize("one_shot", [False, True], ids=["re-adapting", "one-shot"])
+def test_phased_timeline_matches_the_direct_loop(one_shot):
+    """The server's query set follows the timeline, so the grid of every
+    adapt sees the queries active then (ext-adaptivity's workload)."""
+    scenario = SMALL.scenario()
+    trace = scenario.trace
+    timeline = QueryTimeline.phased(
+        [
+            (0.0, scenario.workload(mn_ratio=0.01, seed=SMALL.seed)),
+            (
+                trace.duration / 2,
+                scenario.workload(
+                    mn_ratio=0.01, distribution=QueryDistribution.INVERSE, seed=SMALL.seed + 1
+                ),
+            ),
+        ],
+        end_time=trace.duration,
+    )
+    adapt_every = trace.num_ticks if one_shot else SMALL.adapt_every
+    _assert_same_ticks(timeline, _paper_policy("lira"), 0.5, adapt_every)
+
+
+def test_safe_region_plan_matches_the_direct_loop():
+    scenario = SMALL.scenario()
+
+    def safe():
+        return SafeRegionPolicy(scenario.queries, SMALL.lira_config())
+
+    _assert_same_ticks(scenario.queries, safe, 1.0)
 
 
 def _lifted_system(bounds, n_nodes, queries, reduction, config, z):
@@ -40,33 +102,6 @@ def _lifted_system(bounds, n_nodes, queries, reduction, config, z):
     )
     system.set_throttle_fraction(z)
     return system
-
-
-def test_sender_sets_equal_on_every_tick_of_the_small_trace():
-    scenario = SMALL.scenario()
-    trace, config, z = scenario.trace, SMALL.lira_config(), 0.5
-    policy = make_policies(scenario, config, include=("lira",))["lira"]
-    simulation = Simulation(
-        trace, scenario.queries, policy,
-        SimulationConfig(z=z, adapt_every=SMALL.adapt_every, seed=SMALL.seed),
-    )
-    want = [np.sort(senders) for _, _, senders, _ in simulation.ticks()]
-
-    system = _lifted_system(
-        trace.bounds, trace.num_nodes, scenario.queries, scenario.reduction, config, z
-    )
-    system.history = got = _Senders()
-    for tick in range(trace.num_ticks):
-        if tick % SMALL.adapt_every == 0:
-            system.adapt(trace.positions[tick], trace.speeds(tick))
-        system.tick(tick * trace.dt, trace.positions[tick], trace.velocities[tick], trace.dt)
-
-    # The scene has nodes on the upper edges, so the rule is exercised.
-    top = trace.bounds
-    assert ((trace.positions[..., 0] == top.x2) | (trace.positions[..., 1] == top.y2)).any()
-    assert len(got.ticks) == len(want) == trace.num_ticks
-    for tick, (a, b) in enumerate(zip(want, got.ticks)):
-        assert np.array_equal(a, b), f"tick {tick}: {a.size} vs {b.size} senders"
 
 
 BOUNDS = Rect(0.0, 0.0, 1000.0, 1000.0)
@@ -101,7 +136,7 @@ unit = st.floats(0.0, 1.0)
 )
 def test_edge_and_corner_nodes_read_the_plans_delta(nodes, z):
     """Every node's Δ after a tick is the plan's at its position
-    (``SheddingPlan.thresholds_for``, what ``Simulation`` installs)."""
+    (``SheddingPlan.thresholds_for``, what the direct loop installs)."""
     positions = np.array([PLACES[kind](u, v) for kind, u, v in nodes])
     velocities = np.zeros_like(positions)
     config = LiraConfig(l=13, alpha=16)

@@ -30,6 +30,7 @@ from repro.service import (
     read_frame,
 )
 from repro.service.framing import MAGIC, _PREFIX
+from repro.shedding import POLICIES
 from repro.timing import ManualClock
 
 BOUNDS = Rect(0.0, 0.0, 1000.0, 1000.0)
@@ -680,6 +681,19 @@ class TestAdaptation:
         assert plan.num_regions == 1
         assert plan.thresholds[0] == service.config.delta_min
 
+    @pytest.mark.parametrize("policy, regions", [("lira-grid", 4), ("uniform", 1)])
+    def test_every_table_policy_serves_its_plan(self, policy, regions):
+        """The shard installs whatever plan its policy serves, so the
+        service runs each policy of the table, not LIRA or Random Drop only."""
+        service = make_service(policy=policy)
+        ids, pos, vel = make_batch(32)
+        service.apply_ingest(100.0, ids, pos, vel)
+        service.pump_once(10.0)
+        plan = service.adapt_once()
+        assert service.plan is plan is service.shard.policy.plan
+        assert plan.num_regions == regions
+        assert service.shedder.last_report is None  # it only sets z
+
     def test_throtloop_steps_from_measured_load(self):
         clock = ManualClock(start=100.0)
         service = make_service(service_rate=100.0, clock=clock)
@@ -940,6 +954,14 @@ class TestServiceConfig:
         # A service built without a config: its shard refuses it.
         with pytest.raises(ValueError, match="policy"):
             make_service(policy="drop-everything")
+
+    def test_clis_take_their_policies_from_the_one_table(self):
+        from repro.loadtest.__main__ import build_parser as loadtest_parser
+        from repro.service.__main__ import build_parser as service_parser
+
+        for parser in (service_parser(), loadtest_parser()):
+            (action,) = [a for a in parser._actions if a.dest == "policy"]
+            assert tuple(action.choices) == tuple(POLICIES)
 
     def test_workload_is_deterministic(self):
         a = ServiceConfig(workload_seed=3).queries()

@@ -267,6 +267,28 @@ class TestMultiShardReproducibility:
             hashed.update(rows.astype(np.int64).tobytes() + b";")
         assert hashed.hexdigest() == digest
 
+    @pytest.mark.parametrize("policy, regions", [("lira-grid", 9), ("uniform", 1)])
+    def test_every_policy_runs_at_two_shards(self, policy, regions):
+        """Any policy of the table serves each shard's plans at K>1: the
+        same seed gives the same bits, and every report is accounted for
+        on an overloaded scene where nodes change shard."""
+        runs = []
+        for _ in range(2):
+            system = _make_sharded(2, service_rate=10.0, queue_capacity=400, policy=policy)
+            runs.append(_drive_sharded(system))
+            assert [shard.plan.num_regions for shard in system.shards] == [regions] * 2
+        (stats_a, queries_a, handoffs_a), (stats_b, queries_b, handoffs_b) = runs
+        assert stats_a == stats_b
+        assert handoffs_a == handoffs_b == stats_a.cross_handoffs > 0
+        for rows_a, rows_b in zip(queries_a, queries_b):
+            np.testing.assert_array_equal(rows_a, rows_b)
+        assert stats_a.updates_orphaned > 0 and stats_a.queue_length > 0
+        assert stats_a.updates_sent == (
+            stats_a.updates_processed + stats_a.queue_length + stats_a.queue_drops
+            + stats_a.admission_drops + stats_a.updates_discarded
+            + stats_a.updates_orphaned
+        )
+
     def test_orphaned_updates_are_accounted(self):
         """A backlogged shard still holds reports of nodes that hand off;
         ``stats()`` counts them, so conservation closes from SystemStats."""

@@ -1,12 +1,15 @@
-"""Unit tests for the four shedding policies."""
+"""Unit tests for the four shedding policies.
+
+LIRA's policy is its shedder, :class:`~repro.core.LiraLoadShedder`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import LiraConfig
+from repro.core import LiraConfig, LiraLoadShedder
 from repro.shedding import (
+    POLICIES,
     LiraGridPolicy,
-    LiraPolicy,
     RandomDropPolicy,
     UniformDeltaPolicy,
 )
@@ -19,24 +22,24 @@ def config() -> LiraConfig:
 
 class TestLiraPolicy:
     def test_requires_adapt_before_lookup(self, config, reduction):
-        policy = LiraPolicy(config, reduction)
+        policy = LiraLoadShedder(config, reduction)
         with pytest.raises(RuntimeError):
             policy.thresholds_for(np.zeros((1, 2)))
 
     def test_adapt_then_lookup(self, config, reduction, small_grid):
-        policy = LiraPolicy(config, reduction)
+        policy = LiraLoadShedder(config, reduction)
         policy.adapt(small_grid, z=0.5)
         thresholds = policy.thresholds_for(np.array([[100.0, 100.0]]))
         assert 5.0 <= thresholds[0] <= 100.0
 
     def test_admits_everything(self, config, reduction):
-        assert LiraPolicy(config, reduction).admission_fraction() == 1.0
+        assert LiraLoadShedder(config, reduction).admission_fraction() == 1.0
 
     def test_alpha_exposed(self, config, reduction):
-        assert LiraPolicy(config, reduction).alpha == 16
+        assert LiraLoadShedder(config, reduction).alpha == 16
 
     def test_z_changes_plan(self, config, reduction, small_grid):
-        policy = LiraPolicy(config, reduction)
+        policy = LiraLoadShedder(config, reduction)
         policy.adapt(small_grid, z=0.9)
         high = policy.plan.thresholds.mean()
         policy.adapt(small_grid, z=0.3)
@@ -44,7 +47,7 @@ class TestLiraPolicy:
         assert low > high
 
     def test_describe(self, config, reduction):
-        assert "LIRA" in LiraPolicy(config, reduction).describe()
+        assert "LIRA" in LiraLoadShedder(config, reduction).describe()
 
 
 class TestLiraGridPolicy:
@@ -110,3 +113,29 @@ class TestRandomDropPolicy:
         policy = RandomDropPolicy()
         with pytest.raises(ValueError):
             policy.adapt(small_grid, z=1.5)
+
+
+class TestPlanSource:
+    """Every policy serves its plan from ``adapt`` and looks Δ up in it."""
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_adapt_returns_the_plan_it_serves(self, name, config, reduction, small_grid, rng):
+        shedder = LiraLoadShedder(config, reduction)
+        policy = POLICIES[name](shedder, reduction)
+        assert (policy is shedder) == (name == "lira")
+        plan = policy.adapt(small_grid, 0.5)
+        assert policy.plan is plan
+        positions = rng.uniform(0, 4000, (50, 2))
+        np.testing.assert_array_equal(
+            policy.thresholds_for(positions), plan.thresholds_for(positions)
+        )
+
+    def test_one_region_plans_are_shared(self, reduction, small_grid):
+        """Uniform Δ and Random Drop serve one region over the bounds;
+        an unchanged Δ serves the same object, so nothing is re-pushed."""
+        drop, uniform = RandomDropPolicy(delta_min=5.0), UniformDeltaPolicy(reduction)
+        plan = drop.adapt(small_grid, 0.3)
+        assert plan.num_regions == 1 and plan.regions[0].rect == small_grid.bounds
+        assert drop.adapt(small_grid, 0.6) is plan
+        assert uniform.adapt(small_grid, 1.0) is plan  # f⁻¹(1) = Δ⊢
+        assert uniform.adapt(small_grid, 0.5).regions[0].delta == uniform.delta

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import LiraConfig
+from repro.core import LiraConfig, LiraLoadShedder
 from repro.queries import QueryDistribution
-from repro.shedding import LiraPolicy, RandomDropPolicy, UniformDeltaPolicy
+from repro.shedding import RandomDropPolicy, UniformDeltaPolicy
 from repro.sim import (
     QueryTimeline,
     Simulation,
@@ -107,7 +107,7 @@ class TestSimulation:
             tiny_scenario.trace, tiny_scenario.delta_min
         )
         config = LiraConfig(l=13, alpha=32, z=0.5)
-        policy = LiraPolicy(config, tiny_scenario.reduction)
+        policy = LiraLoadShedder(config, tiny_scenario.reduction)
         result = Simulation(
             tiny_scenario.trace,
             tiny_scenario.queries,
@@ -184,8 +184,8 @@ class TestTimeline:
         assert [step[0] for step in steps] == list(range(tiny_scenario.trace.num_ticks))
         for tick, t, senders, admitted in steps:
             assert t == tick * tiny_scenario.trace.dt
-            assert admitted is senders
-        assert sum(step[2].size for step in steps) == sim.fleet.total_reports
+            assert admitted == senders.size
+        assert sum(step[2].size for step in steps) == sim.system.fleet.total_reports
 
 
 class TestReferenceUpdateCount:
