@@ -47,6 +47,17 @@ class NodeTable:
         self._owner: np.ndarray | None = None
         self._shard = 0
 
+    def __getstate__(self) -> dict:
+        # The row views alias _pos and _vel: a copy or a pickle rebuilds
+        # them over its own arrays, or its writes would miss them.
+        state = dict(self.__dict__)
+        del state["_pos_rows"], state["_vel_rows"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._pos_rows, self._vel_rows = _rows(self._pos), _rows(self._vel)
+
     def shard_view(self, owner: np.ndarray, shard: int) -> NodeTable:
         """Shard ``shard``'s handle on this table in a partitioned deployment.
 

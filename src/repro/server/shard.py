@@ -218,17 +218,25 @@ class LiraShard:
         ``ids`` are global node ids; ``times`` the uplink's per-report
         send times (``None``: every report is from ``t``).  The period's
         reports reach the bounded queue in :data:`RECEIVE_SUBSTEPS`
-        chunks, each followed by its share of service.
+        chunks, each followed by its share of service.  A lifted queue
+        (every report fits, and one substep's service drains the queue)
+        takes them in one chunk: no report can be dropped or wait, so the
+        substeps would change nothing.
         """
-        server = self.server
+        server, queue = self.server, self.server.queue
         # Random Drop admits a random fraction z of arrivals at the server.
         admit = self.policy.admission_fraction()
+        substeps = RECEIVE_SUBSTEPS
+        if times is None and len(queue) + ids.size <= queue.capacity <= (
+            server.service_rate * rate_factor * dt / RECEIVE_SUBSTEPS
+        ):
+            substeps = 1
         # Slice-based chunking with np.array_split's size rule (the first
         # n % k chunks get one extra element): slicing yields views, so
         # substepping never copies the report arrays.
-        base, extra = divmod(int(ids.size), RECEIVE_SUBSTEPS)
+        base, extra = divmod(int(ids.size), substeps)
         lo = 0
-        for c in range(RECEIVE_SUBSTEPS):
+        for c in range(substeps):
             hi = lo + base + (1 if c < extra else 0)
             chunk = slice(lo, hi)
             lo = hi
@@ -241,4 +249,4 @@ class LiraShard:
                 admit_fraction=admit,
                 admit_rng=self._policy_rng if admit < 1.0 else None,
             )
-            server.process(dt / RECEIVE_SUBSTEPS, rate_factor=rate_factor)
+            server.process(dt / substeps, rate_factor=rate_factor)

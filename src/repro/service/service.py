@@ -19,9 +19,9 @@ as the paper's architecture separates them:
   capacity per real elapsed ``dt`` since the last pump, and acks whose
   reports have drained are completed, both when an ingest frame arrives
   (so spare capacity acks it in the same dispatch) and on a periodic
-  timer (which drains a backlog and samples the optional
-  :class:`~repro.faults.FaultInjector` slowdown seam).  The timer parks
-  while the queue is empty; the next caller that reads the server first
+  timer's ticks (which drain a backlog and sample the optional
+  :class:`~repro.faults.FaultInjector` slowdown seam).  The timer sleeps
+  until a tick can complete an ack; every reader of the server first
   replays the ticks it skipped, so an idle service does not wake;
 * **adaptation** — a periodic task runs the shard's control step
   (:meth:`~repro.server.shard.LiraShard.control_step`: close a
@@ -71,9 +71,8 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["IngestResult", "LiraService", "ServiceConfig"]
 
-#: Seconds between timer pumps while the queue holds a backlog: short
-#: against the SLO a deferred ack waits out.  An empty queue parks the
-#: timer, so an idle service does not wake at all.
+#: Seconds between the timer's ticks: short against the SLO a deferred
+#: ack waits out.  It wakes only at a tick that can complete an ack.
 PUMP_PERIOD = 0.005
 #: THROTLOOP target ρ.  The paper's 1−1/B only *stabilizes* queue
 #: length; a latency SLO needs sustained headroom to drain backlog.
@@ -316,7 +315,7 @@ class LiraService:
             "acks_sent",
             "acks_inline",
             "acks_deferred",
-            # Pumps the timer ran (replayed ticks excluded): none while idle.
+            # Timer wakes (replayed ticks excluded): none while idle.
             "timer_pumps",
             "protocol_errors",
             "plans_computed",
@@ -350,13 +349,13 @@ class LiraService:
         self._pending: deque[_PendingAck] = deque()
         # One pump timeline for the timer and the arrival-driven drain,
         # so granted capacity sums to elapsed time; the slowdown factor
-        # in force is whatever the timer last sampled.
+        # in force is whatever the last tick sampled.
         self._last_pump_t = clock()
         self._rate_factor = 1.0
-        # While the timer is parked on an empty queue: the time of its
-        # last tick, run or replayed (None: running, or no timer at all).
-        # An enqueue sets the event to wake it.
-        self._parked_at: float | None = None
+        # The timer's last tick, run or replayed (None: no timer), and the
+        # tick it sleeps until (None: parked until an ingest sets the event).
+        self._tick_t: float | None = None
+        self._due_t: float | None = None
         self._backlog = asyncio.Event()
         self._subscribers: list[_Subscriber] = []
         #: Every open connection: its writer and its handler task, so
@@ -390,8 +389,6 @@ class LiraService:
             t, node_ids, positions, velocities, times=times
         )
         dropped = queue.lifetime_dropped - drops_before
-        if admitted and self._parked_at is not None:
-            self._backlog.set()
         self.counters.ingest_frames += 1
         self.counters.reports_received += int(np.asarray(node_ids).size)
         return IngestResult(
@@ -406,7 +403,7 @@ class LiraService:
 
         The slowdown fault seam scales capacity exactly as the systems
         loop's tick path does: ``rate_factor=None`` samples it (one RNG
-        draw, what the timer does) and the result stays in force for
+        draw, as a timer tick makes) and the result stays in force for
         callers that pass it back in.  Idle credit beyond one update is
         forgotten (a live server cannot bank capacity it did not use).
         """
@@ -428,32 +425,40 @@ class LiraService:
         return self._complete_acks()
 
     def _timer_pump(self, now: float) -> None:
-        """One timer tick; it parks the timer if it leaves the queue empty."""
+        """One timer wake: replay up to ``now``, sleep until an ack is due."""
         self.counters.timer_pumps += 1
-        self._parked_at = None
-        self.counters.acks_deferred += self._pump(now)
-        if len(self.server.queue) == 0:
-            self._parked_at = now
+        self._replay_skipped_ticks(now, wake=True)
+        self._due_t = self._due_tick()
 
-    def _replay_skipped_ticks(self, now: float) -> None:
-        """Run the whole ticks a parked timer skipped up to ``now``.
+    def _due_tick(self) -> float | None:
+        """The first tick that can complete the head pending ack at full
+        rate, or None; slowdowns and the 1e-6 tick of rounding slack only
+        make a wake early (the timer then replays and re-arms)."""
+        start, server = self._tick_t, self.server
+        if start is None or not self._pending:
+            return None
+        short = self._pending[0].mark - server.queue.lifetime_dequeued - server._service_credit
+        ticks = (short / server.service_rate + self._last_pump_t - start) / PUMP_PERIOD
+        return start + max(1, int(np.ceil(ticks - 1e-6))) * PUMP_PERIOD
 
-        Each would have granted its period to the empty queue and clamped
-        the credit, so one pump up to the last of them lands on the same
-        credit and measurement period.  The fault injector still draws
-        once per tick, and the last draw stays in force.
-        """
-        start = self._parked_at
-        if start is None or len(self.server.queue):
+    def _replay_skipped_ticks(self, now: float, wake: bool = False) -> None:
+        """Run the ticks skipped up to ``now``: one pump per tick that finds
+        a backlog, then one for the idle rest (each idle tick would grant
+        its period to the empty queue and clamp the credit, so one pump
+        lands on the same credit and period).  Every tick draws its
+        slowdown factor; the last stays in force.  A woken timer runs its
+        last tick at ``now``, as an always-on timer runs a late tick."""
+        start = self._tick_t
+        if start is None:
             return
-        k = int((now - start) / PUMP_PERIOD)
-        if k < 1:
-            return
-        if self.faults is not None:
-            for j in range(1, k + 1):
-                self._rate_factor = self.faults.service_factor(start + j * PUMP_PERIOD)
-        self._parked_at = start + k * PUMP_PERIOD
-        self._pump(self._parked_at, self._rate_factor)
+        k = int((now - start) / PUMP_PERIOD + 1e-6)
+        for j in range(1, k + 1):
+            t = now if wake and j == k else start + j * PUMP_PERIOD
+            if self.faults is not None:
+                self._rate_factor = self.faults.service_factor(t)
+            if j == k or len(self.server.queue):
+                self.counters.acks_deferred += self._pump(t, self._rate_factor)
+                self._tick_t = t
 
     @property
     def plan(self) -> SheddingPlan | None:
@@ -505,6 +510,7 @@ class LiraService:
 
     def stats_meta(self) -> dict:
         """The ``stats`` frame payload: one consistent snapshot."""
+        self._replay_skipped_ticks(self.clock())
         queue = self.server.queue
         table = self.server.table
         return {
@@ -650,26 +656,20 @@ class LiraService:
         return sent
 
     async def _pump_loop(self) -> None:
-        self._last_pump_t = self.clock()
+        self._tick_t = self._last_pump_t = self.clock()
+        self._due_t = self._tick_t + PUMP_PERIOD
         self._backlog = asyncio.Event()
-        delay = PUMP_PERIOD
         while True:
-            await asyncio.sleep(delay)
+            while self._due_t is None:  # parked until an ack is pending
+                self._backlog.clear()
+                await self._backlog.wait()
+            await asyncio.sleep(max(0.0, self._due_t - self.clock()))
             now = self.clock()
             try:
                 self._timer_pump(now)
             except Exception:
                 logger.exception("service pump iteration failed")
-            delay = PUMP_PERIOD
-            if self._parked_at is None:
-                continue
-            # Parked until a backlog: an enqueue wakes the timer, and a
-            # dispatch that drained its own frame leaves it parked.
-            while len(self.server.queue) == 0:
-                self._backlog.clear()
-                await self._backlog.wait()
-            # Back on the schedule of the ticks the replays ran.
-            delay = max(0.0, self._parked_at + PUMP_PERIOD - self.clock())
+                self._due_t = now + PUMP_PERIOD
 
     async def _adapt_loop(self) -> None:
         while True:
@@ -776,6 +776,9 @@ class LiraService:
         # granted now, so with capacity to spare the ack leaves in this
         # dispatch instead of waiting out the rest of a pump period.
         self.counters.acks_inline += self._pump(recv_t, self._rate_factor)
+        if self._due_t is None and self._pending:  # wake a parked timer
+            self._due_t = self._due_tick()
+            self._backlog.set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -866,7 +869,7 @@ class LiraService:
                 # not abort shutdown of the listener and its peer task.
                 pass
         self._tasks = []
-        self._parked_at = None  # no timer left to replay
+        self._tick_t = self._due_t = None  # no timer left to replay
         if self._slow_callback_detector is not None:
             self._slow_callback_detector.uninstall()
             self._slow_callback_detector = None

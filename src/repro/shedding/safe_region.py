@@ -22,9 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import LiraConfig
-from repro.core.gridreduce import uniform_partitioning
+from repro.core.greedy import RegionStats
 from repro.core.plan import SheddingPlan
 from repro.core.statistics_grid import StatisticsGrid
+from repro.geo import Rect
 from repro.queries import RangeQuery
 from repro.shedding.policy import SheddingPolicy
 
@@ -71,11 +72,24 @@ class SafeRegionPolicy(SheddingPolicy):
         return self.plan
 
     def _cell_plan(self, grid: StatisticsGrid) -> SheddingPlan:
-        cells = uniform_partitioning(grid, grid.alpha**2).regions
-        x1, y1, x2, y2 = (
-            np.array([getattr(cell.rect, edge) for cell in cells])
-            for edge in ("x1", "y1", "x2", "y2")
-        )
+        # One region per cell, row-major in x, with the floats a 1×1 block
+        # of uniform_partitioning gets: edges as _block_rect computes them,
+        # s = (n·s)/n (0 where n = 0).
+        bounds, alpha = grid.bounds, grid.alpha
+        steps = np.arange(alpha + 1)
+        xs = bounds.x1 + steps * (bounds.width / alpha)
+        ys = bounds.y1 + steps * (bounds.height / alpha)
+        lo_x, lo_y = np.meshgrid(xs[:-1], ys[:-1], indexing="ij")
+        hi_x, hi_y = np.meshgrid(xs[1:], ys[1:], indexing="ij")
+        x1, y1, x2, y2 = (a.ravel() for a in (lo_x, lo_y, hi_x, hi_y))
+        n = grid.n.ravel()
+        s = np.divide(n * grid.s.ravel(), n, out=np.zeros_like(n), where=n > 0)
+        cells = [
+            RegionStats(Rect(*edges), n=cn, m=cm, s=cs)
+            for *edges, cn, cm, cs in zip(
+                *(a.tolist() for a in (x1, y1, x2, y2, n, grid.m.ravel(), s))
+            )
+        ]
         nearest = np.full(len(cells), np.inf)
         for query in self.queries:
             rect = query.rect

@@ -185,6 +185,23 @@ class TestRowMoves:
         ids = rng.choice(self.N, size, replace=not unique)
         return ids, rng.normal(size=(size, 2)) * 1e3, rng.normal(size=(size, 2))
 
+    @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+    def test_a_copy_writes_through_its_own_rows(self, clone):
+        """The row views alias the model arrays; a copy must rebuild them
+        over its own, or what it ingests never reaches its positions."""
+        import copy
+        import pickle
+
+        table = NodeTable(self.N)
+        table.ingest(1.0, *self._batch(1))
+        twin = copy.deepcopy(table) if clone == "deepcopy" else pickle.loads(pickle.dumps(table))
+        ids, pos, vel = self._batch(2)
+        twin.ingest(2.0, ids, pos, vel)
+        np.testing.assert_array_equal(twin.predict(2.0)[ids], pos)
+        assert np.shares_memory(twin._pos_rows, twin._pos)
+        assert not np.shares_memory(twin._pos, table._pos)
+        assert table.updates_applied == 40 and twin.updates_applied == 80
+
     def test_duplicate_ids_last_report_wins(self):
         ids, pos, vel = self._batch(1, size=300, unique=False)
         assert np.unique(ids).size < ids.size

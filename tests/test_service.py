@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core import LiraConfig, SheddingPlan
@@ -574,84 +576,149 @@ class TestArrivalDrivenDrain:
         )
         assert 0 < faults.counters.slow_ticks < ticks
 
-    def _run_timer(self, parked: bool, slowdown_prob: float):
-        """The dispatch under a timer that ticks at every TICK, or under one
-        that pumps only while a backlog exists (what ``_pump_loop`` does);
-        two adaptations, the first inside an idle gap.
-
-        The trail is read at every tick through a copy that first replays
-        what a parked timer skipped, as any reader of the server would.
-        """
-        clock = ManualClock(start=100.0)
-        faults = None
-        if slowdown_prob:
-            spec = FaultSpec(slowdown_prob=slowdown_prob, slowdown_factor=0.5,
-                             slowdown_duration=2.5 * TICK)
-            faults = FaultInjector(spec, seed=5)
-        service = make_service(service_rate=256.0, queue_capacity=40, clock=clock, faults=faults)
-        trail, measured, zs, replayed = [], [], [], []
-        observe = service.shard.observe_load
-        service.shard.observe_load = lambda: measured.append(observe()) or measured[-1]
-        writer = FakeWriter()
-        # Single reports while the queue is empty: each is drained by its
-        # own dispatch, so a parked timer stays parked.
-        arrivals = self._arrivals() + [
-            (tick, TICK / 4, make_batch(1, seed=tick)) for tick in (25, 27, 33, 41)
-        ]
-        adapts = {26: 3 * TICK / 8, 45: 5 * TICK / 8}
-
-        def read(at, reader, *args):
-            clock.now = at
-            before = service._parked_at
-            reader(*args)
-            if before is not None and service._parked_at is not None:
-                replayed.append((service._parked_at - before) / TICK)
-
-        for tick in range(48):
-            for _, offset, (ids, pos, vel) in (a for a in arrivals if a[0] == tick):
-                frame = ingest_frame(ids, pos, vel, np.full(ids.size, 100.0 + tick * TICK + offset))
-                read(100.0 + tick * TICK + offset, service._dispatch, frame, writer)
-            if tick in adapts:
-                read(100.0 + tick * TICK + adapts[tick], service.adapt_once)
-                zs.append(service.shedder.current_z)
-            clock.now = 100.0 + (tick + 1) * TICK
-            if not parked:
-                service._pump(clock())
-            elif service._parked_at is None or len(service.server.queue):
-                service._timer_pump(clock())
-            probe = copy.deepcopy(service)
-            LiraService._replay_skipped_ticks(probe, clock())
-            state = self._state(probe)
-            state["rate_factor"] = probe._rate_factor
-            if faults is not None:
-                state["faults"] = (probe.faults._server_rng.bit_generator.state,
-                                   probe.faults._slow_until, probe.faults.counters.slow_ticks)
-            trail.append(state)
-        return SimpleNamespace(service=service, trail=trail, measured=measured, zs=zs,
-                               replayed=replayed, writer=writer)
+    @staticmethod
+    def _schedule():
+        """The arrivals above plus single reports while the queue is empty
+        (each drained by its own dispatch, so a parked timer stays
+        parked), two adaptations (the first inside an idle gap) and
+        ``stats`` reads inside the backlog, the overflow and the gaps."""
+        arrivals = [(tick, offset, *batch) for tick, offset, batch in TestArrivalDrivenDrain._arrivals()]
+        arrivals += [(tick, TICK / 4, *make_batch(1, seed=tick)) for tick in (25, 27, 33, 41)]
+        reads = [(26, 3 * TICK / 8, "adapt"), (45, 5 * TICK / 8, "adapt")]
+        reads += [(tick, TICK / 2, "stats") for tick in (3, 8, 11, 13, 20, 31, 46)]
+        return arrivals, reads
 
     @pytest.mark.parametrize("slowdown_prob", [0.0, 0.25])
     def test_parked_timer_replays_to_the_always_on_state(self, monkeypatch, slowdown_prob):
         monkeypatch.setattr("repro.service.service.PUMP_PERIOD", TICK)
-        on, parked = (self._run_timer(p, slowdown_prob) for p in (False, True))
-        for tick, (a, b) in enumerate(zip(on.trail, parked.trail, strict=True)):
-            assert a.keys() == b.keys()
-            for key in sorted(a.keys() - {"table"}):
-                assert a[key] == b[key], (tick, key)
-            for x, y in zip(a["table"], b["table"], strict=True):
-                np.testing.assert_array_equal(x, y)
-        assert on.measured == parked.measured and on.zs == parked.zs
-        assert on.writer.payloads == parked.writer.payloads  # every ack, at the same done_t
-        # The parked timer skipped the idle ticks, replayed several at once,
-        # and still saw backlog, overflow and both adaptations.
-        counters = parked.service.counters
-        assert counters.timer_pumps <= 48 - 15 and max(parked.replayed) >= 4
-        assert len(parked.measured) == 2 and parked.trail[-1]["queue"][2] > 0
+        arrivals, reads = self._schedule()
+        on, asleep = (run_timer(s, arrivals, reads, 48, 40, 5 if slowdown_prob else None)
+                      for s in (False, True))
+        assert_same_trail(on, asleep)
+        # The sleeping timer slept through idle and busy ticks, readers
+        # replayed several at once, and the run still saw backlog,
+        # overflow and both adaptations.
+        counters = asleep.service.counters
+        busy_ticks = sum(1 for state in on.trail if state["queue"][0])
+        assert counters.timer_pumps < busy_ticks and max(asleep.replayed) >= 4
+        assert len(asleep.measured) == 2 and asleep.trail[-1]["queue"][2] > 0
         assert counters.acks_deferred > 0 and counters.acks_inline > 0
         assert counters.acks_sent == counters.acks_inline + counters.acks_deferred
-        assert sum(m.period for m in parked.measured) == 45 * TICK
+        assert sum(m.period for m in asleep.measured) == 45 * TICK
         if slowdown_prob:
-            assert 0 < parked.service.faults.counters.slow_ticks
+            assert 0 < asleep.service.faults.counters.slow_ticks
+
+
+class TestSleepingTimerProperty:
+    """The timer contract over generated schedules: arrivals at any
+    offset inside a tick, batches up to overflow, idle gaps, ``adapt`` and
+    ``stats`` reads, several queue capacities and slowdown seeds."""
+
+    OFFSETS = st.integers(1, 15).map(lambda k: k * TICK / 16)
+
+    @staticmethod
+    @st.composite
+    def schedules(draw):
+        ticks = draw(st.integers(8, 24))
+        capacity = draw(st.sampled_from([8, 24, 40]))
+        tick = st.integers(0, ticks - 1)
+        arrivals = draw(st.lists(st.tuples(tick, TestSleepingTimerProperty.OFFSETS,
+                                           st.integers(1, capacity + 8)), max_size=16))
+        reads = draw(st.lists(st.tuples(tick, TestSleepingTimerProperty.OFFSETS,
+                                        st.sampled_from(["adapt", "stats"])), max_size=6))
+        fault_seed = draw(st.none() | st.integers(0, 3))
+        batches = [(t, offset, *make_batch(n, seed=i)) for i, (t, offset, n) in enumerate(arrivals)]
+        return batches, reads, ticks, capacity, fault_seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(schedule=schedules())
+    def test_sleeping_timer_matches_the_always_on_timer(self, schedule):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr("repro.service.service.PUMP_PERIOD", TICK)
+            on, asleep = (run_timer(s, *schedule) for s in (False, True))
+        assert_same_trail(on, asleep)
+        assert asleep.service.counters.protocol_errors == 0
+
+
+#: What a ``stats`` reply reports of the queue model (the rest counts
+#: wire activity, timer wakes included).
+STATS_MODEL_KEYS = (
+    "queue_length", "lifetime_enqueued", "lifetime_dropped", "lifetime_dequeued",
+    "updates_applied", "updates_discarded", "drop_rate", "period_drop_rate", "z", "acks_sent",
+)
+
+
+def run_timer(sleeping: bool, arrivals, reads, ticks: int, capacity: int, fault_seed):
+    """Drive one service through a schedule on a ManualClock.
+
+    ``arrivals`` are ``(tick, offset, ids, pos, vel)`` and ``reads``
+    ``(tick, offset, "adapt" | "stats")``, every offset inside its tick.
+    The timer ticks at every TICK (``sleeping=False``: the always-on
+    timer) or wakes only at the tick it armed, as ``_pump_loop`` does.
+    The trail is read at every tick through a copy that first replays
+    what a sleeping timer skipped, as any reader of the server would.
+    """
+    clock = ManualClock(start=100.0)
+    faults = None
+    if fault_seed is not None:
+        spec = FaultSpec(slowdown_prob=0.25, slowdown_factor=0.5, slowdown_duration=2.5 * TICK)
+        faults = FaultInjector(spec, seed=fault_seed)
+    service = make_service(n_nodes=64, service_rate=256.0, queue_capacity=capacity, clock=clock,
+                           faults=faults)
+    if sleeping:  # what _pump_loop does when it starts
+        service._tick_t = service._last_pump_t = clock()
+        service._due_t = clock() + TICK
+    out = SimpleNamespace(service=service, writer=FakeWriter(), trail=[], measured=[], zs=[],
+                          stats=[], replayed=[])
+    observe = service.shard.observe_load
+    service.shard.observe_load = lambda: out.measured.append(observe()) or out.measured[-1]
+    events = sorted([(a[0], a[1], "ingest", a[2:]) for a in arrivals]
+                    + [(r[0], r[1], r[2], None) for r in reads], key=lambda e: e[:2])
+    for tick in range(ticks):
+        for _, offset, kind, batch in (e for e in events if e[0] == tick):
+            clock.now = 100.0 + tick * TICK + offset
+            before = service._tick_t
+            if kind == "ingest":
+                ids, pos, vel = batch
+                frame = ingest_frame(ids, pos, vel, np.full(ids.size, clock()))
+                service._dispatch(frame, out.writer)
+            elif kind == "adapt":
+                service.adapt_once()
+                out.zs.append(service.shedder.current_z)
+            else:
+                meta = service.stats_meta()
+                out.stats.append({key: meta[key] for key in STATS_MODEL_KEYS})
+            if before is not None:
+                out.replayed.append((service._tick_t - before) / TICK)
+        clock.now = 100.0 + (tick + 1) * TICK
+        if not sleeping:
+            service._pump(clock())
+        elif service._due_t is not None and service._due_t <= clock():
+            service._timer_pump(clock())
+        probe = copy.deepcopy(service)
+        LiraService._replay_skipped_ticks(probe, clock())
+        state = TestArrivalDrivenDrain._state(probe)
+        state["rate_factor"] = probe._rate_factor
+        if faults is not None:
+            state["faults"] = (probe.faults._server_rng.bit_generator.state,
+                               probe.faults._slow_until, probe.faults.counters.slow_ticks)
+        out.trail.append(state)
+    return out
+
+
+def assert_same_trail(on, asleep):
+    """The always-on timer's run and the sleeping one's agree at every
+    tick, in every measurement and adapted z, every ``stats`` reply and
+    every ack (its ``done_t`` included)."""
+    for tick, (a, b) in enumerate(zip(on.trail, asleep.trail, strict=True)):
+        assert a.keys() == b.keys()
+        for key in sorted(a.keys() - {"table"}):
+            assert a[key] == b[key], (tick, key)
+        for x, y in zip(a["table"], b["table"], strict=True):
+            np.testing.assert_array_equal(x, y)
+    assert on.measured == asleep.measured and on.zs == asleep.zs
+    assert on.stats == asleep.stats
+    assert on.writer.payloads == asleep.writer.payloads
 
 
 class TestAdaptation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import LiraConfig, StatisticsGrid
+from repro.core.gridreduce import uniform_partitioning
 from repro.geo import Rect
 from repro.queries import RangeQuery
 from repro.shedding.safe_region import SafeRegionPolicy
@@ -74,6 +75,21 @@ class TestSafeRegionPolicy:
         plan = policy.plan
         assert plan.num_regions == CONFIG.resolved_alpha**2
         assert policy.adapt(StatisticsGrid(BOUNDS, CONFIG.resolved_alpha), z=0.1) is plan
+
+    @pytest.mark.parametrize("alpha", [8, 16, 64])
+    def test_cells_are_the_one_cell_blocks_of_uniform_partitioning(self, alpha, rng):
+        """Same rectangles and statistics, float for float, as the α² blocks
+        of the paper's l-partitioning, empty cells (s = 0) included."""
+        grid = StatisticsGrid(Rect(-137.3, 41.9, 862.1, 1003.7), alpha)
+        shape = (alpha, alpha)
+        grid.n = rng.integers(0, 3, shape) * rng.uniform(0.5, 40.0, shape)  # a rolled grid's n
+        grid.m, grid.s = rng.uniform(0, 2, shape), rng.uniform(0, 30, shape)
+        policy = SafeRegionPolicy(self.QUERIES, LiraConfig(l=16, alpha=alpha))
+        blocks = uniform_partitioning(grid, alpha**2).regions
+        cells = policy.adapt(grid, z=0.5).regions
+        assert len(cells) == len(blocks) == alpha**2
+        for cell, block in zip(cells, blocks, strict=True):
+            assert (cell.rect, cell.n, cell.m, cell.s) == (block.rect, block.n, block.m, block.s)
 
     @pytest.mark.parametrize("alpha", [8, 16, 64])
     def test_cell_rule_never_exceeds_the_position_rule(self, alpha, rng):
