@@ -21,10 +21,9 @@ round):
 
 * :class:`IncrementalAdaptSession` — the load shedder's between-round
   state: the persistent :class:`~repro.core.quadtree.RegionHierarchy`
-  (sparsely refreshed from the grid's dirty cells), copies of the last
-  grid statistics used for exact change detection, a single-entry
-  GREEDYINCREMENT memo, and the last plan for identity reuse + plan
-  epoch stamping.
+  (re-aggregated from each round's grid, its rectangles kept), a
+  single-entry GREEDYINCREMENT memo, and the last plan for identity
+  reuse + plan epoch stamping.
 """
 
 from __future__ import annotations
@@ -195,9 +194,6 @@ class IncrementalAdaptSession:
     the shedder is incremental, fresh every round otherwise."""
 
     hierarchy: "RegionHierarchy | None" = None
-    prev_n: np.ndarray | None = None
-    prev_m: np.ndarray | None = None
-    prev_s: np.ndarray | None = None
     gridreduce: IncrementalGridReduceCache = field(
         default_factory=IncrementalGridReduceCache
     )
@@ -215,28 +211,3 @@ class IncrementalAdaptSession:
     # Diagnostics: how the last round resolved its plan.
     last_plan_reused: bool = False
     last_geometry_reused: bool = False
-
-    def dirty_mask(self, grid) -> np.ndarray | None:
-        """Exact changed-cell mask of ``grid`` vs the previous round.
-
-        Returns ``None`` when there is no previous round (or the grid
-        shape changed), meaning "treat everything as dirty".
-        """
-        if (
-            self.prev_n is None
-            or self.prev_n.shape != grid.n.shape
-            or self.hierarchy is None
-            or self.hierarchy.bounds != grid.bounds
-        ):
-            return None
-        return (
-            (grid.n != self.prev_n)
-            | (grid.m != self.prev_m)
-            | (grid.s != self.prev_s)
-        )
-
-    def checkpoint(self, grid) -> None:
-        """Remember the grid statistics the next round will diff against."""
-        self.prev_n = grid.n.copy()
-        self.prev_m = grid.m.copy()
-        self.prev_s = grid.s.copy()

@@ -54,24 +54,10 @@ class RegionHierarchy:
         self.alpha = alpha
         self.depth = int(np.log2(alpha))  # leaf level index
         self._rects: dict[tuple[int, int, int], Rect] = {}
-        self._n_levels: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore
-        self._m_levels: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore
-        self._s_levels: list[np.ndarray] = [None] * (self.depth + 1)  # type: ignore
-        self._n_levels[self.depth] = grid.n.astype(np.float64)
-        self._m_levels[self.depth] = grid.m.astype(np.float64)
-        self._s_levels[self.depth] = grid.s.astype(np.float64)
-        for level in range(self.depth - 1, -1, -1):
-            n_child = self._n_levels[level + 1]
-            m_child = self._m_levels[level + 1]
-            s_child = self._s_levels[level + 1]
-            n_parent = _block_sum(n_child)
-            m_parent = _block_sum(m_child)
-            momentum = _block_sum(n_child * s_child)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                s_parent = np.where(n_parent > 0, momentum / np.maximum(n_parent, 1e-300), 0.0)
-            self._n_levels[level] = n_parent
-            self._m_levels[level] = m_parent
-            self._s_levels[level] = s_parent
+        self._n_levels: list[np.ndarray] = [np.empty(0)] * (self.depth + 1)
+        self._m_levels: list[np.ndarray] = [np.empty(0)] * (self.depth + 1)
+        self._s_levels: list[np.ndarray] = [np.empty(0)] * (self.depth + 1)
+        self.refresh(grid)
 
     @property
     def root(self) -> RegionNode:
@@ -132,56 +118,22 @@ class RegionHierarchy:
         """Total node count ``(4^(depth+1) − 1) / 3``."""
         return (4 ** (self.depth + 1) - 1) // 3
 
-    def refresh(self, grid: StatisticsGrid, dirty: np.ndarray) -> None:
-        """Recompute only the aggregates whose underlying cells changed.
-
-        ``dirty`` is a boolean α×α mask over leaf cells whose statistics
-        may differ from this hierarchy's current leaf level.  Dirty leaf
-        statistics are copied in from ``grid`` and every ancestor whose
-        2x2 block contains a dirty child is recomputed with exactly the
-        expressions (and float operation order) full construction uses,
-        so a refreshed hierarchy is bit-identical to
-        ``RegionHierarchy(grid)`` as long as the clean cells really are
-        unchanged.
-        """
-        dirty = np.asarray(dirty, dtype=bool)
-        if dirty.shape != (self.alpha, self.alpha):
-            raise ValueError(
-                f"dirty mask shape {dirty.shape} != ({self.alpha}, {self.alpha})"
-            )
-        if dirty.any():
-            self._n_levels[self.depth][dirty] = grid.n[dirty]
-            self._m_levels[self.depth][dirty] = grid.m[dirty]
-            self._s_levels[self.depth][dirty] = grid.s[dirty]
+    def refresh(self, grid: StatisticsGrid) -> None:
+        """Aggregate every level from ``grid`` (same α and bounds), bottom-up;
+        the rectangles stay.  At every α an adapt round uses, this costs
+        less than re-aggregating only the changed cells' ancestors."""
+        self._n_levels[self.depth] = grid.n.astype(np.float64)
+        self._m_levels[self.depth] = grid.m.astype(np.float64)
+        self._s_levels[self.depth] = grid.s.astype(np.float64)
         for level in range(self.depth - 1, -1, -1):
-            # This level's mask: a node is dirty if any child is.
-            dirty = dirty[0::2, 0::2] | dirty[0::2, 1::2] | dirty[1::2, 0::2] | dirty[1::2, 1::2]
-            ii, jj = np.nonzero(dirty)
-            if ii.size == 0:
-                continue
             n_child = self._n_levels[level + 1]
-            m_child = self._m_levels[level + 1]
-            s_child = self._s_levels[level + 1]
-            i2, j2 = 2 * ii, 2 * jj
-            n00 = n_child[i2, j2]
-            n01 = n_child[i2, j2 + 1]
-            n10 = n_child[i2 + 1, j2]
-            n11 = n_child[i2 + 1, j2 + 1]
-            n_parent = ((n00 + n01) + n10) + n11
-            m_parent = (
-                (m_child[i2, j2] + m_child[i2, j2 + 1]) + m_child[i2 + 1, j2]
-            ) + m_child[i2 + 1, j2 + 1]
-            momentum = (
-                (n00 * s_child[i2, j2] + n01 * s_child[i2, j2 + 1])
-                + n10 * s_child[i2 + 1, j2]
-            ) + n11 * s_child[i2 + 1, j2 + 1]
+            n_parent = _block_sum(n_child)
+            momentum = _block_sum(n_child * self._s_levels[level + 1])
             with np.errstate(invalid="ignore", divide="ignore"):
-                s_parent = np.where(
-                    n_parent > 0, momentum / np.maximum(n_parent, 1e-300), 0.0
-                )
-            self._n_levels[level][ii, jj] = n_parent
-            self._m_levels[level][ii, jj] = m_parent
-            self._s_levels[level][ii, jj] = s_parent
+                s_parent = np.where(n_parent > 0, momentum / np.maximum(n_parent, 1e-300), 0.0)
+            self._n_levels[level] = n_parent
+            self._m_levels[level] = _block_sum(self._m_levels[level + 1])
+            self._s_levels[level] = s_parent
 
     def level_stats(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(n, m, s)`` statistic arrays of one level (2^d × 2^d).
@@ -200,13 +152,8 @@ class RegionHierarchy:
 
 
 def _block_sum(array: np.ndarray) -> np.ndarray:
-    """Sum each 2x2 block of a 2^k-square array (one level of aggregation).
-
-    The four children are added in explicit left-associative order —
-    ``((c[2i,2j] + c[2i,2j+1]) + c[2i+1,2j]) + c[2i+1,2j+1]`` — so a
-    sparse refresh that gathers the same four scalars and adds them in
-    the same order reproduces every entry bit-identically.
-    """
+    """Sum each 2x2 block of a 2^k-square array (one level of aggregation),
+    in the fixed order ``((c[2i,2j] + c[2i,2j+1]) + c[2i+1,2j]) + c[2i+1,2j+1]``."""
     return (
         (array[0::2, 0::2] + array[0::2, 1::2]) + array[1::2, 0::2]
     ) + array[1::2, 1::2]

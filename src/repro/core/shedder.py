@@ -166,7 +166,7 @@ class LiraLoadShedder(SheddingPolicy):
         Stages, each skipping work the drift since the session's last
         round did not invalidate (a fresh session skips nothing):
 
-        1. sparse hierarchy refresh over the exact changed-cell mask;
+        1. the hierarchy re-aggregated in place (its rectangles kept);
         2. GRIDREDUCE with the gain memo + trajectory replay cache;
         3. GREEDYINCREMENT via a single-entry memo keyed on the exact
            region statistics (a pure function of its inputs);
@@ -177,13 +177,11 @@ class LiraLoadShedder(SheddingPolicy):
         if not self.incremental:
             self.session = IncrementalAdaptSession()
         session = self.session
-        dirty = session.dirty_mask(grid)
-        if dirty is None:
+        hierarchy = session.hierarchy
+        if hierarchy is None or (hierarchy.alpha, hierarchy.bounds) != (grid.alpha, grid.bounds):
             session.hierarchy = RegionHierarchy(grid)
         else:
-            assert session.hierarchy is not None
-            session.hierarchy.refresh(grid, dirty)
-        session.checkpoint(grid)
+            hierarchy.refresh(grid)
         partitioning = grid_reduce(
             session.hierarchy,
             self.config.l,

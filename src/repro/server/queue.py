@@ -34,6 +34,9 @@ class ArrayBoundedQueue:
             deque()
         )
         self._size = 0
+        # Chunks offered since the last own(): the newest, which may
+        # still be a caller's arrays (a batch admitted whole is not copied).
+        self._unowned = 0
         # Monotonic counts, never reset: a reader's period is a
         # difference of two readings.
         self.lifetime_enqueued = 0
@@ -61,20 +64,31 @@ class ArrayBoundedQueue:
         fit = min(n, self.capacity - self._size)
         if fit > 0:
             chunk = (
-                np.asarray(times, dtype=np.float64)[:fit],
-                np.asarray(node_ids, dtype=np.int64)[:fit],
-                np.asarray(positions, dtype=np.float64)[:fit],
-                np.asarray(velocities, dtype=np.float64)[:fit],
+                np.asarray(times, dtype=np.float64),
+                np.asarray(node_ids, dtype=np.int64),
+                np.asarray(positions, dtype=np.float64),
+                np.asarray(velocities, dtype=np.float64),
             )
             if fit < n:
                 # A slice pins its whole base (for a live service, the
                 # frame buffer it arrived in): retain only what was admitted.
-                chunk = (chunk[0].copy(), chunk[1].copy(), chunk[2].copy(), chunk[3].copy())
+                chunk = (chunk[0][:fit].copy(), chunk[1][:fit].copy(),
+                         chunk[2][:fit].copy(), chunk[3][:fit].copy())
             self._chunks.append(chunk)
+            self._unowned += 1
             self._size += fit
             self.lifetime_enqueued += fit
         self.lifetime_dropped += n - fit
         return fit
+
+    def own(self) -> None:
+        """Copy the chunks offered since the last call that still view
+        their caller's memory (a batch admitted whole is queued as is),
+        before that caller reuses it: a live service's receive buffer."""
+        chunks = self._chunks
+        for k in range(len(chunks) - min(self._unowned, len(chunks)), len(chunks)):
+            chunks[k] = tuple(c if c.base is None else c.copy() for c in chunks[k])  # type: ignore
+        self._unowned = 0
 
     def poll_arrays(
         self, max_items: int

@@ -12,7 +12,12 @@ little-endian buffers back to back, each zero-padded to a multiple of
 8 bytes; the header is space-padded so the body also starts on an
 8-byte boundary of the frame.  Decoding is therefore ``np.frombuffer``
 views over the received bytes — aligned, read-only, no copy and no
-parse of the payload — and a decoded array keeps its body buffer alive.
+parse of the payload — and a decoded array keeps its buffer alive.
+
+A client's :func:`read_frame` reads header and body as two buffers, so
+its arrays pin the body alone; the service receives into one reused
+buffer per connection, cuts frames out of it with :func:`cut_frame` and
+copies out what its queue keeps before the buffer is reused.
 
 Framing is strict: a wrong magic (including the retired npz-bodied
 ``LCQ1``), an oversized declared length, or an array spec that is not a
@@ -32,7 +37,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["Frame", "FrameError", "encode_frame", "decode_frame", "read_frame"]
+__all__ = ["Frame", "FrameError", "cut_frame", "encode_frame", "decode_frame", "read_frame"]
 
 MAGIC = b"LCQ2"
 _PREFIX = struct.Struct(">4sII")
@@ -96,10 +101,8 @@ def encode_frame(
     return b"".join([_PREFIX.pack(MAGIC, len(header), body_len), header, *body])
 
 
-def _parse_prefix(prefix: bytes) -> tuple[int, int]:
+def _parse_prefix(prefix: bytes | memoryview) -> tuple[int, int]:
     """``(header_len, body_len)`` of a frame from its 12-byte prefix."""
-    if len(prefix) < _PREFIX.size:
-        raise FrameError("short frame: missing prefix")
     magic, header_len, body_len = _PREFIX.unpack_from(prefix)
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic!r}")
@@ -157,15 +160,27 @@ def _decode(header_bytes: bytes, body: bytes | memoryview) -> Frame:
     return Frame(kind=kind, meta=meta, arrays=_views(header.get("arrays", []), body))
 
 
+def cut_frame(view: memoryview) -> tuple[Frame | None, int]:
+    """``(frame, its length)`` for the frame ``view`` starts with, or
+    ``(None, the length it needs)`` while it is incomplete.  A bad prefix
+    raises at once; the arrays are views into ``view``."""
+    if len(view) < _PREFIX.size:
+        return None, _PREFIX.size
+    header_len, body_len = _parse_prefix(view)
+    body_at = _PREFIX.size + header_len
+    size = body_at + body_len
+    if len(view) < size:
+        return None, size
+    return _decode(bytes(view[_PREFIX.size : body_at]), view[body_at:size]), size
+
+
 def decode_frame(data: bytes) -> Frame:
     """Decode one complete frame from bytes (the inverse of
     :func:`encode_frame`); the arrays are views into ``data``."""
-    header_len, body_len = _parse_prefix(data)
-    expected = _PREFIX.size + header_len + body_len
-    if len(data) != expected:
-        raise FrameError(f"frame length mismatch: {len(data)} != {expected}")
-    body_at = _PREFIX.size + header_len
-    return _decode(data[_PREFIX.size : body_at], memoryview(data)[body_at:])
+    frame, size = cut_frame(memoryview(data))
+    if frame is None or size != len(data):
+        raise FrameError(f"frame length mismatch: {len(data)} != {size}")
+    return frame
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Frame | None:

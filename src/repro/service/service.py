@@ -50,7 +50,7 @@ import asyncio
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Coroutine
+from typing import Any, Coroutine, cast
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from repro.geo import Rect
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.server.base_station import place_uniform_stations
 from repro.server.shard import LiraShard
-from repro.service.framing import Frame, FrameError, encode_frame, read_frame
+from repro.service.framing import Frame, FrameError, cut_frame, encode_frame
 from repro.shedding import policy_factory
 
 logger = logging.getLogger(__name__)
@@ -85,8 +85,14 @@ THROTTLE_SMOOTHING = 0.5
 #: it are withheld.  A 100-region plan frame is ≈ 10 KB, so a reader that
 #: is merely some pushes behind loses nothing, while one that stopped
 #: reading costs the process a bounded buffer instead of every plan
-#: since: ``_handle_conn`` drains a writer only for its own requests.
+#: since: a connection's flow control holds back only its own replies.
 SEND_BUDGET_BYTES = 1 << 20
+#: Bytes a connection's receive buffer starts with, what an idle peer
+#: costs.  It doubles as a frame that fills it arrives, and is reused.
+RECV_BUFFER_BYTES = 1 << 12
+#: An emptied receive buffer larger than this drops back to
+#: ``RECV_BUFFER_BYTES``, so no peer keeps more between its frames.
+RECV_KEEP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,7 @@ class IngestResult:
 class _PendingAck:
     """An ingest ack deferred until the queue drains past ``mark``."""
 
-    writer: asyncio.StreamWriter
+    writer: asyncio.WriteTransport
     meta: dict
     mark: int
 
@@ -204,7 +210,7 @@ class _PendingAck:
 class _Subscriber:
     """One plan-push channel: a connection that sent ``subscribe``."""
 
-    writer: asyncio.StreamWriter
+    writer: asyncio.WriteTransport
     station_id: int | None = None
     #: Epoch of the last plan content this subscriber received — a delta
     #: frame is only sent to subscribers sitting at its base epoch;
@@ -358,9 +364,8 @@ class LiraService:
         self._due_t: float | None = None
         self._backlog = asyncio.Event()
         self._subscribers: list[_Subscriber] = []
-        #: Every open connection: its writer and its handler task, so
-        #: stop() can drop them and wait for the handlers to finish.
-        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Every open connection, so stop() can drop them.
+        self._connections: set[_Connection] = set()
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []
         self._slow_callback_detector: sanitize.SlowCallbackDetector | None = None
@@ -610,7 +615,7 @@ class LiraService:
             if subscriber.writer.is_closing():
                 continue
             live.append(subscriber)
-            if subscriber.writer.transport.get_write_buffer_size() > SEND_BUDGET_BYTES:
+            if subscriber.writer.get_write_buffer_size() > SEND_BUDGET_BYTES:
                 subscriber.epoch = None
                 self.counters.plan_pushes_dropped += 1
                 continue
@@ -684,34 +689,7 @@ class LiraService:
     # Socket protocol
     # ------------------------------------------------------------------
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connections[writer] = task
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except FrameError as exc:
-                    self._protocol_error(writer, "bad-frame", str(exc))
-                    await writer.drain()
-                    break
-                if frame is None:
-                    break
-                self._dispatch(frame, writer)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.pop(writer, None)
-            self._subscribers = [
-                s for s in self._subscribers if s.writer is not writer
-            ]
-            writer.close()
-
-    def _dispatch(self, frame: Frame, writer: asyncio.StreamWriter) -> None:
+    def _dispatch(self, frame: Frame, writer: asyncio.WriteTransport) -> None:
         if frame.kind == "ping":
             meta = dict(frame.meta)
             meta["server_t"] = self.clock()
@@ -741,14 +719,14 @@ class LiraService:
             return
         self._protocol_error(writer, "unknown-kind", f"unknown frame kind {frame.kind!r}")
 
-    def _protocol_error(self, writer: asyncio.StreamWriter, reason: str, message: str) -> None:
+    def _protocol_error(self, writer: asyncio.WriteTransport, reason: str, message: str) -> None:
         """Count a refused frame by reason and tell the peer why."""
         self.counters.protocol_errors += 1
         by_reason = self.protocol_errors_by_reason
         by_reason[reason] = by_reason.get(reason, 0) + 1
         writer.write(encode_frame("error", {"message": message}))
 
-    def _handle_ingest(self, frame: Frame, writer: asyncio.StreamWriter) -> None:
+    def _handle_ingest(self, frame: Frame, writer: asyncio.WriteTransport) -> None:
         recv_t = self.clock()
         fault = _ingest_fault(frame.arrays, self.n_nodes)
         if fault is not None:
@@ -802,14 +780,11 @@ class LiraService:
             raise RuntimeError("service already started")
         if self.plan is None:
             self.adapt_once()
+        loop, protocol = asyncio.get_running_loop(), lambda: _Connection(self)
         if path is not None:
-            self._asyncio_server = await asyncio.start_unix_server(
-                self._handle_conn, path=path
-            )
+            self._asyncio_server = await loop.create_unix_server(protocol, path=path)
         else:
-            self._asyncio_server = await asyncio.start_server(
-                self._handle_conn, host=host, port=port
-            )
+            self._asyncio_server = await loop.create_server(protocol, host=host, port=port)
         if sanitize.enabled():
             self._slow_callback_detector = sanitize.SlowCallbackDetector(
                 threshold_s=sanitize.slow_callback_threshold_s()
@@ -878,10 +853,8 @@ class LiraService:
             # Since Python 3.12.1 wait_closed() also waits for every open
             # connection.  abort(), not close(): bytes buffered for a peer
             # that stopped reading would keep its connection open.
-            handlers = list(self._connections.values())
-            for writer in list(self._connections):
-                writer.transport.abort()
-            await asyncio.gather(*handlers, return_exceptions=True)
+            for connection in list(self._connections):
+                connection.transport.abort()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
 
@@ -890,3 +863,84 @@ class LiraService:
         if self._asyncio_server is None:
             raise RuntimeError("call start() first")
         await self._asyncio_server.serve_forever()
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One peer of a :class:`LiraService`, unix or TCP (DESIGN.md §9).
+
+    Frames are received into one reused buffer and dispatched where they
+    landed, as read-only views; the queue copies out what it keeps before
+    the buffer takes more bytes.  A paused transport write pauses reading.
+    """
+
+    def __init__(self, service: LiraService) -> None:
+        self.service = service
+        self.transport: asyncio.Transport
+        self._buf = bytearray(RECV_BUFFER_BYTES)
+        #: The bytes not yet dispatched: ``_buf[_start:_end]``.
+        self._start = self._end = 0
+        self._paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:  # reprolint: disable=REP015 - transport callback
+        self.transport = cast(asyncio.Transport, transport)
+        self.service._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:  # reprolint: disable=REP015 - transport callback
+        service = self.service
+        service._connections.discard(self)
+        service._subscribers = [s for s in service._subscribers if s.writer is not self.transport]
+
+    def get_buffer(self, sizehint: int) -> memoryview:  # reprolint: disable=REP015 - transport callback
+        return memoryview(self._buf)[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:  # reprolint: disable=REP015 - transport callback
+        self._end += nbytes
+        self._dispatch_frames()
+
+    def eof_received(self) -> None:  # reprolint: disable=REP015 - transport callback
+        # The transport then closes, once the replies are flushed.
+        if self._end > self._start:
+            self.service._protocol_error(self.transport, "bad-frame", "EOF inside a frame")
+
+    def pause_writing(self) -> None:  # reprolint: disable=REP015 - transport callback
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:  # reprolint: disable=REP015 - transport callback
+        self._paused = False
+        self._dispatch_frames()
+        if not self._paused:
+            self.transport.resume_reading()
+
+    def _dispatch_frames(self) -> None:
+        """Dispatch the complete frames received until writing pauses,
+        then make room for the rest of the incomplete one."""
+        view, transport = memoryview(self._buf).toreadonly(), self.transport
+        try:
+            while not (self._paused or transport.is_closing()):
+                frame, size = cut_frame(view[self._start : self._end])
+                if frame is None:
+                    break
+                self._start += size
+                self.service._dispatch(frame, transport)
+            else:
+                return
+        except FrameError as exc:
+            self.service._protocol_error(transport, "bad-frame", str(exc))
+            transport.close()
+            return
+        finally:
+            self.service.server.queue.own()  # before the buffer is reused
+        start, end, buf = self._start, self._end, self._buf
+        if start == end:
+            self._start = self._end = 0
+            if len(buf) > RECV_KEEP_BYTES:
+                self._buf = bytearray(RECV_BUFFER_BYTES)
+        elif start + size > len(buf) and (start > 0 or end == len(buf)):
+            # The frame does not fit behind its head: move the head to the
+            # front, of a buffer twice as large (at most the frame) once
+            # the frame's bytes fill this one, so it grows as they arrive.
+            if start == 0:
+                self._buf = bytearray(min(size, 2 * len(buf)))
+            memoryview(self._buf)[: end - start] = memoryview(buf)[start:end]
+            self._start, self._end = 0, end - start

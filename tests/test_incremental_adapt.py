@@ -776,7 +776,6 @@ class TestServiceDeltaBroadcast:
     class _FakeWriter:
         def __init__(self):
             self.frames: list[bytes] = []
-            self.transport = self  # its own transport: nothing ever unread
 
         def get_write_buffer_size(self) -> int:
             return 0

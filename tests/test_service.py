@@ -70,28 +70,22 @@ def make_batch(n: int, seed: int = 0):
     return ids, pos, vel
 
 
-class FakeTransport:
-    """A transport whose unread backlog the test sets."""
-
-    def __init__(self):
-        self.buffered = 0
-
-    def get_write_buffer_size(self) -> int:
-        return self.buffered
-
-
 class FakeWriter:
-    """The slice of ``asyncio.StreamWriter`` the dispatch path touches."""
+    """The slice of ``asyncio.WriteTransport`` the dispatch path touches,
+    with an unread backlog the test sets."""
 
     def __init__(self):
         self.payloads: list[bytes] = []
-        self.transport = FakeTransport()
+        self.buffered = 0
 
     def write(self, payload: bytes) -> None:
         self.payloads.append(payload)
 
     def is_closing(self) -> bool:
         return False
+
+    def get_write_buffer_size(self) -> int:
+        return self.buffered
 
     def frames(self) -> list[Frame]:
         return [decode_frame(payload) for payload in self.payloads]
@@ -964,12 +958,12 @@ class TestSendBudget:
         self._push_rounds(service, clock, rng, "plan")
         assert [f.kind for f in stalled.frames()] == ["plan"]
         # At the budget is still inside it; one byte more is not.
-        stalled.transport.buffered = SEND_BUDGET_BYTES
+        stalled.buffered = SEND_BUDGET_BYTES
         self._push_rounds(service, clock, rng, "plan-delta")
         assert stalled.frames()[-1].kind == "plan-delta"
         assert service.counters.plan_pushes_dropped == 0
         received = len(stalled.payloads)
-        stalled.transport.buffered = SEND_BUDGET_BYTES + 1
+        stalled.buffered = SEND_BUDGET_BYTES + 1
         missed = self._push_rounds(service, clock, rng, "plan-delta")
         assert len(stalled.payloads) == received  # not one byte
         assert service.counters.plan_pushes_dropped == len(missed)
@@ -977,7 +971,7 @@ class TestSendBudget:
         assert service._subscribers[0].epoch is None
         # It reads again: the next push is a delta for the subscriber that
         # kept up, and a full plan for the one that missed its base.
-        stalled.transport.buffered = 0
+        stalled.buffered = 0
         after = self._push_rounds(service, clock, rng, "plan-delta")
         caught_up = stalled.frames()[received:]
         assert caught_up[0].kind == "plan"
@@ -999,12 +993,12 @@ class TestSendBudget:
         rng = np.random.default_rng(7)
         self._push_rounds(service, clock, rng, "plan")
         assert [f.kind for f in writer.frames()] == ["plan-subset"]
-        writer.transport.buffered = SEND_BUDGET_BYTES + 1
+        writer.buffered = SEND_BUDGET_BYTES + 1
         self._push_rounds(service, clock, rng, "plan-delta")
         assert len(writer.payloads) == 1 and service.counters.plan_pushes_dropped >= 1
         # A later push whose delta leaves this station's subset alone
         # would normally skip it; it still owes it the content it missed.
-        writer.transport.buffered = 0
+        writer.buffered = 0
         service._plan_dirty, service._changed_stations = True, frozenset()
         skipped = service.counters.plan_pushes_skipped
         service._push_plan()
@@ -1205,32 +1199,48 @@ class TestSocketProtocol:
 
     def test_zero_copy_ingest_and_lcq1_refusal_over_a_real_socket(self, tmp_path):
         """The counted wire contract CI checks: what the server decodes
-        off a socket is aligned views of the body buffer, the frame is
-        acked inside its own dispatch, and an LCQ1 peer is told to go."""
+        off a socket is aligned, read-only views into the connection's
+        receive buffer — the next frame lands in the same buffer when the
+        last left nothing queued — each frame is acked inside its own
+        dispatch, and an LCQ1 peer is told to go."""
         sock = str(tmp_path / "wire.sock")
         ids, pos, vel = make_batch(32)
-        received: list[Frame] = []
+        received: list[dict] = []
+
+        def seen(frame, writer):
+            """What a dispatched frame is, read while it is dispatched."""
+            roots = {id(root_buffer(a)) for a in frame.arrays.values()}
+            root = root_buffer(frame.arrays["node_ids"])
+            whole = np.frombuffer(root, dtype=np.uint8)
+            return {
+                "values": {name: a.copy() for name, a in frame.arrays.items()},
+                "views": all(a.flags.aligned and not a.flags.writeable and not a.flags.owndata
+                             and np.shares_memory(a, whole) for a in frame.arrays.values()),
+                "roots": roots, "root": root, "receive_buffer": writer.get_protocol()._buf,
+            }
 
         async def scenario():
             service = ServiceConfig(
                 n_nodes=32, service_rate=1e9, side=1000.0, station_radius=800.0, l=4, alpha=8
             ).build()
             dispatch = service._dispatch
-            service._dispatch = lambda frame, writer: (received.append(frame),
+            service._dispatch = lambda frame, writer: (received.append(seen(frame, writer)),
                                                        dispatch(frame, writer))
             await service.start(path=sock)
             try:
                 reader, writer = await asyncio.open_unix_connection(sock)
                 await asyncio.sleep(0.02)  # let some pump capacity elapse
-                payload = encode_frame(
-                    "ingest", {"seq": 5, "send_t": 0.0},
-                    {"node_ids": ids, "positions": pos, "velocities": vel,
-                     "times": np.zeros(32)},
-                )
-                writer.write(payload)
-                ack = await asyncio.wait_for(read_frame(reader), timeout=5.0)
-                assert (ack.kind, ack.meta["admitted"]) == ("ingest-ack", 32)
-                assert service.counters.acks_inline == 1
+                for seq in (5, 6):
+                    payload = encode_frame(
+                        "ingest", {"seq": seq, "send_t": 0.0},
+                        {"node_ids": ids, "positions": pos, "velocities": vel,
+                         "times": np.zeros(32)},
+                    )
+                    writer.write(payload)
+                    ack = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                    assert (ack.kind, ack.meta["seq"], ack.meta["admitted"]) == ("ingest-ack", seq, 32)
+                    assert len(service.server.queue) == 0  # nothing left queued
+                assert service.counters.acks_inline == 2
                 assert service.counters.acks_deferred == 0
                 writer.close()
 
@@ -1241,23 +1251,97 @@ class TestSocketProtocol:
                 assert err.kind == "error" and "magic" in err.meta["message"]
                 assert await asyncio.wait_for(read_frame(reader), timeout=5.0) is None
                 assert service.protocol_errors_by_reason == {"bad-frame": 1}
-                assert service.counters.ingest_frames == 1
+                assert service.counters.ingest_frames == 2
                 writer.close()
-                return _PREFIX.unpack_from(payload)[2]
             finally:
                 await service.stop()
 
-        body_len = asyncio.run(scenario())
-        (frame,) = received
-        bodies = set()
-        for name, sent in (("node_ids", ids), ("positions", pos), ("velocities", vel)):
-            got = frame.arrays[name]
-            np.testing.assert_array_equal(got, sent)
-            assert got.flags.aligned and not got.flags.owndata
-            bodies.add(id(root_buffer(got)))
-            assert type(root_buffer(got)) is bytes and len(root_buffer(got)) == body_len
-            assert np.shares_memory(got, np.frombuffer(root_buffer(got), dtype=np.uint8))
-        assert len(bodies) == 1  # one buffer, read once, never concatenated
+        asyncio.run(scenario())
+        first, second = received
+        for frame in (first, second):
+            for name, sent in (("node_ids", ids), ("positions", pos), ("velocities", vel)):
+                np.testing.assert_array_equal(frame["values"][name], sent)
+            assert frame["views"]
+            assert frame["roots"] == {id(frame["root"])}  # one buffer, never concatenated
+            assert type(frame["root"]) is bytearray and frame["root"] is frame["receive_buffer"]
+        assert second["root"] is first["root"]  # received into the same buffer
+
+    def test_tcp_listener_receives_a_frame_larger_than_the_receive_buffer(self):
+        """The TCP listener serves the same connections: a frame past the
+        initial receive buffer lands whole, between two small ones."""
+        from repro.service.service import RECV_BUFFER_BYTES
+
+        n = RECV_BUFFER_BYTES // 48 + 100
+        rng = np.random.default_rng(3)
+        arrays = {"node_ids": rng.integers(0, 32, n), "positions": rng.uniform(0, 1000, (n, 2)),
+                  "velocities": rng.uniform(-5, 5, (n, 2)), "times": np.zeros(n)}
+
+        async def scenario():
+            service = ServiceConfig(
+                n_nodes=32, service_rate=1e9, queue_capacity=10 * n, side=1000.0,
+                station_radius=800.0, l=4, alpha=8,
+            ).build()
+            await service.start(port=0)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.bound_port)
+                await asyncio.sleep(0.02)  # pump capacity for the whole batch
+                writer.write(encode_frame("ping", {"seq": 1})
+                             + encode_frame("ingest", {"seq": 2, "send_t": 0.0}, arrays)
+                             + encode_frame("ping", {"seq": 3}))
+                replies = [await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                           for _ in range(3)]
+                assert [(f.kind, f.meta["seq"]) for f in replies] == [
+                    ("pong", 1), ("ingest-ack", 2), ("pong", 3)]
+                assert replies[1].meta["admitted"] == n
+                assert service.protocol_errors_by_reason == {}
+                writer.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_oversized_prefix_and_eof_inside_a_frame_are_bad_frames(self, tmp_path):
+        """A prefix declaring more than ``MAX_SECTION_BYTES`` is refused
+        before the receive buffer grows; a peer that closes inside a frame
+        costs one ``bad-frame``.  Each connection is then closed."""
+        from repro.service.framing import MAX_SECTION_BYTES
+        from repro.service.service import RECV_BUFFER_BYTES
+
+        sock = str(tmp_path / "bad.sock")
+
+        async def connect(service):
+            reader, writer = await asyncio.open_unix_connection(sock)
+            while len(service._connections) != 1:
+                await asyncio.sleep(0.001)
+            (connection,) = service._connections
+            return reader, writer, connection
+
+        async def scenario():
+            service = make_service()
+            await service.start(path=sock)
+            try:
+                reader, writer, connection = await connect(service)
+                writer.write(_PREFIX.pack(MAGIC, 8, MAX_SECTION_BYTES + 1))
+                err = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert err.kind == "error" and "MAX_SECTION_BYTES" in err.meta["message"]
+                assert await asyncio.wait_for(read_frame(reader), timeout=5.0) is None
+                assert len(connection._buf) == RECV_BUFFER_BYTES
+                writer.close()
+
+                reader, writer, _ = await connect(service)
+                writer.write(encode_frame("ping", {"seq": 1}) + encode_frame("ping")[:-3])
+                writer.write_eof()
+                pong = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                err = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert (pong.kind, err.kind) == ("pong", "error")
+                assert "EOF inside a frame" in err.meta["message"]
+                assert await asyncio.wait_for(read_frame(reader), timeout=5.0) is None
+                assert service.protocol_errors_by_reason == {"bad-frame": 2}
+                writer.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
 
     def test_idle_service_parks_its_timer_until_a_backlog(self, tmp_path):
         """An idle service runs no timer pumps (an always-on 5 ms timer
@@ -1348,11 +1432,11 @@ class TestStalledPeers:
         asyncio.run(scenario())
 
     def test_client_that_never_reads_acks_costs_a_bounded_buffer(self, tmp_path):
-        """``_handle_conn`` awaits ``drain()`` after every dispatch, so a
-        client that sends and never reads its acks stops being read once
-        its connection's buffer passes the transport's high-water mark:
-        the acks it is owed stay under ``SEND_BUDGET_BYTES`` without a
-        budget check of their own."""
+        """A connection pauses its reading when its transport pauses
+        writing, so a client that sends and never reads its acks stops
+        being read once its connection's buffer passes the transport's
+        high-water mark: the acks it is owed stay under
+        ``SEND_BUDGET_BYTES`` without a budget check of their own."""
         from repro.service.service import SEND_BUDGET_BYTES
 
         sock = str(tmp_path / "acks.sock")
