@@ -12,11 +12,10 @@ what a change is held to is ``bench/`` + ``BENCHMARK.json``.
 import numpy as np
 import pytest
 
-from repro.core import StatisticsGrid
+from repro.core import LiraLoadShedder, StatisticsGrid
 from repro.index import NodeTable
 from repro.motion import DeadReckoningFleet
 from repro.queries import QueryEvalKernel, evaluate_queries
-from repro.sim import make_policies
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +91,7 @@ def test_adapt_step(benchmark, measurement_scene, bench_scale):
     """One policy re-adaptation: statistics-grid build + LIRA adapt."""
     scenario, positions, _, _ = measurement_scene
     trace = scenario.trace
-    policy = make_policies(scenario, bench_scale.lira_config(), include=("lira",))[
-        "lira"
-    ]
+    policy = LiraLoadShedder(bench_scale.lira_config(), scenario.reduction)
     speeds = trace.speeds(trace.num_ticks // 2)
 
     def adapt_once():

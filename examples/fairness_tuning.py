@@ -33,13 +33,11 @@ def main() -> None:
     print("-" * len(header))
     for fairness in (0.0, 10.0, 25.0, 50.0, 95.0):
         config = LiraConfig(l=49, alpha=64, z=z, fairness=fairness)
-        policy = LiraLoadShedder(config, scenario.reduction)
-        result = Simulation(
-            scenario.trace,
-            scenario.queries,
-            policy,
-            SimulationConfig(z=z, adapt_every=20, seed=13),
-        ).run()
+        sim = Simulation(
+            scenario, "lira", config, SimulationConfig(z=z, adapt_every=20, seed=13)
+        )
+        result = sim.run()
+        policy = sim.system.shedder  # LIRA's plan source is the shard's shedder
         spread = policy.plan.max_threshold_spread()
         snapshot_err = _snapshot_probe(scenario, policy, z)
         print(

@@ -9,7 +9,8 @@ query accuracy.
 Run:  python examples/quickstart.py
 """
 
-from repro import LiraConfig, Simulation, SimulationConfig, build_scenario, make_policies
+from repro import LiraConfig, Simulation, SimulationConfig, build_scenario
+from repro.shedding import POLICIES
 from repro.sim import reference_update_count
 
 THROTTLE_FRACTION = 0.5
@@ -31,19 +32,15 @@ def main() -> None:
     print(f"  full-accuracy update volume: {reference} reports\n")
 
     config = LiraConfig(l=100, alpha=128, z=THROTTLE_FRACTION)
-    policies = make_policies(scenario, config)
 
     print(f"Policy comparison at throttle fraction z = {THROTTLE_FRACTION}:")
     header = f"{'policy':<14} {'E_rr^C':>10} {'E_rr^P (m)':>12} {'updates sent':>13} {'vs budget':>10}"
     print(header)
     print("-" * len(header))
     budget = THROTTLE_FRACTION * reference
-    for name, policy in policies.items():
+    for name in POLICIES:
         sim = Simulation(
-            scenario.trace,
-            scenario.queries,
-            policy,
-            SimulationConfig(z=THROTTLE_FRACTION, adapt_every=30),
+            scenario, name, config, SimulationConfig(z=THROTTLE_FRACTION, adapt_every=30)
         )
         result = sim.run()
         # Random Drop "sends" everything; what matters is what it admits.

@@ -9,13 +9,12 @@ CQ workloads, a CQ server with a bounded input queue, base stations).
 
 Quickstart::
 
-    from repro import LiraConfig, LiraLoadShedder, build_scenario
+    from repro import LiraConfig, build_scenario
     from repro.sim import Simulation, SimulationConfig
 
     scenario = build_scenario(n_nodes=1000)
-    policy = LiraLoadShedder(LiraConfig(l=100, alpha=64), scenario.reduction)
     result = Simulation(
-        scenario.trace, scenario.queries, policy, SimulationConfig(z=0.5)
+        scenario, "lira", LiraConfig(l=100, alpha=64), SimulationConfig(z=0.5)
     ).run()
     print(result.mean_containment_error)
 """
@@ -37,7 +36,7 @@ _HOMES = {
     "repro.faults": ("FaultInjector", "FaultSpec"),
     "repro.server": ("LiraSystem",),
     "repro.shedding": ("LiraGridPolicy", "RandomDropPolicy", "UniformDeltaPolicy"),
-    "repro.sim": ("Simulation", "SimulationConfig", "build_scenario", "make_policies"),
+    "repro.sim": ("Simulation", "SimulationConfig", "build_scenario"),
 }
 _HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
 

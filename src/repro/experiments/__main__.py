@@ -63,8 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="run the simulations of a policy-suite experiment (fig04-fig13, "
         "zsweep-all, ablation-speed/-alpha/-increment) on N worker processes "
-        "(default: every usable CPU); ext-*, resilience, fig14 and the "
-        "tables run in-process",
+        "(default: every usable CPU); resilience always uses every usable "
+        "CPU; ext-*, fig14 and the tables run in-process",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:

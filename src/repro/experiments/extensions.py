@@ -20,21 +20,23 @@ Each one tests a sentence of the paper and tells the cases apart:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import MEDIUM, ExperimentScale
 from repro.history import TrajectoryStore, snapshot_position_error
 from repro.motion import DeadReckoningFleet
-from repro.sim import Simulation, SimulationConfig, make_policies
+from repro.sim import Simulation, SimulationConfig
 
 
-def _simulation(scale, queries, policy, z, adapt_every=None) -> Simulation:
-    """The closed loop on ``scale``'s trace, adapt schedule and seed."""
-    config = SimulationConfig(
-        z=z, adapt_every=adapt_every or scale.adapt_every, seed=scale.seed
-    )
-    return Simulation(scale.scenario().trace, queries, policy, config)
+def _simulate(scale, queries, policy, lira_config, z, adapt_every=None):
+    """The closed loop on ``scale``'s scene with ``queries``, adapt
+    schedule and seed: its result and the policy its shard served."""
+    config = SimulationConfig(z=z, adapt_every=adapt_every or scale.adapt_every, seed=scale.seed)
+    sim = Simulation(replace(scale.scenario(), queries=queries), policy, lira_config, config)
+    return sim.run(), sim.system.shards[0].policy
 
 
 def run_ext_snapshot(
@@ -48,8 +50,7 @@ def run_ext_snapshot(
     cq_errors, snap_errors = [], []
     for fairness in fairness_values:
         config = scale.lira_config(fairness=fairness)
-        policy = make_policies(scenario, config, include=("lira",))["lira"]
-        result = _simulation(scale, scenario.queries, policy, z).run()
+        result, policy = _simulate(scale, scenario.queries, "lira", config, z)
         cq_errors.append(result.mean_position_error)
         snap_errors.append(_replay_snapshot_error(scenario, policy))
     result = ExperimentResult(
@@ -120,8 +121,7 @@ def run_ext_adaptivity(
     outcomes = {}
     # The one-shot plan adapts at tick 0 and its schedule never comes round again.
     for label, adapt_every in (("re-adapting", scale.adapt_every), ("one-shot", trace.num_ticks)):
-        policy = make_policies(scenario, config, include=("lira",))["lira"]
-        outcomes[label] = _simulation(scale, timeline, policy, z, adapt_every).run()
+        outcomes[label], _ = _simulate(scale, timeline, "lira", config, z, adapt_every)
 
     result = ExperimentResult(
         experiment_id="ext-adaptivity",
@@ -155,7 +155,7 @@ def run_ext_sampling(
     :meth:`~StatisticsGrid.roll`); we measure how far the resulting
     query error drifts from the full-statistics plan.
     """
-    from repro.core import StatisticsGrid
+    from repro.core import LiraLoadShedder, StatisticsGrid
     from repro.index import NodeTable
     from repro.queries import QueryEvalKernel
 
@@ -166,7 +166,7 @@ def run_ext_sampling(
     errors, sent_counts = [], []
     for rate in sampling_rates:
         config = scale.lira_config()
-        policy = make_policies(scenario, config, include=("lira",))["lira"]
+        policy = LiraLoadShedder(config, scenario.reduction)
         grid = StatisticsGrid(trace.bounds, config.resolved_alpha)
         # Bootstrap window from the initial snapshot so the first
         # adaptation has statistics to work with.
@@ -235,8 +235,10 @@ def run_ext_safe_region(
     trace = scenario.trace
 
     # The safe-region run (z-independent).
-    safe = SafeRegionPolicy(scenario.queries, scale.lira_config())
-    safe_sim = _simulation(scale, scenario.queries, safe, 1.0).run()
+    def safe_region(shedder, reduction):
+        return SafeRegionPolicy(scenario.queries, shedder.config)
+
+    safe_sim, safe = _simulate(scale, scenario.queries, safe_region, scale.lira_config(), 1.0)
     safe_snapshot = _replay_snapshot_error(scenario, safe)
 
     result = ExperimentResult(
@@ -252,9 +254,7 @@ def run_ext_safe_region(
     )
     lira_updates, lira_cq, lira_snap = [], [], []
     for z in zs:
-        config = scale.lira_config()
-        policy = make_policies(scenario, config, include=("lira",))["lira"]
-        sim = _simulation(scale, scenario.queries, policy, z).run()
+        sim, policy = _simulate(scale, scenario.queries, "lira", scale.lira_config(), z)
         lira_updates.append(sim.updates_sent)
         lira_cq.append(sim.mean_containment_error)
         lira_snap.append(_replay_snapshot_error(scenario, policy))

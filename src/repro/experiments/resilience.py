@@ -1,11 +1,14 @@
 """Resilience experiment: graceful degradation under a faulty network.
 
-Sweeps uplink update-message loss over the *systems* loop
-(:class:`~repro.server.LiraSystem` — every update flows through the real
-node → station → queue → server path) and records how query accuracy
-degrades, comparing LIRA's source-actuated, region-aware shedding
-against the Random Drop regime (no source throttling; the server admits
-a random fraction z of arrivals).
+Sweeps uplink update-message loss over a bounded, THROTLOOP-driven
+:class:`~repro.sim.Deployment` of the one measured loop
+(:class:`~repro.sim.Simulation` on a :class:`~repro.server.LiraSystem` —
+every update flows through the real node → station → queue → server
+path), one :class:`~repro.experiments.runner.SimJob` per loss rate and
+policy, and records how query accuracy degrades, comparing LIRA's
+source-actuated, region-aware shedding against the Random Drop regime
+(no source throttling; the server admits a random fraction z of
+arrivals).
 
 The paper never measures a lossy channel, but its premise — behave well
 under adverse conditions — predicts the outcome: LIRA's errors should
@@ -24,153 +27,87 @@ same message fates and system statistics, run after run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import SMALL, ExperimentScale
-from repro.faults import FaultInjector, FaultSpec
-from repro.metrics import mean_containment_error
-from repro.queries import evaluate_queries
-from repro.server import LiraSystem, SystemStats
+from repro.experiments.runner import SimJob, run_jobs
+from repro.faults import FaultSpec
+from repro.sim import Deployment
 
-#: Uplink loss rates the acceptance sweep exercises.
-DEFAULT_LOSS_RATES = (0.0, 0.05, 0.20, 0.50)
+#: Uplink loss rates the sweep runs.
+LOSS_RATES = (0.0, 0.05, 0.20, 0.50)
 
 #: Server capacity as a fraction of the full-reporting update load
 #: (n_nodes / dt updates per second).  Below ~1.0 the server is
 #: overloaded whenever shedding is off — the regime LIRA exists for.
 SERVICE_FRACTION = 0.35
 
-#: Adaptation cadence of the systems loop, in ticks.
+#: Bounded input queue of each shard, in reports.
+QUEUE_CAPACITY = 200
+
+#: Adaptation cadence of the systems loop, in ticks; errors and plan
+#: staleness are averaged from the end of the first period on
+#: (bootstrap transients excluded).
 ADAPT_EVERY = 6
 
-
-@dataclass
-class ResilienceRun:
-    """Outcome of one (policy, fault spec) systems-loop run."""
-
-    policy: str
-    mean_containment_error: float
-    peak_queue_fraction: float
-    queue_drops: int
-    admission_drops: int
-    mean_plan_staleness: float
-    stats: SystemStats
+#: The policies the sweep compares.
+COMPARED = ("lira", "random-drop")
 
 
-def run_system(
-    scale: ExperimentScale,
-    policy: str,
-    spec: FaultSpec | None = None,
-    seed: int | None = None,
-    max_ticks: int | None = None,
-    n_shards: int = 1,
-) -> ResilienceRun:
-    """Run one seeded systems-loop deployment and measure degradation.
+def run_resilience(scale: ExperimentScale = SMALL, n_shards: int = 1) -> ExperimentResult:
+    """E_rr^C vs uplink loss rate: LIRA vs Random Drop, systems loop.
 
-    ``spec=None`` disables the fault layer entirely (the perfect
-    channel, bit-identical to a system constructed without one).
-    Errors are averaged over every tick after the first adaptation
-    period (bootstrap transients excluded).  With ``n_shards`` K > 1
-    every shard gets the service rate and queue capacity (K shards
-    provide K-fold capacity, as :class:`LiraSystem` documents), and the
-    peak queue is the fullest shard's.
+    Every (loss rate, policy) pair is one :class:`SimJob` on a bounded
+    deployment whose THROTLOOP sets z.  With ``n_shards`` K > 1 every
+    shard gets the service rate and queue capacity (K shards provide
+    K-fold capacity, as :class:`~repro.server.LiraSystem` documents) and
+    the peak queue is the fullest shard's.
     """
-    scenario = scale.scenario()
-    trace = scenario.trace
-    queries = scenario.queries
-    queue_capacity = 200
-    service_rate = SERVICE_FRACTION * trace.num_nodes / trace.dt
-    faults = None
-    if spec is not None:
-        faults = FaultInjector(spec, seed=scale.seed if seed is None else seed)
-    system = LiraSystem(
-        bounds=trace.bounds,
-        n_nodes=trace.num_nodes,
-        queries=queries,
-        reduction=scenario.reduction,
-        config=scale.lira_config(),
-        service_rate=service_rate,
-        queue_capacity=queue_capacity,
-        station_radius=scale.side_meters / 4.0,
-        adaptive_throttle=True,
-        faults=faults,
-        policy=policy,
-        policy_seed=scale.seed,
-        n_shards=n_shards,
-    )
-    system.bootstrap(trace.positions[0], trace.velocities[0])
-    n_ticks = trace.num_ticks if max_ticks is None else min(max_ticks, trace.num_ticks)
-    errors = []
-    staleness = []
-    peak_queue = 0
-    for tick in range(n_ticks):
-        t = tick * trace.dt
-        positions = trace.positions[tick]
-        system.current_time = t  # adapt() stamps plan versions at install time
-        if tick % ADAPT_EVERY == 0:
-            system.adapt(positions, trace.speeds(tick))
-        system.tick(t, positions, trace.velocities[tick], trace.dt)
-        peak_queue = max(peak_queue, *(len(shard.server.queue) for shard in system.shards))
-        if tick >= ADAPT_EVERY:
-            shed_results = system.evaluate_queries(t)
-            true_results = evaluate_queries(queries, positions)
-            errors.append(mean_containment_error(true_results, shed_results))
-            staleness.append(system.stats().mean_plan_staleness)
-    stats = system.stats()
-    return ResilienceRun(
-        policy=policy,
-        mean_containment_error=float(np.mean(errors)),
-        peak_queue_fraction=peak_queue / queue_capacity,
-        queue_drops=stats.queue_drops,
-        admission_drops=stats.admission_drops,
-        mean_plan_staleness=float(np.mean(staleness)),
-        stats=stats,
-    )
-
-
-def run_resilience(
-    scale: ExperimentScale = SMALL,
-    loss_rates: tuple[float, ...] = DEFAULT_LOSS_RATES,
-    max_ticks: int | None = None,
-) -> ExperimentResult:
-    """E_rr^C vs uplink loss rate: LIRA vs Random Drop, systems loop."""
+    cadence = replace(scale, adapt_every=ADAPT_EVERY)
+    jobs = [
+        SimJob(
+            cadence, policy, None, scale.lira_config(),
+            deployment=Deployment(
+                service_rate=SERVICE_FRACTION * scale.n_nodes / scale.dt,
+                queue_capacity=QUEUE_CAPACITY,
+                station_radius=scale.side_meters / 4.0,
+                faults=FaultSpec(uplink_loss=rate) if rate > 0 else None,
+                n_shards=n_shards,
+            ),
+        )
+        for rate in LOSS_RATES
+        for policy in COMPARED
+    ]
+    results = run_jobs(jobs)
+    runs = {policy: results[k :: len(COMPARED)] for k, policy in enumerate(COMPARED)}
     result = ExperimentResult(
         experiment_id="resilience",
         title="CQ containment error vs uplink update-message loss",
         x_label="uplink loss (%)",
-        x=[rate * 100.0 for rate in loss_rates],
+        x=[rate * 100.0 for rate in LOSS_RATES],
         notes=(
             "systems loop (LiraSystem) under seeded fault injection; "
             f"server capacity = {SERVICE_FRACTION:.0%} of full-reporting "
             "load; loss 0% runs with the fault layer disabled"
         ),
     )
-    runs: dict[str, list[ResilienceRun]] = {"lira": [], "random-drop": []}
-    for rate in loss_rates:
-        spec = FaultSpec(uplink_loss=rate) if rate > 0 else None
-        for policy in runs:
-            runs[policy].append(
-                run_system(scale, policy, spec=spec, max_ticks=max_ticks)
-            )
-    for policy, label in (("lira", "lira"), ("random-drop", "random-drop")):
+    t_from = ADAPT_EVERY * scale.dt
+    for policy in COMPARED:
+        result.add_series(f"{policy} E_rr^C", [r.window_error(t_from) for r in runs[policy]])
+    for policy in COMPARED:
         result.add_series(
-            f"{label} E_rr^C",
-            [r.mean_containment_error for r in runs[policy]],
-        )
-    for policy, label in (("lira", "lira"), ("random-drop", "random-drop")):
-        result.add_series(
-            f"{label} peak queue",
-            [r.peak_queue_fraction for r in runs[policy]],
+            f"{policy} peak queue",
+            [int(r.queue_per_tick.max()) / QUEUE_CAPACITY for r in runs[policy]],
         )
         result.add_series(
-            f"{label} drops",
-            [r.queue_drops + r.admission_drops for r in runs[policy]],
+            f"{policy} drops",
+            [r.stats.queue_drops + r.stats.admission_drops for r in runs[policy]],
         )
     result.add_series(
         "lira staleness (s)",
-        [r.mean_plan_staleness for r in runs["lira"]],
+        [float(np.mean(r.staleness_per_tick[ADAPT_EVERY:])) for r in runs["lira"]],
     )
     return result

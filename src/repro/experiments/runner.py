@@ -15,9 +15,9 @@ inherit the built scenes copy-on-write and job latency is simulation
 time, not scene construction; under ``spawn`` or ``forkserver`` each
 worker builds each scene at most once.
 
-Determinism: a run seeds its own ``np.random.default_rng(scale.seed)``
-and adapts every ``scale.adapt_every`` ticks, so results are
-bit-identical to running the same jobs serially in any order.
+Determinism: a run seeds its admission lottery and its faults from
+``scale.seed`` and adapts every ``scale.adapt_every`` ticks, so results
+are bit-identical to running the same jobs serially in any order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.core import LiraConfig
 from repro.experiments.common import ExperimentScale
 from repro.parallel import pool_is_profitable, usable_cpus
 from repro.queries import QueryDistribution
-from repro.sim import Scenario, Simulation, SimulationConfig, make_policies
+from repro.sim import Deployment, Scenario, Simulation, SimulationConfig
 from repro.sim.simulation import SimulationResult
 
 __all__ = ["SimJob", "run_jobs"]
@@ -38,16 +38,18 @@ __all__ = ["SimJob", "run_jobs"]
 @dataclass(frozen=True)
 class SimJob:
     """One simulation, described by value: ``policy`` at throttle
-    fraction ``z`` with LIRA parameters ``config``, on the scene
+    fraction ``z`` (``None``: THROTLOOP's) with LIRA parameters
+    ``config`` on ``deployment``, on the scene
     ``scale.scenario(mn_ratio, side_length, distribution)``."""
 
     scale: ExperimentScale
     policy: str
-    z: float
+    z: float | None
     config: LiraConfig
     distribution: QueryDistribution = QueryDistribution.PROPORTIONAL
     mn_ratio: float = 0.01
     side_length: float = 1000.0
+    deployment: Deployment = Deployment()
 
     def scenario(self) -> Scenario:
         """The job's scene (memoized per process)."""
@@ -55,12 +57,12 @@ class SimJob:
 
     def run(self) -> SimulationResult:
         """Execute the job in the current process."""
-        scenario = self.scenario()
-        policy = make_policies(scenario, self.config, include=(self.policy,))[self.policy]
         sim_config = SimulationConfig(
             z=self.z, adapt_every=self.scale.adapt_every, seed=self.scale.seed
         )
-        return Simulation(scenario.trace, scenario.queries, policy, sim_config).run()
+        return Simulation(
+            self.scenario(), self.policy, self.config, sim_config, self.deployment
+        ).run()
 
 
 def run_jobs(

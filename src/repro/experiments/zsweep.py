@@ -78,17 +78,13 @@ def _sweeps(
     """``results[distribution][z][policy]`` of the four policies, from one
     job list run on ``jobs`` processes."""
     config = scale.lira_config()
-    grid = [
-        SimJob(scale, policy, z, config, distribution)
-        for distribution in distributions
-        for z in zs
-        for policy in POLICY_ORDER
-    ]
+    cells = [(d, z, policy) for d in distributions for z in zs for policy in POLICY_ORDER]
+    grid = [SimJob(scale, policy, z, config, d) for d, z, policy in cells]
     out: dict[QueryDistribution, dict[float, dict[str, SimulationResult]]] = {
         distribution: {z: {} for z in zs} for distribution in distributions
     }
-    for job, result in zip(grid, run_jobs(grid, jobs)):
-        out[job.distribution][job.z][job.policy] = result
+    for (distribution, z, policy), result in zip(cells, run_jobs(grid, jobs)):
+        out[distribution][z][policy] = result
     return out
 
 

@@ -1,8 +1,9 @@
 """Closed-loop simulation harness and experiment scenarios."""
 
 from repro.sim.dynamics import QueryTimeline, TimedQuery
-from repro.sim.scenario import Scenario, build_scenario, make_policies
+from repro.sim.scenario import Scenario, build_scenario
 from repro.sim.simulation import (
+    Deployment,
     Simulation,
     SimulationConfig,
     SimulationResult,
@@ -10,6 +11,7 @@ from repro.sim.simulation import (
 )
 
 __all__ = [
+    "Deployment",
     "QueryTimeline",
     "Scenario",
     "TimedQuery",
@@ -17,6 +19,5 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "build_scenario",
-    "make_policies",
     "reference_update_count",
 ]

@@ -15,16 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.core import (
-    AnalyticReduction,
-    LiraConfig,
-    LiraLoadShedder,
-    measure_reduction_from_trace,
-)
+from repro.core import AnalyticReduction, measure_reduction_from_trace
 from repro.core.reduction import PiecewiseLinearReduction, ReductionFunction
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.roadnet import make_default_scene
-from repro.shedding import POLICIES, SheddingPolicy, policy_factory
 from repro.trace import Trace, TraceGenerator
 
 
@@ -192,16 +186,3 @@ def build_scenario(
         reduction_samples,
     )
 
-
-def make_policies(
-    scenario: Scenario,
-    config: LiraConfig,
-    include: tuple[str, ...] = tuple(POLICIES),
-) -> dict[str, SheddingPolicy]:
-    """Instantiate the paper's policies for a scenario, keyed by their
-    :data:`~repro.shedding.POLICIES` names (default: all four)."""
-    reduction = scenario.reduction
-    return {
-        name: policy_factory(name)(LiraLoadShedder(config, reduction), reduction)
-        for name in include
-    }

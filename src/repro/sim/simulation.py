@@ -1,18 +1,20 @@
-"""Closed-loop simulation: the paper figures' measurement of the systems loop.
+"""Closed-loop simulation: the one measurement of the systems loop.
 
-A :class:`Simulation` runs one (trace, workload, policy) combination on
-one K=1 :class:`~repro.server.LiraSystem` with the queue model lifted
-and z pinned: each tick every node reads its threshold from the plan
-subset its station broadcast, reports via dead reckoning, and the server
-ingests what the policy admits.  Periodically the policy serves a new
-plan from fresh statistics of the queries installed at that tick (a
-static list, or a churning :class:`~repro.sim.dynamics.QueryTimeline`,
-Section 4.3.2).  The simulation itself only measures: query results
-against the server's believed positions, compared with ground truth.
+A :class:`Simulation` runs one (scenario, policy) combination on a
+:class:`~repro.server.LiraSystem` deployed as its :class:`Deployment`
+says: each tick every node reads its threshold from the plan subset its
+station broadcast, reports via dead reckoning, and the servers ingest
+what the policy admits.  Periodically the policy serves a new plan from
+fresh statistics of the queries installed at that tick (a static list,
+or a churning :class:`~repro.sim.dynamics.QueryTimeline`, Section
+4.3.2).  The simulation itself only measures: query results against the
+servers' believed positions, compared with ground truth.
 
-This is the measurement behind every accuracy figure in the paper
-(Figures 4-13).  The per-tick plan lookup it replaced is the parity
-oracle ``tests/oracles/simulation.py``.
+The default deployment (K=1, queue lifted, z pinned) is the measurement
+behind every accuracy figure in the paper (Figures 4-13); the per-tick
+plan lookup it replaced is the parity oracle
+``tests/oracles/simulation.py``.  The resilience experiment deploys a
+bounded queue under THROTLOOP, faults and K shards.
 """
 
 from __future__ import annotations
@@ -23,38 +25,50 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import AnalyticReduction, LiraConfig
+from repro.core import LiraConfig
+from repro.faults import FaultInjector, FaultSpec
 from repro.metrics.accuracy import FairnessStats, fairness_stats
 from repro.motion import DeadReckoningFleet
 from repro.queries import QueryEvalKernel, RangeQuery
-from repro.server import LiraSystem
-from repro.shedding import SheddingPolicy
+from repro.server import LiraSystem, SystemStats
+from repro.shedding import PolicyFactory
 from repro.sim.dynamics import QueryTimeline, TimedQuery
+from repro.sim.scenario import Scenario
 from repro.trace import Trace
-
-#: The shard's z controller is pinned at :attr:`SimulationConfig.z`, so
-#: of its configuration only Δ⊢ is read: the threshold of a node that
-#: no stored region covers.
-_Z_CONTROLLER = LiraConfig()
-_Z_REDUCTION = AnalyticReduction(_Z_CONTROLLER.delta_min, _Z_CONTROLLER.delta_max)
 
 
 @dataclass
 class SimulationConfig:
-    """Knobs of one simulation run."""
+    """Knobs of one simulation run; ``z=None`` lets THROTLOOP set z."""
 
-    z: float = 0.5
+    z: float | None = 0.5
     adapt_every: int = 30
     warmup_ticks: int = 3
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.z <= 1.0):
+        if self.z is not None and not (0.0 <= self.z <= 1.0):
             raise ValueError("z must be in [0, 1]")
         if self.adapt_every < 1:
             raise ValueError("adapt_every must be >= 1")
         if self.warmup_ticks < 0:
             raise ValueError("warmup_ticks must be >= 0")
+
+
+@dataclass(frozen=True)
+class Deployment:
+    """The :class:`~repro.server.LiraSystem` a simulation measures, in its
+    own keywords; ``None`` lifts the queue model (every report applied
+    within its tick) and ``faults`` is seeded from the run's seed.  The
+    default registers the population through tick 0, as the paper
+    figures always have; any other deployment bootstraps it out of band
+    first, which K > 1 requires."""
+
+    service_rate: float | None = None
+    queue_capacity: int | None = None
+    station_radius: float = 2000.0
+    faults: FaultSpec | None = None
+    n_shards: int = 1
 
 
 @dataclass
@@ -63,10 +77,13 @@ class SimulationResult:
 
     Per-query arrays follow the timeline's entries.  ``containment_per_tick``
     is NaN on warmup ticks and on ticks where no query has a true result.
+    ``queue_per_tick`` is the fullest shard's queue length after each
+    tick, ``staleness_per_tick`` the station-weighted mean age of the
+    plans served then, and ``stats`` the system's counters at the end.
     """
 
     policy_name: str
-    z: float
+    z: float | None
     mean_containment_error: float
     mean_position_error: float
     containment_fairness: FairnessStats
@@ -76,10 +93,13 @@ class SimulationResult:
     updates_sent: int
     updates_admitted: int
     ticks_measured: int
+    stats: SystemStats
     adaptations: int = 0
     updates_per_tick: np.ndarray = field(default_factory=lambda: np.empty(0))
     times: np.ndarray = field(default_factory=lambda: np.empty(0))
     containment_per_tick: np.ndarray = field(default_factory=lambda: np.empty(0))
+    queue_per_tick: np.ndarray = field(default_factory=lambda: np.empty(0))
+    staleness_per_tick: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def window_error(self, t_from: float = 0.0, t_to: float = float("inf")) -> float:
         """Mean per-tick containment error over ``[t_from, t_to)`` (NaN ticks skipped)."""
@@ -98,11 +118,25 @@ class _LastBatch:
         self.senders = node_ids
 
 
-class Simulation:
-    """Runs one (trace, workload, policy) combination to completion.
+def _plan_staleness(system: LiraSystem, t: float) -> float:
+    """:attr:`SystemStats.mean_plan_staleness` at ``t``, the same sum."""
+    networks = [shard.network for shard in system.shards if shard.network is not None]
+    ages = [network.staleness(t)[0] for network in networks]
+    if len(ages) == 1:
+        return ages[0]
+    counts = [len(network.stations) for network in networks]
+    return sum(age * count for age, count in zip(ages, counts)) / sum(counts)
 
-    ``queries`` is a static list or a :class:`QueryTimeline`; a list is
-    a one-phase timeline.  Per-tick accuracy comes from
+
+class Simulation:
+    """Runs one (scenario, policy, deployment) combination to completion.
+
+    ``policy`` is a :data:`~repro.shedding.POLICIES` name or factory, which
+    each shard applies to its own shedder (``lira_config`` and the
+    scenario's reduction); the one served is ``system.shards[0].policy``.
+    ``scenario.queries`` is a static list, or a :class:`QueryTimeline` a
+    churning run puts in its place (``dataclasses.replace``); a list is a
+    one-phase timeline.  Per-tick accuracy comes from
     :meth:`~repro.queries.QueryEvalKernel.measure`, rebuilt only when the
     active query set changes; the brute-force per-query loop it is
     proved bit-identical to lives in ``tests/oracles/measurement.py``.
@@ -110,45 +144,59 @@ class Simulation:
 
     def __init__(
         self,
-        trace: Trace,
-        queries: list[RangeQuery] | QueryTimeline,
-        policy: SheddingPolicy,
+        scenario: Scenario,
+        policy: str | PolicyFactory,
+        lira_config: LiraConfig | None = None,
         config: SimulationConfig | None = None,
+        deployment: Deployment = Deployment(),
     ) -> None:
+        queries: list[RangeQuery] | QueryTimeline = scenario.queries
         if not isinstance(queries, QueryTimeline):
             queries = QueryTimeline([TimedQuery(q, 0.0) for q in queries])
         if not queries.entries:
             raise ValueError("at least one query is required")
-        self.trace = trace
+        self.scenario = scenario
+        self.trace = scenario.trace
         self.timeline = queries
         self.policy = policy
+        self.lira_config = lira_config
         self.config = config or SimulationConfig()
+        self.deployment = deployment
 
     def ticks(self) -> Iterator[tuple[int, float, np.ndarray, int]]:
         """Run the closed loop, yielding ``(tick, t, senders, admitted)``:
-        the ids of the nodes that reported and how many the server kept.
+        the ids of the nodes that reported and how many the servers kept
+        at admission.
 
-        Each tick first points the server's query set (what the grid of
-        its next adapt reads; the simulation measures with its own
+        Each tick first points every server's query set (what the grid
+        of its next adapt reads; the simulation measures with its own
         kernel) at the queries active at ``t`` and re-adapts on
-        schedule, then ticks
-        :attr:`system` on the trace's true positions.  While a step is
-        out, ``self.system.server.table`` is the server view after that
-        tick's ingest and ``self.active`` the indices of the timeline
-        entries active at ``t`` (a new list only when the set changes).
+        schedule, then ticks :attr:`system` on the trace's true
+        positions.  While a step is out, :attr:`system` is the state
+        after that tick's ingest and ``self.active`` the indices of the
+        timeline entries active at ``t`` (a new list only when the set
+        changes).
         """
-        trace, policy, cfg = self.trace, self.policy, self.config
+        trace, cfg, d = self.trace, self.config, self.deployment
         entries = self.timeline.entries
         change_times = self.timeline.change_times()
-        # The queue model lifted: every report of a tick is applied within it.
+        # Constructed with the queries active at 0 (what ``evaluate_queries``
+        # answers); each server's query set follows the timeline below.
         self.system = system = LiraSystem(
-            trace.bounds, trace.num_nodes, [], _Z_REDUCTION, _Z_CONTROLLER,
-            service_rate=1e12, queue_capacity=trace.num_nodes, adaptive_throttle=False,
-            policy=lambda shedder, reduction: policy, policy_seed=cfg.seed,
+            trace.bounds, trace.num_nodes, [e.query for e in entries if e.active_at(0.0)],
+            self.scenario.reduction, self.lira_config,
+            service_rate=1e12 if d.service_rate is None else d.service_rate,
+            queue_capacity=trace.num_nodes if d.queue_capacity is None else d.queue_capacity,
+            station_radius=d.station_radius, adaptive_throttle=cfg.z is None,
+            faults=None if d.faults is None else FaultInjector(d.faults, seed=cfg.seed),
+            policy=self.policy, policy_seed=cfg.seed, n_shards=d.n_shards,
         )
-        system.set_throttle_fraction(cfg.z)
+        if cfg.z is not None:
+            system.set_throttle_fraction(cfg.z)
         system.history = batch = _LastBatch()
-        server = system.server
+        if d != Deployment():
+            system.bootstrap(trace.positions[0], trace.velocities[0])
+        servers = [shard.server for shard in system.shards]
         self.active: list[int] = []
         self.adaptations = 0
         phase = -1
@@ -161,19 +209,21 @@ class Simulation:
                 active = [i for i, e in enumerate(entries) if e.active_at(t)]
                 if active != self.active:
                     self.active = active
-                    server.queries = [entries[i].query for i in active]
+                    for server in servers:
+                        server.queries = [entries[i].query for i in active]
 
+            system.current_time = t  # adapt() stamps plan versions at install time
             if tick % cfg.adapt_every == 0:
                 system.adapt(positions, trace.speeds(tick))
                 self.adaptations += 1
 
-            shed = server.counts.shed
+            shed = sum(server.counts.shed for server in servers)
             sent = system.tick(t, positions, trace.velocities[tick], trace.dt)
-            yield tick, t, batch.senders, sent - (server.counts.shed - shed)
+            yield tick, t, batch.senders, sent - (sum(s.counts.shed for s in servers) - shed)
 
     def run(self) -> SimulationResult:
         """Execute the closed loop over the whole trace and measure it."""
-        trace, policy, cfg = self.trace, self.policy, self.config
+        trace, cfg = self.trace, self.config
         entries = self.timeline.entries
         n_q, t_total = len(entries), trace.num_ticks
         cont_sum = np.zeros(n_q)
@@ -183,13 +233,18 @@ class Simulation:
         times = np.empty(t_total)
         per_tick = np.full(t_total, np.nan)
         updates_per_tick = np.zeros(t_total, dtype=np.int64)
+        queue_per_tick = np.zeros(t_total, dtype=np.int64)
+        staleness_per_tick = np.zeros(t_total)
         admitted_total = 0
         ticks_measured = 0
         kernel_for: list[int] | None = None
 
         for tick, t, senders, admitted in self.ticks():
+            shards = self.system.shards
             times[tick] = t
             updates_per_tick[tick] = senders.size
+            queue_per_tick[tick] = max(len(shard.server.queue) for shard in shards)
+            staleness_per_tick[tick] = _plan_staleness(self.system, t)
             admitted_total += admitted
             if tick < cfg.warmup_ticks or not self.active:
                 continue
@@ -198,10 +253,10 @@ class Simulation:
                 kernel = QueryEvalKernel(
                     [entries[i].query for i in kernel_for],
                     bounds=trace.bounds,
-                    cells_per_side=max(policy.alpha, 16),
+                    cells_per_side=max(shards[0].policy.alpha, 16),
                 )
             ticks_measured += 1
-            m = kernel.measure(trace.positions[tick], self.system.server.table.predict(t))
+            m = kernel.measure(trace.positions[tick], shards[0].server.table.predict(t))
             cont_sum[rows] += np.where(m.has_true, m.containment_error, 0.0)
             cont_cnt[rows] += m.has_true
             pos_sum[rows] += np.where(m.has_believed, m.position_error, 0.0)
@@ -216,7 +271,7 @@ class Simulation:
         cont_fair = fairness_stats(per_query_cont)
         pos_fair = fairness_stats(per_query_pos)
         return SimulationResult(
-            policy_name=policy.name,
+            policy_name=self.system.shards[0].policy.name,
             z=cfg.z,
             mean_containment_error=cont_fair.mean,
             mean_position_error=pos_fair.mean,
@@ -227,10 +282,13 @@ class Simulation:
             updates_sent=int(self.system.fleet.total_reports),
             updates_admitted=admitted_total,
             ticks_measured=ticks_measured,
+            stats=self.system.stats(),
             adaptations=self.adaptations,
             updates_per_tick=updates_per_tick,
             times=times,
             containment_per_tick=per_tick,
+            queue_per_tick=queue_per_tick,
+            staleness_per_tick=staleness_per_tick,
         )
 
 

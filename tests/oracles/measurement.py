@@ -5,7 +5,10 @@ One :meth:`RangeQuery.evaluate` per query and snapshot plus two
 figure ran on before the kernel.  :meth:`repro.queries.QueryEvalKernel.measure`
 must return bit-identical numbers; :func:`run_brute_force` runs a whole
 :class:`~repro.sim.Simulation` on this loop so the equivalence suites can
-compare every ``SimulationResult`` field.
+compare every ``SimulationResult`` field.  :func:`system_containment_per_tick`
+is the other per-tick error path, the one the resilience experiment ran
+before it was a list of ``SimJob``s: the system's own query answers
+against a brute-force truth, averaged by ``repro.metrics``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from unittest import mock
 
 import numpy as np
 
-from repro.queries import BatchMeasurement, RangeQuery
+from repro.metrics import mean_containment_error
+from repro.queries import BatchMeasurement, RangeQuery, evaluate_queries
 from repro.sim import Simulation, SimulationResult
 
 
@@ -58,3 +62,17 @@ def run_brute_force(simulation: Simulation) -> SimulationResult:
     """``simulation.run()`` with the measurement done by the loop above."""
     with mock.patch("repro.sim.simulation.QueryEvalKernel", BruteForceMeasurement):
         return simulation.run()
+
+
+def system_containment_per_tick(simulation: Simulation) -> np.ndarray:
+    """Per-tick E_rr^C of a static-workload run from
+    ``system.evaluate_queries`` (NaN on warmup ticks, 0.0 on a tick with
+    no true result where ``Simulation`` reads NaN)."""
+    trace = simulation.trace
+    queries = [entry.query for entry in simulation.timeline.entries]
+    errors = np.full(trace.num_ticks, np.nan)
+    for tick, t, _, _ in simulation.ticks():
+        if tick >= simulation.config.warmup_ticks:
+            truth = evaluate_queries(queries, trace.positions[tick])
+            errors[tick] = mean_containment_error(truth, simulation.system.evaluate_queries(t))
+    return errors

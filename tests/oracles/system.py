@@ -22,11 +22,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
+from repro.core import AnalyticReduction, LiraConfig, LiraLoadShedder, StatisticsGrid
 from repro.core.greedy import RegionStats
 from repro.core.plan import SheddingPlan, SheddingRegion, clamp_thresholds
 from repro.core.reduction import ReductionFunction
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Point, Rect
 from repro.history import TrajectoryStore
 from repro.motion import DeadReckoningFleet
@@ -35,6 +35,7 @@ from repro.server.base_station import place_uniform_stations
 from repro.server.cq_server import MobileCQServer
 from repro.server.protocol import BaseStationNetwork, RegionSubset
 from repro.server.system import SystemStats
+from repro.trace import Trace
 
 from tests.oracles.gridreduce import reference_plan
 
@@ -546,3 +547,44 @@ class ReferenceLiraSystem:
                 else self.n_nodes
             ),
         )
+
+
+def run_deployment(
+    system_cls: type,
+    trace: Trace,
+    queries: list[RangeQuery],
+    spec: FaultSpec | None = None,
+    seed: int = 9,
+    service_rate: float = 500.0,
+    **keywords: Any,
+) -> tuple[Any, list[int]]:
+    """Drive the suites' bounded deployment of ``system_cls`` to the end
+    of ``trace``: f on [5, 100] m, l = 13, α = 32, μ = ``service_rate``,
+    B = 60, r = 1 500 m, THROTLOOP on, an adapt every 4 ticks, faults from
+    ``spec`` seeded with ``seed``; ``keywords`` (``policy``, ``n_shards``)
+    go to the constructor.  Returns the system and the reports sent per
+    tick.  An archive is attached (the oracle's own is replaced alike), so
+    two runs' reports can be compared bit for bit."""
+    system = system_cls(
+        bounds=trace.bounds,
+        n_nodes=trace.num_nodes,
+        queries=queries,
+        reduction=AnalyticReduction(5.0, 100.0),
+        config=LiraConfig(l=13, alpha=32),
+        service_rate=service_rate,
+        queue_capacity=60,
+        station_radius=1500.0,
+        adaptive_throttle=True,
+        faults=None if spec is None else FaultInjector(spec, seed=seed),
+        policy_seed=3,
+        **keywords,
+    )
+    system.history = TrajectoryStore(trace.num_nodes)
+    system.bootstrap(trace.positions[0], trace.velocities[0])
+    sent = []
+    for tick in range(trace.num_ticks):
+        positions = trace.positions[tick]
+        if tick % 4 == 0:
+            system.adapt(positions, trace.speeds(tick))
+        sent.append(system.tick(tick * trace.dt, positions, trace.velocities[tick], trace.dt))
+    return system, sent

@@ -1,12 +1,15 @@
 """Tests for time-varying workloads and ``Simulation`` over a query timeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import LiraConfig
+from repro.core import LiraConfig, LiraLoadShedder
 from repro.geo import Rect
 from repro.queries import RangeQuery
-from repro.sim import QueryTimeline, Simulation, SimulationConfig, TimedQuery, make_policies
+from repro.shedding import policy_factory
+from repro.sim import QueryTimeline, Simulation, SimulationConfig, TimedQuery
 from tests.oracles.dynamics import run_dynamic_simulation
 
 
@@ -123,8 +126,11 @@ class TestQueryTimeline:
         assert [x.query_id for x in timeline.active_at(25.0)] == [1]
 
 
+CONFIG = LiraConfig(l=13, alpha=32)
+
+
 def make_policy(scenario, name="lira"):
-    return make_policies(scenario, LiraConfig(l=13, alpha=32), include=(name,))[name]
+    return policy_factory(name)(LiraLoadShedder(CONFIG, scenario.reduction), scenario.reduction)
 
 
 class TestDynamicSimulation:
@@ -138,9 +144,9 @@ class TestDynamicSimulation:
 
     def _run(self, scenario, adapt_every):
         return Simulation(
-            scenario.trace,
-            self._timeline(scenario),
-            make_policy(scenario),
+            dataclasses.replace(scenario, queries=self._timeline(scenario)),
+            "lira",
+            CONFIG,
             SimulationConfig(z=0.5, adapt_every=adapt_every),
         ).run()
 
@@ -186,7 +192,8 @@ class TestLoopParity:
             adapt_every=None if one_shot else 10,
         )
         config = SimulationConfig(z=0.5, adapt_every=trace.num_ticks if one_shot else 10)
-        result = Simulation(trace, timeline, make_policy(tiny_scenario, policy_name), config).run()
+        scenario = dataclasses.replace(tiny_scenario, queries=timeline)
+        result = Simulation(scenario, policy_name, CONFIG, config).run()
         np.testing.assert_array_equal(result.containment_per_tick, expected.containment_errors)
         np.testing.assert_array_equal(result.times, expected.times)
         np.testing.assert_array_equal(result.updates_per_tick, expected.updates_per_tick)

@@ -102,18 +102,26 @@ class TestTable1:
 
 def _assert_degrades_monotonically_with_uplink_loss(n_shards):
     from repro.experiments.common import SMALL
-    from repro.experiments.resilience import run_system
-    from repro.faults import FaultSpec
+    from repro.experiments.resilience import run_resilience
 
-    errors = []
-    for rate in (0.0, 0.05, 0.20, 0.50):
-        run = run_system(
-            SMALL, "lira", spec=FaultSpec(uplink_loss=rate) if rate else None,
-            n_shards=n_shards,
-        )
-        assert 0.0 <= run.peak_queue_fraction <= 1.0
-        errors.append(run.mean_containment_error)
+    result = run_resilience(SMALL, n_shards=n_shards)
+    for peak_queue_fraction in result.get_series("lira peak queue").y:
+        assert 0.0 <= peak_queue_fraction <= 1.0
+    errors = result.get_series("lira E_rr^C").y
     assert errors == sorted(errors)
+
+
+def _bounded_deployment(**keywords):
+    """The resilience experiment's deployment at :data:`MICRO`."""
+    from repro.experiments.resilience import QUEUE_CAPACITY, SERVICE_FRACTION
+    from repro.sim import Deployment
+
+    return Deployment(
+        service_rate=SERVICE_FRACTION * MICRO.n_nodes / MICRO.dt,
+        queue_capacity=QUEUE_CAPACITY,
+        station_radius=MICRO.side_meters / 4.0,
+        **keywords,
+    )
 
 
 class TestMicroRuns:
@@ -157,7 +165,7 @@ class TestMicroRuns:
     def test_resilience_lira_beats_random_drop_and_degrades_smoothly(self):
         from repro.experiments.resilience import run_resilience
 
-        result = run_resilience(scale=MICRO, loss_rates=(0.0, 0.3))
+        result = run_resilience(scale=MICRO)
         lira = result.get_series("lira E_rr^C").y
         drop = result.get_series("random-drop E_rr^C").y
         # Under overload at lossless conditions LIRA is far more accurate.
@@ -176,18 +184,47 @@ class TestMicroRuns:
 
     def test_resilience_degrades_monotonically_with_uplink_loss_at_four_shards(self):
         """The same at K = 4, per-shard μ (0.004 / 0.015 / 0.070 / 0.253;
-        K = 2 is not monotone there and is not gated)."""
+        K = 2 is not monotone there and is not gated).
+
+        This checks that plan staleness on the fault path grows with
+        loss, not shedding: Σμ = 4 × 0.35 = 1.4× the full-reporting load,
+        so both policies read z = 1.0 with no queue or admission drop and
+        a peak queue of 0, and their E_rr^C are bit-equal.  K = 2 does
+        shed (LIRA: 84 queue drops at z = 0.962); a K > 1 shedding gate
+        waits for a balanced station map."""
         _assert_degrades_monotonically_with_uplink_loss(n_shards=4)
 
     def test_resilience_runs_reproducible(self):
-        from repro.experiments.resilience import run_system
+        from repro.experiments.runner import SimJob
         from repro.faults import FaultSpec
 
-        spec = FaultSpec(uplink_loss=0.25, downlink_loss=0.2)
-        a = run_system(MICRO, "lira", spec=spec)
-        b = run_system(MICRO, "lira", spec=spec)
+        deployment = _bounded_deployment(faults=FaultSpec(uplink_loss=0.25, downlink_loss=0.2))
+        job = SimJob(MICRO, "lira", None, MICRO.lira_config(), deployment=deployment)
+        a, b = job.run(), job.run()
         assert a.stats == b.stats
         assert a.mean_containment_error == b.mean_containment_error
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_containment_per_tick_matches_the_system_query_path(self, n_shards):
+        """On a bounded, lossy deployment, the kernel's per-tick E_rr^C
+        equals the system's own query answers scored by ``repro.metrics``
+        on every tick."""
+        import numpy as np
+
+        from repro.faults import FaultSpec
+        from repro.sim import Simulation, SimulationConfig
+        from tests.oracles.measurement import system_containment_per_tick
+
+        deployment = _bounded_deployment(faults=FaultSpec(uplink_loss=0.2), n_shards=n_shards)
+        config = SimulationConfig(z=None, adapt_every=MICRO.adapt_every, seed=MICRO.seed)
+
+        def simulation():
+            return Simulation(MICRO.scenario(), "lira", MICRO.lira_config(), config, deployment)
+
+        got = simulation().run().containment_per_tick
+        want = system_containment_per_tick(simulation())
+        assert np.isfinite(got[config.warmup_ticks :]).all()
+        np.testing.assert_array_equal(got, want)
 
     def test_zsweep_policy_ordering(self):
         from repro.experiments.zsweep import run_zsweep

@@ -15,6 +15,8 @@ from repro.faults import DELAYED, DELIVER, LOST, FaultInjector, FaultSpec
 from repro.queries import QueryDistribution, generate_workload
 from repro.server import BaseStationNetwork, LiraSystem, place_uniform_stations
 
+from tests.oracles.system import run_deployment
+
 
 # ----------------------------------------------------------------------
 # FaultSpec validation
@@ -333,33 +335,6 @@ _BEHAVIOR_FIELDS = (
 )
 
 
-def _run_system(trace, queries, faults=None, policy="lira", service_rate=500.0, n_shards=1):
-    system = LiraSystem(
-        bounds=trace.bounds,
-        n_nodes=trace.num_nodes,
-        queries=queries,
-        reduction=AnalyticReduction(5.0, 100.0),
-        config=LiraConfig(l=13, alpha=32),
-        service_rate=service_rate,
-        queue_capacity=60,
-        station_radius=1500.0,
-        adaptive_throttle=True,
-        faults=faults,
-        policy=policy,
-        policy_seed=3,
-        n_shards=n_shards,
-    )
-    system.bootstrap(trace.positions[0], trace.velocities[0])
-    sent = []
-    for tick in range(trace.num_ticks):
-        t = tick * trace.dt
-        positions = trace.positions[tick]
-        if tick % 4 == 0:
-            system.adapt(positions, trace.speeds(tick))
-        sent.append(system.tick(t, positions, trace.velocities[tick], trace.dt))
-    return system, sent
-
-
 @pytest.fixture(scope="module")
 def queries(request):
     trace = request.getfixturevalue("small_trace")
@@ -377,7 +352,7 @@ class TestSystemGuarantees:
         code path: same reports, same believed state, same results — and
         no fault seam is ever entered, which is "null overhead ≈ 0"
         counted instead of timed."""
-        bare, sent_bare = _run_system(small_trace, queries, faults=None)
+        bare, sent_bare = run_deployment(LiraSystem, small_trace, queries)
 
         def seam_entered(*args, **kwargs):
             raise AssertionError("a null-spec injector reached a fault seam")
@@ -389,8 +364,8 @@ class TestSystemGuarantees:
             (BaseStationNetwork, "deliver_pending"),
         ):
             monkeypatch.setattr(owner, seam, seam_entered)
-        nulled, sent_null = _run_system(
-            small_trace, queries, faults=FaultInjector(FaultSpec(), seed=99)
+        nulled, sent_null = run_deployment(
+            LiraSystem, small_trace, queries, spec=FaultSpec(), seed=99
         )
         assert sent_bare == sent_null
         # Bootstrap registers every node out of band, not over the uplink.
@@ -424,8 +399,8 @@ class TestSystemGuarantees:
             churn_leave=0.02,
         )
         runs = [
-            _run_system(
-                small_trace, queries, faults=FaultInjector(spec, seed=42), n_shards=n_shards
+            run_deployment(
+                LiraSystem, small_trace, queries, spec=spec, seed=42, n_shards=n_shards
             )
             for _ in range(2)
         ]
@@ -445,20 +420,14 @@ class TestSystemGuarantees:
 
     def test_different_seeds_diverge(self, small_trace, queries):
         spec = FaultSpec(uplink_loss=0.3)
-        _, sent_a = _run_system(
-            small_trace, queries, faults=FaultInjector(spec, seed=1)
-        )
-        _, sent_b = _run_system(
-            small_trace, queries, faults=FaultInjector(spec, seed=2)
-        )
+        _, sent_a = run_deployment(LiraSystem, small_trace, queries, spec=spec, seed=1)
+        _, sent_b = run_deployment(LiraSystem, small_trace, queries, spec=spec, seed=2)
         assert sent_a == sent_b  # node-side sending is fault-independent
         # ... but the delivered streams differ (checked via counters).
 
     def test_uplink_loss_reflected_in_stats(self, small_trace, queries):
-        system, _ = _run_system(
-            small_trace,
-            queries,
-            faults=FaultInjector(FaultSpec(uplink_loss=0.4), seed=5),
+        system, _ = run_deployment(
+            LiraSystem, small_trace, queries, spec=FaultSpec(uplink_loss=0.4), seed=5
         )
         stats = system.stats()
         assert stats.uplink_sent > 0
@@ -476,9 +445,7 @@ class TestSystemGuarantees:
             uplink_delay_range=(10.0, 40.0),
             uplink_reorder=0.5,
         )
-        system, _ = _run_system(
-            small_trace, queries, faults=FaultInjector(spec, seed=6)
-        )
+        system, _ = run_deployment(LiraSystem, small_trace, queries, spec=spec, seed=6)
         stats = system.stats()
         assert stats.uplink_delayed > 0
         # Update times in the table never exceed the clock.
@@ -487,28 +454,21 @@ class TestSystemGuarantees:
 
     def test_churn_reduces_active_nodes_and_reports(self, small_trace, queries):
         spec = FaultSpec(churn_leave=0.2, churn_rejoin=0.1)
-        system, sent = _run_system(
-            small_trace, queries, faults=FaultInjector(spec, seed=7)
-        )
+        system, sent = run_deployment(LiraSystem, small_trace, queries, spec=spec, seed=7)
         stats = system.stats()
         assert stats.active_nodes < small_trace.num_nodes
         assert system.faults.counters.departures > 0
 
     def test_slowdown_throttles_processing(self, small_trace, queries):
-        slow, _ = _run_system(
+        slow, _ = run_deployment(
+            LiraSystem,
             small_trace,
             queries,
+            spec=FaultSpec(slowdown_prob=1.0, slowdown_factor=0.2, slowdown_duration=1e9),
+            seed=8,
             service_rate=50.0,
-            faults=FaultInjector(
-                FaultSpec(
-                    slowdown_prob=1.0,
-                    slowdown_factor=0.2,
-                    slowdown_duration=1e9,
-                ),
-                seed=8,
-            ),
         )
-        fast, _ = _run_system(small_trace, queries, service_rate=50.0)
+        fast, _ = run_deployment(LiraSystem, small_trace, queries, service_rate=50.0)
         assert (
             slow.stats().updates_processed < fast.stats().updates_processed
         )
@@ -517,8 +477,8 @@ class TestSystemGuarantees:
     def test_random_drop_policy_sheds_by_admission(self, small_trace, queries):
         """Random Drop pushes every node to Δ⊢ and sheds at the server:
         under overload z falls below 1 and admission drops accumulate."""
-        system, sent = _run_system(
-            small_trace, queries, policy="random-drop", service_rate=5.0
+        system, sent = run_deployment(
+            LiraSystem, small_trace, queries, policy="random-drop", service_rate=5.0
         )
         stats = system.stats()
         assert stats.z < 1.0

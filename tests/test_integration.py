@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from repro.core import LiraConfig
-from repro.sim import (
-    Simulation,
-    SimulationConfig,
-    make_policies,
-    reference_update_count,
-)
+from repro.shedding import POLICIES
+from repro.sim import Simulation, SimulationConfig, reference_update_count
+
+
+def _lira_plan(scenario, config, z):
+    """The plan LIRA serves at the end of a run at ``z``."""
+    sim = Simulation(scenario, "lira", config, SimulationConfig(z=z, adapt_every=10, seed=3))
+    sim.run()
+    return sim.system.shedder.plan
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +26,9 @@ def suite_results(tiny_scenario):
     """All four policies run once at z = 0.5 on the shared tiny scenario."""
     config = LiraConfig(l=13, alpha=32, z=0.5)
     results = {}
-    for name, policy in make_policies(tiny_scenario, config).items():
+    for name in POLICIES:
         sim = Simulation(
-            tiny_scenario.trace,
-            tiny_scenario.queries,
-            policy,
-            SimulationConfig(z=0.5, adapt_every=10, seed=3),
+            tiny_scenario, name, config, SimulationConfig(z=0.5, adapt_every=10, seed=3)
         )
         results[name] = sim.run()
     return results
@@ -90,14 +90,9 @@ class TestConvergenceAtLowZ:
     def test_threshold_policies_converge(self, tiny_scenario):
         config = LiraConfig(l=13, alpha=32)
         errors = {}
-        for name, policy in make_policies(
-            tiny_scenario, config, include=("lira", "uniform")
-        ).items():
+        for name in ("lira", "uniform"):
             result = Simulation(
-                tiny_scenario.trace,
-                tiny_scenario.queries,
-                policy,
-                SimulationConfig(z=0.05, adapt_every=10, seed=3),
+                tiny_scenario, name, config, SimulationConfig(z=0.05, adapt_every=10, seed=3)
             ).run()
             errors[name] = result.mean_position_error
         ratio = errors["uniform"] / errors["lira"]
@@ -108,27 +103,15 @@ class TestFairnessInTheLoop:
     def test_plan_spread_respects_fairness_threshold(self, tiny_scenario):
         for fairness in (20.0, 50.0):
             config = LiraConfig(l=13, alpha=32, fairness=fairness)
-            policy = make_policies(tiny_scenario, config, include=("lira",))["lira"]
-            Simulation(
-                tiny_scenario.trace,
-                tiny_scenario.queries,
-                policy,
-                SimulationConfig(z=0.4, adapt_every=10, seed=3),
-            ).run()
-            assert policy.plan.max_threshold_spread() <= fairness + 1e-9
+            plan = _lira_plan(tiny_scenario, config, 0.4)
+            assert plan.max_threshold_spread() <= fairness + 1e-9
 
     def test_all_nodes_remain_tracked(self, tiny_scenario):
         """LIRA's design goal: every node keeps reporting (bounded delta),
         so the server view error stays bounded for the whole population."""
         config = LiraConfig(l=13, alpha=32, fairness=50.0)
-        policy = make_policies(tiny_scenario, config, include=("lira",))["lira"]
-        Simulation(
-            tiny_scenario.trace,
-            tiny_scenario.queries,
-            policy,
-            SimulationConfig(z=0.4, adapt_every=10, seed=3),
-        ).run()
-        assert policy.plan.thresholds.max() <= 100.0 + 1e-9
+        plan = _lira_plan(tiny_scenario, config, 0.4)
+        assert plan.thresholds.max() <= 100.0 + 1e-9
 
 
 class TestRegionAwareness:
@@ -136,14 +119,7 @@ class TestRegionAwareness:
         """The core of LIRA's win near z=1: shedding comes from query-free
         regions first."""
         config = LiraConfig(l=13, alpha=32)
-        policy = make_policies(tiny_scenario, config, include=("lira",))["lira"]
-        Simulation(
-            tiny_scenario.trace,
-            tiny_scenario.queries,
-            policy,
-            SimulationConfig(z=0.7, adapt_every=10, seed=3),
-        ).run()
-        plan = policy.plan
+        plan = _lira_plan(tiny_scenario, config, 0.7)
         quiet = [r.delta for r in plan.regions if r.m == 0 and r.n > 0]
         busy = [r.delta for r in plan.regions if r.m > 0.1]
         if quiet and busy:  # workload-dependent, but true for this seed

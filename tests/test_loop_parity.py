@@ -12,30 +12,35 @@ the network's outer ring there) reads the Δ of the last row or column
 of regions, not Δ⊢.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AnalyticReduction, LiraConfig
+from repro.core import AnalyticReduction, LiraConfig, LiraLoadShedder
 from repro.experiments.common import SMALL
 from repro.geo import Rect
 from repro.queries import QueryDistribution, RangeQuery
 from repro.server import LiraSystem
-from repro.shedding import POLICIES
+from repro.shedding import POLICIES, policy_factory
 from repro.shedding.safe_region import SafeRegionPolicy
-from repro.sim import QueryTimeline, Simulation, SimulationConfig, make_policies
+from repro.sim import QueryTimeline, Simulation, SimulationConfig
 
 from tests.oracles.simulation import direct_ticks
 
 
-def _assert_same_ticks(queries, make_policy, z, adapt_every=SMALL.adapt_every):
-    """Run the direct loop and ``Simulation`` on fresh policies from
-    ``make_policy`` and compare them tick by tick."""
-    trace = SMALL.scenario().trace
+def _assert_same_ticks(queries, policy, z, adapt_every=SMALL.adapt_every):
+    """Run the direct loop and ``Simulation`` on ``policy`` (a
+    ``POLICIES`` name or factory, built fresh for each) and compare them
+    tick by tick."""
+    scenario = replace(SMALL.scenario(), queries=queries)
+    trace, reduction, lira = scenario.trace, scenario.reduction, SMALL.lira_config()
     config = SimulationConfig(z=z, adapt_every=adapt_every, seed=SMALL.seed)
-    want = list(direct_ticks(trace, queries, make_policy(), config))
-    got = list(Simulation(trace, queries, make_policy(), config).ticks())
+    direct = policy_factory(policy)(LiraLoadShedder(lira, reduction), reduction)
+    want = list(direct_ticks(trace, queries, direct, config))
+    got = list(Simulation(scenario, policy, lira, config).ticks())
     assert len(got) == len(want) == trace.num_ticks
     for (tick, _, senders, admitted), (_, _, sent, kept) in zip(want, got):
         assert np.array_equal(senders, np.sort(sent)), (
@@ -44,14 +49,9 @@ def _assert_same_ticks(queries, make_policy, z, adapt_every=SMALL.adapt_every):
         assert admitted.size == kept, f"tick {tick}: {admitted.size} vs {kept} admitted"
 
 
-def _paper_policy(name):
-    scenario = SMALL.scenario()
-    return lambda: make_policies(scenario, SMALL.lira_config(), include=(name,))[name]
-
-
 def test_sender_sets_equal_on_every_tick_of_the_small_trace():
     scenario = SMALL.scenario()
-    _assert_same_ticks(scenario.queries, _paper_policy("lira"), 0.5)
+    _assert_same_ticks(scenario.queries, "lira", 0.5)
     # The scene has nodes on the upper edges, so the rule is exercised.
     trace, top = scenario.trace, scenario.trace.bounds
     assert ((trace.positions[..., 0] == top.x2) | (trace.positions[..., 1] == top.y2)).any()
@@ -60,7 +60,7 @@ def test_sender_sets_equal_on_every_tick_of_the_small_trace():
 @pytest.mark.parametrize("z", [0.3, 0.5])
 @pytest.mark.parametrize("name", list(POLICIES))
 def test_every_paper_policy_matches_the_direct_loop(name, z):
-    _assert_same_ticks(SMALL.scenario().queries, _paper_policy(name), z)
+    _assert_same_ticks(SMALL.scenario().queries, name, z)
 
 
 @pytest.mark.parametrize("one_shot", [False, True], ids=["re-adapting", "one-shot"])
@@ -82,14 +82,14 @@ def test_phased_timeline_matches_the_direct_loop(one_shot):
         end_time=trace.duration,
     )
     adapt_every = trace.num_ticks if one_shot else SMALL.adapt_every
-    _assert_same_ticks(timeline, _paper_policy("lira"), 0.5, adapt_every)
+    _assert_same_ticks(timeline, "lira", 0.5, adapt_every)
 
 
 def test_safe_region_plan_matches_the_direct_loop():
     scenario = SMALL.scenario()
 
-    def safe():
-        return SafeRegionPolicy(scenario.queries, SMALL.lira_config())
+    def safe(shedder, reduction):
+        return SafeRegionPolicy(scenario.queries, shedder.config)
 
     _assert_same_ticks(scenario.queries, safe, 1.0)
 

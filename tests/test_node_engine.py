@@ -26,9 +26,8 @@ from hypothesis import strategies as st
 from repro.core import AnalyticReduction, LiraConfig
 from repro.core.greedy import RegionStats
 from repro.core.plan import SheddingPlan, SheddingRegion
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultSpec
 from repro.geo import Point, Rect
-from repro.history import TrajectoryStore
 from repro.server import (
     BaseStation,
     BaseStationNetwork,
@@ -47,6 +46,7 @@ from tests.oracles.system import (
     ObjectNodeEngine,
     ReferenceLiraSystem,
     UpdateMessage,
+    run_deployment,
 )
 
 BOUNDS = Rect(0.0, 0.0, 4000.0, 4000.0)
@@ -1048,36 +1048,6 @@ class TestThresholdImage:
 # ----------------------------------------------------------------------
 
 
-def _run_system(trace, queries, system_cls, policy="lira", spec=None, seed=9):
-    faults = FaultInjector(spec, seed=seed) if spec is not None else None
-    system = system_cls(
-        bounds=trace.bounds,
-        n_nodes=trace.num_nodes,
-        queries=queries,
-        reduction=AnalyticReduction(5.0, 100.0),
-        config=LiraConfig(l=13, alpha=32),
-        service_rate=500.0,
-        queue_capacity=60,
-        station_radius=1500.0,
-        adaptive_throttle=True,
-        faults=faults,
-        policy=policy,
-        policy_seed=3,
-    )
-    # LiraSystem keeps no archive of its own: attach one (the oracle's own
-    # is replaced alike) so the two archives can be compared bit for bit.
-    system.history = TrajectoryStore(trace.num_nodes)
-    system.bootstrap(trace.positions[0], trace.velocities[0])
-    sent = []
-    for tick in range(trace.num_ticks):
-        t = tick * trace.dt
-        positions = trace.positions[tick]
-        if tick % 4 == 0:
-            system.adapt(positions, trace.speeds(tick))
-        sent.append(system.tick(t, positions, trace.velocities[tick], trace.dt))
-    return system, sent
-
-
 _LOSSY = FaultSpec(
     uplink_loss=0.2,
     uplink_delay=0.15,
@@ -1103,11 +1073,11 @@ class TestEngineEquivalence:
         self, small_trace, small_queries, policy, case
     ):
         spec = _FAULT_CASES[case]
-        obj, sent_obj = _run_system(
-            small_trace, small_queries, ReferenceLiraSystem, policy=policy, spec=spec
+        obj, sent_obj = run_deployment(
+            ReferenceLiraSystem, small_trace, small_queries, spec=spec, policy=policy
         )
-        vec, sent_vec = _run_system(
-            small_trace, small_queries, LiraSystem, policy=policy, spec=spec
+        vec, sent_vec = run_deployment(
+            LiraSystem, small_trace, small_queries, spec=spec, policy=policy
         )
         # Per-tick admitted-report counts.
         assert sent_obj == sent_vec
@@ -1152,8 +1122,8 @@ class TestEngineEquivalence:
     def test_stored_region_counts_agree_without_churn(
         self, small_trace, small_queries
     ):
-        obj, _ = _run_system(small_trace, small_queries, ReferenceLiraSystem)
-        vec, _ = _run_system(small_trace, small_queries, LiraSystem)
+        obj, _ = run_deployment(ReferenceLiraSystem, small_trace, small_queries)
+        vec, _ = run_deployment(LiraSystem, small_trace, small_queries)
         assert np.array_equal(
             obj.node_engine.stored_region_counts(),
             vec.node_engine.stored_region_counts(),
@@ -1164,7 +1134,7 @@ class TestEngineEquivalence:
     ):
         """The O(1) monotonic counter equals the O(N) reduction it replaced."""
         for system_cls in (LiraSystem, ReferenceLiraSystem):
-            system, _ = _run_system(small_trace, small_queries, system_cls)
+            system, _ = run_deployment(system_cls, small_trace, small_queries)
             assert system.node_engine.total_handoffs == int(
                 system.node_engine.handoff_counts().sum()
             )
@@ -1188,12 +1158,10 @@ class TestStatsUnderChurn:
 
     @pytest.fixture(scope="class")
     def churn_pair(self, small_trace, small_queries):
-        obj, _ = _run_system(
-            small_trace, small_queries, ReferenceLiraSystem, spec=_CHURN, seed=21
+        obj, _ = run_deployment(
+            ReferenceLiraSystem, small_trace, small_queries, spec=_CHURN, seed=21
         )
-        vec, _ = _run_system(
-            small_trace, small_queries, LiraSystem, spec=_CHURN, seed=21
-        )
+        vec, _ = run_deployment(LiraSystem, small_trace, small_queries, spec=_CHURN, seed=21)
         return obj, vec
 
     def test_active_node_accounting(self, churn_pair, small_trace):

@@ -17,7 +17,7 @@ import pytest
 from repro.experiments.common import SMALL, ExperimentScale
 from repro.experiments.runner import SimJob, run_jobs
 from repro.queries import QueryDistribution
-from repro.sim import Simulation, SimulationConfig, make_policies
+from repro.sim import Simulation, SimulationConfig
 from tests.oracles.measurement import run_brute_force
 
 #: SMALL, shortened in duration only — the acceptance scale's node count,
@@ -83,9 +83,8 @@ def brute_force_results():
     for distribution, mn_ratio, l, policy_name in CELLS:
         scenario = SMALL_EQ.scenario(mn_ratio=mn_ratio, distribution=distribution)
         config = SMALL_EQ.lira_config(l=l)
-        policy = make_policies(scenario, config, include=(policy_name,))[policy_name]
         sim_config = SimulationConfig(z=Z, adapt_every=SMALL_EQ.adapt_every, seed=SMALL_EQ.seed)
-        simulation = Simulation(scenario.trace, scenario.queries, policy, sim_config)
+        simulation = Simulation(scenario, policy_name, config, sim_config)
         results.append(run_brute_force(simulation))
     return results
 

@@ -5,16 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import LiraConfig, LiraLoadShedder
+from repro.core import LiraConfig
 from repro.queries import QueryDistribution
-from repro.shedding import RandomDropPolicy, UniformDeltaPolicy
 from repro.sim import (
     QueryTimeline,
     Simulation,
     SimulationConfig,
     SimulationResult,
     build_scenario,
-    make_policies,
     reference_update_count,
 )
 from repro.sim import scenario as scenario_module
@@ -33,28 +31,20 @@ class TestSimulationConfig:
 
 class TestSimulation:
     def test_requires_queries(self, tiny_scenario):
-        policy = UniformDeltaPolicy(tiny_scenario.reduction)
         with pytest.raises(ValueError):
-            Simulation(tiny_scenario.trace, [], policy)
+            Simulation(dataclasses.replace(tiny_scenario, queries=[]), "uniform")
 
     def test_perfect_tracking_at_z_one(self, tiny_scenario):
         """z = 1 with Uniform Delta means delta = delta_min everywhere;
         containment error should be tiny (only within-threshold drift)."""
-        policy = UniformDeltaPolicy(tiny_scenario.reduction)
         result = Simulation(
-            tiny_scenario.trace,
-            tiny_scenario.queries,
-            policy,
-            SimulationConfig(z=1.0, adapt_every=10),
+            tiny_scenario, "uniform", config=SimulationConfig(z=1.0, adapt_every=10)
         ).run()
         assert result.mean_position_error <= tiny_scenario.delta_min + 1e-9
 
     def test_result_bookkeeping(self, tiny_scenario):
-        policy = UniformDeltaPolicy(tiny_scenario.reduction)
         config = SimulationConfig(z=0.5, adapt_every=10, warmup_ticks=2)
-        result = Simulation(
-            tiny_scenario.trace, tiny_scenario.queries, policy, config
-        ).run()
+        result = Simulation(tiny_scenario, "uniform", config=config).run()
         assert result.policy_name == "Uniform Delta"
         assert result.z == 0.5
         assert result.ticks_measured == tiny_scenario.trace.num_ticks - 2
@@ -63,24 +53,18 @@ class TestSimulation:
         assert result.updates_admitted == result.updates_sent  # no dropping
 
     def test_random_drop_admits_fraction(self, tiny_scenario):
-        policy = RandomDropPolicy(delta_min=tiny_scenario.delta_min)
         result = Simulation(
-            tiny_scenario.trace,
-            tiny_scenario.queries,
-            policy,
-            SimulationConfig(z=0.5, adapt_every=10),
+            tiny_scenario, "random-drop", config=SimulationConfig(z=0.5, adapt_every=10)
         ).run()
         fraction = result.updates_admitted / result.updates_sent
         assert 0.4 < fraction < 0.6
 
     def test_deterministic_given_seed(self, tiny_scenario):
         def run():
-            policy = RandomDropPolicy(delta_min=tiny_scenario.delta_min)
             return Simulation(
-                tiny_scenario.trace,
-                tiny_scenario.queries,
-                policy,
-                SimulationConfig(z=0.5, adapt_every=10, seed=11),
+                tiny_scenario,
+                "random-drop",
+                config=SimulationConfig(z=0.5, adapt_every=10, seed=11),
             ).run()
 
         a, b = run(), run()
@@ -91,12 +75,8 @@ class TestSimulation:
         """Less update budget must cost accuracy (monotonicity)."""
         errors = []
         for z in (0.9, 0.3):
-            policy = UniformDeltaPolicy(tiny_scenario.reduction)
             result = Simulation(
-                tiny_scenario.trace,
-                tiny_scenario.queries,
-                policy,
-                SimulationConfig(z=z, adapt_every=10),
+                tiny_scenario, "uniform", config=SimulationConfig(z=z, adapt_every=10)
             ).run()
             errors.append(result.mean_position_error)
         assert errors[0] < errors[1]
@@ -107,23 +87,15 @@ class TestSimulation:
             tiny_scenario.trace, tiny_scenario.delta_min
         )
         config = LiraConfig(l=13, alpha=32, z=0.5)
-        policy = LiraLoadShedder(config, tiny_scenario.reduction)
         result = Simulation(
-            tiny_scenario.trace,
-            tiny_scenario.queries,
-            policy,
-            SimulationConfig(z=0.5, adapt_every=10),
+            tiny_scenario, "lira", config, SimulationConfig(z=0.5, adapt_every=10)
         ).run()
         ratio = result.updates_sent / reference
         assert 0.3 < ratio < 0.75  # targeted 0.5 with modeling slack
 
     def test_per_query_metrics_shape(self, tiny_scenario):
-        policy = UniformDeltaPolicy(tiny_scenario.reduction)
         result = Simulation(
-            tiny_scenario.trace,
-            tiny_scenario.queries,
-            policy,
-            SimulationConfig(z=0.5, adapt_every=10),
+            tiny_scenario, "uniform", config=SimulationConfig(z=0.5, adapt_every=10)
         ).run()
         assert result.per_query_containment.shape == (len(tiny_scenario.queries),)
         assert result.per_query_position.shape == (len(tiny_scenario.queries),)
@@ -137,7 +109,9 @@ class TestTimeline:
         timeline = QueryTimeline.phased([(0.0, queries)], end_time=trace.duration)
         config = SimulationConfig(z=0.5, adapt_every=10)
         results = [
-            Simulation(trace, workload, RandomDropPolicy(tiny_scenario.delta_min), config).run()
+            Simulation(
+                dataclasses.replace(tiny_scenario, queries=workload), "random-drop", config=config
+            ).run()
             for workload in (queries, timeline)
         ]
         for f in dataclasses.fields(SimulationResult):
@@ -155,9 +129,8 @@ class TestTimeline:
 
         monkeypatch.setattr(simulation_module, "QueryEvalKernel", spy)
         trace, queries = tiny_scenario.trace, tiny_scenario.queries
-        policy = UniformDeltaPolicy(tiny_scenario.reduction)
         config = SimulationConfig(z=0.5, adapt_every=10, warmup_ticks=3)
-        Simulation(trace, queries, policy, config).run()
+        Simulation(tiny_scenario, "uniform", config=config).run()
         assert built == [[query.query_id for query in queries]]
 
         # Phase a ends inside the warmup; the empty phase needs no kernel.
@@ -166,21 +139,19 @@ class TestTimeline:
             [(0.0, a), (trace.dt, b), (100.0, []), (200.0, c)], end_time=trace.duration
         )
         built.clear()
-        Simulation(trace, timeline, policy, config).run()
+        Simulation(
+            dataclasses.replace(tiny_scenario, queries=timeline), "uniform", config=config
+        ).run()
         assert built == [[query.query_id for query in phase] for phase in (b, c)]
 
     def test_requires_timeline_entries(self, tiny_scenario):
-        policy = UniformDeltaPolicy(tiny_scenario.reduction)
         with pytest.raises(ValueError):
-            Simulation(tiny_scenario.trace, QueryTimeline(), policy)
+            Simulation(dataclasses.replace(tiny_scenario, queries=QueryTimeline()), "uniform")
 
     def test_ticks_yields_every_tick(self, tiny_scenario):
-        policy = UniformDeltaPolicy(tiny_scenario.reduction)
-        assert policy.admission_fraction() == 1.0
-        sim = Simulation(
-            tiny_scenario.trace, tiny_scenario.queries, policy, SimulationConfig(z=0.5)
-        )
+        sim = Simulation(tiny_scenario, "uniform", config=SimulationConfig(z=0.5))
         steps = list(sim.ticks())
+        assert sim.system.shards[0].policy.admission_fraction() == 1.0
         assert [step[0] for step in steps] == list(range(tiny_scenario.trace.num_ticks))
         for tick, t, senders, admitted in steps:
             assert t == tick * tiny_scenario.trace.dt
@@ -220,15 +191,6 @@ class TestScenarioBuilder:
             tiny_scenario.workload()
         with pytest.raises(ValueError):
             tiny_scenario.workload(mn_ratio=0.1, n_queries=5)
-
-    def test_make_policies_all(self, tiny_scenario):
-        config = LiraConfig(l=13, alpha=32)
-        policies = make_policies(tiny_scenario, config)
-        assert set(policies) == {"lira", "lira-grid", "uniform", "random-drop"}
-
-    def test_make_policies_unknown_rejected(self, tiny_scenario):
-        with pytest.raises(ValueError):
-            make_policies(tiny_scenario, LiraConfig(l=4, alpha=32), include=("nope",))
 
     def test_cold_build_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
